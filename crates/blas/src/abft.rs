@@ -394,8 +394,8 @@ pub(crate) fn syrk_encode<T: Scalar>(
 }
 
 /// Verifies the rank-k update checksum; recovery restores and re-runs
-/// the offending `SYRK_NB` diagonal block(s) through `syrk_block`, the
-/// same kernel both the serial and the dealt-parallel paths execute.
+/// the offending `SYRK_NB` column band(s) through `syrk_block`, the
+/// same band sweep both the serial and the dealt-parallel paths execute.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn syrk_verify<T: Scalar>(
     ck: ColCheck<T>,

@@ -2,10 +2,11 @@
 //!
 //! The packed gemm in [`crate::l3`] copies operand panels into contiguous
 //! buffers ([`crate::pack`]) and then drives one of the microkernels
-//! defined here over MR×NR tiles — the BLASFEO structure: all the
-//! cache-blocking and edge handling lives outside the kernel, so a kernel
-//! only ever sees full, aligned, zero-padded micro-panels and can be an
-//! unrolled straight-line register tile.
+//! defined here over MR×NR tiles — the BLASFEO structure: the cache
+//! blocking lives outside the kernel, the kernel sees full, zero-padded
+//! micro-panels, and the kernel *owns its C tile*: it accumulates the
+//! product in registers from zero, adds it into `C` once and masks ragged
+//! edges itself, so a rank-32 update pays no scratch round trip per tile.
 //!
 //! Three interchangeable implementations sit behind the [`MicroKernel`]
 //! trait, selected through the `LA_GEMM_KERNEL` tune knob
@@ -16,11 +17,13 @@
 //! * [`Unrolled`] — an explicitly unrolled register tile, generic over the
 //!   scalar type. Performs the *same additions in the same order* as
 //!   `RefKernel`, so the two are bitwise identical.
-//! * `SimdKernel` — x86-64 AVX2+FMA vectorized tiles for `f32`/`f64`
-//!   (behind the `simd` cargo feature, with runtime CPU detection). FMA
-//!   contracts the multiply-add rounding, so its results differ from the
-//!   scalar kernels by a few ulps; complex types and non-x86 hosts fall
-//!   back to the unrolled kernel.
+//! * the `simd` kernels — x86-64 AVX2+FMA vectorized tiles, one per real
+//!   type (behind the `simd` cargo feature). FMA contracts the
+//!   multiply-add rounding, so their results differ from the scalar
+//!   kernels by a few ulps. [`kernel_for`] picks them once per
+//!   [`PackedPlan`], after checking the scalar type and the CPU; complex
+//!   types and other hosts get the unrolled kernel, so selecting `simd`
+//!   is always safe and nothing is re-tested per tile.
 //!
 //! Every kernel for a given scalar type shares the same tile shape
 //! ([`tile_dims`]), so the packed-panel layout — and therefore the
@@ -29,9 +32,9 @@
 use la_core::tune::GemmKernel;
 use la_core::Scalar;
 
-/// Largest `MR·NR` over all tile shapes in [`tile_dims`]; accumulator
-/// scratch in the macro-kernel is sized by this.
-pub const MAX_TILE: usize = 64;
+/// Largest `MR·NR` over all tile shapes in [`tile_dims`]; sizes the stack
+/// tile of [`via_stack_tile`].
+const MAX_TILE: usize = 64;
 
 /// The microkernel tile shape `(MR, NR)` for a scalar type. One shape per
 /// type, shared by every kernel variant so the packed layout is
@@ -47,15 +50,8 @@ pub fn tile_dims<T: Scalar>() -> (usize, usize) {
     }
 }
 
-/// A register-tiled microkernel: computes one MR×NR tile of
-/// `op(A)·op(B)` from packed micro-panels.
-///
-/// `ap` holds `kb` groups of `mr()` values (one A micro-panel column per
-/// depth step), `bp` holds `kb` groups of `nr()` values; both are
-/// zero-padded by the packing layer, so the kernel always computes a full
-/// tile. The result is written to `acc` in column-major order
-/// (`acc[r + s·mr()]`), *overwriting* it; the macro-kernel masks edge
-/// tiles when adding `acc` into `C`.
+/// A register-tiled microkernel: accumulates one tile of `op(A)·op(B)`
+/// from packed micro-panels into `C`.
 pub trait MicroKernel<T: Scalar>: Sync {
     /// Name recorded in probe spans (`"scalar"`, `"unrolled"`, `"simd"`).
     fn name(&self) -> &'static str;
@@ -63,8 +59,142 @@ pub trait MicroKernel<T: Scalar>: Sync {
     fn mr(&self) -> usize;
     /// Tile width (columns of C per tile).
     fn nr(&self) -> usize;
-    /// Computes the full `mr() × nr()` tile over a depth of `kb`.
-    fn tile(&self, kb: usize, ap: &[T], bp: &[T], acc: &mut [T]);
+    /// `C[..rows, ..cols] += Ap·Bp` over a depth of `kb`.
+    ///
+    /// `ap` holds `kb` groups of `mr()` values (one A micro-panel column
+    /// per depth step), `bp` holds `kb` groups of `nr()` values; both are
+    /// zero-padded by the packing layer. `c` starts at the tile's top-left
+    /// element and has column stride `ldc`. Each element's sum starts at
+    /// zero, runs over the depth in order and is added to `C` once, so
+    /// the result does not depend on where tile boundaries fall.
+    ///
+    /// # Panics
+    /// If `rows > mr()`, `cols > nr()`, a panel is shorter than `kb`
+    /// groups, or `c` holds fewer than `(cols − 1)·ldc + rows` elements —
+    /// before anything is written.
+    #[allow(clippy::too_many_arguments)]
+    fn tile(
+        &self,
+        kb: usize,
+        ap: &[T],
+        bp: &[T],
+        c: &mut [T],
+        ldc: usize,
+        rows: usize,
+        cols: usize,
+    );
+}
+
+/// The argument checks of [`MicroKernel::tile`]. Returns `false` for an
+/// empty tile (nothing to do).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn check_tile<T>(
+    (mr, nr): (usize, usize),
+    kb: usize,
+    ap: &[T],
+    bp: &[T],
+    c: &[T],
+    ldc: usize,
+    rows: usize,
+    cols: usize,
+) -> bool {
+    assert!(
+        rows <= mr && cols <= nr,
+        "{rows}x{cols} tile exceeds {mr}x{nr}"
+    );
+    assert!(
+        ap.len() >= kb * mr && bp.len() >= kb * nr,
+        "packed panel shorter than kb groups"
+    );
+    if rows == 0 || cols == 0 {
+        return false;
+    }
+    assert!(
+        c.len() >= (cols - 1) * ldc + rows,
+        "C slice too short for the tile"
+    );
+    true
+}
+
+/// The one masked write-back, shared by every kernel's edge tiles and by
+/// [`tile_where`]: runs `full` — a full `mr × nr` accumulate — on a stack
+/// tile (column stride `mr`) and adds the entries selected by `keep(r, s)`
+/// into `C`.
+#[inline]
+fn via_stack_tile<T: Scalar>(
+    (mr, nr): (usize, usize),
+    c: &mut [T],
+    ldc: usize,
+    full: impl FnOnce(&mut [T]),
+    keep: impl Fn(usize, usize) -> bool,
+) {
+    // −0 is the exact additive identity (+0 would turn a −0 sum into +0),
+    // so after `full` the stack tile holds the kernel's sums bit for bit
+    // and a masked tile adds exactly what a full one would.
+    let mut tile = [-T::zero(); MAX_TILE];
+    let tile = &mut tile[..mr * nr];
+    full(tile);
+    for s in 0..nr {
+        for r in 0..mr {
+            if keep(r, s) {
+                c[r + s * ldc] += tile[r + s * mr];
+            }
+        }
+    }
+}
+
+/// Runs a kernel's full-tile accumulate `full(c, ldc)` straight on `C`
+/// for a full tile, and through the stack tile, masked to `rows × cols`,
+/// for an edge tile.
+#[inline(always)]
+fn full_or_edge<T: Scalar>(
+    dims: (usize, usize),
+    c: &mut [T],
+    ldc: usize,
+    rows: usize,
+    cols: usize,
+    full: impl Fn(&mut [T], usize),
+) {
+    if (rows, cols) == dims {
+        full(c, ldc);
+    } else {
+        via_stack_tile(
+            dims,
+            c,
+            ldc,
+            |t| full(t, dims.0),
+            |r, s| r < rows && s < cols,
+        );
+    }
+}
+
+/// [`MicroKernel::tile`] under an arbitrary element mask: adds the tile's
+/// entries `(r, s)` with `r < rows`, `s < cols` and `keep(r, s)` into `C`.
+/// The triangle-masked diagonal tiles of `syrk`/`herk` go through here.
+#[allow(clippy::too_many_arguments)]
+pub fn tile_where<T: Scalar>(
+    kern: &dyn MicroKernel<T>,
+    kb: usize,
+    ap: &[T],
+    bp: &[T],
+    c: &mut [T],
+    ldc: usize,
+    rows: usize,
+    cols: usize,
+    keep: impl Fn(usize, usize) -> bool,
+) {
+    let dims = (kern.mr(), kern.nr());
+    if !check_tile(dims, kb, ap, bp, c, ldc, rows, cols) {
+        return;
+    }
+    via_stack_tile(
+        dims,
+        c,
+        ldc,
+        |t| kern.tile(kb, ap, bp, t, dims.0, dims.0, dims.1),
+        |r, s| r < rows && s < cols && keep(r, s),
+    );
 }
 
 /// Reference triple-loop microkernel: one scalar accumulator per tile
@@ -82,14 +212,26 @@ impl<T: Scalar, const MR: usize, const NR: usize> MicroKernel<T> for RefKernel<M
     fn nr(&self) -> usize {
         NR
     }
-    fn tile(&self, kb: usize, ap: &[T], bp: &[T], acc: &mut [T]) {
-        for s in 0..NR {
-            for r in 0..MR {
+    fn tile(
+        &self,
+        kb: usize,
+        ap: &[T],
+        bp: &[T],
+        c: &mut [T],
+        ldc: usize,
+        rows: usize,
+        cols: usize,
+    ) {
+        if !check_tile((MR, NR), kb, ap, bp, c, ldc, rows, cols) {
+            return;
+        }
+        for s in 0..cols {
+            for (r, cv) in c[s * ldc..s * ldc + rows].iter_mut().enumerate() {
                 let mut sum = T::zero();
                 for l in 0..kb {
                     sum += ap[l * MR + r] * bp[l * NR + s];
                 }
-                acc[r + s * MR] = sum;
+                *cv += sum;
             }
         }
     }
@@ -102,6 +244,30 @@ impl<T: Scalar, const MR: usize, const NR: usize> MicroKernel<T> for RefKernel<M
 /// bitwise identical.
 pub struct Unrolled<const MR: usize, const NR: usize>;
 
+impl<const MR: usize, const NR: usize> Unrolled<MR, NR> {
+    /// Full-tile accumulate: `C[..MR, ..NR] += Ap·Bp`, stored straight
+    /// from the register block.
+    #[inline(always)]
+    fn full<T: Scalar>(kb: usize, ap: &[T], bp: &[T], c: &mut [T], ldc: usize) {
+        let mut acc = [[T::zero(); MR]; NR];
+        for l in 0..kb {
+            let av = &ap[l * MR..l * MR + MR];
+            let bv = &bp[l * NR..l * NR + NR];
+            for (s, cs) in acc.iter_mut().enumerate() {
+                let bs = bv[s];
+                for (r, cv) in cs.iter_mut().enumerate() {
+                    *cv += av[r] * bs;
+                }
+            }
+        }
+        for (s, cs) in acc.iter().enumerate() {
+            for (cv, &v) in c[s * ldc..s * ldc + MR].iter_mut().zip(cs) {
+                *cv += v;
+            }
+        }
+    }
+}
+
 impl<T: Scalar, const MR: usize, const NR: usize> MicroKernel<T> for Unrolled<MR, NR> {
     fn name(&self) -> &'static str {
         "unrolled"
@@ -112,62 +278,87 @@ impl<T: Scalar, const MR: usize, const NR: usize> MicroKernel<T> for Unrolled<MR
     fn nr(&self) -> usize {
         NR
     }
-    fn tile(&self, kb: usize, ap: &[T], bp: &[T], acc: &mut [T]) {
-        let mut c = [[T::zero(); MR]; NR];
-        for l in 0..kb {
-            let av = &ap[l * MR..l * MR + MR];
-            let bv = &bp[l * NR..l * NR + NR];
-            for (s, cs) in c.iter_mut().enumerate() {
-                let bs = bv[s];
-                for (r, cv) in cs.iter_mut().enumerate() {
-                    *cv += av[r] * bs;
-                }
-            }
+    fn tile(
+        &self,
+        kb: usize,
+        ap: &[T],
+        bp: &[T],
+        c: &mut [T],
+        ldc: usize,
+        rows: usize,
+        cols: usize,
+    ) {
+        if !check_tile((MR, NR), kb, ap, bp, c, ldc, rows, cols) {
+            return;
         }
-        for (s, cs) in c.iter().enumerate() {
-            acc[s * MR..s * MR + MR].copy_from_slice(cs);
-        }
+        full_or_edge((MR, NR), c, ldc, rows, cols, |c, ldc| {
+            Self::full(kb, ap, bp, c, ldc)
+        });
     }
 }
 
-/// AVX2+FMA microkernel for real types (`simd` cargo feature). The
-/// generic [`MicroKernel`] impl dispatches by scalar type at runtime;
-/// complex types — and hosts without AVX2/FMA — run the unrolled tile
-/// instead, so selecting `simd` is always safe.
-#[cfg(feature = "simd")]
-pub struct SimdKernel;
-
-#[cfg(feature = "simd")]
+/// AVX2+FMA microkernels for the real types. [`Avx`] is private to this
+/// module and [`for_type`] hands it out only after the CPU check, which is
+/// what makes the `target_feature` calls behind its `tile` sound.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod simd {
-    /// Whether the host supports the AVX2+FMA paths (checked once).
-    pub(super) fn host_supported() -> bool {
-        #[cfg(target_arch = "x86_64")]
+    use super::{check_tile, full_or_edge, MicroKernel, Scalar};
+    use std::arch::x86_64::*;
+
+    /// The kernel for `T` if `T` is `f64` or `f32` and the host has
+    /// AVX2+FMA.
+    pub(super) fn for_type<T: Scalar>() -> Option<&'static dyn MicroKernel<T>> {
+        use std::any::Any;
+        if !(std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma"))
         {
-            use std::sync::OnceLock;
-            static OK: OnceLock<bool> = OnceLock::new();
-            *OK.get_or_init(|| {
-                std::arch::is_x86_feature_detected!("avx2")
-                    && std::arch::is_x86_feature_detected!("fma")
-            })
+            return None;
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
+        let d: &'static dyn MicroKernel<f64> = &Avx;
+        let s: &'static dyn MicroKernel<f32> = &Avx;
+        // A downcast succeeds exactly when `T` is that kernel's type.
+        (&d as &dyn Any)
+            .downcast_ref::<&'static dyn MicroKernel<T>>()
+            .or_else(|| (&s as &dyn Any).downcast_ref())
+            .copied()
+    }
+
+    struct Avx;
+
+    /// A real type with a vectorized full-tile accumulate.
+    trait AvxTile: Scalar {
+        const DIMS: (usize, usize);
+        /// `C[..MR, ..NR] += Ap·Bp`.
+        ///
+        /// # Safety
+        /// AVX2+FMA must be available; `a` / `b` must be readable for
+        /// `kb·MR` / `kb·NR` elements and `c` readable and writable for
+        /// `(NR − 1)·ldc + MR`.
+        unsafe fn full(kb: usize, a: *const Self, b: *const Self, c: *mut Self, ldc: usize);
+    }
+
+    impl AvxTile for f64 {
+        const DIMS: (usize, usize) = (8, 4);
+        unsafe fn full(kb: usize, a: *const f64, b: *const f64, c: *mut f64, ldc: usize) {
+            full_f64_8x4(kb, a, b, c, ldc)
+        }
+    }
+
+    impl AvxTile for f32 {
+        const DIMS: (usize, usize) = (16, 4);
+        unsafe fn full(kb: usize, a: *const f32, b: *const f32, c: *mut f32, ldc: usize) {
+            full_f32_16x4(kb, a, b, c, ldc)
         }
     }
 
     /// 8×4 f64 tile: rows in two 4-lane AVX vectors, four broadcast
-    /// columns — eight independent FMA accumulator registers.
+    /// columns — eight independent FMA accumulator registers, each
+    /// loaded-added-stored into its C column at the end.
     ///
     /// # Safety
-    /// Caller must ensure AVX2+FMA are available and the slices hold
-    /// `kb·8` / `kb·4` / `32` elements respectively.
-    #[cfg(target_arch = "x86_64")]
+    /// See [`AvxTile::full`].
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn tile_f64_8x4(kb: usize, ap: &[f64], bp: &[f64], acc: &mut [f64]) {
-        use std::arch::x86_64::*;
-        let a = ap.as_ptr();
-        let b = bp.as_ptr();
+    unsafe fn full_f64_8x4(kb: usize, a: *const f64, b: *const f64, c: *mut f64, ldc: usize) {
         let mut c0 = [_mm256_setzero_pd(); 4];
         let mut c1 = [_mm256_setzero_pd(); 4];
         for l in 0..kb {
@@ -179,10 +370,10 @@ mod simd {
                 c1[s] = _mm256_fmadd_pd(a1, bv, c1[s]);
             }
         }
-        let out = acc.as_mut_ptr();
         for s in 0..4 {
-            _mm256_storeu_pd(out.add(s * 8), c0[s]);
-            _mm256_storeu_pd(out.add(s * 8 + 4), c1[s]);
+            let p = c.add(s * ldc);
+            _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), c0[s]));
+            _mm256_storeu_pd(p.add(4), _mm256_add_pd(_mm256_loadu_pd(p.add(4)), c1[s]));
         }
     }
 
@@ -190,14 +381,9 @@ mod simd {
     /// columns.
     ///
     /// # Safety
-    /// Caller must ensure AVX2+FMA are available and the slices hold
-    /// `kb·16` / `kb·4` / `64` elements respectively.
-    #[cfg(target_arch = "x86_64")]
+    /// See [`AvxTile::full`].
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn tile_f32_16x4(kb: usize, ap: &[f32], bp: &[f32], acc: &mut [f32]) {
-        use std::arch::x86_64::*;
-        let a = ap.as_ptr();
-        let b = bp.as_ptr();
+    unsafe fn full_f32_16x4(kb: usize, a: *const f32, b: *const f32, c: *mut f32, ldc: usize) {
         let mut c0 = [_mm256_setzero_ps(); 4];
         let mut c1 = [_mm256_setzero_ps(); 4];
         for l in 0..kb {
@@ -209,69 +395,51 @@ mod simd {
                 c1[s] = _mm256_fmadd_ps(a1, bv, c1[s]);
             }
         }
-        let out = acc.as_mut_ptr();
         for s in 0..4 {
-            _mm256_storeu_ps(out.add(s * 16), c0[s]);
-            _mm256_storeu_ps(out.add(s * 16 + 8), c1[s]);
+            let p = c.add(s * ldc);
+            _mm256_storeu_ps(p, _mm256_add_ps(_mm256_loadu_ps(p), c0[s]));
+            _mm256_storeu_ps(p.add(8), _mm256_add_ps(_mm256_loadu_ps(p.add(8)), c1[s]));
+        }
+    }
+
+    impl<T: AvxTile> MicroKernel<T> for Avx {
+        fn name(&self) -> &'static str {
+            "simd"
+        }
+        fn mr(&self) -> usize {
+            T::DIMS.0
+        }
+        fn nr(&self) -> usize {
+            T::DIMS.1
+        }
+        fn tile(
+            &self,
+            kb: usize,
+            ap: &[T],
+            bp: &[T],
+            c: &mut [T],
+            ldc: usize,
+            rows: usize,
+            cols: usize,
+        ) {
+            if !check_tile(T::DIMS, kb, ap, bp, c, ldc, rows, cols) {
+                return;
+            }
+            full_or_edge(T::DIMS, c, ldc, rows, cols, |c, ldc| {
+                assert!(c.len() >= (T::DIMS.1 - 1) * ldc + T::DIMS.0);
+                // SAFETY: `check_tile` proved the panel lengths and the
+                // line above the extent of `c`; an `Avx` exists only on a
+                // host with AVX2+FMA (see `for_type`).
+                unsafe { T::full(kb, ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr(), ldc) }
+            });
         }
     }
 }
 
-#[cfg(feature = "simd")]
-impl<T: Scalar> MicroKernel<T> for SimdKernel {
-    fn name(&self) -> &'static str {
-        "simd"
-    }
-    fn mr(&self) -> usize {
-        tile_dims::<T>().0
-    }
-    fn nr(&self) -> usize {
-        tile_dims::<T>().1
-    }
-    fn tile(&self, kb: usize, ap: &[T], bp: &[T], acc: &mut [T]) {
-        #[cfg(target_arch = "x86_64")]
-        if simd::host_supported() {
-            use std::any::TypeId;
-            let t = TypeId::of::<T>();
-            // The TypeId check proves T == f64 (resp. f32), so the
-            // slice reinterpretation is an identity cast.
-            if t == TypeId::of::<f64>() {
-                unsafe {
-                    let ap = &*(ap as *const [T] as *const [f64]);
-                    let bp = &*(bp as *const [T] as *const [f64]);
-                    let acc = &mut *(acc as *mut [T] as *mut [f64]);
-                    simd::tile_f64_8x4(kb, ap, bp, acc);
-                }
-                return;
-            }
-            if t == TypeId::of::<f32>() {
-                unsafe {
-                    let ap = &*(ap as *const [T] as *const [f32]);
-                    let bp = &*(bp as *const [T] as *const [f32]);
-                    let acc = &mut *(acc as *mut [T] as *mut [f32]);
-                    simd::tile_f32_16x4(kb, ap, bp, acc);
-                }
-                return;
-            }
-        }
-        fallback_tile::<T>(kb, ap, bp, acc);
-    }
-}
-
-/// The unrolled tile at this type's shape — the fallback body for
-/// [`SimdKernel`] on unsupported types/hosts.
-#[cfg(feature = "simd")]
-fn fallback_tile<T: Scalar>(kb: usize, ap: &[T], bp: &[T], acc: &mut [T]) {
-    match tile_dims::<T>() {
-        (16, 4) => MicroKernel::<T>::tile(&Unrolled::<16, 4>, kb, ap, bp, acc),
-        (8, 4) => MicroKernel::<T>::tile(&Unrolled::<8, 4>, kb, ap, bp, acc),
-        _ => MicroKernel::<T>::tile(&Unrolled::<4, 2>, kb, ap, bp, acc),
-    }
-}
-
-/// Resolves a [`GemmKernel`] selection to a concrete kernel for `T`.
-/// `Auto` (and `Simd` without support) resolve to the fastest applicable
-/// kernel; the returned reference is a promoted ZST, so this is free.
+/// Resolves a [`GemmKernel`] selection to a concrete kernel for `T` —
+/// scalar type and CPU support are decided here, once per plan. `Auto`
+/// (and `Simd` without support) resolve to the fastest applicable kernel;
+/// the returned reference is a promoted ZST.
 pub fn kernel_for<T: Scalar>(sel: GemmKernel) -> &'static dyn MicroKernel<T> {
     match sel {
         GemmKernel::Scalar => match tile_dims::<T>() {
@@ -281,11 +449,9 @@ pub fn kernel_for<T: Scalar>(sel: GemmKernel) -> &'static dyn MicroKernel<T> {
         },
         GemmKernel::Unrolled => unrolled_for::<T>(),
         GemmKernel::Simd | GemmKernel::Auto => {
-            #[cfg(feature = "simd")]
-            {
-                if !T::IS_COMPLEX && simd::host_supported() {
-                    return &SimdKernel;
-                }
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            if let Some(k) = simd::for_type::<T>() {
+                return k;
             }
             unrolled_for::<T>()
         }
@@ -352,55 +518,155 @@ impl<T: Scalar> PackedPlan<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use la_core::{RealScalar, C32, C64};
+
+    const KERNELS: [GemmKernel; 3] = [GemmKernel::Scalar, GemmKernel::Unrolled, GemmKernel::Simd];
 
     #[test]
-    fn tile_shapes_fit_the_accumulator_scratch() {
+    fn tile_shapes_fit_the_stack_tile() {
         fn check<T: Scalar>() {
             let (mr, nr) = tile_dims::<T>();
             assert!(mr * nr <= MAX_TILE);
-            for sel in [GemmKernel::Scalar, GemmKernel::Unrolled, GemmKernel::Simd] {
+            for sel in KERNELS {
                 let k = kernel_for::<T>(sel);
                 assert_eq!((k.mr(), k.nr()), (mr, nr), "{} shape", k.name());
             }
         }
         check::<f32>();
         check::<f64>();
-        check::<la_core::C32>();
-        check::<la_core::C64>();
+        check::<C32>();
+        check::<C64>();
     }
 
-    #[test]
-    fn scalar_and_unrolled_tiles_are_bitwise_identical() {
-        let (mr, nr) = tile_dims::<f64>();
-        let kb = 7usize;
-        let ap: Vec<f64> = (0..kb * mr).map(|i| (i as f64).sin()).collect();
-        let bp: Vec<f64> = (0..kb * nr).map(|i| (i as f64).cos()).collect();
-        let mut acc1 = vec![0.0; mr * nr];
-        let mut acc2 = vec![1.0; mr * nr];
-        kernel_for::<f64>(GemmKernel::Scalar).tile(kb, &ap, &bp, &mut acc1);
-        kernel_for::<f64>(GemmKernel::Unrolled).tile(kb, &ap, &bp, &mut acc2);
-        assert_eq!(acc1, acc2);
+    /// Deterministic values in [−1, 1).
+    fn vals<T: Scalar>(n: usize, seed: usize) -> Vec<T> {
+        let v = |i: usize| ((i * 37 + seed * 11) % 101) as f64 / 50.5 - 1.0;
+        (0..n)
+            .map(|i| {
+                let im = if T::IS_COMPLEX { v(i + 50) } else { 0.0 };
+                T::from_re_im(T::Real::from_f64(v(i)), T::Real::from_f64(im))
+            })
+            .collect()
     }
 
-    #[test]
-    fn simd_selection_matches_scalar_to_ulp_tolerance() {
-        // With the feature off this degenerates to unrolled-vs-scalar
-        // (bitwise); with it on, FMA contraction allows a small relative
-        // error.
-        let (mr, nr) = tile_dims::<f64>();
-        let kb = 33usize;
-        let ap: Vec<f64> = (0..kb * mr)
-            .map(|i| ((i * 37 % 101) as f64) - 50.0)
-            .collect();
-        let bp: Vec<f64> = (0..kb * nr)
-            .map(|i| ((i * 53 % 97) as f64) - 48.0)
-            .collect();
-        let mut want = vec![0.0; mr * nr];
-        let mut got = vec![0.0; mr * nr];
-        kernel_for::<f64>(GemmKernel::Scalar).tile(kb, &ap, &bp, &mut want);
-        kernel_for::<f64>(GemmKernel::Simd).tile(kb, &ap, &bp, &mut got);
-        for (w, g) in want.iter().zip(&got) {
-            assert!((w - g).abs() <= 1e-9 * (1.0 + w.abs()), "{w} vs {g}");
+    /// The contract of `tile` on every kernel, full and edge shapes, with
+    /// `ldc > rows` and a spare column so every kind of neighbour of the
+    /// tile is present: the tile region is `C + Ap·Bp` (the reference
+    /// order bitwise for scalar and unrolled, rounding-bounded for simd)
+    /// and nothing else is touched.
+    fn tile_contract<T: Scalar>() {
+        let (mr, nr) = tile_dims::<T>();
+        let eps = T::Real::EPS.to_f64();
+        for kb in [0usize, 1, 33] {
+            let ap: Vec<T> = vals(kb * mr, 1);
+            let bp: Vec<T> = vals(kb * nr, 2);
+            for rows in [1, mr - 1, mr] {
+                for cols in [1, nr - 1, nr] {
+                    let ldc = rows + 3;
+                    let c0: Vec<T> = vals((nr + 1) * ldc, 3);
+                    let run = |sel: GemmKernel| {
+                        let mut c = c0.clone();
+                        kernel_for::<T>(sel).tile(kb, &ap, &bp, &mut c, ldc, rows, cols);
+                        c
+                    };
+                    let mut want = c0.clone();
+                    let mut bound = vec![0.0f64; c0.len()];
+                    for s in 0..cols {
+                        for r in 0..rows {
+                            let mut sum = T::zero();
+                            for l in 0..kb {
+                                sum += ap[l * mr + r] * bp[l * nr + s];
+                                bound[r + s * ldc] +=
+                                    (ap[l * mr + r].abs() * bp[l * nr + s].abs()).to_f64();
+                            }
+                            want[r + s * ldc] += sum;
+                            bound[r + s * ldc] += c0[r + s * ldc].abs().to_f64();
+                        }
+                    }
+                    let tag = format!("{} kb={kb} {rows}x{cols}", T::PREFIX);
+                    assert_eq!(run(GemmKernel::Scalar), want, "{tag} scalar");
+                    assert_eq!(run(GemmKernel::Unrolled), want, "{tag} unrolled");
+                    // Outside the tile `bound` is 0: untouched means equal.
+                    let simd = run(GemmKernel::Simd);
+                    for (idx, (&g, &w)) in simd.iter().zip(&want).enumerate() {
+                        let d = (g - w).abs().to_f64();
+                        let tol = 4.0 * eps * (kb as f64 + 1.0) * bound[idx];
+                        assert!(d <= tol, "{tag} simd[{idx}]: {g} vs {w}");
+                    }
+                }
+            }
         }
+    }
+
+    #[test]
+    fn tile_accumulates_in_place_and_touches_nothing_else() {
+        tile_contract::<f32>();
+        tile_contract::<f64>();
+        tile_contract::<C32>();
+        tile_contract::<C64>();
+    }
+
+    /// A `c` one element short of the tile's extent panics before any
+    /// element is written, for full and edge tiles alike.
+    fn short_c_panics<T: Scalar>() {
+        let (mr, nr) = tile_dims::<T>();
+        let kb = 3;
+        let ap: Vec<T> = vals(kb * mr, 4);
+        let bp: Vec<T> = vals(kb * nr, 5);
+        for sel in KERNELS {
+            for (rows, cols) in [(mr, nr), (mr - 1, nr), (1, 1)] {
+                let ldc = mr + 2;
+                let c0: Vec<T> = vals((cols - 1) * ldc + rows - 1, 6);
+                let mut c = c0.clone();
+                let kern = kernel_for::<T>(sel);
+                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    kern.tile(kb, &ap, &bp, &mut c, ldc, rows, cols)
+                }));
+                assert!(
+                    r.is_err(),
+                    "{} {rows}x{cols} accepted a short C",
+                    kern.name()
+                );
+                assert_eq!(c, c0, "{} wrote before panicking", kern.name());
+            }
+        }
+    }
+
+    #[test]
+    fn too_short_c_slice_panics_instead_of_writing() {
+        short_c_panics::<f32>();
+        short_c_panics::<f64>();
+        short_c_panics::<C32>();
+        short_c_panics::<C64>();
+    }
+
+    #[test]
+    fn tile_where_adds_exactly_the_kept_entries() {
+        fn check<T: Scalar>() {
+            let (mr, nr) = tile_dims::<T>();
+            let kb = 5;
+            let ap: Vec<T> = vals(kb * mr, 7);
+            let bp: Vec<T> = vals(kb * nr, 8);
+            let ldc = mr + 1;
+            let c0: Vec<T> = vals(nr * ldc, 9);
+            for sel in KERNELS {
+                let kern = kernel_for::<T>(sel);
+                let mut full = c0.clone();
+                kern.tile(kb, &ap, &bp, &mut full, ldc, mr, nr);
+                let mut got = c0.clone();
+                tile_where(kern, kb, &ap, &bp, &mut got, ldc, mr - 1, nr, |r, s| r >= s);
+                for s in 0..nr {
+                    for r in 0..ldc {
+                        let kept = r < mr - 1 && r >= s;
+                        let want = if kept { &full } else { &c0 }[r + s * ldc];
+                        assert_eq!(got[r + s * ldc], want, "{} ({r},{s})", kern.name());
+                    }
+                }
+            }
+        }
+        check::<f32>();
+        check::<f64>();
+        check::<C32>();
+        check::<C64>();
     }
 }

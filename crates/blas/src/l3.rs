@@ -352,7 +352,7 @@ pub(crate) fn gemm_serial<T: Scalar>(
         return;
     }
     if plan.force || m * n * k >= SMALL_CROSSOVER {
-        gemm_packed(plan, transa, transb, alpha, a, b, c);
+        gemm_packed(plan, transa, transb, alpha, a, b, c, None);
     } else {
         gemm_small(transa, transb, alpha, a, b, c);
     }
@@ -421,12 +421,37 @@ fn gemm_small<T: Scalar>(
     }
 }
 
+/// The part of `C` a packed sweep may touch when `C` is a piece of a
+/// triangular update: element `(i, j)` of the swept view is referenced iff
+/// `i ≥ j + shift` (`lower`) or `i ≤ j + shift` (upper).
+#[derive(Clone, Copy)]
+struct Triangle {
+    lower: bool,
+    shift: usize,
+}
+
+impl Triangle {
+    fn keeps(self, i: usize, j: usize) -> bool {
+        if self.lower {
+            i >= j + self.shift
+        } else {
+            i <= j + self.shift
+        }
+    }
+}
+
 /// Packed gemm (Goto/BLASFEO GEBP): op(B) panels of `KC×NC` and op(A)
 /// blocks of `MC×KC` are packed once into the thread-local arena, and the
-/// plan's microkernel computes full MR×NR register tiles; ragged edges
-/// are zero-padded in the panels and masked at write-back, so every
-/// kernel invocation is a full tile and results are deterministic for a
-/// given plan.
+/// plan's microkernel accumulates each MR×NR register tile straight into
+/// `C`; ragged edges are zero-padded in the panels and masked by the
+/// kernel, so results are deterministic for a given plan. Under a
+/// [`Triangle`] the triangle is just another mask: tiles wholly outside it
+/// are skipped and the tiles its edge crosses are masked element-wise.
+// Not inlined: one copy of the loop nest per scalar type serves both
+// callers, and measured ~5 % faster on the rank-k update than a copy
+// inlined into each.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
 fn gemm_packed<T: Scalar>(
     plan: &PackedPlan<T>,
     transa: Trans,
@@ -435,6 +460,7 @@ fn gemm_packed<T: Scalar>(
     a: MatRef<'_, T>,
     b: MatRef<'_, T>,
     mut c: MatMut<'_, T>,
+    tri: Option<Triangle>,
 ) {
     let (m, n) = (c.nrows(), c.ncols());
     let k = op_k(transa, &a);
@@ -443,9 +469,9 @@ fn gemm_packed<T: Scalar>(
     let (mc, kc, nc) = (plan.mc, plan.kc, plan.nc);
     let a_cap = mc.min(m).div_ceil(mr) * mr * kc.min(k);
     let b_cap = nc.min(n).div_ceil(nr) * nr * kc.min(k);
+    let ldc = c.lda();
+    let cs = c.as_mut_slice();
     pack::with_arena::<T, _>(a_cap, b_cap, |apack, bpack| {
-        let mut acc = [T::zero(); kernel::MAX_TILE];
-        let acc = &mut acc[..mr * nr];
         let mut jc = 0;
         while jc < n {
             let nb = nc.min(n - jc);
@@ -469,20 +495,40 @@ fn gemm_packed<T: Scalar>(
                     let mb = mc.min(m - ic);
                     let mb_pad = mb.div_ceil(mr) * mr;
                     pack::pack_a(&mut apack[..mb_pad * kb], a, transa, ic, mb, lc, kb, mr);
-                    for js in (0..nb_pad).step_by(nr) {
-                        let bp = &bpack[js * kb..js * kb + kb * nr];
+                    for js in (0..nb).step_by(nr) {
+                        let bp = &bpack[js * kb..(js + nr) * kb];
                         let cols = nr.min(nb - js);
-                        for is in (0..mb_pad).step_by(mr) {
-                            let ap = &apack[is * kb..is * kb + kb * mr];
-                            kern.tile(kb, ap, bp, acc);
-                            // Masked write-back of the valid tile part.
+                        for is in (0..mb).step_by(mr) {
+                            let ap = &apack[is * kb..(is + mr) * kb];
                             let rows = mr.min(mb - is);
-                            for s in 0..cols {
-                                let col = c.col_mut(jc + js + s);
-                                let col = &mut col[ic + is..ic + is + rows];
-                                for (r, cv) in col.iter_mut().enumerate() {
-                                    *cv += acc[r + s * mr];
-                                }
+                            // The tile covers rows i.., columns j.. of C.
+                            let (i, j) = (ic + is, jc + js);
+                            let ct = &mut cs[i + j * ldc..];
+                            let Some(tri) = tri else {
+                                kern.tile(kb, ap, bp, ct, ldc, rows, cols);
+                                continue;
+                            };
+                            // The corners deepest inside / outside a lower
+                            // triangle; the other way round for an upper.
+                            let (bl, tr) = ((i + rows - 1, j), (i, j + cols - 1));
+                            let (best, worst) = if tri.lower { (bl, tr) } else { (tr, bl) };
+                            if !tri.keeps(best.0, best.1) {
+                                continue;
+                            }
+                            if tri.keeps(worst.0, worst.1) {
+                                kern.tile(kb, ap, bp, ct, ldc, rows, cols);
+                            } else {
+                                kernel::tile_where(
+                                    kern,
+                                    kb,
+                                    ap,
+                                    bp,
+                                    ct,
+                                    ldc,
+                                    rows,
+                                    cols,
+                                    |r, s| tri.keeps(i + r, j + s),
+                                );
                             }
                         }
                     }
@@ -728,11 +774,12 @@ fn syrk_impl<T: Scalar>(
         }
         return;
     }
-    // The update decomposes into NB-column blocks touching disjoint column
-    // bands of C, so the blocks distribute across scoped threads with no
-    // synchronisation. Round-robin dealing balances the triangle's uneven
-    // per-block rectangle sizes. Serial and parallel paths run the exact
-    // same per-block code, in particular the same summation orders.
+    // The update decomposes into column bands of C, each one packed sweep
+    // (`syrk_block`). The serial path takes `NC`-wide bands; the parallel
+    // path deals `SYRK_NB`-wide ones round-robin across scoped threads,
+    // which balances the triangle's uneven band heights and needs no
+    // synchronisation. Both run the same band code, and a band's width
+    // does not change any element's summation order.
     let cfg = tune::current();
     let plan = PackedPlan::<T>::from_cfg(&cfg);
     let workers = par_stripes(&cfg, flop_product(n, n, k) / 2, n, SYRK_NB).min(n.div_ceil(SYRK_NB));
@@ -818,10 +865,11 @@ fn syrk_impl<T: Scalar>(
     }
 }
 
-/// Column-block width of the rank-k update decomposition.
+/// Column-band width the parallel rank-k path deals out, and the unit
+/// the ABFT recovery re-runs.
 pub(crate) const SYRK_NB: usize = 48;
 
-/// The parallel rank-k path: NB-column blocks dealt round-robin to
+/// The parallel rank-k path: `SYRK_NB`-column bands dealt round-robin to
 /// `workers` scoped threads. Carries the same fault-injection hook as
 /// [`stripe_cols`] so the degradation path is testable here too.
 #[allow(clippy::too_many_arguments)]
@@ -884,7 +932,9 @@ fn syrk_blocks_par<T: Scalar>(
     });
 }
 
-/// The serial rank-k path: the same NB-column blocks, in order.
+/// The serial rank-k path: `NC`-wide column bands, in order. Each element
+/// sees the same additions in the same order as under the parallel
+/// path's narrower bands — a band's width only moves tile boundaries.
 #[allow(clippy::too_many_arguments)]
 fn syrk_blocks_serial<T: Scalar>(
     plan: &PackedPlan<T>,
@@ -901,7 +951,7 @@ fn syrk_blocks_serial<T: Scalar>(
     let mut rest = c;
     let mut j0 = 0usize;
     while j0 < n {
-        let jb = SYRK_NB.min(n - j0);
+        let jb = plan.nc.min(n - j0);
         let (mine, tail) = rest.split_at_col(jb);
         rest = tail;
         syrk_block(plan, conj, uplo, trans, k, alpha, a, beta, j0, jb, mine);
@@ -909,11 +959,9 @@ fn syrk_blocks_serial<T: Scalar>(
     }
 }
 
-/// One NB-column block of a rank-k update: β-scales its triangle portion,
-/// computes the diagonal block through the packed gemm into a scratch
-/// square (folding only the stored triangle back), and routes the
-/// off-diagonal rectangle through the serial gemm directly — so nearly
-/// all the flops run on the microkernel. `cb` is the column band of `C`
+/// One column band of a rank-k update ([`band_update`] with the single
+/// term `op(A)·op(A)ᵀ`, or `·op(A)ᴴ` with a real diagonal for `conj`).
+/// Always packed, whatever the size. `cb` is the column band of `C`
 /// starting at column `j0` (full `n` rows, `jb` columns).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn syrk_block<T: Scalar>(
@@ -929,7 +977,43 @@ pub(crate) fn syrk_block<T: Scalar>(
     jb: usize,
     mut cb: MatMut<'_, T>,
 ) {
-    let n = cb.nrows();
+    let ops = match (trans, conj) {
+        (Trans::No, false) => (Trans::No, Trans::Trans),
+        (Trans::No, true) => (Trans::No, Trans::ConjTrans),
+        (_, false) => (Trans::Trans, Trans::No),
+        (_, true) => (Trans::ConjTrans, Trans::No),
+    };
+    band_update(plan, uplo, ops, k, alpha, &[(a, a)], beta, j0, cb.rb());
+    // The Hermitian update keeps the diagonal real.
+    if conj {
+        for j in j0..j0 + jb {
+            let cc = cb.at_mut(j, j - j0);
+            *cc = T::from_real(cc.re());
+        }
+    }
+}
+
+/// One column band of a triangular update,
+/// `C := β·C + α·Σ op(X)·op(Y)ᵀ` over the `(X, Y)` pairs in `terms`, on
+/// the `uplo` triangle only: β-scales the band's part of the triangle,
+/// then makes one triangle-masked packed sweep ([`gemm_packed`]) per term
+/// over the rows the triangle references — the band's rows of `op(Y)` are
+/// packed once per depth block (the B side of the product). `(ta, tb)`
+/// are the gemm ops that make `op(X)` and `op(Y)ᵀ` of the stored
+/// operands; `cb` is the column band of `C` starting at column `j0`.
+#[allow(clippy::too_many_arguments)]
+fn band_update<T: Scalar>(
+    plan: &PackedPlan<T>,
+    uplo: Uplo,
+    (ta, tb): (Trans, Trans),
+    k: usize,
+    alpha: T,
+    terms: &[(MatRef<'_, T>, MatRef<'_, T>)],
+    beta: T,
+    j0: usize,
+    mut cb: MatMut<'_, T>,
+) {
+    let (n, jb) = (cb.nrows(), cb.ncols());
     for j in j0..j0 + jb {
         let (lo, hi) = match uplo {
             Uplo::Upper => (0, j + 1),
@@ -944,76 +1028,37 @@ pub(crate) fn syrk_block<T: Scalar>(
             };
         }
     }
-    let (ta, tb) = match (trans, conj) {
-        (Trans::No, false) => (Trans::No, Trans::Trans),
-        (Trans::No, true) => (Trans::No, Trans::ConjTrans),
-        (_, false) => (Trans::Trans, Trans::No),
-        (_, true) => (Trans::ConjTrans, Trans::No),
-    };
-    // op(A) rows j0..j0+jb as a stored subview.
-    let a_blk = match trans {
-        Trans::No => a.subview(j0, 0, jb, k),
-        _ => a.subview(0, j0, k, jb),
-    };
-    // Diagonal block: full jb×jb product into scratch, stored triangle
-    // folded back (the Hermitian case keeps the diagonal real, as the
-    // kernel contract requires).
-    let mut diag = vec![T::zero(); jb * jb];
-    gemm_serial(
-        plan,
-        ta,
-        tb,
-        alpha,
-        a_blk,
-        a_blk,
-        MatMut::new(&mut diag, jb, jb, jb),
-    );
-    for j in j0..j0 + jb {
-        let (lo, hi) = match uplo {
-            Uplo::Upper => (j0, j + 1),
-            Uplo::Lower => (j, j0 + jb),
-        };
-        let dcol = &diag[(j - j0) * jb..(j - j0) * jb + jb];
-        let ccol = cb.col_mut(j - j0);
-        for i in lo..hi {
-            let cc = &mut ccol[i];
-            *cc += dcol[i - j0];
-            if conj && i == j {
-                *cc = T::from_real(cc.re());
-            }
+    // Rows i0..i0+ib of op(X) as a stored subview.
+    fn rows_of<T: Scalar>(
+        x: MatRef<'_, T>,
+        ta: Trans,
+        k: usize,
+        i0: usize,
+        ib: usize,
+    ) -> MatRef<'_, T> {
+        match ta {
+            Trans::No => x.subview(i0, 0, ib, k),
+            _ => x.subview(0, i0, k, ib),
         }
     }
-    // Off-diagonal rectangle: gemm does the heavy lifting.
-    match uplo {
-        Uplo::Lower => {
-            // Rows j0+jb..n, columns j0..j0+jb.
-            let m_rect = n - j0 - jb;
-            if m_rect > 0 {
-                let a_rows = match trans {
-                    Trans::No => a.subview(j0 + jb, 0, m_rect, k),
-                    _ => a.subview(0, j0 + jb, k, m_rect),
-                };
-                gemm_serial(
-                    plan,
-                    ta,
-                    tb,
-                    alpha,
-                    a_rows,
-                    a_blk,
-                    cb.subview(j0 + jb, 0, m_rect, jb),
-                );
-            }
-        }
-        Uplo::Upper => {
-            // Rows 0..j0, columns j0..j0+jb.
-            if j0 > 0 {
-                let a_rows = match trans {
-                    Trans::No => a.subview(0, 0, j0, k),
-                    _ => a.subview(0, 0, k, j0),
-                };
-                gemm_serial(plan, ta, tb, alpha, a_rows, a_blk, cb.subview(0, 0, j0, jb));
-            }
-        }
+    let lower = uplo == Uplo::Lower;
+    // Rows of the band the triangle references.
+    let (r0, r1) = if lower { (j0, n) } else { (0, j0 + jb) };
+    let tri = Triangle {
+        lower,
+        shift: j0 - r0,
+    };
+    for &(x, y) in terms {
+        gemm_packed(
+            plan,
+            ta,
+            tb,
+            alpha,
+            rows_of(x, ta, k, r0, r1 - r0),
+            rows_of(y, ta, k, j0, jb),
+            cb.rb().subview(r0, 0, r1 - r0, jb),
+            Some(tri),
+        );
     }
 }
 
@@ -1045,19 +1090,36 @@ pub fn syr2k<T: Scalar>(
     }
     let cfg = tune::current();
     let plan = PackedPlan::<T>::from_cfg(&cfg);
-    // Large updates decompose like syrk: NB-column blocks whose diagonal
-    // squares and off-diagonal rectangles route through the packed gemm
-    // (two accumulations, one per product term).
+    // Large updates run like syrk's serial path: `NC`-wide column bands,
+    // each one masked packed sweep per product term.
     if !alpha.is_zero() && k > 0 && (plan.force || n * n * k >= SMALL_CROSSOVER) {
         probe::note_kernel(plan.kern.name());
         let (r, cdim) = if trans == Trans::No { (n, k) } else { (k, n) };
         let av = MatRef::new(a, r, cdim, lda);
         let bv = MatRef::new(b, r, cdim, ldb);
+        // syr2k is symmetric (never conjugating): any transposed op maps
+        // to a plain transpose in the gemm terms.
+        let ops = if trans == Trans::No {
+            (Trans::No, Trans::Trans)
+        } else {
+            (Trans::Trans, Trans::No)
+        };
         let mut cv = MatMut::new(c, n, n, ldc);
         let mut j0 = 0usize;
         while j0 < n {
-            let jb = SYRK_NB.min(n - j0);
-            syr2k_block(&plan, uplo, trans, k, alpha, av, bv, beta, j0, jb, cv.rb());
+            let jb = plan.nc.min(n - j0);
+            let cb = cv.rb().subview(0, j0, n, jb);
+            band_update(
+                &plan,
+                uplo,
+                ops,
+                k,
+                alpha,
+                &[(av, bv), (bv, av)],
+                beta,
+                j0,
+                cb,
+            );
             j0 += jb;
         }
         return;
@@ -1091,130 +1153,6 @@ pub fn syr2k<T: Scalar>(
                 beta * *cc
             } + alpha * s;
         }
-    }
-}
-
-/// One NB-column block of the rank-2k update (see [`syrk_block`] for the
-/// decomposition): the two product terms accumulate through the packed
-/// gemm. `cv` is the whole `n × n` output view; this block updates its
-/// columns `j0..j0+jb`.
-#[allow(clippy::too_many_arguments)]
-fn syr2k_block<T: Scalar>(
-    plan: &PackedPlan<T>,
-    uplo: Uplo,
-    trans: Trans,
-    k: usize,
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    beta: T,
-    j0: usize,
-    jb: usize,
-    cv: MatMut<'_, T>,
-) {
-    let n = cv.nrows();
-    let mut cb = cv.subview(0, j0, n, jb);
-    for j in j0..j0 + jb {
-        let (lo, hi) = match uplo {
-            Uplo::Upper => (0, j + 1),
-            Uplo::Lower => (j, n),
-        };
-        let col = cb.col_mut(j - j0);
-        for cc in &mut col[lo..hi] {
-            *cc = if beta.is_zero() {
-                T::zero()
-            } else {
-                beta * *cc
-            };
-        }
-    }
-    // syr2k is symmetric (never conjugating): any transposed op maps to
-    // a plain transpose in the gemm terms.
-    let t = if trans == Trans::No {
-        Trans::No
-    } else {
-        Trans::Trans
-    };
-    let (ta, tb) = match t {
-        Trans::No => (Trans::No, Trans::Trans),
-        _ => (Trans::Trans, Trans::No),
-    };
-    fn rows_of<'s, T: Scalar>(
-        src: MatRef<'s, T>,
-        t: Trans,
-        k: usize,
-        r0: usize,
-        rb: usize,
-    ) -> MatRef<'s, T> {
-        match t {
-            Trans::No => src.subview(r0, 0, rb, k),
-            _ => src.subview(0, r0, k, rb),
-        }
-    }
-    let a_blk = rows_of(a, t, k, j0, jb);
-    let b_blk = rows_of(b, t, k, j0, jb);
-    // Diagonal block: alpha·(op(A)op(B)ᵀ + op(B)op(A)ᵀ) into scratch,
-    // triangle folded back.
-    let mut diag = vec![T::zero(); jb * jb];
-    gemm_serial(
-        plan,
-        ta,
-        tb,
-        alpha,
-        a_blk,
-        b_blk,
-        MatMut::new(&mut diag, jb, jb, jb),
-    );
-    gemm_serial(
-        plan,
-        ta,
-        tb,
-        alpha,
-        b_blk,
-        a_blk,
-        MatMut::new(&mut diag, jb, jb, jb),
-    );
-    for j in j0..j0 + jb {
-        let (lo, hi) = match uplo {
-            Uplo::Upper => (j0, j + 1),
-            Uplo::Lower => (j, j0 + jb),
-        };
-        let dcol = &diag[(j - j0) * jb..(j - j0) * jb + jb];
-        let ccol = cb.col_mut(j - j0);
-        for i in lo..hi {
-            ccol[i] += dcol[i - j0];
-        }
-    }
-    // Off-diagonal rectangle, two accumulations.
-    let (r0, rb) = match uplo {
-        Uplo::Lower => (j0 + jb, n - j0 - jb),
-        Uplo::Upper => (0, j0),
-    };
-    if rb > 0 {
-        let a_rows = rows_of(a, t, k, r0, rb);
-        let b_rows = rows_of(b, t, k, r0, rb);
-        let dst0 = match uplo {
-            Uplo::Lower => j0 + jb,
-            Uplo::Upper => 0,
-        };
-        gemm_serial(
-            plan,
-            ta,
-            tb,
-            alpha,
-            a_rows,
-            b_blk,
-            cb.rb().subview(dst0, 0, rb, jb),
-        );
-        gemm_serial(
-            plan,
-            ta,
-            tb,
-            alpha,
-            b_rows,
-            a_blk,
-            cb.rb().subview(dst0, 0, rb, jb),
-        );
     }
 }
 
@@ -1696,16 +1634,18 @@ pub(crate) fn trsm_left_cols<T: Scalar>(
         return;
     }
     if m <= TRX_NB {
-        trsm_cols_unblocked(uplo, trans, diag, a, b);
+        let mut opa = vec![T::zero(); opa_len(trans, m, w)];
+        trsm_cols_unblocked(uplo, trans, diag, a, b, &mut opa);
         return;
     }
     let eff_lower = (uplo == Uplo::Lower) != trans.is_transposed();
     let nblk = m.div_ceil(TRX_NB);
-    let mut tmp = vec![T::zero(); TRX_NB * w];
+    let mut ws = vec![T::zero(); TRX_NB * w + opa_len(trans, TRX_NB, w)];
+    let (tmp, opa) = ws.split_at_mut(TRX_NB * w);
     let mut step = |k0: usize, kb: usize| {
         // Solve the diagonal block.
         let ad = a.subview(k0, k0, kb, kb);
-        trsm_cols_unblocked(uplo, trans, diag, ad, b.rb().subview(k0, 0, kb, w));
+        trsm_cols_unblocked(uplo, trans, diag, ad, b.rb().subview(k0, 0, kb, w), opa);
         // Eliminate the solved block from the remaining rows.
         let (r0, rb) = if eff_lower {
             (k0 + kb, m - k0 - kb)
@@ -1749,64 +1689,86 @@ pub(crate) fn trsm_left_cols<T: Scalar>(
     }
 }
 
-/// Unblocked left-side solve over the columns of `b`: vectorized
-/// forward/backward substitution for the untransposed cases, a trsv per
-/// column otherwise.
+/// Right-hand-side count from which the transposed cases of
+/// [`trsm_cols_unblocked`] materialise `op(A)`; below it a `trsv` per
+/// column is cheaper than the copy.
+const TRSM_OPA_MIN_COLS: usize = 4;
+
+/// Scratch length [`trsm_cols_unblocked`] needs to solve `w` columns
+/// against a triangle of order `m`.
+fn opa_len(trans: Trans, m: usize, w: usize) -> usize {
+    if trans.is_transposed() && w >= TRSM_OPA_MIN_COLS {
+        m * m
+    } else {
+        0
+    }
+}
+
+/// Unblocked left-side solve over the columns of `b`: forward/backward
+/// substitution vectorized across all right-hand sides. The transposed
+/// cases copy `op(A)` (conjugated as needed) into `opa` — at least
+/// [`opa_len`] elements — once and run the same substitution on it;
+/// with only a few columns they run a trsv per column instead.
 fn trsm_cols_unblocked<T: Scalar>(
     uplo: Uplo,
     trans: Trans,
     diag: Diag,
     a: MatRef<'_, T>,
     mut b: MatMut<'_, T>,
+    opa: &mut [T],
 ) {
     let m = b.nrows();
     let n = b.ncols();
     let unit = diag == Diag::Unit;
-    match (trans.is_transposed(), uplo) {
-        (false, Uplo::Lower) => {
-            // Forward substitution, vectorized across all right-hand
-            // sides: for each pivot k, update rows k+1.. of every column.
-            for k in 0..m {
-                let acol = a.col(k);
-                let akk = acol[k];
-                for j in 0..n {
-                    let col = b.col_mut(j);
-                    if !unit {
-                        col[k] = col[k] / akk;
-                    }
-                    let t = col[k];
-                    if !t.is_zero() {
-                        for (ci, &aik) in col[k + 1..m].iter_mut().zip(&acol[k + 1..m]) {
-                            *ci -= t * aik;
-                        }
-                    }
+    // The untransposed triangle to substitute with, and its shape.
+    let (t, lower) = if !trans.is_transposed() {
+        (a, uplo == Uplo::Lower)
+    } else if n >= TRSM_OPA_MIN_COLS {
+        let conj = trans.is_conj();
+        let opa = &mut opa[..m * m];
+        // Stored column i of A is row i of op(A).
+        for i in 0..m {
+            let (lo, hi) = match uplo {
+                Uplo::Upper => (0, i + 1),
+                Uplo::Lower => (i, m),
+            };
+            for (j, &x) in a.col(i)[lo..hi].iter().enumerate() {
+                opa[i + (lo + j) * m] = cj(conj, x);
+            }
+        }
+        (MatRef::new(opa, m, m, m), uplo == Uplo::Upper)
+    } else {
+        for j in 0..n {
+            let col = b.col_mut(j);
+            crate::l2::trsv(uplo, trans, diag, m, a.as_slice(), a.lda(), col, 1);
+        }
+        return;
+    };
+    // For each pivot k, eliminate it from the remaining rows of every
+    // column.
+    let mut pivot = |k: usize, rest: std::ops::Range<usize>| {
+        let tcol = t.col(k);
+        let tkk = tcol[k];
+        for j in 0..n {
+            let col = b.col_mut(j);
+            if !unit {
+                col[k] = col[k] / tkk;
+            }
+            let x = col[k];
+            if !x.is_zero() {
+                for (ci, &tik) in col[rest.clone()].iter_mut().zip(&tcol[rest.clone()]) {
+                    *ci -= x * tik;
                 }
             }
         }
-        (false, Uplo::Upper) => {
-            for k in (0..m).rev() {
-                let acol = a.col(k);
-                let akk = acol[k];
-                for j in 0..n {
-                    let col = b.col_mut(j);
-                    if !unit {
-                        col[k] = col[k] / akk;
-                    }
-                    let t = col[k];
-                    if !t.is_zero() {
-                        for (ci, &aik) in col[..k].iter_mut().zip(&acol[..k]) {
-                            *ci -= t * aik;
-                        }
-                    }
-                }
-            }
+    };
+    if lower {
+        for k in 0..m {
+            pivot(k, k + 1..m);
         }
-        (true, _) => {
-            // op(A)ᵀ or op(A)ᴴ solve, column by column.
-            for j in 0..n {
-                let col = b.col_mut(j);
-                crate::l2::trsv(uplo, trans, diag, m, a.as_slice(), a.lda(), col, 1);
-            }
+    } else {
+        for k in (0..m).rev() {
+            pivot(k, 0..k);
         }
     }
 }

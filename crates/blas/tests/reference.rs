@@ -399,36 +399,62 @@ fn trmv_trsv_roundtrip() {
     }
 }
 
-#[test]
-fn trsm_solves_and_trmm_inverts_it() {
+/// Triangle orders on both sides of the blocked crossover (`TRX_NB` = 48)
+/// against right-hand-side counts on both sides of the 4-column switch
+/// of the transposed substitution.
+fn trsm_trmm_roundtrip<T: Scalar>() {
     let mut rng = Stream::new(19);
-    let (m, n) = (8, 5);
     for side in [Side::Left, Side::Right] {
-        let na = if side == Side::Left { m } else { n };
-        for uplo in [Uplo::Upper, Uplo::Lower] {
-            for trans in [Trans::No, Trans::Trans, Trans::ConjTrans] {
-                for diag in [Diag::NonUnit, Diag::Unit] {
-                    let mut a = rng.vec::<C64>(na * na);
-                    for j in 0..na {
-                        a[j + j * na] = C64::from_real(4.0) + a[j + j * na];
+        for na in [8usize, 48, 49, 100] {
+            for nrhs in [3usize, 4, 5, 64] {
+                let (m, n) = if side == Side::Left {
+                    (na, nrhs)
+                } else {
+                    (nrhs, na)
+                };
+                for uplo in [Uplo::Upper, Uplo::Lower] {
+                    for trans in [Trans::No, Trans::Trans, Trans::ConjTrans] {
+                        for diag in [Diag::NonUnit, Diag::Unit] {
+                            // Off-diagonals scaled down so the (possibly
+                            // unit-diagonal) triangle stays well conditioned
+                            // at order 100.
+                            let shrink = T::from_f64(1.0 / na as f64);
+                            let mut a: Vec<T> =
+                                rng.vec::<T>(na * na).iter().map(|&x| x * shrink).collect();
+                            for j in 0..na {
+                                a[j + j * na] += T::from_f64(4.0);
+                            }
+                            let b0 = rng.vec::<T>(m * n);
+                            let mut b = b0.clone();
+                            let alpha = T::from_re_im(
+                                <T::Real as Scalar>::from_f64(1.5),
+                                <T::Real as Scalar>::from_f64(-0.5),
+                            );
+                            trsm(side, uplo, trans, diag, m, n, alpha, &a, na, &mut b, m);
+                            // Undo: X·op(A) (or op(A)·X) should give back alpha*B.
+                            trmm(side, uplo, trans, diag, m, n, T::one(), &a, na, &mut b, m);
+                            let want: Vec<T> = b0.iter().map(|&v| alpha * v).collect();
+                            assert_close(
+                                &b,
+                                &want,
+                                1.0,
+                                &format!(
+                                    "{}trsm/trmm {side:?} {uplo:?} {trans:?} {diag:?} {m}x{n}",
+                                    T::PREFIX
+                                ),
+                            );
+                        }
                     }
-                    let b0 = rng.vec::<C64>(m * n);
-                    let mut b = b0.clone();
-                    let alpha = C64::new(1.5, -0.5);
-                    trsm(side, uplo, trans, diag, m, n, alpha, &a, na, &mut b, m);
-                    // Undo: X·op(A) (or op(A)·X) should give back alpha*B.
-                    trmm(side, uplo, trans, diag, m, n, C64::one(), &a, na, &mut b, m);
-                    let want: Vec<C64> = b0.iter().map(|&v| alpha * v).collect();
-                    assert_close(
-                        &b,
-                        &want,
-                        (m + n) as f64,
-                        &format!("trsm/trmm {side:?} {uplo:?} {trans:?} {diag:?}"),
-                    );
                 }
             }
         }
     }
+}
+
+#[test]
+fn trsm_solves_and_trmm_inverts_it() {
+    trsm_trmm_roundtrip::<f64>();
+    trsm_trmm_roundtrip::<C64>();
 }
 
 #[test]
@@ -524,58 +550,43 @@ fn syrk_herk_match_gemm() {
 #[test]
 fn syr2k_matches_gemm_sum() {
     let mut rng = Stream::new(29);
-    let (n, k) = (6, 4);
-    let a = rng.vec::<f64>(n * k);
-    let b = rng.vec::<f64>(n * k);
-    let mut c = vec![0.0f64; n * n];
-    syr2k(
-        Uplo::Upper,
-        Trans::No,
-        n,
-        k,
-        2.0,
-        &a,
-        n,
-        &b,
-        n,
-        0.0,
-        &mut c,
-        n,
-    );
-    let mut cref = vec![0.0f64; n * n];
-    gemm_ref(
-        Trans::No,
-        Trans::Trans,
-        n,
-        n,
-        k,
-        2.0,
-        &a,
-        n,
-        &b,
-        n,
-        0.0,
-        &mut cref,
-        n,
-    );
-    gemm_ref(
-        Trans::No,
-        Trans::Trans,
-        n,
-        n,
-        k,
-        2.0,
-        &b,
-        n,
-        &a,
-        n,
-        1.0,
-        &mut cref,
-        n,
-    );
-    for j in 0..n {
-        for i in 0..=j {
-            assert!((c[i + j * n] - cref[i + j * n]).abs() < 1e-12);
+    // Below the packed crossover, and above it with ragged tiles and (at
+    // n = 530) a second column band.
+    for (n, k) in [(6usize, 4usize), (61, 40), (530, 3)] {
+        for uplo in [Uplo::Upper, Uplo::Lower] {
+            for trans in [Trans::No, Trans::Trans] {
+                let ld = if trans == Trans::No { n } else { k };
+                let other = if trans == Trans::No {
+                    Trans::Trans
+                } else {
+                    Trans::No
+                };
+                let a = rng.vec::<f64>(n * k);
+                let b = rng.vec::<f64>(n * k);
+                let c0 = rng.vec::<f64>(n * n);
+                let mut c = c0.clone();
+                syr2k(uplo, trans, n, k, 2.0, &a, ld, &b, ld, -0.5, &mut c, n);
+                let mut cref = c0.clone();
+                gemm_ref(
+                    trans, other, n, n, k, 2.0, &a, ld, &b, ld, -0.5, &mut cref, n,
+                );
+                gemm_ref(
+                    trans, other, n, n, k, 2.0, &b, ld, &a, ld, 1.0, &mut cref, n,
+                );
+                for j in 0..n {
+                    for i in 0..n {
+                        let idx = i + j * n;
+                        if i == j || (i < j) == (uplo == Uplo::Upper) {
+                            assert!(
+                                (c[idx] - cref[idx]).abs() < 1e-12,
+                                "syr2k {uplo:?} {trans:?} n={n} ({i},{j})"
+                            );
+                        } else {
+                            assert_eq!(c[idx], c0[idx], "syr2k touched ({i},{j})");
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -69,17 +69,32 @@ pub fn laset<T: Scalar>(
     }
 }
 
+/// `INFO` of a computational routine whose workspace could not be
+/// allocated — the LAPACK95 convention, which `la_core::erinfo` maps to
+/// `LaError::AllocFailed`.
+pub const INFO_NO_WORKSPACE: i32 = -100;
+
+/// Fallible workspace: `n` zeros, or `None` when the allocator refuses
+/// (the caller then returns [`INFO_NO_WORKSPACE`] instead of aborting the
+/// process the way `vec![..]` would).
+pub(crate) fn try_zeros<T: Scalar>(n: usize) -> Option<Vec<T>> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(n).ok()?;
+    v.resize(n, T::zero());
+    Some(v)
+}
+
 /// Applies a sequence of row interchanges to `A` (`xLASWP`).
 ///
 /// `ipiv` is 1-based (LAPACK convention): for `k` in `k1..k2`, row `k` is
-/// swapped with row `ipiv[k] - 1` (0-based rows).
+/// swapped with row `ipiv[k] - 1` (0-based rows). Columns are the outer
+/// loop: every interchange is applied to one column while it sits in L1,
+/// instead of striding each swap across all `n` columns.
 pub fn laswp<T: Scalar>(n: usize, a: &mut [T], lda: usize, k1: usize, k2: usize, ipiv: &[i32]) {
-    for k in k1..k2 {
-        let p = (ipiv[k] - 1) as usize;
-        if p != k {
-            for j in 0..n {
-                a.swap(k + j * lda, p + j * lda);
-            }
+    for j in 0..n {
+        let col = &mut a[j * lda..];
+        for k in k1..k2 {
+            col.swap(k, (ipiv[k] - 1) as usize);
         }
     }
 }
@@ -87,12 +102,10 @@ pub fn laswp<T: Scalar>(n: usize, a: &mut [T], lda: usize, k1: usize, k2: usize,
 /// Applies the interchanges of [`laswp`] in reverse order (used when
 /// undoing a permutation, e.g. in `getri`).
 pub fn laswp_rev<T: Scalar>(n: usize, a: &mut [T], lda: usize, k1: usize, k2: usize, ipiv: &[i32]) {
-    for k in (k1..k2).rev() {
-        let p = (ipiv[k] - 1) as usize;
-        if p != k {
-            for j in 0..n {
-                a.swap(k + j * lda, p + j * lda);
-            }
+    for j in 0..n {
+        let col = &mut a[j * lda..];
+        for k in (k1..k2).rev() {
+            col.swap(k, (ipiv[k] - 1) as usize);
         }
     }
 }
@@ -886,6 +899,57 @@ mod tests {
         let mut c = vec![C64::new(1.0, 0.0); 4];
         c[2] = C64::new(0.0, f64::NAN);
         assert!(lange(Norm::Max, 2, 2, &c, 2).is_nan());
+    }
+
+    /// `laswp` / `laswp_rev` as they were before the column-outermost
+    /// loop order: one interchange at a time across all columns.
+    fn laswp_rowwise(n: usize, a: &mut [f64], lda: usize, ks: &[usize], ipiv: &[i32]) {
+        for &k in ks {
+            let p = (ipiv[k] - 1) as usize;
+            for j in 0..n {
+                a.swap(k + j * lda, p + j * lda);
+            }
+        }
+    }
+
+    #[test]
+    fn laswp_matches_the_row_at_a_time_order() {
+        let (m, lda) = (7usize, 10usize);
+        // Identity, a repeated pivot row, a reversal, then random rows
+        // (ipiv[k] ≥ k + 1 as getrf produces them, and unconstrained).
+        let mut pivot_sets: Vec<Vec<i32>> = vec![
+            vec![1, 2, 3, 4, 5, 6, 7],
+            vec![5, 5, 5, 5, 5, 6, 7],
+            vec![7, 6, 5, 4, 5, 6, 7],
+        ];
+        let mut state = 0x2545f491u64;
+        let mut below = |bound: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        for _ in 0..8 {
+            pivot_sets.push((0..m).map(|k| (k + below(m - k) + 1) as i32).collect());
+            pivot_sets.push((0..m).map(|_| (below(m) + 1) as i32).collect());
+        }
+        for ipiv in &pivot_sets {
+            for n in [0usize, 1, 5] {
+                for (k1, k2) in [(0, m), (2, 5), (3, 3)] {
+                    let a0: Vec<f64> = (0..lda * n.max(1)).map(|x| x as f64).collect();
+                    let fwd: Vec<usize> = (k1..k2).collect();
+                    let rev: Vec<usize> = (k1..k2).rev().collect();
+                    let (mut got, mut want) = (a0.clone(), a0.clone());
+                    laswp(n, &mut got, lda, k1, k2, ipiv);
+                    laswp_rowwise(n, &mut want, lda, &fwd, ipiv);
+                    assert_eq!(got, want, "laswp {ipiv:?} n={n} {k1}..{k2}");
+                    laswp_rev(n, &mut got, lda, k1, k2, ipiv);
+                    laswp_rowwise(n, &mut want, lda, &rev, ipiv);
+                    assert_eq!(got, want, "laswp_rev {ipiv:?} n={n} {k1}..{k2}");
+                    assert_eq!(got, a0, "laswp_rev must undo laswp");
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,13 +6,17 @@
 use la_blas::{dotc, gemv, hemv, herk, rscal, scal, spmv, tbsv, tpsv, trsm};
 use la_core::{probe, Diag, Norm, RealScalar, Scalar, Side, Trans, Uplo};
 
-use crate::aux::{ilaenv_crossover, ilaenv_nb, lacon, lansy};
+use crate::aux::{ilaenv_crossover, ilaenv_nb, lacon, lansy, try_zeros, INFO_NO_WORKSPACE};
 use crate::lu::refine_generic;
 
 /// Unblocked Cholesky factorization (`xPOTF2`): `A = UᴴU` or `A = LLᴴ`.
 /// Returns `info > 0` if the leading minor of that order is not positive
-/// definite.
+/// definite, and [`INFO_NO_WORKSPACE`] if its `n − 1`-element workspace
+/// cannot be allocated.
 pub fn potf2<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i32 {
+    let Some(mut ws) = try_zeros::<T>(n.saturating_sub(1)) else {
+        return INFO_NO_WORKSPACE;
+    };
     for j in 0..n {
         match uplo {
             Uplo::Upper => {
@@ -31,7 +35,7 @@ pub fn potf2<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i32 {
                     let uj = &head[j * lda..j * lda + j];
                     // Conjugate trick: the update is u_colᴴ · u_j for each
                     // later column.
-                    let mut w = vec![T::zero(); n - j - 1];
+                    let w = &mut ws[..n - j - 1];
                     gemv(
                         Trans::ConjTrans,
                         j,
@@ -42,7 +46,7 @@ pub fn potf2<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i32 {
                         uj,
                         1,
                         T::zero(),
-                        &mut w,
+                        w,
                         1,
                     );
                     for (k, wk) in w.iter().enumerate() {
@@ -65,8 +69,10 @@ pub fn potf2<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i32 {
                 a[j + j * lda] = T::from_real(ajj);
                 if j + 1 < n {
                     // a(j+1.., j) := (a(j+1.., j) − A(j+1.., 0..j)·conj(a(j, 0..j)ᵀ)) / ajj
-                    let mut w = vec![T::zero(); n - j - 1];
-                    let lrow: Vec<T> = (0..j).map(|k| a[j + k * lda].conj()).collect();
+                    let (lrow, w) = ws.split_at_mut(j);
+                    for (k, l) in lrow.iter_mut().enumerate() {
+                        *l = a[j + k * lda].conj();
+                    }
                     gemv(
                         Trans::No,
                         n - j - 1,
@@ -74,10 +80,10 @@ pub fn potf2<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i32 {
                         T::one(),
                         &a[j + 1..],
                         lda,
-                        &lrow,
+                        lrow,
                         1,
                         T::zero(),
-                        &mut w,
+                        w,
                         1,
                     );
                     for (k, wk) in w.iter().enumerate() {
@@ -154,6 +160,10 @@ pub(crate) fn potrf_core<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usiz
     if n <= ilaenv_crossover("potrf") || nb >= n {
         return potf2(uplo, n, a, lda);
     }
+    // One workspace for every step's copies of the diagonal block (whose
+    // other triangle is never read) and of the off-diagonal panel.
+    let mut ws = vec![T::zero(); nb * n];
+    let (tri, panel) = ws.split_at_mut(nb * nb);
     let mut j = 0;
     while j < n {
         // Cooperative cancellation checkpoint: one cheap thread-local
@@ -165,23 +175,16 @@ pub(crate) fn potrf_core<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usiz
         let jb = nb.min(n - j);
         let info = potf2(uplo, jb, &mut a[j + j * lda..], lda);
         if info != 0 {
-            return info + j as i32;
+            // A positive code counts minors from this panel's corner.
+            return if info > 0 { info + j as i32 } else { info };
         }
         if j + jb < n {
             let rest = n - j - jb;
             match uplo {
                 Uplo::Lower => {
                     // L21 := A21 · L11⁻ᴴ, then A22 -= L21·L21ᴴ.
-                    let mut l11 = vec![T::zero(); jb * jb];
-                    crate::aux::lacpy(
-                        Some(Uplo::Lower),
-                        jb,
-                        jb,
-                        &a[j + j * lda..],
-                        lda,
-                        &mut l11,
-                        jb,
-                    );
+                    let l11 = &mut tri[..jb * jb];
+                    crate::aux::lacpy(Some(Uplo::Lower), jb, jb, &a[j + j * lda..], lda, l11, jb);
                     trsm(
                         Side::Right,
                         Uplo::Lower,
@@ -190,21 +193,21 @@ pub(crate) fn potrf_core<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usiz
                         rest,
                         jb,
                         T::one(),
-                        &l11,
+                        l11,
                         jb,
                         &mut a[j + jb + j * lda..],
                         lda,
                     );
                     // Copy L21 so herk can read it while writing A22.
-                    let mut l21 = vec![T::zero(); rest * jb];
-                    crate::aux::lacpy(None, rest, jb, &a[j + jb + j * lda..], lda, &mut l21, rest);
+                    let l21 = &mut panel[..rest * jb];
+                    crate::aux::lacpy(None, rest, jb, &a[j + jb + j * lda..], lda, l21, rest);
                     herk(
                         Uplo::Lower,
                         Trans::No,
                         rest,
                         jb,
                         -T::Real::one(),
-                        &l21,
+                        l21,
                         rest,
                         T::Real::one(),
                         &mut a[j + jb + (j + jb) * lda..],
@@ -213,16 +216,8 @@ pub(crate) fn potrf_core<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usiz
                 }
                 Uplo::Upper => {
                     // U12 := U11⁻ᴴ · A12, then A22 -= U12ᴴ·U12.
-                    let mut u11 = vec![T::zero(); jb * jb];
-                    crate::aux::lacpy(
-                        Some(Uplo::Upper),
-                        jb,
-                        jb,
-                        &a[j + j * lda..],
-                        lda,
-                        &mut u11,
-                        jb,
-                    );
+                    let u11 = &mut tri[..jb * jb];
+                    crate::aux::lacpy(Some(Uplo::Upper), jb, jb, &a[j + j * lda..], lda, u11, jb);
                     trsm(
                         Side::Left,
                         Uplo::Upper,
@@ -231,20 +226,20 @@ pub(crate) fn potrf_core<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usiz
                         jb,
                         rest,
                         T::one(),
-                        &u11,
+                        u11,
                         jb,
                         &mut a[j + (j + jb) * lda..],
                         lda,
                     );
-                    let mut u12 = vec![T::zero(); jb * rest];
-                    crate::aux::lacpy(None, jb, rest, &a[j + (j + jb) * lda..], lda, &mut u12, jb);
+                    let u12 = &mut panel[..jb * rest];
+                    crate::aux::lacpy(None, jb, rest, &a[j + (j + jb) * lda..], lda, u12, jb);
                     herk(
                         Uplo::Upper,
                         Trans::ConjTrans,
                         rest,
                         jb,
                         -T::Real::one(),
-                        &u12,
+                        u12,
                         jb,
                         T::Real::one(),
                         &mut a[j + jb + (j + jb) * lda..],

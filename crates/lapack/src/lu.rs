@@ -38,7 +38,7 @@ pub fn getf2<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &mut 
             info = (j + 1) as i32;
         }
         // Trailing update: A(j+1.., j+1..) -= A(j+1.., j) * A(j, j+1..).
-        if j + 1 < m.min(n) || (j + 1 < m && j + 1 < n) {
+        if j + 1 < m && j + 1 < n {
             let (col, rest) = {
                 // Split the buffer so the pivot column and trailing matrix
                 // can be borrowed disjointly: the trailing matrix starts at
@@ -47,18 +47,15 @@ pub fn getf2<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &mut 
                 let (head, tail) = a.split_at_mut(split);
                 (&head[j + 1 + j * lda..j + 1 + j * lda + (m - j - 1)], tail)
             };
-            if j + 1 < n {
-                // Row j of the trailing columns lives in `rest` at offset j.
-                // A(j+1:m, j+1:n) -= col * A(j, j+1:n)
-                let ncols = n - j - 1;
-                // Gather the row multipliers first (they live in `rest`).
-                for k in 0..ncols {
-                    let ajk = rest[j + k * lda];
-                    if !ajk.is_zero() {
-                        for i in 0..m - j - 1 {
-                            let upd = col[i] * ajk;
-                            rest[j + 1 + i + k * lda] -= upd;
-                        }
+            // A(j+1:m, j+1:n) -= col * A(j, j+1:n), one column at a time
+            // over slices so the update vectorizes. Row j of trailing
+            // column k lives in `rest` at offset j + k·lda.
+            for k in 0..n - j - 1 {
+                let ck = &mut rest[j + k * lda..];
+                let ajk = ck[0];
+                if !ajk.is_zero() {
+                    for (x, &l) in ck[1..m - j].iter_mut().zip(col) {
+                        *x -= l * ajk;
                     }
                 }
             }
@@ -153,6 +150,8 @@ pub(crate) fn getrf_core<T: Scalar>(
         return getf2(m, n, a, lda, ipiv);
     }
     let mut info = 0i32;
+    // Holds each step's copy of U12; step 0 has the largest.
+    let mut u12 = vec![T::zero(); nb * (n - nb)];
     let mut j = 0;
     while j < mn {
         // Cooperative cancellation checkpoint: one cheap thread-local
@@ -203,19 +202,13 @@ pub(crate) fn getrf_core<T: Scalar>(
                 let (left, right) = a.split_at_mut((j + jb) * lda);
                 let l21 = &left[j + jb + j * lda..];
                 let ld = lda;
-                // U12 is right[j..] rows j..j+jb; A22 is right[j+jb..].
-                // They overlap within `right`, so copy U12's row block is
-                // unnecessary: gemm reads U12 (rows j..j+jb) and writes A22
-                // (rows j+jb..); disjoint row ranges of the same columns.
-                // Split manually by raw indexing through a helper buffer-free
-                // approach: safe split is per-column, so use pointers via
-                // split_at_mut on each column is costly. Instead copy U12.
+                // U12 (rows j..j+jb of `right`) and A22 (rows j+jb..)
+                // interleave column by column in the one buffer, so gemm
+                // reads U12 from a copy.
                 let ncols = n - j - jb;
-                let mut u12 = vec![T::zero(); jb * ncols];
-                for c in 0..ncols {
-                    for r in 0..jb {
-                        u12[r + c * jb] = right[j + r + c * ld];
-                    }
+                let u12 = &mut u12[..jb * ncols];
+                for (c, dst) in u12.chunks_exact_mut(jb).enumerate() {
+                    dst.copy_from_slice(&right[j + c * ld..j + c * ld + jb]);
                 }
                 gemm(
                     Trans::No,
@@ -226,7 +219,7 @@ pub(crate) fn getrf_core<T: Scalar>(
                     -T::one(),
                     l21,
                     ld,
-                    &u12,
+                    u12,
                     jb,
                     T::one(),
                     &mut right[j + jb..],

@@ -337,10 +337,11 @@ pub fn potrf_dag<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i3
                 // dag: the tile is at most one tile wide).
                 crate::chol::potrf_core(uplo, nbk, tm_ref.tile_mut(k, k), ld)
             };
+            // Negative codes (no workspace, cancelled) pass through.
             if info > 0 {
                 info + off as i32
             } else {
-                0
+                info
             }
         });
         match uplo {

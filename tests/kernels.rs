@@ -9,6 +9,9 @@
 //!   (they perform the same additions in the same order by contract);
 //! * the SIMD kernel (when compiled in) matches to rounding tolerance
 //!   only, since FMA contracts the multiply-add rounding;
+//! * the triangle-masked `syrk`/`herk` band sweep matches a naive rank-k
+//!   reference around the band, tile and blocking boundaries, and leaves
+//!   the unreferenced triangle untouched;
 //! * serial and column-striped parallel execution are bitwise identical
 //!   for a fixed kernel (the packed path blocks `k` identically in both),
 //!   including under `AbftPolicy::Verify` checksums;
@@ -19,10 +22,10 @@
 //! degenerate shapes — empty matrices, single vectors, ragged tiles —
 //! for all four scalar types.
 
-use la_blas::gemm;
 use la_blas::kernel::tile_dims;
+use la_blas::{gemm, herk, syrk};
 use la_core::tune::{self, GemmKernel};
-use la_core::{RealScalar, Scalar, Trans, C32, C64};
+use la_core::{RealScalar, Scalar, Trans, Uplo, C32, C64};
 
 struct Rng(u64);
 
@@ -221,6 +224,178 @@ fn edge_sweep_c32() {
 #[test]
 fn edge_sweep_c64() {
     edge_sweep::<C64>(f64::EPSILON * 2.0);
+}
+
+/// The rank-k sweep against a naive reference: orders around the 48-column
+/// parallel band and the tile shapes, depths below and above one tile
+/// row, both triangles, both operand layouts, `syrk` and `herk`, every
+/// kernel. `C` has padding rows and starts out random everywhere, so the
+/// unreferenced triangle and the padding double as sentinels that must
+/// come back bit for bit.
+fn syrk_sweep<T: Scalar>(eps: f64, base: tune::TuneConfig, orders: &[usize], depths: &[usize]) {
+    let mut rng = Rng(0x5e11 ^ tile_dims::<T>().0 as u64);
+    let (alpha, beta) = (-1.25, 0.5);
+    let mut kernels = vec![GemmKernel::Scalar, GemmKernel::Unrolled];
+    if cfg!(feature = "simd") {
+        kernels.push(GemmKernel::Simd);
+    }
+    for &n in orders {
+        let ldc = n + 3;
+        let c0: Vec<T> = rng.vec(ldc * n);
+        for &k in depths {
+            let a: Vec<T> = rng.vec(n * k);
+            for uplo in [Uplo::Lower, Uplo::Upper] {
+                for trans in [Trans::No, Trans::Trans] {
+                    let lda = if trans == Trans::No { n } else { k };
+                    // op(A)(i, l) as stored.
+                    let ael = |i: usize, l: usize| match trans {
+                        Trans::No => a[i + l * lda],
+                        _ => a[l + i * lda],
+                    };
+                    for hermitian in [false, true] {
+                        // herk conjugates the second factor of op(A)·op(A)ᴴ
+                        // for `No` and the first for `ConjTrans`.
+                        let conj = hermitian && T::IS_COMPLEX;
+                        let htrans = if conj && trans == Trans::Trans {
+                            Trans::ConjTrans
+                        } else {
+                            trans
+                        };
+                        let mut want = c0.clone();
+                        for j in 0..n {
+                            for i in 0..n {
+                                if (uplo == Uplo::Lower) != (i >= j) && i != j {
+                                    continue;
+                                }
+                                let mut s = T::zero();
+                                for l in 0..k {
+                                    let (x, y) = (ael(i, l), ael(j, l));
+                                    s += match (conj, trans) {
+                                        (false, _) => x * y,
+                                        (true, Trans::No) => x * y.conj(),
+                                        (true, _) => x.conj() * y,
+                                    };
+                                }
+                                let w = &mut want[i + j * ldc];
+                                *w = T::from_f64(beta) * *w + T::from_f64(alpha) * s;
+                                if conj && i == j {
+                                    *w = T::from_real(w.re());
+                                }
+                            }
+                        }
+                        let run = |kern: GemmKernel| {
+                            let mut c = c0.clone();
+                            let cfg = tune::TuneConfig {
+                                gemm_kernel: kern,
+                                ..base
+                            };
+                            tune::with(cfg, || {
+                                if hermitian {
+                                    herk::<T>(
+                                        uplo,
+                                        htrans,
+                                        n,
+                                        k,
+                                        T::Real::from_f64(alpha),
+                                        &a,
+                                        lda,
+                                        T::Real::from_f64(beta),
+                                        &mut c,
+                                        ldc,
+                                    );
+                                } else {
+                                    syrk(
+                                        uplo,
+                                        trans,
+                                        n,
+                                        k,
+                                        T::from_f64(alpha),
+                                        &a,
+                                        lda,
+                                        T::from_f64(beta),
+                                        &mut c,
+                                        ldc,
+                                    );
+                                }
+                            });
+                            c
+                        };
+                        let tag = format!("{uplo:?}/{htrans:?} herk={hermitian} n={n} k={k}");
+                        let tol = eps * 16.0 * (k as f64 + 1.0);
+                        let mut first: Option<Vec<T>> = None;
+                        for &kern in &kernels {
+                            let got = run(kern);
+                            for (idx, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                                let (i, j) = (idx % ldc, idx / ldc);
+                                let updated =
+                                    i < n && ((uplo == Uplo::Lower) == (i >= j) || i == j);
+                                if updated {
+                                    let d = (g - w).abs().to_f64();
+                                    let scale = 1.0 + w.abs().to_f64();
+                                    assert!(d <= tol * scale, "{tag} {kern:?} ({i},{j}): {d}");
+                                } else {
+                                    assert_eq!(g, c0[idx], "{tag} {kern:?} touched ({i},{j})");
+                                }
+                                if conj && i == j {
+                                    assert_eq!(g.im().to_f64(), 0.0, "{tag} {kern:?} diagonal");
+                                }
+                            }
+                            // scalar ↔ unrolled: bitwise, as for gemm.
+                            match (&first, kern) {
+                                (None, _) => first = Some(got),
+                                (Some(f), GemmKernel::Unrolled) => {
+                                    assert_eq!(f, &got, "{tag}: scalar vs unrolled not bitwise")
+                                }
+                                _ => {}
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+const SYRK_ORDERS: [usize; 6] = [1, 47, 48, 49, 97, 200];
+const SYRK_DEPTHS: [usize; 3] = [1, 31, 96];
+
+#[test]
+fn syrk_sweep_f32() {
+    let base = tune::TuneConfig::defaults();
+    syrk_sweep::<f32>(f32::EPSILON as f64, base, &SYRK_ORDERS, &SYRK_DEPTHS);
+}
+
+#[test]
+fn syrk_sweep_f64() {
+    let base = tune::TuneConfig::defaults();
+    syrk_sweep::<f64>(f64::EPSILON, base, &SYRK_ORDERS, &SYRK_DEPTHS);
+}
+
+#[test]
+fn syrk_sweep_c32() {
+    let base = tune::TuneConfig::defaults();
+    syrk_sweep::<C32>(f32::EPSILON as f64 * 2.0, base, &SYRK_ORDERS, &SYRK_DEPTHS);
+}
+
+#[test]
+fn syrk_sweep_c64() {
+    let base = tune::TuneConfig::defaults();
+    syrk_sweep::<C64>(f64::EPSILON * 2.0, base, &SYRK_ORDERS, &SYRK_DEPTHS);
+}
+
+/// The same sweep under a blocking small enough that one update spans
+/// several column bands, row blocks and depth blocks, with `MC` and `NC`
+/// off the tile grid so diagonal tiles land at every alignment.
+#[test]
+fn syrk_sweep_across_band_row_and_depth_blocks() {
+    let base = tune::TuneConfig {
+        gemm_mc: 22,
+        gemm_kc: 16,
+        gemm_nc: 37,
+        ..tune::TuneConfig::defaults()
+    };
+    syrk_sweep::<f64>(f64::EPSILON, base, &[97], &[31, 96]);
+    syrk_sweep::<C32>(f32::EPSILON as f64 * 2.0, base, &[97], &[31, 96]);
 }
 
 /// For a fixed kernel, the column-striped parallel path and the serial
