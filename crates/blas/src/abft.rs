@@ -24,7 +24,7 @@
 //! not a soft fault.
 
 use la_core::abft::{self, AbftPolicy};
-use la_core::{probe, tune, Diag, MatMut, MatRef, RealScalar, Scalar, Trans, Uplo};
+use la_core::{probe, Diag, MatMut, MatRef, RealScalar, Scalar, Trans, Uplo};
 
 use crate::kernel::PackedPlan;
 use crate::l3::{gemm_serial, syrk_block, trmm_left_cols, trsm_left_cols, SYRK_NB};
@@ -32,13 +32,8 @@ use crate::l3::{gemm_serial, syrk_block, trmm_left_cols, trsm_left_cols, SYRK_NB
 /// Policy gate shared by every protected entry point: returns the active
 /// policy when ABFT is on *and* the operation is at or above the
 /// parallel-flop threshold.
-pub(crate) fn active(cfg: &tune::TuneConfig, flops: u128) -> Option<AbftPolicy> {
-    let p = abft::policy();
-    if p.enabled() && flops >= cfg.par_flops as u128 {
-        Some(p)
-    } else {
-        None
-    }
+pub(crate) fn active(ctx: &la_core::Ctx, flops: u128) -> Option<AbftPolicy> {
+    (ctx.abft.enabled() && flops >= ctx.tune.par_flops as u128).then_some(ctx.abft)
 }
 
 fn cjs<T: Scalar>(conj: bool, x: T) -> T {
@@ -742,6 +737,7 @@ mod tests {
     fn gemm_corruption_is_detected_and_recovered() {
         use la_core::abft::inject::{arm, is_armed, CorruptKind, Corruption};
         use la_core::abft::{clear_pending, take_pending, with_policy};
+        use la_core::tune;
         let (m, n, k) = (24usize, 32usize, 24usize);
         let a: Vec<f64> = (0..m * k)
             .map(|i| ((i * 7 % 13) as f64 - 6.0) / 3.0)

@@ -476,10 +476,9 @@ pub const DEFAULT_KC: usize = 256;
 pub const DEFAULT_NC: usize = 512;
 
 /// A resolved packed-gemm execution plan: the concrete microkernel plus
-/// the cache-blocking sizes, captured *once* on the calling thread (where
-/// scoped `tune::with` overrides are visible) and passed down through the
-/// stripe workers and the ABFT recovery reruns so every path computes
-/// with the same kernel.
+/// the cache-blocking sizes, resolved *once* per call and passed down
+/// through the stripe workers and the ABFT recovery reruns so every path
+/// computes with the same kernel.
 #[derive(Clone, Copy)]
 pub struct PackedPlan<T: Scalar> {
     /// The microkernel to drive.

@@ -8,12 +8,12 @@
 //! register-tiled microkernel ([`crate::kernel`]) does the flops, with the
 //! MC/KC/NC cache blocking and the kernel choice read from the runtime
 //! [`la_core::tune`] configuration. Large products additionally split the
-//! columns of `C` across OS threads (`std::thread::scope`) — the same
+//! columns of `C` across OS threads ([`la_core::ctx::fan_out`]) — the same
 //! data-parallel decomposition a Rayon `par_chunks_mut` would express.
 //!
 //! Every decision point (thread budget, flop threshold, kernel, blocking)
-//! reads [`la_core::tune`] on the *calling* thread and travels down into
-//! the workers as a resolved [`PackedPlan`], so callers can retune or
+//! reads the ambient context once on the *calling* thread and travels down
+//! into the workers as a resolved [`PackedPlan`], so callers can retune or
 //! force paths per call tree via `tune::with` without recompiling.
 //! `trsm`, `trmm`, `syrk`/`herk` and `symm` reuse the same column-striped
 //! decomposition as `gemm` and route their inner updates through the same
@@ -25,7 +25,7 @@
 //! instead of raw `(&[T], lda, offset)` triples; the public signatures
 //! keep the Fortran-style slice interface.
 
-use la_core::{probe, tune, Diag, MatMut, MatRef, Scalar, Side, Trans, Uplo};
+use la_core::{ctx, probe, tune, Diag, MatMut, MatRef, Scalar, Side, Trans, Uplo};
 
 use crate::kernel::{self, PackedPlan};
 use crate::l1::axpy;
@@ -48,7 +48,7 @@ fn cj<T: Scalar>(conj: bool, x: T) -> T {
 
 /// Graceful degradation of a parallel BLAS-3 operation: snapshots the
 /// output, attempts the parallel path, and — if any worker thread panics
-/// (`std::thread::scope` re-raises the first worker panic on the caller)
+/// (`ctx::fan_out` re-raises a worker panic on the caller)
 /// — restores the snapshot and re-runs the operation on the serial path,
 /// so the process survives and the result is the one the serial code
 /// would have produced. The fallback is counted through
@@ -70,6 +70,16 @@ fn with_serial_fallback<T: Scalar>(
     }
 }
 
+/// Test-only fault injection (see `TuneConfig::fault_inject_par`): panics
+/// inside the worker that drew the first stripe, so the panic takes the
+/// real cross-thread propagation path. Compiled only into builds with the
+/// `fault-inject` cargo feature; default builds never read the flag.
+fn maybe_inject_stripe_fault(stripe: usize) {
+    if cfg!(feature = "fault-inject") && stripe == 0 && tune::current().fault_inject_par {
+        panic!("injected BLAS-3 stripe fault");
+    }
+}
+
 /// Splits the columns of `c` into `stripes` contiguous bands and runs
 /// `f(j0, band)` on scoped threads, where `band` starts at column `j0`.
 /// [`MatMut::split_at_col`] hands each worker a disjoint view, so the
@@ -82,47 +92,30 @@ where
     let n = c.ncols();
     let base = n / stripes;
     let extra = n % stripes;
-    let fref = &f;
     #[cfg(not(feature = "fault-inject"))]
     let _ = routine;
-    // Test-only fault injection (see `TuneConfig::fault_inject_par`): read
-    // on the calling thread — scoped tune overrides do not cross into the
-    // workers — and detonated inside the first spawned stripe so the panic
-    // takes the real cross-thread propagation path. Compiled only into
-    // builds with the `fault-inject` cargo feature; default builds never
-    // read the flag.
-    #[cfg(feature = "fault-inject")]
-    let inject = tune::current().fault_inject_par;
-    #[cfg(not(feature = "fault-inject"))]
-    let inject = false;
-    std::thread::scope(|s| {
-        let mut rest = c;
-        let mut j0 = 0usize;
-        for t in 0..stripes {
-            let w = base + usize::from(t < extra);
-            if w == 0 {
-                continue;
-            }
-            let (mine, tail) = rest.split_at_col(w);
-            rest = tail;
-            let boom = inject && t == 0;
-            s.spawn(move || {
-                let mut mine = mine;
-                if boom {
-                    panic!("injected BLAS-3 stripe fault");
-                }
-                fref(j0, mine.rb());
-                // Silent-corruption injection (one-shot, armed through
-                // `la_core::abft::inject`): flips one element of this
-                // worker's finished band so the checksum layer above has
-                // something real to detect.
-                #[cfg(feature = "fault-inject")]
-                la_core::abft::inject::maybe_corrupt(routine, t, &mut mine.as_mut_slice()[0]);
-                #[cfg(not(feature = "fault-inject"))]
-                let _ = &mut mine;
-            });
-            j0 += w;
+    let mut bands = Vec::with_capacity(stripes);
+    let mut rest = c;
+    let mut j0 = 0usize;
+    for t in 0..stripes {
+        let w = base + usize::from(t < extra);
+        if w == 0 {
+            continue;
         }
+        let (mine, tail) = rest.split_at_col(w);
+        rest = tail;
+        bands.push((t, j0, mine));
+        j0 += w;
+    }
+    ctx::fan_out(stripes, bands.into_iter(), |(t, j0, mut mine)| {
+        maybe_inject_stripe_fault(t);
+        f(j0, mine.rb());
+        // Silent-corruption injection (one-shot, armed through
+        // `la_core::abft::inject`): flips one element of this worker's
+        // finished band so the checksum layer above has something real to
+        // detect.
+        #[cfg(feature = "fault-inject")]
+        la_core::abft::inject::maybe_corrupt(routine, t, &mut mine.as_mut_slice()[0]);
     });
 }
 
@@ -197,7 +190,10 @@ pub fn gemm<T: Scalar>(
         crate::halfp::narrow(&cf, c);
         return;
     }
-    let _probe = probe::span(
+    // One ambient read serves the span, the plan and the ABFT gate.
+    let ctx = ctx::current();
+    let _probe = probe::span_in(
+        &ctx,
         probe::Layer::Blas,
         "gemm",
         probe::flops::gemm(m, n, k),
@@ -223,9 +219,9 @@ pub fn gemm<T: Scalar>(
         return;
     }
 
-    let cfg = tune::current();
-    let plan = PackedPlan::<T>::from_cfg(&cfg);
-    let stripes = par_stripes(&cfg, flop_product(m, n, k), n, 8);
+    let cfg = &ctx.tune;
+    let plan = PackedPlan::<T>::from_cfg(cfg);
+    let stripes = par_stripes(cfg, flop_product(m, n, k), n, 8);
     probe::note_parallelism(stripes);
     probe::note_kernel(if !plan.force && m * n * k < SMALL_CROSSOVER {
         "small"
@@ -238,7 +234,7 @@ pub fn gemm<T: Scalar>(
     let bv = MatRef::new(b, br, bc, ldb);
     // ABFT (see `crate::abft`): encode the column checksum after the
     // β-scaling, before the product accumulates.
-    let check = crate::abft::active(&cfg, flop_product(m, n, k)).map(|pol| {
+    let check = crate::abft::active(&ctx, flop_product(m, n, k)).map(|pol| {
         crate::abft::gemm_encode(
             pol,
             transa,
@@ -780,16 +776,17 @@ fn syrk_impl<T: Scalar>(
     // which balances the triangle's uneven band heights and needs no
     // synchronisation. Both run the same band code, and a band's width
     // does not change any element's summation order.
-    let cfg = tune::current();
-    let plan = PackedPlan::<T>::from_cfg(&cfg);
-    let workers = par_stripes(&cfg, flop_product(n, n, k) / 2, n, SYRK_NB).min(n.div_ceil(SYRK_NB));
+    let ctx = ctx::current();
+    let cfg = &ctx.tune;
+    let plan = PackedPlan::<T>::from_cfg(cfg);
+    let workers = par_stripes(cfg, flop_product(n, n, k) / 2, n, SYRK_NB).min(n.div_ceil(SYRK_NB));
     probe::note_parallelism(workers);
     probe::note_kernel(plan.kern.name());
     let (ar, ac) = if trans == Trans::No { (n, k) } else { (k, n) };
     let av = MatRef::new(a, ar, ac, lda);
     // ABFT: encode over the stored triangle before the update runs (the
     // blocks β-scale internally, so the snapshot is the pristine input).
-    let check = crate::abft::active(&cfg, flop_product(n, n, k) / 2).map(|pol| {
+    let check = crate::abft::active(&ctx, flop_product(n, n, k) / 2).map(|pol| {
         crate::abft::syrk_encode(
             pol,
             conj,
@@ -901,33 +898,15 @@ fn syrk_blocks_par<T: Scalar>(
     for (idx, blk) in blocks.into_iter().enumerate() {
         work[idx % workers].push(blk);
     }
-    // Gated like the `stripe_cols` hook: `fault-inject` builds only.
-    #[cfg(feature = "fault-inject")]
-    let inject = tune::current().fault_inject_par;
-    #[cfg(not(feature = "fault-inject"))]
-    let inject = false;
-    std::thread::scope(|s| {
-        for (t, list) in work.into_iter().enumerate() {
-            let boom = inject && t == 0;
-            s.spawn(move || {
-                if boom {
-                    panic!("injected BLAS-3 stripe fault");
-                }
-                for (j0, jb, mut cb) in list {
-                    syrk_block(plan, conj, uplo, trans, k, alpha, a, beta, j0, jb, cb.rb());
-                    // One-shot silent-corruption hook: hits the diagonal
-                    // element of this block (updated under either uplo),
-                    // addressed by block index so tests can aim at it.
-                    #[cfg(feature = "fault-inject")]
-                    la_core::abft::inject::maybe_corrupt(
-                        "syrk",
-                        j0 / SYRK_NB,
-                        &mut cb.as_mut_slice()[j0],
-                    );
-                    #[cfg(not(feature = "fault-inject"))]
-                    let _ = (jb, &mut cb);
-                }
-            });
+    ctx::fan_out(workers, work.into_iter().enumerate(), |(t, list)| {
+        maybe_inject_stripe_fault(t);
+        for (j0, jb, mut cb) in list {
+            syrk_block(plan, conj, uplo, trans, k, alpha, a, beta, j0, jb, cb.rb());
+            // One-shot silent-corruption hook: hits the diagonal element
+            // of this block (updated under either uplo), addressed by
+            // block index so tests can aim at it.
+            #[cfg(feature = "fault-inject")]
+            la_core::abft::inject::maybe_corrupt("syrk", j0 / SYRK_NB, &mut cb.as_mut_slice()[j0]);
         }
     });
 }
@@ -1215,15 +1194,16 @@ fn trmm_impl<T: Scalar>(
             }
             // Column bands of B are independent: band := alpha·op(A)·band,
             // so the columns stripe across threads exactly like gemm's C.
-            let cfg = tune::current();
-            let plan = PackedPlan::<T>::from_cfg(&cfg);
-            let stripes = par_stripes(&cfg, flop_product(m, m, n) / 2, n, 4);
+            let ctx = ctx::current();
+            let cfg = &ctx.tune;
+            let plan = PackedPlan::<T>::from_cfg(cfg);
+            let stripes = par_stripes(cfg, flop_product(m, m, n) / 2, n, 4);
             probe::note_parallelism(stripes);
             probe::note_kernel(plan.kern.name());
             let av = MatRef::new(a, m, m, lda);
             // ABFT: encode from the unscaled input (the column kernel
             // applies alpha itself).
-            let check = crate::abft::active(&cfg, flop_product(m, m, n) / 2).map(|pol| {
+            let check = crate::abft::active(&ctx, flop_product(m, m, n) / 2).map(|pol| {
                 crate::abft::trmm_encode(
                     pol,
                     uplo,
@@ -1521,15 +1501,16 @@ fn trsm_impl<T: Scalar>(
             // same triangle, so the columns of B stripe across threads the
             // same way gemm stripes C (per-column arithmetic identical to
             // the serial path).
-            let cfg = tune::current();
-            let plan = PackedPlan::<T>::from_cfg(&cfg);
-            let stripes = par_stripes(&cfg, flop_product(m, m, n) / 2, n, 4);
+            let ctx = ctx::current();
+            let cfg = &ctx.tune;
+            let plan = PackedPlan::<T>::from_cfg(cfg);
+            let stripes = par_stripes(cfg, flop_product(m, m, n) / 2, n, 4);
             probe::note_parallelism(stripes);
             probe::note_kernel(plan.kern.name());
             let av = MatRef::new(a, m, m, lda);
             // ABFT: alpha is already folded into B, so the column sums of
             // B as it stands are the expected values of (eᵀop(A))·X.
-            let check = crate::abft::active(&cfg, flop_product(m, m, n) / 2).map(|pol| {
+            let check = crate::abft::active(&ctx, flop_product(m, m, n) / 2).map(|pol| {
                 crate::abft::trsm_encode(pol, uplo, trans, diag, av, MatRef::new(b, m, n, ldb))
             });
             if stripes > 1 {
@@ -1934,6 +1915,67 @@ mod striped_tests {
         );
         // Small products still honour the threshold.
         assert_eq!(par_stripes(&cfg, flop_product(8, 8, 8), 8, 8), 1);
+    }
+
+    #[test]
+    fn stripe_workers_run_under_the_callers_ambient() {
+        // The la-blas row of la-core's hop test
+        // (`ctx::tests::every_hop_carries_the_ambient_and_nothing_else`):
+        // a striped gemm under `oversubscribe` is a `ctx::fan_out`, so the
+        // scoped configuration, the cancel token, the heartbeat and the
+        // sibling clamp all reach the stripe workers, and the caller's
+        // parked ABFT fault does not.
+        use la_core::cancel::{self, CancelToken, Heartbeat};
+        use la_core::{abft, AbftPolicy, Ctx, FpCheckPolicy, ProbePolicy};
+        use std::sync::Mutex;
+        let host = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let sentinel = Ctx {
+            tune: tune::TuneConfig {
+                nb_getrf: 17,
+                max_threads: 2,
+                oversubscribe: true,
+                ..tune::TuneConfig::defaults()
+            },
+            fp_check: FpCheckPolicy::Full,
+            abft: AbftPolicy::Verify,
+            probe: ProbePolicy::Counters,
+        };
+        let token = CancelToken::new();
+        let outside = token.clone();
+        let beat = Heartbeat::new();
+        let caller = std::thread::current().id();
+        let lost = Mutex::new(Vec::new());
+        let check = |ok: bool, what: &str| {
+            if !ok {
+                lost.lock().unwrap().push(what.to_string());
+            }
+        };
+        let mut c = vec![0.0f64; 16 * 16];
+        abft::clear_pending();
+        abft::raise("hop-test", 7);
+        ctx::with(sentinel, || {
+            cancel::with_token(token, || {
+                cancel::with_heartbeat(beat.clone(), || {
+                    stripe_cols("gemm", 2, MatMut::new(&mut c, 16, 16, 16), |_, _| {
+                        check(std::thread::current().id() != caller, "ran on the caller");
+                        check(ctx::current() == sentinel, "Ctx");
+                        check(
+                            tune::TuneConfig::defaults().threads() == (host / 2).clamp(1, 8),
+                            "sibling clamp",
+                        );
+                        let beats = beat.beats();
+                        cancel::cancelled();
+                        check(beat.beats() > beats, "heartbeat");
+                        check(abft::take_pending().is_none(), "ABFT pending fault crossed");
+                        outside.cancel();
+                        check(cancel::cancelled(), "cancel token");
+                    })
+                })
+            })
+        });
+        let lost = lost.into_inner().unwrap();
+        assert!(lost.is_empty(), "stripe hop lost: {lost:?}");
+        assert_eq!(abft::take_pending().map(|f| f.block), Some(7));
     }
 
     #[test]

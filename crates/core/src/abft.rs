@@ -16,10 +16,10 @@
 //!
 //! * [`AbftPolicy`] — `Off` (default, zero cost) / `Verify` (detect and
 //!   report `INFO = -102`) / `Recover` (detect, then recompute the
-//!   offending stripe from the pre-call snapshot). Initialized from the
+//!   offending stripe from the pre-call snapshot). One field of the
+//!   ambient context ([`crate::ctx::Ctx::abft`]): initialized from the
 //!   `LA_ABFT` environment variable, settable process-wide via
-//!   [`set_policy`] or per call tree via [`with_policy`] — the same
-//!   pattern as [`crate::tune`], [`crate::except`] and [`crate::probe`].
+//!   [`crate::ctx::update`] or per call tree via [`with_policy`].
 //! * [`raise`] / [`take_pending`] — the thread-local "soft-fault errno":
 //!   the BLAS-3 layer returns `()`, so a detected-but-unrecovered fault is
 //!   parked here and collected by the `la90` driver on exit, surfacing as
@@ -37,7 +37,14 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{OnceLock, RwLock};
+
+use crate::ctx;
+
+/// `INFO` code of a job whose computation returned clean but left an
+/// unrepaired soft fault parked (see [`raise`]): the answer failed
+/// checksum verification. Maps to [`crate::LaError::SoftFault`] through
+/// `ERINFO`.
+pub const INFO_SOFT_FAULT: i32 = -102;
 
 /// What the checksum-protected routines do about soft faults.
 ///
@@ -85,25 +92,11 @@ impl AbftPolicy {
             _ => None,
         }
     }
-
-    /// The default overlaid with the `LA_ABFT` environment variable; an
-    /// absent or unrecognized value leaves the policy `Off`.
-    pub fn from_env() -> Self {
-        std::env::var("LA_ABFT")
-            .ok()
-            .and_then(|s| Self::parse(&s))
-            .unwrap_or_default()
-    }
 }
 
-fn global() -> &'static RwLock<AbftPolicy> {
-    static GLOBAL: OnceLock<RwLock<AbftPolicy>> = OnceLock::new();
-    GLOBAL.get_or_init(|| RwLock::new(AbftPolicy::from_env()))
-}
-
+// Per-job state: deliberately *not* part of the ambient frame, so it never
+// crosses a thread hop.
 thread_local! {
-    static OVERRIDE: std::cell::RefCell<Vec<AbftPolicy>> =
-        const { std::cell::RefCell::new(Vec::new()) };
     /// The parked fault is stamped with the job epoch it was raised in,
     /// so a fault from job A can never be collected by job B (see
     /// [`job_scope`]).
@@ -114,37 +107,17 @@ thread_local! {
     static EPOCH: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The policy in effect on this thread: the innermost [`with_policy`]
-/// override if one is active, the process-global policy otherwise.
+/// The policy in effect on this thread: the innermost scope's if one is
+/// open, the process-global policy otherwise.
 pub fn policy() -> AbftPolicy {
-    if let Some(p) = OVERRIDE.with(|o| o.borrow().last().copied()) {
-        return p;
-    }
-    *global().read().unwrap_or_else(|e| e.into_inner())
+    ctx::peek(|f| f.ctx.abft)
 }
 
-/// Replaces the process-global policy.
-pub fn set_policy(p: AbftPolicy) {
-    *global().write().unwrap_or_else(|e| e.into_inner()) = p;
-}
-
-/// Runs `f` with `p` in effect on the current thread only, restoring the
-/// previous state afterwards (also on panic). Nested calls stack.
-///
-/// Like [`crate::tune::with`], the override is consulted at the entry
-/// points of the protected routines, which always run on the calling
-/// thread — so a scoped policy fully governs a call tree even when the
-/// BLAS underneath goes parallel.
+/// Runs `f` with `p` in effect on the current thread and on every worker
+/// the call tree fans out to, restoring the previous state afterwards
+/// (also on panic). Nested calls stack.
 pub fn with_policy<R>(p: AbftPolicy, f: impl FnOnce() -> R) -> R {
-    struct Guard;
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            OVERRIDE.with(|o| o.borrow_mut().pop());
-        }
-    }
-    OVERRIDE.with(|o| o.borrow_mut().push(p));
-    let _guard = Guard;
-    f()
+    ctx::scoped(|frame| frame.ctx.abft = p, f)
 }
 
 /// A detected-but-unrepaired soft fault, parked thread-locally until the
@@ -206,8 +179,8 @@ pub fn clear_pending() {
 /// scope exit and can never surface as `INFO = -102` in a later job that
 /// happens to run on the same worker thread.
 ///
-/// The batch dispatchers (`la-blas`/`la-lapack` `*_batch`) and the
-/// `la-serve` workers wrap every job in this scope.
+/// [`ctx::isolated`] (batch jobs, dag tasks) and the `la-serve` workers wrap
+/// every job in this scope.
 pub fn job_scope<R>(f: impl FnOnce() -> R) -> R {
     struct Guard;
     impl Drop for Guard {

@@ -10,37 +10,24 @@
 //! * **Work stealing** — items are handed out one at a time from a shared
 //!   queue, so a worker that drew a large system does not stall siblings
 //!   holding small ones.
-//! * **Policy inheritance** — the scoped thread-local overrides of
-//!   [`crate::tune`], [`crate::except`], [`crate::abft`], [`crate::probe`]
-//!   and the [`crate::cancel`] token are captured on the *calling* thread
-//!   and re-installed inside every worker, so a batch behaves exactly like
-//!   a loop of sequential calls under the same scopes.
-//! * **Panic isolation** — a job that panics is caught at the job
-//!   boundary and recorded as [`crate::cancel::INFO_PANICKED`] (`-104`);
-//!   the worker moves on to the next job and sibling jobs never notice.
-//! * **Per-job fault scoping** — every job runs inside
-//!   [`crate::abft::job_scope`], so a soft fault detected in one job
-//!   surfaces as that job's `INFO = -102` and can never leak into a
-//!   sibling that happens to run next on the same worker.
-//! * **Cooperative cancellation** — a cancelled token (or passed
+//! * **Policy inheritance** — workers run under the calling thread's
+//!   ambient state ([`crate::ctx::fan_out`]): scoped [`crate::tune`] /
+//!   [`crate::except`] / [`crate::abft`] / [`crate::probe`] overrides, the
+//!   [`crate::cancel`] token and the heartbeat, so a batch behaves exactly
+//!   like a loop of sequential calls under the same scopes.
+//! * **Per-job isolation** — every job runs inside [`crate::ctx::isolated`]:
+//!   a job that panics is recorded as [`crate::cancel::INFO_PANICKED`]
+//!   (`-104`) and the worker moves on; a soft fault detected in one job
+//!   surfaces as that job's `INFO = -102` and can never leak into a sibling
+//!   that runs next on the same worker; a cancelled token (or passed
 //!   deadline) makes not-yet-started jobs return
-//!   [`crate::cancel::INFO_CANCELLED`] (`-103`) immediately, and
-//!   in-flight factorizations abandon at their next panel checkpoint.
-//! * **No oversubscription** — each worker registers with
-//!   [`crate::tune::in_pool_worker`], so striped BLAS-3 opened *inside* a
-//!   job divides the host cores by the worker count instead of
-//!   multiplying with it.
+//!   [`crate::cancel::INFO_CANCELLED`] (`-103`) immediately, and in-flight
+//!   factorizations abandon at their next panel checkpoint.
+//! * **No oversubscription** — workers are registered as pool siblings, so
+//!   striped BLAS-3 opened *inside* a job divides the host cores by the
+//!   worker count instead of multiplying with it.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
-
-use crate::{abft, cancel, except, probe, tune};
-
-/// `INFO` code recorded for a job whose computation returned clean but
-/// left a parked ABFT soft fault behind (the batched analog of the
-/// `erinfo` drain): the job's answer failed checksum verification and was
-/// not repaired.
-pub const INFO_SOFT_FAULT: i32 = -102;
+use crate::{ctx, tune};
 
 /// Runs `job` once per item of `items` across a pool of work-stealing
 /// workers and returns one raw `INFO` code per item, position-matched.
@@ -49,108 +36,38 @@ pub const INFO_SOFT_FAULT: i32 = -102;
 /// `INFO` (the usual LAPACK convention plus the extension codes). The
 /// dispatcher additionally yields, per item:
 ///
-/// * [`cancel::INFO_CANCELLED`] (`-103`) — the inherited cancel token was
-///   already tripped when the item came up (the job never ran), or the
-///   job observed it at a checkpoint and returned the code itself;
-/// * [`cancel::INFO_PANICKED`] (`-104`) — the job panicked; the panic was
-///   swallowed at the job boundary and the item's output is unspecified;
-/// * [`INFO_SOFT_FAULT`] (`-102`) — the job returned `0` but parked an
-///   unrepaired ABFT soft fault.
+/// * [`crate::cancel::INFO_CANCELLED`] (`-103`) — the inherited cancel
+///   token was already tripped when the item came up (the job never ran),
+///   or the job observed it at a checkpoint and returned the code itself;
+/// * [`crate::cancel::INFO_PANICKED`] (`-104`) — the job panicked; the
+///   panic was swallowed at the job boundary and the item's output is
+///   unspecified;
+/// * [`crate::abft::INFO_SOFT_FAULT`] (`-102`) — the job returned `0` but
+///   parked an unrepaired ABFT soft fault.
 ///
 /// The worker count is the [`tune`] thread budget clamped to the item
 /// count; with a budget of 1 (or a single item) everything runs inline on
-/// the calling thread — same contract, no spawning. Workers inherit the
-/// calling thread's scoped tune/except/abft/probe overrides and cancel
-/// token, and register as pool siblings so nested striped BLAS-3 does not
-/// oversubscribe the host.
+/// the calling thread — same contract, no spawning.
 pub fn run_batch<T, F>(items: &mut [T], job: F) -> Vec<i32>
 where
     T: Send,
     F: Fn(usize, &mut T) -> i32 + Sync,
 {
-    let n = items.len();
-    let mut infos = vec![0i32; n];
-    if n == 0 {
-        return infos;
-    }
-    let workers = tune::current().threads().min(n).max(1);
-
-    // One item, fully isolated: cancel gate, panic boundary, fault scope.
-    let run_one = |idx: usize, item: &mut T, slot: &mut i32| {
-        *slot = abft::job_scope(|| {
-            if cancel::cancelled() {
-                return cancel::INFO_CANCELLED;
-            }
-            match catch_unwind(AssertUnwindSafe(|| job(idx, item))) {
-                Ok(0) => match abft::take_pending() {
-                    Some(_) => INFO_SOFT_FAULT,
-                    None => 0,
-                },
-                Ok(info) => info,
-                Err(_) => cancel::INFO_PANICKED,
-            }
-        });
-    };
-
-    if workers == 1 {
-        // Inline path: the caller's scoped policies are already in effect.
-        for (idx, (item, slot)) in items.iter_mut().zip(infos.iter_mut()).enumerate() {
-            run_one(idx, item, slot);
-        }
-        return infos;
-    }
-
-    // Capture the calling thread's scoped state; thread-local overrides do
-    // not cross into spawned workers on their own.
-    let cfg = tune::current();
-    let fp = except::policy();
-    let ap = abft::policy();
-    let pp = probe::policy();
-    let token = cancel::current();
-    let beat = cancel::heartbeat();
-
-    let queue = Mutex::new(items.iter_mut().zip(infos.iter_mut()).enumerate());
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let queue = &queue;
-            let run_one = &run_one;
-            let token = token.clone();
-            let beat = beat.clone();
-            s.spawn(move || {
-                let drain = || {
-                    tune::in_pool_worker(workers, || loop {
-                        let next = queue.lock().unwrap_or_else(|e| e.into_inner()).next();
-                        let Some((idx, (item, slot))) = next else {
-                            return;
-                        };
-                        run_one(idx, item, slot);
-                    })
-                };
-                let with_cancel = || match token.clone() {
-                    Some(t) => cancel::with_token(t, drain),
-                    None => drain(),
-                };
-                // Re-install the caller's heartbeat too, so a watchdog
-                // sampling it keeps seeing beats while the batch fans out.
-                let with_cancel = || match beat.clone() {
-                    Some(h) => cancel::with_heartbeat(h, with_cancel),
-                    None => with_cancel(),
-                };
-                tune::with(cfg, || {
-                    except::with_policy(fp, || {
-                        abft::with_policy(ap, || probe::with_policy(pp, with_cancel))
-                    })
-                });
-            });
-        }
-    });
+    let mut infos = vec![0i32; items.len()];
+    let workers = tune::current().threads().min(items.len());
+    ctx::fan_out(
+        workers,
+        items.iter_mut().zip(infos.iter_mut()).enumerate(),
+        |(idx, (item, slot))| *slot = ctx::isolated(|| job(idx, item)),
+    );
     infos
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use crate::abft::{self, INFO_SOFT_FAULT};
+    use crate::cancel;
 
     /// Keeps expected job panics from spraying the test output: the
     /// default hook prints every panic, and these tests panic on purpose.
@@ -276,58 +193,5 @@ mod tests {
             assert_eq!(*info, want, "job {idx}");
         }
         assert_eq!(abft::take_pending(), None, "nothing leaks to the caller");
-    }
-
-    #[test]
-    fn workers_inherit_scoped_overrides() {
-        let seen = AtomicUsize::new(0);
-        let mut items = vec![(); 8];
-        let cfg = tune::TuneConfig {
-            max_threads: 2,
-            oversubscribe: true,
-            nb_getrf: 17,
-            ..tune::TuneConfig::defaults()
-        };
-        tune::with(cfg, || {
-            abft::with_policy(abft::AbftPolicy::Verify, || {
-                run_batch(&mut items, |_, _| {
-                    if tune::current().nb_getrf == 17 && abft::policy() == abft::AbftPolicy::Verify
-                    {
-                        seen.fetch_add(1, Ordering::Relaxed);
-                    }
-                    0
-                });
-            })
-        });
-        assert_eq!(seen.load(Ordering::Relaxed), 8);
-    }
-
-    #[test]
-    fn nested_blas_threads_are_clamped_inside_workers() {
-        let host = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        let cfg = tune::TuneConfig {
-            max_threads: host.max(2),
-            oversubscribe: false,
-            ..tune::TuneConfig::defaults()
-        };
-        let workers = cfg.threads().clamp(1, 4);
-        let max_seen = AtomicUsize::new(0);
-        let mut items = vec![(); 4];
-        tune::with(cfg, || {
-            run_batch(&mut items, |_, _| {
-                max_seen.fetch_max(tune::current().threads(), Ordering::Relaxed);
-                0
-            })
-        });
-        if workers > 1 {
-            assert!(
-                max_seen.load(Ordering::Relaxed) * workers <= host.max(workers),
-                "worker-count × stripe-budget must not exceed host cores \
-                 (saw {} per worker × {workers} workers on {host} cores)",
-                max_seen.load(Ordering::Relaxed)
-            );
-        }
     }
 }

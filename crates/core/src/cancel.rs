@@ -11,7 +11,9 @@
 //!   absolute deadline and a manual cancel flag.
 //! * [`with_token`] — installs a token on the current thread for the
 //!   duration of a closure, exactly like [`crate::tune::with`]. Nested
-//!   calls stack; the innermost token governs.
+//!   calls stack; the innermost token governs. The token (and the
+//!   [`Heartbeat`]) live in the ambient frame of [`crate::ctx`], so they
+//!   follow the call tree into every worker it fans out to.
 //! * [`cancelled`] — the checkpoint the blocked factorizations poll at
 //!   panel boundaries (`getrf`/`potrf` check once per `NB`-column step,
 //!   so a cancel lands within one panel's worth of work, not after the
@@ -33,10 +35,11 @@
 //! assert!(!cancel::cancelled()); // token uninstalled on exit
 //! ```
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+use crate::ctx;
 
 /// `INFO` code returned by a computational routine that abandoned its
 /// work at a cancellation checkpoint (deadline passed or token
@@ -173,77 +176,44 @@ impl std::fmt::Debug for Heartbeat {
     }
 }
 
-thread_local! {
-    static TOKENS: RefCell<Vec<CancelToken>> = const { RefCell::new(Vec::new()) };
-    static HEARTBEATS: RefCell<Vec<Heartbeat>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Runs `f` with `token` installed on the current thread, restoring the
-/// previous state afterwards (also on panic). Nested calls stack; the
-/// innermost token is the one [`cancelled`] consults.
-///
-/// Worker threads do not inherit the caller's token automatically — a
-/// dispatcher fanning a call tree out across threads must capture
-/// [`current`] and re-install it in each worker, the same way scoped
-/// [`crate::tune`] overrides travel.
+/// Runs `f` with `token` installed on the current thread and on every
+/// worker the call tree fans out to, restoring the previous state
+/// afterwards (also on panic). Nested calls stack; the innermost token is
+/// the one [`cancelled`] consults.
 pub fn with_token<R>(token: CancelToken, f: impl FnOnce() -> R) -> R {
-    struct Guard;
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            TOKENS.with(|t| t.borrow_mut().pop());
-        }
-    }
-    TOKENS.with(|t| t.borrow_mut().push(token));
-    let _guard = Guard;
-    f()
+    ctx::scoped(|frame| frame.token = Some(token), f)
 }
 
 /// The token installed on this thread, if any (innermost [`with_token`]).
 pub fn current() -> Option<CancelToken> {
-    TOKENS.with(|t| t.borrow().last().cloned())
+    ctx::peek(|f| f.token.clone())
 }
 
-/// Runs `f` with `hb` installed as the current thread's heartbeat,
-/// restoring the previous state afterwards (also on panic). Nested calls
-/// stack; the innermost heartbeat is the one [`cancelled`] stamps.
-///
-/// Like cancel tokens, heartbeats do not cross into spawned workers on
-/// their own — a dispatcher must capture [`heartbeat`] and re-install it
-/// in each worker for the monitor to keep seeing beats.
+/// Runs `f` with `hb` installed as the heartbeat of the current thread and
+/// of every worker the call tree fans out to, restoring the previous state
+/// afterwards (also on panic). Nested calls stack; the innermost heartbeat
+/// is the one [`cancelled`] stamps.
 pub fn with_heartbeat<R>(hb: Heartbeat, f: impl FnOnce() -> R) -> R {
-    struct Guard;
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            HEARTBEATS.with(|h| h.borrow_mut().pop());
-        }
-    }
-    HEARTBEATS.with(|h| h.borrow_mut().push(hb));
-    let _guard = Guard;
-    f()
+    ctx::scoped(|frame| frame.beat = Some(hb), f)
 }
 
 /// The heartbeat installed on this thread, if any (innermost
 /// [`with_heartbeat`]).
 pub fn heartbeat() -> Option<Heartbeat> {
-    HEARTBEATS.with(|h| h.borrow().last().cloned())
+    ctx::peek(|f| f.beat.clone())
 }
 
 /// Cancellation checkpoint: `true` when the innermost installed token has
 /// been cancelled or its deadline has passed. Also stamps the innermost
 /// installed [`Heartbeat`], proving liveness to any watchdog sampling it.
-/// With no token and no heartbeat installed this is two thread-local
-/// borrows returning `false`.
+/// With no token and no heartbeat installed this is one thread-local read
+/// returning `false`.
 pub fn cancelled() -> bool {
-    HEARTBEATS.with(|h| {
-        if let Some(hb) = h.borrow().last() {
+    ctx::peek(|f| {
+        if let Some(hb) = &f.beat {
             hb.stamp();
         }
-    });
-    TOKENS.with(|t| {
-        t.borrow()
-            .last()
-            .map(|tok| tok.is_cancelled())
-            .unwrap_or(false)
+        f.token.as_ref().is_some_and(CancelToken::is_cancelled)
     })
 }
 

@@ -10,7 +10,7 @@
 //! pool that starts any task the moment its predecessors finish.
 //!
 //! The robustness contract matches [`crate::batch`], per *task* instead
-//! of per job:
+//! of per job — every body runs inside [`crate::ctx::isolated`]:
 //!
 //! * **Panic isolation** — a task body that panics is caught at the task
 //!   boundary and recorded as [`crate::cancel::INFO_PANICKED`] (`-104`);
@@ -21,15 +21,14 @@
 //!   task's work; the cancelled task records
 //!   [`crate::cancel::INFO_CANCELLED`] (`-103`) and the rest of the graph
 //!   is skipped.
-//! * **Per-task ABFT scoping** — every body runs inside
-//!   [`crate::abft::job_scope`]; a soft fault detected by a checksummed
+//! * **Per-task ABFT scoping** — a soft fault detected by a checksummed
 //!   BLAS-3 call inside one task surfaces as *that task's*
 //!   `INFO = -102`, never a sibling's.
-//! * **Policy inheritance & no oversubscription** — workers re-install
-//!   the submitting thread's scoped tune/except/abft/probe policies and
-//!   cancel token, and register with [`crate::tune::in_pool_worker`] so
-//!   BLAS-3 opened inside a task divides the host instead of multiplying
-//!   with the worker count.
+//! * **Policy inheritance & no oversubscription** — workers run under the
+//!   submitting thread's ambient state ([`crate::ctx::fan_out`]: scoped
+//!   policies, cancel token, heartbeat) and are registered as pool
+//!   siblings, so BLAS-3 opened inside a task divides the host instead of
+//!   multiplying with the worker count.
 //!
 //! [`Builder::run`] also records the graph's shape — task count, edge
 //!   count, critical-path length, worker occupancy — on the innermost
@@ -37,16 +36,11 @@
 //! shows what the scheduler actually did.
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-use crate::{abft, cancel, except, probe, tune};
-
-/// `INFO` recorded for a task whose body returned clean but left a parked
-/// ABFT soft fault behind (same code as [`crate::batch::INFO_SOFT_FAULT`]).
-pub const INFO_SOFT_FAULT: i32 = -102;
+use crate::{ctx, probe, tune};
 
 /// Handle to a task inside one [`Builder`] (its submission index).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -225,28 +219,17 @@ impl<'a> Builder<'a> {
         let mut infos = vec![0i32; total];
         let tasks = self.tasks;
 
-        // One task, fully isolated: cancel gate, panic boundary, ABFT
-        // fault scope — the per-task robustness contract (module docs).
+        // One task under the per-task robustness contract (module docs).
         let run_one = |node: &Node<'a>| -> i32 {
             let t0 = Instant::now();
-            let info = abft::job_scope(|| {
-                if cancel::cancelled() {
-                    return cancel::INFO_CANCELLED;
-                }
+            let info = ctx::isolated(|| {
                 let body = node
                     .body
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
                     .take()
                     .expect("task body taken twice");
-                match catch_unwind(AssertUnwindSafe(body)) {
-                    Ok(0) => match abft::take_pending() {
-                        Some(_) => INFO_SOFT_FAULT,
-                        None => 0,
-                    },
-                    Ok(info) => info,
-                    Err(_) => cancel::INFO_PANICKED,
-                }
+                body()
             });
             busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             let _ = node.label; // labels exist for debugging/inspection
@@ -289,67 +272,37 @@ impl<'a> Builder<'a> {
             });
             let ready_cv = Condvar::new();
 
-            // Capture the submitting thread's scoped state; thread-local
-            // overrides do not cross into spawned workers on their own.
-            let cfg = tune::current();
-            let fp = except::policy();
-            let ap = abft::policy();
-            let pp = probe::policy();
-            let token = cancel::current();
-
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    let state = &state;
-                    let ready_cv = &ready_cv;
-                    let tasks = &tasks;
-                    let run_one = &run_one;
-                    let token = token.clone();
-                    s.spawn(move || {
-                        let drain = || {
-                            tune::in_pool_worker(workers, || loop {
-                                let (task, skip) = {
-                                    let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-                                    loop {
-                                        if let Some(t) = st.ready.pop_front() {
-                                            break (t, st.abort);
-                                        }
-                                        if st.done == tasks.len() {
-                                            return;
-                                        }
-                                        st = ready_cv.wait(st).unwrap_or_else(|e| e.into_inner());
-                                    }
-                                };
-                                // An aborted graph drains without running
-                                // bodies: dependents of a poisoned or
-                                // cancelled tile must not execute.
-                                let info = if skip { 0 } else { run_one(&tasks[task]) };
-                                let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-                                st.infos[task] = info;
-                                if info < 0 {
-                                    st.abort = true;
-                                }
-                                for &succ in &tasks[task].succs {
-                                    st.npred[succ] -= 1;
-                                    if st.npred[succ] == 0 {
-                                        st.ready.push_back(succ);
-                                    }
-                                }
-                                st.done += 1;
-                                // Wake siblings: new work, or completion.
-                                ready_cv.notify_all();
-                            })
-                        };
-                        let with_cancel = || match token.clone() {
-                            Some(t) => cancel::with_token(t, drain),
-                            None => drain(),
-                        };
-                        tune::with(cfg, || {
-                            except::with_policy(fp, || {
-                                abft::with_policy(ap, || probe::with_policy(pp, with_cancel))
-                            })
-                        });
-                    });
+            ctx::fan_out(workers, 0..workers, |_| loop {
+                let (task, skip) = {
+                    let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
+                    loop {
+                        if let Some(t) = st.ready.pop_front() {
+                            break (t, st.abort);
+                        }
+                        if st.done == tasks.len() {
+                            return;
+                        }
+                        st = ready_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+                    }
+                };
+                // An aborted graph drains without running bodies:
+                // dependents of a poisoned or cancelled tile must not
+                // execute.
+                let info = if skip { 0 } else { run_one(&tasks[task]) };
+                let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
+                st.infos[task] = info;
+                if info < 0 {
+                    st.abort = true;
                 }
+                for &succ in &tasks[task].succs {
+                    st.npred[succ] -= 1;
+                    if st.npred[succ] == 0 {
+                        st.ready.push_back(succ);
+                    }
+                }
+                st.done += 1;
+                // Wake siblings: new work, or completion.
+                ready_cv.notify_all();
             });
             infos = state.into_inner().unwrap_or_else(|e| e.into_inner()).infos;
         }
@@ -376,6 +329,8 @@ impl<'a> Builder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::abft::{self, INFO_SOFT_FAULT};
+    use crate::cancel;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn wide(threads: usize) -> tune::TuneConfig {
@@ -565,26 +520,28 @@ mod tests {
     }
 
     #[test]
-    fn workers_inherit_scoped_overrides() {
-        let seen = AtomicUsize::new(0);
+    fn workers_stamp_the_callers_heartbeat() {
+        // Regression: the dag hop used to carry the token but not the
+        // heartbeat, so a served job factoring through a graph looked
+        // wedged to the watchdog while its submitter blocked in the pool.
+        let hb = cancel::Heartbeat::new();
+        let polls = AtomicUsize::new(0);
         let mut g = Builder::new();
-        for i in 0..8 {
+        for i in 0..12 {
             g.task("t", &[], &[i], || {
-                if tune::current().nb_getrf == 19 && abft::policy() == abft::AbftPolicy::Verify {
-                    seen.fetch_add(1, Ordering::Relaxed);
-                }
+                polls.fetch_add(usize::from(!cancel::cancelled()), Ordering::Relaxed);
                 0
             });
         }
-        let cfg = tune::TuneConfig {
-            max_threads: 4,
-            oversubscribe: true,
-            nb_getrf: 19,
-            ..tune::TuneConfig::defaults()
-        };
-        tune::with(cfg, || {
-            abft::with_policy(abft::AbftPolicy::Verify, || g.run())
-        });
-        assert_eq!(seen.load(Ordering::Relaxed), 8);
+        let res = cancel::with_heartbeat(hb.clone(), || tune::with(wide(2), || g.run()));
+        assert_eq!(res.info(), 0);
+        assert_eq!(res.stats.workers, 2);
+        assert_eq!(polls.load(Ordering::Relaxed), 12);
+        assert!(
+            hb.beats() >= 12,
+            "every task's cancel checkpoint stamps the inherited heartbeat \
+             (saw {} beats for 12 tasks)",
+            hb.beats()
+        );
     }
 }

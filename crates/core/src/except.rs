@@ -9,9 +9,10 @@
 //! path pays nothing:
 //!
 //! * [`FpCheckPolicy`] — what to screen: nothing, inputs, outputs, or both.
-//!   Initialized from the `LA_FP_CHECK` environment variable (alongside the
-//!   `LA_*` tuning variables of [`crate::tune`]), settable process-wide via
-//!   [`set_policy`] or per call tree via [`with_policy`].
+//!   One field of the ambient context ([`crate::ctx::Ctx::fp_check`]):
+//!   initialized from the `LA_FP_CHECK` environment variable, settable
+//!   process-wide via [`crate::ctx::update`] or per call tree via
+//!   [`with_policy`].
 //! * [`all_finite`] — the O(n) screening sweep over a slice of any of the
 //!   four scalar types (a complex element is finite iff both parts are).
 //! * A screening failure surfaces as [`crate::LaError::NonFinite`] with the
@@ -24,10 +25,9 @@
 //! operation is re-run serially and [`note_parallel_fallback`] is bumped so
 //! tests and monitoring can see that the degradation fired.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{OnceLock, RwLock};
 
+use crate::ctx;
 use crate::scalar::Scalar;
 
 /// What the `la90` drivers screen for non-finite values (NaN or ±Inf).
@@ -75,56 +75,19 @@ impl FpCheckPolicy {
             _ => None,
         }
     }
-
-    /// The default overlaid with the `LA_FP_CHECK` environment variable;
-    /// an absent or unrecognized value leaves the policy `Off`.
-    pub fn from_env() -> Self {
-        std::env::var("LA_FP_CHECK")
-            .ok()
-            .and_then(|s| Self::parse(&s))
-            .unwrap_or_default()
-    }
 }
 
-fn global() -> &'static RwLock<FpCheckPolicy> {
-    static GLOBAL: OnceLock<RwLock<FpCheckPolicy>> = OnceLock::new();
-    GLOBAL.get_or_init(|| RwLock::new(FpCheckPolicy::from_env()))
-}
-
-thread_local! {
-    static OVERRIDE: RefCell<Vec<FpCheckPolicy>> = const { RefCell::new(Vec::new()) };
-}
-
-/// The policy in effect on this thread: the innermost [`with_policy`]
-/// override if one is active, the process-global policy otherwise.
+/// The policy in effect on this thread: the innermost scope's if one is
+/// open, the process-global policy otherwise.
 pub fn policy() -> FpCheckPolicy {
-    if let Some(p) = OVERRIDE.with(|o| o.borrow().last().copied()) {
-        return p;
-    }
-    *global().read().unwrap_or_else(|e| e.into_inner())
+    ctx::peek(|f| f.ctx.fp_check)
 }
 
-/// Replaces the process-global policy.
-pub fn set_policy(p: FpCheckPolicy) {
-    *global().write().unwrap_or_else(|e| e.into_inner()) = p;
-}
-
-/// Runs `f` with `p` in effect on the current thread only, restoring the
-/// previous state afterwards (also on panic). Nested calls stack.
-///
-/// Like [`crate::tune::with`], the override is consulted at driver entry
-/// and exit, which always run on the calling thread — so a scoped policy
-/// fully governs a call tree even when the BLAS underneath goes parallel.
+/// Runs `f` with `p` in effect on the current thread and on every worker
+/// the call tree fans out to, restoring the previous state afterwards
+/// (also on panic). Nested calls stack.
 pub fn with_policy<R>(p: FpCheckPolicy, f: impl FnOnce() -> R) -> R {
-    struct Guard;
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            OVERRIDE.with(|o| o.borrow_mut().pop());
-        }
-    }
-    OVERRIDE.with(|o| o.borrow_mut().push(p));
-    let _guard = Guard;
-    f()
+    ctx::scoped(|frame| frame.ctx.fp_check = p, f)
 }
 
 /// `true` iff every element of `xs` is finite (for complex types: both

@@ -18,6 +18,11 @@
 //!   with the exact LAPACK sign conventions.
 //! * [`Uplo`], [`Trans`], [`Diag`], [`Side`], [`Norm`] — the character
 //!   flag arguments as enums.
+//! * [`ctx`] — the ambient context: one [`Ctx`] (tuning + the three
+//!   policies below) with one process global read from the `LA_*`
+//!   environment by one table-driven parser, one thread-local scope stack
+//!   that also carries the cancel token and heartbeat, and the one thread
+//!   hop (`ctx::fan_out`) every parallel path runs on.
 //! * [`tune`] — the runtime tuning subsystem (`ILAENV` as a settable
 //!   object): thread budget, parallel thresholds, per-routine block
 //!   sizes, all adjustable programmatically or via `LA_*` environment
@@ -65,6 +70,7 @@ pub mod abft;
 pub mod batch;
 pub mod cancel;
 pub mod complex;
+pub mod ctx;
 pub mod dag;
 pub mod dd;
 pub mod enums;
@@ -83,6 +89,7 @@ pub mod tune;
 pub use abft::AbftPolicy;
 pub use cancel::CancelToken;
 pub use complex::{Complex, C32, C64};
+pub use ctx::Ctx;
 pub use dag::{Builder as DagBuilder, GraphStats};
 pub use dd::Dd;
 pub use enums::{Diag, Norm, Side, Trans, Uplo};

@@ -14,7 +14,7 @@
 //! Three policy levels, mirroring the `LA_FP_CHECK` pattern of
 //! [`crate::except`]:
 //!
-//! * [`ProbePolicy::Off`] (default) — a single relaxed atomic load per
+//! * [`ProbePolicy::Off`] (default) — one ambient-context read per
 //!   instrumented call; no clocks, no locks, no allocation.
 //! * [`ProbePolicy::Counters`] — per-routine totals: calls, closed-form
 //!   flops (see [`flops`]), bytes touched, wall nanoseconds (monotonic
@@ -23,9 +23,13 @@
 //!   a `gesv` driver call records its `getrf` child and that child's
 //!   `gemm`/`trsm` leaves, each leaf carrying the NB/thread-count it used.
 //!
-//! Set the policy with the `LA_PROFILE` environment variable
-//! (`off|counters|spans`), process-wide with [`set_policy`], or per call
-//! tree with [`with_policy`]. Read results with [`snapshot`], which
+//! The policy is one field of the ambient context
+//! ([`crate::ctx::Ctx::probe`]): set it with the `LA_PROFILE` environment
+//! variable (`off|counters|spans`), process-wide with
+//! [`crate::ctx::update`], or per call tree with [`with_policy`]. Spans
+//! and counters themselves stay thread-private: a worker thread records
+//! under the caller's policy but into its own span stack. Read results
+//! with [`snapshot`], which
 //! returns a [`Report`] convertible to a plain-text table
 //! ([`Report::to_table`]) or JSON ([`Report::to_json`], emitted through
 //! [`crate::json`] and shaped like the `BENCH_*.json` trajectory files).
@@ -45,12 +49,11 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::ctx::{self, Ctx};
 use crate::json::JsonBuf;
-use crate::tune;
 
 // ---------------------------------------------------------------------------
 // Policy
@@ -59,7 +62,7 @@ use crate::tune;
 /// How much the probe layer records (see the module docs).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ProbePolicy {
-    /// No instrumentation (default): one relaxed atomic load per call.
+    /// No instrumentation (default): one ambient-context read per call.
     #[default]
     Off,
     /// Per-routine counters (calls, flops, bytes, wall time).
@@ -80,74 +83,19 @@ impl ProbePolicy {
             _ => None,
         }
     }
-
-    /// The default overlaid with the `LA_PROFILE` environment variable;
-    /// an absent or unrecognized value leaves the policy `Off`.
-    pub fn from_env() -> Self {
-        std::env::var("LA_PROFILE")
-            .ok()
-            .and_then(|s| Self::parse(&s))
-            .unwrap_or_default()
-    }
-
-    fn from_u8(v: u8) -> Self {
-        match v {
-            1 => ProbePolicy::Counters,
-            2 => ProbePolicy::Spans,
-            _ => ProbePolicy::Off,
-        }
-    }
 }
 
-/// Global policy as a `u8`; `UNSET` means "read `LA_PROFILE` on first
-/// use". A plain atomic (not a lock) keeps the `Off` fast path to a
-/// single relaxed load.
-const UNSET: u8 = u8::MAX;
-static GLOBAL: AtomicU8 = AtomicU8::new(UNSET);
-
-thread_local! {
-    static OVERRIDE: RefCell<Vec<ProbePolicy>> = const { RefCell::new(Vec::new()) };
-}
-
-/// The policy in effect on this thread: the innermost [`with_policy`]
-/// override if one is active, the process-global policy otherwise.
+/// The policy in effect on this thread: the innermost scope's if one is
+/// open, the process-global policy otherwise.
 pub fn policy() -> ProbePolicy {
-    if let Some(p) = OVERRIDE.with(|o| o.borrow().last().copied()) {
-        return p;
-    }
-    let v = GLOBAL.load(Ordering::Relaxed);
-    if v != UNSET {
-        return ProbePolicy::from_u8(v);
-    }
-    // First use: initialize from the environment. The race is benign —
-    // every contender computes the same value.
-    let p = ProbePolicy::from_env();
-    GLOBAL.store(p as u8, Ordering::Relaxed);
-    p
+    ctx::peek(|f| f.ctx.probe)
 }
 
-/// Replaces the process-global policy.
-pub fn set_policy(p: ProbePolicy) {
-    GLOBAL.store(p as u8, Ordering::Relaxed);
-}
-
-/// Runs `f` with `p` in effect on the current thread only, restoring the
-/// previous state afterwards (also on panic). Nested calls stack.
-///
-/// Like [`crate::tune::with`], the override is consulted at the
-/// instrumented entry points, which all run on the calling thread before
-/// any worker threads spawn — so a scoped policy governs a whole call
-/// tree even when the BLAS underneath goes parallel.
+/// Runs `f` with `p` in effect on the current thread and on every worker
+/// the call tree fans out to, restoring the previous state afterwards
+/// (also on panic). Nested calls stack.
 pub fn with_policy<R>(p: ProbePolicy, f: impl FnOnce() -> R) -> R {
-    struct Guard;
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            OVERRIDE.with(|o| o.borrow_mut().pop());
-        }
-    }
-    OVERRIDE.with(|o| o.borrow_mut().push(p));
-    let _guard = Guard;
-    f()
+    ctx::scoped(|frame| frame.ctx.probe = p, f)
 }
 
 // ---------------------------------------------------------------------------
@@ -218,15 +166,15 @@ pub struct Span {
     /// reruns carry the tag, so span trees separate the fault-tolerance
     /// overhead from the protected computation.
     pub abft: bool,
-    /// Block size the routine would read from [`tune`] (`nb(routine)`),
+    /// Block size the routine would read from [`crate::tune`] (`nb(routine)`),
     /// captured at entry.
     pub nb: usize,
-    /// Thread count: the [`tune`] budget at entry, overwritten with the
+    /// Thread count: the [`crate::tune`] budget at entry, overwritten with the
     /// *actual* stripe count via [`note_parallelism`] by the parallel
     /// BLAS-3 decision points.
     pub threads: usize,
     /// Microkernel the packed BLAS-3 path actually ran for this call,
-    /// recorded via [`note_kernel`] after the [`tune`] kernel choice is
+    /// recorded via [`note_kernel`] after the [`crate::tune`] kernel choice is
     /// resolved (`"simd"`, `"unrolled"`, `"scalar"`, or `"small"` for the
     /// unpacked small-product path). Empty for routines with no
     /// microkernel decision.
@@ -513,17 +461,30 @@ impl Drop for ProbeGuard {
 /// let _probe = probe::span(Layer::Blas, "gemm", flops::gemm(m, n, k), bytes);
 /// ```
 ///
-/// Under [`ProbePolicy::Off`] this is a single atomic load and returns an
-/// inert guard — no clock is read, nothing allocates. Otherwise the
+/// Under [`ProbePolicy::Off`] this is one ambient-context read and returns
+/// an inert guard — no clock is read, nothing allocates. Otherwise the
 /// guard's `Drop` adds the call to the per-routine counters and (under
 /// [`ProbePolicy::Spans`]) to the span tree, nested under whatever
 /// instrumented call is currently active on this thread.
 pub fn span(layer: Layer, routine: &'static str, flops: u64, bytes: u64) -> ProbeGuard {
-    let p = policy();
+    span_in(&ctx::current(), layer, routine, flops, bytes)
+}
+
+/// [`span`] for an entry point that has already read the ambient context:
+/// takes the policy and the recorded block size / thread budget from
+/// `ctx` instead of reading them again.
+pub fn span_in(
+    ctx: &Ctx,
+    layer: Layer,
+    routine: &'static str,
+    flops: u64,
+    bytes: u64,
+) -> ProbeGuard {
+    let p = ctx.probe;
     if p == ProbePolicy::Off {
         return ProbeGuard { active: false };
     }
-    let cfg = tune::current();
+    let cfg = &ctx.tune;
     let lo = LO_DEPTH.with(|d| d.get()) > 0;
     let abft = ABFT_DEPTH.with(|d| d.get()) > 0;
     ACTIVE.with(|a| {
@@ -547,7 +508,7 @@ pub fn span(layer: Layer, routine: &'static str, flops: u64, bytes: u64) -> Prob
 }
 
 /// Records the parallelism a routine *actually* chose (stripe/worker
-/// count after the [`tune`] thresholds were applied) on the innermost
+/// count after the [`crate::tune`] thresholds were applied) on the innermost
 /// active span of this thread. No-op when no span is active.
 pub fn note_parallelism(threads: usize) {
     ACTIVE.with(|a| {
@@ -558,7 +519,7 @@ pub fn note_parallelism(threads: usize) {
 }
 
 /// Records the microkernel a packed BLAS-3 routine *actually* ran (after
-/// the [`tune::GemmKernel`] choice was resolved against compiled features
+/// the [`crate::tune::GemmKernel`] choice was resolved against compiled features
 /// and host support) on the innermost active span of this thread. No-op
 /// when no span is active.
 pub fn note_kernel(kernel: &'static str) {

@@ -9,28 +9,12 @@
 //! of the tuned substrate underneath with zero caller changes; this module
 //! is where that tuning happens.
 //!
-//! Three ways to set it, in increasing precedence:
-//!
-//! 1. **Environment variables** at process start: `LA_NUM_THREADS`,
-//!    `LA_PAR_FLOPS`, `LA_NB_GETRF`, `LA_NB_POTRF`, `LA_NB_GEQRF`,
-//!    `LA_NB_SYTRF`, `LA_NB_DEFAULT`, `LA_CROSSOVER`, for the packed
-//!    BLAS-3 path `LA_GEMM_KERNEL={auto,scalar,unrolled,simd}` plus the
-//!    cache-blocking sizes `LA_GEMM_MC`, `LA_GEMM_KC`, `LA_GEMM_NC`, and
-//!    for the mixed-precision drivers the lattice knobs
-//!    `LA_GESV_MIXED={f32,f16,bf16}` and `LA_REFINE={working,dd}`.
-//!
-//!    A malformed value is **rejected, not silently dropped**: the
-//!    default is used and a one-time warning naming the variable, the
-//!    offending value and the fallback goes to stderr. Zero is rejected
-//!    for the block-size variables (`LA_NB_*`, `LA_TILE_NB`) where it
-//!    would be meaningless; it stays a valid "auto"/"default" spelling
-//!    for `LA_NUM_THREADS`, `LA_PAR_FLOPS`, `LA_GEMM_{MC,KC,NC}` and
-//!    `LA_CROSSOVER`.
-//! 2. **Programmatically** for the whole process: [`set`] / [`update`].
-//! 3. **Scoped** per call tree: [`with`] installs a thread-local override
-//!    for the duration of a closure (used by benchmarks sweeping NB and by
-//!    the serial-vs-parallel equivalence tests; it never races with other
-//!    threads).
+//! The configuration is one field of the ambient context
+//! ([`crate::ctx::Ctx`]), so it is set the way everything ambient is, in
+//! increasing precedence: the `LA_*` environment variables at first use
+//! (one table, [`crate::ctx::vars`]; malformed values are rejected with a
+//! warning, never silently dropped), [`update`] for the whole process, and
+//! [`with`] for one call tree — worker threads the tree spawns included.
 //!
 //! ```
 //! use la_core::tune::{self, TuneConfig};
@@ -41,8 +25,7 @@
 //! assert_eq!(r, 1);
 //! ```
 
-use std::cell::RefCell;
-use std::sync::{OnceLock, RwLock};
+use crate::ctx;
 
 /// Which microkernel the packed BLAS-3 path drives. Selected through the
 /// `gemm_kernel` field of [`TuneConfig`] (env var `LA_GEMM_KERNEL`); the
@@ -202,8 +185,7 @@ impl RefineMode {
 }
 
 /// Process-wide tuning knobs for the BLAS-3 layer and the blocked
-/// factorizations. Plain data — copy it, edit fields, hand it to [`set`]
-/// or [`with`].
+/// factorizations. Plain data — copy it, edit fields, hand it to [`with`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TuneConfig {
     /// Thread budget for parallel BLAS-3. `0` means auto-detect
@@ -316,139 +298,6 @@ impl TuneConfig {
         }
     }
 
-    /// Defaults overlaid with any `LA_*` environment variables. A
-    /// malformed value (non-numeric where a number is expected, zero for
-    /// a block-size knob, an unknown enum spelling) keeps the default and
-    /// emits a one-time stderr warning naming the variable, the rejected
-    /// value and the fallback — misconfiguration is surfaced, never
-    /// silently absorbed.
-    pub fn from_env() -> Self {
-        let (cfg, warnings) = Self::from_env_with(|name| std::env::var(name).ok());
-        for w in &warnings {
-            warn_once(w);
-        }
-        cfg
-    }
-
-    /// [`TuneConfig::from_env`] with an injectable variable source and
-    /// the rejection diagnostics returned instead of printed — the
-    /// testable core of the env parsing (process-env mutation races with
-    /// parallel tests; a closure does not).
-    pub fn from_env_with(get: impl Fn(&str) -> Option<String>) -> (Self, Vec<String>) {
-        let mut warnings = Vec::new();
-        // `zero_ok`: whether 0 is a meaningful spelling ("auto"/"default")
-        // rather than a degenerate block size.
-        let read = |name: &str, into: &mut usize, zero_ok: bool, warnings: &mut Vec<String>| {
-            let Some(raw) = get(name) else { return };
-            match raw.trim().parse::<usize>() {
-                Ok(0) if !zero_ok => warnings.push(format!(
-                    "{name}: zero is not a valid block size; using default {into}"
-                )),
-                Ok(v) => *into = v,
-                Err(_) => warnings.push(format!(
-                    "{name}: invalid value {raw:?} (expected a non-negative integer); \
-                     using default {into}"
-                )),
-            }
-        };
-        let mut cfg = Self::defaults();
-        read("LA_NUM_THREADS", &mut cfg.max_threads, true, &mut warnings);
-        read("LA_PAR_FLOPS", &mut cfg.par_flops, true, &mut warnings);
-        read("LA_NB_GETRF", &mut cfg.nb_getrf, false, &mut warnings);
-        read("LA_NB_POTRF", &mut cfg.nb_potrf, false, &mut warnings);
-        read("LA_NB_GEQRF", &mut cfg.nb_geqrf, false, &mut warnings);
-        read("LA_NB_SYTRF", &mut cfg.nb_sytrf, false, &mut warnings);
-        read("LA_NB_DEFAULT", &mut cfg.nb_default, false, &mut warnings);
-        read("LA_CROSSOVER", &mut cfg.crossover, true, &mut warnings);
-        read("LA_GEMM_MC", &mut cfg.gemm_mc, true, &mut warnings);
-        read("LA_GEMM_KC", &mut cfg.gemm_kc, true, &mut warnings);
-        read("LA_GEMM_NC", &mut cfg.gemm_nc, true, &mut warnings);
-        read("LA_TILE_NB", &mut cfg.tile_nb, false, &mut warnings);
-        // Serve-layer knobs (milliseconds; 0 = feature off).
-        read(
-            "LA_SERVE_TARGET_DELAY",
-            &mut cfg.serve_target_delay_ms,
-            true,
-            &mut warnings,
-        );
-        read(
-            "LA_SERVE_WATCHDOG",
-            &mut cfg.serve_watchdog_ms,
-            true,
-            &mut warnings,
-        );
-
-        fn read_enum<E: Copy>(
-            get: impl Fn(&str) -> Option<String>,
-            name: &str,
-            into: &mut E,
-            parse: impl Fn(&str) -> Option<E>,
-            allowed: &str,
-            fallback: &str,
-            warnings: &mut Vec<String>,
-        ) {
-            let Some(raw) = get(name) else { return };
-            match parse(&raw) {
-                Some(v) => *into = v,
-                None => warnings.push(format!(
-                    "{name}: unknown value {raw:?} (expected one of {allowed}); \
-                     using default {fallback}"
-                )),
-            }
-        }
-        read_enum(
-            &get,
-            "LA_GEMM_KERNEL",
-            &mut cfg.gemm_kernel,
-            GemmKernel::parse,
-            "auto|scalar|unrolled|simd",
-            GemmKernel::Auto.as_str(),
-            &mut warnings,
-        );
-        read_enum(
-            &get,
-            "LA_FACTOR",
-            &mut cfg.factor,
-            FactorAlgo::parse,
-            "blocked|dag",
-            FactorAlgo::Blocked.as_str(),
-            &mut warnings,
-        );
-        read_enum(
-            &get,
-            "LA_GESV_MIXED",
-            &mut cfg.mixed_lo,
-            MixedLo::parse,
-            "f32|f16|bf16",
-            MixedLo::F32.as_str(),
-            &mut warnings,
-        );
-        read_enum(
-            &get,
-            "LA_REFINE",
-            &mut cfg.refine,
-            RefineMode::parse,
-            "working|dd",
-            RefineMode::Working.as_str(),
-            &mut warnings,
-        );
-        // `LA_OVERSUBSCRIBE=1` lifts the host-core clamp on the thread
-        // budget — the TSan stress job uses it to run many more workers
-        // than cores and shake out ordering bugs in dependency release.
-        if let Some(v) = get("LA_OVERSUBSCRIBE") {
-            let t = v.trim().to_ascii_lowercase();
-            match t.as_str() {
-                "1" | "true" | "yes" | "on" => cfg.oversubscribe = true,
-                "0" | "false" | "no" | "off" | "" => cfg.oversubscribe = false,
-                _ => warnings.push(format!(
-                    "LA_OVERSUBSCRIBE: unknown value {v:?} (expected a boolean like 1/0); \
-                     using default off"
-                )),
-            }
-        }
-        (cfg, warnings)
-    }
-
     /// Resolved thread budget: `max_threads`, or the detected core count
     /// (capped at 8) when `max_threads == 0`. Never exceeds the detected
     /// core count unless [`TuneConfig::oversubscribe`] is set — running
@@ -472,7 +321,7 @@ impl TuneConfig {
         }
         // Each of the `share` pool siblings running on this host gets an
         // equal slice of the cores (at least one).
-        let share = POOL_SIBLINGS.with(|s| s.get()).max(1);
+        let share = ctx::peek(|f| f.share);
         let host_share = if self.oversubscribe {
             host
         } else {
@@ -524,95 +373,33 @@ impl Default for TuneConfig {
     }
 }
 
-/// Prints `msg` to stderr once per distinct message for the process
-/// lifetime — the delivery channel for env-var rejection diagnostics.
-/// Repeated [`TuneConfig::from_env`] calls (the global config plus any
-/// bench binary re-reading the environment) don't spam.
-fn warn_once(msg: &str) {
-    use std::collections::HashSet;
-    use std::sync::Mutex;
-    static WARNED: OnceLock<Mutex<HashSet<String>>> = OnceLock::new();
-    let warned = WARNED.get_or_init(|| Mutex::new(HashSet::new()));
-    let mut guard = warned.lock().unwrap_or_else(|e| e.into_inner());
-    if guard.insert(msg.to_string()) {
-        eprintln!("la-core tune: {msg}");
-    }
-}
-
-fn global() -> &'static RwLock<TuneConfig> {
-    static GLOBAL: OnceLock<RwLock<TuneConfig>> = OnceLock::new();
-    GLOBAL.get_or_init(|| RwLock::new(TuneConfig::from_env()))
-}
-
-thread_local! {
-    static OVERRIDE: RefCell<Vec<TuneConfig>> = const { RefCell::new(Vec::new()) };
-    /// How many sibling pool workers share this host with the current
-    /// thread (1 = not a pool worker). Multiplicative across nested pools.
-    static POOL_SIBLINGS: std::cell::Cell<usize> = const { std::cell::Cell::new(1) };
-}
-
 /// Declares the current thread to be one of `siblings` concurrently
 /// running workers of an enclosing pool for the duration of `f`, so that
 /// [`TuneConfig::threads`] hands each worker `host / siblings` cores
 /// instead of all of them. Nested pools multiply: a 2-worker pool inside
-/// a 4-worker pool leaves each leaf `host / 8`.
-///
-/// The batch dispatchers (`la-blas`/`la-lapack` `*_batch`) and the
-/// `la-serve` workers call this around each job; without it, `W` jobs
-/// each opening `host`-way striped BLAS-3 puts `W × host` runnable
-/// threads on `host` cores. Restores the previous share on exit, panic
-/// included. [`TuneConfig::oversubscribe`] bypasses the clamp.
+/// a 4-worker pool leaves each leaf `host / 8`. [`ctx::fan_out`] registers
+/// its workers itself; [`TuneConfig::oversubscribe`] bypasses the clamp.
 pub fn in_pool_worker<R>(siblings: usize, f: impl FnOnce() -> R) -> R {
-    struct Guard(usize);
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            POOL_SIBLINGS.with(|s| s.set(self.0));
-        }
-    }
-    let prev = POOL_SIBLINGS.with(|s| s.get());
-    let _guard = Guard(prev);
-    POOL_SIBLINGS.with(|s| s.set(prev.saturating_mul(siblings.max(1))));
-    f()
+    ctx::capture().shared_by(siblings).enter(f)
 }
 
-/// The configuration in effect on this thread: the innermost [`with`]
-/// override if one is active, the process-global configuration otherwise.
+/// The configuration in effect on this thread: the innermost scope's if
+/// one is open, the process-global configuration otherwise.
 pub fn current() -> TuneConfig {
-    if let Some(cfg) = OVERRIDE.with(|o| o.borrow().last().copied()) {
-        return cfg;
-    }
-    *global().read().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Replaces the process-global configuration.
-pub fn set(cfg: TuneConfig) {
-    *global().write().unwrap_or_else(|e| e.into_inner()) = cfg;
+    ctx::peek(|f| f.ctx.tune)
 }
 
 /// Edits the process-global configuration in place:
 /// `tune::update(|c| c.max_threads = 4)`.
 pub fn update(f: impl FnOnce(&mut TuneConfig)) {
-    let mut guard = global().write().unwrap_or_else(|e| e.into_inner());
-    f(&mut guard);
+    ctx::update(|c| f(&mut c.tune));
 }
 
-/// Runs `f` with `cfg` in effect on the current thread only, restoring
-/// the previous state afterwards (also on panic). Nested calls stack.
-///
-/// The override is consulted at the *decision points* of the BLAS-3 layer
-/// and the factorizations, which all run on the calling thread before any
-/// worker threads are spawned — so a scoped override fully controls a
-/// call tree even when that tree goes parallel underneath.
+/// Runs `f` with `cfg` in effect on the current thread and on every worker
+/// the call tree fans out to, restoring the previous state afterwards
+/// (also on panic). Nested calls stack.
 pub fn with<R>(cfg: TuneConfig, f: impl FnOnce() -> R) -> R {
-    struct Guard;
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            OVERRIDE.with(|o| o.borrow_mut().pop());
-        }
-    }
-    OVERRIDE.with(|o| o.borrow_mut().push(cfg));
-    let _guard = Guard;
-    f()
+    ctx::scoped(|frame| frame.ctx.tune = cfg, f)
 }
 
 #[cfg(test)]
@@ -646,7 +433,7 @@ mod tests {
             with(b, || assert_eq!(current().max_threads, 7));
             assert_eq!(current().max_threads, 3);
         });
-        assert_eq!(current(), outer);
+        assert_eq!(current().max_threads, outer.max_threads);
     }
 
     #[test]
@@ -773,105 +560,5 @@ mod tests {
         let d = TuneConfig::defaults();
         assert_eq!(d.mixed_lo, MixedLo::F32);
         assert_eq!(d.refine, RefineMode::Working);
-    }
-
-    fn env_of<'a>(vars: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
-        move |name| {
-            vars.iter()
-                .find(|(k, _)| *k == name)
-                .map(|(_, v)| v.to_string())
-        }
-    }
-
-    #[test]
-    fn malformed_env_values_are_rejected_with_diagnostics() {
-        // The silent-drop regression: each of these used to vanish in an
-        // `.ok()` chain, leaving the user tuning a knob that wasn't
-        // connected. Now every rejection names the variable and fallback.
-        let (cfg, warnings) = TuneConfig::from_env_with(env_of(&[
-            ("LA_GEMM_KERNEL", "fancy"),
-            ("LA_TILE_NB", "0"),
-            ("LA_NUM_THREADS", "three"),
-            ("LA_GESV_MIXED", "fp8"),
-            ("LA_REFINE", "quad"),
-            ("LA_OVERSUBSCRIBE", "maybe"),
-        ]));
-        // All six fall back to defaults...
-        assert_eq!(cfg, TuneConfig::defaults());
-        // ...and all six are reported, naming variable and fallback.
-        assert_eq!(warnings.len(), 6);
-        for (var, fallback) in [
-            ("LA_GEMM_KERNEL", "auto"),
-            ("LA_TILE_NB", "0"),
-            ("LA_NUM_THREADS", "0"),
-            ("LA_GESV_MIXED", "f32"),
-            ("LA_REFINE", "working"),
-            ("LA_OVERSUBSCRIBE", "off"),
-        ] {
-            let w = warnings
-                .iter()
-                .find(|w| w.starts_with(var))
-                .unwrap_or_else(|| panic!("no warning for {var}: {warnings:?}"));
-            assert!(
-                w.contains(fallback),
-                "{w:?} should name fallback {fallback}"
-            );
-        }
-    }
-
-    #[test]
-    fn valid_env_values_apply_without_diagnostics() {
-        let (cfg, warnings) = TuneConfig::from_env_with(env_of(&[
-            ("LA_NUM_THREADS", "0"), // zero is a valid "auto" here
-            ("LA_NB_GETRF", "64"),
-            ("LA_TILE_NB", "128"),
-            ("LA_GEMM_KERNEL", "scalar"),
-            ("LA_GESV_MIXED", "bf16"),
-            ("LA_REFINE", "dd"),
-        ]));
-        assert!(warnings.is_empty(), "unexpected warnings: {warnings:?}");
-        assert_eq!(cfg.max_threads, 0);
-        assert_eq!(cfg.nb_getrf, 64);
-        assert_eq!(cfg.tile_nb, 128);
-        assert_eq!(cfg.gemm_kernel, GemmKernel::Scalar);
-        assert_eq!(cfg.mixed_lo, MixedLo::Bf16);
-        assert_eq!(cfg.refine, RefineMode::Dd);
-    }
-
-    #[test]
-    fn serve_knobs_parse_with_zero_meaning_off() {
-        let d = TuneConfig::defaults();
-        assert_eq!(d.serve_target_delay_ms, 0, "adaptive admission off");
-        assert_eq!(d.serve_watchdog_ms, 0, "watchdog off");
-        let (cfg, warnings) = TuneConfig::from_env_with(env_of(&[
-            ("LA_SERVE_TARGET_DELAY", "25"),
-            ("LA_SERVE_WATCHDOG", "500"),
-        ]));
-        assert!(warnings.is_empty(), "unexpected warnings: {warnings:?}");
-        assert_eq!(cfg.serve_target_delay_ms, 25);
-        assert_eq!(cfg.serve_watchdog_ms, 500);
-        // 0 is the documented "off" spelling, not a rejected value.
-        let (cfg, warnings) = TuneConfig::from_env_with(env_of(&[
-            ("LA_SERVE_TARGET_DELAY", "0"),
-            ("LA_SERVE_WATCHDOG", "garbage"),
-        ]));
-        assert_eq!(cfg.serve_target_delay_ms, 0);
-        assert_eq!(cfg.serve_watchdog_ms, 0);
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert!(warnings[0].starts_with("LA_SERVE_WATCHDOG"));
-    }
-
-    #[test]
-    fn zero_block_sizes_rejected_zero_autos_kept() {
-        let (cfg, warnings) = TuneConfig::from_env_with(env_of(&[
-            ("LA_NB_POTRF", "0"),
-            ("LA_GEMM_MC", "0"),
-            ("LA_PAR_FLOPS", "0"),
-        ]));
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert!(warnings[0].starts_with("LA_NB_POTRF"));
-        assert_eq!(cfg.nb_potrf, TuneConfig::defaults().nb_potrf);
-        assert_eq!(cfg.gemm_mc, 0);
-        assert_eq!(cfg.par_flops, 0);
     }
 }

@@ -34,7 +34,7 @@
 //! The substrate's parallel BLAS-3 and blocked factorizations read the
 //! runtime [`tune`] configuration (re-exported from `la_core`): thread
 //! budget, parallel flop thresholds and per-routine block sizes, settable
-//! via `LA_*` environment variables, [`tune::set`], or a scoped
+//! via `LA_*` environment variables, [`tune::update`], or a scoped
 //! [`tune::with`] — no caller-visible API change, exactly the paper's
 //! premise that `LA_GESV(A, B)` delivers the tuned substrate's speed with
 //! zero interface cost.

@@ -20,7 +20,7 @@
 //! `INFO = -102`.
 
 use la_core::abft::{self, AbftPolicy};
-use la_core::{probe, tune, RealScalar, Scalar, Uplo};
+use la_core::{probe, RealScalar, Scalar, Uplo};
 
 /// `u128` dimension product for the activation threshold (the same
 /// saturating arithmetic the BLAS striping decision uses).
@@ -31,12 +31,8 @@ pub(crate) fn flop3(d0: usize, d1: usize, d2: usize) -> u128 {
 /// Policy gate: ABFT enabled and the factorization at or above the
 /// parallel-flop threshold.
 pub(crate) fn active(flops: u128) -> Option<AbftPolicy> {
-    let p = abft::policy();
-    if p.enabled() && flops >= tune::current().par_flops as u128 {
-        Some(p)
-    } else {
-        None
-    }
+    let ctx = la_core::ctx::current();
+    (ctx.abft.enabled() && flops >= ctx.tune.par_flops as u128).then_some(ctx.abft)
 }
 
 /// `true` when a checksum discrepancy is a genuine (finite) fault.

@@ -8,7 +8,7 @@ use la_core::{Diag, Norm, RealScalar, Scalar, Side, Trans, Uplo};
 
 /// Environment inquiry (`ILAENV`-lite): returns the block size used by the
 /// blocked algorithms. Reads the runtime [`la_core::tune`] configuration,
-/// so block sizes follow `LA_NB_*` environment variables, `tune::set`, and
+/// so block sizes follow `LA_NB_*` environment variables, `tune::update`, and
 /// scoped `tune::with` overrides instead of a compiled-in table.
 pub fn ilaenv_nb(routine: &str) -> usize {
     la_core::tune::current().nb(routine)

@@ -31,8 +31,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use la_core::abft::AbftPolicy;
 use la_core::except::FpCheckPolicy;
-use la_core::tune::{self, GemmKernel, TuneConfig};
-use la_core::{abft, cancel, except};
+use la_core::tune::GemmKernel;
+use la_core::{cancel, ctx};
 use la_core::{LaError, Mat, RealScalar, Scalar, Side, Trans};
 use la_lapack::Lattice;
 
@@ -44,33 +44,6 @@ use crate::{Rejection, ServeConfig, SolveOp, SolveOutput};
 pub(crate) struct Attempted<T: Lattice> {
     pub outcome: Result<SolveOutput<T>, Rejection>,
     pub fault_seen: bool,
-}
-
-fn with_opt_abft<R>(p: Option<AbftPolicy>, f: impl FnOnce() -> R) -> R {
-    match p {
-        Some(p) => abft::with_policy(p, f),
-        None => f(),
-    }
-}
-
-fn with_opt_fp<R>(p: Option<FpCheckPolicy>, f: impl FnOnce() -> R) -> R {
-    match p {
-        Some(p) => except::with_policy(p, f),
-        None => f(),
-    }
-}
-
-fn with_opt_kernel<R>(k: Option<GemmKernel>, f: impl FnOnce() -> R) -> R {
-    match k {
-        Some(gemm_kernel) => tune::with(
-            TuneConfig {
-                gemm_kernel,
-                ..tune::current()
-            },
-            f,
-        ),
-        None => f(),
-    }
 }
 
 /// One solve attempt. The job's `a`/`b` stay pristine (attempts must be
@@ -205,12 +178,14 @@ pub(crate) fn run<T: Lattice>(
             return finish(Err(Rejection::DeadlineExceeded), fault_seen);
         }
         attempts += 1;
+        // This attempt's configuration: the job's, with the tenant's
+        // demoted kernel and whatever the earlier attempts escalated.
+        let mut attempt = ctx::current();
+        attempt.tune.gemm_kernel = kernel.unwrap_or(attempt.tune.gemm_kernel);
+        attempt.abft = abft_boost.unwrap_or(attempt.abft);
+        attempt.fp_check = fp_boost.unwrap_or(attempt.fp_check);
         let solved = catch_unwind(AssertUnwindSafe(|| {
-            with_opt_kernel(kernel, || {
-                with_opt_abft(abft_boost, || {
-                    with_opt_fp(fp_boost, || solve_once(op, a, b))
-                })
-            })
+            ctx::with(attempt, || solve_once(op, a, b))
         }));
         match solved {
             Err(_) => {

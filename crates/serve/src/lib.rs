@@ -55,9 +55,12 @@
 //!   [`la_core::abft::job_scope`] and [`la_core::probe::job_scope`], so a
 //!   fault or counter from an abandoned job can never leak into a
 //!   sibling, and per-tenant flop/time accounting is exact.
-//! * **No oversubscription** — workers register with
-//!   [`la_core::tune::in_pool_worker`], so striped BLAS-3 inside a job
-//!   divides the host cores by the worker count.
+//! * **One ambient context** — workers run under the configuration
+//!   ([`la_core::ctx::Ctx`]) of the thread that started the service, and
+//!   each job enters one [`la_core::ctx::Ambient`]: that configuration,
+//!   the job's own cancel token and heartbeat, and the worker count as
+//!   pool share, so striped BLAS-3 inside a job divides the host cores by
+//!   the worker count — and carries all of it into its stripe workers.
 //!
 //! Completion is exposed as a [`JobHandle`] that is both a blocking
 //! future ([`JobHandle::wait`]) and a [`std::future::Future`], so the

@@ -12,8 +12,8 @@ use std::time::{Duration, Instant};
 use la_core::abft::AbftPolicy;
 use la_core::cancel::{CancelToken, Heartbeat};
 use la_core::probe::Layer;
-use la_core::tune::{RefineMode, TuneConfig};
-use la_core::{abft, cancel, except, probe, tune};
+use la_core::tune::RefineMode;
+use la_core::{abft, ctx, probe, tune, Ctx};
 use la_lapack::Lattice;
 
 use crate::admission::{Controller, Verdict};
@@ -86,17 +86,6 @@ pub struct ServeStats {
     pub queued: usize,
 }
 
-/// The scoped policies captured at [`Service::start`], kept for watchdog
-/// respawns so a replacement worker is indistinguishable from the
-/// original.
-#[derive(Clone, Copy)]
-struct Policies {
-    tune: TuneConfig,
-    fp: la_core::FpCheckPolicy,
-    abft: AbftPolicy,
-    probe: la_core::ProbePolicy,
-}
-
 struct Inner<T: Lattice> {
     cfg: ServeConfig,
     workers: usize,
@@ -119,7 +108,10 @@ struct Inner<T: Lattice> {
     threads: Mutex<Vec<JoinHandle<()>>>,
     /// Monotone job numbers for the watchdog registrations.
     job_seq: AtomicU64,
-    policies: Policies,
+    /// The configuration in effect on the thread that called
+    /// [`Service::start`], kept for watchdog respawns so a replacement
+    /// worker is indistinguishable from the original.
+    ctx: Ctx,
 }
 
 impl<T: Lattice> Inner<T> {
@@ -158,11 +150,12 @@ impl<T: Lattice> Service<T> {
     /// Starts the worker pool (and, when configured, the watchdog
     /// monitor) and returns the running service.
     ///
-    /// The scoped thread-local policies in effect on the *calling* thread
-    /// — [`la_core::tune`], [`la_core::abft`], [`la_core::except`],
-    /// [`la_core::probe`] — are captured here and installed in every
-    /// worker, so `abft::with_policy(Recover, || Service::start(cfg))`
-    /// serves every job under `Recover`.
+    /// The configuration in effect on the *calling* thread
+    /// ([`la_core::ctx::current`]: tuning and the three policies) is
+    /// captured here and installed in every worker, so
+    /// `abft::with_policy(Recover, || Service::start(cfg))` serves every
+    /// job under `Recover`. The caller's cancel token and heartbeat are
+    /// not: every job runs under its own.
     pub fn start(cfg: ServeConfig) -> Self {
         let workers = if cfg.workers > 0 {
             cfg.workers
@@ -177,12 +170,6 @@ impl<T: Lattice> Service<T> {
         };
         let target_ns = cfg.target_delay.map(|d| d.as_nanos() as u64).unwrap_or(0);
         let admission = Controller::new(workers, cfg.queue_depth, target_ns, cfg.brownout);
-        let policies = Policies {
-            tune: tune::current(),
-            fp: except::policy(),
-            abft: abft::policy(),
-            probe: probe::policy(),
-        };
         let watchdog = cfg.watchdog;
         let inner = Arc::new(Inner {
             cfg,
@@ -198,7 +185,7 @@ impl<T: Lattice> Service<T> {
             slots: Mutex::new(Vec::new()),
             threads: Mutex::new(Vec::new()),
             job_seq: AtomicU64::new(1),
-            policies,
+            ctx: ctx::current(),
         });
         {
             let mut slots = inner.slots.lock().unwrap_or_else(|e| e.into_inner());
@@ -399,26 +386,17 @@ impl<T: Lattice> Drop for Service<T> {
     }
 }
 
-/// Spawns worker `i` with the service's captured policies installed —
-/// used both at start and for watchdog respawns.
+/// Spawns worker `i` with the service's captured configuration installed
+/// — used both at start and for watchdog respawns.
 fn spawn_worker<T: Lattice>(
     inner: &Arc<Inner<T>>,
     i: usize,
     slot: Arc<WorkerSlot<T>>,
 ) -> JoinHandle<()> {
     let inner = Arc::clone(inner);
-    let p = inner.policies;
     std::thread::Builder::new()
         .name(format!("la-serve-{i}"))
-        .spawn(move || {
-            tune::with(p.tune, || {
-                except::with_policy(p.fp, || {
-                    abft::with_policy(p.abft, || {
-                        probe::with_policy(p.probe, || worker_loop(inner, slot))
-                    })
-                })
-            })
-        })
+        .spawn(move || ctx::with(inner.ctx, || worker_loop(inner, slot)))
         .expect("la-serve: failed to spawn worker thread")
 }
 
@@ -540,25 +518,14 @@ fn run_browned_out<T: Lattice>(
     } else {
         op
     };
-    let run = || ladder::run(op, a, b, cfg, kernel);
-    let run_refine = || {
-        if level >= 1 {
-            tune::with(
-                TuneConfig {
-                    refine: RefineMode::Working,
-                    ..tune::current()
-                },
-                run,
-            )
-        } else {
-            run()
-        }
-    };
-    if level >= 3 {
-        abft::with_policy(AbftPolicy::Off, run_refine)
-    } else {
-        run_refine()
+    let mut browned = ctx::current();
+    if level >= 1 {
+        browned.tune.refine = RefineMode::Working;
     }
+    if level >= 3 {
+        browned.abft = AbftPolicy::Off;
+    }
+    ctx::with(browned, || ladder::run(op, a, b, cfg, kernel))
 }
 
 /// Runs one job through the full robustness pipeline and fulfills its
@@ -607,28 +574,28 @@ fn process<T: Lattice>(inner: &Arc<Inner<T>>, slot: &Arc<WorkerSlot<T>>, job: Qu
         spec.tenant.clone(),
     );
     let started = Instant::now();
+    // The job's ambient state: the worker's configuration, the job's own
+    // token and heartbeat, and the nested-pool clamp so striped BLAS-3
+    // inside the job divides the host by the worker count. ABFT faults
+    // and probe counters are scoped to this job alone.
+    let ambient = ctx::capture()
+        .token(token.clone())
+        .heartbeat(heartbeat.clone())
+        .shared_by(workers);
     let ran = catch_unwind(AssertUnwindSafe(|| {
-        cancel::with_token(token.clone(), || {
-            cancel::with_heartbeat(heartbeat.clone(), || {
-                // Register with the nested-pool clamp so striped BLAS-3
-                // inside the job divides the host by the worker count,
-                // then scope ABFT faults and probe counters to this job
-                // alone.
-                tune::in_pool_worker(workers, || {
-                    probe::job_scope(|| {
-                        abft::job_scope(|| {
-                            let _span = probe::span(Layer::Driver, brownout_span(level), 0, 0);
-                            #[cfg(feature = "fault-inject")]
-                            if spec.chaos_panic {
-                                panic!("chaos: injected worker panic");
-                            }
-                            #[cfg(feature = "fault-inject")]
-                            if let Some(kind) = spec.chaos_wedge {
-                                crate::chaos::wedge(kind, &token, &slot.abandoned, &inner.shutdown);
-                            }
-                            run_browned_out(level, spec.op, &spec.a, &spec.b, cfg, kernel)
-                        })
-                    })
+        ambient.enter(|| {
+            probe::job_scope(|| {
+                abft::job_scope(|| {
+                    let _span = probe::span(Layer::Driver, brownout_span(level), 0, 0);
+                    #[cfg(feature = "fault-inject")]
+                    if spec.chaos_panic {
+                        panic!("chaos: injected worker panic");
+                    }
+                    #[cfg(feature = "fault-inject")]
+                    if let Some(kind) = spec.chaos_wedge {
+                        crate::chaos::wedge(kind, &token, &slot.abandoned, &inner.shutdown);
+                    }
+                    run_browned_out(level, spec.op, &spec.a, &spec.b, cfg, kernel)
                 })
             })
         })
@@ -802,6 +769,97 @@ mod tests {
         // Post-shutdown submissions are typed, not panics.
         let r = svc.submit(JobSpec::new(SolveOp::Gesv, a, b));
         assert!(matches!(r, Err(Rejection::ShuttingDown)));
+    }
+
+    #[test]
+    fn workers_and_jobs_run_under_the_starting_threads_ctx() {
+        // The la-serve row of la-core's hop test
+        // (`ctx::tests::every_hop_carries_the_ambient_and_nothing_else`):
+        // workers install the `Ctx` of the thread that started the
+        // service, and a job enters it with the worker count as pool
+        // share. No test code runs inside a worker, so the job's own span
+        // tree is the witness: it exists (probe policy), carries the
+        // sentinel block size (tune), the clamped thread budget (share)
+        // and ABFT-tagged verification spans (abft), and a NaN job is
+        // screened before it factors (fp_check).
+        use la_core::probe::Span;
+        use la_core::{FpCheckPolicy, ProbePolicy, TuneConfig};
+        let host = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let sentinel = Ctx {
+            tune: TuneConfig {
+                nb_getrf: 17,
+                nb_default: 19,
+                par_flops: 0,
+                crossover: 0,
+                ..TuneConfig::defaults()
+            },
+            fp_check: FpCheckPolicy::Full,
+            abft: AbftPolicy::Verify,
+            probe: ProbePolicy::Spans,
+        };
+        // Thread-private state of the starting thread stays behind.
+        abft::clear_pending();
+        abft::raise("hop-test", 7);
+        let svc: Service<f64> = ctx::with(sentinel, || {
+            Service::start(ServeConfig {
+                workers: 2,
+                ..ServeConfig::default()
+            })
+        });
+        // The jobs of this test, told apart from any other test's by a
+        // default block size (the driver span's) no other test uses.
+        let mine = || -> Vec<Span> {
+            probe::snapshot()
+                .spans
+                .into_iter()
+                .filter(|s| s.routine == "serve" && s.find("LA_GESV").is_some_and(|d| d.nb == 19))
+                .collect()
+        };
+        fn any(s: &Span, pred: &dyn Fn(&Span) -> bool) -> bool {
+            pred(s) || s.children.iter().any(|c| any(c, pred))
+        }
+        let (a, b) = spd(48);
+        svc.submit(JobSpec::new(SolveOp::Gesv, a.clone(), b.clone()))
+            .unwrap()
+            .wait()
+            .expect("the starting thread's parked fault must not reach the job");
+        let spans = mine();
+        assert_eq!(
+            spans.len(),
+            1,
+            "probe policy and tune sentinel reached the worker"
+        );
+        let getrf = spans[0].find("getrf").expect("gesv factors");
+        assert_eq!(getrf.nb, 17);
+        assert_eq!(
+            spans[0].threads,
+            (host / 2).clamp(1, 8),
+            "the job divides the host by the two workers"
+        );
+        assert!(
+            any(&spans[0], &|s| s.abft),
+            "ABFT policy reached the worker"
+        );
+        // A poisoned job is rejected at the input screen, before getrf.
+        let mut poisoned = a.clone();
+        poisoned[(3, 5)] = f64::NAN;
+        let rej = svc
+            .submit(JobSpec::new(SolveOp::Gesv, poisoned, b))
+            .unwrap()
+            .wait()
+            .unwrap_err();
+        assert!(
+            matches!(rej, Rejection::Failed(la_core::LaError::NonFinite { argument, .. }) if argument > 0),
+            "{rej:?}"
+        );
+        let spans = mine();
+        assert_eq!(spans.len(), 2);
+        assert!(
+            spans[1].find("getrf").is_none(),
+            "fp_check policy reached the worker"
+        );
+        svc.shutdown();
+        assert_eq!(abft::take_pending().map(|f| f.block), Some(7));
     }
 
     #[test]
