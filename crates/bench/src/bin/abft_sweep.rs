@@ -33,9 +33,7 @@ const POLICIES: [(AbftPolicy, &str); 3] = [
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let cores = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let cores = la_core::tune::host_parallelism();
     let mode = if quick { " (quick)" } else { "" };
     println!("== abft_sweep{mode}: {cores} core(s) ==");
 

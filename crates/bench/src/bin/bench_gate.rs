@@ -16,6 +16,7 @@
 //! [--max-abft-overhead 1.10] [--min-dag-speedup 1.15]
 //! [--max-p99-ms 50] [--min-goodput 500]
 //! [--max-overload-p99-ms 120] [--min-overload-goodput 300]`
+//! (the last four select serve mode, see below)
 //!
 //! `--min-gemm-speedup` enforces an absolute floor on the baseline's
 //! recorded `speedup_packed_vs_prepacked` ratios for `gemm` at n ≥ 512:
@@ -64,28 +65,29 @@
 //! malformed baseline (missing section, no matching entries) still exits
 //! non-zero — that is a config error, not a first run.
 //!
-//! The serving sweep (`BENCH_serve.json` from `serve_load`) is gated by
-//! `--max-p99-ms` (ceiling on the clean-mode p99 latencies recorded in
-//! the baseline's `serve_sweep` rows) and `--min-goodput` (floor on the
-//! clean-mode jobs/s); whenever the serve baseline is present, every row
-//! must also record `wrong == 0` and `pool_poisonings == 0` — the
-//! service never serves a wrong answer and no panic ever escapes a job
-//! boundary. A missing `BENCH_serve.json` is tolerated with a clear
-//! message (first run: no baseline committed yet), so the gate can land
-//! before the baseline does. `--serve-baseline <path>` overrides the
-//! default path.
+//! The serving sweep (`serve_load`) is gated by `--max-p99-ms` (ceiling on
+//! the clean-mode p99 latencies of the `serve_sweep` rows) and
+//! `--min-goodput` (floor on the clean-mode jobs/s); every row must also
+//! record `wrong == 0` and `pool_poisonings == 0` — the service never
+//! serves a wrong answer and no panic ever escapes a job boundary. Any of
+//! the four serve flags puts the gate in *serve mode*: the two positional
+//! files are then the committed serve baseline and the fresh run (default
+//! `BENCH_serve.json` / `BENCH_serve.quick.json`), both are held to the
+//! same limits, and nothing else is compared — serve files carry no sweep
+//! rows. A missing *baseline* file is tolerated with a clear message
+//! (first run: nothing committed yet), so the gate can land before the
+//! baseline does; a missing fresh file, or a present file without the
+//! section a flag asks about, exits non-zero — pointed at the wrong file
+//! the gate must fail, not pass vacuously.
 //!
-//! The overload comparison (`serve_load --overload`, the baseline's
-//! `overload` section) is gated by `--max-overload-p99-ms` (ceiling on
-//! the *adaptive* row's served-job p99 — the admission controller must
-//! keep latency bounded where the fixed-depth row is allowed to blow
-//! past it) and `--min-overload-goodput` (floor on the adaptive row's
-//! jobs/s under 2× oversubscription). Every overload row — fixed and
-//! adaptive — must also record `wrong == 0`, `pool_poisonings == 0` and
-//! `unresolved == 0`: overload may shed, it may never corrupt, poison,
-//! or hang. A baseline without an `overload` section (not yet
-//! committed) is tolerated with a clear message, same as a missing
-//! file.
+//! The overload comparison (`serve_load --overload`, the `overload`
+//! section) is gated by `--max-overload-p99-ms` (ceiling on the
+//! *adaptive* row's served-job p99 — the admission controller must keep
+//! latency bounded where the fixed-depth row is allowed to blow past it)
+//! and `--min-overload-goodput` (floor on the adaptive row's jobs/s under
+//! 2× oversubscription). Every overload row — fixed and adaptive — must
+//! also record `wrong == 0`, `pool_poisonings == 0` and `unresolved == 0`:
+//! overload may shed, it may never corrupt, poison, or hang.
 
 use la_core::json::Json;
 
@@ -143,6 +145,155 @@ fn load_baseline_doc(path: &str) -> Option<Json> {
     Some(Json::parse(&text).unwrap_or_else(|e| panic!("parse {path}: {e}")))
 }
 
+/// The limits of serve mode; `None` leaves a check off.
+struct ServeLimits {
+    max_p99: Option<f64>,
+    min_goodput: Option<f64>,
+    max_ov_p99: Option<f64>,
+    min_ov_goodput: Option<f64>,
+}
+
+impl ServeLimits {
+    fn wants_sweep(&self) -> bool {
+        self.max_p99.is_some() || self.min_goodput.is_some()
+    }
+
+    fn wants_overload(&self) -> bool {
+        self.max_ov_p99.is_some() || self.min_ov_goodput.is_some()
+    }
+}
+
+/// Holds one serve file (`serve_load` output) to `limits`; returns whether
+/// a limit or an invariant was violated. A file without the section a
+/// limit asks about is a wrong file, not a pass: exits 2.
+fn serve_gate(path: &str, doc: &Json, limits: &ServeLimits) -> bool {
+    let mut failed = false;
+    println!("bench_gate: serve checks on {path}");
+    if limits.wants_sweep() {
+        let Some(rows) = doc.get("serve_sweep").and_then(|v| v.as_arr()) else {
+            eprintln!("bench_gate: {path} has no serve_sweep section");
+            std::process::exit(2);
+        };
+        let mut checked = 0usize;
+        for row in rows {
+            let get_s = |k: &str| row.get(k).and_then(|v| v.as_str()).unwrap_or("?");
+            let get_f = |k: &str| row.get(k).and_then(|v| v.as_f64()).unwrap_or(f64::NAN);
+            let key = format!(
+                "{} {} c={}",
+                get_s("op"),
+                get_s("mode"),
+                get_f("concurrency") as u64
+            );
+            let wrong = get_f("wrong");
+            let poisonings = get_f("pool_poisonings");
+            if !(wrong == 0.0 && poisonings == 0.0) {
+                failed = true;
+                println!(
+                    "  serve {key:<28} wrong {wrong} poisonings {poisonings}  \
+                     << INVARIANT VIOLATED"
+                );
+            }
+            if get_s("mode") != "clean" {
+                continue;
+            }
+            checked += 1;
+            let p99 = get_f("p99_ms");
+            let goodput = get_f("goodput_jps");
+            let mut flag = "";
+            // NaN (absent field) fails the check rather than slipping past
+            // a `<` comparison.
+            if let Some(ceiling) = limits.max_p99 {
+                if p99.is_nan() || p99 > ceiling {
+                    failed = true;
+                    flag = "  << P99 ABOVE CEILING";
+                }
+            }
+            if let Some(floor) = limits.min_goodput {
+                if flag.is_empty() && (goodput.is_nan() || goodput < floor) {
+                    failed = true;
+                    flag = "  << GOODPUT BELOW FLOOR";
+                }
+            }
+            println!("  serve {key:<28} p99 {p99:8.3} ms  goodput {goodput:9.1} jobs/s{flag}");
+        }
+        if checked == 0 {
+            eprintln!("bench_gate: no clean serve_sweep rows in {path}");
+            std::process::exit(2);
+        }
+    }
+    // Overload comparison: robustness invariants on every row; the latency
+    // ceiling and goodput floor bind on the adaptive row, the one the
+    // admission controller owns.
+    if limits.wants_overload() {
+        let Some(rows) = doc.get("overload").and_then(|v| v.as_arr()) else {
+            eprintln!("bench_gate: {path} has no overload section");
+            std::process::exit(2);
+        };
+        let mut checked = 0usize;
+        for row in rows {
+            let get_s = |k: &str| row.get(k).and_then(|v| v.as_str()).unwrap_or("?");
+            let get_f = |k: &str| row.get(k).and_then(|v| v.as_f64()).unwrap_or(f64::NAN);
+            let mode = get_s("mode");
+            let wrong = get_f("wrong");
+            let poisonings = get_f("pool_poisonings");
+            let unresolved = get_f("unresolved");
+            if !(wrong == 0.0 && poisonings == 0.0 && unresolved == 0.0) {
+                failed = true;
+                println!(
+                    "  overload {mode:<9} wrong {wrong} poisonings {poisonings} \
+                     unresolved {unresolved}  << INVARIANT VIOLATED"
+                );
+            }
+            let p99 = get_f("p99_ms");
+            let goodput = get_f("goodput_jps");
+            let mut flag = "";
+            if mode == "adaptive" {
+                checked += 1;
+                if let Some(ceiling) = limits.max_ov_p99 {
+                    if p99.is_nan() || p99 > ceiling {
+                        failed = true;
+                        flag = "  << P99 ABOVE CEILING";
+                    }
+                }
+                if let Some(floor) = limits.min_ov_goodput {
+                    if flag.is_empty() && (goodput.is_nan() || goodput < floor) {
+                        failed = true;
+                        flag = "  << GOODPUT BELOW FLOOR";
+                    }
+                }
+            }
+            println!(
+                "  overload {mode:<9} p99 {p99:8.3} ms  goodput {goodput:9.1} jobs/s  \
+                 shed {}{flag}",
+                get_f("shed")
+            );
+        }
+        if checked == 0 {
+            eprintln!("bench_gate: overload section in {path} has no adaptive row");
+            std::process::exit(2);
+        }
+    }
+    failed
+}
+
+/// Serve mode: the committed baseline (tolerated when absent) and the
+/// fresh run (required) under the same limits.
+fn serve_mode(baseline_path: &str, fresh_path: &str, limits: &ServeLimits) -> bool {
+    let mut failed = false;
+    match load_baseline_doc(baseline_path) {
+        None => println!(
+            "bench_gate: no serve baseline committed at {baseline_path} (first run) — \
+             skipping its serve checks"
+        ),
+        Some(doc) => failed |= serve_gate(baseline_path, &doc, limits),
+    }
+    let Some(fresh) = load_baseline_doc(fresh_path) else {
+        eprintln!("bench_gate: missing fresh serve run {fresh_path} (run serve_load first)");
+        std::process::exit(2);
+    };
+    failed | serve_gate(fresh_path, &fresh, limits)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut paths: Vec<&str> = Vec::new();
@@ -157,7 +308,6 @@ fn main() {
     let mut min_goodput: Option<f64> = None;
     let mut max_ov_p99: Option<f64> = None;
     let mut min_ov_goodput: Option<f64> = None;
-    let mut serve_path = "BENCH_serve.json".to_string();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == "--threshold" {
@@ -193,12 +343,25 @@ fn main() {
         } else if a == "--min-overload-goodput" {
             let v = it.next().expect("--min-overload-goodput needs a value");
             min_ov_goodput = Some(v.parse().expect("bad min-overload-goodput"));
-        } else if a == "--serve-baseline" {
-            let v = it.next().expect("--serve-baseline needs a value");
-            serve_path = v.clone();
         } else {
             paths.push(a);
         }
+    }
+    let limits = ServeLimits {
+        max_p99,
+        min_goodput,
+        max_ov_p99,
+        min_ov_goodput,
+    };
+    if limits.wants_sweep() || limits.wants_overload() {
+        let baseline_path = paths.first().copied().unwrap_or("BENCH_serve.json");
+        let fresh_path = paths.get(1).copied().unwrap_or("BENCH_serve.quick.json");
+        if serve_mode(baseline_path, fresh_path, &limits) {
+            eprintln!("bench_gate: serve gate failed");
+            std::process::exit(1);
+        }
+        println!("bench_gate: OK");
+        return;
     }
     let baseline_path = paths.first().copied().unwrap_or("BENCH_blas3.json");
     let fresh_path = paths.get(1).copied().unwrap_or("BENCH_blas3.quick.json");
@@ -473,150 +636,6 @@ fn main() {
         if best < floor {
             failed = true;
             println!("  dag speedup: best getrf/potrf ratio {best:.3} << BELOW FLOOR {floor:.2}");
-        }
-    }
-    // Serving gate: latency ceiling and goodput floor over the clean-mode
-    // rows of the committed serve baseline, plus the unconditional
-    // robustness invariants (zero wrong answers, zero pool poisonings)
-    // across every row — clean and chaos alike. A missing baseline is
-    // tolerated: the gate can land before the first `serve_load` run is
-    // committed.
-    let want_serve = max_p99.is_some() || min_goodput.is_some();
-    let want_overload = max_ov_p99.is_some() || min_ov_goodput.is_some();
-    if want_serve || want_overload {
-        match std::fs::read_to_string(&serve_path) {
-            Err(_) => {
-                println!(
-                    "bench_gate: no serve baseline committed at {serve_path} \
-                     (first run) — skipping serve checks"
-                );
-            }
-            Ok(text) => {
-                let doc = Json::parse(&text).unwrap_or_else(|e| panic!("parse {serve_path}: {e}"));
-                if want_serve {
-                    let Some(rows) = doc.get("serve_sweep").and_then(|v| v.as_arr()) else {
-                        eprintln!("bench_gate: {serve_path} has no serve_sweep section");
-                        std::process::exit(2);
-                    };
-                    let mut checked = 0usize;
-                    for row in rows {
-                        let get_s = |k: &str| row.get(k).and_then(|v| v.as_str()).unwrap_or("?");
-                        let get_f =
-                            |k: &str| row.get(k).and_then(|v| v.as_f64()).unwrap_or(f64::NAN);
-                        let key = format!(
-                            "{} {} c={}",
-                            get_s("op"),
-                            get_s("mode"),
-                            get_f("concurrency") as u64
-                        );
-                        let wrong = get_f("wrong");
-                        let poisonings = get_f("pool_poisonings");
-                        if !(wrong == 0.0 && poisonings == 0.0) {
-                            failed = true;
-                            println!(
-                                "  serve {key:<28} wrong {wrong} poisonings {poisonings}  \
-                                 << INVARIANT VIOLATED"
-                            );
-                        }
-                        if get_s("mode") != "clean" {
-                            continue;
-                        }
-                        checked += 1;
-                        let p99 = get_f("p99_ms");
-                        let goodput = get_f("goodput_jps");
-                        let mut flag = "";
-                        // NaN (absent field) fails the check rather than
-                        // slipping past a `<` comparison.
-                        if let Some(ceiling) = max_p99 {
-                            if p99.is_nan() || p99 > ceiling {
-                                failed = true;
-                                flag = "  << P99 ABOVE CEILING";
-                            }
-                        }
-                        if let Some(floor) = min_goodput {
-                            if flag.is_empty() && (goodput.is_nan() || goodput < floor) {
-                                failed = true;
-                                flag = "  << GOODPUT BELOW FLOOR";
-                            }
-                        }
-                        println!(
-                            "  serve {key:<28} p99 {p99:8.3} ms  goodput {goodput:9.1} jobs/s{flag}"
-                        );
-                    }
-                    if checked == 0 {
-                        eprintln!("bench_gate: no clean serve_sweep rows in {serve_path}");
-                        std::process::exit(2);
-                    }
-                }
-                // Overload comparison: robustness invariants on every
-                // row; the latency ceiling and goodput floor bind on the
-                // adaptive row, the one the admission controller owns.
-                // An absent section is the pre-commit state, not an
-                // error — warn and pass, like a missing baseline file.
-                if want_overload {
-                    match doc.get("overload").and_then(|v| v.as_arr()) {
-                        None => {
-                            println!(
-                                "bench_gate: {serve_path} has no overload section \
-                                 (not yet committed) — skipping overload checks"
-                            );
-                        }
-                        Some(rows) => {
-                            let mut checked = 0usize;
-                            for row in rows {
-                                let get_s =
-                                    |k: &str| row.get(k).and_then(|v| v.as_str()).unwrap_or("?");
-                                let get_f = |k: &str| {
-                                    row.get(k).and_then(|v| v.as_f64()).unwrap_or(f64::NAN)
-                                };
-                                let mode = get_s("mode");
-                                let wrong = get_f("wrong");
-                                let poisonings = get_f("pool_poisonings");
-                                let unresolved = get_f("unresolved");
-                                if !(wrong == 0.0 && poisonings == 0.0 && unresolved == 0.0) {
-                                    failed = true;
-                                    println!(
-                                        "  overload {mode:<9} wrong {wrong} poisonings \
-                                         {poisonings} unresolved {unresolved}  \
-                                         << INVARIANT VIOLATED"
-                                    );
-                                }
-                                let p99 = get_f("p99_ms");
-                                let goodput = get_f("goodput_jps");
-                                let mut flag = "";
-                                if mode == "adaptive" {
-                                    checked += 1;
-                                    if let Some(ceiling) = max_ov_p99 {
-                                        if p99.is_nan() || p99 > ceiling {
-                                            failed = true;
-                                            flag = "  << P99 ABOVE CEILING";
-                                        }
-                                    }
-                                    if let Some(floor) = min_ov_goodput {
-                                        if flag.is_empty() && (goodput.is_nan() || goodput < floor)
-                                        {
-                                            failed = true;
-                                            flag = "  << GOODPUT BELOW FLOOR";
-                                        }
-                                    }
-                                }
-                                println!(
-                                    "  overload {mode:<9} p99 {p99:8.3} ms  goodput \
-                                     {goodput:9.1} jobs/s  shed {}{flag}",
-                                    get_f("shed")
-                                );
-                            }
-                            if checked == 0 {
-                                eprintln!(
-                                    "bench_gate: overload section in {serve_path} has no \
-                                     adaptive row"
-                                );
-                                std::process::exit(2);
-                            }
-                        }
-                    }
-                }
-            }
         }
     }
     if failed {

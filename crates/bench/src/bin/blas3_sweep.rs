@@ -37,9 +37,7 @@ struct Row {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let cores = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let cores = tune::host_parallelism();
     let auto = tune::TuneConfig::defaults().threads();
     let mode = if quick { " (quick)" } else { "" };
     println!("== blas3_sweep{mode}: {cores} core(s), auto thread budget {auto} ==");

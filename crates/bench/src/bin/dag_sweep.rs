@@ -65,9 +65,7 @@ fn flops(family: &str, n: usize) -> f64 {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let cores = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let cores = tune::host_parallelism();
     let mode = if quick { " (quick)" } else { "" };
     println!("== dag_sweep{mode}: {cores} core(s), threads={THREADS}, tile_nb={TILE_NB} ==");
 

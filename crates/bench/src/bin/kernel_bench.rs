@@ -10,7 +10,10 @@
 //!   trailing update,
 //!
 //! and prints wall-clock and GF/s. Generates the kernel tables in
-//! `EXPERIMENTS.md`.
+//! `EXPERIMENTS.md`. Three "call floor" rows close the table — what the
+//! thread-budget resolution, a 4×4×4 `dgemm` and a one-column `dtrsm`
+//! (next to the `dtrsv` it runs) cost in ns, under the default thread
+//! budget: the price of a call before it computes.
 //!
 //! Usage: `kernel_bench [n ...]` — the square sizes default to
 //! `256 512 1024`; pass explicit sizes (e.g. `kernel_bench 256 512 1024
@@ -24,7 +27,7 @@
 //! parameter sweeps.
 
 use la_core::tune::{self, GemmKernel};
-use la_core::{Trans, Uplo};
+use la_core::{Diag, Side, Trans, Uplo};
 use std::time::Instant;
 
 /// Order of the update rows: n = 768 minus one nb = 32 panel.
@@ -43,6 +46,66 @@ fn best_of(mut f: impl FnMut()) -> f64 {
         reps += 1;
     }
     best
+}
+
+/// Best nanoseconds per call of `f`, timed in batches of `batch` calls so
+/// the clock read does not dominate a call of a few ns.
+fn floor_ns(batch: usize, mut f: impl FnMut()) -> f64 {
+    best_of(|| (0..batch).for_each(|_| f())) * 1e9 / batch as f64
+}
+
+/// The call-floor rows: default configuration (thread budget auto).
+fn call_floor() {
+    let cfg = tune::current();
+    let ns = floor_ns(1000, || {
+        std::hint::black_box(std::hint::black_box(&cfg).threads());
+    });
+    println!("floor threads()                          {ns:9.1} ns");
+    let a: Vec<f64> = (0..16).map(|i| i as f64 / 7.0 - 1.0).collect();
+    let mut c = [0.0f64; 16];
+    let ns = floor_ns(1000, || {
+        la_blas::gemm(
+            Trans::No,
+            Trans::No,
+            4,
+            4,
+            4,
+            1.0,
+            &a,
+            4,
+            &a,
+            4,
+            0.0,
+            &mut c,
+            4,
+        );
+        std::hint::black_box(&c);
+    });
+    println!("floor gemm  4x4x4                        {ns:9.1} ns");
+    let n = 96usize;
+    let l: Vec<f64> = (0..n * n)
+        .map(|i| {
+            if i % (n + 1) == 0 {
+                4.0
+            } else {
+                (i % 13) as f64 / 26.0 - 0.25
+            }
+        })
+        .collect();
+    let x0: Vec<f64> = (0..n).map(|i| 1.0 + i as f64 * 1e-3).collect();
+    let mut x = x0.clone();
+    let (uplo, trans, diag) = (Uplo::Lower, Trans::No, Diag::Unit);
+    let trsm_ns = floor_ns(100, || {
+        x.copy_from_slice(&x0);
+        la_blas::trsm(Side::Left, uplo, trans, diag, n, 1, 1.0, &l, n, &mut x, n);
+    });
+    let trsv_ns = floor_ns(100, || {
+        x.copy_from_slice(&x0);
+        la_blas::trsv(uplo, trans, diag, n, &l, n, &mut x, 1);
+    });
+    println!(
+        "floor trsm  96x1 (L/N/U)                 {trsm_ns:9.1} ns   trsv 96 {trsv_ns:9.1} ns"
+    );
 }
 
 /// Times `call` under each kernel selection and prints one row per kernel.
@@ -136,4 +199,5 @@ fn main() {
             std::hint::black_box(&c);
         });
     }
+    call_floor();
 }

@@ -101,9 +101,7 @@ fn comp_berr(n: usize, a: &Mat<f64>, b: &[f64], x: &[f64]) -> f64 {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let cores = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let cores = tune::host_parallelism();
     let mode = if quick { " (quick)" } else { "" };
     println!("== mixed_sweep{mode}: {cores} core(s) ==");
 

@@ -616,9 +616,7 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let chaos = args.iter().any(|a| a == "--chaos");
     let do_overload = args.iter().any(|a| a == "--overload");
-    let cores = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let cores = la_core::tune::host_parallelism();
     let mode = if quick { " (quick)" } else { "" };
     println!("== serve_load{mode}: {cores} core(s) ==");
 

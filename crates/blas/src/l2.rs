@@ -471,6 +471,9 @@ pub fn trsv<T: Scalar>(
 ) {
     let unit = diag == Diag::Unit;
     let conj = trans.is_conj();
+    if incx == 1 {
+        return trsv_contiguous(uplo, trans.is_transposed(), conj, unit, a, lda, &mut x[..n]);
+    }
     match (trans.is_transposed(), uplo) {
         (false, Uplo::Upper) => {
             for j in (0..n).rev() {
@@ -522,6 +525,79 @@ pub fn trsv<T: Scalar>(
                     t = t / cj(conj, a[j + j * lda]);
                 }
                 x[j * incx] = t;
+            }
+        }
+    }
+}
+
+/// [`trsv`] on a contiguous `x`: the same operations in the same order as
+/// the strided loops (`x − t·a` and `x + (−t)·a` round alike), over
+/// slices, so the column sweeps of the untransposed cases vectorize. This is the form left-side `trsm` runs
+/// per column when it has only a few right-hand sides.
+fn trsv_contiguous<T: Scalar>(
+    uplo: Uplo,
+    transposed: bool,
+    conj: bool,
+    unit: bool,
+    a: &[T],
+    lda: usize,
+    x: &mut [T],
+) {
+    let n = x.len();
+    // Column j of the stored triangle: rows `0..=j` (upper) or `j..n`.
+    let upper_col = |j: usize| &a[j * lda..j * lda + j + 1];
+    let lower_col = |j: usize| &a[j + j * lda..n + j * lda];
+    match (transposed, uplo) {
+        (false, Uplo::Upper) => {
+            for j in (0..n).rev() {
+                if x[j].is_zero() {
+                    continue;
+                }
+                let col = upper_col(j);
+                if !unit {
+                    x[j] = x[j] / col[j];
+                }
+                let t = x[j];
+                axpy(j, -t, col, 1, &mut x[..j], 1);
+            }
+        }
+        (false, Uplo::Lower) => {
+            for j in 0..n {
+                if x[j].is_zero() {
+                    continue;
+                }
+                let col = lower_col(j);
+                if !unit {
+                    x[j] = x[j] / col[0];
+                }
+                let t = x[j];
+                axpy(n - j - 1, -t, &col[1..], 1, &mut x[j + 1..], 1);
+            }
+        }
+        (true, Uplo::Upper) => {
+            for j in 0..n {
+                let col = upper_col(j);
+                let mut t = x[j];
+                for (&aij, &xi) in col.iter().zip(&x[..j]) {
+                    t -= cj(conj, aij) * xi;
+                }
+                if !unit {
+                    t = t / cj(conj, col[j]);
+                }
+                x[j] = t;
+            }
+        }
+        (true, Uplo::Lower) => {
+            for j in (0..n).rev() {
+                let col = lower_col(j);
+                let mut t = x[j];
+                for (&aij, &xi) in col[1..].iter().zip(&x[j + 1..]) {
+                    t -= cj(conj, aij) * xi;
+                }
+                if !unit {
+                    t = t / cj(conj, col[0]);
+                }
+                x[j] = t;
             }
         }
     }

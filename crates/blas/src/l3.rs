@@ -130,13 +130,14 @@ fn flop_product(d0: usize, d1: usize, d2: usize) -> u128 {
 /// Number of column stripes worth spawning for an `n`-column output under
 /// the current tuning config, with `min_cols` columns per stripe as the
 /// granularity floor. Returns 1 (serial) when the flop count is below the
-/// configured parallel threshold or the thread budget is 1.
+/// configured parallel threshold or the thread budget is 1. The tests run
+/// cheapest first — two field compares settle every small call — so the
+/// resolved budget is consulted only by a call that may really stripe.
 fn par_stripes(cfg: &tune::TuneConfig, flops: u128, n: usize, min_cols: usize) -> usize {
-    let nt = cfg.threads();
-    if nt <= 1 || flops < cfg.par_flops as u128 {
+    if flops < cfg.par_flops as u128 || cfg.max_threads == 1 {
         return 1;
     }
-    nt.min(n.div_ceil(min_cols.max(1))).max(1)
+    cfg.threads().min(n.div_ceil(min_cols.max(1))).max(1)
 }
 
 /// Depth (`k`) extent of op(A) given its stored view.
@@ -220,21 +221,26 @@ pub fn gemm<T: Scalar>(
     }
 
     let cfg = &ctx.tune;
-    let plan = PackedPlan::<T>::from_cfg(cfg);
     let stripes = par_stripes(cfg, flop_product(m, n, k), n, 8);
     probe::note_parallelism(stripes);
-    probe::note_kernel(if !plan.force && m * n * k < SMALL_CROSSOVER {
-        "small"
-    } else {
-        plan.kern.name()
-    });
     let (ar, ac) = if transa == Trans::No { (m, k) } else { (k, m) };
     let (br, bc) = if transb == Trans::No { (k, n) } else { (n, k) };
     let av = MatRef::new(a, ar, ac, lda);
     let bv = MatRef::new(b, br, bc, ldb);
+    let abft = crate::abft::active(&ctx, flop_product(m, n, k));
+    // Small shapes first: a serial, unprotected product below the packing
+    // crossover is the unpacked sweep and needs no plan.
+    let small = cfg.gemm_kernel == tune::GemmKernel::Auto && m * n * k < SMALL_CROSSOVER;
+    if small && stripes == 1 && abft.is_none() {
+        probe::note_kernel("small");
+        gemm_small(transa, transb, alpha, av, bv, MatMut::new(c, m, n, ldc));
+        return;
+    }
+    let plan = PackedPlan::<T>::from_cfg(cfg);
+    probe::note_kernel(if small { "small" } else { plan.kern.name() });
     // ABFT (see `crate::abft`): encode the column checksum after the
     // β-scaling, before the product accumulates.
-    let check = crate::abft::active(&ctx, flop_product(m, n, k)).map(|pol| {
+    let check = abft.map(|pol| {
         crate::abft::gemm_encode(
             pol,
             transa,
@@ -1192,9 +1198,19 @@ fn trmm_impl<T: Scalar>(
             if m == 0 || n == 0 {
                 return;
             }
+            let ctx = ctx::current();
+            let abft = crate::abft::active(&ctx, flop_product(m, m, n) / 2);
+            // Small shapes first: with a few columns a trmv each beats
+            // setting up the blocked product (no plan, no workspace).
+            if n < TRSM_OPA_MIN_COLS && abft.is_none() {
+                probe::note_parallelism(1);
+                probe::note_kernel("trmv");
+                let (av, bv) = (MatRef::new(a, m, m, lda), MatMut::new(b, m, n, ldb));
+                trmv_cols(uplo, trans, diag, alpha, av, bv);
+                return;
+            }
             // Column bands of B are independent: band := alpha·op(A)·band,
             // so the columns stripe across threads exactly like gemm's C.
-            let ctx = ctx::current();
             let cfg = &ctx.tune;
             let plan = PackedPlan::<T>::from_cfg(cfg);
             let stripes = par_stripes(cfg, flop_product(m, m, n) / 2, n, 4);
@@ -1203,7 +1219,7 @@ fn trmm_impl<T: Scalar>(
             let av = MatRef::new(a, m, m, lda);
             // ABFT: encode from the unscaled input (the column kernel
             // applies alpha itself).
-            let check = crate::abft::active(&ctx, flop_product(m, m, n) / 2).map(|pol| {
+            let check = abft.map(|pol| {
                 crate::abft::trmm_encode(
                     pol,
                     uplo,
@@ -1324,6 +1340,27 @@ fn trmm_impl<T: Scalar>(
     }
 }
 
+/// `b_j := alpha·op(A)·b_j`, one `trmv` per column: the whole product at
+/// small orders and for narrow `b`.
+fn trmv_cols<T: Scalar>(
+    uplo: Uplo,
+    trans: Trans,
+    diag: Diag,
+    alpha: T,
+    a: MatRef<'_, T>,
+    mut b: MatMut<'_, T>,
+) {
+    for j in 0..b.ncols() {
+        let col = b.col_mut(j);
+        crate::l2::trmv(uplo, trans, diag, col.len(), a.as_slice(), a.lda(), col, 1);
+        if alpha != T::one() {
+            for x in col {
+                *x *= alpha;
+            }
+        }
+    }
+}
+
 /// Serial left-side trmm: `b := alpha·op(A)·b` over every column of the
 /// band. Small orders run a trmv per column; larger ones go blocked —
 /// per diagonal block, the triangular part stays a trmv while the
@@ -1345,15 +1382,7 @@ pub(crate) fn trmm_left_cols<T: Scalar>(
         return;
     }
     if m <= TRX_NB {
-        for j in 0..w {
-            let col = b.col_mut(j);
-            crate::l2::trmv(uplo, trans, diag, m, a.as_slice(), a.lda(), col, 1);
-            if alpha != T::one() {
-                for x in col {
-                    *x *= alpha;
-                }
-            }
-        }
+        trmv_cols(uplo, trans, diag, alpha, a, b);
         return;
     }
     // Whether op(A) acts as a *lower* triangular factor (row i draws on
@@ -1497,11 +1526,21 @@ fn trsm_impl<T: Scalar>(
     }
     match side {
         Side::Left => {
+            let ctx = ctx::current();
+            let abft = crate::abft::active(&ctx, flop_product(m, m, n) / 2);
+            // Small shapes first: with a few right-hand sides a trsv each
+            // beats setting up the blocked solve (no plan, no workspace).
+            if n < TRSM_OPA_MIN_COLS && abft.is_none() {
+                probe::note_parallelism(1);
+                probe::note_kernel("trsv");
+                let (av, bv) = (MatRef::new(a, m, m, lda), MatMut::new(b, m, n, ldb));
+                trsv_cols(uplo, trans, diag, av, bv);
+                return;
+            }
             // Each right-hand-side column solves independently against the
             // same triangle, so the columns of B stripe across threads the
             // same way gemm stripes C (per-column arithmetic identical to
             // the serial path).
-            let ctx = ctx::current();
             let cfg = &ctx.tune;
             let plan = PackedPlan::<T>::from_cfg(cfg);
             let stripes = par_stripes(cfg, flop_product(m, m, n) / 2, n, 4);
@@ -1510,7 +1549,7 @@ fn trsm_impl<T: Scalar>(
             let av = MatRef::new(a, m, m, lda);
             // ABFT: alpha is already folded into B, so the column sums of
             // B as it stands are the expected values of (eᵀop(A))·X.
-            let check = crate::abft::active(&ctx, flop_product(m, m, n) / 2).map(|pol| {
+            let check = abft.map(|pol| {
                 crate::abft::trsm_encode(pol, uplo, trans, diag, av, MatRef::new(b, m, n, ldb))
             });
             if stripes > 1 {
@@ -1670,9 +1709,10 @@ pub(crate) fn trsm_left_cols<T: Scalar>(
     }
 }
 
-/// Right-hand-side count from which the transposed cases of
-/// [`trsm_cols_unblocked`] materialise `op(A)`; below it a `trsv` per
-/// column is cheaper than the copy.
+/// Right-hand-side count from which the Level-3 forms pay for their
+/// set-up: below it left-side [`trsm`] / [`trmm`] run a `trsv` / `trmv` per
+/// column at any order, and the transposed cases of
+/// [`trsm_cols_unblocked`] do so rather than materialise `op(A)`.
 const TRSM_OPA_MIN_COLS: usize = 4;
 
 /// Scratch length [`trsm_cols_unblocked`] needs to solve `w` columns
@@ -1682,6 +1722,21 @@ fn opa_len(trans: Trans, m: usize, w: usize) -> usize {
         m * m
     } else {
         0
+    }
+}
+
+/// `op(A)·x_j = b_j`, one `trsv` per column: cheaper than any set-up when
+/// `b` is narrow.
+fn trsv_cols<T: Scalar>(
+    uplo: Uplo,
+    trans: Trans,
+    diag: Diag,
+    a: MatRef<'_, T>,
+    mut b: MatMut<'_, T>,
+) {
+    for j in 0..b.ncols() {
+        let col = b.col_mut(j);
+        crate::l2::trsv(uplo, trans, diag, col.len(), a.as_slice(), a.lda(), col, 1);
     }
 }
 
@@ -1719,10 +1774,7 @@ fn trsm_cols_unblocked<T: Scalar>(
         }
         (MatRef::new(opa, m, m, m), uplo == Uplo::Upper)
     } else {
-        for j in 0..n {
-            let col = b.col_mut(j);
-            crate::l2::trsv(uplo, trans, diag, m, a.as_slice(), a.lda(), col, 1);
-        }
+        trsv_cols(uplo, trans, diag, a, b);
         return;
     };
     // For each pivot k, eliminate it from the remaining rows of every
@@ -1928,6 +1980,8 @@ mod striped_tests {
         use la_core::cancel::{self, CancelToken, Heartbeat};
         use la_core::{abft, AbftPolicy, Ctx, FpCheckPolicy, ProbePolicy};
         use std::sync::Mutex;
+        // A direct read, to check the cached host count against.
+        #[allow(clippy::disallowed_methods)]
         let host = std::thread::available_parallelism().map_or(1, |p| p.get());
         let sentinel = Ctx {
             tune: tune::TuneConfig {

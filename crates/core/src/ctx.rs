@@ -887,6 +887,8 @@ mod tests {
 
     #[test]
     fn every_hop_carries_the_ambient_and_nothing_else() {
+        // A direct read, to check the cached host count against.
+        #[allow(clippy::disallowed_methods)]
         let host = std::thread::available_parallelism().map_or(1, |p| p.get());
         let sentinel = Ctx {
             tune: TuneConfig {

@@ -166,8 +166,9 @@ pub struct Span {
     /// reruns carry the tag, so span trees separate the fault-tolerance
     /// overhead from the protected computation.
     pub abft: bool,
-    /// Block size the routine would read from [`crate::tune`] (`nb(routine)`),
-    /// captured at entry.
+    /// Block size: the routine's [`crate::tune`] knob at entry, overwritten
+    /// via [`note_nb`] with the width *in effect* by the factorizations
+    /// that resolve it against the problem order.
     pub nb: usize,
     /// Thread count: the [`crate::tune`] budget at entry, overwritten with the
     /// *actual* stripe count via [`note_parallelism`] by the parallel
@@ -493,7 +494,9 @@ pub fn span_in(
             routine,
             lo,
             abft,
-            nb: cfg.nb(routine),
+            // The knob itself (no order narrows it at usize::MAX); a
+            // routine that resolves it against its order says so later.
+            nb: cfg.nb(routine, usize::MAX),
             threads: cfg.threads(),
             kernel: "",
             flops,
@@ -514,6 +517,17 @@ pub fn note_parallelism(threads: usize) {
     ACTIVE.with(|a| {
         if let Some(f) = a.borrow_mut().last_mut() {
             f.threads = threads;
+        }
+    });
+}
+
+/// Records the block size a factorization *actually* resolved for its
+/// problem order on the innermost active span of this thread. No-op when
+/// no span is active.
+pub fn note_nb(nb: usize) {
+    ACTIVE.with(|a| {
+        if let Some(f) = a.borrow_mut().last_mut() {
+            f.nb = nb;
         }
     });
 }

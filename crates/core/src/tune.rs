@@ -25,6 +25,8 @@
 //! assert_eq!(r, 1);
 //! ```
 
+use std::sync::OnceLock;
+
 use crate::ctx;
 
 /// Which microkernel the packed BLAS-3 path drives. Selected through the
@@ -189,7 +191,7 @@ impl RefineMode {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TuneConfig {
     /// Thread budget for parallel BLAS-3. `0` means auto-detect
-    /// (`available_parallelism`, capped at 8). `1` forces every operation
+    /// ([`host_parallelism`], capped at 8). `1` forces every operation
     /// serial.
     pub max_threads: usize,
     /// Effective-flop product (`m·n·k` for `gemm`, the analogous triple
@@ -312,20 +314,25 @@ impl TuneConfig {
     /// threads on `host` cores. `oversubscribe` bypasses this clamp too —
     /// the equivalence tests and bench sweeps that force wide striping on
     /// small hosts keep working unchanged.
+    ///
+    /// Pure arithmetic over the fields, [`host_parallelism`] (resolved once
+    /// per process) and the pool share: no system call, no allocation.
     pub fn threads(&self) -> usize {
-        let host = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
         if self.max_threads > 0 && self.oversubscribe {
             return self.max_threads;
         }
+        let host = host_parallelism();
+        // One core or a budget of one is serial whatever the pool share,
+        // so the common serial call never touches the thread-local.
+        if host == 1 || self.max_threads == 1 {
+            return 1;
+        }
         // Each of the `share` pool siblings running on this host gets an
         // equal slice of the cores (at least one).
-        let share = ctx::peek(|f| f.share);
         let host_share = if self.oversubscribe {
             host
         } else {
-            (host / share).max(1)
+            (host / ctx::peek(|f| f.share)).max(1)
         };
         if self.max_threads > 0 {
             return self.max_threads.min(host_share);
@@ -333,11 +340,18 @@ impl TuneConfig {
         host_share.min(8)
     }
 
-    /// Block size for `routine` (an `ILAENV(1, ...)` analog; lowercase
-    /// LAPACK routine names).
-    pub fn nb(&self, routine: &str) -> usize {
+    /// Block size for `routine` at problem order `n` (an
+    /// `ILAENV(1, NAME, OPTS, N1..)` analog; lowercase LAPACK routine
+    /// names): the routine's `nb_*` knob, narrowed where the order is
+    /// small. Only the Cholesky panel is — at most 32 wide up to order
+    /// 256, where a 96-wide panel would leave one or two steps of mostly
+    /// Level-2 work (sweep in EXPERIMENTS.md, "A BLAS-3 call costs what it
+    /// computes"); the knob stays the upper bound, so a smaller
+    /// `LA_NB_POTRF` is honoured at every order.
+    pub fn nb(&self, routine: &str, n: usize) -> usize {
         match routine {
             "getrf" | "getri" => self.nb_getrf,
+            "potrf" if n <= SMALL_ORDER => self.nb_potrf.min(NB_POTRF_SMALL),
             "potrf" => self.nb_potrf,
             "geqrf" | "gelqf" | "ormqr" => self.nb_geqrf,
             "sytrf" | "sytrd" => self.nb_sytrf,
@@ -346,11 +360,12 @@ impl TuneConfig {
         .max(1)
     }
 
-    /// Crossover order for `routine` (an `ILAENV(2, ...)` analog). One
-    /// knob covers every family for now; the argument keeps the call sites
-    /// ready for per-routine splits.
-    pub fn crossover(&self, _routine: &str) -> usize {
-        self.crossover
+    /// Order at or below which `routine` runs unblocked on an order-`n`
+    /// problem (an `ILAENV(3, ...)` analog): the `crossover` knob, and in
+    /// any case two panels of the block size in effect at that order —
+    /// blocking pays from the third panel on.
+    pub fn crossover(&self, routine: &str, n: usize) -> usize {
+        self.crossover.min(2 * self.nb(routine, n))
     }
 
     /// Resolved tile order for the task-graph factorizations:
@@ -367,10 +382,30 @@ impl TuneConfig {
     }
 }
 
+/// Order up to which [`TuneConfig::nb`] narrows the Cholesky panel.
+const SMALL_ORDER: usize = 256;
+
+/// The widest Cholesky panel at orders up to [`SMALL_ORDER`].
+const NB_POTRF_SMALL: usize = 32;
+
 impl Default for TuneConfig {
     fn default() -> Self {
         Self::defaults()
     }
+}
+
+/// The number of hardware threads the process may run on (the standard
+/// library's parallelism query; 1 when it cannot tell), resolved **once
+/// per process** at first use and fixed for the life of the process:
+/// a later change to the affinity mask or the cgroup quota is not seen. On
+/// Linux the query is a `sched_getaffinity` call, cgroup-file reads and
+/// four heap allocations — about 11 µs — which is why nothing in the
+/// library asks twice; [`TuneConfig::threads`] is arithmetic over this
+/// value.
+pub fn host_parallelism() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    #[allow(clippy::disallowed_methods)] // the one resolving call site
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 
 /// Declares the current thread to be one of `siblings` concurrently
@@ -404,17 +439,20 @@ pub fn with<R>(cfg: TuneConfig, f: impl FnOnce() -> R) -> R {
 
 #[cfg(test)]
 mod tests {
+    // The tests compare `threads()` with a direct read of the host count.
+    #![allow(clippy::disallowed_methods)]
+
     use super::*;
 
     #[test]
     fn defaults_match_seed_constants() {
         let d = TuneConfig::defaults();
         assert_eq!(d.par_flops, 200 * 200 * 200);
-        assert_eq!(d.nb("getrf"), 32);
-        assert_eq!(d.nb("potrf"), 96);
-        assert_eq!(d.nb("ormqr"), 32);
-        assert_eq!(d.nb("unknown-routine"), 32);
-        assert_eq!(d.crossover("getrf"), 128);
+        assert_eq!(d.nb("getrf", 1000), 32);
+        assert_eq!(d.nb("potrf", 1000), 96);
+        assert_eq!(d.nb("ormqr", 1000), 32);
+        assert_eq!(d.nb("unknown-routine", 1000), 32);
+        assert_eq!(d.crossover, 128);
     }
 
     #[test]
@@ -521,7 +559,24 @@ mod tests {
     fn nb_never_zero() {
         let mut cfg = TuneConfig::defaults();
         cfg.nb_getrf = 0;
-        assert_eq!(cfg.nb("getrf"), 1);
+        assert_eq!(cfg.nb("getrf", 100), 1);
+    }
+
+    #[test]
+    fn small_orders_narrow_the_cholesky_panel_and_pull_in_its_crossover() {
+        let d = TuneConfig::defaults();
+        assert_eq!((d.nb("potrf", 256), d.nb("potrf", 257)), (32, 96));
+        assert_eq!((d.nb("getrf", 96), d.nb("getrf", 768)), (32, 32));
+        // Two panels of the width in effect bind below the knob.
+        assert_eq!(
+            (d.crossover("potrf", 96), d.crossover("getrf", 96)),
+            (64, 64)
+        );
+        assert_eq!(d.crossover("potrf", 768), 128);
+        // The knob stays the upper bound at every order.
+        let narrow = TuneConfig { nb_potrf: 8, ..d };
+        assert_eq!((narrow.nb("potrf", 96), narrow.nb("potrf", 768)), (8, 8));
+        assert_eq!(narrow.crossover("potrf", 96), 16);
     }
 
     #[test]

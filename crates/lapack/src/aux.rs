@@ -6,19 +6,43 @@
 use la_blas::{gemm, gemv, gerc, iamax, lacgv, lassq, nrm2, rscal, scal, trmv};
 use la_core::{Diag, Norm, RealScalar, Scalar, Side, Trans, Uplo};
 
-/// Environment inquiry (`ILAENV`-lite): returns the block size used by the
-/// blocked algorithms. Reads the runtime [`la_core::tune`] configuration,
-/// so block sizes follow `LA_NB_*` environment variables, `tune::update`, and
-/// scoped `tune::with` overrides instead of a compiled-in table.
-pub fn ilaenv_nb(routine: &str) -> usize {
-    la_core::tune::current().nb(routine)
+/// Environment inquiry (`ILAENV(1, NAME, OPTS, N1..)`-lite): the block
+/// size `routine` uses on a problem of order `n`. Reads the runtime
+/// [`la_core::tune`] configuration, so block sizes follow `LA_NB_*`
+/// environment variables, `tune::update`, and scoped `tune::with` overrides
+/// instead of a compiled-in table.
+pub fn ilaenv_nb(routine: &str, n: usize) -> usize {
+    la_core::tune::current().nb(routine, n)
 }
 
-/// Crossover order below which blocked algorithms fall back to their
-/// unblocked forms. Like [`ilaenv_nb`], resolved against the runtime
-/// [`la_core::tune`] configuration (`LA_CROSSOVER`).
-pub fn ilaenv_crossover(routine: &str) -> usize {
-    la_core::tune::current().crossover(routine)
+/// Crossover order (`ILAENV(3, ...)`): an order-`n` problem at or below it
+/// runs `routine`'s unblocked form. Like [`ilaenv_nb`], resolved against
+/// the runtime [`la_core::tune`] configuration (`LA_CROSSOVER`).
+pub fn ilaenv_crossover(routine: &str, n: usize) -> usize {
+    la_core::tune::current().crossover(routine, n)
+}
+
+/// How one factorization call runs: the panel width and whether the order
+/// is above the crossover. Resolved once per call ([`Blocking::of`]) and
+/// handed to everything that must agree on it — the core that factors and
+/// the ABFT pass that names the faulty block.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Blocking {
+    pub nb: usize,
+    pub blocked: bool,
+}
+
+impl Blocking {
+    /// The decision for `routine` on a problem of order `n` under the
+    /// configuration in effect on this thread.
+    pub(crate) fn of(routine: &str, n: usize) -> Self {
+        let cfg = la_core::tune::current();
+        let nb = cfg.nb(routine, n);
+        Blocking {
+            nb,
+            blocked: n > cfg.crossover(routine, n) && nb < n,
+        }
+    }
 }
 
 /// Copies all or a triangle of `A` to `B` (`xLACPY`).

@@ -6,7 +6,7 @@
 use la_blas::{dotc, gemv, hemv, herk, rscal, scal, spmv, tbsv, tpsv, trsm};
 use la_core::{probe, Diag, Norm, RealScalar, Scalar, Side, Trans, Uplo};
 
-use crate::aux::{ilaenv_crossover, ilaenv_nb, lacon, lansy, try_zeros, INFO_NO_WORKSPACE};
+use crate::aux::{lacon, lansy, try_zeros, Blocking, INFO_NO_WORKSPACE};
 use crate::lu::refine_generic;
 
 /// Unblocked Cholesky factorization (`xPOTF2`): `A = UᴴU` or `A = LLᴴ`.
@@ -17,6 +17,14 @@ pub fn potf2<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i32 {
     let Some(mut ws) = try_zeros::<T>(n.saturating_sub(1)) else {
         return INFO_NO_WORKSPACE;
     };
+    potf2_ws(uplo, n, a, lda, &mut ws)
+}
+
+/// [`potf2`] on a caller-provided workspace of at least `n − 1` elements
+/// (contents ignored), so the blocked loop factors its panels without an
+/// allocation each.
+fn potf2_ws<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize, ws: &mut [T]) -> i32 {
+    let ws = &mut ws[..n.saturating_sub(1)];
     for j in 0..n {
         match uplo {
             Uplo::Upper => {
@@ -111,6 +119,10 @@ pub fn potrf<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i32 {
         probe::flops::potrf(n),
         (n * (n + 1) * std::mem::size_of::<T>()) as u64,
     );
+    // One decision for the core, the recovery re-run and the ABFT block
+    // labels.
+    let how = Blocking::of("potrf", n);
+    probe::note_nb(how.nb);
     let check = crate::abft::active(crate::abft::flop3(n, n, n) / 3)
         .map(|pol| crate::abft::potrf_encode(pol, uplo, n, a, lda));
     // The factor-level identity covers every inner BLAS-3 update, so
@@ -118,10 +130,10 @@ pub fn potrf<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i32 {
     // top; run the core with ABFT off whenever the factor check is on.
     let info = if check.is_some() {
         la_core::abft::with_policy(la_core::abft::AbftPolicy::Off, || {
-            potrf_core(uplo, n, a, lda)
+            potrf_core(uplo, n, a, lda, how)
         })
     } else {
-        potrf_core(uplo, n, a, lda)
+        potrf_core(uplo, n, a, lda, how)
     };
     // A cancelled factorization left the buffers partially updated; there
     // is nothing meaningful to verify (or corrupt), so surface the code
@@ -130,17 +142,17 @@ pub fn potrf<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i32 {
         return info;
     }
     #[cfg(feature = "fault-inject")]
-    crate::abft::inject_factor("potrf", n, ilaenv_nb("potrf"), a, lda);
+    crate::abft::inject_factor("potrf", n, how.nb, a, lda);
     match check {
         None => info,
-        Some(ck) => crate::abft::potrf_verify(ck, uplo, n, a, lda, info, ilaenv_nb("potrf"), |a| {
+        Some(ck) => crate::abft::potrf_verify(ck, uplo, n, a, lda, info, how.nb, |a| {
             let serial = la_core::TuneConfig {
                 max_threads: 1,
                 ..la_core::tune::current()
             };
             la_core::tune::with(serial, || {
                 la_core::abft::with_policy(la_core::abft::AbftPolicy::Off, || {
-                    potrf_core(uplo, n, a, lda)
+                    potrf_core(uplo, n, a, lda, how)
                 })
             })
         }),
@@ -148,18 +160,25 @@ pub fn potrf<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i32 {
 }
 
 /// The factorization proper, shared by the public entry, the ABFT
-/// recovery re-run, and the tiled-dag diagonal tasks.
-pub(crate) fn potrf_core<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i32 {
+/// recovery re-run, and the tiled-dag diagonal tasks; `how` is the
+/// caller's [`Blocking::of`]`("potrf", n)`.
+pub(crate) fn potrf_core<T: Scalar>(
+    uplo: Uplo,
+    n: usize,
+    a: &mut [T],
+    lda: usize,
+    how: Blocking,
+) -> i32 {
     // LA_FACTOR=dag: hand problems spanning more than one tile to the
     // task-graph runtime (same factor and info codes).
     let cfg = la_core::tune::current();
     if cfg.factor == la_core::tune::FactorAlgo::Dag && n > cfg.tile_size() {
         return crate::tiled::potrf_dag(uplo, n, a, lda);
     }
-    let nb = ilaenv_nb("potrf");
-    if n <= ilaenv_crossover("potrf") || nb >= n {
+    if !how.blocked {
         return potf2(uplo, n, a, lda);
     }
+    let nb = how.nb;
     // One workspace for every step's copies of the diagonal block (whose
     // other triangle is never read) and of the off-diagonal panel.
     let mut ws = vec![T::zero(); nb * n];
@@ -173,7 +192,8 @@ pub(crate) fn potrf_core<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usiz
             return la_core::cancel::INFO_CANCELLED;
         }
         let jb = nb.min(n - j);
-        let info = potf2(uplo, jb, &mut a[j + j * lda..], lda);
+        // `panel` is free until this step's off-diagonal copy below.
+        let info = potf2_ws(uplo, jb, &mut a[j + j * lda..], lda, panel);
         if info != 0 {
             // A positive code counts minors from this panel's corner.
             return if info > 0 { info + j as i32 } else { info };

@@ -9,7 +9,7 @@
 use la_blas::{gemm, gemv, iamax, scal, trsm};
 use la_core::{probe, Diag, Norm, RealScalar, Scalar, Side, Trans, Uplo};
 
-use crate::aux::{ilaenv_crossover, ilaenv_nb, lacon, lange, laswp};
+use crate::aux::{lacon, lange, laswp, Blocking};
 
 /// Unblocked LU factorization with partial pivoting (`xGETF2`).
 ///
@@ -83,6 +83,10 @@ pub fn getrf<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &mut 
     if mn == 0 {
         return 0;
     }
+    // One decision for the core, the recovery re-run and the ABFT block
+    // labels.
+    let how = Blocking::of("getrf", mn);
+    probe::note_nb(how.nb);
     let check = crate::abft::active(crate::abft::flop3(m, n, mn))
         .map(|pol| crate::abft::getrf_encode(pol, m, n, a, lda));
     // The factor-level identity covers every inner BLAS-3 update, so
@@ -90,10 +94,10 @@ pub fn getrf<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &mut 
     // top; run the core with ABFT off whenever the factor check is on.
     let info = if check.is_some() {
         la_core::abft::with_policy(la_core::abft::AbftPolicy::Off, || {
-            getrf_core(m, n, a, lda, ipiv)
+            getrf_core(m, n, a, lda, ipiv, how)
         })
     } else {
-        getrf_core(m, n, a, lda, ipiv)
+        getrf_core(m, n, a, lda, ipiv, how)
     };
     // A cancelled factorization left the buffers partially updated; there
     // is nothing meaningful to verify (or corrupt), so surface the code
@@ -102,41 +106,33 @@ pub fn getrf<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &mut 
         return info;
     }
     #[cfg(feature = "fault-inject")]
-    crate::abft::inject_factor("getrf", mn, ilaenv_nb("getrf"), a, lda);
+    crate::abft::inject_factor("getrf", mn, how.nb, a, lda);
     match check {
         None => info,
-        Some(ck) => crate::abft::getrf_verify(
-            ck,
-            m,
-            n,
-            a,
-            lda,
-            ipiv,
-            info,
-            ilaenv_nb("getrf"),
-            |a, ipiv| {
-                let serial = la_core::TuneConfig {
-                    max_threads: 1,
-                    ..la_core::tune::current()
-                };
-                la_core::tune::with(serial, || {
-                    la_core::abft::with_policy(la_core::abft::AbftPolicy::Off, || {
-                        getrf_core(m, n, a, lda, ipiv)
-                    })
+        Some(ck) => crate::abft::getrf_verify(ck, m, n, a, lda, ipiv, info, how.nb, |a, ipiv| {
+            let serial = la_core::TuneConfig {
+                max_threads: 1,
+                ..la_core::tune::current()
+            };
+            la_core::tune::with(serial, || {
+                la_core::abft::with_policy(la_core::abft::AbftPolicy::Off, || {
+                    getrf_core(m, n, a, lda, ipiv, how)
                 })
-            },
-        ),
+            })
+        }),
     }
 }
 
 /// The factorization proper, shared by the public entry, the ABFT
-/// recovery re-run, and the tiled-dag panel tasks.
+/// recovery re-run, and the tiled-dag panel tasks; `how` is the caller's
+/// [`Blocking::of`]`("getrf", min(m, n))`.
 pub(crate) fn getrf_core<T: Scalar>(
     m: usize,
     n: usize,
     a: &mut [T],
     lda: usize,
     ipiv: &mut [i32],
+    how: Blocking,
 ) -> i32 {
     let mn = m.min(n);
     // LA_FACTOR=dag: hand problems spanning more than one tile to the
@@ -145,10 +141,10 @@ pub(crate) fn getrf_core<T: Scalar>(
     if cfg.factor == la_core::tune::FactorAlgo::Dag && mn > cfg.tile_size() {
         return crate::tiled::getrf_dag(m, n, a, lda, ipiv);
     }
-    let nb = ilaenv_nb("getrf");
-    if mn <= ilaenv_crossover("getrf").min(nb * 2) || nb >= mn {
+    if !how.blocked {
         return getf2(m, n, a, lda, ipiv);
     }
+    let nb = how.nb;
     let mut info = 0i32;
     // Holds each step's copy of U12; step 0 has the largest.
     let mut u12 = vec![T::zero(); nb * (n - nb)];

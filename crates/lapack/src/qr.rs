@@ -83,7 +83,7 @@ pub fn geqrf<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, tau: &mut [
     if cfg.factor == la_core::tune::FactorAlgo::Dag && k > cfg.tile_size() {
         return crate::tiled::geqrf_dag(m, n, a, lda, tau);
     }
-    let nb = ilaenv_nb("geqrf");
+    let nb = ilaenv_nb("geqrf", k);
     if k <= 2 * nb {
         return geqr2(m, n, a, lda, tau);
     }

@@ -206,7 +206,8 @@ pub fn getrf_dag<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &
                 let piv = &mut *store.piv.get();
                 // Blocked panel (never re-enters the dag: the panel's
                 // min dimension is at most one tile).
-                let info = crate::lu::getrf_core(rows, jb, buf, rows, piv);
+                let how = crate::aux::Blocking::of("getrf", rows.min(jb));
+                let info = crate::lu::getrf_core(rows, jb, buf, rows, piv, how);
                 scatter(tm_ref, k, k, 0, jb, buf);
                 if info > 0 {
                     info + col_off as i32
@@ -335,7 +336,8 @@ pub fn potrf_dag<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i3
                 let ld = tm_ref.tile_rows(k);
                 // Blocked diagonal factorization (never re-enters the
                 // dag: the tile is at most one tile wide).
-                crate::chol::potrf_core(uplo, nbk, tm_ref.tile_mut(k, k), ld)
+                let how = crate::aux::Blocking::of("potrf", nbk);
+                crate::chol::potrf_core(uplo, nbk, tm_ref.tile_mut(k, k), ld, how)
             };
             // Negative codes (no workspace, cancelled) pass through.
             if info > 0 {

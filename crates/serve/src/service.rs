@@ -784,6 +784,8 @@ mod tests {
         // screened before it factors (fp_check).
         use la_core::probe::Span;
         use la_core::{FpCheckPolicy, ProbePolicy, TuneConfig};
+        // A direct read, to check the cached host count against.
+        #[allow(clippy::disallowed_methods)]
         let host = std::thread::available_parallelism().map_or(1, |p| p.get());
         let sentinel = Ctx {
             tune: TuneConfig {

@@ -70,7 +70,7 @@ fn gesv_span_tree_matches_closed_form_flops() {
     assert_eq!(getrf.layer, probe::Layer::Lapack);
     assert_eq!(getrf.flops, flops::getrf(n, n));
     // NB captured from tune at entry.
-    assert_eq!(getrf.nb, tune::current().nb("getrf"));
+    assert_eq!(getrf.nb, tune::current().nb("getrf", n));
 
     // The factorization's BLAS-3 leaves: gemm and trsm children whose
     // summed flops must match the analytically replicated blocked loop
@@ -90,7 +90,7 @@ fn gesv_span_tree_matches_closed_form_flops() {
         getrf.children.iter().any(|c| c.routine == "trsm"),
         "getrf should record trsm leaves"
     );
-    let expected = getrf_blas_child_flops(n, tune::current().nb("getrf"));
+    let expected = getrf_blas_child_flops(n, tune::current().nb("getrf", n));
     let diff = child_sum.abs_diff(expected) as f64;
     assert!(
         diff <= expected as f64 * 0.01,
