@@ -8,6 +8,12 @@
 //!   amortised over,
 //! * `dsyrk` (Lower/No, `C -= A·Aᵀ`) at the same shapes — `potrf`'s
 //!   trailing update,
+//! * left-side `dtrsm` at the shapes the solves and factorizations run —
+//!   256 × 1024 (`getrs`/`potrs` with many right-hand sides), 32 × 736 and
+//!   32 × 64 (`getrf`'s `U12` at n = 768 and n = 96), 96 × 672 U/T
+//!   (`potrf`) and 96 × {1 … 16}, the boundary of the per-column `trsv`
+//!   route — each with its ratio to the same run's `dgemm`
+//!   256 × 1024 × 256,
 //!
 //! and prints wall-clock and GF/s. Generates the kernel tables in
 //! `EXPERIMENTS.md`. Three "call floor" rows close the table — what the
@@ -15,12 +21,16 @@
 //! (next to the `dtrsv` it runs) cost in ns, under the default thread
 //! budget: the price of a call before it computes.
 //!
-//! Usage: `kernel_bench [n ...]` — the square sizes default to
-//! `256 512 1024`; pass explicit sizes (e.g. `kernel_bench 256 512 1024
-//! 2048`) for the full table. Best of at least 3 repetitions and 0.2 s
-//! per point. The `simd` row only appears when the binary is built with
-//! `--features simd` (otherwise the Simd selection would silently fall
-//! back to the unrolled kernel and mislabel the row).
+//! Usage: `kernel_bench [--min-trsm-over-gemm R] [n ...]` — the square
+//! sizes default to `256 512 1024`; pass explicit sizes (e.g.
+//! `kernel_bench 256 512 1024 2048`) for the full table. With
+//! `--min-trsm-over-gemm R` the run exits 1 when the `simd` kernel's
+//! `dtrsm` 256 × 1024 (L/N/unit) runs below `R` times its `dgemm`
+//! 256 × 1024 × 256 — a same-run ratio, so it gates on any host. Best of
+//! at least 3 repetitions and 0.2 s per point. The `simd` row only
+//! appears when the binary is built with `--features simd` (otherwise
+//! the Simd selection would silently fall back to the unrolled kernel
+//! and mislabel the row).
 //!
 //! Blocking parameters come from [`la_core::tune`], so `LA_GEMM_MC`,
 //! `LA_GEMM_KC`, and `LA_GEMM_NC` override the cache blocking for
@@ -108,29 +118,147 @@ fn call_floor() {
     );
 }
 
-/// Times `call` under each kernel selection and prints one row per kernel.
-fn rows(kernels: &[GemmKernel], op: &str, shape: &str, flops: f64, mut call: impl FnMut()) {
-    for &kern in kernels {
+/// Times `call` under each kernel selection and prints one row per kernel
+/// — with the ratio to `base[kernel]` (GF/s) when given. Returns the GF/s
+/// per kernel.
+fn rows(
+    kernels: &[GemmKernel],
+    op: &str,
+    shape: &str,
+    flops: f64,
+    base: Option<&[f64]>,
+    mut call: impl FnMut(),
+) -> Vec<f64> {
+    let mut rates = Vec::new();
+    for (idx, &kern) in kernels.iter().enumerate() {
         let cfg = tune::TuneConfig {
             gemm_kernel: kern,
             max_threads: 1,
             ..tune::TuneConfig::defaults()
         };
         let secs = tune::with(cfg, || best_of(&mut call));
+        let rate = flops / secs / 1e9;
+        let ratio = base.map_or(String::new(), |b| {
+            format!("  {:4.2} of gemm", rate / b[idx])
+        });
+        // The narrow solves take microseconds.
+        let (time, unit) = if secs < 1e-4 {
+            (secs * 1e6, "us")
+        } else {
+            (secs * 1e3, "ms")
+        };
         println!(
-            "{op:<5} {shape:<16} kernel={:<8} {:9.3} ms  {:6.2} GF/s",
+            "{op:<5} {shape:<16} kernel={:<8} {time:9.3} {unit}  {rate:6.2} GF/s{ratio}",
             format!("{kern:?}").to_lowercase(),
-            secs * 1e3,
-            flops / secs / 1e9
         );
+        rates.push(rate);
     }
+    rates
+}
+
+/// The shape the `trsm` rows are rated against and the gate reads:
+/// `getrs` at n = 256 with 1024 right-hand sides.
+const SOLVE_M: usize = 256;
+const SOLVE_N: usize = 1024;
+
+/// The `trsm` rows. Returns the 256 × 1024 L/N/unit ratio to `dgemm`
+/// 256 × 1024 × 256 per kernel.
+fn trsm_rows(kernels: &[GemmKernel], fill: impl Fn(usize, usize, usize) -> Vec<f64>) -> Vec<f64> {
+    let (m, n) = (SOLVE_M, SOLVE_N);
+    // A unit diagonal and off-diagonals of order 1e-10: the right-hand
+    // side is solved over and over without a reset and must stay put.
+    let mut tri: Vec<f64> = fill(m * m, 7, 13).iter().map(|x| x * 1e-10).collect();
+    for i in 0..m {
+        tri[i + i * m] = 1.0;
+    }
+    let b0 = fill(m * n, 5, 11);
+    let mut b = b0.clone();
+    let gemm = rows(
+        kernels,
+        "gemm",
+        &format!("{m}x{n}x{m}"),
+        2.0 * (m * n * m) as f64,
+        None,
+        || {
+            la_blas::gemm(
+                Trans::No,
+                Trans::No,
+                m,
+                n,
+                m,
+                -1.0,
+                &tri,
+                m,
+                &b0,
+                m,
+                1.0,
+                &mut b,
+                m,
+            );
+            std::hint::black_box(&b);
+        },
+    );
+    let (l, u) = (Uplo::Lower, Uplo::Upper);
+    let (no, tr) = (Trans::No, Trans::Trans);
+    let shapes = [
+        (m, n, l, no, Diag::Unit),
+        (m, n, u, no, Diag::NonUnit),
+        (m, n, u, tr, Diag::NonUnit),
+        (32, 736, l, no, Diag::Unit),
+        (96, 672, u, tr, Diag::NonUnit),
+        (32, 64, l, no, Diag::Unit),
+        (96, 1, l, no, Diag::Unit),
+        (96, 2, l, no, Diag::Unit),
+        (96, 4, l, no, Diag::Unit),
+        (96, 8, l, no, Diag::Unit),
+        (96, 16, l, no, Diag::Unit),
+    ];
+    let mut gated = Vec::new();
+    for (idx, (tm, tn, uplo, trans, diag)) in shapes.into_iter().enumerate() {
+        // L/N/U: the initials of `Lower`, `No`, `Unit`.
+        let initial = |name: String| name.chars().next().unwrap_or('?');
+        let shape = format!(
+            "{tm}x{tn} {}/{}/{}",
+            initial(format!("{uplo:?}")),
+            initial(format!("{trans:?}")),
+            initial(format!("{diag:?}")),
+        );
+        let flops = (tm * tm * tn) as f64;
+        let rates = rows(kernels, "trsm", &shape, flops, Some(&gemm), || {
+            la_blas::trsm(
+                Side::Left,
+                uplo,
+                trans,
+                diag,
+                tm,
+                tn,
+                1.0,
+                &tri,
+                m,
+                &mut b,
+                m,
+            );
+            std::hint::black_box(&b);
+        });
+        if idx == 0 {
+            gated = rates.iter().zip(&gemm).map(|(t, g)| t / g).collect();
+        }
+    }
+    gated
 }
 
 fn main() {
-    let mut sizes: Vec<usize> = std::env::args()
-        .skip(1)
-        .map(|a| a.parse().unwrap_or_else(|_| panic!("bad size {a:?}")))
-        .collect();
+    let mut min_ratio: Option<f64> = None;
+    let mut sizes: Vec<usize> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--min-trsm-over-gemm" {
+            let v = args.next().and_then(|v| v.parse().ok());
+            min_ratio = Some(v.expect("--min-trsm-over-gemm needs a ratio"));
+        } else {
+            sizes.push(arg.parse().unwrap_or_else(|_| panic!("bad size {arg:?}")));
+        }
+    }
     if sizes.is_empty() {
         sizes = vec![256, 512, 1024];
     }
@@ -150,7 +278,7 @@ fn main() {
         let b = fill(n * n, 5, 11);
         let mut c = vec![0.0f64; n * n];
         let flops = 2.0 * (n as f64).powi(3);
-        rows(&kernels, "gemm", &format!("n={n}"), flops, || {
+        rows(&kernels, "gemm", &format!("n={n}"), flops, None, || {
             la_blas::gemm(
                 Trans::No,
                 Trans::No,
@@ -176,7 +304,8 @@ fn main() {
     let mut c = vec![0.0f64; n * n];
     for &k in &UPDATE_K {
         let shape = format!("n={n} k={k}");
-        rows(&kernels, "gemm", &shape, 2.0 * (n * n * k) as f64, || {
+        let flops = 2.0 * (n * n * k) as f64;
+        rows(&kernels, "gemm", &shape, flops, None, || {
             la_blas::gemm(
                 Trans::No,
                 Trans::No,
@@ -194,10 +323,22 @@ fn main() {
             );
             std::hint::black_box(&c);
         });
-        rows(&kernels, "syrk", &shape, (n * (n + 1) * k) as f64, || {
+        let flops = (n * (n + 1) * k) as f64;
+        rows(&kernels, "syrk", &shape, flops, None, || {
             la_blas::syrk(Uplo::Lower, Trans::No, n, k, -1.0, &a, n, 1.0, &mut c, n);
             std::hint::black_box(&c);
         });
     }
+    let ratios = trsm_rows(&kernels, fill);
     call_floor();
+    if let Some(min) = min_ratio {
+        let at = kernels.iter().position(|&k| k == GemmKernel::Simd);
+        let at = at.expect("--min-trsm-over-gemm reads the simd row: build with --features simd");
+        let ratio = ratios[at];
+        println!("gate  trsm {SOLVE_M}x{SOLVE_N} over gemm (simd): {ratio:.2}, floor {min:.2}");
+        if ratio < min {
+            eprintln!("kernel_bench: trsm runs at {ratio:.2} of gemm, below {min:.2}");
+            std::process::exit(1);
+        }
+    }
 }

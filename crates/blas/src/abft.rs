@@ -27,7 +27,7 @@ use la_core::abft::{self, AbftPolicy};
 use la_core::{probe, Diag, MatMut, MatRef, RealScalar, Scalar, Trans, Uplo};
 
 use crate::kernel::PackedPlan;
-use crate::l3::{gemm_serial, syrk_block, trmm_left_cols, trsm_left_cols, SYRK_NB};
+use crate::l3::{gemm_serial, syrk_block, trmm_left_cols, SYRK_NB};
 
 /// Policy gate shared by every protected entry point: returns the active
 /// policy when ABFT is on *and* the operation is at or above the
@@ -552,17 +552,12 @@ pub(crate) fn trsm_encode<T: Scalar>(
 }
 
 /// Verifies the TRSM checksum (`v·x_j` against the encoded `eᵀB_j`);
-/// recovery restores the offending stripe and re-runs `trsm_left_cols`
-/// on it under the same plan.
-#[allow(clippy::too_many_arguments)]
+/// recovery restores the offending stripe and re-runs `solve` on it —
+/// the column kernel the call chose for every stripe.
 pub(crate) fn trsm_verify<T: Scalar>(
     ck: TrsmCheck<T>,
     stripes: usize,
-    plan: &PackedPlan<T>,
-    uplo: Uplo,
-    trans: Trans,
-    diag: Diag,
-    a: MatRef<'_, T>,
+    solve: impl Fn(MatMut<'_, T>),
     mut b: MatMut<'_, T>,
 ) {
     probe::with_abft(|| {
@@ -593,7 +588,7 @@ pub(crate) fn trsm_verify<T: Scalar>(
         for &t in &bad {
             let (j0, w) = stripe_bounds(n, stripes, t);
             restore_cols(&mut b, snap, j0, w);
-            trsm_left_cols(plan, uplo, trans, diag, a, b.rb().subview(0, j0, m, w));
+            solve(b.rb().subview(0, j0, m, w));
         }
         let ltol = loose(tol);
         let still = bad.iter().copied().find(|&t| {

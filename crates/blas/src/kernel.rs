@@ -28,6 +28,11 @@
 //! Every kernel for a given scalar type shares the same tile shape
 //! ([`tile_dims`]), so the packed-panel layout — and therefore the
 //! summation *grouping* — is identical across kernels.
+//!
+//! The triangular solve sweep (`l3::trsm_left_cols`) drives the same `tile`
+//! method and adds no kernel code: its in-tile substitution is one
+//! function generic over the tile shape (`solve_tile`), shared by all three
+//! kernels.
 
 use la_core::tune::GemmKernel;
 use la_core::Scalar;
@@ -195,6 +200,108 @@ pub fn tile_where<T: Scalar>(
         |t| kern.tile(kb, ap, bp, t, dims.0, dims.0, dims.1),
         |r, s| r < rows && s < cols && keep(r, s),
     );
+}
+
+/// The in-tile substitution of the triangular solve sweep (`trsm`): solves
+/// the `rows × cols` tile of `B` at `b` (column stride `ldb`) against one
+/// packed diagonal tile, writes `X` back over it and `−X` into `xneg`.
+///
+/// `d` is the `mr × mr` diagonal tile of `op(A)`, one column per group of
+/// `mr` (`d[k·mr + r] = op(A)(r, k)`); rows past `rows` must be the
+/// identity. Only the triangle is read, and with `unit` not its diagonal.
+/// `xneg` holds `rows` groups of `nr` in packed-B layout, columns past
+/// `cols` zero.
+pub(crate) type SolveTile<T> =
+    fn(unit: bool, d: &[T], b: &mut [T], ldb: usize, rows: usize, cols: usize, xneg: &mut [T]);
+
+/// The [`SolveTile`] for `T`'s tile shape, substituting forward (`lower`)
+/// or backward.
+pub(crate) fn solve_tile_for<T: Scalar>(lower: bool) -> SolveTile<T> {
+    match (tile_dims::<T>(), lower) {
+        ((16, 4), true) => solve_tile::<T, 16, 4, true>,
+        ((16, 4), false) => solve_tile::<T, 16, 4, false>,
+        ((8, 4), true) => solve_tile::<T, 8, 4, true>,
+        ((8, 4), false) => solve_tile::<T, 8, 4, false>,
+        (_, true) => solve_tile::<T, 4, 2, true>,
+        (_, false) => solve_tile::<T, 4, 2, false>,
+    }
+}
+
+/// [`SolveTile`] over one tile shape and direction. Every loop bound is a
+/// constant so the substitution unrolls; the right-hand sides run across
+/// the lanes of each row, and a pivot divides (no reciprocal), as `trsv`
+/// does.
+fn solve_tile<T: Scalar, const MR: usize, const NR: usize, const LOWER: bool>(
+    unit: bool,
+    d: &[T],
+    b: &mut [T],
+    ldb: usize,
+    rows: usize,
+    cols: usize,
+    xneg: &mut [T],
+) {
+    assert!(rows <= MR && cols <= NR && rows > 0 && cols > 0);
+    assert!(d.len() >= MR * MR && xneg.len() >= rows * NR);
+    assert!(b.len() >= (cols - 1) * ldb + rows);
+    // A full tile — all but the ragged edges of `B` — is copied in and out
+    // with constant bounds too.
+    let full = (rows, cols) == (MR, NR);
+    // Zero right-hand sides in the rows and lanes past a ragged edge.
+    let mut t = [[T::zero(); NR]; MR];
+    if full {
+        for s in 0..NR {
+            let col = &b[s * ldb..s * ldb + MR];
+            for r in 0..MR {
+                t[r][s] = col[r];
+            }
+        }
+    } else {
+        for s in 0..cols {
+            for r in 0..rows {
+                t[r][s] = b[r + s * ldb];
+            }
+        }
+    }
+    for step in 0..MR {
+        let k = if LOWER { step } else { MR - 1 - step };
+        let col = &d[k * MR..k * MR + MR];
+        if !unit {
+            let pivot = col[k];
+            for x in &mut t[k] {
+                *x = *x / pivot;
+            }
+        }
+        let xk = t[k];
+        let below = if LOWER { k + 1..MR } else { 0..k };
+        for r in below {
+            let a = col[r];
+            for s in 0..NR {
+                t[r][s] -= a * xk[s];
+            }
+        }
+    }
+    if full {
+        for s in 0..NR {
+            let col = &mut b[s * ldb..s * ldb + MR];
+            for r in 0..MR {
+                col[r] = t[r][s];
+            }
+        }
+        for (g, row) in xneg.chunks_exact_mut(NR).zip(&t) {
+            for s in 0..NR {
+                g[s] = -row[s];
+            }
+        }
+    } else {
+        for (r, g) in xneg.chunks_exact_mut(NR).take(rows).enumerate() {
+            for s in 0..NR {
+                g[s] = if s < cols { -t[r][s] } else { T::zero() };
+            }
+            for s in 0..cols {
+                b[r + s * ldb] = t[r][s];
+            }
+        }
+    }
 }
 
 /// Reference triple-loop microkernel: one scalar accumulator per tile
@@ -637,6 +744,80 @@ mod tests {
         short_c_panics::<f64>();
         short_c_panics::<C32>();
         short_c_panics::<C64>();
+    }
+
+    /// The contract of the tile substitution, full and ragged shapes, both
+    /// directions, with NaN wherever it must not look (the other triangle,
+    /// a unit diagonal): the tile holds `X`, `xneg` holds `−X` in packed-B
+    /// layout with zero lanes past `cols`, and nothing else is touched.
+    fn solve_tile_contract<T: Scalar>() {
+        let (mr, nr) = tile_dims::<T>();
+        let nan = T::from_f64(f64::NAN);
+        for lower in [true, false] {
+            for unit in [false, true] {
+                for (rows, cols) in [(mr, nr), (mr - 1, nr), (mr, nr - 1), (1, 1)] {
+                    // op(A)(r, k) at d[k·mr + r]; identity past `rows`.
+                    let tri: Vec<T> = vals(mr * mr, 10);
+                    let mut d = vec![nan; mr * mr];
+                    for k in 0..mr {
+                        for r in 0..mr {
+                            let inside = if lower { r > k } else { r < k };
+                            d[k * mr + r] = match (r == k, r < rows && k < rows) {
+                                (true, true) if unit => nan,
+                                (true, true) => tri[k * mr + r] + T::from_f64(3.0),
+                                (true, false) => T::one(),
+                                (false, true) if inside => tri[k * mr + r],
+                                (false, true) => nan,
+                                (false, false) => T::zero(),
+                            };
+                        }
+                    }
+                    let ldb = rows + 3;
+                    let b0: Vec<T> = vals(cols * ldb + ldb, 11);
+                    // Naive substitution, one dot product per element.
+                    let mut want = b0.clone();
+                    for s in 0..cols {
+                        for step in 0..rows {
+                            let r = if lower { step } else { rows - 1 - step };
+                            let done = if lower { 0..r } else { r + 1..rows };
+                            let mut x = want[r + s * ldb];
+                            for k in done {
+                                x -= d[k * mr + r] * want[k + s * ldb];
+                            }
+                            want[r + s * ldb] = if unit { x } else { x / d[r * mr + r] };
+                        }
+                    }
+                    let mut b = b0.clone();
+                    let mut xneg = vec![nan; rows * nr];
+                    solve_tile_for::<T>(lower)(unit, &d, &mut b, ldb, rows, cols, &mut xneg);
+                    let tag = format!("{} lower={lower} unit={unit} {rows}x{cols}", T::PREFIX);
+                    let tol = 8.0 * mr as f64 * T::Real::EPS.to_f64();
+                    for (idx, (&g, &w)) in b.iter().zip(&want).enumerate() {
+                        let (r, s) = (idx % ldb, idx / ldb);
+                        if r < rows && s < cols {
+                            let err = (g - w).abs().to_f64();
+                            assert!(err <= tol * (1.0 + w.abs().to_f64()), "{tag} ({r},{s})");
+                            assert_eq!(xneg[r * nr + s], -g, "{tag} xneg ({r},{s})");
+                        } else {
+                            assert_eq!(g, b0[idx], "{tag} touched ({r},{s})");
+                        }
+                    }
+                    for r in 0..rows {
+                        for s in cols..nr {
+                            assert_eq!(xneg[r * nr + s], T::zero(), "{tag} pad lane ({r},{s})");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn solve_tile_substitutes_in_place_and_packs_minus_x() {
+        solve_tile_contract::<f32>();
+        solve_tile_contract::<f64>();
+        solve_tile_contract::<C32>();
+        solve_tile_contract::<C64>();
     }
 
     #[test]

@@ -399,9 +399,9 @@ fn trmv_trsv_roundtrip() {
     }
 }
 
-/// Triangle orders on both sides of the blocked crossover (`TRX_NB` = 48)
-/// against right-hand-side counts on both sides of the 4-column switch
-/// of the transposed substitution.
+/// Triangle orders around one and two of `trmm`'s 48-row blocks against
+/// right-hand-side counts on both sides of the 4-column switch from a
+/// `trsv`/`trmv` per column to the Level-3 forms.
 fn trsm_trmm_roundtrip<T: Scalar>() {
     let mut rng = Stream::new(19);
     for side in [Side::Left, Side::Right] {
@@ -455,6 +455,52 @@ fn trsm_trmm_roundtrip<T: Scalar>() {
 fn trsm_solves_and_trmm_inverts_it() {
     trsm_trmm_roundtrip::<f64>();
     trsm_trmm_roundtrip::<C64>();
+}
+
+/// Reference `xTRSM`/`xTRMM` with `alpha = 0` set `B := 0` and return
+/// without referencing `A` — an operand the operation does not reference
+/// must not reach the result (Demmel et al., arXiv:2207.09281).
+fn alpha_zero_never_reads_a<T: Scalar>() {
+    let na = 6usize;
+    let a = vec![T::from_f64(f64::NAN); na * na];
+    let mut rng = Stream::new(21);
+    for side in [Side::Left, Side::Right] {
+        for nrhs in [1usize, 8] {
+            let (m, n) = if side == Side::Left {
+                (na, nrhs)
+            } else {
+                (nrhs, na)
+            };
+            let ldb = m + 1;
+            let b0 = rng.vec::<T>(ldb * n);
+            for uplo in [Uplo::Upper, Uplo::Lower] {
+                for trans in [Trans::No, Trans::Trans, Trans::ConjTrans] {
+                    for diag in [Diag::NonUnit, Diag::Unit] {
+                        let zero = T::zero();
+                        let mut want = b0.clone();
+                        for col in want.chunks_mut(ldb) {
+                            col[..m].fill(zero);
+                        }
+                        let tag = format!("{side:?} {uplo:?} {trans:?} {diag:?} {m}x{n}");
+                        let mut b = b0.clone();
+                        trsm(side, uplo, trans, diag, m, n, zero, &a, na, &mut b, ldb);
+                        assert!(b == want, "{}trsm {tag}", T::PREFIX);
+                        let mut b = b0.clone();
+                        trmm(side, uplo, trans, diag, m, n, zero, &a, na, &mut b, ldb);
+                        assert!(b == want, "{}trmm {tag}", T::PREFIX);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn trsm_trmm_alpha_zero_never_read_a() {
+    alpha_zero_never_reads_a::<f32>();
+    alpha_zero_never_reads_a::<f64>();
+    alpha_zero_never_reads_a::<C32>();
+    alpha_zero_never_reads_a::<C64>();
 }
 
 #[test]

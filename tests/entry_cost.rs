@@ -4,8 +4,9 @@
 //!
 //! * A counting `#[global_allocator]` (per-thread, so parallel tests do
 //!   not see each other): once warm, the thread-budget resolution and the
-//!   small BLAS-3 shapes allocate nothing, and the n = 96 drivers stay
-//!   within the counts `la_bench` reports (`la90.allocs_per_gesv` /
+//!   small BLAS-3 shapes allocate nothing, the packed `trsm` sweep works
+//!   out of the thread's arena at every size, and the drivers stay within
+//!   the counts `la_bench` reports (`la90.allocs_per_gesv` /
 //!   `allocs_per_posv`).
 //! * Around the crossover (n = 47 … 129, four types) the default route is
 //!   bitwise the unblocked form up to n = 64 and bitwise the forced-blocked
@@ -275,6 +276,54 @@ fn drivers_at_n96_stay_within_the_reported_allocation_counts() {
             });
             assert!(posv <= 3, "posv allocated {posv} times");
         });
+    }
+}
+
+#[test]
+fn warm_packed_trsm_does_not_allocate() {
+    // The solve sweep packs the triangle and −X into the thread's arena:
+    // no workspace of its own, whatever op(A) is.
+    let tri: Vec<f64> = general(256, 11);
+    for (m, n) in [(96usize, 8usize), (256, 64)] {
+        let mut b: Vec<f64> = Rng(12).vec(m * n);
+        for cfg in budgets() {
+            for uplo in [Uplo::Upper, Uplo::Lower] {
+                for trans in [Trans::No, Trans::Trans, Trans::ConjTrans] {
+                    let (left, diag) = (Side::Left, Diag::NonUnit);
+                    let allocs = tune::with(cfg, || {
+                        allocs_when_warm(|| {
+                            trsm(left, uplo, trans, diag, m, n, 1.0, &tri, 256, &mut b, m)
+                        })
+                    });
+                    assert_eq!(allocs, 0, "trsm {m}x{n} {uplo:?}/{trans:?}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn gesv_with_many_right_hand_sides_allocates_only_its_own_workspace() {
+    // `la_bench --trace 1` on `wide_rhs` reports `la90.allocs_per_gesv` =
+    // 2 (the pivot vector and getrf's U12 copy): the two solves of getrs
+    // add nothing. ABFT is pinned off, as `la_bench` runs: at this size
+    // the checksum layer is active and keeps snapshots of its own.
+    use la_core::abft::{with_policy, AbftPolicy};
+    let (n, nrhs) = (256usize, 64usize);
+    let a0 = Mat::from_col_major(n, n, general::<f64>(n, 13));
+    let b0 = Mat::from_col_major(n, nrhs, Rng(14).vec::<f64>(n * nrhs));
+    for cfg in budgets() {
+        let (mut a, mut b) = (a0.clone(), b0.clone());
+        let gesv = with_policy(AbftPolicy::Off, || {
+            tune::with(cfg, || {
+                allocs_when_warm(|| {
+                    a.as_mut_slice().copy_from_slice(a0.as_slice());
+                    b.as_mut_slice().copy_from_slice(b0.as_slice());
+                    la90::gesv(&mut a, &mut b).expect("gesv");
+                })
+            })
+        });
+        assert!(gesv <= 2, "gesv allocated {gesv} times");
     }
 }
 

@@ -12,6 +12,11 @@
 //! * the triangle-masked `syrk`/`herk` band sweep matches a naive rank-k
 //!   reference around the band, tile and blocking boundaries, and leaves
 //!   the unreferenced triangle untouched;
+//! * the `trsm` solve sweep matches a naive substitution around the tile,
+//!   diagonal-block and band boundaries, never reads the unreferenced
+//!   triangle (or a unit diagonal), keeps a poisoned right-hand side to
+//!   its own column, and gives each column the same bits whatever the
+//!   stripe split, the ABFT policy or the other columns of the call;
 //! * serial and column-striped parallel execution are bitwise identical
 //!   for a fixed kernel (the packed path blocks `k` identically in both),
 //!   including under `AbftPolicy::Verify` checksums;
@@ -23,9 +28,10 @@
 //! for all four scalar types.
 
 use la_blas::kernel::tile_dims;
-use la_blas::{gemm, herk, syrk};
+use la_blas::{gemm, herk, syrk, trsm};
+use la_core::abft::{self, AbftPolicy};
 use la_core::tune::{self, GemmKernel};
-use la_core::{RealScalar, Scalar, Trans, Uplo, C32, C64};
+use la_core::{Diag, RealScalar, Scalar, Side, Trans, Uplo, C32, C64};
 
 struct Rng(u64);
 
@@ -396,6 +402,334 @@ fn syrk_sweep_across_band_row_and_depth_blocks() {
     };
     syrk_sweep::<f64>(f64::EPSILON, base, &[97], &[31, 96]);
     syrk_sweep::<C32>(f32::EPSILON as f64 * 2.0, base, &[97], &[31, 96]);
+}
+
+/// The kernels a sweep pins, `simd` only when it is compiled in.
+fn pinned_kernels() -> Vec<GemmKernel> {
+    let mut kernels = vec![GemmKernel::Scalar, GemmKernel::Unrolled];
+    if cfg!(feature = "simd") {
+        kernels.push(GemmKernel::Simd);
+    }
+    kernels
+}
+
+const UPLOS: [Uplo; 2] = [Uplo::Lower, Uplo::Upper];
+const TRANSES: [Trans; 3] = [Trans::No, Trans::Trans, Trans::ConjTrans];
+const DIAGS: [Diag; 2] = [Diag::NonUnit, Diag::Unit];
+
+/// A well-conditioned triangle of order `na` (`lda = na + 2`): small
+/// off-diagonals under a diagonal near 4. Everything `trsm` must not read
+/// — the other triangle, the padding and, under `Diag::Unit`, the
+/// diagonal — is NaN.
+fn triangle<T: Scalar>(rng: &mut Rng, uplo: Uplo, diag: Diag, na: usize) -> Vec<T> {
+    let lda = na + 2;
+    let nan = T::from_f64(f64::NAN);
+    let mut a = vec![nan; lda * na];
+    for j in 0..na {
+        for i in 0..na {
+            let stored = if uplo == Uplo::Upper { i < j } else { i > j };
+            if stored {
+                a[i + j * lda] = rng.val::<T>() * T::from_f64(1.0 / na as f64);
+            }
+        }
+        if diag == Diag::NonUnit {
+            a[j + j * lda] = rng.val::<T>() + T::from_f64(4.0);
+        }
+    }
+    a
+}
+
+/// `op(A)·X = α·B` or `X·op(A) = α·B` by plain substitution, one dot
+/// product per element, reading exactly what `xTRSM` may reference.
+#[allow(clippy::too_many_arguments)]
+fn naive_trsm<T: Scalar>(
+    side: Side,
+    uplo: Uplo,
+    trans: Trans,
+    diag: Diag,
+    m: usize,
+    n: usize,
+    alpha: T,
+    a: &[T],
+    lda: usize,
+    b: &mut [T],
+    ldb: usize,
+) {
+    let na = if side == Side::Left { m } else { n };
+    // op(A)(i, l) for i ≠ l, zero outside the stored triangle.
+    let t = |i: usize, l: usize| {
+        let (si, sl) = if trans == Trans::No { (i, l) } else { (l, i) };
+        if (uplo == Uplo::Upper) == (si < sl) {
+            op_el(trans, a, lda, i, l)
+        } else {
+            T::zero()
+        }
+    };
+    let pivot = |x: T, i: usize| match diag {
+        Diag::Unit => x,
+        Diag::NonUnit => x / op_el(trans, a, lda, i, i),
+    };
+    // Whether op(A) is lower triangular.
+    let lower = (uplo == Uplo::Lower) == (trans == Trans::No);
+    // Left: rows top down under a lower op(A). Right: x_j draws on the
+    // columns l with op(A)(l, j) ≠ 0, so the order is the other way round.
+    let ascending = lower == (side == Side::Left);
+    for step in 0..na {
+        let p = if ascending { step } else { na - 1 - step };
+        let done = if ascending { 0..p } else { p + 1..na };
+        match side {
+            Side::Left => {
+                for j in 0..n {
+                    let mut s = alpha * b[p + j * ldb];
+                    for l in done.clone() {
+                        s -= t(p, l) * b[l + j * ldb];
+                    }
+                    b[p + j * ldb] = pivot(s, p);
+                }
+            }
+            Side::Right => {
+                for i in 0..m {
+                    let mut s = alpha * b[i + p * ldb];
+                    for l in done.clone() {
+                        s -= b[i + l * ldb] * t(l, p);
+                    }
+                    b[i + p * ldb] = pivot(s, p);
+                }
+            }
+        }
+    }
+}
+
+/// The solve sweep against [`naive_trsm`]: every uplo × trans × diag,
+/// every kernel, the given `B` shapes. `B` has padding rows that must come
+/// back bit for bit, and `A` is NaN wherever `trsm` must not look.
+fn trsm_sweep<T: Scalar>(eps: f64, base: tune::TuneConfig, side: Side, ms: &[usize], ns: &[usize]) {
+    let mut rng = Rng(0x7125 ^ tile_dims::<T>().0 as u64);
+    let alpha = T::from_f64(-1.5);
+    for &m in ms {
+        for &n in ns {
+            let na = if side == Side::Left { m } else { n };
+            let (lda, ldb) = (na + 2, m + 3);
+            let b0: Vec<T> = rng.vec(ldb * n);
+            for (uplo, trans, diag) in UPLOS
+                .iter()
+                .flat_map(|&u| TRANSES.iter().map(move |&t| (u, t)))
+                .flat_map(|(u, t)| DIAGS.iter().map(move |&d| (u, t, d)))
+            {
+                let a: Vec<T> = triangle(&mut rng, uplo, diag, na);
+                let mut want = b0.clone();
+                naive_trsm(
+                    side, uplo, trans, diag, m, n, alpha, &a, lda, &mut want, ldb,
+                );
+                let tag = format!("{} {side:?}/{uplo:?}/{trans:?}/{diag:?} {m}x{n}", T::PREFIX);
+                let tol = eps * 50.0 * (na as f64 + 1.0);
+                let mut first: Option<Vec<T>> = None;
+                for kern in pinned_kernels() {
+                    let cfg = tune::TuneConfig {
+                        gemm_kernel: kern,
+                        ..base
+                    };
+                    let mut got = b0.clone();
+                    tune::with(cfg, || {
+                        trsm(side, uplo, trans, diag, m, n, alpha, &a, lda, &mut got, ldb)
+                    });
+                    for (idx, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                        let (i, j) = (idx % ldb, idx / ldb);
+                        if i >= m {
+                            assert_eq!(g, b0[idx], "{tag} {kern:?} touched padding ({i},{j})");
+                            continue;
+                        }
+                        // A NaN fails the comparison too.
+                        let d = (g - w).abs().to_f64();
+                        let scale = 1.0 + w.abs().to_f64();
+                        assert!(d <= tol * scale, "{tag} {kern:?} ({i},{j}): {g} vs {w}");
+                    }
+                    // scalar ↔ unrolled: bitwise, as for gemm.
+                    match (&first, kern) {
+                        (None, _) => first = Some(got),
+                        (Some(f), GemmKernel::Unrolled) => {
+                            assert_eq!(f, &got, "{tag}: scalar vs unrolled not bitwise")
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Orders around one tile row, the old 48-row blocking and two blocks of
+/// it; widths on both sides of the narrow (`trsv`) route and of one tile.
+fn trsm_left_shapes<T: Scalar>() -> (Vec<usize>, Vec<usize>) {
+    let (mr, nr) = tile_dims::<T>();
+    (
+        vec![1, mr - 1, mr, mr + 1, 47, 48, 49, 97],
+        vec![4, 5, nr + 1, 64],
+    )
+}
+
+fn trsm_left_sweep<T: Scalar>(eps: f64) {
+    let (ms, ns) = trsm_left_shapes::<T>();
+    let base = tune::TuneConfig::defaults();
+    trsm_sweep::<T>(eps, base, Side::Left, &ms, &ns);
+}
+
+#[test]
+fn trsm_sweep_f32() {
+    trsm_left_sweep::<f32>(f32::EPSILON as f64);
+}
+
+#[test]
+fn trsm_sweep_f64() {
+    trsm_left_sweep::<f64>(f64::EPSILON);
+}
+
+#[test]
+fn trsm_sweep_c32() {
+    trsm_left_sweep::<C32>(f32::EPSILON as f64 * 2.0);
+}
+
+#[test]
+fn trsm_sweep_c64() {
+    trsm_left_sweep::<C64>(f64::EPSILON * 2.0);
+}
+
+/// The same sweep under a blocking small enough that the triangle spans
+/// seven diagonal blocks (the last one ragged) and `B` two bands, so the
+/// off-block update runs from both ends at test sizes.
+#[test]
+fn trsm_sweep_across_diagonal_blocks_and_bands() {
+    let base = tune::TuneConfig {
+        gemm_mc: 22,
+        gemm_kc: 16,
+        gemm_nc: 37,
+        ..tune::TuneConfig::defaults()
+    };
+    trsm_sweep::<f64>(f64::EPSILON, base, Side::Left, &[47, 97], &[5, 64]);
+    trsm_sweep::<C32>(
+        f32::EPSILON as f64 * 2.0,
+        base,
+        Side::Left,
+        &[47, 97],
+        &[5, 64],
+    );
+}
+
+/// `Side::Right` on both of its routes: a `trsv` per row below twelve
+/// rows, the transposed left-side sweep from twelve.
+#[test]
+fn trsm_sweep_right_side() {
+    let base = tune::TuneConfig::defaults();
+    let ms = [11, 12, 13];
+    trsm_sweep::<f32>(f32::EPSILON as f64, base, Side::Right, &ms, &[5, 49]);
+    trsm_sweep::<f64>(f64::EPSILON, base, Side::Right, &ms, &[5, 49]);
+    trsm_sweep::<C32>(f32::EPSILON as f64 * 2.0, base, Side::Right, &ms, &[5, 49]);
+    trsm_sweep::<C64>(f64::EPSILON * 2.0, base, Side::Right, &ms, &[5, 49]);
+}
+
+/// A NaN or an Inf in one right-hand side stays in its column: every other
+/// column comes back with the bits of the clean solve.
+#[test]
+fn trsm_keeps_a_poisoned_column_to_itself() {
+    fn check<T: Scalar>() {
+        let (m, n) = (49usize, 64usize);
+        let mut rng = Rng(0xbad);
+        let b0: Vec<T> = rng.vec(m * n);
+        for (uplo, trans) in UPLOS
+            .iter()
+            .flat_map(|&u| TRANSES.iter().map(move |&t| (u, t)))
+        {
+            let a: Vec<T> = triangle(&mut rng, uplo, Diag::NonUnit, m);
+            let solve = |b: &mut [T]| {
+                let (left, diag) = (Side::Left, Diag::NonUnit);
+                trsm(left, uplo, trans, diag, m, n, T::one(), &a, m + 2, b, m);
+            };
+            let mut clean = b0.clone();
+            solve(&mut clean);
+            for (poison, row, col) in [(f64::NAN, 0, 5), (f64::INFINITY, m - 1, 62)] {
+                let mut b = b0.clone();
+                b[row + col * m] = T::from_f64(poison);
+                solve(&mut b);
+                let tag = format!("{} {uplo:?}/{trans:?} {poison} in column {col}", T::PREFIX);
+                for j in 0..n {
+                    let (got, want) = (&b[j * m..(j + 1) * m], &clean[j * m..(j + 1) * m]);
+                    if j == col {
+                        let finite = |x: &T| x.abs().to_f64().is_finite();
+                        assert!(!got.iter().all(finite), "{tag}: the poison vanished");
+                    } else {
+                        assert!(got == want, "{tag}: column {j} changed");
+                    }
+                }
+            }
+        }
+    }
+    check::<f64>();
+    check::<C64>();
+}
+
+/// A column's bits depend on the triangle and on nothing else: not on the
+/// stripe split (two oversubscribed stripes cut `n = 5` into 3 + 2), not
+/// on the ABFT policy (which routes the call past the narrow-shape early
+/// exit, and whose recovery re-runs a stripe), and — from four columns up,
+/// where every call takes the packed sweep — not on the other columns.
+#[test]
+fn trsm_columns_do_not_depend_on_stripes_policy_or_neighbours() {
+    fn check<T: Scalar>() {
+        let m = 60usize;
+        let widths = [1usize, 2, 3, 5, 6, 7, 9];
+        let wide = *widths.last().unwrap();
+        let mut rng = Rng(0x1d);
+        let b0: Vec<T> = rng.vec(m * wide);
+        let serial = tune::TuneConfig {
+            max_threads: 1,
+            par_flops: 0,
+            ..tune::TuneConfig::defaults()
+        };
+        let striped = tune::TuneConfig {
+            max_threads: 2,
+            oversubscribe: true,
+            ..serial
+        };
+        for (uplo, trans, diag) in UPLOS
+            .iter()
+            .flat_map(|&u| TRANSES.iter().map(move |&t| (u, t)))
+            .flat_map(|(u, t)| DIAGS.iter().map(move |&d| (u, t, d)))
+        {
+            let a: Vec<T> = triangle(&mut rng, uplo, diag, m);
+            let run = |cfg: tune::TuneConfig, pol: AbftPolicy, n: usize| {
+                let mut b = b0[..m * n].to_vec();
+                abft::clear_pending();
+                abft::with_policy(pol, || {
+                    tune::with(cfg, || {
+                        let (left, one) = (Side::Left, T::one());
+                        trsm(left, uplo, trans, diag, m, n, one, &a, m + 2, &mut b, m)
+                    })
+                });
+                assert!(abft::take_pending().is_none(), "ABFT flagged a clean solve");
+                b
+            };
+            let widest = run(serial, AbftPolicy::Off, wide);
+            for n in widths {
+                let tag = format!("{} {uplo:?}/{trans:?}/{diag:?} n={n}", T::PREFIX);
+                let plain = run(serial, AbftPolicy::Off, n);
+                for pol in [AbftPolicy::Off, AbftPolicy::Verify, AbftPolicy::Recover] {
+                    assert!(run(serial, pol, n) == plain, "{tag}: serial under {pol:?}");
+                    assert!(
+                        run(striped, pol, n) == plain,
+                        "{tag}: striped under {pol:?}"
+                    );
+                }
+                if n >= 4 {
+                    assert!(
+                        plain[..] == widest[..m * n],
+                        "{tag}: vs the first of {wide}"
+                    );
+                }
+            }
+        }
+    }
+    check::<f64>();
+    check::<C64>();
 }
 
 /// For a fixed kernel, the column-striped parallel path and the serial
