@@ -15,18 +15,27 @@
 //!   route — each with its ratio to the same run's `dgemm`
 //!   256 × 1024 × 256,
 //!
+//! * the `dgetf2` panel at the shapes a blocked `getrf` factors — 96 × 32,
+//!   64 × 32, 32 × 32 (n = 96), 736 × 32 (n = 768) — and 64 × 64 (the
+//!   largest unblocked order), each with its ratio to the right-looking
+//!   rank-1 loop it replaced (kept here as the reference; these rows do
+//!   not depend on the gemm kernel),
+//!
 //! and prints wall-clock and GF/s. Generates the kernel tables in
 //! `EXPERIMENTS.md`. Three "call floor" rows close the table — what the
 //! thread-budget resolution, a 4×4×4 `dgemm` and a one-column `dtrsm`
 //! (next to the `dtrsv` it runs) cost in ns, under the default thread
 //! budget: the price of a call before it computes.
 //!
-//! Usage: `kernel_bench [--min-trsm-over-gemm R] [n ...]` — the square
+//! Usage: `kernel_bench [--min-trsm-over-gemm R] [--min-panel-over-rank1 R]
+//! [n ...]` — the square
 //! sizes default to `256 512 1024`; pass explicit sizes (e.g.
 //! `kernel_bench 256 512 1024 2048`) for the full table. With
 //! `--min-trsm-over-gemm R` the run exits 1 when the `simd` kernel's
 //! `dtrsm` 256 × 1024 (L/N/unit) runs below `R` times its `dgemm`
-//! 256 × 1024 × 256 — a same-run ratio, so it gates on any host. Best of
+//! 256 × 1024 × 256, and with `--min-panel-over-rank1 R` when `dgetf2`
+//! 96 × 32 is less than `R` times as fast as the rank-1 loop — same-run
+//! ratios, so they gate on any host. Best of
 //! at least 3 repetitions and 0.2 s per point. The `simd` row only
 //! appears when the binary is built with `--features simd` (otherwise
 //! the Simd selection would silently fall back to the unrolled kernel
@@ -247,14 +256,97 @@ fn trsm_rows(kernels: &[GemmKernel], fill: impl Fn(usize, usize, usize) -> Vec<f
     gated
 }
 
+/// The right-looking rank-1 `getf2` (one pass over the trailing panel per
+/// pivot) that `la_lapack::getf2` replaced: the baseline of the panel rows.
+fn getf2_rank1(m: usize, n: usize, a: &mut [f64], lda: usize, ipiv: &mut [i32]) -> i32 {
+    let mut info = 0i32;
+    for j in 0..m.min(n) {
+        let p = j + la_blas::iamax(m - j, &a[j + j * lda..], 1);
+        ipiv[j] = (p + 1) as i32;
+        if a[p + j * lda] != 0.0 {
+            if p != j {
+                for k in 0..n {
+                    a.swap(j + k * lda, p + k * lda);
+                }
+            }
+            if j + 1 < m {
+                let inv = a[j + j * lda].recip();
+                la_blas::scal(m - j - 1, inv, &mut a[j + 1 + j * lda..], 1);
+            }
+        } else if info == 0 {
+            info = (j + 1) as i32;
+        }
+        if j + 1 < m && j + 1 < n {
+            let (head, rest) = a.split_at_mut((j + 1) * lda);
+            let col = &head[j + 1 + j * lda..m + j * lda];
+            for k in 0..n - j - 1 {
+                let ck = &mut rest[j + k * lda..m + k * lda];
+                let ajk = ck[0];
+                if ajk != 0.0 {
+                    for (x, &l) in ck[1..].iter_mut().zip(col) {
+                        *x -= l * ajk;
+                    }
+                }
+            }
+        }
+    }
+    info
+}
+
+/// The `getf2` panel rows. Returns the 96 × 32 speed-up over the rank-1
+/// loop.
+fn panel_rows() -> f64 {
+    type Panel = fn(usize, usize, &mut [f64], usize, &mut [i32]) -> i32;
+    // Full-rank entries in [−1, 1): the periodic `fill` of the other rows
+    // has rank 13 and would time the zero-pivot path.
+    let mut rng = la_bench::SplitMix64::new(0x9e37_79b9_7f4a_7c15);
+    let mut gated = 0.0;
+    for (m, n) in [(96usize, 32usize), (64, 32), (32, 32), (736, 32), (64, 64)] {
+        let a0: Vec<f64> = (0..m * n).map(|_| rng.next_f64()).collect();
+        let mut a = a0.clone();
+        let mut ipiv = vec![0i32; n];
+        // Each call factors a fresh copy; only the factorization is timed.
+        let mut time = |f: Panel| {
+            let mut best = f64::INFINITY;
+            let start = Instant::now();
+            while start.elapsed().as_secs_f64() < 0.2 {
+                a.copy_from_slice(&a0);
+                let t0 = Instant::now();
+                f(m, n, &mut a, m, &mut ipiv);
+                best = best.min(t0.elapsed().as_secs_f64());
+                std::hint::black_box(&a);
+            }
+            best
+        };
+        let rank1 = time(getf2_rank1);
+        let panel = time(la_lapack::getf2::<f64>);
+        let rate = la_core::probe::flops::getrf(m, n) as f64 / panel / 1e9;
+        let shape = format!("{m}x{n}");
+        println!(
+            "getf2 {shape:<16}                 {:9.3} us  {rate:6.2} GF/s  {:4.2} x rank-1 ({:.3} us)",
+            panel * 1e6,
+            rank1 / panel,
+            rank1 * 1e6,
+        );
+        if (m, n) == (96, 32) {
+            gated = rank1 / panel;
+        }
+    }
+    gated
+}
+
 fn main() {
     let mut min_ratio: Option<f64> = None;
+    let mut min_panel: Option<f64> = None;
     let mut sizes: Vec<usize> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if arg == "--min-trsm-over-gemm" {
             let v = args.next().and_then(|v| v.parse().ok());
             min_ratio = Some(v.expect("--min-trsm-over-gemm needs a ratio"));
+        } else if arg == "--min-panel-over-rank1" {
+            let v = args.next().and_then(|v| v.parse().ok());
+            min_panel = Some(v.expect("--min-panel-over-rank1 needs a ratio"));
         } else {
             sizes.push(arg.parse().unwrap_or_else(|_| panic!("bad size {arg:?}")));
         }
@@ -330,6 +422,7 @@ fn main() {
         });
     }
     let ratios = trsm_rows(&kernels, fill);
+    let panel_ratio = panel_rows();
     call_floor();
     if let Some(min) = min_ratio {
         let at = kernels.iter().position(|&k| k == GemmKernel::Simd);
@@ -338,6 +431,15 @@ fn main() {
         println!("gate  trsm {SOLVE_M}x{SOLVE_N} over gemm (simd): {ratio:.2}, floor {min:.2}");
         if ratio < min {
             eprintln!("kernel_bench: trsm runs at {ratio:.2} of gemm, below {min:.2}");
+            std::process::exit(1);
+        }
+    }
+    if let Some(min) = min_panel {
+        println!("gate  getf2 96x32 over the rank-1 loop: {panel_ratio:.2}, floor {min:.2}");
+        if panel_ratio < min {
+            eprintln!(
+                "kernel_bench: getf2 runs at {panel_ratio:.2} x the rank-1 loop, below {min:.2}"
+            );
             std::process::exit(1);
         }
     }

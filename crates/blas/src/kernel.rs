@@ -404,6 +404,14 @@ impl<T: Scalar, const MR: usize, const NR: usize> MicroKernel<T> for Unrolled<MR
     }
 }
 
+/// The CPU check of the `simd` feature: everything compiled with
+/// `#[target_feature(enable = "avx2,fma")]` is called only behind it (the
+/// standard library caches the detection, so asking again is two loads).
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+pub(crate) fn host_has_avx2_fma() -> bool {
+    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+}
+
 /// AVX2+FMA microkernels for the real types. [`Avx`] is private to this
 /// module and [`for_type`] hands it out only after the CPU check, which is
 /// what makes the `target_feature` calls behind its `tile` sound.
@@ -416,9 +424,7 @@ mod simd {
     /// AVX2+FMA.
     pub(super) fn for_type<T: Scalar>() -> Option<&'static dyn MicroKernel<T>> {
         use std::any::Any;
-        if !(std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("fma"))
-        {
+        if !super::host_has_avx2_fma() {
             return None;
         }
         let d: &'static dyn MicroKernel<f64> = &Avx;

@@ -191,6 +191,10 @@ pub fn asum<T: Scalar>(n: usize, x: &[T], incx: usize) -> T::Real {
 /// a poisoned column selects the NaN instead of silently skipping it (the
 /// historical `a > best` comparison ignores NaN entirely).
 pub fn iamax<T: Scalar>(n: usize, x: &[T], incx: usize) -> usize {
+    // A short vector is done before the lanes of the other form fill.
+    if incx == 1 && n >= 16 {
+        return iamax_contiguous(&x[..n]);
+    }
     let mut best = T::Real::zero();
     let mut arg = 0usize;
     let mut ix = 0;
@@ -204,6 +208,69 @@ pub fn iamax<T: Scalar>(n: usize, x: &[T], incx: usize) -> usize {
             arg = k;
         }
         ix += incx;
+    }
+    arg
+}
+
+/// [`iamax`] on a contiguous `x`, same index in every case, with no branch
+/// on where the maximum lies (a pivot search meets a new column every
+/// time; a guessed branch is a misprediction per call). First the largest
+/// modulus: element `i` goes to lane `i mod 8` of eight independent running
+/// maxima and sums, no index carried, so the pass vectorizes. Then the
+/// lane that holds it is walked once, end to start, keeping the last hit.
+/// Two lanes holding the same maximum (an exact tie, or all zeros) take the
+/// plain search. The moduli are non-negative, so their sum is NaN exactly
+/// when one of them is, and then the first NaN is the answer. `x` is not
+/// empty.
+fn iamax_contiguous<T: Scalar>(x: &[T]) -> usize {
+    const LANES: usize = 8;
+    let mut best = [T::Real::zero(); LANES];
+    let mut sum = [T::Real::zero(); LANES];
+    let mut groups = x.chunks_exact(LANES);
+    for g in &mut groups {
+        for l in 0..LANES {
+            let a = g[l].abs1();
+            sum[l] += a;
+            if a > best[l] {
+                best[l] = a;
+            }
+        }
+    }
+    for (l, v) in groups.remainder().iter().enumerate() {
+        let a = v.abs1();
+        sum[l] += a;
+        if a > best[l] {
+            best[l] = a;
+        }
+    }
+    // Pairwise, so the two reductions are three dependent steps, not eight.
+    let mut top = best;
+    let mut width = LANES;
+    while width > 1 {
+        width /= 2;
+        for l in 0..width {
+            sum[l] += sum[l + width];
+            if top[l + width] > top[l] {
+                top[l] = top[l + width];
+            }
+        }
+    }
+    if sum[0].is_nan() {
+        return x.iter().position(|v| v.abs1().is_nan()).unwrap_or(0);
+    }
+    let max = top[0];
+    let (mut lane, mut holders) = (0, 0);
+    for l in (0..LANES).rev() {
+        let holds = best[l] == max;
+        lane = if holds { l } else { lane };
+        holders += usize::from(holds);
+    }
+    if holders > 1 {
+        return x.iter().position(|v| v.abs1() == max).unwrap_or(0);
+    }
+    let mut arg = lane;
+    for i in (lane..x.len()).step_by(LANES).rev() {
+        arg = if x[i].abs1() == max { i } else { arg };
     }
     arg
 }
@@ -358,6 +425,61 @@ mod tests {
         let x = [C64::new(1.0, 0.0), C64::new(0.0, f64::NAN)];
         assert!(nrm2(2, &x, 1).is_nan());
         assert_eq!(iamax(2, &x, 1), 1);
+    }
+
+    /// The contiguous form returns the strided loop's index in
+    /// every case: on both sides of its 16-element cutoff and of its
+    /// 8-lane groups, with the maximum first, last and repeated, all
+    /// zeros, NaNs before and after the maximum, Inf.
+    #[test]
+    fn iamax_contiguous_agrees_with_strided_all_four_types() {
+        use la_core::C32;
+
+        fn check<T: Scalar>() {
+            let nan = T::from_real(T::Real::nan());
+            let inf = T::from_real(T::Real::one() / T::Real::zero());
+            for n in [1usize, 7, 15, 16, 17, 23, 24, 25, 96, 97] {
+                let base: Vec<T> = (0..n)
+                    .map(|i| T::from_f64(((i * 37 + 11) % 101) as f64 / 50.5 - 1.0))
+                    .collect();
+                // The same values at stride 2, odd slots poisoned.
+                let agree = |x: &[T], what: &str| -> usize {
+                    let mut wide = vec![nan; 2 * n];
+                    for (i, &v) in x.iter().enumerate() {
+                        wide[2 * i] = v;
+                    }
+                    let got = iamax(n, x, 1);
+                    assert_eq!(got, iamax(n, &wide, 2), "{} n={n} {what}", T::PREFIX);
+                    got
+                };
+                agree(&base, "values");
+                assert_eq!(agree(&vec![T::zero(); n], "all zero"), 0);
+                let big = T::from_f64(-7.0);
+                for at in [0, n / 2, n - 1] {
+                    let mut x = base.clone();
+                    x[at] = big;
+                    assert_eq!(agree(&x, "one maximum"), at);
+                    // A tie further on does not move it; one before does.
+                    x[n - 1] = -big;
+                    assert_eq!(agree(&x, "tie after"), at);
+                    x[0] = big;
+                    assert_eq!(agree(&x, "tie before"), 0);
+                    // The first NaN beats the maximum wherever it is.
+                    let mut x = base.clone();
+                    x[n / 2] = inf;
+                    x[at] = nan;
+                    x[n - 1] = nan;
+                    assert_eq!(agree(&x, "nan"), at);
+                }
+                let mut x = base.clone();
+                x[n - 1] = inf;
+                assert_eq!(agree(&x, "inf last"), n - 1);
+            }
+        }
+        check::<f32>();
+        check::<f64>();
+        check::<C32>();
+        check::<C64>();
     }
 
     #[test]

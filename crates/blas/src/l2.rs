@@ -70,8 +70,27 @@ pub fn gemv<T: Scalar>(
         }
         Trans::Trans | Trans::ConjTrans => {
             let conj = trans.is_conj();
-            let mut jy = 0;
-            for j in 0..n {
+            // Four columns at a time on a contiguous `x`: each sum runs in
+            // `dotc`/`dotu`'s order (same bits), but four independent
+            // chains hide the add latency a short dot product is made of.
+            let quads = if incx == 1 { n / 4 } else { 0 };
+            for q in 0..quads {
+                let cols: [&[T]; 4] = std::array::from_fn(|c| {
+                    let j = 4 * q + c;
+                    &a[j * lda..j * lda + m]
+                });
+                let mut s = [T::zero(); 4];
+                for (i, &xi) in x[..m].iter().enumerate() {
+                    for c in 0..4 {
+                        s[c] += cj(conj, cols[c][i]) * xi;
+                    }
+                }
+                for c in 0..4 {
+                    y[(4 * q + c) * incy] += alpha * s[c];
+                }
+            }
+            let mut jy = 4 * quads * incy;
+            for j in 4 * quads..n {
                 let col = &a[j * lda..j * lda + m];
                 let s = if incx == 1 {
                     if conj {
@@ -148,6 +167,116 @@ pub fn gerc<T: Scalar>(
             }
         }
         jy += incy;
+    }
+}
+
+/// Most columns of `A` that [`strip_update`] folds into one pass over a
+/// column of `C` — and so the width of the strips `getf2` delays its
+/// updates by.
+pub const STRIP: usize = 4;
+
+/// Delayed update by a strip of columns: `C := C − A·B`, `A` `m × k`,
+/// `B` `k × n`, `C` `m × n`, unpacked, for a small depth `k` (any `k` is
+/// accepted; the loop takes [`STRIP`] columns of `A` at a time).
+///
+/// Each element of `C` is `((c − a₀b₀) − a₁b₁) − …` with the terms in
+/// depth order and each product rounded before its subtraction — what `k`
+/// successive rank-1 updates compute, bit for bit — but a column of `C` is
+/// loaded and stored once per [`STRIP`] terms instead of once per term. A
+/// term whose `B` entry is exactly zero is skipped (as `axpy` and the
+/// rank-1 loops skip it), so an `Inf` in `A` meets no `0`.
+///
+/// With the `simd` feature, on a host with AVX2 the loop runs as compiled
+/// for that vector unit; it is the same Rust (no intrinsics, no fused
+/// multiply-add), so the result does not depend on the host.
+pub fn strip_update<T: Scalar>(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[T],
+    lda: usize,
+    b: &[T],
+    ldb: usize,
+    c: &mut [T],
+    ldc: usize,
+) {
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if crate::kernel::host_has_avx2_fma() {
+        // SAFETY: the host has AVX2 and FMA, all the wrapper requires.
+        return unsafe { strip_update_avx2(m, n, k, a, lda, b, ldb, c, ldc) };
+    }
+    strip_update_body(m, n, k, a, lda, b, ldb, c, ldc)
+}
+
+/// [`strip_update_body`] compiled for AVX2 (wider vectors only: the body
+/// never asks for a fused multiply-add, so the bits stay the same).
+///
+/// # Safety
+/// The host must have AVX2 and FMA.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn strip_update_avx2<T: Scalar>(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[T],
+    lda: usize,
+    b: &[T],
+    ldb: usize,
+    c: &mut [T],
+    ldc: usize,
+) {
+    strip_update_body(m, n, k, a, lda, b, ldb, c, ldc)
+}
+
+#[inline(always)]
+fn strip_update_body<T: Scalar>(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[T],
+    lda: usize,
+    b: &[T],
+    ldb: usize,
+    c: &mut [T],
+    ldc: usize,
+) {
+    for l0 in (0..k).step_by(STRIP) {
+        let d = STRIP.min(k - l0);
+        let a = &a[l0 * lda..];
+        for j in 0..n {
+            let x = &b[l0 + j * ldb..l0 + j * ldb + d];
+            let y = &mut c[j * ldc..j * ldc + m];
+            // A full strip without a zero coefficient folds in one pass.
+            if d == STRIP && x.iter().all(|t| !t.is_zero()) {
+                fold::<T, STRIP>(a, lda, x, y);
+            } else {
+                for (l, t) in x.iter().enumerate() {
+                    if !t.is_zero() {
+                        fold::<T, 1>(&a[l * lda..], lda, std::slice::from_ref(t), y);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One pass `y := (…(y − a₀x₀) − …) − a_{G−1}x_{G−1}`; `G` is a constant so
+/// the term loop unrolls inside the row loop.
+#[inline(always)]
+fn fold<T: Scalar, const G: usize>(a: &[T], lda: usize, x: &[T], y: &mut [T]) {
+    let m = y.len();
+    let cols: [&[T]; G] = std::array::from_fn(|l| &a[l * lda..l * lda + m]);
+    let x: [T; G] = std::array::from_fn(|l| x[l]);
+    for i in 0..m {
+        let mut v = y[i];
+        for l in 0..G {
+            v -= cols[l][i] * x[l];
+        }
+        y[i] = v;
     }
 }
 
@@ -1021,5 +1150,118 @@ pub fn tpsv<T: Scalar>(
                 x[j * incx] = t;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use la_core::{RealScalar, C32, C64};
+
+    /// Deterministic values in [−1, 1), none of them zero.
+    fn vals<T: Scalar>(n: usize, seed: usize) -> Vec<T> {
+        let v = |i: usize| ((i * 37 + seed * 11) % 101) as f64 / 50.5 - 0.995;
+        (0..n)
+            .map(|i| {
+                let im = if T::IS_COMPLEX { v(i + 50) } else { 0.0 };
+                T::from_re_im(T::Real::from_f64(v(i)), T::Real::from_f64(im))
+            })
+            .collect()
+    }
+
+    fn bits<T: Scalar>(v: &[T]) -> Vec<(u64, u64)> {
+        v.iter()
+            .map(|x| (x.re().to_f64().to_bits(), x.im().to_f64().to_bits()))
+            .collect()
+    }
+
+    /// `strip_update` is `k` rank-1 updates in depth order, bit for bit —
+    /// ragged row counts around the vector widths, one and several
+    /// columns, depths around [`STRIP`], zero coefficients (skipped: the `Inf` in `A` they face
+    /// leaves no NaN), rows `m..ldc` untouched — and, with `simd` on an
+    /// AVX2 host, both compilations of the loop give those same bits.
+    fn strip_update_contract<T: Scalar>() {
+        let inf = T::from_real(T::Real::one() / T::Real::zero());
+        for m in [1usize, 3, 4, 5, 95, 96, 97] {
+            for n in [1usize, 2, 5] {
+                for k in [1usize, 3, 4, 5, 9] {
+                    let (lda, ldb, ldc) = (m + 2, k + 1, m + 3);
+                    let mut a: Vec<T> = vals(lda * k, 1);
+                    let mut b: Vec<T> = vals(ldb * n, 2);
+                    // A zero in the first column's second strip (or its
+                    // only one), facing an Inf.
+                    let l0 = k - 1;
+                    b[l0] = T::zero();
+                    a[l0 * lda] = inf;
+                    let c0: Vec<T> = vals(ldc * n, 3);
+                    let mut want = c0.clone();
+                    for j in 0..n {
+                        for l in 0..k {
+                            let t = b[l + j * ldb];
+                            if t.is_zero() {
+                                continue;
+                            }
+                            for i in 0..m {
+                                want[i + j * ldc] -= a[i + l * lda] * t;
+                            }
+                        }
+                    }
+                    let tag = format!("{} m={m} n={n} k={k}", T::PREFIX);
+                    let mut plain = c0.clone();
+                    strip_update_body(m, n, k, &a, lda, &b, ldb, &mut plain, ldc);
+                    assert_eq!(bits(&plain), bits(&want), "{tag}: plain");
+                    let mut got = c0.clone();
+                    strip_update(m, n, k, &a, lda, &b, ldb, &mut got, ldc);
+                    assert_eq!(bits(&got), bits(&want), "{tag}: dispatched");
+                }
+            }
+        }
+    }
+
+    /// The transposed `gemv` on a contiguous `x` takes four columns at a
+    /// time; every entry is still `y + alpha·dot(column, x)` with the sum
+    /// in `dotc`/`dotu`'s order, bit for bit, on both sides of a group.
+    fn gemv_transposed_contract<T: Scalar>() {
+        for trans in [Trans::Trans, Trans::ConjTrans] {
+            for m in [0usize, 1, 7, 33] {
+                for n in [1usize, 3, 4, 5, 9] {
+                    let lda = m + 2;
+                    let a: Vec<T> = vals(lda * n, 4);
+                    let x: Vec<T> = vals(m, 5);
+                    let y0: Vec<T> = vals(2 * n, 6);
+                    let alpha = T::from_f64(-0.75);
+                    let mut want = y0.clone();
+                    for j in 0..n {
+                        let col = &a[j * lda..j * lda + m];
+                        let dot = if trans == Trans::ConjTrans {
+                            dotc(m, col, 1, &x, 1)
+                        } else {
+                            dotu(m, col, 1, &x, 1)
+                        };
+                        want[2 * j] += alpha * dot;
+                    }
+                    let mut got = y0.clone();
+                    gemv(trans, m, n, alpha, &a, lda, &x, 1, T::one(), &mut got, 2);
+                    let tag = format!("{} {trans:?} m={m} n={n}", T::PREFIX);
+                    assert_eq!(bits(&got), bits(&want), "{tag}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gemv_transposed_is_a_dot_per_column_bit_for_bit() {
+        gemv_transposed_contract::<f32>();
+        gemv_transposed_contract::<f64>();
+        gemv_transposed_contract::<C32>();
+        gemv_transposed_contract::<C64>();
+    }
+
+    #[test]
+    fn strip_update_is_k_rank1_updates_bit_for_bit() {
+        strip_update_contract::<f32>();
+        strip_update_contract::<f64>();
+        strip_update_contract::<C32>();
+        strip_update_contract::<C64>();
     }
 }

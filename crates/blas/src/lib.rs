@@ -38,7 +38,7 @@ pub use l1::{
     asum, axpy, copy, dotc, dotu, iamax, lacgv, lassq, nrm2, rot, rotg, rscal, scal, swap,
 };
 pub use l2::{
-    gbmv, gemv, gerc, geru, hemv, her, her2, sbmv, spmv, spr2, symv, syr, syr2, tbsv, tpmv, tpsv,
-    trmv, trsv,
+    gbmv, gemv, gerc, geru, hemv, her, her2, sbmv, spmv, spr2, strip_update, symv, syr, syr2, tbsv,
+    tpmv, tpsv, trmv, trsv, STRIP,
 };
 pub use l3::{gemm, herk, symm, syr2k, syrk, trmm, trsm};

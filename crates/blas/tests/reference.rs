@@ -236,6 +236,66 @@ fn gemv_matches_reference_all_types() {
     gemv_suite::<C64>();
 }
 
+/// `iamax` against the definition — first index of the largest `abs1`,
+/// first NaN before any maximum — at lengths on both sides of where the
+/// contiguous form changes loops, at strides 1 and 3.
+fn iamax_suite<T: Scalar>() {
+    let iamax_ref = |x: &[T]| -> usize {
+        if let Some(i) = x.iter().position(|v| v.abs1().is_nan()) {
+            return i;
+        }
+        let mut arg = 0;
+        for (i, v) in x.iter().enumerate() {
+            if v.abs1() > x[arg].abs1() {
+                arg = i;
+            }
+        }
+        arg
+    };
+    let mut rng = Stream::new(11);
+    let nan = T::from_real(<T::Real as RealScalar>::nan());
+    let big = T::from_f64(-9.0);
+    for &n in &[1usize, 5, 15, 16, 17, 31, 32, 33, 96, 100] {
+        let base = rng.vec::<T>(n);
+        let mut cases = vec![("values", base.clone()), ("all zero", vec![T::zero(); n])];
+        for at in [0, n / 2, n - 1] {
+            let mut x = base.clone();
+            x[at] = big;
+            cases.push(("one maximum", x.clone()));
+            x[n - 1] = -big;
+            cases.push(("tie with the last", x.clone()));
+            x[at] = nan;
+            cases.push(("nan", x));
+        }
+        for (what, x) in &cases {
+            let want = iamax_ref(x);
+            assert_eq!(iamax(n, x, 1), want, "{} n={n} {what}", T::PREFIX);
+            let mut wide = vec![nan; 3 * n];
+            for (i, &v) in x.iter().enumerate() {
+                wide[3 * i] = v;
+            }
+            assert_eq!(
+                iamax(n, &wide, 3),
+                want,
+                "{} n={n} {what}, incx=3",
+                T::PREFIX
+            );
+        }
+        assert_eq!(iamax(n, &vec![T::zero(); n], 1), 0);
+        let mut x = base;
+        x[n - 1] = big;
+        assert_eq!(iamax(n, &x, 1), n - 1);
+    }
+}
+
+#[test]
+fn iamax_matches_reference_all_types() {
+    iamax_suite::<f32>();
+    iamax_suite::<f64>();
+    iamax_suite::<C32>();
+    iamax_suite::<C64>();
+}
+
 #[test]
 fn ger_variants() {
     let mut rng = Stream::new(5);

@@ -901,6 +901,14 @@ mod tests {
     use super::*;
     use la_core::C64;
 
+    /// What `getrf_core` / `potrf_core` / `potf2` turn into
+    /// `INFO_NO_WORKSPACE`: a refused request is `None`, not an abort.
+    #[test]
+    fn try_zeros_reports_a_refused_request() {
+        assert_eq!(try_zeros::<f64>(3), Some(vec![0.0; 3]));
+        assert!(try_zeros::<f64>(usize::MAX / 4).is_none());
+    }
+
     #[test]
     fn lange_propagates_nan_in_every_norm() {
         // 3x3 with a NaN off the main diagonal; all four norm paths must

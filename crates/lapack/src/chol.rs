@@ -135,10 +135,10 @@ pub fn potrf<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i32 {
     } else {
         potrf_core(uplo, n, a, lda, how)
     };
-    // A cancelled factorization left the buffers partially updated; there
-    // is nothing meaningful to verify (or corrupt), so surface the code
-    // as-is.
-    if info == la_core::cancel::INFO_CANCELLED {
+    // A cancelled factorization left the buffers partially updated and one
+    // without workspace never started; there is nothing meaningful to
+    // verify (or corrupt), so surface the code as-is.
+    if info == la_core::cancel::INFO_CANCELLED || info == INFO_NO_WORKSPACE {
         return info;
     }
     #[cfg(feature = "fault-inject")]
@@ -181,7 +181,9 @@ pub(crate) fn potrf_core<T: Scalar>(
     let nb = how.nb;
     // One workspace for every step's copies of the diagonal block (whose
     // other triangle is never read) and of the off-diagonal panel.
-    let mut ws = vec![T::zero(); nb * n];
+    let Some(mut ws) = try_zeros::<T>(nb * n) else {
+        return INFO_NO_WORKSPACE;
+    };
     let (tri, panel) = ws.split_at_mut(nb * nb);
     let mut j = 0;
     while j < n {

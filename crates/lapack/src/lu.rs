@@ -6,62 +6,111 @@
 //! leading dimensions, 1-based `ipiv`, `info` return) so the `la90` layer
 //! can wrap them exactly as the paper's `SGESV_F90` wraps `SGESV`.
 
-use la_blas::{gemm, gemv, iamax, scal, trsm};
+use la_blas::{gemm, gemv, iamax, scal, strip_update, trsm, STRIP};
 use la_core::{probe, Diag, Norm, RealScalar, Scalar, Side, Trans, Uplo};
 
-use crate::aux::{lacon, lange, laswp, Blocking};
+use crate::aux::{lacon, lange, laswp, try_zeros, Blocking, INFO_NO_WORKSPACE};
 
 /// Unblocked LU factorization with partial pivoting (`xGETF2`).
 ///
 /// On exit `A = P·L·U` with unit-diagonal `L` below and `U` on/above the
 /// diagonal; `ipiv` is 1-based. Returns `info` (LAPACK convention:
 /// `> 0` if `U(i,i)` is exactly zero).
+///
+/// The eliminations reach the columns right of a strip of [`STRIP`] pivots
+/// late: inside the strip each pivot updates the strip's remaining columns
+/// at once, everything further right receives the whole strip in one pass
+/// (`apply_pivots`) instead of one pass per pivot. Every element still
+/// sees the same subtractions in the same order as the right-looking
+/// rank-1 form, so factors, pivots and `info` are that form's, bit for bit.
 pub fn getf2<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &mut [i32]) -> i32 {
     let mut info = 0i32;
-    for j in 0..m.min(n) {
-        // Pivot: largest |.| in column j at or below the diagonal.
-        let p = j + iamax(m - j, &a[j + j * lda..], 1);
-        ipiv[j] = (p + 1) as i32;
-        if !a[p + j * lda].is_zero() {
-            if p != j {
-                // Swap full rows j and p.
-                for k in 0..n {
-                    a.swap(j + k * lda, p + k * lda);
+    let mn = m.min(n);
+    let mut u = [T::zero(); STRIP * TILE_COLS];
+    for j0 in (0..mn).step_by(STRIP) {
+        let end = (j0 + STRIP).min(mn);
+        for j in j0..end {
+            // Pivot: largest |.| in column j at or below the diagonal.
+            let p = j + iamax(m - j, &a[j + j * lda..], 1);
+            ipiv[j] = (p + 1) as i32;
+            if !a[p + j * lda].is_zero() {
+                if p != j {
+                    // Swap full rows j and p.
+                    for k in 0..n {
+                        a.swap(j + k * lda, p + k * lda);
+                    }
                 }
+                // Scale the multipliers.
+                if j + 1 < m {
+                    let inv = a[j + j * lda].recip();
+                    scal(m - j - 1, inv, &mut a[j + 1 + j * lda..], 1);
+                }
+            } else if info == 0 {
+                info = (j + 1) as i32;
             }
-            // Scale the multipliers.
-            if j + 1 < m {
-                let inv = a[j + j * lda].recip();
-                scal(m - j - 1, inv, &mut a[j + 1 + j * lda..], 1);
-            }
-        } else if info == 0 {
-            info = (j + 1) as i32;
-        }
-        // Trailing update: A(j+1.., j+1..) -= A(j+1.., j) * A(j, j+1..).
-        if j + 1 < m && j + 1 < n {
-            let (col, rest) = {
-                // Split the buffer so the pivot column and trailing matrix
-                // can be borrowed disjointly: the trailing matrix starts at
-                // column j+1.
-                let split = (j + 1) * lda;
-                let (head, tail) = a.split_at_mut(split);
-                (&head[j + 1 + j * lda..j + 1 + j * lda + (m - j - 1)], tail)
-            };
-            // A(j+1:m, j+1:n) -= col * A(j, j+1:n), one column at a time
-            // over slices so the update vectorizes. Row j of trailing
-            // column k lives in `rest` at offset j + k·lda.
-            for k in 0..n - j - 1 {
-                let ck = &mut rest[j + k * lda..];
-                let ajk = ck[0];
-                if !ajk.is_zero() {
-                    for (x, &l) in ck[1..m - j].iter_mut().zip(col) {
-                        *x -= l * ajk;
+            // Rank-1 update of the strip's remaining columns, in line: three
+            // columns at most are too little work for a call.
+            if j + 1 < m && j + 1 < end {
+                let (head, rest) = a.split_at_mut((j + 1) * lda);
+                let l = &head[j + 1 + j * lda..m + j * lda];
+                for col in rest.chunks_mut(lda).take(end - j - 1) {
+                    let ajk = col[j];
+                    if !ajk.is_zero() {
+                        for (x, &l) in col[j + 1..m].iter_mut().zip(l) {
+                            *x -= l * ajk;
+                        }
                     }
                 }
             }
         }
+        apply_pivots(m, a, lda, j0, end - j0, end..n, &mut u);
     }
     info
+}
+
+/// Columns of `U` that [`apply_pivots`] stages at a time.
+const TILE_COLS: usize = 32;
+
+/// Applies pivot columns `j0..j0 + d` (`1 ≤ d ≤ STRIP`; factored, their row
+/// swaps done) to the columns `cols` right of them: the `d × d` unit-lower
+/// solve on the pivots' own rows leaves `U(j0..j0 + d, cols)` there, then
+/// the rows below get `x := (…(x − l₀u₀) − …) − l_{d−1}u_{d−1}` in one
+/// pass. A zero `u` skips its term, as the rank-1 form skips a zero in the
+/// pivot row.
+fn apply_pivots<T: Scalar>(
+    m: usize,
+    a: &mut [T],
+    lda: usize,
+    j0: usize,
+    d: usize,
+    cols: std::ops::Range<usize>,
+    u: &mut [T; STRIP * TILE_COLS],
+) {
+    if cols.is_empty() {
+        return;
+    }
+    // The pivot columns and `cols` borrow disjointly: `cols` starts `tail`.
+    let (head, tail) = a.split_at_mut(cols.start * lda);
+    for c0 in (0..cols.len()).step_by(TILE_COLS) {
+        let nc = TILE_COLS.min(cols.len() - c0);
+        for (c, uc) in u.chunks_exact_mut(STRIP).take(nc).enumerate() {
+            let col = &mut tail[j0 + (c0 + c) * lda..][..d];
+            for r in 0..d {
+                uc[r] = col[r];
+                if !col[r].is_zero() {
+                    let l = &head[j0 + (j0 + r) * lda..][..d];
+                    for s in r + 1..d {
+                        col[s] -= l[s] * uc[r];
+                    }
+                }
+            }
+        }
+        let below = j0 + d;
+        if below < m {
+            let (l, c) = (&head[below + j0 * lda..], &mut tail[below + c0 * lda..]);
+            strip_update(m - below, nc, d, l, lda, &u[..], STRIP, c, lda);
+        }
+    }
 }
 
 /// Blocked right-looking LU factorization with partial pivoting
@@ -99,10 +148,10 @@ pub fn getrf<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &mut 
     } else {
         getrf_core(m, n, a, lda, ipiv, how)
     };
-    // A cancelled factorization left the buffers partially updated; there
-    // is nothing meaningful to verify (or corrupt), so surface the code
-    // as-is.
-    if info == la_core::cancel::INFO_CANCELLED {
+    // A cancelled factorization left the buffers partially updated and one
+    // without workspace never started; there is nothing meaningful to
+    // verify (or corrupt), so surface the code as-is.
+    if info == la_core::cancel::INFO_CANCELLED || info == INFO_NO_WORKSPACE {
         return info;
     }
     #[cfg(feature = "fault-inject")]
@@ -147,7 +196,9 @@ pub(crate) fn getrf_core<T: Scalar>(
     let nb = how.nb;
     let mut info = 0i32;
     // Holds each step's copy of U12; step 0 has the largest.
-    let mut u12 = vec![T::zero(); nb * (n - nb)];
+    let Some(mut u12) = try_zeros::<T>(nb * (n - nb)) else {
+        return INFO_NO_WORKSPACE;
+    };
     let mut j = 0;
     while j < mn {
         // Cooperative cancellation checkpoint: one cheap thread-local
@@ -160,7 +211,7 @@ pub(crate) fn getrf_core<T: Scalar>(
         // Factor the panel A(j:m, j:j+jb).
         let panel_info = {
             let panel = &mut a[j + j * lda..];
-            getf2_panel(m - j, jb, panel, lda, &mut ipiv[j..j + jb])
+            getf2(m - j, jb, panel, lda, &mut ipiv[j..j + jb])
         };
         if panel_info > 0 && info == 0 {
             info = panel_info + j as i32;
@@ -226,13 +277,6 @@ pub(crate) fn getrf_core<T: Scalar>(
         j += jb;
     }
     info
-}
-
-/// Panel factorization used by [`getrf`] — identical to [`getf2`] but the
-/// row swaps span only the panel's own columns (the caller swaps the
-/// rest via `laswp`).
-fn getf2_panel<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &mut [i32]) -> i32 {
-    getf2(m, n, a, lda, ipiv)
 }
 
 /// Solves `op(A)·X = B` using the LU factorization from [`getrf`]

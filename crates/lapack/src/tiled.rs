@@ -163,6 +163,17 @@ fn trailing_regions<T>(tm: &TileMat<T>, k: usize, jb: usize) -> Vec<(usize, usiz
     regions
 }
 
+/// A panel core's `info` as the task's: a positive index moves from the
+/// panel's numbering to the matrix's; a negative code (no workspace,
+/// cancelled) is the task's own, which is what aborts the graph.
+fn global_info(info: i32, offset: usize) -> i32 {
+    if info > 0 {
+        info + offset as i32
+    } else {
+        info
+    }
+}
+
 /// Tiled-dag LU with partial pivoting — drop-in for the blocked
 /// `getrf_core` (same factors, same global 1-based `ipiv`).
 pub fn getrf_dag<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &mut [i32]) -> i32 {
@@ -209,11 +220,7 @@ pub fn getrf_dag<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &
                 let how = crate::aux::Blocking::of("getrf", rows.min(jb));
                 let info = crate::lu::getrf_core(rows, jb, buf, rows, piv, how);
                 scatter(tm_ref, k, k, 0, jb, buf);
-                if info > 0 {
-                    info + col_off as i32
-                } else {
-                    0
-                }
+                global_info(info, col_off)
             }
         });
         // Row interchanges on the columns left of the panel (the factored
@@ -339,12 +346,7 @@ pub fn potrf_dag<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i3
                 let how = crate::aux::Blocking::of("potrf", nbk);
                 crate::chol::potrf_core(uplo, nbk, tm_ref.tile_mut(k, k), ld, how)
             };
-            // Negative codes (no workspace, cancelled) pass through.
-            if info > 0 {
-                info + off as i32
-            } else {
-                info
-            }
+            global_info(info, off)
         });
         match uplo {
             Uplo::Lower => {
@@ -630,6 +632,20 @@ mod tests {
             tile_nb: nb,
             max_threads: 2,
             ..TuneConfig::default()
+        }
+    }
+
+    /// What makes a panel's `INFO_NO_WORKSPACE` / `INFO_CANCELLED` the
+    /// graph's result (`RunResult::info` puts a negative code first).
+    #[test]
+    fn panel_info_offsets_positive_and_keeps_negative() {
+        assert_eq!(global_info(0, 64), 0);
+        assert_eq!(global_info(3, 64), 67);
+        for code in [
+            crate::aux::INFO_NO_WORKSPACE,
+            la_core::cancel::INFO_CANCELLED,
+        ] {
+            assert_eq!(global_info(code, 64), code);
         }
     }
 

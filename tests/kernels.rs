@@ -20,7 +20,11 @@
 //! * serial and column-striped parallel execution are bitwise identical
 //!   for a fixed kernel (the packed path blocks `k` identically in both),
 //!   including under `AbftPolicy::Verify` checksums;
-//! * the probe span records which kernel actually ran.
+//! * the probe span records which kernel actually ran;
+//! * the delayed-update `getf2` panel is the right-looking rank-1 loop bit
+//!   for bit — factors, pivots, `info`, padding rows — over ragged shapes,
+//!   zero pivots, ties, NaN and Inf, for all four types (with `simd`, the
+//!   AVX2 compilation of its update loop against a plain reference).
 //!
 //! An explicit (non-`Auto`) kernel selection forces the packed path at
 //! every size, so the sweep drives the pack/macro-kernel edge masking at
@@ -855,4 +859,157 @@ fn probe_span_records_the_kernel() {
     assert_eq!(run(kernel_cfg(GemmKernel::Auto), 4), "small");
     #[cfg(feature = "simd")]
     assert_eq!(run(kernel_cfg(GemmKernel::Simd), n), "simd");
+}
+
+/// The right-looking rank-1 `getf2` (one pass over the trailing panel per
+/// pivot) — the oracle the delayed-update panel must match bit for bit.
+fn getf2_rank1<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &mut [i32]) -> i32 {
+    let mut info = 0i32;
+    for j in 0..m.min(n) {
+        // First of the largest `abs1`; the first NaN wins.
+        let (mut p, mut best) = (j, T::Real::zero());
+        for i in j..m {
+            let v = a[i + j * lda].abs1();
+            if v.is_nan() {
+                p = i;
+                break;
+            }
+            if v > best {
+                (p, best) = (i, v);
+            }
+        }
+        ipiv[j] = (p + 1) as i32;
+        if !a[p + j * lda].is_zero() {
+            for k in 0..n {
+                a.swap(j + k * lda, p + k * lda);
+            }
+            let inv = a[j + j * lda].recip();
+            for i in j + 1..m {
+                a[i + j * lda] *= inv;
+            }
+        } else if info == 0 {
+            info = (j + 1) as i32;
+        }
+        for k in j + 1..n {
+            let ajk = a[j + k * lda];
+            if !ajk.is_zero() {
+                for i in j + 1..m {
+                    let l = a[i + j * lda];
+                    a[i + k * lda] -= l * ajk;
+                }
+            }
+        }
+    }
+    info
+}
+
+/// Both parts of every element as bit patterns (`f32` widens exactly).
+fn bits<T: Scalar>(v: &[T]) -> Vec<(u64, u64)> {
+    v.iter()
+        .map(|x| (x.re().to_f64().to_bits(), x.im().to_f64().to_bits()))
+        .collect()
+}
+
+/// Factors `a0` (`m × n`, leading dimension `lda`) both ways and demands
+/// the same bits everywhere in the buffer, the same pivots and `info`.
+/// Returns `info`.
+fn panel_matches_rank1<T: Scalar>(tag: &str, m: usize, n: usize, lda: usize, a0: &[T]) -> i32 {
+    let mn = m.min(n);
+    let (mut want, mut got) = (a0.to_vec(), a0.to_vec());
+    let (mut wpiv, mut gpiv) = (vec![0i32; mn], vec![0i32; mn]);
+    let winfo = getf2_rank1(m, n, &mut want, lda, &mut wpiv);
+    let ginfo = la_lapack::getf2(m, n, &mut got, lda, &mut gpiv);
+    let tag = format!("{} {tag} {m}x{n} lda={lda}", T::PREFIX);
+    assert_eq!(gpiv, wpiv, "{tag}: pivots");
+    assert_eq!(ginfo, winfo, "{tag}: info");
+    for (idx, (g, w)) in bits(&got).iter().zip(&bits(&want)).enumerate() {
+        assert_eq!(g, w, "{tag}: element ({}, {})", idx % lda, idx / lda);
+    }
+    ginfo
+}
+
+const PANEL_SHAPES: [(usize, usize); 11] = [
+    (1, 1),
+    (5, 1),
+    (1, 5),
+    (7, 7),
+    (33, 9),
+    (96, 32),
+    (64, 32),
+    (32, 32),
+    (96, 30),
+    (96, 33),
+    (20, 28),
+];
+
+fn panel_contract<T: Scalar>() {
+    let mut rng = Rng(0x9e7f2 ^ std::mem::size_of::<T>() as u64);
+    let nan = T::from_real(T::Real::nan());
+    let inf = T::from_real(T::Real::one() / T::Real::zero());
+    for (m, n) in PANEL_SHAPES {
+        for lda in [m, m + 3] {
+            // Padding rows `m..lda` are NaN: untouched means still NaN,
+            // and a read of one would poison the factors. The buffer ends
+            // with the last column's row `m − 1`, as a sub-block's does.
+            let mut a0: Vec<T> = rng.vec(lda * (n - 1) + m);
+            for col in a0.chunks_mut(lda) {
+                col[m..].fill(nan);
+            }
+            assert_eq!(panel_matches_rank1("random", m, n, lda, &a0), 0);
+
+            // A zero column — its pivot is zero and so is every `U` entry
+            // above it, which the update must skip — first, in the middle
+            // and last in a strip of four, and in the ragged tail.
+            let mn = m.min(n);
+            for z in [0usize, 4, 5, 7, mn - 1] {
+                if z >= mn {
+                    continue;
+                }
+                let mut a = a0.clone();
+                a[z * lda..z * lda + m].fill(T::zero());
+                let info = panel_matches_rank1(&format!("zero pivot {z}"), m, n, lda, &a);
+                assert_eq!(info, (z + 1) as i32);
+            }
+            // All zero: every pivot is zero, nothing moves.
+            let mut a = a0.clone();
+            for col in a.chunks_mut(lda) {
+                col[..m].fill(T::zero());
+            }
+            assert_eq!(panel_matches_rank1("all zero", m, n, lda, &a), 1);
+
+            // Exact ties in every column (the first index wins).
+            let mut a = a0.clone();
+            for col in a.chunks_mut(lda) {
+                for (i, x) in col[..m].iter_mut().enumerate() {
+                    *x = T::from_f64(if i % 3 == 0 { -2.0 } else { 2.0 });
+                }
+            }
+            panel_matches_rank1("ties", m, n, lda, &a);
+
+            if m > 2 && n > 2 {
+                // Two NaNs in one column (the first wins), spreading from
+                // there as the reference spreads them.
+                let mut a = a0.clone();
+                a[m / 2 + 2 * lda] = nan;
+                a[m - 1 + 2 * lda] = nan;
+                panel_matches_rank1("nan", m, n, lda, &a);
+
+                // An Inf multiplier met by an exactly zero `U` entry: the
+                // reference skips the term, so no NaN appears.
+                let mut a = a0.clone();
+                a[m - 1] = inf;
+                a[0] = T::zero();
+                a[lda..lda + m].fill(T::zero());
+                panel_matches_rank1("inf times zero", m, n, lda, &a);
+            }
+        }
+    }
+}
+
+#[test]
+fn getf2_is_the_rank1_panel_bit_for_bit() {
+    panel_contract::<f32>();
+    panel_contract::<f64>();
+    panel_contract::<C32>();
+    panel_contract::<C64>();
 }
