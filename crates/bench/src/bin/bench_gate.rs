@@ -12,7 +12,7 @@
 //!
 //! Usage: `bench_gate [baseline.json] [fresh.json] [--threshold 1.25]
 //! [--min-gemm-speedup 3.0] [--min-mixed-speedup 1.2]
-//! [--min-lattice-speedup 0.3] [--max-dd-berr 8.9e-16]
+//! [--max-dd-berr 8.9e-16]
 //! [--max-abft-overhead 1.10] [--min-dag-speedup 1.15]
 //! [--max-p99-ms 50] [--min-goodput 500]
 //! [--max-overload-p99-ms 120] [--min-overload-goodput 300]`
@@ -35,13 +35,10 @@
 //! guards the committed measurement, while the ratio rule guards fresh
 //! runs against relative regressions.
 //!
-//! Two lattice checks ride the same baseline: `--min-lattice-speedup`
-//! floors the `speedup_lattice_vs_full` f16/bf16 ratios at n ≥ 1024 (the
-//! software half formats reroute through f32 compute, so they must not
-//! collapse below a sanity fraction of the plain-f64 driver), and
-//! `--max-dd-berr` ceilings the `dd_hilbert.berr` accuracy row — the
-//! componentwise backward error the double-double-residual `gesvxx`
-//! achieves on the n = 12 Hilbert system, committed at ≤ 4ε.
+//! One accuracy check rides the same baseline: `--max-dd-berr` ceilings
+//! the `dd_hilbert.berr` row — the componentwise backward error the
+//! double-double-residual `gesvxx` achieves on the n = 12 Hilbert system,
+//! committed at ≤ 4ε.
 //!
 //! Likewise for the ABFT sweep (`BENCH_abft.json` from `abft_sweep`):
 //! its `abft_sweep` rows join the regression comparison, and
@@ -300,7 +297,6 @@ fn main() {
     let mut threshold = 1.25f64;
     let mut min_gemm: Option<f64> = None;
     let mut min_mixed: Option<f64> = None;
-    let mut min_lattice: Option<f64> = None;
     let mut max_dd_berr: Option<f64> = None;
     let mut max_abft: Option<f64> = None;
     let mut min_dag: Option<f64> = None;
@@ -319,9 +315,6 @@ fn main() {
         } else if a == "--min-mixed-speedup" {
             let v = it.next().expect("--min-mixed-speedup needs a value");
             min_mixed = Some(v.parse().expect("bad min-mixed-speedup"));
-        } else if a == "--min-lattice-speedup" {
-            let v = it.next().expect("--min-lattice-speedup needs a value");
-            min_lattice = Some(v.parse().expect("bad min-lattice-speedup"));
         } else if a == "--max-dd-berr" {
             let v = it.next().expect("--max-dd-berr needs a value");
             max_dd_berr = Some(v.parse().expect("bad max-dd-berr"));
@@ -498,43 +491,6 @@ fn main() {
         }
         if checked == 0 {
             eprintln!("bench_gate: no gesv speedup entries at n >= 1024 in {baseline_path}");
-            std::process::exit(2);
-        }
-    }
-    // Absolute floor on the baseline's per-lattice-level speedup: the
-    // software half formats reroute through f32 compute, so they carry
-    // conversion + extra-refinement cost — the floor is a sanity
-    // fraction of the plain-f64 driver, not a speedup claim, and it
-    // catches a half path that silently falls off a performance cliff.
-    if min_lattice.is_some() && base_doc.is_none() {
-        skip("lattice-speedup floor");
-    }
-    if let (Some(floor), Some(doc)) = (min_lattice, &base_doc) {
-        let Some(Json::Obj(speedups)) = doc.get("speedup_lattice_vs_full") else {
-            eprintln!("bench_gate: {baseline_path} has no speedup_lattice_vs_full section");
-            std::process::exit(2);
-        };
-        let mut checked = 0usize;
-        for (key, val) in speedups {
-            let Some((level, n)) = key.rsplit_once('_') else {
-                continue;
-            };
-            let n: u64 = n.parse().unwrap_or(0);
-            if !level.starts_with("gesv_") || n < 1024 {
-                continue;
-            }
-            let s = val.as_f64().unwrap_or(0.0);
-            checked += 1;
-            let flag = if s < floor {
-                failed = true;
-                "  << BELOW FLOOR"
-            } else {
-                ""
-            };
-            println!("  lattice speedup {key:<21} {s:7.3}  (floor {floor:.2}){flag}");
-        }
-        if checked == 0 {
-            eprintln!("bench_gate: no lattice speedup entries at n >= 1024 in {baseline_path}");
             std::process::exit(2);
         }
     }

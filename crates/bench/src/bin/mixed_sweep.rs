@@ -1,14 +1,13 @@
 //! Mixed-precision refinement sweep: times the `DSGESV`-lineage drivers
 //! (`gesv_mixed` / `posv_mixed`) against their plain full-precision
-//! counterparts across sizes — at every level of the precision lattice
-//! (f32, f16, bf16, and f32 with double-double residuals) — and emits
-//! `BENCH_mixed.json` in the current directory.
+//! counterparts across sizes — with working-precision and with
+//! double-double residuals — and emits `BENCH_mixed.json` in the current
+//! directory.
 //!
 //! The benchmark matrices are well-conditioned (condition ~100), so the
 //! low-precision path must converge (`iter ≥ 0`) — the sweep asserts it
 //! on every timed run; a fallback would silently time the wrong
-//! algorithm. The half-precision levels take more refinement steps
-//! (coarser factorization) but must still converge on these matrices.
+//! algorithm.
 //!
 //! Besides the timing rows, the sweep records the `dd_hilbert` accuracy
 //! section: the componentwise backward error `gesvxx` (double-double
@@ -18,12 +17,11 @@
 //! `--quick` shrinks the sweep for CI (n = 512 only, still best-of-3)
 //! and writes `BENCH_mixed.quick.json`, leaving the checked-in baseline
 //! untouched; the `bench_gate` binary compares the two and additionally
-//! enforces the ≥1.2× mixed-over-full floor on the baseline at n ≥ 1024
-//! plus the `--min-lattice-speedup` floor on the half-precision rows.
+//! enforces the ≥1.2× mixed-over-full floor on the baseline at n ≥ 1024.
 
 use la_bench::{bench_matrix, bench_spd, timeit};
 use la_core::json::JsonBuf;
-use la_core::tune::{self, MixedLo, RefineMode};
+use la_core::tune::{self, RefineMode};
 use la_core::{Mat, Uplo};
 use la_lapack as f77;
 
@@ -34,17 +32,15 @@ struct Row {
     iter: i32,
 }
 
-/// Times one `gesv_mixed` run at the given lattice level / residual mode.
+/// Times one `gesv_mixed` run in the given residual mode.
 fn time_gesv_mixed(
     n: usize,
     reps: usize,
     gen: &Mat<f64>,
     b: &[f64],
-    level: MixedLo,
     refine: RefineMode,
 ) -> (f64, i32) {
     let cfg = tune::TuneConfig {
-        mixed_lo: level,
         refine,
         ..tune::current()
     };
@@ -72,7 +68,7 @@ fn time_gesv_mixed(
             );
             assert!(
                 iter >= 0,
-                "bench matrix must take the mixed path at {level:?}/{refine:?} (iter={iter})"
+                "bench matrix must take the mixed path at {refine:?} (iter={iter})"
             );
             last_iter = iter;
             x
@@ -133,61 +129,14 @@ fn main() {
             iter: 0,
         });
 
-        // Mixed: f32 factorization + f64 refinement. Must converge.
-        let mut last_iter = 0i32;
-        let ms = timeit(reps, || {
-            let mut a = gen.clone();
-            let mut x = vec![0.0f64; n];
-            let mut ipiv = vec![0i32; n];
-            let mut iter = 0i32;
-            assert_eq!(
-                f77::gesv_mixed(
-                    n,
-                    1,
-                    a.as_mut_slice(),
-                    n,
-                    &mut ipiv,
-                    &b,
-                    n,
-                    &mut x,
-                    n,
-                    &mut iter
-                ),
-                0
-            );
-            assert!(iter >= 0, "bench matrix must take the mixed path");
-            last_iter = iter;
-            x
-        }) * 1e3;
-        println!("gesv_mixed  n={n:5}  {ms:9.2} ms  (iter={last_iter})");
-        rows.push(Row {
-            op: "gesv_mixed",
-            n,
-            ms,
-            iter: last_iter,
-        });
-
-        // The rest of the lattice: half-precision demotion targets (the
-        // factorization reroutes through f32 accumulation, so these time
-        // the conversion + extra-refinement cost of the narrower
-        // formats) and double-double residuals on the f32 edge. The
-        // half levels get a tighter spectrum (condition 10): refinement
-        // contracts the error by ~κ·ε_lo per step, and bf16's ε = 2⁻⁷
-        // needs κ well below 100 to converge inside ITERMAX — the half
-        // benchmark should time the half path, not the fallback.
-        let lat: Mat<f64> = {
-            let d = f77::spectrum::<f64>(f77::SpectrumMode::Geometric, n, 10.0);
-            let mut rng = f77::Larnv::new(17);
-            Mat::from_col_major(n, n, f77::lagge::<f64>(&mut rng, n, n, &d))
-        };
-        for (op, level, refine) in [
-            ("gesv_mixed_f16", MixedLo::F16, RefineMode::Working),
-            ("gesv_mixed_bf16", MixedLo::Bf16, RefineMode::Working),
-            ("gesv_mixed_dd", MixedLo::F32, RefineMode::Dd),
+        // Mixed: f32 factorization + f64 refinement, residuals in the
+        // working precision and in double-double. Must converge.
+        for (op, refine) in [
+            ("gesv_mixed", RefineMode::Working),
+            ("gesv_mixed_dd", RefineMode::Dd),
         ] {
-            let m = if refine == RefineMode::Dd { &gen } else { &lat };
-            let (ms, iter) = time_gesv_mixed(n, reps, m, &b, level, refine);
-            println!("{op:<15} n={n:5}  {ms:9.2} ms  (iter={iter})");
+            let (ms, iter) = time_gesv_mixed(n, reps, &gen, &b, refine);
+            println!("{op:<13} n={n:5}  {ms:9.2} ms  (iter={iter})");
             rows.push(Row { op, n, ms, iter });
         }
 
@@ -209,6 +158,7 @@ fn main() {
             iter: 0,
         });
 
+        let mut last_iter = 0i32;
         let ms = timeit(reps, || {
             let mut a = spd.clone();
             let mut x = vec![0.0f64; n];
@@ -280,25 +230,14 @@ fn main() {
         }
     }
     j.end_obj();
-    // Per-lattice-level speedup over the plain full-precision driver
-    // (f16/bf16 reroute through f32 compute, so they bound the price of
-    // the narrower storage; dd times the extended-residual loop).
-    j.key("speedup_lattice_vs_full");
+    // The double-double-residual loop against the plain driver.
+    j.key("speedup_dd_vs_full");
     j.begin_obj();
-    for level in ["f16", "bf16", "dd"] {
-        for &n in sizes {
-            let full = rows
-                .iter()
-                .find(|r| r.op == "gesv_full" && r.n == n)
-                .map(|r| r.ms);
-            let lo = rows
-                .iter()
-                .find(|r| r.op == format!("gesv_mixed_{level}") && r.n == n)
-                .map(|r| r.ms);
-            if let (Some(f), Some(m)) = (full, lo) {
-                if m > 0.0 {
-                    j.field_num(&format!("gesv_{level}_{n}"), f / m);
-                }
+    for &n in sizes {
+        let ms_of = |op: &str| rows.iter().find(|r| r.op == op && r.n == n).map(|r| r.ms);
+        if let (Some(f), Some(m)) = (ms_of("gesv_full"), ms_of("gesv_mixed_dd")) {
+            if m > 0.0 {
+                j.field_num(&format!("gesv_dd_{n}"), f / m);
             }
         }
     }

@@ -169,30 +169,6 @@ pub fn gemm<T: Scalar>(
     c: &mut [T],
     ldc: usize,
 ) {
-    // Software half types: widen once, run the packed f32 machinery
-    // (32-bit accumulation), round C back once. See `crate::halfp`.
-    if T::IS_HALF {
-        let af = crate::halfp::widen(a);
-        let bf = crate::halfp::widen(b);
-        let mut cf = crate::halfp::widen(c);
-        gemm(
-            transa,
-            transb,
-            m,
-            n,
-            k,
-            crate::halfp::to_f32(alpha),
-            &af,
-            lda,
-            &bf,
-            ldb,
-            crate::halfp::to_f32(beta),
-            &mut cf,
-            ldc,
-        );
-        crate::halfp::narrow(&cf, c);
-        return;
-    }
     // One ambient read serves the span, the plan and the ABFT gate.
     let ctx = ctx::current();
     let _probe = probe::span_in(
@@ -701,25 +677,6 @@ pub fn syrk<T: Scalar>(
     c: &mut [T],
     ldc: usize,
 ) {
-    // Software half types reroute through f32 (see `crate::halfp`).
-    if T::IS_HALF {
-        let af = crate::halfp::widen(a);
-        let mut cf = crate::halfp::widen(c);
-        syrk(
-            uplo,
-            trans,
-            n,
-            k,
-            crate::halfp::to_f32(alpha),
-            &af,
-            lda,
-            crate::halfp::to_f32(beta),
-            &mut cf,
-            ldc,
-        );
-        crate::halfp::narrow(&cf, c);
-        return;
-    }
     let _probe = probe::span(
         probe::Layer::Blas,
         "syrk",
@@ -1496,26 +1453,6 @@ pub fn trsm<T: Scalar>(
         Side::Left => m,
         Side::Right => n,
     };
-    // Software half types reroute through f32 (see `crate::halfp`).
-    if T::IS_HALF {
-        let af = crate::halfp::widen(a);
-        let mut bf = crate::halfp::widen(b);
-        trsm(
-            side,
-            uplo,
-            trans,
-            diag,
-            m,
-            n,
-            crate::halfp::to_f32(alpha),
-            &af,
-            lda,
-            &mut bf,
-            ldb,
-        );
-        crate::halfp::narrow(&bf, b);
-        return;
-    }
     let _probe = probe::span(
         probe::Layer::Blas,
         "trsm",
@@ -1829,135 +1766,6 @@ fn trsv_cols<T: Scalar>(
     for j in 0..b.ncols() {
         let col = b.col_mut(j);
         crate::l2::trsv(uplo, trans, diag, col.len(), a.as_slice(), a.lda(), col, 1);
-    }
-}
-
-#[cfg(test)]
-mod half_route_tests {
-    use super::*;
-    use la_core::half::{Bf16, F16};
-    use la_core::RealScalar;
-
-    fn widen_h<T: Scalar>(s: &[T]) -> Vec<f32> {
-        s.iter().map(|x| x.re().to_f64() as f32).collect()
-    }
-
-    /// gemm on a half type must equal: widen to f32, f32 gemm, round back
-    /// once — NOT per-flop half rounding. 64 summands of 1/64 distinguish
-    /// the two in f16 (per-step rounding at eps=2⁻¹⁰ drifts measurably).
-    fn gemm_accumulates_in_f32<T: Scalar>() {
-        let k = 64usize;
-        let a: Vec<T> = (0..k).map(|_| T::from_f64(1.0 / 64.0)).collect();
-        let b: Vec<T> = (0..k).map(|_| T::from_f64(1.0)).collect();
-        let mut c = vec![T::zero(); 1];
-        // 1×1 product: row vector (lda=1) times column vector.
-        gemm(
-            Trans::No,
-            Trans::No,
-            1,
-            1,
-            k,
-            T::one(),
-            &a,
-            1,
-            &b,
-            k,
-            T::zero(),
-            &mut c,
-            1,
-        );
-        // Reference: exact f32 accumulation, one final rounding.
-        let af = widen_h(&a);
-        let sum: f32 = af.iter().sum();
-        assert_eq!(
-            c[0].re().to_f64() as f32,
-            T::from_f64(sum as f64).re().to_f64() as f32,
-            "{} gemm must accumulate in f32",
-            T::PREFIX
-        );
-    }
-
-    #[test]
-    fn half_gemm_routes_through_f32() {
-        gemm_accumulates_in_f32::<F16>();
-        gemm_accumulates_in_f32::<Bf16>();
-    }
-
-    #[test]
-    fn half_trsm_and_syrk_run_and_agree_with_f32() {
-        // 3×3 unit-lower solve and rank-k update, checked against the
-        // same operation in f32 with one final rounding per element.
-        let n = 3usize;
-        let a_f32 = [2.0f32, 0.5, 0.25, 0.0, 4.0, 0.5, 0.0, 0.0, 8.0];
-        let b_f32 = [1.0f32, 2.0, 3.0];
-        let a: Vec<F16> = a_f32.iter().map(|&x| F16::from_f32(x)).collect();
-        let mut b: Vec<F16> = b_f32.iter().map(|&x| F16::from_f32(x)).collect();
-        let mut bref = b_f32;
-        trsm(
-            Side::Left,
-            Uplo::Lower,
-            Trans::No,
-            Diag::NonUnit,
-            n,
-            1,
-            F16::from_f32(1.0),
-            &a,
-            n,
-            &mut b,
-            n,
-        );
-        trsm(
-            Side::Left,
-            Uplo::Lower,
-            Trans::No,
-            Diag::NonUnit,
-            n,
-            1,
-            1.0f32,
-            &a_f32,
-            n,
-            &mut bref,
-            n,
-        );
-        for i in 0..n {
-            assert_eq!(b[i].to_f32(), F16::from_f32(bref[i]).to_f32(), "row {i}");
-        }
-
-        let mut c = vec![F16::from_f32(0.0); n * n];
-        let mut cref = vec![0.0f32; n * n];
-        syrk(
-            Uplo::Lower,
-            Trans::No,
-            n,
-            n,
-            F16::from_f32(1.0),
-            &a,
-            n,
-            F16::from_f32(0.0),
-            &mut c,
-            n,
-        );
-        syrk(
-            Uplo::Lower,
-            Trans::No,
-            n,
-            n,
-            1.0f32,
-            &a_f32,
-            n,
-            0.0f32,
-            &mut cref,
-            n,
-        );
-        for j in 0..n {
-            for i in j..n {
-                assert_eq!(
-                    c[i + j * n].to_f32(),
-                    F16::from_f32(cref[i + j * n]).to_f32(),
-                    "({i},{j})"
-                );
-            }
-        }
     }
 }
 

@@ -25,15 +25,12 @@
 )]
 
 pub(crate) mod abft;
-pub mod batch;
-pub(crate) mod halfp;
 pub mod kernel;
 pub mod l1;
 pub mod l2;
 pub mod l3;
 pub mod pack;
 
-pub use batch::{gemm_batch, GemmJob};
 pub use l1::{
     asum, axpy, copy, dotc, dotu, iamax, lacgv, lassq, nrm2, rot, rotg, rscal, scal, swap,
 };

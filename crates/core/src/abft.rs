@@ -179,8 +179,8 @@ pub fn clear_pending() {
 /// scope exit and can never surface as `INFO = -102` in a later job that
 /// happens to run on the same worker thread.
 ///
-/// [`ctx::isolated`] (batch jobs, dag tasks) and the `la-serve` workers wrap
-/// every job in this scope.
+/// [`ctx::isolated`] (dag tasks) and the `la-serve` workers wrap every job
+/// in this scope.
 pub fn job_scope<R>(f: impl FnOnce() -> R) -> R {
     struct Guard;
     impl Drop for Guard {

@@ -46,9 +46,9 @@ use crate::ctx;
 /// cancelled). Maps to [`crate::LaError::Cancelled`] through `ERINFO`.
 pub const INFO_CANCELLED: i32 = -103;
 
-/// `INFO` code recorded for a batch job whose worker panicked; the panic
-/// was isolated to that job (caught at the job boundary) and its output
-/// is unspecified. Maps to [`crate::LaError::Panicked`] through `ERINFO`.
+/// `INFO` code recorded for a job (a dag task) whose body panicked; the
+/// panic was isolated to that job (caught at the job boundary,
+/// [`crate::ctx::isolated`]) and its output is unspecified. Maps to [`crate::LaError::Panicked`] through `ERINFO`.
 pub const INFO_PANICKED: i32 = -104;
 
 struct Inner {
@@ -161,7 +161,7 @@ impl Heartbeat {
     }
 
     /// Records one checkpoint passage. Public so dispatchers can stamp at
-    /// their own boundaries (e.g. between batch items) in addition to the
+    /// their own boundaries (e.g. between queued jobs) in addition to the
     /// implicit stamps from [`cancelled`].
     pub fn stamp(&self) {
         self.beats.fetch_add(1, Ordering::Relaxed);

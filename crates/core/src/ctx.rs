@@ -13,7 +13,8 @@
 //!   with [`update`]. A malformed value is **rejected, not silently
 //!   dropped**: the default is kept and a warning naming the variable, the
 //!   rejected value, the accepted spellings and the fallback goes to
-//!   stderr.
+//!   stderr. So does one line per `LA_*` name that is not in the table — a
+//!   typo (`LA_THREDS`) or a retired variable changes nothing, and says so.
 //! * One thread-local stack of frames. A frame is a `Ctx` plus the three
 //!   things that belong to a call tree rather than to the process: the
 //!   cancel token, the watchdog heartbeat, and the number of pool siblings
@@ -23,10 +24,9 @@
 //!   nesting composes; the frame pops on scope exit, panic included.
 //! * One thread hop: [`capture`] takes the top frame as an [`Ambient`],
 //!   [`Ambient::enter`] installs it on another thread. [`fan_out`] is the
-//!   scoped-thread pool every parallel path runs on (BLAS-3 stripes, batch
-//!   jobs, dag workers), and [`isolated`] is the per-job robustness wrapper
-//!   (cancel gate, panic boundary, ABFT fault scope) the batch and dag
-//!   dispatchers share.
+//!   scoped-thread pool every parallel path runs on (BLAS-3 stripes, dag
+//!   workers), and [`isolated`] is the per-job robustness wrapper (cancel
+//!   gate, panic boundary, ABFT fault scope) every dag task runs under.
 //!
 //! What deliberately does **not** cross a hop: the ABFT pending fault and
 //! its epoch ([`crate::abft::take_pending`]) and the probe span/tag/job
@@ -51,7 +51,7 @@ use crate::abft::{self, AbftPolicy};
 use crate::cancel::{self, CancelToken, Heartbeat};
 use crate::except::FpCheckPolicy;
 use crate::probe::ProbePolicy;
-use crate::tune::{FactorAlgo, GemmKernel, MixedLo, RefineMode, TuneConfig};
+use crate::tune::{FactorAlgo, GemmKernel, RefineMode, TuneConfig};
 
 /// The ambient configuration: everything a routine may consult that is
 /// not an argument. Plain data — copy it, edit fields, hand it to [`with`]
@@ -80,20 +80,26 @@ impl Ctx {
         }
     }
 
-    /// Defaults overlaid with the `LA_*` variables `get` yields, plus one
-    /// diagnostic per rejected value. The process global is
-    /// `from_source(std::env::var)`; tests pass a closure instead, because
-    /// mutating the process environment races with parallel tests.
-    pub fn from_source(get: impl Fn(&str) -> Option<String>) -> (Self, Vec<String>) {
+    /// Defaults overlaid with the `LA_*` variables among the `(name, value)`
+    /// pairs of `env`, plus one diagnostic per rejected value and one per
+    /// `LA_*` name that is not a row of [`vars`]. The process global is
+    /// built from the process environment; tests pass a list instead,
+    /// because mutating the process environment races with parallel tests.
+    pub fn from_source(env: impl IntoIterator<Item = (String, String)>) -> (Self, Vec<String>) {
+        let table = vars();
         let mut ctx = Ctx::defaults();
         let mut warnings = Vec::new();
-        for var in &vars() {
-            let Some(raw) = get(var.name) else { continue };
-            if !var.apply(&mut ctx, &raw) {
-                warnings.push(format!(
-                    "{}: rejected value {raw:?} (expected {}); using default {}",
-                    var.name, var.accepts, var.default
-                ));
+        for (name, raw) in env {
+            if !name.starts_with("LA_") {
+                continue;
+            }
+            match table.iter().find(|var| var.name == name) {
+                Some(var) if var.apply(&mut ctx, &raw) => {}
+                Some(var) => warnings.push(format!(
+                    "{name}: rejected value {raw:?} (expected {}); using default {}",
+                    var.accepts, var.default
+                )),
+                None => warnings.push(format!("{name}: not a library variable (ignored)")),
             }
         }
         (ctx, warnings)
@@ -188,7 +194,7 @@ fn parse_flag(s: &str) -> Option<bool> {
 /// Every `LA_*` variable the library reads. Each enum row defers to the
 /// type's own `parse`, which is case-insensitive and also accepts the
 /// aliases listed here.
-pub fn vars() -> [Var; 22] {
+pub fn vars() -> [Var; 21] {
     [
         Var::count("LA_NUM_THREADS", "0", |c| &mut c.tune.max_threads),
         Var::count("LA_PAR_FLOPS", "8000000", |c| &mut c.tune.par_flops),
@@ -211,12 +217,6 @@ pub fn vars() -> [Var; 22] {
             store(&mut c.tune.factor, FactorAlgo::parse(s))
         }),
         Var::size("LA_TILE_NB", "192", |c| &mut c.tune.tile_nb),
-        Var::choice(
-            "LA_GESV_MIXED",
-            "f32|single, f16|half, bf16|bfloat16",
-            "f32",
-            |c, s| store(&mut c.tune.mixed_lo, MixedLo::parse(s)),
-        ),
         Var::choice(
             "LA_REFINE",
             "working|off, dd|double-double",
@@ -254,12 +254,19 @@ pub fn vars() -> [Var; 22] {
     ]
 }
 
+/// The process environment as [`Ctx::from_source`] takes it. A name or
+/// value that is not Unicode cannot be a library setting and is skipped.
+fn process_env() -> impl Iterator<Item = (String, String)> {
+    std::env::vars_os().filter_map(|(k, v)| Some((k.into_string().ok()?, v.into_string().ok()?)))
+}
+
 /// The process-global configuration, read from the environment on first
-/// use; every rejected value is reported on stderr exactly then.
+/// use; every rejected value and every unknown `LA_*` name is reported on
+/// stderr exactly then.
 fn global() -> &'static Mutex<Ctx> {
     static GLOBAL: OnceLock<Mutex<Ctx>> = OnceLock::new();
     GLOBAL.get_or_init(|| {
-        let (ctx, warnings) = Ctx::from_source(|name| std::env::var(name).ok());
+        let (ctx, warnings) = Ctx::from_source(process_env());
         for w in &warnings {
             eprintln!("la-core: {w}");
         }
@@ -432,8 +439,8 @@ impl Ambient {
 /// run inline on the calling thread.
 ///
 /// This is the only place the library spawns compute threads: BLAS-3
-/// stripes, batch jobs and dag workers are all `fan_out` calls that differ
-/// in what an item is.
+/// stripes and dag workers are both `fan_out` calls that differ in what an
+/// item is.
 pub fn fan_out<I, F>(workers: usize, items: I, f: F)
 where
     I: Iterator + Send,
@@ -482,18 +489,16 @@ pub fn isolated(body: impl FnOnce() -> i32) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{batch, dag, except, probe, tune};
+    use crate::{dag, except, probe, tune};
     use std::sync::atomic::AtomicUsize;
 
     /// Serializes the tests that read or edit the unscoped process global.
     static GLOBAL_TESTS: Mutex<()> = Mutex::new(());
 
-    fn source<'a>(vars: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
-        move |name| {
-            vars.iter()
-                .find(|(k, _)| *k == name)
-                .map(|(_, v)| v.to_string())
-        }
+    fn source(vars: &[(&str, &str)]) -> Vec<(String, String)> {
+        vars.iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect()
     }
 
     /// `c` with the one "0 = compiled-in default" field the table spells by
@@ -532,11 +537,6 @@ mod tests {
             Some(|c| c.tune.factor == FactorAlgo::Dag),
         ),
         ("LA_TILE_NB", "128", Some(|c| c.tune.tile_nb == 128)),
-        (
-            "LA_GESV_MIXED",
-            "bf16",
-            Some(|c| c.tune.mixed_lo == MixedLo::Bf16),
-        ),
         ("LA_REFINE", "dd", Some(|c| c.tune.refine == RefineMode::Dd)),
         (
             "LA_SERVE_TARGET_DELAY",
@@ -579,7 +579,6 @@ mod tests {
         ("LA_GEMM_NC", "", None),
         ("LA_FACTOR", "magic", None),
         ("LA_TILE_NB", "0", None),
-        ("LA_GESV_MIXED", "fp8", None),
         ("LA_REFINE", "quad", None),
         ("LA_SERVE_TARGET_DELAY", "soon", None),
         ("LA_SERVE_WATCHDOG", "garbage", None),
@@ -604,11 +603,6 @@ mod tests {
             "LA_GEMM_KERNEL",
             "SIMD",
             Some(|c| c.tune.gemm_kernel == GemmKernel::Simd),
-        ),
-        (
-            "LA_GESV_MIXED",
-            "half",
-            Some(|c| c.tune.mixed_lo == MixedLo::F16),
         ),
         (
             "LA_REFINE",
@@ -682,7 +676,7 @@ mod tests {
 
     #[test]
     fn unset_environment_yields_the_four_defaults() {
-        let (ctx, warnings) = Ctx::from_source(|_| None);
+        let (ctx, warnings) = Ctx::from_source(source(&[]));
         assert!(warnings.is_empty());
         assert_eq!(ctx.tune, TuneConfig::defaults());
         assert_eq!(ctx.fp_check, FpCheckPolicy::default());
@@ -712,6 +706,31 @@ mod tests {
     }
 
     #[test]
+    fn an_unknown_la_name_is_reported_once_and_changes_nothing() {
+        // A typo, a variable retired in PR 22, and two names that are not
+        // the library's business: no `LA_` prefix, or a different case.
+        let (ctx, warnings) = Ctx::from_source(source(&[
+            ("LA_THREDS", "4"),
+            ("LA_GESV_MIXED", "f16"),
+            ("LANG", "C"),
+            ("la_num_threads", "4"),
+        ]));
+        assert_eq!(ctx, Ctx::defaults());
+        assert_eq!(
+            warnings,
+            [
+                "LA_THREDS: not a library variable (ignored)",
+                "LA_GESV_MIXED: not a library variable (ignored)",
+            ]
+        );
+        // Known names beside it still land, and are not reported.
+        let (ctx, warnings) =
+            Ctx::from_source(source(&[("LA_NB_GETRF", "64"), ("LA_THREDS", "4")]));
+        assert_eq!(ctx.tune.nb_getrf, 64);
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+    }
+
+    #[test]
     fn readme_documents_every_variable() {
         let readme = include_str!("../../../README.md");
         for var in &vars() {
@@ -730,7 +749,7 @@ mod tests {
         // them would leave those jobs green and testing nothing.
         let _serial = GLOBAL_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let env = |name: &str| std::env::var(name).ok();
-        let (want, _) = Ctx::from_source(env);
+        let (want, _) = Ctx::from_source(process_env());
         let seen = std::thread::spawn(current).join().unwrap();
         assert_eq!(seen, want);
         if env("LA_FP_CHECK").as_deref() == Some("full") {
@@ -865,14 +884,8 @@ mod tests {
     /// A 2-worker hop: runs `probe` on its worker threads.
     type Hop = fn(&(dyn Fn() + Sync));
 
-    const HOPS: [(&str, Hop); 3] = [
+    const HOPS: [(&str, Hop); 2] = [
         ("ctx::fan_out", |probe| fan_out(2, 0..4, |_| probe())),
-        ("batch::run_batch", |probe| {
-            batch::run_batch(&mut [(); 4], |_, _| {
-                probe();
-                0
-            });
-        }),
         ("dag::Builder::run", |probe| {
             let mut g = dag::Builder::new();
             for i in 0..4 {

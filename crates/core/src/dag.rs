@@ -9,8 +9,8 @@
 //! flow style, and [`Builder::run`] executes the graph on a scoped worker
 //! pool that starts any task the moment its predecessors finish.
 //!
-//! The robustness contract matches [`crate::batch`], per *task* instead
-//! of per job — every body runs inside [`crate::ctx::isolated`]:
+//! The robustness contract is per *task* — every body runs inside
+//! [`crate::ctx::isolated`]:
 //!
 //! * **Panic isolation** — a task body that panics is caught at the task
 //!   boundary and recorded as [`crate::cancel::INFO_PANICKED`] (`-104`);
@@ -475,6 +475,7 @@ mod tests {
         g.task("clean-b", &[1], &[2], || 0);
         let res = tune::with(wide(2), || g.run());
         assert_eq!(res.infos[1], INFO_SOFT_FAULT);
+        assert_eq!((res.infos[0], res.infos[2]), (0, 0), "siblings stay clean");
         assert_eq!(res.info(), INFO_SOFT_FAULT);
         assert_eq!(abft::take_pending(), None, "nothing leaks to the caller");
     }

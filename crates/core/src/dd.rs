@@ -1,4 +1,4 @@
-//! Double-double extended precision — the accuracy end of the lattice.
+//! Double-double extended precision — the residual precision above `f64`.
 //!
 //! [`Dd`] represents a value as an unevaluated sum `hi + lo` of two `f64`
 //! with `|lo| ≤ ulp(hi)/2` (the *normalized* form), giving ≈106 bits of
@@ -540,7 +540,7 @@ mod tests {
     fn machine_params_and_prefix() {
         assert_eq!(Dd::PREFIX, 'X');
         assert_eq!(Dd::CPREFIX, 'x');
-        const _: () = assert!(!Dd::IS_COMPLEX && !Dd::IS_HALF);
+        const _: () = assert!(!Dd::IS_COMPLEX);
         assert!(Dd::rmin() > Dd::ZERO);
         assert!(Scalar::is_finite(Dd::rmax()));
         assert!((Dd::ONE / Dd::rmin()).hi.is_finite());

@@ -98,9 +98,9 @@ pub enum LaError {
         /// Driver name.
         routine: &'static str,
     },
-    /// `INFO = -104`: a batch job's worker panicked; the panic was caught
-    /// at the job boundary (poisoning only that job, never the pool) and
-    /// the job's output is unspecified. Extends the `-100`..`-103` code
+    /// `INFO = -104`: the body of a job (a dag task) panicked; the panic
+    /// was caught at the job boundary (poisoning only that job, never the
+    /// pool) and the job's output is unspecified. Extends the `-100`..`-103` code
     /// family.
     Panicked {
         /// Driver name.

@@ -34,40 +34,33 @@
 //!   runtime soft-fault policy (`LA_ABFT`), the `INFO = -102` soft-fault
 //!   extension code, detection/recovery counters, and (behind the
 //!   `fault-inject` feature) silent-corruption injection for tests.
-//! * [`batch`] — the work-stealing batched-job dispatcher: panic
-//!   isolation, per-job fault scoping, policy inheritance and the
-//!   no-oversubscription clamp under every `*_batch` entry point.
 //! * [`dag`] — the dependency-tracked task-graph runtime (PLASMA-style
-//!   sequential-task-flow scheduling) under the tiled factorizations,
-//!   with the same per-task robustness contract as [`batch`].
+//!   sequential-task-flow scheduling) under the tiled factorizations:
+//!   per-task panic isolation, fault scoping, policy inheritance and the
+//!   no-oversubscription clamp ([`ctx::isolated`], [`ctx::fan_out`]).
 //! * [`tile`] — [`TileMat`], the tile-major store the dag algorithms
 //!   operate on: copy-in/copy-out from column-major [`Mat`] layout,
 //!   one allocation per tile so a memory-mapped backing can follow.
 //! * [`cancel`] — cooperative cancellation: [`CancelToken`] deadlines and
 //!   the `INFO = -103` (cancelled) / `-104` (worker panicked) extension
-//!   codes consumed by the batch dispatchers and the `la-serve` queue.
+//!   codes consumed by the dag runtime and the `la-serve` queue.
 //! * [`probe`] — the observability subsystem (`LA_PROFILE`): per-routine
 //!   counters with closed-form flop accounting, hierarchical span tracing
 //!   across the driver → factorization → BLAS-3 stack, and structured
 //!   reports.
-//! * [`mixed`] — the precision lattice ([`Demote`]/[`Promote`] plus the
-//!   multi-target [`mixed::DemoteTo`]): `f64 ↔ {f32, f16, bf16}`,
-//!   `Complex<f64> ↔ Complex<f32>` and `f32 ↔ {f16, bf16}` bridges with
-//!   per-edge eps/overflow/underflow constants, for the mixed-precision
-//!   refinement drivers.
-//! * [`half`] — software [`F16`]/[`Bf16`] storage types (full [`Scalar`]
-//!   implementations; BLAS-3 on them accumulates in f32), the demotion
-//!   targets at the speed end of the lattice.
+//! * [`mixed`] — the precision pairs ([`Demote`]/[`Promote`]):
+//!   `f64 ↔ f32` and `Complex<f64> ↔ Complex<f32>` bridges with
+//!   eps/overflow/underflow constants, for the mixed-precision refinement
+//!   drivers.
 //! * [`dd`] — [`Dd`], double-double extended precision (~31 decimal
 //!   digits) implementing [`Scalar`]/[`RealScalar`], the residual
-//!   precision at the accuracy end of the lattice.
+//!   precision of the `LA_REFINE=dd` refinement loops.
 //! * [`json`] — the dependency-free JSON writer/parser used by [`probe`]
 //!   reports and the bench harness.
 
 #![warn(missing_docs)]
 
 pub mod abft;
-pub mod batch;
 pub mod cancel;
 pub mod complex;
 pub mod ctx;
@@ -76,7 +69,6 @@ pub mod dd;
 pub mod enums;
 pub mod error;
 pub mod except;
-pub mod half;
 pub mod json;
 pub mod mat;
 pub mod mixed;
@@ -95,7 +87,6 @@ pub use dd::Dd;
 pub use enums::{Diag, Norm, Side, Trans, Uplo};
 pub use error::{erinfo, LaError, PositiveInfo};
 pub use except::FpCheckPolicy;
-pub use half::{Bf16, F16};
 pub use mat::{Mat, MatMut, MatRef};
 pub use mixed::{Demote, Promote};
 pub use probe::ProbePolicy;

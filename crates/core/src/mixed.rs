@@ -1,4 +1,4 @@
-//! Precision lattice — the type-level bridge for mixed-precision
+//! Precision pairs — the type-level bridge for mixed-precision
 //! algorithms (Dongarra-lineage `DSGESV`/`ZCGESV` iterative refinement
 //! and its GMRES-IR three-precision descendants).
 //!
@@ -11,45 +11,33 @@
 //! its matrix down, factor cheaply, and widen the solution back for
 //! full-precision refinement.
 //!
-//! [`DemoteTo`] generalizes the pairing into a lattice with multiple
-//! demotion targets per working type (MPLAPACK-style, arXiv:2109.13406):
-//!
 //! ```text
-//!           Dd  (extended residuals, la_core::dd)
-//!            ↑
-//!   f64 ──→ f32 ──→ F16 / Bf16        C64 ──→ C32
-//!     └────────────→ F16 / Bf16   (complex stops at C32: half-precision
-//!                                  complex demotion buys <2× on top of
-//!                                  the 4× real-flop ratio and is not in
-//!                                  the lattice)
+//!    Dd  (extended residuals, la_core::dd)
+//!     ↑
+//!    f64 ──→ f32        C64 ──→ C32
 //! ```
 //!
-//! The per-edge constants mirror what `DSGESV` reads from `SLAMCH`:
+//! The per-pair constants mirror what `DSGESV` reads from `SLAMCH`:
 //! [`Demote::lo_eps`] (the low precision's unit roundoff, expressed in
 //! the working real type — the per-iteration error floor of the low
 //! factorization), [`Demote::lo_overflow`] (the low precision's overflow
 //! threshold — a working-precision entry beyond it cannot be demoted,
 //! the `DLAG2S` failure mode) and [`Demote::lo_rmin`] (the smallest
-//! positive normal — with f16's 2⁻¹⁴ floor, whole well-conditioned rows
-//! can demote to zero, the underflow failure mode [`demote_slice`] now
-//! flags; see Demmel et al., arXiv:2207.09281 on surfacing narrow-range
-//! hazards instead of silently diverging).
+//! positive normal — entries far below it demote to zero, the underflow
+//! failure mode [`demote_slice`] flags; see Demmel et al.,
+//! arXiv:2207.09281 on surfacing narrow-range hazards instead of silently
+//! diverging).
 //!
 //! ```
-//! use la_core::mixed::{Demote, DemoteTo, Promote};
-//! use la_core::half::Bf16;
+//! use la_core::mixed::{Demote, Promote};
 //! let x: f64 = 1.0 + f64::EPSILON; // below f32 resolution
 //! let lo: f32 = x.demote();
 //! assert_eq!(lo, 1.0f32);
 //! assert_eq!(lo.promote(), 1.0f64); // widening is exact
 //! assert_eq!(f64::lo_eps(), f32::EPSILON as f64);
-//! // The same value through the lattice to bfloat16:
-//! let h: Bf16 = DemoteTo::<Bf16>::demote_to(3.0f64);
-//! assert_eq!(f64::promote_back(h), 3.0);
 //! ```
 
 use crate::complex::Complex;
-use crate::half::{Bf16, F16};
 use crate::scalar::{RealScalar, Scalar};
 
 /// A working-precision scalar that has a lower-precision counterpart:
@@ -91,80 +79,6 @@ pub trait Demote: Scalar {
         Self::Real::from_f64(<<Self::Lo as Scalar>::Real as RealScalar>::rmin().to_f64())
     }
 }
-
-/// A working-precision scalar with a *specific* demotion target `L` —
-/// one edge of the precision lattice. Unlike [`Demote`] (whose one
-/// `Lo` per type keeps the classic two-precision drivers simple), a
-/// type implements `DemoteTo<L>` once per reachable level: `f64`
-/// reaches `f32`, [`F16`] and [`Bf16`]; `f32` reaches the half types;
-/// `Complex<f64>` reaches `Complex<f32>`.
-///
-/// The `f64 → F16/Bf16` edges round through `f32` first. The composed
-/// rounding can differ from a single direct rounding by one ulp on
-/// exact-tie values (classic double rounding); for demotion targets —
-/// where the value is an approximation seed, not the answer — this is
-/// immaterial and keeps the conversion kernels in one place
-/// (`la_core::half`).
-pub trait DemoteTo<L: Scalar>: Scalar {
-    /// Rounds to the target precision.
-    fn demote_to(self) -> L;
-
-    /// Widens a target-precision value back (exact: every lattice
-    /// target's value set embeds in every working type above it).
-    fn promote_back(lo: L) -> Self;
-
-    /// The target's unit roundoff in working-precision terms.
-    #[inline]
-    fn lo_eps_of() -> Self::Real {
-        Self::Real::from_f64(<L::Real as RealScalar>::EPS.to_f64())
-    }
-
-    /// The target's overflow threshold in working-precision terms.
-    #[inline]
-    fn lo_overflow_of() -> Self::Real {
-        Self::Real::from_f64(<L::Real as RealScalar>::rmax().to_f64())
-    }
-
-    /// The target's smallest positive normal in working-precision terms.
-    #[inline]
-    fn lo_rmin_of() -> Self::Real {
-        Self::Real::from_f64(<L::Real as RealScalar>::rmin().to_f64())
-    }
-}
-
-/// Every classic [`Demote`] pair is an edge of the lattice.
-impl<T: Demote> DemoteTo<T::Lo> for T {
-    #[inline(always)]
-    fn demote_to(self) -> T::Lo {
-        self.demote()
-    }
-    #[inline(always)]
-    fn promote_back(lo: T::Lo) -> T {
-        lo.promote()
-    }
-}
-
-macro_rules! impl_half_edge {
-    ($working:ty, $half:ty) => {
-        impl DemoteTo<$half> for $working {
-            #[inline(always)]
-            #[allow(clippy::unnecessary_cast)] // identity when $working = f32
-            fn demote_to(self) -> $half {
-                <$half>::from_f32(self as f32)
-            }
-            #[inline(always)]
-            #[allow(clippy::unnecessary_cast)]
-            fn promote_back(lo: $half) -> $working {
-                lo.to_f32() as $working
-            }
-        }
-    };
-}
-
-impl_half_edge!(f64, F16);
-impl_half_edge!(f64, Bf16);
-impl_half_edge!(f32, F16);
-impl_half_edge!(f32, Bf16);
 
 /// A low-precision scalar that widens exactly into its working-precision
 /// counterpart: `f32 → f64`, `Complex<f32> → Complex<f64>`.
@@ -218,8 +132,7 @@ pub struct DemoteFlags {
     /// A finite source entry demoted to ±∞ (the `DLAG2S` `INFO > 0`
     /// condition).
     pub overflow: bool,
-    /// A non-zero finite source component demoted to zero. With f16's
-    /// 2⁻¹⁴ normal floor this silently zeroes well-scaled rows; left
+    /// A non-zero finite source component demoted to zero. Left
     /// unflagged, the refinement loop diverges instead of falling back.
     pub underflow: bool,
 }
@@ -233,7 +146,7 @@ impl DemoteFlags {
     }
 
     #[inline]
-    fn record<T: DemoteTo<L>, L: Scalar>(&mut self, s: T, lo: L) {
+    fn record<T: Demote>(&mut self, s: T, lo: T::Lo) {
         // Non-finite *sources* are not flagged here: NaN/Inf inputs are
         // the domain of the `except` screening policy.
         self.overflow |= !lo.is_finite() && s.is_finite();
@@ -242,54 +155,25 @@ impl DemoteFlags {
     }
 }
 
-/// Demotes `src` elementwise into `dst` along any lattice edge,
-/// reporting overflow-to-∞ and underflow-to-zero separately in
-/// [`DemoteFlags`]. Callers demoting *residuals* (which legitimately
+/// Demotes `src` elementwise into `dst`, reporting overflow-to-∞ and
+/// underflow-to-zero separately in [`DemoteFlags`]; on either, the low
+/// image misrepresents the data and the caller must take its
+/// full-precision path. Callers demoting *residuals* (which legitimately
 /// shrink toward zero) should pre-scale by an exact power of two and
-/// consult only the `overflow` flag; callers demoting the *matrix*
-/// should require [`DemoteFlags::ok`].
+/// consult only the `overflow` flag; callers demoting the *matrix* should
+/// require [`DemoteFlags::ok`].
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
-pub fn demote_to_slice<T: DemoteTo<L>, L: Scalar>(src: &[T], dst: &mut [L]) -> DemoteFlags {
-    assert_eq!(src.len(), dst.len(), "demote_to_slice: length mismatch");
+pub fn demote_slice<T: Demote>(src: &[T], dst: &mut [T::Lo]) -> DemoteFlags {
+    assert_eq!(src.len(), dst.len(), "demote_slice: length mismatch");
     let mut flags = DemoteFlags::default();
     for (d, &s) in dst.iter_mut().zip(src) {
-        let lo = s.demote_to();
+        let lo = s.demote();
         flags.record(s, lo);
         *d = lo;
     }
     flags
-}
-
-/// Widens `src` elementwise into `dst` along any lattice edge (exact).
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn promote_back_slice<T: DemoteTo<L>, L: Scalar>(src: &[L], dst: &mut [T]) {
-    assert_eq!(src.len(), dst.len(), "promote_back_slice: length mismatch");
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = T::promote_back(s);
-    }
-}
-
-/// Demotes `src` elementwise into `dst`. Returns `false` when any finite
-/// source entry leaves the low precision's *representable* range — either
-/// overflowing to infinity (the `DLAG2S` `INFO > 0` condition) or
-/// underflowing to zero while the source component was non-zero — and the
-/// caller must then take its full-precision path. A non-finite *source*
-/// entry is not flagged here: NaN/Inf inputs are the domain of the
-/// [`crate::except`] screening policy.
-///
-/// (Until the lattice generalization this checked overflow only; the
-/// underflow leg went unflagged, which f16's narrow range turns from a
-/// latent hazard into a routine divergence. Use [`demote_to_slice`] when
-/// the two hazards need different handling.)
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn demote_slice<T: Demote>(src: &[T], dst: &mut [T::Lo]) -> bool {
-    demote_to_slice(src, dst).ok()
 }
 
 /// Widens `src` elementwise into `dst` (exact).
@@ -336,20 +220,20 @@ mod tests {
     fn demote_slice_flags_overflow() {
         let src = [1.0f64, 2.0, 3.0];
         let mut dst = [0.0f32; 3];
-        assert!(demote_slice(&src, &mut dst));
+        assert!(demote_slice(&src, &mut dst).ok());
         assert_eq!(dst, [1.0f32, 2.0, 3.0]);
 
         let src = [1.0f64, 1e300, 3.0]; // 1e300 overflows f32
-        assert!(!demote_slice(&src, &mut dst));
+        assert!(!demote_slice(&src, &mut dst).ok());
 
         // Non-finite sources pass through unflagged (screening territory).
         let src = [f64::INFINITY, 1.0, 2.0];
-        assert!(demote_slice(&src, &mut dst));
+        assert!(demote_slice(&src, &mut dst).ok());
         assert!(dst[0].is_infinite());
 
         let zsrc = [C64::new(0.0, 1e300)];
         let mut zdst = [C32::new(0.0, 0.0)];
-        assert!(!demote_slice(&zsrc, &mut zdst));
+        assert!(!demote_slice(&zsrc, &mut zdst).ok());
     }
 
     #[test]
@@ -358,64 +242,24 @@ mod tests {
         // hazard that used to slip through and send refinement diverging.
         let src = [1.0f64, 1e-300, 3.0];
         let mut dst = [0.0f32; 3];
-        assert!(!demote_slice(&src, &mut dst));
-
-        let flags = demote_to_slice(&src, &mut dst);
+        let flags = demote_slice(&src, &mut dst);
         assert!(flags.underflow && !flags.overflow && !flags.ok());
 
         // Exact zeros are structure, not underflow.
         let src = [0.0f64, -0.0, 2.0];
-        assert!(demote_slice(&src, &mut dst));
+        assert!(demote_slice(&src, &mut dst).ok());
 
         // A subnormal-but-nonzero image is not flagged: magnitude
         // survived, only precision was lost.
         let src = [2.0f64.powi(-140)];
         let mut one = [0.0f32];
-        let flags = demote_to_slice(&src, &mut one);
+        let flags = demote_slice(&src, &mut one);
         assert!(one[0] > 0.0 && flags.ok());
 
         // Complex: a zeroed imaginary part alone trips the flag.
         let zsrc = [C64::new(1.0, 1e-300)];
         let mut zdst = [C32::new(0.0, 0.0)];
-        assert!(!demote_to_slice(&zsrc, &mut zdst).ok());
-    }
-
-    #[test]
-    fn lattice_edges_to_half_types() {
-        use crate::half::{Bf16, F16};
-        // f64 → F16 → f64 round trip on f16-representable values.
-        for v in [0.0f64, 1.0, -2.5, 1024.0, 0.000_061_035_156_25] {
-            let h: F16 = v.demote_to();
-            assert_eq!(f64::promote_back(h), v, "f16 round trip of {v}");
-            let b: Bf16 = v.demote_to();
-            assert_eq!(f64::promote_back(b), v, "bf16 round trip of {v}");
-        }
-        // Per-edge machine constants seen from the working side.
-        assert_eq!(<f64 as DemoteTo<F16>>::lo_eps_of(), 2f64.powi(-10));
-        assert_eq!(<f64 as DemoteTo<F16>>::lo_overflow_of(), 65504.0);
-        assert_eq!(<f64 as DemoteTo<F16>>::lo_rmin_of(), 2f64.powi(-14));
-        assert_eq!(<f64 as DemoteTo<Bf16>>::lo_eps_of(), 2f64.powi(-7));
-        assert_eq!(
-            <f64 as DemoteTo<Bf16>>::lo_rmin_of(),
-            f32::MIN_POSITIVE as f64
-        );
-        // The blanket edge agrees with the classic pair.
-        assert_eq!(<f64 as DemoteTo<f32>>::lo_eps_of(), f64::lo_eps());
-
-        // f16's narrow range: both hazards on one matrix-row-like slice.
-        let src = [70000.0f64, 1e-8, 1.0];
-        let mut dst = [F16::from_f32(0.0); 3];
-        let flags = demote_to_slice(&src, &mut dst);
-        assert!(flags.overflow && flags.underflow);
-        // bf16 keeps f32 range: the same slice only loses precision.
-        let mut bdst = [Bf16::from_f32(0.0); 3];
-        assert!(demote_to_slice(&src, &mut bdst).ok());
-
-        // promote_back_slice is exact.
-        let hsrc = [F16::from_f32(1.5), F16::from_f32(-0.25)];
-        let mut wide = [0.0f64; 2];
-        promote_back_slice(&hsrc, &mut wide);
-        assert_eq!(wide, [1.5, -0.25]);
+        assert!(!demote_slice(&zsrc, &mut zdst).ok());
     }
 
     #[test]

@@ -45,14 +45,6 @@ pub trait Scalar:
     /// `true` for the complex instantiations (`C`/`Z`), `false` for `S`/`D`.
     const IS_COMPLEX: bool;
 
-    /// `true` for the software half-precision storage types
-    /// ([`crate::half::F16`] / [`crate::half::Bf16`]). The BLAS-3 layer
-    /// consults this (it const-folds per instantiation) to route
-    /// half-precision `gemm`/`trsm`/`syrk` through f32-accumulating
-    /// conversion paths instead of rounding every partial sum to the
-    /// 8–11-bit significand.
-    const IS_HALF: bool = false;
-
     /// Single-letter LAPACK type prefix: `S`, `D`, `C` or `Z`.
     const PREFIX: char;
 

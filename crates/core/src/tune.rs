@@ -113,46 +113,6 @@ impl FactorAlgo {
     }
 }
 
-/// Demotion level of the mixed-precision iterative-refinement drivers —
-/// which precision the O(n³) factorization runs in. Selected through the
-/// `mixed_lo` field of [`TuneConfig`] (env var `LA_GESV_MIXED`). Complex
-/// working types resolve every level to `Complex<f32>`: half-precision
-/// complex demotion is not in the lattice (see `la_core::mixed`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum MixedLo {
-    /// Classic DSGESV pairing: factor in f32. Default.
-    #[default]
-    F32,
-    /// Factor in software IEEE binary16 (eps 2⁻¹⁰, range ±65504 — the
-    /// narrow range makes the `iter = -2` demotion fallback routine on
-    /// unscaled data).
-    F16,
-    /// Factor in software bfloat16 (eps 2⁻⁷, full f32 range — coarse but
-    /// demotion-safe).
-    Bf16,
-}
-
-impl MixedLo {
-    /// Parses the `LA_GESV_MIXED` spelling (case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "f32" | "single" => Some(MixedLo::F32),
-            "f16" | "half" => Some(MixedLo::F16),
-            "bf16" | "bfloat16" => Some(MixedLo::Bf16),
-            _ => None,
-        }
-    }
-
-    /// The canonical spelling, as accepted by [`MixedLo::parse`].
-    pub fn as_str(self) -> &'static str {
-        match self {
-            MixedLo::F32 => "f32",
-            MixedLo::F16 => "f16",
-            MixedLo::Bf16 => "bf16",
-        }
-    }
-}
-
 /// Residual precision of the refinement loops. Selected through the
 /// `refine` field of [`TuneConfig`] (env var `LA_REFINE`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -241,9 +201,6 @@ pub struct TuneConfig {
     /// `0` falls back to the compiled-in default (see
     /// [`TuneConfig::tile_size`]).
     pub tile_nb: usize,
-    /// Demotion level for the mixed-precision drivers (`LA_GESV_MIXED`):
-    /// which precision `gesv_mixed`/`posv_mixed` factor in.
-    pub mixed_lo: MixedLo,
     /// Residual precision for the refinement loops (`LA_REFINE`):
     /// working precision (classic) or double-double (three-precision
     /// GMRES-IR regime).
@@ -292,7 +249,6 @@ impl TuneConfig {
             gemm_nc: 0,
             factor: FactorAlgo::Blocked,
             tile_nb: 0,
-            mixed_lo: MixedLo::F32,
             refine: RefineMode::Working,
             serve_target_delay_ms: 0,
             serve_watchdog_ms: 0,
@@ -309,9 +265,9 @@ impl TuneConfig {
     ///
     /// On a thread that is itself one of `W` siblings of an enclosing
     /// worker pool (see [`in_pool_worker`]), the clamp tightens to
-    /// `host / W`: a batch dispatcher fanning `W` jobs out, each of which
-    /// opens striped BLAS-3, would otherwise put `W × stripes` runnable
-    /// threads on `host` cores. `oversubscribe` bypasses this clamp too —
+    /// `host / W`: a pool running `W` jobs at once, each of which opens
+    /// striped BLAS-3, would otherwise put `W × stripes` runnable threads
+    /// on `host` cores. `oversubscribe` bypasses this clamp too —
     /// the equivalence tests and bench sweeps that force wide striping on
     /// small hosts keep working unchanged.
     ///
@@ -506,7 +462,7 @@ mod tests {
 
     #[test]
     fn pool_workers_split_the_host_budget() {
-        // Regression: a batch worker invoking striped BLAS-3 must not
+        // Regression: a pool worker invoking striped BLAS-3 must not
         // oversubscribe — worker-count × stripe-count ≤ host cores unless
         // `oversubscribe` is set.
         let host = std::thread::available_parallelism()
@@ -602,18 +558,11 @@ mod tests {
     }
 
     #[test]
-    fn mixed_lattice_knobs_parse_and_round_trip() {
-        for m in [MixedLo::F32, MixedLo::F16, MixedLo::Bf16] {
-            assert_eq!(MixedLo::parse(m.as_str()), Some(m));
-            assert_eq!(MixedLo::parse(&m.as_str().to_uppercase()), Some(m));
-        }
-        assert_eq!(MixedLo::parse("fp8"), None);
+    fn refine_mode_parses_and_round_trips() {
         for r in [RefineMode::Working, RefineMode::Dd] {
             assert_eq!(RefineMode::parse(r.as_str()), Some(r));
         }
         assert_eq!(RefineMode::parse("quad"), None);
-        let d = TuneConfig::defaults();
-        assert_eq!(d.mixed_lo, MixedLo::F32);
-        assert_eq!(d.refine, RefineMode::Working);
+        assert_eq!(TuneConfig::defaults().refine, RefineMode::Working);
     }
 }

@@ -2,12 +2,10 @@
 //! `LA_POSV_MIXED`.
 //!
 //! These wrap the substrate's [`f77::gesv_mixed`]/[`f77::posv_mixed`]
-//! (the `DSGESV`/`DSPOSV` lineage, generalized over the precision
-//! lattice): the O(n³) factorization runs in the demoted precision
-//! selected by the `LA_GESV_MIXED` environment variable — `f32` (the
-//! default), `f16` or `bf16` for real working types; complex always
-//! demotes to `Complex<f32>` — the solution is refined against the
-//! original working-precision matrix (residuals in double-double under
+//! (the `DSGESV`/`DSPOSV` lineage): the O(n³) factorization runs in the
+//! demoted precision of the working type's [`Demote`] pair — `f32` for
+//! `f64`, `Complex<f32>` for `Complex<f64>` — the solution is refined
+//! against the original working-precision matrix (residuals in double-double under
 //! `LA_REFINE=dd`), and any low-precision failure — demotion
 //! overflow/underflow, zero pivot, refinement stall — transparently
 //! re-solves with the full working-precision factorization, bit-for-bit
@@ -31,7 +29,7 @@
 //! against a snapshot of the original matrix.
 
 use la_blas::{gemm, symm};
-use la_core::{erinfo, LaError, Mat, Norm, PositiveInfo, RealScalar, Scalar, Trans, Uplo};
+use la_core::{erinfo, Demote, LaError, Mat, Norm, PositiveInfo, RealScalar, Scalar, Trans, Uplo};
 use la_lapack as f77;
 pub use la_lapack::RfsxOut;
 
@@ -128,7 +126,7 @@ fn gesv_mixed_opt<T, B, X>(
     want_berr: bool,
 ) -> Result<MixedOut<T::Real>, LaError>
 where
-    T: f77::Lattice,
+    T: Demote,
     B: Rhs<T> + ?Sized,
     X: Rhs<T> + ?Sized,
 {
@@ -224,7 +222,7 @@ where
 /// ```
 pub fn gesv_mixed<T, B, X>(a: &mut Mat<T>, b: &B, x: &mut X) -> Result<i32, LaError>
 where
-    T: f77::Lattice,
+    T: Demote,
     B: Rhs<T> + ?Sized,
     X: Rhs<T> + ?Sized,
 {
@@ -241,7 +239,7 @@ pub fn gesv_mixed_ipiv<T, B, X>(
     ipiv: &mut [i32],
 ) -> Result<i32, LaError>
 where
-    T: f77::Lattice,
+    T: Demote,
     B: Rhs<T> + ?Sized,
     X: Rhs<T> + ?Sized,
 {
@@ -253,7 +251,7 @@ where
 /// original `A` (an extra O(n²) gemm + the snapshot copy).
 pub fn gesv_mixedx<T, B, X>(a: &mut Mat<T>, b: &B, x: &mut X) -> Result<MixedOut<T::Real>, LaError>
 where
-    T: f77::Lattice,
+    T: Demote,
     B: Rhs<T> + ?Sized,
     X: Rhs<T> + ?Sized,
 {
@@ -268,7 +266,7 @@ fn posv_mixed_opt<T, B, X>(
     want_berr: bool,
 ) -> Result<MixedOut<T::Real>, LaError>
 where
-    T: f77::Lattice,
+    T: Demote,
     B: Rhs<T> + ?Sized,
     X: Rhs<T> + ?Sized,
 {
@@ -340,7 +338,7 @@ where
 /// the solution lands in `X`. Returns the iteration count.
 pub fn posv_mixed<T, B, X>(a: &mut Mat<T>, b: &B, x: &mut X) -> Result<i32, LaError>
 where
-    T: f77::Lattice,
+    T: Demote,
     B: Rhs<T> + ?Sized,
     X: Rhs<T> + ?Sized,
 {
@@ -355,7 +353,7 @@ pub fn posv_mixed_uplo<T, B, X>(
     uplo: Uplo,
 ) -> Result<i32, LaError>
 where
-    T: f77::Lattice,
+    T: Demote,
     B: Rhs<T> + ?Sized,
     X: Rhs<T> + ?Sized,
 {
@@ -372,7 +370,7 @@ pub fn posv_mixedx<T, B, X>(
     uplo: Uplo,
 ) -> Result<MixedOut<T::Real>, LaError>
 where
-    T: f77::Lattice,
+    T: Demote,
     B: Rhs<T> + ?Sized,
     X: Rhs<T> + ?Sized,
 {

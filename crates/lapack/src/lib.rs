@@ -23,7 +23,6 @@
 pub(crate) mod abft;
 pub mod aux;
 pub mod band;
-pub mod batch;
 pub mod chol;
 pub mod dc;
 pub mod eig_cplx;
@@ -44,7 +43,6 @@ pub mod tiled;
 
 pub use aux::*;
 pub use band::*;
-pub use batch::{gesv_batch, posv_batch, GesvJob, PosvJob};
 pub use chol::*;
 pub use dc::*;
 pub use eig_cplx::*;

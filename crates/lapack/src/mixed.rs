@@ -1,16 +1,15 @@
 //! Mixed-precision iterative-refinement solvers (`xSGESV`/`xSPOSV`
-//! lineage), generalized over the precision lattice: factor in a demoted
-//! precision (f32, or the software half types f16/bf16), refine in the
-//! working precision — with residuals optionally accumulated in
+//! lineage): factor in the demoted precision of the working type's
+//! [`Demote`] pair (`f64 → f32`, `Complex<f64> → Complex<f32>`), refine in
+//! the working precision — with residuals optionally accumulated in
 //! double-double — and fall back to the full-precision factorization
 //! whenever the cheap path cannot deliver working-precision backward
 //! error.
 //!
 //! The algorithm is Dongarra's `DSGESV`/`ZCGESV`, extended to the
 //! GMRES-IR-style three-precision regime (Carson–Higham): demote `A`
-//! (and `B`) through a [`la_core::mixed::DemoteTo`] lattice edge, run
-//! the existing generic [`getrf`]/[`potrf`] + triangular solves on the
-//! low-precision copy, promote the solution and iterate
+//! (and `B`), run the existing generic [`getrf`]/[`potrf`] + triangular
+//! solves on the low-precision copy, promote the solution and iterate
 //!
 //! ```text
 //! r = b − A·x          (working precision, or double-double when
@@ -24,11 +23,8 @@
 //! `DSGESV` backward-error test `‖r‖∞ ≤ ‖x‖∞ · ‖A‖∞ · ε · √n` (see
 //! [`bwd_threshold`]), for at most [`ITERMAX`] iterations.
 //!
-//! The demotion level comes from `la_core::tune` (`LA_GESV_MIXED` =
-//! `f32`|`f16`|`bf16`) through the [`Lattice`] dispatch trait; complex
-//! working types resolve every level to `Complex<f32>` (half-precision
-//! complex demotion is not in the lattice — see `la_core::mixed`). The
-//! residual precision comes from `LA_REFINE` (`working`|`dd`).
+//! The residual precision comes from `la_core::tune` (`LA_REFINE` =
+//! `working`|`dd`).
 //!
 //! The path taken is reported through the `iter` out-parameter with the
 //! exact `DSGESV` convention:
@@ -38,8 +34,7 @@
 //! * `iter = -2` — an entry of `A` or `B` left the low precision's
 //!   representable range during demotion: overflow to infinity (the
 //!   `DLAG2S` failure mode) *or* underflow of a non-zero entry to zero
-//!   (routine at f16's 2⁻¹⁴ floor — previously unflagged, which sent
-//!   the loop diverging instead of falling back);
+//!   (unflagged, it sends the loop diverging instead of falling back);
 //! * `iter = -3` — the low-precision factorization hit a zero pivot /
 //!   non-positive-definite leading minor;
 //! * `iter = -(ITERMAX+1)` — refinement ran [`ITERMAX`] steps without
@@ -52,10 +47,9 @@
 //!
 //! Residual columns are scaled by an exact power of two before each
 //! demotion, so a residual that has legitimately shrunk toward the
-//! convergence floor cannot spuriously underflow the narrow half-precision
+//! convergence floor cannot spuriously underflow the low precision's
 //! range (the scaling is exact in both precisions and the triangular
-//! solves are degree-1 homogeneous, so on the classic f32 edge the
-//! correction is unchanged).
+//! solves are degree-1 homogeneous, so the correction is unchanged).
 //!
 //! The low-precision stages run inside [`probe::with_lo`], so span trees
 //! and counters report the demoted flops separately from the
@@ -63,10 +57,9 @@
 
 use la_blas::{gemm, gemv, hemv, symm};
 use la_core::dd::Dd;
-use la_core::half::{Bf16, F16};
-use la_core::mixed::{demote_to_slice, Demote, DemoteFlags, DemoteTo};
-use la_core::tune::{self, MixedLo, RefineMode};
-use la_core::{probe, Norm, RealScalar, Scalar, Trans, Uplo, C64};
+use la_core::mixed::{demote_slice, Demote, Promote};
+use la_core::tune::{self, RefineMode};
+use la_core::{probe, Norm, RealScalar, Scalar, Trans, Uplo};
 
 use crate::aux::{lange, lansy};
 use crate::chol::{potrf, potrs};
@@ -83,14 +76,12 @@ const BWDMAX: f64 = 1.0;
 /// `ε` the *working* precision's unit roundoff and `anrm = ‖A‖∞`. A
 /// refined solution whose residual satisfies
 /// `‖r‖∞ ≤ ‖x‖∞ · bwd_threshold(anrm, n)` has working-precision
-/// normwise backward error regardless of which lattice level did the
-/// factoring. Public so tests can lock the formula per type.
+/// normwise backward error whatever precision did the factoring. Public so tests can lock the formula per type.
 pub fn bwd_threshold<R: RealScalar>(anrm: R, n: usize) -> R {
     anrm * R::EPS * R::from_usize(n).sqrt_r() * R::from_f64(BWDMAX)
 }
 
-/// Which factorization family the lattice refinement drives — the
-/// dispatch currency of [`Lattice::refine_lattice`] (LU with partial
+/// Which factorization family the refinement drives (LU with partial
 /// pivoting for `gesv_mixed`, Cholesky for `posv_mixed`).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum MixedOp {
@@ -107,31 +98,26 @@ pub enum MixedOp {
 /// For `tri = Some(uplo)` only that triangle is read and demoted — the
 /// Cholesky drivers never reference the other triangle, so garbage there
 /// must not trip the range check.
-fn demote_mat<T: DemoteTo<L>, L: Scalar>(
+fn demote_mat<T: Demote>(
     rows: usize,
     cols: usize,
     a: &[T],
     ld: usize,
     tri: Option<Uplo>,
-) -> Option<Vec<L>> {
-    let mut out = vec![L::zero(); rows * cols];
-    let mut flags = DemoteFlags::default();
+) -> Option<Vec<T::Lo>> {
+    let mut out = vec![T::Lo::zero(); rows * cols];
     for j in 0..cols {
         let (lo, hi) = match tri {
             None => (0, rows),
             Some(Uplo::Upper) => (0, (j + 1).min(rows)),
             Some(Uplo::Lower) => (j.min(rows), rows),
         };
-        if lo < hi {
-            let f = demote_to_slice(
-                &a[j * ld + lo..j * ld + hi],
-                &mut out[j * rows + lo..j * rows + hi],
-            );
-            flags.overflow |= f.overflow;
-            flags.underflow |= f.underflow;
+        let src = &a[j * ld + lo..j * ld + hi];
+        if !demote_slice(src, &mut out[j * rows + lo..j * rows + hi]).ok() {
+            return None;
         }
     }
-    flags.ok().then_some(out)
+    Some(out)
 }
 
 /// Demotes the residual block column-by-column with an exact power-of-two
@@ -140,11 +126,11 @@ fn demote_mat<T: DemoteTo<L>, L: Scalar>(
 /// failure here — a residual component far below the column norm is below
 /// the low precision's resolution anyway, and zeroing it changes nothing
 /// the low-precision solve could see. Returns `false` on overflow.
-fn demote_residual<T: DemoteTo<L>, L: Scalar>(
+fn demote_residual<T: Demote>(
     n: usize,
     nrhs: usize,
     r: &[T],
-    sr: &mut [L],
+    sr: &mut [T::Lo],
     scales: &mut [T::Real],
 ) -> bool {
     let mut scaled = vec![T::zero(); n];
@@ -164,7 +150,7 @@ fn demote_residual<T: DemoteTo<L>, L: Scalar>(
         for (d, &v) in scaled.iter_mut().zip(col) {
             *d = v.mul_real(s);
         }
-        if demote_to_slice(&scaled, &mut sr[j * n..j * n + n]).overflow {
+        if demote_slice(&scaled, &mut sr[j * n..j * n + n]).overflow {
             return false;
         }
     }
@@ -174,10 +160,10 @@ fn demote_residual<T: DemoteTo<L>, L: Scalar>(
 /// `x(:, j) += promote(d(:, j)) / scales[j]` — applies a promoted
 /// low-precision correction (tight leading dimension `rows`), undoing the
 /// exact power-of-two residual scaling.
-fn add_promoted<T: DemoteTo<L>, L: Scalar>(
+fn add_promoted<T: Demote>(
     rows: usize,
     cols: usize,
-    d: &[L],
+    d: &[T::Lo],
     scales: &[T::Real],
     x: &mut [T],
     ldx: usize,
@@ -185,7 +171,7 @@ fn add_promoted<T: DemoteTo<L>, L: Scalar>(
     for j in 0..cols {
         let s = scales[j];
         for i in 0..rows {
-            x[i + j * ldx] += T::promote_back(d[i + j * rows]).div_real(s);
+            x[i + j * ldx] += d[i + j * rows].promote().div_real(s);
         }
     }
 }
@@ -377,12 +363,11 @@ pub(crate) fn residual_dd<T: Scalar>(
     }
 }
 
-/// Attempts the low-precision solve + refinement loop on one lattice
-/// edge. `Ok(iter)` with the converged iteration count, `Err(code)` with
+/// Attempts the low-precision solve + refinement loop. `Ok(iter)` with the converged iteration count, `Err(code)` with
 /// the `DSGESV`-style negative reason when the full-precision fallback
 /// must run.
 #[allow(clippy::too_many_arguments)]
-fn refine_lo<T: DemoteTo<L>, L: Scalar>(
+fn refine_lo<T: Demote>(
     op: MixedOp,
     refine: RefineMode,
     n: usize,
@@ -402,8 +387,8 @@ fn refine_lo<T: DemoteTo<L>, L: Scalar>(
     };
     // Demote the matrix and the right-hand sides; either range hazard
     // (overflow to ∞, non-zero entry to zero) → fallback.
-    let mut sa = demote_mat::<T, L>(n, n, a, lda, tri).ok_or(-2)?;
-    let mut sx = demote_mat::<T, L>(n, nrhs, b, ldb, None).ok_or(-2)?;
+    let mut sa = demote_mat(n, n, a, lda, tri).ok_or(-2)?;
+    let mut sx = demote_mat(n, nrhs, b, ldb, None).ok_or(-2)?;
 
     // Factor and solve entirely in the low precision.
     let finfo = probe::with_lo(|| match op {
@@ -419,14 +404,14 @@ fn refine_lo<T: DemoteTo<L>, L: Scalar>(
     if finfo != 0 {
         return Err(-3);
     }
-    let solve = |sa: &[L], ipiv: &[i32], sb: &mut [L]| match op {
+    let solve = |sa: &[T::Lo], ipiv: &[i32], sb: &mut [T::Lo]| match op {
         MixedOp::Lu => getrs(Trans::No, n, nrhs, sa, n, ipiv, sb, n),
         MixedOp::Chol(uplo) => potrs(uplo, n, nrhs, sa, n, sb, n),
     };
     probe::with_lo(|| solve(&sa, ipiv, &mut sx));
     for j in 0..nrhs {
         for i in 0..n {
-            x[i + j * ldx] = T::promote_back(sx[i + j * n]);
+            x[i + j * ldx] = sx[i + j * n].promote();
         }
     }
 
@@ -437,7 +422,7 @@ fn refine_lo<T: DemoteTo<L>, L: Scalar>(
 
     // Refine against the original working-precision A.
     let mut r = vec![T::zero(); n * nrhs];
-    let mut sr = vec![L::zero(); n * nrhs];
+    let mut sr = vec![T::Lo::zero(); n * nrhs];
     let mut scales = vec![T::Real::one(); nrhs];
     residual(b, &mut r, x);
     if converged(n, nrhs, &r, x, ldx, cte) {
@@ -457,96 +442,16 @@ fn refine_lo<T: DemoteTo<L>, L: Scalar>(
     Err(-ITERMAX - 1)
 }
 
-/// Per-type resolution of the `LA_GESV_MIXED` lattice level: real
-/// working types reach f32, f16 and bf16; complex working types resolve
-/// every level to `Complex<f32>` (half-precision complex demotion is not
-/// in the lattice — see `la_core::mixed`). The mixed drivers are generic
-/// over this trait, so the level dispatch happens once per call, not per
-/// element.
-pub trait Lattice: Demote {
-    /// Runs the low-precision solve + refinement loop at `level` (see
-    /// [`MixedOp`] for the factorization family and the module docs for
-    /// the `Result` convention).
-    #[allow(clippy::too_many_arguments)]
-    fn refine_lattice(
-        level: MixedLo,
-        refine: RefineMode,
-        op: MixedOp,
-        n: usize,
-        nrhs: usize,
-        a: &[Self],
-        lda: usize,
-        ipiv: &mut [i32],
-        b: &[Self],
-        ldb: usize,
-        x: &mut [Self],
-        ldx: usize,
-        cte: <Self as Scalar>::Real,
-    ) -> Result<i32, i32>;
-}
-
-impl Lattice for f64 {
-    fn refine_lattice(
-        level: MixedLo,
-        refine: RefineMode,
-        op: MixedOp,
-        n: usize,
-        nrhs: usize,
-        a: &[f64],
-        lda: usize,
-        ipiv: &mut [i32],
-        b: &[f64],
-        ldb: usize,
-        x: &mut [f64],
-        ldx: usize,
-        cte: f64,
-    ) -> Result<i32, i32> {
-        match level {
-            MixedLo::F32 => {
-                refine_lo::<f64, f32>(op, refine, n, nrhs, a, lda, ipiv, b, ldb, x, ldx, cte)
-            }
-            MixedLo::F16 => {
-                refine_lo::<f64, F16>(op, refine, n, nrhs, a, lda, ipiv, b, ldb, x, ldx, cte)
-            }
-            MixedLo::Bf16 => {
-                refine_lo::<f64, Bf16>(op, refine, n, nrhs, a, lda, ipiv, b, ldb, x, ldx, cte)
-            }
-        }
-    }
-}
-
-impl Lattice for C64 {
-    fn refine_lattice(
-        _level: MixedLo,
-        refine: RefineMode,
-        op: MixedOp,
-        n: usize,
-        nrhs: usize,
-        a: &[C64],
-        lda: usize,
-        ipiv: &mut [i32],
-        b: &[C64],
-        ldb: usize,
-        x: &mut [C64],
-        ldx: usize,
-        cte: f64,
-    ) -> Result<i32, i32> {
-        // Every level resolves to the classic ZCGESV pairing.
-        refine_lo::<C64, la_core::C32>(op, refine, n, nrhs, a, lda, ipiv, b, ldb, x, ldx, cte)
-    }
-}
-
-/// Mixed-precision general solve (`DSGESV`/`ZCGESV`, lattice-general):
-/// computes `X = A⁻¹·B` by LU factorization in the demoted precision
-/// (chosen by `LA_GESV_MIXED` through [`Lattice`]) with working-precision
-/// iterative refinement (residuals in double-double under
+/// Mixed-precision general solve (`DSGESV`/`ZCGESV`): computes
+/// `X = A⁻¹·B` by LU factorization in the demoted precision
+/// ([`Demote::Lo`]) with working-precision iterative refinement (residuals in double-double under
 /// `LA_REFINE=dd`), falling back to the plain working-precision
 /// [`gesv`](crate::gesv) operation sequence on any low-precision failure.
 /// `A` is preserved on the refinement path and overwritten by the `getrf`
 /// factors on the fallback path; `B` is never modified. The path taken
 /// lands in `iter` (see the module docs).
 #[allow(clippy::too_many_arguments)]
-pub fn gesv_mixed<T: Lattice>(
+pub fn gesv_mixed<T: Demote>(
     n: usize,
     nrhs: usize,
     a: &mut [T],
@@ -576,11 +481,9 @@ pub fn gesv_mixed<T: Lattice>(
     let anrm = lange(Norm::Inf, n, n, a, lda);
     let cte = bwd_threshold(anrm, n);
 
-    let cfg = tune::current();
-    let lo = T::refine_lattice(
-        cfg.mixed_lo,
-        cfg.refine,
+    let lo = refine_lo(
         MixedOp::Lu,
+        tune::current().refine,
         n,
         nrhs,
         a,
@@ -615,14 +518,14 @@ pub fn gesv_mixed<T: Lattice>(
 }
 
 /// Mixed-precision symmetric/Hermitian positive-definite solve
-/// (`DSPOSV`/`ZCPOSV`, lattice-general): Cholesky in the demoted
+/// (`DSPOSV`/`ZCPOSV`): Cholesky in the demoted
 /// precision with working-precision refinement and the plain
 /// [`posv`](crate::posv) fallback. Only the `uplo` triangle of `A` is
 /// referenced — including by the demotion range check; on the fallback
 /// path it is overwritten by the `potrf` factor. `iter` reports the path
 /// taken (see the module docs).
 #[allow(clippy::too_many_arguments)]
-pub fn posv_mixed<T: Lattice>(
+pub fn posv_mixed<T: Demote>(
     uplo: Uplo,
     n: usize,
     nrhs: usize,
@@ -652,12 +555,10 @@ pub fn posv_mixed<T: Lattice>(
     let anrm = lansy(Norm::Inf, uplo, T::IS_COMPLEX, n, a, lda);
     let cte = bwd_threshold(anrm, n);
 
-    let cfg = tune::current();
     let mut unused = [0i32; 0];
-    let lo = T::refine_lattice(
-        cfg.mixed_lo,
-        cfg.refine,
+    let lo = refine_lo(
         MixedOp::Chol(uplo),
+        tune::current().refine,
         n,
         nrhs,
         a,
@@ -720,7 +621,7 @@ mod tests {
 
     #[test]
     fn gesv_mixed_converges_on_well_conditioned() {
-        fn run<T: Lattice>() {
+        fn run<T: Demote>() {
             let n = 48;
             let (mut a, b, xt) = dd_system::<T>(n, 77);
             let mut ipiv = vec![0i32; n];
@@ -743,40 +644,36 @@ mod tests {
     }
 
     #[test]
-    fn gesv_mixed_converges_at_every_lattice_level() {
-        for level in [MixedLo::F32, MixedLo::F16, MixedLo::Bf16] {
-            for refine in [RefineMode::Working, RefineMode::Dd] {
-                let cfg = tune::TuneConfig {
-                    mixed_lo: level,
-                    refine,
-                    ..tune::current()
-                };
-                tune::with(cfg, || {
-                    let n = 32;
-                    let (mut a, b, xt) = dd_system::<f64>(n, 123);
-                    let mut ipiv = vec![0i32; n];
-                    let mut x = vec![0.0f64; n];
-                    let mut iter = 0i32;
-                    let info = gesv_mixed(n, 1, &mut a, n, &mut ipiv, &b, n, &mut x, n, &mut iter);
-                    assert_eq!(info, 0, "{level:?}/{refine:?}");
-                    assert!(iter >= 0, "{level:?}/{refine:?}: iter={iter}");
-                    // Coarser factorizations take more refinement steps.
-                    for i in 0..n {
-                        assert!(
-                            (x[i] - xt[i]).abs() < 1e-11,
-                            "{level:?}/{refine:?}: x[{i}] = {} vs {}",
-                            x[i],
-                            xt[i]
-                        );
-                    }
-                });
-            }
+    fn gesv_mixed_converges_under_both_refine_modes() {
+        for refine in [RefineMode::Working, RefineMode::Dd] {
+            let cfg = tune::TuneConfig {
+                refine,
+                ..tune::current()
+            };
+            tune::with(cfg, || {
+                let n = 32;
+                let (mut a, b, xt) = dd_system::<f64>(n, 123);
+                let mut ipiv = vec![0i32; n];
+                let mut x = vec![0.0f64; n];
+                let mut iter = 0i32;
+                let info = gesv_mixed(n, 1, &mut a, n, &mut ipiv, &b, n, &mut x, n, &mut iter);
+                assert_eq!(info, 0, "{refine:?}");
+                assert!(iter >= 0, "{refine:?}: iter={iter}");
+                for i in 0..n {
+                    assert!(
+                        (x[i] - xt[i]).abs() < 1e-11,
+                        "{refine:?}: x[{i}] = {} vs {}",
+                        x[i],
+                        xt[i]
+                    );
+                }
+            });
         }
     }
 
     #[test]
     fn posv_mixed_converges_on_spd() {
-        fn run<T: Lattice>() {
+        fn run<T: Demote>() {
             let n = 40;
             // SPD/HPD: GᴴG + n·I built from a random G.
             let mut rng = Larnv::new(11);
@@ -917,79 +814,31 @@ mod tests {
     }
 
     #[test]
-    fn iter_codes_per_lattice_level() {
-        // Each level's range boundaries produce the documented codes.
-        // f16 overflows already at 65520 and underflows below ~6e-8 —
-        // magnitudes bf16 and f32 take in stride.
-        struct Case {
-            level: MixedLo,
-            big: f64,
-            expect_big: i32,
-            tiny: f64,
-            expect_tiny: i32,
-        }
-        let cases = [
-            Case {
-                level: MixedLo::F16,
-                big: 1e5,
-                expect_big: -2, // beyond f16 rmax 65504
-                tiny: 1e-10,
-                expect_tiny: -2, // below f16's smallest subnormal 2⁻²⁴
-            },
-            Case {
-                level: MixedLo::Bf16,
-                big: 1e5, // fine in bf16 (f32 range)
-                expect_big: 0,
-                tiny: 1e-10, // fine in bf16
-                expect_tiny: 0,
-            },
-            Case {
-                level: MixedLo::F32,
-                big: 1e5,
-                expect_big: 0,
-                tiny: 1e-10,
-                expect_tiny: 0,
-            },
-        ];
-        for c in cases {
-            let cfg = tune::TuneConfig {
-                mixed_lo: c.level,
-                ..tune::current()
-            };
-            tune::with(cfg, || {
-                for (scale, expect) in [(c.big, c.expect_big), (c.tiny, c.expect_tiny)] {
-                    let n = 2;
-                    let mut a = vec![scale, 0.0, 0.0, scale];
-                    let b = vec![scale, scale];
-                    let mut ipiv = vec![0i32; n];
-                    let mut x = vec![0.0f64; n];
-                    let mut iter = 0i32;
-                    let info = gesv_mixed(n, 1, &mut a, n, &mut ipiv, &b, n, &mut x, n, &mut iter);
-                    assert_eq!(info, 0, "{:?} scale={scale:e}", c.level);
-                    if expect < 0 {
-                        assert_eq!(iter, expect, "{:?} scale={scale:e}", c.level);
-                    } else {
-                        assert!(iter >= 0, "{:?} scale={scale:e}: iter={iter}", c.level);
-                    }
-                    assert!(
-                        (x[0] - 1.0).abs() < 1e-10,
-                        "{:?} scale={scale:e}: x[0]={}",
-                        c.level,
-                        x[0]
-                    );
-                }
-            });
+    fn moderate_scalings_stay_on_the_low_path() {
+        // 1e5 and 1e-10 are far inside the f32 range: no demotion
+        // fallback, and the uniformly scaled identity solves exactly.
+        for scale in [1e5f64, 1e-10] {
+            let n = 2;
+            let mut a = vec![scale, 0.0, 0.0, scale];
+            let b = vec![scale, scale];
+            let mut ipiv = vec![0i32; n];
+            let mut x = vec![0.0f64; n];
+            let mut iter = 0i32;
+            let info = gesv_mixed(n, 1, &mut a, n, &mut ipiv, &b, n, &mut x, n, &mut iter);
+            assert_eq!(info, 0, "scale={scale:e}");
+            assert!(iter >= 0, "scale={scale:e}: iter={iter}");
+            assert!((x[0] - 1.0).abs() < 1e-10, "scale={scale:e}: x[0]={}", x[0]);
         }
     }
 
     #[test]
     fn nonconvergence_code_is_minus_itermax_plus_one() {
-        // An ill-conditioned matrix whose f16 factorization cannot
+        // An ill-conditioned matrix whose f32 factorization cannot
         // contract the error: iter = -(ITERMAX+1) and the fallback's
         // answer matches plain gesv bitwise.
         let n = 8;
-        // Hilbert-like: condition number grows explosively; the f16
-        // factor (eps 2⁻¹⁰) cannot converge the refinement.
+        // Hilbert: cond ≈ 1.5e10, beyond what an f32 factor (eps 2⁻²⁴)
+        // can contract.
         let mut a = vec![0.0f64; n * n];
         for j in 0..n {
             for i in 0..n {
@@ -997,23 +846,13 @@ mod tests {
             }
         }
         let b = vec![1.0f64; n];
-        let cfg = tune::TuneConfig {
-            mixed_lo: MixedLo::F16,
-            ..tune::current()
-        };
-        let (iter, x) = tune::with(cfg, || {
-            let mut ac = a.clone();
-            let mut ipiv = vec![0i32; n];
-            let mut x = vec![0.0f64; n];
-            let mut iter = 0i32;
-            let info = gesv_mixed(n, 1, &mut ac, n, &mut ipiv, &b, n, &mut x, n, &mut iter);
-            assert_eq!(info, 0);
-            (iter, x)
-        });
-        assert!(
-            iter == -ITERMAX - 1 || iter == -2,
-            "expected non-convergence (-31) or range fallback (-2), got {iter}"
-        );
+        let mut ac = a.clone();
+        let mut ipiv = vec![0i32; n];
+        let mut x = vec![0.0f64; n];
+        let mut iter = 0i32;
+        let info = gesv_mixed(n, 1, &mut ac, n, &mut ipiv, &b, n, &mut x, n, &mut iter);
+        assert_eq!(info, 0);
+        assert_eq!(iter, -ITERMAX - 1);
         // Bitwise-identical to plain gesv.
         let mut ac = a.clone();
         let mut ipiv = vec![0i32; n];
@@ -1060,27 +899,19 @@ mod tests {
             0
         );
         assert_eq!(iter, 0);
-        // nrhs == 0 is a quick return too, at every lattice level.
-        for level in [MixedLo::F32, MixedLo::F16, MixedLo::Bf16] {
-            let cfg = tune::TuneConfig {
-                mixed_lo: level,
-                ..tune::current()
-            };
-            tune::with(cfg, || {
-                let mut iter = 9i32;
-                assert_eq!(
-                    gesv_mixed(1, 0, &mut a, 1, &mut ipiv, &b, 1, &mut x, 1, &mut iter),
-                    0
-                );
-                assert_eq!(iter, 0, "{level:?}");
-                let mut iter = 9i32;
-                assert_eq!(
-                    posv_mixed(Uplo::Upper, 1, 0, &mut a, 1, &b, 1, &mut x, 1, &mut iter),
-                    0
-                );
-                assert_eq!(iter, 0, "{level:?}");
-            });
-        }
+        // nrhs == 0 is a quick return too.
+        let mut iter = 9i32;
+        assert_eq!(
+            gesv_mixed(1, 0, &mut a, 1, &mut ipiv, &b, 1, &mut x, 1, &mut iter),
+            0
+        );
+        assert_eq!(iter, 0);
+        let mut iter = 9i32;
+        assert_eq!(
+            posv_mixed(Uplo::Upper, 1, 0, &mut a, 1, &b, 1, &mut x, 1, &mut iter),
+            0
+        );
+        assert_eq!(iter, 0);
         let mut iter = 7i32;
         assert_eq!(
             gesv_mixed(2, 1, &mut a, 1, &mut ipiv, &b, 2, &mut x, 2, &mut iter),

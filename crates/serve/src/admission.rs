@@ -43,8 +43,8 @@ pub(crate) const CLASSES: usize = 4;
 /// EWMA smoothing: new = old + (sample − old)/8.
 const EWMA_SHIFT: u32 = 3;
 
-/// Brownout ceiling: Dd off → lattice level down → ABFT off.
-pub(crate) const MAX_LEVEL: u8 = 3;
+/// Brownout ceiling: Dd refinement off → ABFT verification off.
+pub(crate) const MAX_LEVEL: u8 = 2;
 
 /// Admission decision for one submit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

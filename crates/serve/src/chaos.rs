@@ -17,8 +17,8 @@ use std::time::Instant;
 
 use la_core::abft::inject::{arm, CorruptKind, Corruption};
 use la_core::tune::TuneConfig;
+use la_core::Demote;
 use la_core::{RealScalar, Scalar};
-use la_lapack::Lattice;
 
 use crate::{JobSpec, SolveOp};
 
@@ -133,7 +133,7 @@ impl ChaosPlan {
 
     /// Applies `event` to `spec` (arming the global injector for
     /// [`ChaosEvent::SoftFault`]) and returns the spec to submit.
-    pub fn apply<T: Lattice>(&mut self, event: ChaosEvent, mut spec: JobSpec<T>) -> JobSpec<T> {
+    pub fn apply<T: Demote>(&mut self, event: ChaosEvent, mut spec: JobSpec<T>) -> JobSpec<T> {
         match event {
             ChaosEvent::Clean => spec,
             ChaosEvent::SoftFault => {
@@ -218,7 +218,7 @@ pub fn chaos_tune() -> TuneConfig {
 /// `true` when `x` solves `a·x = b` to a chaos-grade tolerance — the
 /// independent wrongness check the soak applies to every *served* answer
 /// (`64·n·ε`, same bound the service's own verifier uses).
-pub fn answer_is_plausible<T: Lattice>(
+pub fn answer_is_plausible<T: Demote>(
     a: &la_core::Mat<T>,
     b: &la_core::Mat<T>,
     x: &la_core::Mat<T>,

@@ -8,23 +8,23 @@ use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use la_core::cancel::CancelToken;
-use la_lapack::Lattice;
+use la_core::Demote;
 
 use crate::{Rejection, SolveOutput};
 
 /// The slot a worker fulfills and a caller drains.
-struct Slot<T: Lattice> {
+struct Slot<T: Demote> {
     result: Option<Result<SolveOutput<T>, Rejection>>,
     waker: Option<Waker>,
 }
 
 /// Shared completion state between the service and the handle.
-pub(crate) struct Shared<T: Lattice> {
+pub(crate) struct Shared<T: Demote> {
     slot: Mutex<Slot<T>>,
     cv: Condvar,
 }
 
-impl<T: Lattice> Shared<T> {
+impl<T: Demote> Shared<T> {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(Shared {
             slot: Mutex::new(Slot {
@@ -76,12 +76,12 @@ impl<T: Lattice> Shared<T> {
 /// without the service carrying one. [`JobHandle::cancel`] requests
 /// cooperative cancellation of the job wherever it is (queued or at the
 /// next panel checkpoint).
-pub struct JobHandle<T: Lattice> {
+pub struct JobHandle<T: Demote> {
     pub(crate) shared: Arc<Shared<T>>,
     pub(crate) token: CancelToken,
 }
 
-impl<T: Lattice> JobHandle<T> {
+impl<T: Demote> JobHandle<T> {
     /// Requests cancellation: a queued job is rejected when it reaches a
     /// worker; an in-flight factorization abandons at its next panel
     /// checkpoint. The outcome becomes [`Rejection::DeadlineExceeded`].
@@ -151,7 +151,7 @@ impl<T: Lattice> JobHandle<T> {
     }
 }
 
-impl<T: Lattice> Future for JobHandle<T> {
+impl<T: Demote> Future for JobHandle<T> {
     type Output = Result<SolveOutput<T>, Rejection>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
@@ -166,7 +166,7 @@ impl<T: Lattice> Future for JobHandle<T> {
     }
 }
 
-impl<T: Lattice> std::fmt::Debug for JobHandle<T> {
+impl<T: Demote> std::fmt::Debug for JobHandle<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let done = self
             .shared

@@ -31,24 +31,23 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use la_core::abft::AbftPolicy;
 use la_core::except::FpCheckPolicy;
-use la_core::tune::GemmKernel;
+use la_core::Demote;
 use la_core::{cancel, ctx};
 use la_core::{LaError, Mat, RealScalar, Scalar, Side, Trans};
-use la_lapack::Lattice;
 
 use crate::{Rejection, ServeConfig, SolveOp, SolveOutput};
 
 /// A finished ladder run: the outcome plus whether any fault-class event
 /// (panic, soft fault, residual failure, NaN re-screen) occurred on the
-/// way — the input to the per-tenant circuit breaker.
-pub(crate) struct Attempted<T: Lattice> {
+/// way — the input to the per-tenant fault streak.
+pub(crate) struct Attempted<T: Demote> {
     pub outcome: Result<SolveOutput<T>, Rejection>,
     pub fault_seen: bool,
 }
 
 /// One solve attempt. The job's `a`/`b` stay pristine (attempts must be
 /// independent); the working copies are cloned here.
-fn solve_once<T: Lattice>(op: SolveOp, a: &Mat<T>, b: &Mat<T>) -> Result<(Mat<T>, i32), LaError> {
+fn solve_once<T: Demote>(op: SolveOp, a: &Mat<T>, b: &Mat<T>) -> Result<(Mat<T>, i32), LaError> {
     match op {
         SolveOp::Gesv => {
             let mut af = a.clone();
@@ -83,7 +82,7 @@ fn solve_once<T: Lattice>(op: SolveOp, a: &Mat<T>, b: &Mat<T>) -> Result<(Mat<T>
 /// enough that a corrupted stripe (an O(1)-relative error) cannot pass.
 /// The `Posv` ops multiply through `symm` on the stored triangle, so a
 /// caller who filled only one triangle is judged fairly.
-fn residual_ok<T: Lattice>(op: SolveOp, a: &Mat<T>, b: &Mat<T>, x: &Mat<T>) -> bool {
+fn residual_ok<T: Demote>(op: SolveOp, a: &Mat<T>, b: &Mat<T>, x: &Mat<T>) -> bool {
     let n = a.nrows();
     let nrhs = b.ncols();
     if n == 0 || nrhs == 0 {
@@ -157,12 +156,11 @@ fn residual_ok<T: Lattice>(op: SolveOp, a: &Mat<T>, b: &Mat<T>, x: &Mat<T>) -> b
 
 /// Runs the ladder for one job. Assumes the caller has already installed
 /// the job's cancel token, probe scope and ABFT scope on this thread.
-pub(crate) fn run<T: Lattice>(
+pub(crate) fn run<T: Demote>(
     op: SolveOp,
     a: &Mat<T>,
     b: &Mat<T>,
     cfg: &ServeConfig,
-    kernel: Option<GemmKernel>,
 ) -> Attempted<T> {
     let max = cfg.max_attempts.max(1);
     let mut attempts = 0u32;
@@ -178,10 +176,9 @@ pub(crate) fn run<T: Lattice>(
             return finish(Err(Rejection::DeadlineExceeded), fault_seen);
         }
         attempts += 1;
-        // This attempt's configuration: the job's, with the tenant's
-        // demoted kernel and whatever the earlier attempts escalated.
+        // This attempt's configuration: the job's, with whatever the
+        // earlier attempts escalated.
         let mut attempt = ctx::current();
-        attempt.tune.gemm_kernel = kernel.unwrap_or(attempt.tune.gemm_kernel);
         attempt.abft = abft_boost.unwrap_or(attempt.abft);
         attempt.fp_check = fp_boost.unwrap_or(attempt.fp_check);
         let solved = catch_unwind(AssertUnwindSafe(|| {
@@ -265,12 +262,12 @@ mod tests {
     fn clean_solve_serves_first_try() {
         let a: Mat<f64> = mat![[4.0, 1.0], [1.0, 3.0]];
         let b = Mat::from_col_major(2, 1, vec![9.0, 5.0]);
-        let out = run(SolveOp::Gesv, &a, &b, &cfg(), None).outcome.unwrap();
+        let out = run(SolveOp::Gesv, &a, &b, &cfg()).outcome.unwrap();
         assert_eq!(out.attempts, 1);
         assert!(!out.degraded);
         assert!((out.x[(0, 0)] - 2.0).abs() < 1e-12);
         assert!((out.x[(1, 0)] - 1.0).abs() < 1e-12);
-        let att = run(SolveOp::GesvMixed, &a, &b, &cfg(), None);
+        let att = run(SolveOp::GesvMixed, &a, &b, &cfg());
         let out = att.outcome.unwrap();
         assert!(!att.fault_seen);
         assert!((out.x[(0, 0)] - 2.0).abs() < 1e-10);
@@ -280,7 +277,7 @@ mod tests {
     fn definitive_errors_reject_without_retry() {
         let a: Mat<f64> = mat![[1.0, 2.0], [2.0, 4.0]]; // singular
         let b = Mat::from_col_major(2, 1, vec![1.0, 2.0]);
-        let att = run(SolveOp::Gesv, &a, &b, &cfg(), None);
+        let att = run(SolveOp::Gesv, &a, &b, &cfg());
         match att.outcome {
             Err(Rejection::Failed(LaError::Singular { .. })) => {}
             other => panic!("expected Failed(Singular), got {other:?}"),
@@ -288,7 +285,7 @@ mod tests {
         assert!(!att.fault_seen, "singularity is data, not a fault");
         // Indefinite matrix through the Cholesky path.
         let a: Mat<f64> = mat![[1.0, 0.0], [0.0, -1.0]];
-        let att = run(SolveOp::Posv(la_core::Uplo::Upper), &a, &b, &cfg(), None);
+        let att = run(SolveOp::Posv(la_core::Uplo::Upper), &a, &b, &cfg());
         assert!(matches!(
             att.outcome,
             Err(Rejection::Failed(LaError::NotPosDef { .. }))
@@ -306,7 +303,7 @@ mod tests {
         // which arm fired — the rejection must be Failed(NonFinite) or
         // Failed(Singular), never a panic or a served answer.
         let att = la_core::except::with_policy(FpCheckPolicy::ScanInputs, || {
-            run(SolveOp::Gesv, &a, &b, &cfg(), None)
+            run(SolveOp::Gesv, &a, &b, &cfg())
         });
         match att.outcome {
             Err(Rejection::Failed(LaError::NonFinite { argument, .. })) => {
@@ -321,7 +318,7 @@ mod tests {
         let a: Mat<f64> = mat![[4.0, 1.0], [1.0, 3.0]];
         let b = Mat::from_col_major(2, 1, vec![9.0, 5.0]);
         let token = la_core::CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
-        let att = cancel::with_token(token, || run(SolveOp::Gesv, &a, &b, &cfg(), None));
+        let att = cancel::with_token(token, || run(SolveOp::Gesv, &a, &b, &cfg()));
         assert_eq!(att.outcome.unwrap_err(), Rejection::DeadlineExceeded);
     }
 
@@ -380,7 +377,7 @@ mod tests {
                 SolveOp::Gesv | SolveOp::GesvMixed => &a,
                 _ => &s,
             };
-            let att = run(op, m, &b, &cfg(), None);
+            let att = run(op, m, &b, &cfg());
             let out = att
                 .outcome
                 .unwrap_or_else(|e| panic!("{} rejected a clean solve: {e}", op.as_str()));

@@ -1,10 +1,10 @@
-//! # la-serve — a fault-isolated solve service over the batched substrate
+//! # la-serve — a fault-isolated solve service over the `la90` drivers
 //!
 //! The ROADMAP's north star is linear-algebra traffic served to many
 //! concurrent callers; what turns the library underneath into a *service*
 //! is robustness, not speed. This crate is the serving layer: a bounded
-//! job queue (request → admit → solve → respond) over the `la90` drivers
-//! and the work-stealing pool of [`la_core::batch`], converting the
+//! job queue (request → admit → solve → respond) drained by a pool of
+//! worker threads that call the `la90` drivers, converting the
 //! substrate's typed failure taxonomy (Demmel et al., arXiv:2207.09281:
 //! `INFO` −100…−104) into retries, fallbacks and graceful degradation.
 //!
@@ -27,8 +27,7 @@
 //!   [`Rejection::Stuck`] — siblings never notice.
 //! * **Brownout** — under sustained overload the service sheds *quality*
 //!   before it sheds more *traffic*: double-double refinement off, then
-//!   mixed-precision demotion, then ABFT verify off, priority-shielded so
-//!   high-priority jobs degrade last ([`SolveOutput::brownout`] and the
+//!   ABFT verify off, priority-shielded so high-priority jobs degrade last ([`SolveOutput::brownout`] and the
 //!   probe span name record the level an answer was served at; the
 //!   residual gate is never browned out).
 //! * **Deadlines** — each job carries an optional absolute deadline; an
@@ -44,9 +43,9 @@
 //!   [`la_core::abft::AbftPolicy::Recover`]; an un-pinpointed NaN/Inf
 //!   (`−101`) retries under the full [`la_core::except`] screen to name
 //!   the offending argument; mixed-precision non-convergence already
-//!   falls back to the bitwise full-precision sequence inside the driver;
-//!   repeated faults from one tenant demote that tenant's gemm kernel
-//!   simd → unrolled → scalar through a per-tenant circuit breaker.
+//!   falls back to the bitwise full-precision sequence inside the driver.
+//!   Consecutive faulty jobs are counted per tenant
+//!   ([`TenantReport::fault_streak`]).
 //! * **Answer verification** — completed solves are residual-checked
 //!   (`‖b − A·x‖∞` against a norm-scaled bound) before they are returned;
 //!   a failing answer is retried under `Recover` and, if still wrong,
@@ -96,8 +95,7 @@ pub use handle::JobHandle;
 pub use service::{ServeStats, Service};
 pub use tenant::TenantReport;
 
-use la_core::{LaError, Mat, Uplo};
-use la_lapack::Lattice;
+use la_core::{Demote, LaError, Mat, Uplo};
 use std::time::{Duration, Instant};
 
 /// Which driver a job runs. The mixed variants take the demoted-precision
@@ -144,9 +142,11 @@ impl SolveOp {
 /// Under adaptive admission, `Low` jobs see half the effective queue
 /// bound and `Normal` three quarters of it (halved again during a
 /// sustained-overload window), so `High` traffic is the last to be shed.
-/// Under brownout, the degradation ladder is applied *least* to `High`
-/// jobs: a global brownout level `L` reaches a job as
-/// `L − shield` (High shields 2 levels, Normal 1, Low 0).
+/// Under brownout, a global brownout level `L` reaches a job as
+/// `L − shield` (High and Normal shield 1 level, Low 0): `Low` traffic
+/// gives up double-double refinement first and is the only class ever
+/// served without ABFT verification; `Normal` and `High` are untouched
+/// until the top level, and then lose only the refinement.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Priority {
     /// Best-effort traffic: shed first, degraded first.
@@ -173,8 +173,7 @@ impl Priority {
     pub(crate) fn shield(self) -> u8 {
         match self {
             Priority::Low => 0,
-            Priority::Normal => 1,
-            Priority::High => 2,
+            Priority::Normal | Priority::High => 1,
         }
     }
 }
@@ -183,7 +182,7 @@ impl Priority {
 /// serving metadata (tenant, deadline). Build with [`JobSpec::new`] and
 /// the chained setters.
 #[derive(Debug)]
-pub struct JobSpec<T: Lattice> {
+pub struct JobSpec<T: Demote> {
     pub(crate) op: SolveOp,
     pub(crate) a: Mat<T>,
     pub(crate) b: Mat<T>,
@@ -200,7 +199,7 @@ pub struct JobSpec<T: Lattice> {
     pub(crate) chaos_wedge: Option<chaos::WedgeKind>,
 }
 
-impl<T: Lattice> JobSpec<T> {
+impl<T: Demote> JobSpec<T> {
     /// A request to solve `a·X = b` with `op`, for the default tenant,
     /// with no deadline of its own (the service default applies).
     pub fn new(op: SolveOp, a: Mat<T>, b: Mat<T>) -> Self {
@@ -225,7 +224,7 @@ impl<T: Lattice> JobSpec<T> {
         self
     }
 
-    /// Attributes the job to `tenant` (circuit breaker + probe counters).
+    /// Attributes the job to `tenant` (fault streak + probe counters).
     pub fn tenant(mut self, tenant: impl Into<String>) -> Self {
         self.tenant = tenant.into();
         self
@@ -275,7 +274,7 @@ impl<T: Lattice> JobSpec<T> {
 
 /// A completed solve.
 #[derive(Debug)]
-pub struct SolveOutput<T: Lattice> {
+pub struct SolveOutput<T: Demote> {
     /// The solution `X` (`n × nrhs`).
     pub x: Mat<T>,
     /// Mixed-path refinement iterations (`DSGESV` convention: ≥ 0 on the
@@ -285,12 +284,12 @@ pub struct SolveOutput<T: Lattice> {
     /// Ladder attempts consumed (1 = clean first try).
     pub attempts: u32,
     /// `true` when the answer needed the degradation ladder (retry under
-    /// `Recover`, a re-pinpointing pass, or a kernel demotion) — the
-    /// serving analog of a corrected error.
+    /// `Recover` or a re-pinpointing pass) — the serving analog of a
+    /// corrected error.
     pub degraded: bool,
     /// The brownout level this job was actually served at (`0` = full
-    /// quality; `1` = Dd refinement off; `2` = also demoted to the
-    /// mixed-precision lattice path; `3` = also ABFT verification off).
+    /// quality; `1` = Dd refinement off; `2` = also ABFT verification
+    /// off).
     /// The *global* level at solve time may have been higher — the job's
     /// [`Priority`] shields it (see [`Priority`]).
     pub brownout: u8,
@@ -400,10 +399,6 @@ pub struct ServeConfig {
     /// Maximum solve attempts per job across the degradation ladder
     /// (≥ 1; the first attempt counts).
     pub max_attempts: u32,
-    /// Consecutive per-tenant faults (panics, soft faults, residual
-    /// failures) before the tenant's gemm kernel is demoted one level
-    /// (simd → unrolled → scalar).
-    pub breaker_threshold: u32,
     /// Verify every completed solve's residual before returning it.
     pub verify_residual: bool,
     /// Target queueing delay for adaptive admission control. When set,
@@ -422,9 +417,8 @@ pub struct ServeConfig {
     pub watchdog: Option<Duration>,
     /// Permit the brownout ladder under sustained overload (requires
     /// [`target_delay`](ServeConfig::target_delay) for overload
-    /// detection): Dd refinement off → mixed-precision lattice level
-    /// down → ABFT verification off, applied least to
-    /// [`Priority::High`] jobs.
+    /// detection): Dd refinement off → ABFT verification off, applied
+    /// least to [`Priority::High`] jobs.
     pub brownout: bool,
 }
 
@@ -437,7 +431,6 @@ impl Default for ServeConfig {
             queue_depth: 64,
             default_deadline: None,
             max_attempts: 3,
-            breaker_threshold: 3,
             verify_residual: true,
             target_delay: ms(tune.serve_target_delay_ms),
             watchdog: ms(tune.serve_watchdog_ms),

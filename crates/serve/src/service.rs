@@ -13,8 +13,8 @@ use la_core::abft::AbftPolicy;
 use la_core::cancel::{CancelToken, Heartbeat};
 use la_core::probe::Layer;
 use la_core::tune::RefineMode;
+use la_core::Demote;
 use la_core::{abft, ctx, probe, tune, Ctx};
-use la_lapack::Lattice;
 
 use crate::admission::{Controller, Verdict};
 use crate::handle::Shared;
@@ -23,7 +23,7 @@ use crate::watchdog::{self, patrol, WorkerSlot};
 use crate::{ladder, JobHandle, JobSpec, Rejection, ServeConfig, SolveOp, TenantReport};
 
 /// One admitted, not-yet-processed job.
-struct Queued<T: Lattice> {
+struct Queued<T: Demote> {
     spec: JobSpec<T>,
     shared: Arc<Shared<T>>,
     token: CancelToken,
@@ -80,13 +80,13 @@ pub struct ServeStats {
     pub respawned: u64,
     /// Answered jobs served at a brownout level above full quality.
     pub brownout_served: u64,
-    /// Current global brownout level (`0` = full quality, up to `3`).
+    /// Current global brownout level (`0` = full quality, up to `2`).
     pub brownout_level: u8,
     /// Jobs sitting in the queue right now.
     pub queued: usize,
 }
 
-struct Inner<T: Lattice> {
+struct Inner<T: Demote> {
     cfg: ServeConfig,
     workers: usize,
     queue: Mutex<VecDeque<Queued<T>>>,
@@ -114,7 +114,7 @@ struct Inner<T: Lattice> {
     ctx: Ctx,
 }
 
-impl<T: Lattice> Inner<T> {
+impl<T: Demote> Inner<T> {
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
@@ -124,18 +124,18 @@ impl<T: Lattice> Inner<T> {
 /// see [`ServeConfig`] for the knobs. Start one with [`Service::start`],
 /// feed it with [`Service::submit`], stop it with [`Service::shutdown`]
 /// (also run by `Drop`).
-pub struct Service<T: Lattice> {
+pub struct Service<T: Demote> {
     inner: Arc<Inner<T>>,
 }
 
 /// Counts a panic escaping the worker loop itself — by construction that
 /// should be impossible (every job runs under `catch_unwind`), and the
 /// chaos soak asserts the count stays zero.
-struct PoisonSentinel<T: Lattice> {
+struct PoisonSentinel<T: Demote> {
     inner: Arc<Inner<T>>,
 }
 
-impl<T: Lattice> Drop for PoisonSentinel<T> {
+impl<T: Demote> Drop for PoisonSentinel<T> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.inner
@@ -146,7 +146,7 @@ impl<T: Lattice> Drop for PoisonSentinel<T> {
     }
 }
 
-impl<T: Lattice> Service<T> {
+impl<T: Demote> Service<T> {
     /// Starts the worker pool (and, when configured, the watchdog
     /// monitor) and returns the running service.
     ///
@@ -254,9 +254,7 @@ impl<T: Lattice> Service<T> {
                 } => {
                     drop(q);
                     self.inner.stats.shed.fetch_add(1, Ordering::Relaxed);
-                    self.tenant_mut(&spec.tenant, |t, threshold| {
-                        t.record_rejected(false, threshold)
-                    });
+                    self.tenant_mut(&spec.tenant, |t| t.record_rejected(false));
                     return Err(Rejection::Overloaded {
                         depth: bound,
                         retry_after: Duration::from_nanos(retry_after_ns),
@@ -290,9 +288,7 @@ impl<T: Lattice> Service<T> {
             // Only the drain can resolve a still-queued job (workers
             // never saw it), so stats-before-fulfill is safe here too.
             self.inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            self.tenant_mut(&job.spec.tenant, |t, threshold| {
-                t.record_rejected(false, threshold)
-            });
+            self.tenant_mut(&job.spec.tenant, |t| t.record_rejected(false));
             job.shared.fulfill(Err(Rejection::ShuttingDown));
         }
         // Joining may race a watchdog respawn appending to the list;
@@ -363,24 +359,24 @@ impl<T: Lattice> Service<T> {
             .collect()
     }
 
-    fn tenant_mut<R>(&self, tenant: &str, f: impl FnOnce(&mut TenantState, u32) -> R) -> R {
+    fn tenant_mut<R>(&self, tenant: &str, f: impl FnOnce(&mut TenantState) -> R) -> R {
         tenant_mut(&self.inner, tenant, f)
     }
 }
 
-fn tenant_mut<T: Lattice, R>(
+fn tenant_mut<T: Demote, R>(
     inner: &Inner<T>,
     tenant: &str,
-    f: impl FnOnce(&mut TenantState, u32) -> R,
+    f: impl FnOnce(&mut TenantState) -> R,
 ) -> R {
     let mut map = inner.tenants.lock().unwrap_or_else(|e| e.into_inner());
     let state = map
         .entry(tenant.to_string())
         .or_insert_with(TenantState::new);
-    f(state, inner.cfg.breaker_threshold)
+    f(state)
 }
 
-impl<T: Lattice> Drop for Service<T> {
+impl<T: Demote> Drop for Service<T> {
     fn drop(&mut self) {
         self.shutdown();
     }
@@ -388,7 +384,7 @@ impl<T: Lattice> Drop for Service<T> {
 
 /// Spawns worker `i` with the service's captured configuration installed
 /// — used both at start and for watchdog respawns.
-fn spawn_worker<T: Lattice>(
+fn spawn_worker<T: Demote>(
     inner: &Arc<Inner<T>>,
     i: usize,
     slot: Arc<WorkerSlot<T>>,
@@ -402,7 +398,7 @@ fn spawn_worker<T: Lattice>(
 
 /// Spawns the watchdog monitor: samples the worker slots at a fraction
 /// of the stall budget, escalating silent jobs (cancel → respawn).
-fn spawn_watchdog<T: Lattice>(inner: &Arc<Inner<T>>, stall: Duration) -> JoinHandle<()> {
+fn spawn_watchdog<T: Demote>(inner: &Arc<Inner<T>>, stall: Duration) -> JoinHandle<()> {
     let inner = Arc::clone(inner);
     let sample = (stall / 4).clamp(Duration::from_millis(1), Duration::from_millis(50));
     std::thread::Builder::new()
@@ -421,7 +417,7 @@ fn spawn_watchdog<T: Lattice>(inner: &Arc<Inner<T>>, stall: Duration) -> JoinHan
                     if ev.resolved {
                         inner.stats.stuck.fetch_add(1, Ordering::Relaxed);
                         inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                        tenant_mut(&inner, &ev.tenant, |t, _| t.record_stuck());
+                        tenant_mut(&inner, &ev.tenant, |t| t.record_stuck());
                     }
                     // Replace the written-off worker so the pool never
                     // shrinks; the abandoned thread exits on its own if
@@ -445,7 +441,7 @@ fn spawn_watchdog<T: Lattice>(inner: &Arc<Inner<T>>, stall: Duration) -> JoinHan
         .expect("la-serve: failed to spawn watchdog thread")
 }
 
-fn worker_loop<T: Lattice>(inner: Arc<Inner<T>>, slot: Arc<WorkerSlot<T>>) {
+fn worker_loop<T: Demote>(inner: Arc<Inner<T>>, slot: Arc<WorkerSlot<T>>) {
     let _sentinel = PoisonSentinel {
         inner: Arc::clone(&inner),
     };
@@ -490,48 +486,36 @@ fn brownout_span(level: u8) -> &'static str {
     match level {
         0 => "serve",
         1 => "serve_brownout_l1",
-        2 => "serve_brownout_l2",
-        _ => "serve_brownout_l3",
+        _ => "serve_brownout_l2",
     }
 }
 
 /// Runs the ladder under the job's effective brownout level:
-/// `1` turns double-double refinement off, `2` additionally demotes the
-/// op to its mixed-precision lattice variant, `3` additionally turns
-/// ABFT verification off. The answer's residual check (the no-wrong-
+/// `1` turns double-double refinement off, `2` additionally turns ABFT
+/// verification off. The answer's residual check (the no-wrong-
 /// answers gate) is never browned out, and the ladder's own `Recover`
 /// retry re-enables ABFT innermost if a fault does surface.
-fn run_browned_out<T: Lattice>(
+fn run_browned_out<T: Demote>(
     level: u8,
     op: SolveOp,
     a: &la_core::Mat<T>,
     b: &la_core::Mat<T>,
     cfg: &ServeConfig,
-    kernel: Option<la_core::tune::GemmKernel>,
 ) -> ladder::Attempted<T> {
-    let op = if level >= 2 {
-        match op {
-            SolveOp::Gesv => SolveOp::GesvMixed,
-            SolveOp::Posv(u) => SolveOp::PosvMixed(u),
-            demoted => demoted,
-        }
-    } else {
-        op
-    };
     let mut browned = ctx::current();
     if level >= 1 {
         browned.tune.refine = RefineMode::Working;
     }
-    if level >= 3 {
+    if level >= 2 {
         browned.abft = AbftPolicy::Off;
     }
-    ctx::with(browned, || ladder::run(op, a, b, cfg, kernel))
+    ctx::with(browned, || ladder::run(op, a, b, cfg))
 }
 
 /// Runs one job through the full robustness pipeline and fulfills its
 /// handle. Never lets a panic escape: the outer `catch_unwind` is the
 /// job boundary the crate docs promise.
-fn process<T: Lattice>(inner: &Arc<Inner<T>>, slot: &Arc<WorkerSlot<T>>, job: Queued<T>) {
+fn process<T: Demote>(inner: &Arc<Inner<T>>, slot: &Arc<WorkerSlot<T>>, job: Queued<T>) {
     let Queued {
         spec,
         shared,
@@ -546,11 +530,10 @@ fn process<T: Lattice>(inner: &Arc<Inner<T>>, slot: &Arc<WorkerSlot<T>>, job: Qu
     if token.is_cancelled() {
         inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
         inner.stats.deadline_missed.fetch_add(1, Ordering::Relaxed);
-        tenant_mut(inner, &spec.tenant, |t, th| t.record_rejected(false, th));
+        tenant_mut(inner, &spec.tenant, |t| t.record_rejected(false));
         shared.fulfill(Err(Rejection::DeadlineExceeded));
         return;
     }
-    let kernel = tenant_mut(inner, &spec.tenant, |t, _| t.kernel());
     let workers = inner.workers;
     let cfg = &inner.cfg;
     // The job's effective brownout: the global level, shielded by the
@@ -595,7 +578,7 @@ fn process<T: Lattice>(inner: &Arc<Inner<T>>, slot: &Arc<WorkerSlot<T>>, job: Qu
                     if let Some(kind) = spec.chaos_wedge {
                         crate::chaos::wedge(kind, &token, &slot.abandoned, &inner.shutdown);
                     }
-                    run_browned_out(level, spec.op, &spec.a, &spec.b, cfg, kernel)
+                    run_browned_out(level, spec.op, &spec.a, &spec.b, cfg)
                 })
             })
         })
@@ -619,11 +602,11 @@ fn process<T: Lattice>(inner: &Arc<Inner<T>>, slot: &Arc<WorkerSlot<T>>, job: Qu
             // costs the job its whole budget at once.
             inner.stats.panics_isolated.fetch_add(1, Ordering::Relaxed);
             inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            tenant_mut(inner, &spec.tenant, |t, th| t.record_rejected(true, th));
+            tenant_mut(inner, &spec.tenant, |t| t.record_rejected(true));
             shared.fulfill(Err(Rejection::Panicked { attempts: 1 }));
         }
         Ok((att, rows)) => {
-            tenant_mut(inner, &spec.tenant, |t, _| t.account(&rows));
+            tenant_mut(inner, &spec.tenant, |t| t.account(&rows));
             match att.outcome {
                 Ok(mut out) => {
                     out.brownout = level;
@@ -640,8 +623,8 @@ fn process<T: Lattice>(inner: &Arc<Inner<T>>, slot: &Arc<WorkerSlot<T>>, job: Qu
                     if level > 0 {
                         inner.stats.brownout_served.fetch_add(1, Ordering::Relaxed);
                     }
-                    tenant_mut(inner, &spec.tenant, |t, th| {
-                        t.record_completed(att.fault_seen, level > 0, th)
+                    tenant_mut(inner, &spec.tenant, |t| {
+                        t.record_completed(att.fault_seen, level > 0)
                     });
                     shared.fulfill(Ok(out));
                 }
@@ -662,17 +645,17 @@ fn process<T: Lattice>(inner: &Arc<Inner<T>>, slot: &Arc<WorkerSlot<T>>, job: Qu
                                 .stats
                                 .panics_isolated
                                 .fetch_add(u64::from(*attempts), Ordering::Relaxed);
-                            tenant_mut(inner, &spec.tenant, |t, th| t.record_rejected(true, th));
+                            tenant_mut(inner, &spec.tenant, |t| t.record_rejected(true));
                         }
                         Rejection::DeadlineExceeded => {
                             inner.stats.deadline_missed.fetch_add(1, Ordering::Relaxed);
-                            tenant_mut(inner, &spec.tenant, |t, th| t.record_rejected(false, th));
+                            tenant_mut(inner, &spec.tenant, |t| t.record_rejected(false));
                         }
                         Rejection::Stuck { .. } => {
                             // Cooperative stage-1 outcome: the worker
                             // survived, so this is stuck-not-respawned.
                             inner.stats.stuck.fetch_add(1, Ordering::Relaxed);
-                            tenant_mut(inner, &spec.tenant, |t, _| t.record_stuck());
+                            tenant_mut(inner, &spec.tenant, |t| t.record_stuck());
                         }
                         r => {
                             let faulty = matches!(
@@ -680,7 +663,7 @@ fn process<T: Lattice>(inner: &Arc<Inner<T>>, slot: &Arc<WorkerSlot<T>>, job: Qu
                                 Rejection::ResidualRejected { .. }
                                     | Rejection::Failed(la_core::LaError::SoftFault { .. })
                             );
-                            tenant_mut(inner, &spec.tenant, |t, th| t.record_rejected(faulty, th));
+                            tenant_mut(inner, &spec.tenant, |t| t.record_rejected(faulty));
                         }
                     }
                     shared.fulfill(Err(rej));
@@ -764,7 +747,7 @@ mod tests {
         assert_eq!(s.brownout_level, 0);
         let rep = svc.tenant_report("t1").unwrap();
         assert_eq!(rep.completed, 4);
-        assert_eq!(rep.kernel, None);
+        assert_eq!(rep.fault_streak, 0);
         svc.shutdown();
         // Post-shutdown submissions are typed, not panics.
         let r = svc.submit(JobSpec::new(SolveOp::Gesv, a, b));
@@ -987,6 +970,26 @@ mod tests {
         assert!(s.brownout_served >= 1);
         assert_eq!(s.pool_poisonings, 0);
         svc.shutdown();
+    }
+
+    #[test]
+    fn high_priority_degrades_last_and_least() {
+        use crate::admission::MAX_LEVEL;
+        let served_at = |p: Priority, global: u8| global.saturating_sub(p.shield());
+        for global in 0..=MAX_LEVEL {
+            assert!(served_at(Priority::High, global) <= served_at(Priority::Normal, global));
+            assert!(served_at(Priority::Normal, global) <= served_at(Priority::Low, global));
+        }
+        // Low degrades from the first level on and alone reaches the rung
+        // that turns ABFT verification off.
+        assert_eq!(served_at(Priority::Low, 1), 1);
+        assert_eq!(served_at(Priority::Low, MAX_LEVEL), MAX_LEVEL);
+        // High is untouched below the ceiling and loses only Dd refinement
+        // at it.
+        for global in 0..MAX_LEVEL {
+            assert_eq!(served_at(Priority::High, global), 0);
+        }
+        assert_eq!(served_at(Priority::High, MAX_LEVEL), 1);
     }
 
     #[test]

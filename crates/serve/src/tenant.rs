@@ -1,27 +1,11 @@
-//! Per-tenant bookkeeping: fault-streak circuit breaker (gemm kernel
-//! demotion) and accounting snapshots.
-
-use la_core::tune::GemmKernel;
-
-/// One step down the kernel ladder. `Scalar` is the floor — the reference
-/// triple loop has no SIMD, no unrolling, and no further fallback.
-fn demote_kernel(k: GemmKernel) -> GemmKernel {
-    match k {
-        GemmKernel::Auto | GemmKernel::Simd => GemmKernel::Unrolled,
-        GemmKernel::Unrolled | GemmKernel::Scalar => GemmKernel::Scalar,
-    }
-}
+//! Per-tenant bookkeeping: the fault streak and accounting snapshots.
 
 /// Mutable per-tenant state the service keeps under its tenants lock.
 #[derive(Debug)]
 pub(crate) struct TenantState {
-    /// Kernel override for this tenant; `None` means the ambient tuning
-    /// config's kernel (no demotion has happened yet).
-    kernel: Option<GemmKernel>,
     /// Consecutive faulty jobs (panic / soft fault / residual failure /
     /// re-screened NaN). A clean completion resets it.
     streak: u32,
-    demotions: u32,
     completed: u64,
     rejected: u64,
     degraded: u64,
@@ -34,9 +18,7 @@ pub(crate) struct TenantState {
 impl TenantState {
     pub(crate) fn new() -> Self {
         TenantState {
-            kernel: None,
             streak: 0,
-            demotions: 0,
             completed: 0,
             rejected: 0,
             degraded: 0,
@@ -45,11 +27,6 @@ impl TenantState {
             flops: 0,
             nanos: 0,
         }
-    }
-
-    /// The kernel override currently applied to this tenant's jobs.
-    pub(crate) fn kernel(&self) -> Option<GemmKernel> {
-        self.kernel
     }
 
     /// Folds a job's probe counters into the tenant's totals.
@@ -61,18 +38,18 @@ impl TenantState {
     }
 
     /// Records a served answer. A faulty-but-recovered job (`degraded`)
-    /// still counts toward the breaker streak: the tenant's workload is
+    /// still counts toward the fault streak: the tenant's workload is
     /// provoking faults even when the ladder absorbs them. `brownout`
     /// marks answers served below full quality (overload brownout) —
     /// visible in the report, not a fault.
-    pub(crate) fn record_completed(&mut self, degraded: bool, brownout: bool, threshold: u32) {
+    pub(crate) fn record_completed(&mut self, degraded: bool, brownout: bool) {
         self.completed += 1;
         if brownout {
             self.brownout_served += 1;
         }
         if degraded {
             self.degraded += 1;
-            self.bump_streak(threshold);
+            self.streak += 1;
         } else {
             self.streak = 0;
         }
@@ -82,36 +59,19 @@ impl TenantState {
     /// residual rejection, unrecovered soft fault) as opposed to load
     /// shedding or deadline misses, which say nothing about the tenant's
     /// numerics.
-    pub(crate) fn record_rejected(&mut self, faulty: bool, threshold: u32) {
+    pub(crate) fn record_rejected(&mut self, faulty: bool) {
         self.rejected += 1;
         if faulty {
-            self.bump_streak(threshold);
+            self.streak += 1;
         }
     }
 
     /// Records a watchdog-resolved wedged job. Counts as a rejection but
-    /// never toward the fault streak — a wedge is a liveness problem;
-    /// demoting the gemm kernel would not help and only slows the tenant
-    /// further.
+    /// never toward the fault streak — a wedge is a liveness problem and
+    /// says nothing about the tenant's numerics.
     pub(crate) fn record_stuck(&mut self) {
         self.rejected += 1;
         self.stuck += 1;
-    }
-
-    /// Breaker: `threshold` consecutive faults demote one kernel level
-    /// and restart the streak, so a persistently faulty tenant walks
-    /// simd → unrolled → scalar rather than jumping to the floor.
-    fn bump_streak(&mut self, threshold: u32) {
-        self.streak += 1;
-        if threshold > 0 && self.streak >= threshold {
-            let from = self.kernel.unwrap_or(la_core::tune::current().gemm_kernel);
-            let to = demote_kernel(from);
-            if to != from {
-                self.kernel = Some(to);
-                self.demotions += 1;
-            }
-            self.streak = 0;
-        }
     }
 
     pub(crate) fn report(&self, tenant: &str) -> TenantReport {
@@ -122,8 +82,6 @@ impl TenantState {
             degraded: self.degraded,
             stuck: self.stuck,
             brownout_served: self.brownout_served,
-            kernel: self.kernel,
-            demotions: self.demotions,
             fault_streak: self.streak,
             flops: self.flops,
             nanos: self.nanos,
@@ -149,11 +107,8 @@ pub struct TenantReport {
     /// Answered jobs served below full quality under overload brownout
     /// (subset of `completed`).
     pub brownout_served: u64,
-    /// Kernel override in force (`None`: never demoted — ambient config).
-    pub kernel: Option<GemmKernel>,
-    /// Times the circuit breaker stepped the kernel down a level.
-    pub demotions: u32,
-    /// Current consecutive-fault count toward the next demotion.
+    /// Consecutive faulty jobs (panic, soft fault, residual failure,
+    /// re-screened NaN) up to now; a clean answer resets it.
     pub fault_streak: u32,
     /// Probe-counted flops attributed to this tenant's jobs (0 unless a
     /// counting [`la_core::probe`] policy is active).
@@ -167,60 +122,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn breaker_walks_the_kernel_ladder_one_level_per_streak() {
+    fn clean_jobs_reset_the_streak_and_load_shedding_does_not_count() {
         let mut t = TenantState::new();
-        // Ambient kernel is Auto (test processes don't set LA_GEMM_KERNEL),
-        // so the first demotion lands on Unrolled.
-        for _ in 0..3 {
-            t.record_rejected(true, 3);
-        }
-        assert_eq!(t.kernel(), Some(GemmKernel::Unrolled));
-        assert_eq!(t.report("x").demotions, 1);
-        // Second streak: Unrolled → Scalar.
-        for _ in 0..3 {
-            t.record_completed(true, false, 3);
-        }
-        assert_eq!(t.kernel(), Some(GemmKernel::Scalar));
-        // Floor: further faults don't count as demotions.
-        for _ in 0..6 {
-            t.record_rejected(true, 3);
-        }
-        assert_eq!(t.kernel(), Some(GemmKernel::Scalar));
-        assert_eq!(t.report("x").demotions, 2);
-    }
-
-    #[test]
-    fn clean_jobs_and_load_shedding_do_not_trip_the_breaker() {
-        let mut t = TenantState::new();
-        t.record_rejected(true, 3);
-        t.record_rejected(true, 3);
-        t.record_completed(false, false, 3); // clean answer resets the streak
-        t.record_rejected(true, 3);
-        t.record_rejected(true, 3);
-        assert_eq!(t.kernel(), None, "streak was reset; no demotion");
-        // Overload/deadline rejections are not faults.
+        t.record_rejected(true);
+        t.record_rejected(true);
+        t.record_completed(false, false); // clean answer resets the streak
+        t.record_rejected(true);
+        t.record_completed(true, false); // a recovered fault still counts
+                                         // Overload/deadline rejections are not faults.
         for _ in 0..10 {
-            t.record_rejected(false, 3);
+            t.record_rejected(false);
         }
-        assert_eq!(t.kernel(), None);
         let r = t.report("acme");
-        assert_eq!(r.completed, 1);
-        assert_eq!(r.rejected, 14);
+        assert_eq!(r.completed, 2);
+        assert_eq!(r.degraded, 1);
+        assert_eq!(r.rejected, 13);
         assert_eq!(r.fault_streak, 2);
     }
 
     #[test]
-    fn stuck_and_brownout_are_visible_but_never_trip_the_breaker() {
+    fn stuck_and_brownout_are_visible_but_never_count_as_faults() {
         let mut t = TenantState::new();
         // A wedged job is a liveness event, not a numerics fault: it
-        // counts as rejected + stuck but must not walk the kernel ladder.
+        // counts as rejected + stuck but leaves the streak alone.
         for _ in 0..9 {
             t.record_stuck();
         }
-        assert_eq!(t.kernel(), None, "wedges must not demote the kernel");
         // Browned-out answers are completions, flagged for the report.
-        t.record_completed(false, true, 3);
-        t.record_completed(false, false, 3);
+        t.record_completed(false, true);
+        t.record_completed(false, false);
         let r = t.report("acme");
         assert_eq!(r.rejected, 9);
         assert_eq!(r.stuck, 9);

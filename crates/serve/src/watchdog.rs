@@ -33,14 +33,14 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use la_core::cancel::{CancelToken, Heartbeat};
-use la_lapack::Lattice;
+use la_core::Demote;
 
 use crate::handle::Shared;
 use crate::Rejection;
 
 /// The registration a worker publishes while it holds one job, plus the
 /// watchdog's private bookkeeping against it.
-pub(crate) struct ActiveJob<T: Lattice> {
+pub(crate) struct ActiveJob<T: Demote> {
     /// Monotone per-service job number (never reused).
     pub(crate) job_id: u64,
     pub(crate) heartbeat: Heartbeat,
@@ -56,7 +56,7 @@ pub(crate) struct ActiveJob<T: Lattice> {
 }
 
 /// One worker's mailbox to the watchdog.
-pub(crate) struct WorkerSlot<T: Lattice> {
+pub(crate) struct WorkerSlot<T: Demote> {
     current: Mutex<Option<ActiveJob<T>>>,
     /// Stage 2 happened while this worker held its job: the thread is
     /// written off (a replacement is running) and must exit at the next
@@ -65,7 +65,7 @@ pub(crate) struct WorkerSlot<T: Lattice> {
     pub(crate) abandoned: AtomicBool,
 }
 
-impl<T: Lattice> WorkerSlot<T> {
+impl<T: Demote> WorkerSlot<T> {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(WorkerSlot {
             current: Mutex::new(None),
@@ -155,7 +155,7 @@ pub(crate) struct StuckEvent {
 /// One watchdog pass over the worker slots at time `now`, escalating
 /// anything silent longer than `stall`. Returns the stage-2 events; the
 /// caller respawns those workers and records the stats.
-pub(crate) fn patrol<T: Lattice>(
+pub(crate) fn patrol<T: Demote>(
     slots: &[Arc<WorkerSlot<T>>],
     stall: Duration,
     now: Instant,

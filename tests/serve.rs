@@ -1,14 +1,12 @@
 //! Robustness of the serving substrate end-to-end, exercised through the
 //! test-only injection hooks:
 //!
-//! 1. **Batched entry points × ABFT policy**: `gemm_batch`, `gesv_batch`
-//!    and `posv_batch` run a one-shot corruption under each of
-//!    `AbftPolicy::{Off, Verify, Recover}`, asserting the per-job
-//!    contract — the fault is *detected in exactly the job it struck*
-//!    (`INFO = -102`, siblings clean and bitwise-untouched), *repaired
-//!    bitwise-identically* under `Recover`, and *silently local* under
-//!    `Off` (exactly one job's output differs; no counter movement leaks
-//!    to siblings).
+//! 1. **Fault attribution**: two jobs served side by side under
+//!    `AbftPolicy::Verify` with one one-shot corruption armed — the fault
+//!    is *attributed to exactly the job it struck* (that job climbs the
+//!    ladder and comes back `degraded`), the sibling and the jobs that
+//!    run next on the same worker threads are clean first tries
+//!    (`abft::job_scope`: nothing a job parked can surface in another).
 //! 2. **Service chaos soak**: a mini version of the `serve_load --chaos`
 //!    invariants — a `Service` fed a deterministic mix of clean jobs,
 //!    silent corruption, worker panics, NaN-poisoned inputs and expired
@@ -21,12 +19,10 @@
 
 #![cfg(feature = "fault-inject")]
 
-use la_blas::batch::{gemm_batch, GemmJob};
 use la_core::abft::inject::{arm, is_armed, CorruptKind, Corruption};
 use la_core::abft::{self, AbftPolicy};
 use la_core::cancel::{INFO_CANCELLED, INFO_PANICKED};
-use la_core::{tune, Mat, Trans, Uplo};
-use la_lapack::batch::{gesv_batch, posv_batch, GesvJob, PosvJob};
+use la_core::{tune, Mat, Uplo};
 use la_serve::chaos::{answer_is_plausible, chaos_tune, quiet_chaos_panics, ChaosPlan};
 use la_serve::{JobSpec, Rejection, ServeConfig, Service, SolveOp};
 
@@ -64,90 +60,71 @@ impl Rng {
 // are process-global, so concurrent #[test] threads would consume each
 // other's armed corruption.
 #[test]
-fn batched_faults_stay_per_job_and_the_service_survives_chaos() {
-    batched_gesv_abft_contract();
-    batched_posv_abft_contract();
-    batched_gemm_abft_contract();
+fn a_served_fault_stays_with_its_job_and_the_service_survives_chaos() {
+    served_fault_is_attributed_to_the_job_it_struck();
     service_chaos_soak();
 }
 
 // ---------------------------------------------------------------------
-// Batched entry points × ABFT policy
+// Fault attribution across served jobs
 // ---------------------------------------------------------------------
 
-/// Runs `run_clean_then_armed` under every policy and checks the per-job
-/// sweep contract on the returned `(infos, outputs)` against the clean
-/// reference outputs.
-fn check_batch_contract(
-    what: &str,
-    routine: &'static str,
-    clean: &[Vec<f64>],
-    mut run: impl FnMut() -> (Vec<i32>, Vec<Vec<f64>>),
-) {
-    for (pi, policy) in [AbftPolicy::Off, AbftPolicy::Verify, AbftPolicy::Recover]
-        .into_iter()
-        .enumerate()
-    {
-        let kind = if pi % 2 == 0 {
-            CorruptKind::FlipMantissaBit
-        } else {
-            CorruptKind::Scale
-        };
-        abft::clear_pending();
-        let (infos, outs) = tune::with(forced(), || {
-            abft::with_policy(policy, || {
-                arm(Corruption {
-                    routine,
-                    stripe: 1,
-                    kind,
-                });
-                run()
+fn served_fault_is_attributed_to_the_job_it_struck() {
+    let n = 32usize;
+    abft::clear_pending();
+    let svc: Service<f64> = tune::with(forced(), || {
+        abft::with_policy(AbftPolicy::Verify, || {
+            Service::start(ServeConfig {
+                workers: 2,
+                ..ServeConfig::default()
             })
-        });
-        let tag = format!("{what}/{policy:?}");
-        assert!(!is_armed(), "{tag}: corruption did not fire");
-        assert!(
-            abft::take_pending().is_none(),
-            "{tag}: a pending fault leaked out of the batch"
-        );
-        let dirty: Vec<usize> = (0..clean.len()).filter(|&j| outs[j] != clean[j]).collect();
-        match policy {
-            AbftPolicy::Off => {
-                // Undetected but local: every job "succeeds", exactly one
-                // output silently differs.
-                assert_eq!(infos, vec![0; clean.len()], "{tag}: Off must not flag");
-                assert_eq!(
-                    dirty.len(),
-                    1,
-                    "{tag}: corruption must land in exactly one job (dirty: {dirty:?})"
-                );
-            }
-            AbftPolicy::Verify => {
-                // Detected in exactly the job it struck; siblings clean
-                // and bitwise-untouched.
-                let flagged: Vec<usize> = (0..infos.len()).filter(|&j| infos[j] == -102).collect();
-                assert_eq!(
-                    flagged.len(),
-                    1,
-                    "{tag}: exactly one job must report -102 (infos: {infos:?})"
-                );
-                for (j, info) in infos.iter().enumerate() {
-                    if j != flagged[0] {
-                        assert_eq!(*info, 0, "{tag}: sibling {j} flagged");
-                        assert_eq!(outs[j], clean[j], "{tag}: sibling {j} output touched");
-                    }
-                }
-            }
-            AbftPolicy::Recover => {
-                // Repaired bitwise-identically, all jobs clean.
-                assert_eq!(infos, vec![0; clean.len()], "{tag}: Recover must succeed");
-                assert!(
-                    dirty.is_empty(),
-                    "{tag}: recovery not bitwise-identical (dirty: {dirty:?})"
-                );
-            }
+        })
+    });
+    let job = |seed: u64| {
+        let (a, b) = dd_system(n, seed);
+        JobSpec::new(
+            SolveOp::Gesv,
+            Mat::from_col_major(n, n, a),
+            Mat::from_col_major(n, 1, b),
+        )
+    };
+    arm(Corruption {
+        routine: "getrf",
+        stripe: 1,
+        kind: CorruptKind::Scale,
+    });
+    // Two jobs in flight on the two workers, then two more on the same
+    // worker threads: a fault that outlived its job would surface there.
+    let mut outs = Vec::new();
+    for round in 0..2u64 {
+        let pair: Vec<_> = (0..2)
+            .map(|i| svc.submit(job(100 + 2 * round + i)).expect("admitted"))
+            .collect();
+        for h in pair {
+            outs.push(h.wait().expect("Verify detects, the ladder recovers"));
         }
     }
+    assert!(!is_armed(), "the corruption did not fire");
+    let struck: Vec<usize> = (0..outs.len()).filter(|&j| outs[j].degraded).collect();
+    assert_eq!(struck.len(), 1, "exactly one job was struck: {struck:?}");
+    for (j, out) in outs.iter().enumerate() {
+        if j == struck[0] {
+            assert_eq!(
+                out.attempts, 2,
+                "detected under Verify, retried under Recover"
+            );
+        } else {
+            assert_eq!(out.attempts, 1, "job {j} is a clean first try");
+        }
+    }
+    let stats = svc.stats();
+    svc.shutdown();
+    assert_eq!(stats.degraded, 1);
+    assert_eq!(stats.completed, 4);
+    assert!(
+        abft::take_pending().is_none(),
+        "a pending fault leaked out of the service"
+    );
 }
 
 /// Diagonally dominant general system with solution fixed by `b = A·x`.
@@ -185,96 +162,6 @@ fn spd_system(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
         }
     }
     (a, b)
-}
-
-fn batched_gesv_abft_contract() {
-    let n = 32usize;
-    let bases: Vec<(Vec<f64>, Vec<f64>)> = (0..4).map(|i| dd_system(n, 100 + i)).collect();
-    let run = || {
-        let mut mats: Vec<(Vec<f64>, Vec<f64>)> = bases.clone();
-        let mut ipivs: Vec<Vec<i32>> = (0..4).map(|_| vec![0i32; n]).collect();
-        let mut jobs: Vec<GesvJob<'_, f64>> = mats
-            .iter_mut()
-            .zip(ipivs.iter_mut())
-            .map(|((a, b), ipiv)| GesvJob {
-                n,
-                nrhs: 1,
-                a,
-                lda: n,
-                ipiv,
-                b,
-                ldb: n,
-            })
-            .collect();
-        let infos = gesv_batch(&mut jobs);
-        drop(jobs);
-        (infos, mats.into_iter().map(|(_, b)| b).collect::<Vec<_>>())
-    };
-    let (infos, clean) = tune::with(forced(), run);
-    assert_eq!(infos, vec![0; 4], "clean gesv_batch reference failed");
-    check_batch_contract("gesv_batch", "getrf", &clean, run);
-}
-
-fn batched_posv_abft_contract() {
-    let n = 32usize;
-    let bases: Vec<(Vec<f64>, Vec<f64>)> = (0..4).map(|i| spd_system(n, 200 + i)).collect();
-    let run = || {
-        let mut mats: Vec<(Vec<f64>, Vec<f64>)> = bases.clone();
-        let mut jobs: Vec<PosvJob<'_, f64>> = mats
-            .iter_mut()
-            .map(|(a, b)| PosvJob {
-                uplo: Uplo::Lower,
-                n,
-                nrhs: 1,
-                a,
-                lda: n,
-                b,
-                ldb: n,
-            })
-            .collect();
-        let infos = posv_batch(&mut jobs);
-        drop(jobs);
-        (infos, mats.into_iter().map(|(_, b)| b).collect::<Vec<_>>())
-    };
-    let (infos, clean) = tune::with(forced(), run);
-    assert_eq!(infos, vec![0; 4], "clean posv_batch reference failed");
-    check_batch_contract("posv_batch", "potrf", &clean, run);
-}
-
-fn batched_gemm_abft_contract() {
-    let (m, n, k) = (45usize, 67, 33);
-    let mut rng = Rng(300);
-    let bases: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = (0..4)
-        .map(|_| (rng.vec(m * k), rng.vec(k * n), rng.vec(m * n)))
-        .collect();
-    let run = || {
-        let mut cs: Vec<Vec<f64>> = bases.iter().map(|(_, _, c)| c.clone()).collect();
-        let mut jobs: Vec<GemmJob<'_, f64>> = bases
-            .iter()
-            .zip(cs.iter_mut())
-            .map(|((a, b, _), c)| GemmJob {
-                transa: Trans::No,
-                transb: Trans::No,
-                m,
-                n,
-                k,
-                alpha: 1.25,
-                a,
-                lda: m,
-                b,
-                ldb: k,
-                beta: 0.5,
-                c,
-                ldc: m,
-            })
-            .collect();
-        let infos = gemm_batch(&mut jobs);
-        drop(jobs);
-        (infos, cs)
-    };
-    let (infos, clean) = tune::with(forced(), run);
-    assert_eq!(infos, vec![0; 4], "clean gemm_batch reference failed");
-    check_batch_contract("gemm_batch", "gemm", &clean, run);
 }
 
 // ---------------------------------------------------------------------
