@@ -20,6 +20,16 @@
 //!
 //! `--quick` shrinks the sweep for CI and writes
 //! `BENCH_serve.quick.json`, leaving the checked-in baseline untouched.
+//!
+//! Every run also prices the answer check: served n = 96 `gesv` round
+//! trips with `verify_residual` on and off, one worker each, interleaved
+//! in the same process, and the ratio of their lower quartiles (a same-run
+//! ratio, like `kernel_bench --min-trsm-over-gemm`: host speed cancels;
+//! the quartile, not the median, because on a shared host the median of a
+//! round trip moves by tens of percent with the thread wake-ups of the
+//! moment while its lower quartile repeats within a few — the medians are
+//! printed beside it). `--max-verify-ratio R` exits 1 when the ratio is
+//! above `R`.
 
 use std::time::Instant;
 
@@ -182,6 +192,67 @@ fn run_clean(op: SolveOp, concurrency: usize, n: usize, jobs_per_client: u64) ->
         goodput_jps: stats.completed as f64 / wall.max(1e-9),
         wrong,
         pool_poisonings: stats.pool_poisonings,
+    }
+}
+
+/// What the residual gate adds to a served solve, measured in this run.
+struct VerifyCost {
+    n: usize,
+    jobs: usize,
+    /// `[p25, p50]` of the round trip in ms, residual check on.
+    on_ms: [f64; 2],
+    /// The same with the check off.
+    off_ms: [f64; 2],
+}
+
+impl VerifyCost {
+    /// Lower quartile verified over lower quartile unverified.
+    fn ratio(&self) -> f64 {
+        self.on_ms[0] / self.off_ms[0].max(1e-12)
+    }
+}
+
+/// One closed-loop client against two one-worker services that differ only
+/// in `verify_residual`, alternating between them in short blocks so both
+/// see the same stretches of host speed. Answers are checked here too.
+fn run_verify_cost(n: usize, jobs: usize) -> VerifyCost {
+    const BLOCK: usize = 10;
+    let start = |verify_residual| -> Service<f64> {
+        Service::start(ServeConfig {
+            workers: 1,
+            verify_residual,
+            ..ServeConfig::default()
+        })
+    };
+    let services = [start(true), start(false)];
+    let a: Mat<f64> = bench_matrix(n, 17);
+    let b = rowsum_rhs(&a, 1);
+    let mut lats = [Vec::with_capacity(jobs), Vec::with_capacity(jobs)];
+    while lats[1].len() < jobs {
+        for (svc, lats) in services.iter().zip(&mut lats) {
+            for _ in 0..BLOCK {
+                let (ja, jb) = (a.clone(), b.clone());
+                let t = Instant::now();
+                let out = svc
+                    .submit(JobSpec::new(SolveOp::Gesv, ja, jb))
+                    .and_then(|h| h.wait())
+                    .expect("verify-cost probe: clean solve rejected");
+                lats.push(t.elapsed().as_secs_f64() * 1e3);
+                assert!(plausible(&a, &b, &out.x), "verify-cost probe: wrong answer");
+            }
+        }
+    }
+    for svc in &services {
+        svc.shutdown();
+    }
+    let [mut on, mut off] = lats;
+    on.sort_by(|x, y| x.partial_cmp(y).unwrap());
+    off.sort_by(|x, y| x.partial_cmp(y).unwrap());
+    VerifyCost {
+        n,
+        jobs,
+        on_ms: [percentile(&on, 0.25), percentile(&on, 0.50)],
+        off_ms: [percentile(&off, 0.25), percentile(&off, 0.50)],
     }
 }
 
@@ -616,6 +687,16 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let chaos = args.iter().any(|a| a == "--chaos");
     let do_overload = args.iter().any(|a| a == "--overload");
+    let max_verify_ratio: Option<f64> =
+        args.iter()
+            .position(|a| a == "--max-verify-ratio")
+            .map(|i| match args.get(i + 1).and_then(|v| v.parse().ok()) {
+                Some(r) => r,
+                None => {
+                    eprintln!("serve_load: --max-verify-ratio needs a number");
+                    std::process::exit(2);
+                }
+            });
     let cores = la_core::tune::host_parallelism();
     let mode = if quick { " (quick)" } else { "" };
     println!("== serve_load{mode}: {cores} core(s) ==");
@@ -650,6 +731,29 @@ fn main() {
     }
 
     let mut failed = false;
+    let vc = run_verify_cost(96, if quick { 2000 } else { 8000 });
+    println!(
+        "-- answer check: gesv n={} x{}: p25 {:.4} ms verified / {:.4} ms unverified = {:.3} \
+         (p50 {:.4} / {:.4}) --",
+        vc.n,
+        vc.jobs,
+        vc.on_ms[0],
+        vc.off_ms[0],
+        vc.ratio(),
+        vc.on_ms[1],
+        vc.off_ms[1]
+    );
+    if let Some(limit) = max_verify_ratio {
+        if vc.ratio() > limit {
+            eprintln!(
+                "  VERIFY GATE: residual verification costs {:.3}x an unverified served \
+                 solve, limit {limit}",
+                vc.ratio()
+            );
+            failed = true;
+        }
+    }
+
     #[cfg(feature = "fault-inject")]
     let chaos_outcome = if chaos {
         let (clients, cn, jobs) = if quick { (4, 24, 400) } else { (4, 32, 1500) };
@@ -798,6 +902,16 @@ fn main() {
         j.end_obj();
     }
     j.end_arr();
+    j.key("verify_cost");
+    j.begin_obj();
+    j.field_uint("n", vc.n as u64);
+    j.field_uint("jobs", vc.jobs as u64);
+    j.field_num("verified_p25_ms", vc.on_ms[0]);
+    j.field_num("unverified_p25_ms", vc.off_ms[0]);
+    j.field_num("verified_p50_ms", vc.on_ms[1]);
+    j.field_num("unverified_p50_ms", vc.off_ms[1]);
+    j.field_num("ratio", vc.ratio());
+    j.end_obj();
     #[cfg(feature = "fault-inject")]
     if let Some(out) = &chaos_outcome {
         j.key("chaos_summary");

@@ -13,11 +13,29 @@ use core::ops::{Index, IndexMut};
 use crate::scalar::Scalar;
 
 /// A dense column-major matrix (Fortran storage order).
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 pub struct Mat<T> {
     data: Vec<T>,
     nrows: usize,
     ncols: usize,
+}
+
+impl<T: Clone> Clone for Mat<T> {
+    fn clone(&self) -> Self {
+        Mat {
+            data: self.data.clone(),
+            nrows: self.nrows,
+            ncols: self.ncols,
+        }
+    }
+
+    /// Overwrites `self` with `source`, reusing `self`'s buffer when it is
+    /// large enough — a workspace refilled per call allocates once.
+    fn clone_from(&mut self, source: &Self) {
+        self.data.clone_from(&source.data);
+        self.nrows = source.nrows;
+        self.ncols = source.ncols;
+    }
 }
 
 impl<T: Scalar> Mat<T> {

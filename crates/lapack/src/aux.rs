@@ -134,40 +134,118 @@ pub fn laswp_rev<T: Scalar>(n: usize, a: &mut [T], lda: usize, k1: usize, k2: us
     }
 }
 
+/// Lanes of the chunked reductions below: element `i` of a slice goes to
+/// accumulator `i mod 8`, so the pass has eight independent dependency
+/// chains and compiles to vector code; the lanes are combined pairwise at
+/// the end.
+const LANES: usize = 8;
+
+/// `(max, sum)` of `modulus(x_i)` over a contiguous slice, eight lanes at a
+/// time. The moduli are non-negative, so the sum is NaN exactly when one of
+/// them is: a reduction built on this pair cannot forget a NaN the way a
+/// running `maxr` does as soon as a finite value follows it.
+#[inline(always)]
+fn max_and_sum<T: Scalar>(x: &[T], modulus: impl Fn(T) -> T::Real) -> (T::Real, T::Real) {
+    let mut best = [T::Real::zero(); LANES];
+    let mut sum = [T::Real::zero(); LANES];
+    let mut groups = x.chunks_exact(LANES);
+    for g in &mut groups {
+        for l in 0..LANES {
+            let a = modulus(g[l]);
+            sum[l] += a;
+            if a > best[l] {
+                best[l] = a;
+            }
+        }
+    }
+    for (l, &v) in groups.remainder().iter().enumerate() {
+        let a = modulus(v);
+        sum[l] += a;
+        if a > best[l] {
+            best[l] = a;
+        }
+    }
+    let mut width = LANES;
+    while width > 1 {
+        width /= 2;
+        for l in 0..width {
+            sum[l] += sum[l + width];
+            if best[l + width] > best[l] {
+                best[l] = best[l + width];
+            }
+        }
+    }
+    (best[0], sum[0])
+}
+
+/// The sticky maximum of `modulus(x_i)`: NaN if any element's modulus is
+/// NaN (wherever it sits), else the largest — so an Inf sticks too.
+#[inline(always)]
+fn sticky_max<T: Scalar>(x: &[T], modulus: impl Fn(T) -> T::Real) -> T::Real {
+    let (max, sum) = max_and_sum(x, modulus);
+    if sum.is_nan() {
+        T::Real::nan()
+    } else {
+        max
+    }
+}
+
+/// Largest `abs1` modulus (`|re| + |im|`) of a contiguous slice — `‖x‖∞`
+/// as `IxAMAX` measures it, returned as a value. NaN-propagating in the
+/// sense of Demmel et al. (arXiv:2207.09281): a NaN anywhere in `x` makes
+/// the result NaN and an Inf makes it Inf, whatever follows them
+/// (`[Inf, NaN, 1.0]` is NaN, where a `maxr` fold answers `1.0`). Zero for
+/// an empty slice. One chunked pass (eight accumulators), no branch on
+/// the data.
+pub fn max_abs1<T: Scalar>(x: &[T]) -> T::Real {
+    sticky_max(x, T::abs1)
+}
+
 /// Norm of a general rectangular matrix (`xLANGE`).
 ///
 /// A NaN anywhere in the scanned part makes the result NaN in every norm
-/// (Demmel et al., arXiv:2207.09281). The `maxr` fold is NaN-ignoring (as
-/// Fortran `MAX` is), so the `Max`/`One`/`Inf` paths carry the check
-/// explicitly; `Fro` inherits propagation from `lassq`.
+/// (Demmel et al., arXiv:2207.09281). `Max` and `One` are chunked
+/// reductions over column slices (the whole buffer at once when
+/// `lda == m`): element `i` of a slice feeds accumulator `i mod 8`, the
+/// eight are combined pairwise, and a NaN is carried by a running sum of
+/// the (non-negative) moduli beside the maximum, so neither its position
+/// nor the values after it matter. `Max` is exact, so it does not depend on
+/// that order; a `One` column sum is rounded in the lane order just
+/// described, not first to last. `Inf` keeps its row accumulators and an
+/// explicit check; `Fro` inherits propagation from `lassq`.
 pub fn lange<T: Scalar>(norm: Norm, m: usize, n: usize, a: &[T], lda: usize) -> T::Real {
+    if m == 0 || n == 0 {
+        return T::Real::zero();
+    }
     match norm {
         Norm::Max => {
-            let mut v = T::Real::zero();
-            for j in 0..n {
-                for i in 0..m {
-                    let x = a[i + j * lda].abs();
-                    if x.is_nan() {
-                        return T::Real::nan();
-                    }
-                    v = v.maxr(x);
-                }
+            if lda == m {
+                return sticky_max(&a[..m * n], T::abs);
             }
-            v
+            let (mut v, mut s) = (T::Real::zero(), T::Real::zero());
+            for j in 0..n {
+                let (max, sum) = max_and_sum(&a[j * lda..j * lda + m], T::abs);
+                s += sum;
+                v = v.maxr(max);
+            }
+            if s.is_nan() {
+                T::Real::nan()
+            } else {
+                v
+            }
         }
         Norm::One => {
-            let mut v = T::Real::zero();
+            let (mut v, mut nan) = (T::Real::zero(), false);
             for j in 0..n {
-                let mut s = T::Real::zero();
-                for i in 0..m {
-                    s += a[i + j * lda].abs();
-                }
-                if s.is_nan() {
-                    return T::Real::nan();
-                }
+                let (_, s) = max_and_sum(&a[j * lda..j * lda + m], T::abs);
+                nan |= s.is_nan();
                 v = v.maxr(s);
             }
-            v
+            if nan {
+                T::Real::nan()
+            } else {
+                v
+            }
         }
         Norm::Inf => {
             let mut rows = vec![T::Real::zero(); m];
@@ -907,6 +985,127 @@ mod tests {
     fn try_zeros_reports_a_refused_request() {
         assert_eq!(try_zeros::<f64>(3), Some(vec![0.0; 3]));
         assert!(try_zeros::<f64>(usize::MAX / 4).is_none());
+    }
+
+    #[test]
+    fn max_abs1_is_sticky_wherever_the_nan_sits() {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        // What a running `maxr` gets wrong: it answers 1.0 to the first two.
+        assert!(max_abs1(&[inf, nan, 1.0]).is_nan());
+        assert!(max_abs1(&[nan, 1.0]).is_nan());
+        assert!(max_abs1(&[1.0, nan]).is_nan());
+        assert_eq!(max_abs1(&[1.0, inf, 2.0]), inf);
+        assert_eq!(max_abs1(&[-inf, 2.0]), inf);
+        assert_eq!(max_abs1::<f64>(&[]), 0.0);
+        assert_eq!(max_abs1(&[-3.0, 2.0]), 3.0);
+        // Every position of a slice longer than the eight lanes, both types
+        // of poison, real and complex (`abs1` adds the two parts).
+        for len in [1usize, 7, 8, 9, 16, 29] {
+            for at in 0..len {
+                let mut x = vec![1.5f32; len];
+                x[at] = f32::NAN;
+                assert!(max_abs1(&x).is_nan(), "len {len} at {at}");
+                x[at] = f32::NEG_INFINITY;
+                assert_eq!(max_abs1(&x), f32::INFINITY, "len {len} at {at}");
+                let mut z = vec![C64::new(1.0, -2.0); len];
+                assert_eq!(max_abs1(&z), 3.0);
+                z[at] = C64::new(0.0, nan);
+                assert!(max_abs1(&z).is_nan(), "len {len} at {at}");
+                z[at] = C64::new(inf, -inf);
+                assert_eq!(max_abs1(&z), inf, "len {len} at {at}");
+            }
+        }
+    }
+
+    /// `lange` as it was before the chunked reductions: one serial chain
+    /// per norm, an early return on the first NaN.
+    fn lange_serial<T: Scalar>(norm: Norm, m: usize, n: usize, a: &[T], lda: usize) -> T::Real {
+        let mut v = T::Real::zero();
+        for j in 0..n {
+            let mut s = T::Real::zero();
+            for i in 0..m {
+                let x = a[i + j * lda].abs();
+                if x.is_nan() {
+                    return T::Real::nan();
+                }
+                if norm == Norm::Max {
+                    v = v.maxr(x);
+                } else {
+                    s += x;
+                }
+            }
+            v = v.maxr(s);
+        }
+        v
+    }
+
+    fn lange_matches_the_serial_form<T: Scalar>() {
+        let mut state = 0x1234_5678_9abc_def1u64;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        for (m, n) in [
+            (0, 5),
+            (5, 0),
+            (1, 1),
+            (7, 3),
+            (8, 8),
+            (9, 2),
+            (23, 5),
+            (33, 4),
+            (96, 7),
+        ] {
+            for lda in [m.max(1), m + 3] {
+                let a: Vec<T> = (0..lda * n.max(1))
+                    .map(|_| T::from_re_im(T::Real::from_f64(unit()), T::Real::from_f64(unit())))
+                    .collect();
+                let tag = format!("{} {m}x{n} lda {lda}", T::PREFIX);
+                // Max is exact, so the order of the reduction cannot show.
+                assert_eq!(
+                    lange(Norm::Max, m, n, &a, lda),
+                    lange_serial(Norm::Max, m, n, &a, lda),
+                    "{tag}"
+                );
+                // One sums each column in lane order: equal to the serial
+                // sum within the rounding of m additions.
+                let (got, want) = (
+                    lange(Norm::One, m, n, &a, lda),
+                    lange_serial(Norm::One, m, n, &a, lda),
+                );
+                let slack = T::Real::EPS * T::Real::from_usize(2 * m.max(1)) * want;
+                assert!((got - want).rabs() <= slack, "{tag}: {got:?} vs {want:?}");
+                if m == 0 || n == 0 {
+                    assert_eq!(got, T::Real::zero(), "{tag}");
+                    continue;
+                }
+                // A NaN in the first, a middle and the last scanned position
+                // makes both NaN; one in the padding below a column is not
+                // the matrix's.
+                for at in [0, (n / 2) * lda + m / 2, (n - 1) * lda + m - 1] {
+                    let mut p = a.clone();
+                    p[at] = T::from_real(T::Real::nan());
+                    assert!(lange(Norm::Max, m, n, &p, lda).is_nan(), "{tag} at {at}");
+                    assert!(lange(Norm::One, m, n, &p, lda).is_nan(), "{tag} at {at}");
+                }
+                if lda > m {
+                    let mut p = a.clone();
+                    p[m] = T::from_real(T::Real::nan());
+                    assert!(!lange(Norm::Max, m, n, &p, lda).is_nan(), "{tag} padding");
+                    assert!(!lange(Norm::One, m, n, &p, lda).is_nan(), "{tag} padding");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lange_max_and_one_agree_with_the_serial_reductions() {
+        lange_matches_the_serial_form::<f32>();
+        lange_matches_the_serial_form::<f64>();
+        lange_matches_the_serial_form::<la_core::C32>();
+        lange_matches_the_serial_form::<C64>();
     }
 
     #[test]

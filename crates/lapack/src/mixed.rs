@@ -61,7 +61,7 @@ use la_core::mixed::{demote_slice, Demote, Promote};
 use la_core::tune::{self, RefineMode};
 use la_core::{probe, Norm, RealScalar, Scalar, Trans, Uplo};
 
-use crate::aux::{lange, lansy};
+use crate::aux::{lange, lansy, max_abs1};
 use crate::chol::{potrf, potrs};
 use crate::lu::{getrf, getrs};
 
@@ -136,11 +136,7 @@ fn demote_residual<T: Demote>(
     let mut scaled = vec![T::zero(); n];
     for j in 0..nrhs {
         let col = &r[j * n..j * n + n];
-        let mut rnrm = T::Real::zero();
-        for v in col {
-            rnrm = rnrm.maxr(v.abs1());
-        }
-        let rn = rnrm.to_f64();
+        let rn = max_abs1(col).to_f64();
         let s = if rn > 0.0 && rn.is_finite() {
             T::Real::from_f64(2f64.powi(-(rn.log2().ceil() as i32)))
         } else {
@@ -178,24 +174,15 @@ fn add_promoted<T: Demote>(
 
 /// The `DSGESV` convergence test over all right-hand sides:
 /// `‖r(:,j)‖∞ ≤ ‖x(:,j)‖∞ · cte` for every `j` (with
-/// `cte = ‖A‖∞ · ε · √n · BWDMAX`). NaNs fail the comparison, so a
-/// poisoned residual routes to the fallback instead of "converging".
-#[allow(clippy::neg_cmp_op_on_partial_ord)] // negation is the NaN-fails-closed part
+/// `cte = ‖A‖∞ · ε · √n · BWDMAX`). The norms are NaN-propagating
+/// ([`max_abs1`]) and NaNs fail the comparison, so a poisoned residual or
+/// iterate routes to the fallback instead of "converging".
 fn converged<T: Scalar>(n: usize, nrhs: usize, r: &[T], x: &[T], ldx: usize, cte: T::Real) -> bool {
-    for j in 0..nrhs {
-        let mut rnrm = T::Real::zero();
-        for i in 0..n {
-            rnrm = rnrm.maxr(r[i + j * n].abs1());
-        }
-        let mut xnrm = T::Real::zero();
-        for i in 0..n {
-            xnrm = xnrm.maxr(x[i + j * ldx].abs1());
-        }
-        if !(rnrm <= xnrm * cte) {
-            return false;
-        }
-    }
-    true
+    (0..nrhs).all(|j| {
+        let rnrm = max_abs1(&r[j * n..j * n + n]);
+        let xnrm = max_abs1(&x[j * ldx..j * ldx + n]);
+        rnrm <= xnrm * cte
+    })
 }
 
 /// Element `op(A)[i, k]` under the storage convention of `op`: direct (or
@@ -227,11 +214,13 @@ fn stored_elem<T: Scalar>(op: MixedOp, trans: Trans, a: &[T], lda: usize, i: usi
 }
 
 /// Working-precision residual `r := b − A·x` (tight `r` with leading
-/// dimension `n`): BLAS-2 per column for thin right-hand sides (streams
-/// `A` once at memory bandwidth), BLAS-3 otherwise; the Cholesky variant
-/// reads only the stored triangle via `hemv`/`symm`.
+/// dimension `n`, at least `n·nrhs` long): BLAS-2 per column for thin
+/// right-hand sides (streams `A` once at memory bandwidth), BLAS-3
+/// otherwise; the Cholesky variant reads only the stored triangle via
+/// `hemv`/`symm`. Allocates nothing — the refinement loop here and
+/// `la-serve`'s answer verification both call it on their own buffers.
 #[allow(clippy::too_many_arguments)]
-fn residual_working<T: Scalar>(
+pub fn residual_working<T: Scalar>(
     op: MixedOp,
     n: usize,
     nrhs: usize,

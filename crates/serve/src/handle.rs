@@ -3,25 +3,36 @@
 
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use la_core::cancel::CancelToken;
 use la_core::Demote;
 
-use crate::{Rejection, SolveOutput};
+use crate::{handoff, Rejection, SolveOutput};
 
 /// The slot a worker fulfills and a caller drains.
 struct Slot<T: Demote> {
     result: Option<Result<SolveOutput<T>, Rejection>>,
     waker: Option<Waker>,
+    /// A blocking waiter is inside `cv.wait` right now (a handle has at
+    /// most one: the blocking waits consume it). `fulfill` pays the futex
+    /// wake-up only then.
+    parked: bool,
 }
 
 /// Shared completion state between the service and the handle.
 pub(crate) struct Shared<T: Demote> {
     slot: Mutex<Slot<T>>,
     cv: Condvar,
+    /// Set, under the slot lock, once `result` is stored: what
+    /// [`JobHandle::wait`] polls without taking the lock.
+    ready: AtomicBool,
+    /// Test probe: how many times a waiter went into `cv.wait`.
+    #[cfg(test)]
+    pub(crate) parks: std::sync::atomic::AtomicUsize,
 }
 
 impl<T: Demote> Shared<T> {
@@ -30,27 +41,58 @@ impl<T: Demote> Shared<T> {
             slot: Mutex::new(Slot {
                 result: None,
                 waker: None,
+                parked: false,
             }),
             cv: Condvar::new(),
+            ready: AtomicBool::new(false),
+            #[cfg(test)]
+            parks: std::sync::atomic::AtomicUsize::new(0),
         })
     }
 
-    /// Delivers the job's outcome: wakes blocking waiters and any parked
+    /// One condvar wait of a blocking waiter (`timeout: None` waits until
+    /// notified), bracketed by the `parked` mark `fulfill` reads.
+    fn park<'a>(
+        &self,
+        mut slot: MutexGuard<'a, Slot<T>>,
+        timeout: Option<Duration>,
+    ) -> MutexGuard<'a, Slot<T>> {
+        #[cfg(test)]
+        self.parks.fetch_add(1, Ordering::Relaxed);
+        slot.parked = true;
+        let mut slot = match timeout {
+            None => self.cv.wait(slot).unwrap_or_else(|e| e.into_inner()),
+            Some(t) => {
+                self.cv
+                    .wait_timeout(slot, t)
+                    .unwrap_or_else(|e| e.into_inner())
+                    .0
+            }
+        };
+        slot.parked = false;
+        slot
+    }
+
+    /// Delivers the job's outcome: wakes a parked blocking waiter (a
+    /// polling one sees `ready`, and no wake-up is issued) and any stored
     /// async waker. Second fulfillment is ignored (first wins — e.g. a
     /// drain, or the watchdog's stage-2 `Stuck`, racing the worker that
     /// already responded). Returns `true` when this call won — the
     /// caller's outcome is the one the waiter sees, so only the winner
     /// should record stats for the job.
     pub(crate) fn fulfill(&self, r: Result<SolveOutput<T>, Rejection>) -> bool {
-        let waker = {
+        let (waker, parked) = {
             let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
             if slot.result.is_some() {
                 return false;
             }
             slot.result = Some(r);
-            slot.waker.take()
+            self.ready.store(true, Ordering::Release);
+            (slot.waker.take(), slot.parked)
         };
-        self.cv.notify_all();
+        if parked {
+            self.cv.notify_all();
+        }
         if let Some(w) = waker {
             w.wake();
         }
@@ -95,13 +137,22 @@ impl<T: Demote> JobHandle<T> {
     }
 
     /// Blocks until the job completes and returns its outcome.
+    ///
+    /// When the host has a core to spare (see the crate docs, "hand-off"),
+    /// the first ~100 µs of the wait poll the job's completion flag
+    /// instead of sleeping, so a short solve is handed back without a
+    /// thread wake-up; after that the thread parks. [`JobHandle::wait_for`]
+    /// and the [`Future`] impl never poll.
     pub fn wait(self) -> Result<SolveOutput<T>, Rejection> {
+        handoff::poll(handoff::Side::Waiter, || {
+            self.shared.ready.load(Ordering::Acquire)
+        });
         let mut slot = self.shared.slot.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(r) = slot.result.take() {
                 return r;
             }
-            slot = self.shared.cv.wait(slot).unwrap_or_else(|e| e.into_inner());
+            slot = self.shared.park(slot, None);
         }
     }
 
@@ -124,12 +175,7 @@ impl<T: Demote> JobHandle<T> {
                 if remaining.is_zero() {
                     break;
                 }
-                let (s, _) = self
-                    .shared
-                    .cv
-                    .wait_timeout(slot, remaining)
-                    .unwrap_or_else(|e| e.into_inner());
-                slot = s;
+                slot = self.shared.park(slot, Some(remaining));
             }
             // Timed out — one last look under the still-held lock, so a
             // fulfillment racing the deadline is delivered, not dropped.
@@ -214,6 +260,35 @@ mod tests {
             Ok(Err(Rejection::ShuttingDown)) => {}
             other => panic!("expected the stored result, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn waiting_on_a_fulfilled_handle_never_touches_the_condvar() {
+        let h = pending();
+        let shared = Arc::clone(&h.shared);
+        assert!(shared.fulfill(Err(Rejection::ShuttingDown)));
+        assert_eq!(h.wait().unwrap_err(), Rejection::ShuttingDown);
+        assert_eq!(shared.parks.load(Ordering::Relaxed), 0);
+        // An unfulfilled one parks, is marked as parked while it does, and
+        // is woken by the fulfilment.
+        let h = pending();
+        let shared = Arc::clone(&h.shared);
+        let waiter = std::thread::spawn(move || h.wait());
+        let t0 = std::time::Instant::now();
+        while !shared.slot.lock().unwrap().parked {
+            assert!(
+                t0.elapsed() < Duration::from_secs(30),
+                "waiter never parked"
+            );
+            std::thread::yield_now();
+        }
+        assert!(shared.fulfill(Err(Rejection::DeadlineExceeded)));
+        assert_eq!(
+            waiter.join().unwrap().unwrap_err(),
+            Rejection::DeadlineExceeded
+        );
+        assert!(shared.parks.load(Ordering::Relaxed) >= 1);
+        assert!(!shared.slot.lock().unwrap().parked);
     }
 
     #[test]

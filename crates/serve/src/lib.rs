@@ -47,9 +47,33 @@
 //!   Consecutive faulty jobs are counted per tenant
 //!   ([`TenantReport::fault_streak`]).
 //! * **Answer verification** — completed solves are residual-checked
-//!   (`‖b − A·x‖∞` against a norm-scaled bound) before they are returned;
-//!   a failing answer is retried under `Recover` and, if still wrong,
-//!   rejected rather than served.
+//!   before they are returned: per column,
+//!   `‖b_j − A·x_j‖∞ ≤ 64·n·ε·(n·max|A|·‖x_j‖∞ + ‖b_j‖∞)`. The residual is
+//!   [`la_lapack::residual_working`] — the routine the mixed-precision
+//!   refinement uses: Level-2 per column up to two right-hand sides,
+//!   Level-3 above, the stored triangle only for the Cholesky ops — written
+//!   into the worker's scratch vector, and the norms are
+//!   [`la_lapack::max_abs1`], whose NaN sticks wherever it sits. A failing
+//!   answer is retried under `Recover` and, if still wrong, rejected
+//!   rather than served.
+//! * **Per-worker workspace** — the factor copy each ladder attempt
+//!   overwrites and the residual vector live in a scratch owned by the
+//!   worker loop and refilled from the job's pristine `A` per attempt; a
+//!   job allocates the `x` it returns, its completion slot, token and
+//!   heartbeat, and what the driver allocates (pivots, panel workspace).
+//!   Capacity above 1 MiB is released after the job that needed it.
+//! * **A hand-off that does not park when the peer is about to act** — an
+//!   idle worker polls the pending-job count, and [`JobHandle::wait`] the
+//!   job's completion flag, for up to 100 µs (one constant, about two
+//!   thread wake-ups: ≈ 9 µs to send and 18–33 µs to take effect, each, on
+//!   the 2-vCPU guest of EXPERIMENTS.md) before parking on a condvar, and the senders issue the futex wake-up
+//!   only when a thread is actually parked. A thread polls only on a core
+//!   nobody needs — jobs in flight + threads already polling + itself (+
+//!   the client an idle worker waits for) ≤ host cores, and not within 64
+//!   waits of the host having been full — yielding every microsecond or
+//!   two; so one-core hosts and services with more clients than cores park
+//!   exactly as before. [`JobHandle::wait_for`] and the `Future` impl
+//!   never poll.
 //! * **Per-job state scoping** — every job runs inside
 //!   [`la_core::abft::job_scope`] and [`la_core::probe::job_scope`], so a
 //!   fault or counter from an abandoned job can never leak into a
@@ -83,6 +107,7 @@
 
 mod admission;
 mod handle;
+mod handoff;
 mod ladder;
 mod service;
 mod tenant;
@@ -96,6 +121,7 @@ pub use service::{ServeStats, Service};
 pub use tenant::TenantReport;
 
 use la_core::{Demote, LaError, Mat, Uplo};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Which driver a job runs. The mixed variants take the demoted-precision
@@ -186,7 +212,7 @@ pub struct JobSpec<T: Demote> {
     pub(crate) op: SolveOp,
     pub(crate) a: Mat<T>,
     pub(crate) b: Mat<T>,
-    pub(crate) tenant: String,
+    pub(crate) tenant: Arc<str>,
     pub(crate) deadline: Option<Instant>,
     pub(crate) priority: Priority,
     /// Chaos hook: the job panics inside the worker (after admission,
@@ -199,6 +225,13 @@ pub struct JobSpec<T: Demote> {
     pub(crate) chaos_wedge: Option<chaos::WedgeKind>,
 }
 
+/// The name jobs run under until [`JobSpec::tenant`] says otherwise: one
+/// shared allocation for the life of the process.
+fn default_tenant() -> Arc<str> {
+    static DEFAULT: OnceLock<Arc<str>> = OnceLock::new();
+    Arc::clone(DEFAULT.get_or_init(|| Arc::from("default")))
+}
+
 impl<T: Demote> JobSpec<T> {
     /// A request to solve `a·X = b` with `op`, for the default tenant,
     /// with no deadline of its own (the service default applies).
@@ -207,7 +240,7 @@ impl<T: Demote> JobSpec<T> {
             op,
             a,
             b,
-            tenant: String::from("default"),
+            tenant: default_tenant(),
             deadline: None,
             priority: Priority::Normal,
             #[cfg(feature = "fault-inject")]
@@ -226,7 +259,7 @@ impl<T: Demote> JobSpec<T> {
 
     /// Attributes the job to `tenant` (fault streak + probe counters).
     pub fn tenant(mut self, tenant: impl Into<String>) -> Self {
-        self.tenant = tenant.into();
+        self.tenant = tenant.into().into();
         self
     }
 

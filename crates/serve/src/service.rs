@@ -4,7 +4,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -18,9 +18,10 @@ use la_core::{abft, ctx, probe, tune, Ctx};
 
 use crate::admission::{Controller, Verdict};
 use crate::handle::Shared;
+use crate::ladder::Scratch;
 use crate::tenant::TenantState;
 use crate::watchdog::{self, patrol, WorkerSlot};
-use crate::{ladder, JobHandle, JobSpec, Rejection, ServeConfig, SolveOp, TenantReport};
+use crate::{handoff, ladder, JobHandle, JobSpec, Rejection, ServeConfig, SolveOp, TenantReport};
 
 /// One admitted, not-yet-processed job.
 struct Queued<T: Demote> {
@@ -91,6 +92,13 @@ struct Inner<T: Demote> {
     workers: usize,
     queue: Mutex<VecDeque<Queued<T>>>,
     cv: Condvar,
+    /// Jobs in `queue`, kept beside it (written under its lock) so an idle
+    /// worker can poll for work, and `stats()` can report the depth,
+    /// without taking the lock.
+    pending: AtomicUsize,
+    /// Workers inside `cv.wait` (written under the queue lock): `submit`
+    /// pays the futex wake-up only when this is non-zero.
+    parked: AtomicUsize,
     shutdown: AtomicBool,
     stats: Stats,
     tenants: Mutex<BTreeMap<String, TenantState>>,
@@ -176,6 +184,8 @@ impl<T: Demote> Service<T> {
             workers,
             queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
+            pending: AtomicUsize::new(0),
+            parked: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             stats: Stats::default(),
             tenants: Mutex::new(BTreeMap::new()),
@@ -224,7 +234,7 @@ impl<T: Demote> Service<T> {
             None => CancelToken::new(),
         };
         let shared = Shared::new();
-        {
+        let wake = {
             let mut q = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
             // Re-check under the queue lock: shutdown() flips the flag
             // *before* taking this lock to drain, so a submit that
@@ -268,9 +278,16 @@ impl<T: Demote> Service<T> {
                 job_id: self.inner.job_seq.fetch_add(1, Ordering::Relaxed),
                 enqueued_ns: now_ns,
             });
-        }
+            self.inner.pending.store(q.len(), Ordering::Relaxed);
+            handoff::job_admitted();
+            // A polling worker sees `pending`; only a parked one needs the
+            // wake-up (both counts are exact under this lock).
+            self.inner.parked.load(Ordering::Relaxed) > 0
+        };
         self.inner.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        self.inner.cv.notify_one();
+        if wake {
+            self.inner.cv.notify_one();
+        }
         Ok(JobHandle { shared, token })
     }
 
@@ -279,16 +296,22 @@ impl<T: Demote> Service<T> {
     /// the workers (and watchdog). Idempotent.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.cv.notify_all();
         let drained: Vec<Queued<T>> = {
             let mut q = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
+            self.inner.pending.store(0, Ordering::Relaxed);
             q.drain(..).collect()
         };
+        // After the lock, not before it: a worker that read the flag as
+        // unset did so under the queue lock and has let go of it only by
+        // entering `cv.wait`, so this wake-up cannot fall between its check
+        // and its wait. Polling workers read the flag themselves.
+        self.inner.cv.notify_all();
         for job in drained {
             // Only the drain can resolve a still-queued job (workers
             // never saw it), so stats-before-fulfill is safe here too.
             self.inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
             self.tenant_mut(&job.spec.tenant, |t| t.record_rejected(false));
+            handoff::job_finished();
             job.shared.fulfill(Err(Rejection::ShuttingDown));
         }
         // Joining may race a watchdog respawn appending to the list;
@@ -324,12 +347,7 @@ impl<T: Demote> Service<T> {
             respawned: s.respawned.load(Ordering::Relaxed),
             brownout_served: s.brownout_served.load(Ordering::Relaxed),
             brownout_level: self.inner.level.load(Ordering::Relaxed),
-            queued: self
-                .inner
-                .queue
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .len(),
+            queued: self.inner.pending.load(Ordering::Relaxed),
         }
     }
 
@@ -370,10 +388,13 @@ fn tenant_mut<T: Demote, R>(
     f: impl FnOnce(&mut TenantState) -> R,
 ) -> R {
     let mut map = inner.tenants.lock().unwrap_or_else(|e| e.into_inner());
-    let state = map
+    // Looked up by `&str`; the name is copied once, when it is first seen.
+    if let Some(state) = map.get_mut(tenant) {
+        return f(state);
+    }
+    f(map
         .entry(tenant.to_string())
-        .or_insert_with(TenantState::new);
-    f(state)
+        .or_insert_with(TenantState::new))
 }
 
 impl<T: Demote> Drop for Service<T> {
@@ -441,29 +462,50 @@ fn spawn_watchdog<T: Demote>(inner: &Arc<Inner<T>>, stall: Duration) -> JoinHand
         .expect("la-serve: failed to spawn watchdog thread")
 }
 
+/// The next job for an idle worker, or `None` once the service is shutting
+/// down and the queue is empty. An empty queue is polled once per idle
+/// period (through the pending count, off the lock, while a core is spare —
+/// see [`crate::handoff`]) and then waited on.
+fn next_job<T: Demote>(inner: &Inner<T>) -> Option<Queued<T>> {
+    let mut polled = false;
+    let mut q = inner.queue.lock().unwrap_or_else(|e| e.into_inner());
+    loop {
+        if let Some(job) = q.pop_front() {
+            inner.pending.store(q.len(), Ordering::Relaxed);
+            return Some(job);
+        }
+        if inner.shutdown.load(Ordering::Acquire) {
+            return None;
+        }
+        if !polled {
+            polled = true;
+            drop(q);
+            handoff::poll(handoff::Side::Worker, || {
+                inner.pending.load(Ordering::Relaxed) > 0 || inner.shutdown.load(Ordering::Relaxed)
+            });
+            q = inner.queue.lock().unwrap_or_else(|e| e.into_inner());
+            continue;
+        }
+        inner.parked.fetch_add(1, Ordering::Relaxed);
+        q = inner.cv.wait(q).unwrap_or_else(|e| e.into_inner());
+        inner.parked.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 fn worker_loop<T: Demote>(inner: Arc<Inner<T>>, slot: Arc<WorkerSlot<T>>) {
     let _sentinel = PoisonSentinel {
         inner: Arc::clone(&inner),
     };
+    // The factor copy and the residual vector, reused across this worker's
+    // jobs and their ladder attempts.
+    let mut scratch = Scratch::new();
     loop {
         // A stage-2 escalation wrote this worker off (a replacement is
         // already running): exit without touching the queue.
         if slot.abandoned.load(Ordering::Acquire) {
             return;
         }
-        let job = {
-            let mut q = inner.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(job) = q.pop_front() {
-                    break Some(job);
-                }
-                if inner.shutdown.load(Ordering::Acquire) {
-                    break None;
-                }
-                q = inner.cv.wait(q).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        match job {
+        match next_job(&inner) {
             Some(job) => {
                 // Queue sojourn feeds the CoDel window; the rolled level
                 // is mirrored for the brownout decision below.
@@ -473,7 +515,8 @@ fn worker_loop<T: Demote>(inner: Arc<Inner<T>>, slot: Arc<WorkerSlot<T>>) {
                     adm.note_sojourn(now_ns.saturating_sub(job.enqueued_ns), now_ns);
                     inner.level.store(adm.level(), Ordering::Relaxed);
                 }
-                process(&inner, &slot, job);
+                process(&inner, &slot, job, &mut scratch);
+                scratch.trim();
             }
             None => return,
         }
@@ -501,6 +544,7 @@ fn run_browned_out<T: Demote>(
     a: &la_core::Mat<T>,
     b: &la_core::Mat<T>,
     cfg: &ServeConfig,
+    scratch: &mut Scratch<T>,
 ) -> ladder::Attempted<T> {
     let mut browned = ctx::current();
     if level >= 1 {
@@ -509,13 +553,18 @@ fn run_browned_out<T: Demote>(
     if level >= 2 {
         browned.abft = AbftPolicy::Off;
     }
-    ctx::with(browned, || ladder::run(op, a, b, cfg))
+    ctx::with(browned, || ladder::run(op, a, b, cfg, scratch))
 }
 
 /// Runs one job through the full robustness pipeline and fulfills its
 /// handle. Never lets a panic escape: the outer `catch_unwind` is the
 /// job boundary the crate docs promise.
-fn process<T: Demote>(inner: &Arc<Inner<T>>, slot: &Arc<WorkerSlot<T>>, job: Queued<T>) {
+fn process<T: Demote>(
+    inner: &Arc<Inner<T>>,
+    slot: &Arc<WorkerSlot<T>>,
+    job: Queued<T>,
+    scratch: &mut Scratch<T>,
+) {
     let Queued {
         spec,
         shared,
@@ -531,6 +580,7 @@ fn process<T: Demote>(inner: &Arc<Inner<T>>, slot: &Arc<WorkerSlot<T>>, job: Que
         inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
         inner.stats.deadline_missed.fetch_add(1, Ordering::Relaxed);
         tenant_mut(inner, &spec.tenant, |t| t.record_rejected(false));
+        handoff::job_finished();
         shared.fulfill(Err(Rejection::DeadlineExceeded));
         return;
     }
@@ -554,7 +604,7 @@ fn process<T: Demote>(inner: &Arc<Inner<T>>, slot: &Arc<WorkerSlot<T>>, job: Que
         heartbeat.clone(),
         token.clone(),
         Arc::clone(&shared),
-        spec.tenant.clone(),
+        Arc::clone(&spec.tenant),
     );
     let started = Instant::now();
     // The job's ambient state: the worker's configuration, the job's own
@@ -578,11 +628,15 @@ fn process<T: Demote>(inner: &Arc<Inner<T>>, slot: &Arc<WorkerSlot<T>>, job: Que
                     if let Some(kind) = spec.chaos_wedge {
                         crate::chaos::wedge(kind, &token, &slot.abandoned, &inner.shutdown);
                     }
-                    run_browned_out(level, spec.op, &spec.a, &spec.b, cfg)
+                    run_browned_out(level, spec.op, &spec.a, &spec.b, cfg, scratch)
                 })
             })
         })
     }));
+    // The solve is over and its core is free, whatever becomes of the
+    // answer: said before the fulfilment, so the client's next submit
+    // never counts this job beside its own.
+    handoff::job_finished();
     // Withdraw the watchdog registration. `patrol` fulfills stage-2 jobs
     // under the slot lock, so this is also the fulfillment license: if
     // the registration is gone, the handle is already resolved `Stuck`
@@ -606,7 +660,14 @@ fn process<T: Demote>(inner: &Arc<Inner<T>>, slot: &Arc<WorkerSlot<T>>, job: Que
             shared.fulfill(Err(Rejection::Panicked { attempts: 1 }));
         }
         Ok((att, rows)) => {
-            tenant_mut(inner, &spec.tenant, |t| t.account(&rows));
+            // The job's probe rows and its outcome reach the tenant's books
+            // under one lock.
+            let book = |outcome: &dyn Fn(&mut TenantState)| {
+                tenant_mut(inner, &spec.tenant, |t| {
+                    t.account(&rows);
+                    outcome(t)
+                })
+            };
             match att.outcome {
                 Ok(mut out) => {
                     out.brownout = level;
@@ -623,9 +684,7 @@ fn process<T: Demote>(inner: &Arc<Inner<T>>, slot: &Arc<WorkerSlot<T>>, job: Que
                     if level > 0 {
                         inner.stats.brownout_served.fetch_add(1, Ordering::Relaxed);
                     }
-                    tenant_mut(inner, &spec.tenant, |t| {
-                        t.record_completed(att.fault_seen, level > 0)
-                    });
+                    book(&|t| t.record_completed(att.fault_seen, level > 0));
                     shared.fulfill(Ok(out));
                 }
                 Err(rej) => {
@@ -645,17 +704,17 @@ fn process<T: Demote>(inner: &Arc<Inner<T>>, slot: &Arc<WorkerSlot<T>>, job: Que
                                 .stats
                                 .panics_isolated
                                 .fetch_add(u64::from(*attempts), Ordering::Relaxed);
-                            tenant_mut(inner, &spec.tenant, |t| t.record_rejected(true));
+                            book(&|t| t.record_rejected(true));
                         }
                         Rejection::DeadlineExceeded => {
                             inner.stats.deadline_missed.fetch_add(1, Ordering::Relaxed);
-                            tenant_mut(inner, &spec.tenant, |t| t.record_rejected(false));
+                            book(&|t| t.record_rejected(false));
                         }
                         Rejection::Stuck { .. } => {
                             // Cooperative stage-1 outcome: the worker
                             // survived, so this is stuck-not-respawned.
                             inner.stats.stuck.fetch_add(1, Ordering::Relaxed);
-                            tenant_mut(inner, &spec.tenant, |t| t.record_stuck());
+                            book(&|t| t.record_stuck());
                         }
                         r => {
                             let faulty = matches!(
@@ -663,7 +722,7 @@ fn process<T: Demote>(inner: &Arc<Inner<T>>, slot: &Arc<WorkerSlot<T>>, job: Que
                                 Rejection::ResidualRejected { .. }
                                     | Rejection::Failed(la_core::LaError::SoftFault { .. })
                             );
-                            tenant_mut(inner, &spec.tenant, |t| t.record_rejected(faulty));
+                            book(&|t| t.record_rejected(faulty));
                         }
                     }
                     shared.fulfill(Err(rej));
@@ -1165,6 +1224,131 @@ mod tests {
             }
         };
         out.expect("solve must succeed");
+        svc.shutdown();
+    }
+
+    /// Blocks (bounded) until `n` of the service's workers sit in `cv.wait`.
+    fn await_parked(svc: &Service<f64>, n: usize) {
+        let t0 = Instant::now();
+        while svc.inner.parked.load(Ordering::Relaxed) != n {
+            assert!(
+                t0.elapsed() < Duration::from_secs(30),
+                "workers never parked: an idle service must stop polling"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn an_idle_service_parks_its_workers_and_a_submit_wakes_one() {
+        let svc: Service<f64> = Service::start(ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        });
+        // The poll budget runs out with nothing to do: both workers end up
+        // in `cv.wait`, burning no CPU.
+        await_parked(&svc, 2);
+        let (a, b) = spd(24);
+        svc.submit(JobSpec::new(SolveOp::Gesv, a, b))
+            .unwrap()
+            .wait()
+            .expect("a parked worker is woken by the submit");
+        await_parked(&svc, 2);
+        assert_eq!(svc.stats().queued, 0);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn back_to_back_jobs_are_served_while_the_worker_polls() {
+        // One client, closed loop: each submit lands inside the worker's
+        // poll window whenever the host has a core to spare (and on a
+        // one-core host, where nothing polls, on a parked worker).
+        let svc: Service<f64> = Service::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let (a, b) = spd(16);
+        for _ in 0..200 {
+            let out = svc
+                .submit(JobSpec::new(
+                    SolveOp::Posv(la_core::Uplo::Upper),
+                    a.clone(),
+                    b.clone(),
+                ))
+                .unwrap()
+                .wait()
+                .unwrap();
+            assert_eq!(out.attempts, 1);
+        }
+        let s = svc.stats();
+        assert_eq!((s.submitted, s.completed, s.queued), (200, 200, 0));
+        // Shutting down right after a job, while the worker may be polling,
+        // must not wait for anything but the join.
+        let t0 = Instant::now();
+        svc.shutdown();
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "a polling worker reads the shutdown flag"
+        );
+    }
+
+    #[test]
+    fn without_a_spare_core_every_wait_parks_and_every_job_completes() {
+        // The rule forced to "no": the worker and the waiter take the
+        // condvar paths alone, as on a one-core host. (The switch is
+        // process-wide; tests running beside this one merely park too.)
+        crate::handoff::NEVER_SPARE.store(true, Ordering::Relaxed);
+        let svc: Service<f64> = Service::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        await_parked(&svc, 1);
+        // A long job keeps the worker busy, so the wait on the short one
+        // behind it finds nothing and must park.
+        let (ba, bb) = spd(384);
+        let blocker = svc.submit(JobSpec::new(SolveOp::Gesv, ba, bb)).unwrap();
+        let (a, b) = spd(16);
+        let h = svc.submit(JobSpec::new(SolveOp::Gesv, a, b)).unwrap();
+        let shared = Arc::clone(&h.shared);
+        h.wait().unwrap();
+        assert!(shared.parks.load(Ordering::Relaxed) >= 1);
+        blocker.wait().unwrap();
+        await_parked(&svc, 1);
+        svc.shutdown();
+        crate::handoff::NEVER_SPARE.store(false, Ordering::Relaxed);
+    }
+
+    #[test]
+    fn a_tenant_name_is_copied_once_and_its_books_match_the_jobs() {
+        let svc: Service<f64> = Service::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let (a, b) = spd(12);
+        for _ in 0..3 {
+            svc.submit(JobSpec::new(SolveOp::Gesv, a.clone(), b.clone()).tenant("acme"))
+                .unwrap()
+                .wait()
+                .unwrap();
+        }
+        let singular: Mat<f64> = mat![[1.0, 2.0], [2.0, 4.0]];
+        let rhs = Mat::from_col_major(2, 1, vec![1.0, 0.0]);
+        svc.submit(JobSpec::new(SolveOp::Gesv, singular, rhs).tenant("acme"))
+            .unwrap()
+            .wait()
+            .unwrap_err();
+        svc.submit(JobSpec::new(SolveOp::Gesv, a, b))
+            .unwrap()
+            .wait()
+            .unwrap();
+        let names: Vec<_> = svc.tenant_reports().into_iter().map(|r| r.tenant).collect();
+        assert_eq!(names, ["acme", "default"]);
+        let acme = svc.tenant_report("acme").unwrap();
+        assert_eq!(
+            (acme.completed, acme.rejected, acme.fault_streak),
+            (3, 1, 0)
+        );
+        assert_eq!(svc.tenant_report("default").unwrap().completed, 1);
         svc.shutdown();
     }
 

@@ -46,7 +46,8 @@ pub(crate) struct ActiveJob<T: Demote> {
     pub(crate) heartbeat: Heartbeat,
     pub(crate) token: CancelToken,
     pub(crate) shared: Arc<Shared<T>>,
-    pub(crate) tenant: String,
+    /// Shared with the job's spec: registering allocates nothing.
+    pub(crate) tenant: Arc<str>,
     /// Beat count at the last patrol that saw movement.
     beats_seen: u64,
     /// Last time the beat count moved (or the job started).
@@ -80,7 +81,7 @@ impl<T: Demote> WorkerSlot<T> {
         heartbeat: Heartbeat,
         token: CancelToken,
         shared: Arc<Shared<T>>,
-        tenant: String,
+        tenant: Arc<str>,
     ) {
         let mut cur = self.current.lock().unwrap_or_else(|e| e.into_inner());
         *cur = Some(ActiveJob {
@@ -194,7 +195,7 @@ pub(crate) fn patrol<T: Demote>(
                 events.push(StuckEvent {
                     slot: idx,
                     resolved,
-                    tenant: job.tenant,
+                    tenant: job.tenant.to_string(),
                     stalled_for,
                 });
             }
