@@ -13,7 +13,7 @@
 //! Usage: `bench_gate [baseline.json] [fresh.json] [--threshold 1.25]
 //! [--min-gemm-speedup 3.0] [--min-mixed-speedup 1.2]
 //! [--max-dd-berr 8.9e-16]
-//! [--max-abft-overhead 1.10] [--min-dag-speedup 1.15]
+//! [--max-abft-overhead 1.10]
 //! [--max-p99-ms 50] [--min-goodput 500]
 //! [--max-overload-p99-ms 120] [--min-overload-goodput 300]`
 //! (the last four select serve mode, see below)
@@ -45,15 +45,6 @@
 //! `--max-abft-overhead` enforces an absolute ceiling on the baseline's
 //! recorded `abft_overhead` *verify* ratios at n ≥ 1024 — the O(n²)
 //! checksums must stay cheap relative to the O(n³) compute.
-//!
-//! The tile-dag sweep (`BENCH_dag.json` / `BENCH_dag.quick.json` from
-//! `dag_sweep`) follows the same pattern: rows in its `dag_sweep`
-//! section join the normalized regression comparison, and
-//! `--min-dag-speedup` enforces an absolute floor on the baseline's
-//! recorded `speedup_dag_vs_blocked` at n ≥ 2048 — the task-graph
-//! runtime must keep beating the fork-join blocked path on at least one
-//! of `getrf`/`potrf` (the routines whose trailing updates the dag
-//! overlaps across panel steps).
 //!
 //! Every check tolerates a missing *baseline* file uniformly: the first
 //! run of a new sweep has nothing committed yet, so the gate prints a
@@ -104,13 +95,7 @@ fn load(path: &str) -> Option<Vec<Point>> {
     let text = std::fs::read_to_string(path).ok()?;
     let doc = Json::parse(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"));
     let mut pts = Vec::new();
-    for section in [
-        "thread_sweep",
-        "nb_sweep",
-        "mixed_sweep",
-        "abft_sweep",
-        "dag_sweep",
-    ] {
+    for section in ["thread_sweep", "nb_sweep", "mixed_sweep", "abft_sweep"] {
         let Some(arr) = doc.get(section).and_then(|v| v.as_arr()) else {
             continue;
         };
@@ -299,7 +284,6 @@ fn main() {
     let mut min_mixed: Option<f64> = None;
     let mut max_dd_berr: Option<f64> = None;
     let mut max_abft: Option<f64> = None;
-    let mut min_dag: Option<f64> = None;
     let mut max_p99: Option<f64> = None;
     let mut min_goodput: Option<f64> = None;
     let mut max_ov_p99: Option<f64> = None;
@@ -318,9 +302,6 @@ fn main() {
         } else if a == "--max-dd-berr" {
             let v = it.next().expect("--max-dd-berr needs a value");
             max_dd_berr = Some(v.parse().expect("bad max-dd-berr"));
-        } else if a == "--min-dag-speedup" {
-            let v = it.next().expect("--min-dag-speedup needs a value");
-            min_dag = Some(v.parse().expect("bad min-dag-speedup"));
         } else if a == "--max-abft-overhead" {
             let v = it.next().expect("--max-abft-overhead needs a value");
             max_abft = Some(v.parse().expect("bad max-abft-overhead"));
@@ -552,46 +533,6 @@ fn main() {
         if checked == 0 {
             eprintln!("bench_gate: no verify overhead entries at n >= 1024 in {baseline_path}");
             std::process::exit(2);
-        }
-    }
-    // Absolute floor on the baseline's dag-over-blocked speedup: the
-    // tile task-graph runtime must keep beating the fork-join blocked
-    // path at the sizes where inter-step overlap pays (n ≥ 2048), on at
-    // least one of getrf/potrf — the routines whose trailing updates
-    // the dag pipelines across panel steps.
-    if min_dag.is_some() && base_doc.is_none() {
-        skip("dag-speedup floor");
-    }
-    if let (Some(floor), Some(doc)) = (min_dag, &base_doc) {
-        let Some(Json::Obj(speedups)) = doc.get("speedup_dag_vs_blocked") else {
-            eprintln!("bench_gate: {baseline_path} has no speedup_dag_vs_blocked section");
-            std::process::exit(2);
-        };
-        let mut checked = 0usize;
-        let mut best = 0.0f64;
-        for (key, val) in speedups {
-            let Some((family, n)) = key.rsplit_once('_') else {
-                continue;
-            };
-            let n: u64 = n.parse().unwrap_or(0);
-            if !(family == "getrf" || family == "potrf") || n < 2048 {
-                continue;
-            }
-            let s = val.as_f64().unwrap_or(0.0);
-            checked += 1;
-            best = best.max(s);
-            let flag = if s < floor { "  (below floor)" } else { "" };
-            println!("  dag speedup {key:<25} {s:7.3}  (floor {floor:.2}){flag}");
-        }
-        if checked == 0 {
-            eprintln!(
-                "bench_gate: no getrf/potrf dag-speedup entries at n >= 2048 in {baseline_path}"
-            );
-            std::process::exit(2);
-        }
-        if best < floor {
-            failed = true;
-            println!("  dag speedup: best getrf/potrf ratio {best:.3} << BELOW FLOOR {floor:.2}");
         }
     }
     if failed {

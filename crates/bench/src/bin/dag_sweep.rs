@@ -1,228 +1,174 @@
-//! Blocked-vs-dag sweep for the tile task-graph factorizations:
-//! measures `getrf`/`potrf`/`geqrf` under `LA_FACTOR=blocked` and
-//! `LA_FACTOR=dag` at a fixed thread budget, records the graph shape the
-//! probe layer observed (task count, edge count, critical path,
-//! occupancy), and emits `BENCH_dag.json` in the current directory.
+//! Same-run gate for the task-graph route: times `getrf`, `potrf` and
+//! `geqrf` (f64) at `max_threads = 1` — the serial blocked route — and at
+//! `max_threads = 2`, where the thread budget sends orders past the
+//! routine's threshold (at the default tile order of 192: n ≥ 768 for
+//! `getrf` and `potrf`, n ≥ 1536 for `geqrf`) to the tile task graph. The
+//! two budgets alternate call by call for at least [`MIN_SECS`] per
+//! routine and order, so a slow stretch of a shared host lands on both;
+//! the speed-up is the best one-thread time over the best two-thread time.
+//! Prints per routine and order both best times, the speed-up and the
+//! graph shape the probe recorded (tasks, edges, critical path, occupancy),
+//! or `serial blocked` below the threshold.
 //!
-//! Both algorithm families are selected through `tune::with` — the same
-//! scoped override callers use — so the sweep doubles as an end-to-end
-//! check that `FactorAlgo::Dag` actually routes the public entry points
-//! through the tile runtime.
-//!
-//! `--quick` shrinks the sweep for CI (n = 512 only) and writes
-//! `BENCH_dag.quick.json` instead, leaving the checked-in baseline
-//! untouched; `bench_gate --min-dag-speedup` enforces the committed
-//! baseline's dag-over-blocked floor at n ≥ 2048.
+//! Usage: `dag_sweep [--quick] [--min-speedup R]`. The orders are 768,
+//! 1024, 1536 and 2048, `--quick` keeps 1024 only. With `--min-speedup R`
+//! the run exits 1 when the smaller of the `getrf` and `potrf` speed-ups
+//! at n = 1024 is below `R`, or when either two-thread call there did not
+//! take the task graph. A same-run ratio, like `kernel_bench
+//! --min-trsm-over-gemm`: host speed cancels. On a one-core host there is
+//! no second thread to measure; the run says `skipped: 1 core` and exits
+//! 0.
 
-use la_bench::{bench_matrix, bench_spd, timeit};
-use la_core::json::JsonBuf;
-use la_core::probe::{self, ProbePolicy};
+use la_bench::{bench_matrix, bench_spd};
+use la_core::probe::{self, flops, ProbePolicy};
 use la_core::{tune, Mat, Uplo};
 use la_lapack as f77;
+use std::time::Instant;
 
-/// Tile order used for every dag row (recorded in the `nb` column so
-/// `bench_gate` matches rows across runs).
-const TILE_NB: usize = 192;
-/// Thread budget for both families. Oversubscription mirrors the other
-/// committed baselines, which predate the host-core clamp.
-const THREADS: usize = 4;
+/// The order the gate reads.
+const GATED_N: usize = 1024;
 
-fn blocked_cfg() -> tune::TuneConfig {
+/// The wide budget, against one thread: the width the route's thresholds
+/// were measured at.
+const WIDE: usize = 2;
+
+/// Least number of pairs per point.
+const MIN_PAIRS: usize = 3;
+
+/// Least wall time spent alternating per point. On a 2-vCPU guest the
+/// second vCPU is sometimes slow for seconds on end: a two-thread time can
+/// double while the one-thread time holds, so a best time needs a run long
+/// enough to meet the core free.
+const MIN_SECS: f64 = 6.0;
+
+/// One factorization in place; returns `info`.
+type Factor = fn(&mut Mat<f64>) -> i32;
+
+const ROUTINES: [(&str, Factor); 3] = [
+    ("getrf", |a| {
+        let n = a.nrows();
+        f77::getrf(n, n, a.as_mut_slice(), n, &mut vec![0; n])
+    }),
+    ("potrf", |a| {
+        let n = a.nrows();
+        f77::potrf(Uplo::Lower, n, a.as_mut_slice(), n)
+    }),
+    ("geqrf", |a| {
+        let n = a.nrows();
+        f77::geqrf(n, n, a.as_mut_slice(), n, &mut vec![0.0; n])
+    }),
+];
+
+fn budget(threads: usize) -> tune::TuneConfig {
     tune::TuneConfig {
-        max_threads: THREADS,
-        oversubscribe: true,
+        max_threads: threads,
         ..tune::TuneConfig::defaults()
     }
 }
 
-fn dag_cfg() -> tune::TuneConfig {
-    tune::TuneConfig {
-        factor: tune::FactorAlgo::Dag,
-        tile_nb: TILE_NB,
-        ..blocked_cfg()
-    }
-}
-
-struct Row {
-    op: String,
-    n: usize,
-    nb: usize,
-    ms: f64,
-    gflops: f64,
-}
-
-/// Model flop counts for the square factorizations (LAPACK working
-///-note formulas), used only for the reported GF/s column.
-fn flops(family: &str, n: usize) -> f64 {
-    let n3 = (n as f64).powi(3);
-    match family {
-        "getrf" => 2.0 / 3.0 * n3,
-        "potrf" => 1.0 / 3.0 * n3,
-        "geqrf" => 4.0 / 3.0 * n3,
-        _ => unreachable!(),
-    }
+/// Seconds of one call of `f` on a fresh copy of `a0` under `threads`.
+fn time_once(f: Factor, a0: &Mat<f64>, a: &mut Mat<f64>, threads: usize) -> f64 {
+    a.as_mut_slice().copy_from_slice(a0.as_slice());
+    let t0 = Instant::now();
+    let info = tune::with(budget(threads), || f(a));
+    let secs = t0.elapsed().as_secs_f64();
+    assert_eq!(info, 0, "factorization failed at max_threads = {threads}");
+    secs
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let mut quick = false;
+    let mut min_speedup: Option<f64> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--min-speedup" => {
+                let v = args.next().and_then(|v| v.parse().ok());
+                min_speedup = Some(v.expect("--min-speedup needs a ratio"));
+            }
+            _ => panic!("unknown argument {arg:?}"),
+        }
+    }
     let cores = tune::host_parallelism();
-    let mode = if quick { " (quick)" } else { "" };
-    println!("== dag_sweep{mode}: {cores} core(s), threads={THREADS}, tile_nb={TILE_NB} ==");
-
-    let reps = 3;
-    let sizes: &[usize] = if quick { &[512] } else { &[512, 1024, 2048] };
-
-    let mut rows: Vec<Row> = Vec::new();
-    for &n in sizes {
-        let gen: Mat<f64> = bench_matrix(n, 17);
-        let spd: Mat<f64> = bench_spd(n, 19);
-        for (algo, cfg, nb) in [
-            ("blocked", blocked_cfg(), 0usize),
-            ("dag", dag_cfg(), TILE_NB),
-        ] {
-            let ms = timeit(reps, || {
-                let mut a = gen.clone();
-                let mut ipiv = vec![0i32; n];
-                tune::with(cfg, || {
-                    assert_eq!(f77::getrf(n, n, a.as_mut_slice(), n, &mut ipiv), 0);
-                });
-                a
-            }) * 1e3;
-            push(&mut rows, "getrf", algo, n, nb, ms);
-
-            let ms = timeit(reps, || {
-                let mut a = spd.clone();
-                tune::with(cfg, || {
-                    assert_eq!(f77::potrf(Uplo::Lower, n, a.as_mut_slice(), n), 0);
-                });
-                a
-            }) * 1e3;
-            push(&mut rows, "potrf", algo, n, nb, ms);
-
-            let ms = timeit(reps, || {
-                let mut a = gen.clone();
-                let mut tau = vec![0.0f64; n];
-                tune::with(cfg, || {
-                    assert_eq!(f77::geqrf(n, n, a.as_mut_slice(), n, &mut tau), 0);
-                });
-                a
-            }) * 1e3;
-            push(&mut rows, "geqrf", algo, n, nb, ms);
-        }
+    if cores < 2 {
+        println!("dag_sweep: skipped: 1 core");
+        return;
     }
-
-    // --- Graph shape at the largest measured size ----------------------
-    // One probed dag run per routine; the span tree carries the task
-    // count, inferred edge count, critical path and worker occupancy the
-    // runtime recorded.
-    let n = *sizes.last().unwrap();
-    let gen: Mat<f64> = bench_matrix(n, 17);
-    let spd: Mat<f64> = bench_spd(n, 19);
-    let mut shapes: Vec<(&'static str, probe::DagShape)> = Vec::new();
-    let mut shape_of = |routine: &'static str, f: &mut dyn FnMut()| {
-        probe::reset();
-        probe::with_policy(ProbePolicy::Spans, || tune::with(dag_cfg(), f));
-        let report = probe::snapshot();
-        if let Some(shape) = report
-            .spans
-            .iter()
-            .find_map(|s| s.find(routine))
-            .and_then(|s| s.dag)
-        {
-            println!(
-                "{routine:10} n={n:5}  tasks={} edges={} critical_path={} occupancy={:.2}",
-                shape.tasks, shape.edges, shape.critical_path, shape.occupancy
-            );
-            shapes.push((routine, shape));
-        }
+    let tile = tune::TuneConfig::defaults().tile_size();
+    let sizes: &[usize] = if quick {
+        &[GATED_N]
+    } else {
+        &[768, GATED_N, 1536, 2048]
     };
-    shape_of("getrf_dag", &mut || {
-        let mut a = gen.clone();
-        let mut ipiv = vec![0i32; n];
-        assert_eq!(f77::getrf(n, n, a.as_mut_slice(), n, &mut ipiv), 0);
-    });
-    shape_of("potrf_dag", &mut || {
-        let mut a = spd.clone();
-        assert_eq!(f77::potrf(Uplo::Lower, n, a.as_mut_slice(), n), 0);
-    });
-    shape_of("geqrf_dag", &mut || {
-        let mut a = gen.clone();
-        let mut tau = vec![0.0f64; n];
-        assert_eq!(f77::geqrf(n, n, a.as_mut_slice(), n, &mut tau), 0);
-    });
-
-    // --- Emit JSON ----------------------------------------------------
-    let mut j = JsonBuf::new();
-    j.begin_obj();
-    j.key("host");
-    j.begin_obj();
-    j.field_uint("cores", cores as u64);
-    j.field_uint("threads", THREADS as u64);
-    j.field_uint("tile_nb", TILE_NB as u64);
-    j.end_obj();
-    j.key("dag_sweep");
-    j.begin_arr();
-    for r in &rows {
-        j.begin_obj();
-        j.field_str("op", &r.op);
-        j.field_uint("n", r.n as u64);
-        j.field_uint("threads", THREADS as u64);
-        j.field_uint("nb", r.nb as u64);
-        j.field_num("ms", r.ms);
-        j.field_num("gflops", r.gflops);
-        j.end_obj();
-    }
-    j.end_arr();
-    // Headline ratios: blocked wall-clock over dag wall-clock, per
-    // routine and size. `bench_gate --min-dag-speedup` enforces a floor
-    // on the getrf/potrf entries at n ≥ 2048.
-    j.key("speedup_dag_vs_blocked");
-    j.begin_obj();
-    for family in ["getrf", "potrf", "geqrf"] {
-        for &n in sizes {
-            let find = |algo: &str| {
-                rows.iter()
-                    .find(|r| r.op == format!("{family}_{algo}") && r.n == n)
-                    .map(|r| r.ms)
+    println!(
+        "== dag_sweep: {cores} cores, f64, max_threads 1 vs {WIDE}, tile {tile}, \
+         best of each over {MIN_SECS} s =="
+    );
+    let (mut gated, mut routed) = (f64::INFINITY, true);
+    for &n in sizes {
+        let general: Mat<f64> = bench_matrix(n, 17);
+        let spd: Mat<f64> = bench_spd(n, 19);
+        for (name, f) in ROUTINES {
+            let a0 = if name == "potrf" { &spd } else { &general };
+            let mut a = a0.clone();
+            let (mut one, mut two) = (f64::INFINITY, f64::INFINITY);
+            let (start, mut pairs) = (Instant::now(), 0);
+            while pairs < MIN_PAIRS || start.elapsed().as_secs_f64() < MIN_SECS {
+                one = one.min(time_once(f, a0, &mut a, 1));
+                two = two.min(time_once(f, a0, &mut a, WIDE));
+                pairs += 1;
+            }
+            let speedup = one / two;
+            // One more two-thread call, probed, for the graph's shape.
+            a.as_mut_slice().copy_from_slice(a0.as_slice());
+            probe::reset();
+            probe::with_policy(ProbePolicy::Spans, || {
+                tune::with(budget(WIDE), || f(&mut a))
+            });
+            let report = probe::snapshot();
+            let dag_name = format!("{name}_dag");
+            let shape = report
+                .spans
+                .iter()
+                .find_map(|s| s.find(&dag_name))
+                .and_then(|s| s.dag);
+            let fl = match name {
+                "getrf" => flops::getrf(n, n),
+                "potrf" => flops::potrf(n),
+                _ => flops::geqrf(n, n),
+            } as f64;
+            let graph = match shape {
+                Some(s) => format!(
+                    "dag: tasks {} edges {} critical path {} occupancy {:.2}",
+                    s.tasks, s.edges, s.critical_path, s.occupancy
+                ),
+                None => "serial blocked".to_string(),
             };
-            if let (Some(blocked), Some(dag)) = (find("blocked"), find("dag")) {
-                j.field_num(&format!("{family}_{n}"), blocked / dag);
+            println!(
+                "{name} n={n:5}  best 1t {:9.2} ms {:6.2} GF/s  {WIDE}t {:9.2} ms {:6.2} GF/s  \
+                 speed-up {speedup:5.2} ({} pairs)  {graph}",
+                one * 1e3,
+                fl / one / 1e9,
+                two * 1e3,
+                fl / two / 1e9,
+                pairs,
+            );
+            if n == GATED_N && name != "geqrf" {
+                gated = gated.min(speedup);
+                routed &= shape.is_some();
             }
         }
     }
-    j.end_obj();
-    j.key("dag_shape");
-    j.begin_arr();
-    for (routine, s) in &shapes {
-        j.begin_obj();
-        j.field_str("routine", routine);
-        j.field_uint("n", n as u64);
-        j.field_uint("tasks", s.tasks);
-        j.field_uint("edges", s.edges);
-        j.field_uint("critical_path", s.critical_path);
-        j.field_uint("workers", s.workers);
-        j.field_num("occupancy", s.occupancy);
-        j.end_obj();
+    if let Some(min) = min_speedup {
+        println!("gate  min(getrf, potrf) speed-up at n = {GATED_N}: {gated:.2}, floor {min:.2}");
+        if !routed {
+            eprintln!("dag_sweep: a {WIDE}-thread call did not run the task graph");
+            std::process::exit(1);
+        }
+        if gated < min {
+            eprintln!("dag_sweep: {WIDE} threads run at {gated:.2} x one thread, below {min:.2}");
+            std::process::exit(1);
+        }
     }
-    j.end_arr();
-    j.end_obj();
-    let path = if quick {
-        "BENCH_dag.quick.json"
-    } else {
-        "BENCH_dag.json"
-    };
-    std::fs::write(path, j.into_string()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
-}
-
-fn push(rows: &mut Vec<Row>, family: &str, algo: &str, n: usize, nb: usize, ms: f64) {
-    let gflops = flops(family, n) / (ms * 1e-3) / 1e9;
-    println!("{family:6} {algo:8} n={n:5}  {ms:9.2} ms  {gflops:7.2} GF/s");
-    rows.push(Row {
-        op: format!("{family}_{algo}"),
-        n,
-        nb,
-        ms,
-        gflops,
-    });
 }

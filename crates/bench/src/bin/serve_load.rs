@@ -35,12 +35,14 @@ use std::time::Instant;
 
 use la_bench::{bench_matrix, bench_spd, rowsum_rhs};
 use la_core::json::JsonBuf;
-use la_core::{Mat, RealScalar, Scalar, Trans};
+use la_core::{Mat, RealScalar, Trans};
+use la_lapack::max_abs1;
 use la_serve::{JobSpec, Rejection, ServeConfig, Service, SolveOp};
 
 /// Independent residual check (the soak's own notion of "wrong", applied
 /// to the data actually submitted): `‖b − A·x‖∞ ≤ 64·n·ε·(n·max|A|·‖x‖∞
-/// + ‖b‖∞)` per column, NaN answers always wrong.
+/// + ‖b‖∞)` per column, NaN answers always wrong. The norms are
+/// [`la_lapack::max_abs1`], which keeps a NaN wherever it sits.
 fn plausible(a: &Mat<f64>, b: &Mat<f64>, x: &Mat<f64>) -> bool {
     let n = a.nrows();
     let nrhs = b.ncols();
@@ -61,18 +63,10 @@ fn plausible(a: &Mat<f64>, b: &Mat<f64>, x: &Mat<f64>) -> bool {
         r.as_mut_slice(),
         rld,
     );
-    let mut amax = 0.0f64;
-    for v in a.as_slice() {
-        amax = amax.maxr(v.abs1());
-    }
+    let amax = max_abs1(a.as_slice());
     let tol = f64::EPS * 64.0 * n as f64;
     for j in 0..nrhs {
-        let (mut rn, mut xn, mut bn) = (0.0f64, 0.0f64, 0.0f64);
-        for i in 0..n {
-            rn = rn.maxr(r[(i, j)].abs());
-            xn = xn.maxr(x[(i, j)].abs());
-            bn = bn.maxr(b[(i, j)].abs());
-        }
+        let (rn, xn, bn) = (max_abs1(r.col(j)), max_abs1(x.col(j)), max_abs1(b.col(j)));
         if !rn.is_finite() || !xn.is_finite() {
             return false;
         }
@@ -978,5 +972,23 @@ fn main() {
     println!("wrote {path}");
     if failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_nan_in_a_alone_is_not_plausible() {
+        // x solves the clean system exactly; A(0, 0) = NaN makes the
+        // residual [NaN, 0, …], which a running `maxr` reduces to 0.
+        let n = 8;
+        let mut a = Mat::from_fn(n, n, |i, j| if i == j { 4.0 } else { 0.5 });
+        let x = Mat::from_fn(n, 1, |_, _| 1.0);
+        let b = Mat::from_fn(n, 1, |_, _| 4.0 + 0.5 * (n - 1) as f64);
+        assert!(plausible(&a, &b, &x));
+        a[(0, 0)] = f64::NAN;
+        assert!(!plausible(&a, &b, &x));
     }
 }

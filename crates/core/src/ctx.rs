@@ -51,7 +51,7 @@ use crate::abft::{self, AbftPolicy};
 use crate::cancel::{self, CancelToken, Heartbeat};
 use crate::except::FpCheckPolicy;
 use crate::probe::ProbePolicy;
-use crate::tune::{FactorAlgo, GemmKernel, RefineMode, TuneConfig};
+use crate::tune::{GemmKernel, RefineMode, TuneConfig};
 
 /// The ambient configuration: everything a routine may consult that is
 /// not an argument. Plain data — copy it, edit fields, hand it to [`with`]
@@ -194,7 +194,7 @@ fn parse_flag(s: &str) -> Option<bool> {
 /// Every `LA_*` variable the library reads. Each enum row defers to the
 /// type's own `parse`, which is case-insensitive and also accepts the
 /// aliases listed here.
-pub fn vars() -> [Var; 21] {
+pub fn vars() -> [Var; 20] {
     [
         Var::count("LA_NUM_THREADS", "0", |c| &mut c.tune.max_threads),
         Var::count("LA_PAR_FLOPS", "8000000", |c| &mut c.tune.par_flops),
@@ -213,9 +213,6 @@ pub fn vars() -> [Var; 21] {
         Var::count("LA_GEMM_MC", "0", |c| &mut c.tune.gemm_mc),
         Var::count("LA_GEMM_KC", "0", |c| &mut c.tune.gemm_kc),
         Var::count("LA_GEMM_NC", "0", |c| &mut c.tune.gemm_nc),
-        Var::choice("LA_FACTOR", "blocked|dag", "blocked", |c, s| {
-            store(&mut c.tune.factor, FactorAlgo::parse(s))
-        }),
         Var::size("LA_TILE_NB", "192", |c| &mut c.tune.tile_nb),
         Var::choice(
             "LA_REFINE",
@@ -531,11 +528,6 @@ mod tests {
         ("LA_GEMM_MC", "64", Some(|c| c.tune.gemm_mc == 64)),
         ("LA_GEMM_KC", "128", Some(|c| c.tune.gemm_kc == 128)),
         ("LA_GEMM_NC", "192", Some(|c| c.tune.gemm_nc == 192)),
-        (
-            "LA_FACTOR",
-            "dag",
-            Some(|c| c.tune.factor == FactorAlgo::Dag),
-        ),
         ("LA_TILE_NB", "128", Some(|c| c.tune.tile_nb == 128)),
         ("LA_REFINE", "dd", Some(|c| c.tune.refine == RefineMode::Dd)),
         (
@@ -577,7 +569,6 @@ mod tests {
         ("LA_GEMM_MC", "x", None),
         ("LA_GEMM_KC", "1e3", None),
         ("LA_GEMM_NC", "", None),
-        ("LA_FACTOR", "magic", None),
         ("LA_TILE_NB", "0", None),
         ("LA_REFINE", "quad", None),
         ("LA_SERVE_TARGET_DELAY", "soon", None),
@@ -707,11 +698,13 @@ mod tests {
 
     #[test]
     fn an_unknown_la_name_is_reported_once_and_changes_nothing() {
-        // A typo, a variable retired in PR 22, and two names that are not
+        // A typo, two retired variables (the second one's factorization
+        // route is now the thread budget's), and two names that are not
         // the library's business: no `LA_` prefix, or a different case.
         let (ctx, warnings) = Ctx::from_source(source(&[
             ("LA_THREDS", "4"),
             ("LA_GESV_MIXED", "f16"),
+            ("LA_FACTOR", "dag"),
             ("LANG", "C"),
             ("la_num_threads", "4"),
         ]));
@@ -721,6 +714,7 @@ mod tests {
             [
                 "LA_THREDS: not a library variable (ignored)",
                 "LA_GESV_MIXED: not a library variable (ignored)",
+                "LA_FACTOR: not a library variable (ignored)",
             ]
         );
         // Known names beside it still land, and are not reported.

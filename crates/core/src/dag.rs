@@ -1,9 +1,11 @@
 //! Dependency-tracked task-graph runtime — the tile-DAG engine under the
 //! tiled factorizations (PLASMA-style superscalar scheduling).
 //!
-//! The blocked factorizations fork-join inside every BLAS-3 call, so the
-//! trailing update of step `k` cannot overlap the panel factor of step
-//! `k+1`. This module removes that barrier: an algorithm *declares* its
+//! A blocked factorization is a chain of steps: the trailing update of
+//! step `k` finishes before the panel of step `k+1` starts, so a second
+//! core could only help inside each BLAS-3 call — too little work per
+//! fork to pay for it, which is why the blocked route runs serial. This
+//! module removes that barrier: an algorithm *declares* its
 //! tasks with the resources (tile ids, workspace ids) each one reads and
 //! writes, the [`Builder`] infers the RAW/WAR/WAW edges sequential-task-
 //! flow style, and [`Builder::run`] executes the graph on a scoped worker

@@ -58,22 +58,26 @@ pub struct TileMat<T> {
 // data-race-free; `T: Send` scalars carry no thread affinity.
 unsafe impl<T: Send> Sync for TileMat<T> {}
 
-impl<T: Copy + Default> TileMat<T> {
+impl<T: Copy> TileMat<T> {
     /// Copies the `m × n` column-major matrix `a` (leading dimension
-    /// `lda`) into a fresh tile-major store with tile order `nb`.
-    pub fn from_col_major(m: usize, n: usize, a: &[T], lda: usize, nb: usize) -> Self {
+    /// `lda`) into a fresh tile-major store with tile order `nb`, or
+    /// `None` when the allocator refuses the memory — a second copy of the
+    /// matrix, which a caller can decline to make instead of aborting.
+    pub fn try_from_col_major(m: usize, n: usize, a: &[T], lda: usize, nb: usize) -> Option<Self> {
         let nb = nb.max(1);
         let mt = m.div_ceil(nb).max(1);
         let nt = n.div_ceil(nb).max(1);
-        let mut tiles = Vec::with_capacity(mt * nt);
+        let mut tiles = Vec::new();
+        tiles.try_reserve_exact(mt * nt).ok()?;
         for j in 0..nt {
             for i in 0..mt {
                 let rows = nb.min(m - (i * nb).min(m));
                 let cols = nb.min(n - (j * nb).min(n));
-                let mut data = vec![T::default(); rows * cols];
+                let mut data = Vec::new();
+                data.try_reserve_exact(rows * cols).ok()?;
                 for c in 0..cols {
                     let src = i * nb + (j * nb + c) * lda;
-                    data[c * rows..(c + 1) * rows].copy_from_slice(&a[src..src + rows]);
+                    data.extend_from_slice(&a[src..src + rows]);
                 }
                 tiles.push(Tile {
                     data: UnsafeCell::new(data),
@@ -84,19 +88,19 @@ impl<T: Copy + Default> TileMat<T> {
         }
         // Column-major over tiles: tile (i, j) at index j*mt + i — but the
         // loop above pushed in exactly that order (j outer, i inner).
-        TileMat {
+        Some(TileMat {
             tiles,
             m,
             n,
             nb,
             mt,
             nt,
-        }
+        })
     }
 
     /// Copies every tile back into the `m × n` column-major buffer `a`
     /// (leading dimension `lda`). Exact inverse of
-    /// [`TileMat::from_col_major`]: a round trip is bitwise lossless.
+    /// [`TileMat::try_from_col_major`]: a round trip is bitwise lossless.
     pub fn copy_out(&self, a: &mut [T], lda: usize) {
         for j in 0..self.nt {
             for i in 0..self.mt {
@@ -213,7 +217,7 @@ mod tests {
             (13, 17, 5),
         ] {
             let a = fill(m, n);
-            let t = TileMat::from_col_major(m, n, &a, m, nb);
+            let t = TileMat::try_from_col_major(m, n, &a, m, nb).unwrap();
             let mut back = vec![0.0f64; m * n];
             t.copy_out(&mut back, m);
             assert_eq!(
@@ -227,7 +231,7 @@ mod tests {
     #[test]
     fn grid_shape_and_edge_tiles_are_exact() {
         let a = fill(10, 7);
-        let t = TileMat::from_col_major(10, 7, &a, 10, 4);
+        let t = TileMat::try_from_col_major(10, 7, &a, 10, 4).unwrap();
         assert_eq!((t.mt(), t.nt()), (3, 2));
         assert_eq!(t.tile_rows(0), 4);
         assert_eq!(t.tile_rows(2), 2, "last tile row is exactly sized");
@@ -240,7 +244,7 @@ mod tests {
     fn tile_contents_are_column_major_blocks() {
         let (m, n, nb) = (5usize, 5usize, 2usize);
         let a = fill(m, n);
-        let mut t = TileMat::from_col_major(m, n, &a, m, nb);
+        let mut t = TileMat::try_from_col_major(m, n, &a, m, nb).unwrap();
         // Tile (1, 1) covers rows 2..4, cols 2..4.
         let tile = t.tile_ref(1, 1);
         assert_eq!(tile.len(), 4);
@@ -264,7 +268,7 @@ mod tests {
                 a[i + j * lda] = (i * 10 + j) as f64;
             }
         }
-        let t = TileMat::from_col_major(m, n, &a, lda, nb);
+        let t = TileMat::try_from_col_major(m, n, &a, lda, nb).unwrap();
         let mut out = vec![0.0f64; lda * n];
         t.copy_out(&mut out, lda);
         for j in 0..n {

@@ -77,42 +77,6 @@ impl GemmKernel {
     }
 }
 
-/// Which algorithm family the dense factorizations (`getrf`, `potrf`,
-/// `geqrf`) run. Selected through the `factor` field of [`TuneConfig`]
-/// (env var `LA_FACTOR`); the blocked path stays the default until the
-/// bench gate proves the DAG wins on the host at hand.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FactorAlgo {
-    /// Fork-join blocked factorization (panel + striped BLAS-3 trailing
-    /// update), the classic LAPACK shape. Default.
-    #[default]
-    Blocked,
-    /// Tile task-graph factorization (`la_core::dag` + `TileMat`):
-    /// dependency-tracked tasks over `LA_TILE_NB`-order tiles, so panel
-    /// factor, triangular solves and trailing updates of different steps
-    /// overlap. Falls back to the blocked path below the crossover order.
-    Dag,
-}
-
-impl FactorAlgo {
-    /// Parses the `LA_FACTOR` spelling (case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "blocked" => Some(FactorAlgo::Blocked),
-            "dag" => Some(FactorAlgo::Dag),
-            _ => None,
-        }
-    }
-
-    /// The canonical spelling, as accepted by [`FactorAlgo::parse`].
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FactorAlgo::Blocked => "blocked",
-            FactorAlgo::Dag => "dag",
-        }
-    }
-}
-
 /// Residual precision of the refinement loops. Selected through the
 /// `refine` field of [`TuneConfig`] (env var `LA_REFINE`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -194,12 +158,10 @@ pub struct TuneConfig {
     /// Packed-gemm column block: columns of B packed per cache block
     /// (`LA_GEMM_NC`). `0` falls back to the compiled-in default.
     pub gemm_nc: usize,
-    /// Algorithm family for the dense factorizations (`LA_FACTOR`):
-    /// fork-join blocked (default) or the tile task-graph runtime.
-    pub factor: FactorAlgo,
     /// Tile order for the task-graph factorizations (`LA_TILE_NB`).
     /// `0` falls back to the compiled-in default (see
-    /// [`TuneConfig::tile_size`]).
+    /// [`TuneConfig::tile_size`]). With more than one thread, `getrf`
+    /// and `potrf` run on tiles from four tiles up, `geqrf` from eight.
     pub tile_nb: usize,
     /// Residual precision for the refinement loops (`LA_REFINE`):
     /// working precision (classic) or double-double (three-precision
@@ -221,12 +183,11 @@ pub struct TuneConfig {
     /// the watchdog.
     pub serve_watchdog_ms: usize,
     /// Permit a thread budget above the detected core count. Off by
-    /// default: oversubscribing a host measurably *slows* BLAS-3 (the
-    /// committed thread sweep shows threads=2 slower than threads=1 on a
-    /// 1-core host), so [`TuneConfig::threads`] clamps to the core count
-    /// unless this is set. Equivalence tests and the bench sweeps set it
-    /// to exercise the striped dispatch machinery regardless of host
-    /// size.
+    /// default: threads beyond the cores only time-share them, adding
+    /// hand-offs and cold caches to the same work, so
+    /// [`TuneConfig::threads`] clamps to the core count unless this is
+    /// set. The equivalence tests set it to run the parallel machinery —
+    /// BLAS-3 stripes, the tile task graph — on any host.
     pub oversubscribe: bool,
 }
 
@@ -247,7 +208,6 @@ impl TuneConfig {
             gemm_mc: 0,
             gemm_kc: 0,
             gemm_nc: 0,
-            factor: FactorAlgo::Blocked,
             tile_nb: 0,
             refine: RefineMode::Working,
             serve_target_delay_ms: 0,
@@ -258,10 +218,12 @@ impl TuneConfig {
 
     /// Resolved thread budget: `max_threads`, or the detected core count
     /// (capped at 8) when `max_threads == 0`. Never exceeds the detected
-    /// core count unless [`TuneConfig::oversubscribe`] is set — running
-    /// more BLAS-3 stripes than cores only adds scheduling overhead (the
-    /// committed BENCH_blas3.json thread sweep shows threads=2 *slower*
-    /// than threads=1 on a 1-core host).
+    /// core count unless [`TuneConfig::oversubscribe`] is set — more
+    /// threads than cores only add scheduling overhead. Besides sizing
+    /// BLAS-3 stripes, this budget picks the route of `getrf`, `potrf`
+    /// and `geqrf`: above 1 they run the tile task graph from four tiles
+    /// up (`geqrf` eight) and serial blocked below — thresholds measured
+    /// at two threads only.
     ///
     /// On a thread that is itself one of `W` siblings of an enclosing
     /// worker pool (see [`in_pool_worker`]), the clamp tightens to
@@ -327,8 +289,11 @@ impl TuneConfig {
     /// Resolved tile order for the task-graph factorizations:
     /// `tile_nb`, or the compiled-in default when `tile_nb == 0`. The
     /// default (192) gives each tile task a few million flops — large
-    /// enough to amortize scheduling, small enough for lookahead overlap
-    /// at n ≥ 2048.
+    /// enough to amortize scheduling — and puts the task-graph route's
+    /// four-tile threshold at n = 768, where two threads first beat the
+    /// best one-thread blocked `getrf` (`geqrf`'s eight tiles: n = 1536;
+    /// EXPERIMENTS.md, "The thread budget picks the factorization
+    /// route").
     pub fn tile_size(&self) -> usize {
         if self.tile_nb > 0 {
             self.tile_nb
@@ -533,20 +498,6 @@ mod tests {
         let narrow = TuneConfig { nb_potrf: 8, ..d };
         assert_eq!((narrow.nb("potrf", 96), narrow.nb("potrf", 768)), (8, 8));
         assert_eq!(narrow.crossover("potrf", 96), 16);
-    }
-
-    #[test]
-    fn factor_algo_parses_and_round_trips() {
-        for f in [FactorAlgo::Blocked, FactorAlgo::Dag] {
-            assert_eq!(FactorAlgo::parse(f.as_str()), Some(f));
-            assert_eq!(FactorAlgo::parse(&f.as_str().to_uppercase()), Some(f));
-        }
-        assert_eq!(FactorAlgo::parse("magic"), None);
-        assert_eq!(
-            TuneConfig::defaults().factor,
-            FactorAlgo::Blocked,
-            "blocked stays the default until the gate proves the DAG wins"
-        );
     }
 
     #[test]

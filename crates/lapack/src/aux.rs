@@ -22,27 +22,85 @@ pub fn ilaenv_crossover(routine: &str, n: usize) -> usize {
     la_core::tune::current().crossover(routine, n)
 }
 
-/// How one factorization call runs: the panel width and whether the order
-/// is above the crossover. Resolved once per call ([`Blocking::of`]) and
-/// handed to everything that must agree on it — the core that factors and
+/// Tiles a problem must span, in its smaller dimension, before a
+/// factorization hands it to the tile task graph — each routine at its own
+/// measured crossover, the graph on two threads against the blocked loop
+/// on one (EXPERIMENTS.md, "The thread budget picks the factorization
+/// route"). `getrf` from 4 tiles (n ≥ 768 at the default tile order of
+/// 192): 1.11–1.17 at 768, at most 1.10 below; `potrf`, ahead from n = 512
+/// on, shares it. `geqrf` from 8 (n ≥ 1536): from n = 960 to 1344 its
+/// graph lost in 9 of 20 runs (0.69–1.22), at 1536 in 1 of 7 (0.77–1.32),
+/// at 2048 in none (1.16–1.39). Measured at two threads only — a wider
+/// host may cross over elsewhere. Not a knob: `LA_TILE_NB` moves every
+/// threshold with the tile.
+pub(crate) const DAG_MIN_TILES: [(&str, usize); 3] = [("getrf", 4), ("potrf", 4), ("geqrf", 8)];
+
+/// Which engine factors one call.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Route {
+    /// At or below the crossover: the unblocked (Level-2) form.
+    Unblocked,
+    /// The blocked right-looking loop, its BLAS-3 calls serial.
+    Blocked,
+    /// The tile task graph ([`crate::tiled`]).
+    Dag,
+}
+
+/// How one factorization call runs: the panel width and the route.
+/// Resolved once per call ([`Blocking::of`]) and handed to everything that
+/// must agree on it — the core that factors, the ABFT recovery re-run and
 /// the ABFT pass that names the faulty block.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Blocking {
     pub nb: usize,
-    pub blocked: bool,
+    pub route: Route,
 }
 
 impl Blocking {
-    /// The decision for `routine` on a problem of order `n` under the
-    /// configuration in effect on this thread.
-    pub(crate) fn of(routine: &str, n: usize) -> Self {
+    /// The decision for `routine` on an `m × n` problem under the
+    /// configuration in effect on this thread — the one place the route
+    /// is chosen. With more than one thread, a problem of at least the
+    /// routine's [`DAG_MIN_TILES`] runs the tile task graph; everything
+    /// else runs on this thread, blocked above the crossover — for `geqrf`
+    /// two panels, whatever `LA_CROSSOVER` says.
+    pub(crate) fn of(routine: &str, m: usize, n: usize) -> Self {
         let cfg = la_core::tune::current();
-        let nb = cfg.nb(routine, n);
-        Blocking {
-            nb,
-            blocked: n > cfg.crossover(routine, n) && nb < n,
-        }
+        let k = m.min(n);
+        let nb = cfg.nb(routine, k);
+        let tiles = DAG_MIN_TILES
+            .iter()
+            .find(|&&(r, _)| r == routine)
+            .map_or(usize::MAX, |&(_, t)| t);
+        let crossover = match routine {
+            "geqrf" => 2 * nb,
+            _ => cfg.crossover(routine, k),
+        };
+        let route = if cfg.threads() > 1 && k >= tiles.saturating_mul(cfg.tile_size()) {
+            Route::Dag
+        } else if k > crossover && nb < k {
+            Route::Blocked
+        } else {
+            Route::Unblocked
+        };
+        Blocking { nb, route }
     }
+}
+
+/// Runs `f` with every BLAS-3 call in it serial: under a one-thread frame
+/// when the budget is larger, directly otherwise, so a one-thread call
+/// takes no extra step.
+pub(crate) fn one_thread<R>(f: impl FnOnce() -> R) -> R {
+    let cfg = la_core::tune::current();
+    if cfg.threads() == 1 {
+        return f();
+    }
+    la_core::tune::with(
+        la_core::TuneConfig {
+            max_threads: 1,
+            ..cfg
+        },
+        f,
+    )
 }
 
 /// Copies all or a triangle of `A` to `B` (`xLACPY`).

@@ -6,7 +6,7 @@
 use la_blas::{dotc, gemv, hemv, herk, rscal, scal, spmv, tbsv, tpsv, trsm};
 use la_core::{probe, Diag, Norm, RealScalar, Scalar, Side, Trans, Uplo};
 
-use crate::aux::{lacon, lansy, try_zeros, Blocking, INFO_NO_WORKSPACE};
+use crate::aux::{lacon, lansy, one_thread, try_zeros, Blocking, Route, INFO_NO_WORKSPACE};
 use crate::lu::refine_generic;
 
 /// Unblocked Cholesky factorization (`xPOTF2`): `A = UᴴU` or `A = LLᴴ`.
@@ -121,7 +121,7 @@ pub fn potrf<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i32 {
     );
     // One decision for the core, the recovery re-run and the ABFT block
     // labels.
-    let how = Blocking::of("potrf", n);
+    let how = Blocking::of("potrf", n, n);
     probe::note_nb(how.nb);
     let check = crate::abft::active(crate::abft::flop3(n, n, n) / 3)
         .map(|pol| crate::abft::potrf_encode(pol, uplo, n, a, lda));
@@ -146,11 +146,10 @@ pub fn potrf<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i32 {
     match check {
         None => info,
         Some(ck) => crate::abft::potrf_verify(ck, uplo, n, a, lda, info, how.nb, |a| {
-            let serial = la_core::TuneConfig {
-                max_threads: 1,
-                ..la_core::tune::current()
-            };
-            la_core::tune::with(serial, || {
+            // Serial, on the call's own route: the graph computes the same
+            // bits on any number of threads, so the recovered factor is the
+            // clean call's.
+            one_thread(|| {
                 la_core::abft::with_policy(la_core::abft::AbftPolicy::Off, || {
                     potrf_core(uplo, n, a, lda, how)
                 })
@@ -161,7 +160,7 @@ pub fn potrf<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i32 {
 
 /// The factorization proper, shared by the public entry, the ABFT
 /// recovery re-run, and the tiled-dag diagonal tasks; `how` is the
-/// caller's [`Blocking::of`]`("potrf", n)`.
+/// caller's [`Blocking::of`]`("potrf", n, n)`.
 pub(crate) fn potrf_core<T: Scalar>(
     uplo: Uplo,
     n: usize,
@@ -169,16 +168,23 @@ pub(crate) fn potrf_core<T: Scalar>(
     lda: usize,
     how: Blocking,
 ) -> i32 {
-    // LA_FACTOR=dag: hand problems spanning more than one tile to the
-    // task-graph runtime (same factor and info codes).
-    let cfg = la_core::tune::current();
-    if cfg.factor == la_core::tune::FactorAlgo::Dag && n > cfg.tile_size() {
-        return crate::tiled::potrf_dag(uplo, n, a, lda);
+    match how.route {
+        // Same factor up to rounding, same info codes. A graph without
+        // memory for its tile copy leaves `a` as it found it; the serial
+        // route, which needs one panel's worth, runs instead.
+        Route::Dag => match crate::tiled::potrf_dag(uplo, n, a, lda) {
+            INFO_NO_WORKSPACE => {
+                one_thread(|| potrf_core(uplo, n, a, lda, Blocking::of("potrf", n, n)))
+            }
+            info => info,
+        },
+        Route::Unblocked => potf2(uplo, n, a, lda),
+        Route::Blocked => one_thread(|| potrf_blocked(uplo, n, a, lda, how.nb)),
     }
-    if !how.blocked {
-        return potf2(uplo, n, a, lda);
-    }
-    let nb = how.nb;
+}
+
+/// Right-looking blocked Cholesky with panel width `nb`.
+fn potrf_blocked<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize, nb: usize) -> i32 {
     // One workspace for every step's copies of the diagonal block (whose
     // other triangle is never read) and of the off-diagonal panel.
     let Some(mut ws) = try_zeros::<T>(nb * n) else {

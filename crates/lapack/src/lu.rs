@@ -9,7 +9,7 @@
 use la_blas::{gemm, gemv, iamax, scal, strip_update, trsm, STRIP};
 use la_core::{probe, Diag, Norm, RealScalar, Scalar, Side, Trans, Uplo};
 
-use crate::aux::{lacon, lange, laswp, try_zeros, Blocking, INFO_NO_WORKSPACE};
+use crate::aux::{lacon, lange, laswp, one_thread, try_zeros, Blocking, Route, INFO_NO_WORKSPACE};
 
 /// Unblocked LU factorization with partial pivoting (`xGETF2`).
 ///
@@ -134,7 +134,7 @@ pub fn getrf<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &mut 
     }
     // One decision for the core, the recovery re-run and the ABFT block
     // labels.
-    let how = Blocking::of("getrf", mn);
+    let how = Blocking::of("getrf", m, n);
     probe::note_nb(how.nb);
     let check = crate::abft::active(crate::abft::flop3(m, n, mn))
         .map(|pol| crate::abft::getrf_encode(pol, m, n, a, lda));
@@ -159,11 +159,10 @@ pub fn getrf<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &mut 
     match check {
         None => info,
         Some(ck) => crate::abft::getrf_verify(ck, m, n, a, lda, ipiv, info, how.nb, |a, ipiv| {
-            let serial = la_core::TuneConfig {
-                max_threads: 1,
-                ..la_core::tune::current()
-            };
-            la_core::tune::with(serial, || {
+            // Serial, on the call's own route: the graph computes the same
+            // bits on any number of threads, so the recovered factors are
+            // the clean call's.
+            one_thread(|| {
                 la_core::abft::with_policy(la_core::abft::AbftPolicy::Off, || {
                     getrf_core(m, n, a, lda, ipiv, how)
                 })
@@ -174,7 +173,7 @@ pub fn getrf<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &mut 
 
 /// The factorization proper, shared by the public entry, the ABFT
 /// recovery re-run, and the tiled-dag panel tasks; `how` is the caller's
-/// [`Blocking::of`]`("getrf", min(m, n))`.
+/// [`Blocking::of`]`("getrf", m, n)`.
 pub(crate) fn getrf_core<T: Scalar>(
     m: usize,
     n: usize,
@@ -183,17 +182,31 @@ pub(crate) fn getrf_core<T: Scalar>(
     ipiv: &mut [i32],
     how: Blocking,
 ) -> i32 {
+    match how.route {
+        // Same factors up to rounding, same pivots and info codes. A graph
+        // without memory for its tile copy leaves `a` as it found it; the
+        // serial route, which needs one panel's worth, runs instead.
+        Route::Dag => match crate::tiled::getrf_dag(m, n, a, lda, ipiv) {
+            INFO_NO_WORKSPACE => {
+                one_thread(|| getrf_core(m, n, a, lda, ipiv, Blocking::of("getrf", m, n)))
+            }
+            info => info,
+        },
+        Route::Unblocked => getf2(m, n, a, lda, ipiv),
+        Route::Blocked => one_thread(|| getrf_blocked(m, n, a, lda, ipiv, how.nb)),
+    }
+}
+
+/// Right-looking blocked LU with panel width `nb`.
+fn getrf_blocked<T: Scalar>(
+    m: usize,
+    n: usize,
+    a: &mut [T],
+    lda: usize,
+    ipiv: &mut [i32],
+    nb: usize,
+) -> i32 {
     let mn = m.min(n);
-    // LA_FACTOR=dag: hand problems spanning more than one tile to the
-    // task-graph runtime (same factors, pivots and info codes).
-    let cfg = la_core::tune::current();
-    if cfg.factor == la_core::tune::FactorAlgo::Dag && mn > cfg.tile_size() {
-        return crate::tiled::getrf_dag(m, n, a, lda, ipiv);
-    }
-    if !how.blocked {
-        return getf2(m, n, a, lda, ipiv);
-    }
-    let nb = how.nb;
     let mut info = 0i32;
     // Holds each step's copy of U12; step 0 has the largest.
     let Some(mut u12) = try_zeros::<T>(nb * (n - nb)) else {

@@ -6,7 +6,7 @@
 use la_blas::{lacgv, nrm2, scal};
 use la_core::{probe, RealScalar, Scalar, Side, Trans};
 
-use crate::aux::{ilaenv_nb, larf, larfb, larfg, larft};
+use crate::aux::{larf, larfb, larfg, larft, one_thread, Blocking, Route, INFO_NO_WORKSPACE};
 
 /// Strided [`larfg`]: gathers the vector, generates the reflector and
 /// scatters the tail back.
@@ -76,17 +76,30 @@ pub fn geqrf<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, tau: &mut [
         probe::flops::geqrf(m, n),
         (2 * m * n * std::mem::size_of::<T>()) as u64,
     );
+    let how = Blocking::of("geqrf", m, n);
+    match how.route {
+        // Same compact-WY output up to rounding, same info codes. A graph
+        // without memory for its tile copy leaves `a` as it found it; the
+        // serial route, which needs one panel's worth, runs instead.
+        Route::Dag => match crate::tiled::geqrf_dag(m, n, a, lda, tau) {
+            INFO_NO_WORKSPACE => one_thread(|| geqrf(m, n, a, lda, tau)),
+            info => info,
+        },
+        Route::Unblocked => geqr2(m, n, a, lda, tau),
+        Route::Blocked => one_thread(|| geqrf_blocked(m, n, a, lda, tau, how.nb)),
+    }
+}
+
+/// Blocked Householder QR with panel width `nb`.
+fn geqrf_blocked<T: Scalar>(
+    m: usize,
+    n: usize,
+    a: &mut [T],
+    lda: usize,
+    tau: &mut [T],
+    nb: usize,
+) -> i32 {
     let k = m.min(n);
-    // LA_FACTOR=dag: hand problems spanning more than one tile to the
-    // task-graph runtime (same compact-WY output and info codes).
-    let cfg = la_core::tune::current();
-    if cfg.factor == la_core::tune::FactorAlgo::Dag && k > cfg.tile_size() {
-        return crate::tiled::geqrf_dag(m, n, a, lda, tau);
-    }
-    let nb = ilaenv_nb("geqrf", k);
-    if k <= 2 * nb {
-        return geqr2(m, n, a, lda, tau);
-    }
     let mut t = vec![T::zero(); nb * nb];
     let mut i = 0;
     while i < k {

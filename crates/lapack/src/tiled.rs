@@ -1,15 +1,19 @@
-//! Tiled task-graph factorizations (`LA_FACTOR=dag`): `getrf`, `potrf`
-//! and `geqrf` decomposed into per-tile tasks over a [`TileMat`] and
-//! executed by the dependency-tracked dag runtime (`la_core::dag`).
+//! Tiled task-graph factorizations: `getrf`, `potrf` and `geqrf`
+//! decomposed into per-tile tasks over a [`TileMat`] and executed by the
+//! dependency-tracked dag runtime (`la_core::dag`). The public entries
+//! come here when the thread budget is above one and the problem spans the
+//! routine's threshold in tiles (`aux::DAG_MIN_TILES`: four for `getrf`
+//! and `potrf`, eight for `geqrf`; decided in `aux::Blocking::of`).
 //!
 //! The PLASMA-style sequential-task-flow formulation: each kernel call
 //! (panel factorization, `trsm`, `herk`, `gemm`, block-reflector apply)
 //! becomes one task declaring the tiles it reads and writes; the runtime
-//! infers RAW/WAR/WAW edges and keeps one persistent worker pool busy
-//! across the whole factorization instead of fork-joining a fresh stripe
-//! team per BLAS-3 call. Lookahead is emergent: the step-`k+1` panel only
-//! depends on the step-`k` updates of its own tile column, so it starts
-//! while the rest of the step-`k` trailing matrix is still in flight.
+//! infers RAW/WAR/WAW edges and runs the whole graph on one
+//! `ctx::fan_out` team — one fork and one join per factorization, where
+//! the blocked loop would need one per BLAS-3 call. Lookahead is emergent:
+//! the step-`k+1` panel only depends on the step-`k` updates of its own
+//! tile column, so it starts while the rest of the step-`k` trailing
+//! matrix is still in flight.
 //!
 //! Contracts match the blocked routines exactly — same output layout
 //! (LAPACK factor formats, global 1-based `ipiv`, `tau`), same `info`
@@ -26,6 +30,13 @@
 //! reports the same first failing index as blocked `potrf` but the
 //! trailing tiles hold updated (meaningless) values rather than untouched
 //! input. Negative codes abort the graph.
+//!
+//! Memory: a graph works on a copy — the tiles plus one panel store per
+//! block column, ≈ 1.5·m·n elements where the blocked loop needs one
+//! panel's worth — and takes it fallibly. When the allocator refuses it,
+//! or a panel task finds no workspace, the entry returns
+//! `aux::INFO_NO_WORKSPACE` with `a` as it found it, and the public
+//! `getrf`/`potrf`/`geqrf` run their serial route instead.
 
 use std::cell::UnsafeCell;
 
@@ -34,7 +45,7 @@ use la_core::dag::Builder;
 use la_core::tile::TileMat;
 use la_core::{probe, Diag, Scalar, Side, Trans, Uplo};
 
-use crate::aux::{larfb, larft};
+use crate::aux::{larfb, larft, try_zeros, INFO_NO_WORKSPACE};
 
 /// Per-panel-step workspace: the panel task writes it, that step's update
 /// tasks read it. Reached through a dag resource id (`resource_count() +
@@ -59,15 +70,16 @@ struct PanelStore<T> {
 unsafe impl<T: Send> Sync for PanelStore<T> {}
 
 impl<T: Scalar> PanelStore<T> {
-    fn new(rows: usize, jb: usize, with_t: bool) -> Self {
-        PanelStore {
-            data: UnsafeCell::new(vec![T::zero(); rows * jb]),
+    /// `None` when the allocator refuses the panel copy or the `T` factor.
+    fn try_new(rows: usize, jb: usize, with_t: bool) -> Option<Self> {
+        Some(PanelStore {
+            data: UnsafeCell::new(try_zeros(rows * jb)?),
             piv: UnsafeCell::new((1..=jb as i32).collect()),
-            tfac: UnsafeCell::new(vec![T::zero(); if with_t { jb * jb } else { 0 }]),
+            tfac: UnsafeCell::new(try_zeros(if with_t { jb * jb } else { 0 })?),
             tau: UnsafeCell::new(vec![T::zero(); jb]),
             rows,
             jb,
-        }
+        })
     }
 }
 
@@ -174,6 +186,26 @@ fn global_info(info: i32, offset: usize) -> i32 {
     }
 }
 
+/// What a graph over the `m × n` matrix `a` needs besides `a`: its tile
+/// copy and one panel store per block column (`with_t`: with room for the
+/// block reflector's `T`), ≈ 1.5·m·n elements the blocked loop does
+/// without. `None` when the allocator refuses any of it.
+fn tile_copy<T: Scalar>(
+    m: usize,
+    n: usize,
+    a: &[T],
+    lda: usize,
+    nb: usize,
+    with_t: bool,
+) -> Option<(TileMat<T>, Vec<PanelStore<T>>)> {
+    let tm = TileMat::try_from_col_major(m, n, a, lda, nb)?;
+    let mn = m.min(n);
+    let stores = (0..mn.div_ceil(nb))
+        .map(|k| PanelStore::try_new(m - k * nb, nb.min(mn - k * nb).min(tm.tile_cols(k)), with_t))
+        .collect::<Option<Vec<_>>>()?;
+    Some((tm, stores))
+}
+
 /// Tiled-dag LU with partial pivoting — drop-in for the blocked
 /// `getrf_core` (same factors, same global 1-based `ipiv`).
 pub fn getrf_dag<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &mut [i32]) -> i32 {
@@ -188,11 +220,10 @@ pub fn getrf_dag<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &
         return 0;
     }
     let nb = la_core::tune::current().tile_size();
-    let tm = TileMat::from_col_major(m, n, a, lda, nb);
-    let kt = mn.div_ceil(nb);
-    let stores: Vec<PanelStore<T>> = (0..kt)
-        .map(|k| PanelStore::new(m - k * nb, nb.min(mn - k * nb).min(tm.tile_cols(k)), false))
-        .collect();
+    let Some((tm, stores)) = tile_copy(m, n, a, lda, nb, false) else {
+        return INFO_NO_WORKSPACE;
+    };
+    let kt = stores.len();
     let pid = |k: usize| tm.resource_count() + k;
 
     let mut g = Builder::new();
@@ -217,7 +248,7 @@ pub fn getrf_dag<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &
                 let piv = &mut *store.piv.get();
                 // Blocked panel (never re-enters the dag: the panel's
                 // min dimension is at most one tile).
-                let how = crate::aux::Blocking::of("getrf", rows.min(jb));
+                let how = crate::aux::Blocking::of("getrf", rows, jb);
                 let info = crate::lu::getrf_core(rows, jb, buf, rows, piv, how);
                 scatter(tm_ref, k, k, 0, jb, buf);
                 global_info(info, col_off)
@@ -304,8 +335,11 @@ pub fn getrf_dag<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &
             }
         }
     }
-    let result = g.run();
-    let info = result.info();
+    let info = g.run().info();
+    // A panel without workspace: `a` stays as found, as for a refused copy.
+    if info == INFO_NO_WORKSPACE {
+        return info;
+    }
     tm.copy_out(a, lda);
     for (k, store) in stores.iter().enumerate() {
         // SAFETY: the graph has quiesced; exclusive access again.
@@ -329,7 +363,9 @@ pub fn potrf_dag<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i3
         return 0;
     }
     let nb = la_core::tune::current().tile_size();
-    let tm = TileMat::from_col_major(n, n, a, lda, nb);
+    let Some(tm) = TileMat::try_from_col_major(n, n, a, lda, nb) else {
+        return INFO_NO_WORKSPACE;
+    };
     let nt = tm.nt();
     let tm_ref = &tm;
 
@@ -343,7 +379,7 @@ pub fn potrf_dag<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i3
                 let ld = tm_ref.tile_rows(k);
                 // Blocked diagonal factorization (never re-enters the
                 // dag: the tile is at most one tile wide).
-                let how = crate::aux::Blocking::of("potrf", nbk);
+                let how = crate::aux::Blocking::of("potrf", nbk, nbk);
                 crate::chol::potrf_core(uplo, nbk, tm_ref.tile_mut(k, k), ld, how)
             };
             global_info(info, off)
@@ -527,9 +563,14 @@ pub fn potrf_dag<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i3
             }
         }
     }
-    let result = g.run();
+    let info = g.run().info();
+    // A diagonal tile without workspace: `a` stays as found, as for a
+    // refused copy.
+    if info == INFO_NO_WORKSPACE {
+        return info;
+    }
     tm.copy_out(a, lda);
-    result.info()
+    info
 }
 
 /// Tiled-dag Householder QR — drop-in for the blocked `geqrf` (standard
@@ -547,11 +588,10 @@ pub fn geqrf_dag<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, tau: &m
         return 0;
     }
     let nb = la_core::tune::current().tile_size();
-    let tm = TileMat::from_col_major(m, n, a, lda, nb);
-    let kt = mn.div_ceil(nb);
-    let stores: Vec<PanelStore<T>> = (0..kt)
-        .map(|k| PanelStore::new(m - k * nb, nb.min(mn - k * nb).min(tm.tile_cols(k)), true))
-        .collect();
+    let Some((tm, stores)) = tile_copy(m, n, a, lda, nb, true) else {
+        return INFO_NO_WORKSPACE;
+    };
+    let kt = stores.len();
     let pid = |k: usize| tm.resource_count() + k;
     let tm_ref = &tm;
 
@@ -609,8 +649,11 @@ pub fn geqrf_dag<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, tau: &m
             });
         }
     }
-    let result = g.run();
-    let info = result.info();
+    let info = g.run().info();
+    // A panel without workspace: `a` stays as found, as for a refused copy.
+    if info == INFO_NO_WORKSPACE {
+        return info;
+    }
     tm.copy_out(a, lda);
     for (k, store) in stores.iter().enumerate() {
         // SAFETY: the graph has quiesced; exclusive access again.
@@ -624,11 +667,10 @@ pub fn geqrf_dag<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, tau: &m
 mod tests {
     use super::*;
     use crate::testmat::{Dist, Larnv};
-    use la_core::tune::{self, FactorAlgo, TuneConfig};
+    use la_core::tune::{self, TuneConfig};
 
     fn dag_cfg(nb: usize) -> TuneConfig {
         TuneConfig {
-            factor: FactorAlgo::Dag,
             tile_nb: nb,
             max_threads: 2,
             ..TuneConfig::default()

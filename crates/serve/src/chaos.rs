@@ -19,6 +19,7 @@ use la_core::abft::inject::{arm, CorruptKind, Corruption};
 use la_core::tune::TuneConfig;
 use la_core::Demote;
 use la_core::{RealScalar, Scalar};
+use la_lapack::max_abs1;
 
 use crate::{JobSpec, SolveOp};
 
@@ -217,7 +218,8 @@ pub fn chaos_tune() -> TuneConfig {
 
 /// `true` when `x` solves `a·x = b` to a chaos-grade tolerance — the
 /// independent wrongness check the soak applies to every *served* answer
-/// (`64·n·ε`, same bound the service's own verifier uses).
+/// (`64·n·ε`, same bound the service's own verifier uses). The norms are
+/// [`la_lapack::max_abs1`], which keeps a NaN wherever it sits.
 pub fn answer_is_plausible<T: Demote>(
     a: &la_core::Mat<T>,
     b: &la_core::Mat<T>,
@@ -242,21 +244,11 @@ pub fn answer_is_plausible<T: Demote>(
         r.as_mut_slice(),
         rld,
     );
-    let mut amax = T::Real::zero();
-    for j in 0..n {
-        for i in 0..n {
-            amax = amax.maxr(a[(i, j)].abs1());
-        }
-    }
+    let amax = max_abs1(a.as_slice());
     let nr = T::Real::from_usize(n);
     let tol = T::Real::EPS * nr * T::Real::from_usize(64);
     for j in 0..nrhs {
-        let (mut rnrm, mut xnrm, mut bnrm) = (T::Real::zero(), T::Real::zero(), T::Real::zero());
-        for i in 0..n {
-            rnrm = rnrm.maxr(r[(i, j)].abs1());
-            xnrm = xnrm.maxr(x[(i, j)].abs1());
-            bnrm = bnrm.maxr(b[(i, j)].abs1());
-        }
+        let (rnrm, xnrm, bnrm) = (max_abs1(r.col(j)), max_abs1(x.col(j)), max_abs1(b.col(j)));
         if !rnrm.is_finite_r() || !xnrm.is_finite_r() {
             return false;
         }
@@ -291,6 +283,19 @@ pub fn quiet_chaos_panics() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_nan_in_a_alone_is_not_plausible() {
+        // x solves the clean system exactly; A(0, 0) = NaN makes the
+        // residual [NaN, 0, …], which a running `maxr` reduces to 0.
+        let n = 8;
+        let mut a = la_core::Mat::from_fn(n, n, |i, j| if i == j { 4.0 } else { 0.5 });
+        let x = la_core::Mat::from_fn(n, 1, |_, _| 1.0);
+        let b = la_core::Mat::from_fn(n, 1, |_, _| 4.0 + 0.5 * (n - 1) as f64);
+        assert!(answer_is_plausible(&a, &b, &x));
+        a[(0, 0)] = f64::NAN;
+        assert!(!answer_is_plausible(&a, &b, &x));
+    }
 
     #[test]
     fn plan_is_deterministic_and_mixed() {

@@ -4,16 +4,28 @@
 //! (`-102` soft fault, `-103` cancelled, `-104` panicked) and the probe
 //! record of the executed graph shape against closed-form task counts.
 //!
-//! The dag paths are forced on by a scoped `tune::with` override
-//! (`factor: Dag`, small `tile_nb`, oversubscribed thread budget), so the
-//! task decomposition and the concurrent scheduler run even on small
-//! matrices and single-core hosts.
+//! The thread budget picks the route: more than one thread and at least
+//! the routine's threshold in tiles (four for `getrf` and `potrf`, eight
+//! for `geqrf`) run the task graph, anything else the serial blocked loop.
+//! The dag cases get there through a scoped `tune::with` override (an
+//! oversubscribed budget of four and a `tile_nb` small enough for eight
+//! tiles), so the task decomposition and the concurrent scheduler run even
+//! on small matrices and single-core hosts; `the_thread_budget_picks_the_route`
+//! pins the rule itself.
+
+use std::sync::Mutex;
 
 use la_core::tile::TileMat;
 use la_core::{tune, RealScalar, Scalar, Uplo, C32, C64};
 use la_lapack as f77;
 
-/// Serial blocked reference: thread budget 1, default factor algorithm.
+/// Serializes the tests that reset and read the process-wide probe record.
+static PROBE: Mutex<()> = Mutex::new(());
+
+/// Tile order of the equivalence cases: every one spans at least eight.
+const TILE: usize = 12;
+
+/// Serial blocked reference: thread budget 1.
 fn blocked() -> tune::TuneConfig {
     tune::TuneConfig {
         max_threads: 1,
@@ -21,11 +33,10 @@ fn blocked() -> tune::TuneConfig {
     }
 }
 
-/// Forced dag: 4 workers (oversubscribed if the host has fewer cores),
-/// small tiles so test-sized matrices decompose into real graphs.
+/// The dag route: 4 workers (oversubscribed if the host has fewer cores),
+/// small tiles so test-sized matrices span the tiles the route needs.
 fn dag(tile_nb: usize) -> tune::TuneConfig {
     tune::TuneConfig {
-        factor: tune::FactorAlgo::Dag,
         tile_nb,
         max_threads: 4,
         oversubscribe: true,
@@ -101,7 +112,7 @@ fn getrf_equiv<T: Scalar>(tol: f64) {
         let ir = tune::with(blocked(), || f77::getrf(m, n, &mut ar, m, &mut pr));
         let mut ad = a0.clone();
         let mut pd = vec![0i32; mn];
-        let id = tune::with(dag(40), || f77::getrf(m, n, &mut ad, m, &mut pd));
+        let id = tune::with(dag(TILE), || f77::getrf(m, n, &mut ad, m, &mut pd));
         assert_eq!(ir, id, "getrf {m}x{n} {}", T::PREFIX);
         assert_eq!(pr, pd, "getrf pivots {m}x{n} {}", T::PREFIX);
         assert_close(&ar, &ad, tol, &format!("getrf {m}x{n} {}", T::PREFIX));
@@ -116,7 +127,7 @@ fn potrf_equiv<T: Scalar>(tol: f64) {
         let mut ar = a0.clone();
         let ir = tune::with(blocked(), || f77::potrf(uplo, n, &mut ar, n));
         let mut ad = a0.clone();
-        let id = tune::with(dag(40), || f77::potrf(uplo, n, &mut ad, n));
+        let id = tune::with(dag(TILE), || f77::potrf(uplo, n, &mut ad, n));
         assert_eq!(ir, 0, "potrf blocked {uplo:?} {}", T::PREFIX);
         assert_eq!(id, 0, "potrf dag {uplo:?} {}", T::PREFIX);
         // Compare the factored triangle only (the other half is not
@@ -142,7 +153,7 @@ fn potrf_equiv<T: Scalar>(tol: f64) {
 }
 
 fn geqrf_equiv<T: Scalar>(tol: f64) {
-    for &(m, n) in &[(120usize, 120usize), (150, 90), (90, 130)] {
+    for &(m, n) in &[(120usize, 120usize), (150, 96), (96, 130)] {
         let mut rng = Rng(13);
         let a0: Vec<T> = rng.vec(m * n);
         let k = m.min(n);
@@ -151,7 +162,7 @@ fn geqrf_equiv<T: Scalar>(tol: f64) {
         let ir = tune::with(blocked(), || f77::geqrf(m, n, &mut ar, m, &mut tr));
         let mut ad = a0.clone();
         let mut td = vec![T::zero(); k];
-        let id = tune::with(dag(40), || f77::geqrf(m, n, &mut ad, m, &mut td));
+        let id = tune::with(dag(TILE), || f77::geqrf(m, n, &mut ad, m, &mut td));
         assert_eq!(ir, id, "geqrf {m}x{n} {}", T::PREFIX);
         assert_close(&ar, &ad, tol, &format!("geqrf {m}x{n} {}", T::PREFIX));
         assert_close(&tr, &td, tol, &format!("geqrf tau {m}x{n} {}", T::PREFIX));
@@ -202,7 +213,7 @@ fn tile_copy_round_trip_is_bitwise() {
         let a: Vec<f64> = (0..m * n)
             .map(|k| specials[k % specials.len()] * (1.0 + k as f64))
             .collect();
-        let t = TileMat::from_col_major(m, n, &a, m, nb);
+        let t = TileMat::try_from_col_major(m, n, &a, m, nb).unwrap();
         let mut back = vec![0.0f64; m * n];
         t.copy_out(&mut back, m);
         for k in 0..m * n {
@@ -225,7 +236,7 @@ fn cancelled_token_reports_info_minus_103() {
 
     let mut a = a0.clone();
     let mut piv = vec![0i32; n];
-    let info = tune::with(dag(32), || {
+    let info = tune::with(dag(TILE), || {
         la_core::cancel::with_token(token.clone(), || f77::getrf(n, n, &mut a, n, &mut piv))
     });
     assert_eq!(info, la_core::cancel::INFO_CANCELLED);
@@ -236,14 +247,14 @@ fn cancelled_token_reports_info_minus_103() {
     }
 
     let mut a: Vec<f64> = spd(&mut rng, n);
-    let info = tune::with(dag(32), || {
+    let info = tune::with(dag(TILE), || {
         la_core::cancel::with_token(token.clone(), || f77::potrf(Uplo::Lower, n, &mut a, n))
     });
     assert_eq!(info, la_core::cancel::INFO_CANCELLED);
 
     let mut a = a0;
     let mut tau = vec![0.0f64; n];
-    let info = tune::with(dag(32), || {
+    let info = tune::with(dag(TILE), || {
         la_core::cancel::with_token(token, || f77::geqrf(n, n, &mut a, n, &mut tau))
     });
     assert_eq!(info, la_core::cancel::INFO_CANCELLED);
@@ -284,15 +295,16 @@ mod task_counts {
 #[test]
 fn probe_task_counts_match_closed_form() {
     use la_core::probe::{self, ProbePolicy};
-    let n = 128usize; // 4 × 4 grid at tile_nb = 32
-    let t = 4usize;
+    let n = 128usize; // 8 × 8 grid at tile_nb = 16
+    let t = 8usize;
     let mut rng = Rng(33);
     let a0: Vec<f64> = rng.vec(n * n);
     let spd0: Vec<f64> = spd(&mut rng, n);
 
+    let _probe = PROBE.lock().unwrap_or_else(|e| e.into_inner());
     let shape_of = |routine: &str, f: &mut dyn FnMut()| -> probe::DagShape {
         probe::reset();
-        probe::with_policy(ProbePolicy::Spans, || tune::with(dag(32), f));
+        probe::with_policy(ProbePolicy::Spans, || tune::with(dag(16), f));
         let report = probe::snapshot();
         let span = report
             .spans
@@ -332,16 +344,124 @@ fn probe_task_counts_match_closed_form() {
     );
 }
 
+/// The route rule, routine × thread budget × order: the task graph exactly
+/// when the budget is above one and the order spans the routine's tiles
+/// (four for `getrf` and `potrf`, eight for `geqrf`); otherwise
+/// the blocked loop with every BLAS-3 call serial (`par_flops: 0` would
+/// stripe them all if it were not), whose output at two threads is the
+/// one-thread output bit for bit. Above the threshold the graph keeps the
+/// blocked route's pivots.
+#[test]
+fn the_thread_budget_picks_the_route() {
+    use la_core::abft::{self, AbftPolicy};
+    use la_core::probe::{self, Layer, ProbePolicy, Span};
+
+    /// Every BLAS span below `s` ran on one thread.
+    fn serial_blas(s: &Span) -> bool {
+        s.children
+            .iter()
+            .all(|c| (c.layer != Layer::Blas || c.threads == 1) && serial_blas(c))
+    }
+
+    let _probe = PROBE.lock().unwrap_or_else(|e| e.into_inner());
+    // Every order below is above the blocked crossover (64).
+    let tile = 24;
+    let budget = |threads: usize| tune::TuneConfig {
+        tile_nb: tile,
+        max_threads: threads,
+        oversubscribe: true,
+        par_flops: 0,
+        ..tune::TuneConfig::defaults()
+    };
+    // Each run returns `info` and the output besides `A`: pivots or `tau`.
+    type Run = fn(usize, &mut [f64]) -> (i32, Vec<f64>);
+    let routines: [(&str, usize, Run); 3] = [
+        ("getrf", 4, |n, a| {
+            let mut piv = vec![0i32; n];
+            let info = f77::getrf(n, n, a, n, &mut piv);
+            (info, piv.iter().map(|&p| p as f64).collect())
+        }),
+        ("potrf", 4, |n, a| {
+            (f77::potrf(Uplo::Lower, n, a, n), Vec::new())
+        }),
+        ("geqrf", 8, |n, a| {
+            let mut tau = vec![0.0; n];
+            (f77::geqrf(n, n, a, n, &mut tau), tau)
+        }),
+    ];
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (name, tiles, run) in routines {
+        for n in [tiles * tile - 1, tiles * tile] {
+            let mut rng = Rng(40 + n as u64);
+            let general: Vec<f64> = rng.vec(n * n);
+            let posdef: Vec<f64> = spd(&mut rng, n);
+            let mut outputs = Vec::new();
+            for threads in [1, 2] {
+                let what = format!("{name} n={n} threads={threads}");
+                let mut a = if name == "potrf" { &posdef } else { &general }.clone();
+                probe::reset();
+                let (info, extra) = abft::with_policy(AbftPolicy::Off, || {
+                    probe::with_policy(ProbePolicy::Spans, || {
+                        tune::with(budget(threads), || run(n, &mut a))
+                    })
+                });
+                assert_eq!(info, 0, "{what}");
+                let report = probe::snapshot();
+                // The largest: `geqrf_dag`'s panel tasks call `geqrf` too.
+                let root = report
+                    .spans
+                    .iter()
+                    .filter(|s| s.routine == name)
+                    .max_by_key(|s| s.flops)
+                    .unwrap_or_else(|| panic!("{what}: no {name} span"));
+                let ran_dag = root.find(&format!("{name}_dag")).is_some();
+                assert_eq!(ran_dag, threads > 1 && n >= tiles * tile, "{what}: route");
+                if !ran_dag {
+                    assert!(serial_blas(root), "{what}: a BLAS call ran striped");
+                }
+                outputs.push((ran_dag, bits(&a), extra));
+            }
+            let (one, two) = (&outputs[0], &outputs[1]);
+            if !two.0 {
+                assert!(
+                    one.1 == two.1 && bits(&one.2) == bits(&two.2),
+                    "{name} n={n}: blocked at two threads is not the one-thread output"
+                );
+            } else if name == "getrf" {
+                assert_eq!(one.2, two.2, "{name} n={n}: dag pivots");
+            }
+        }
+    }
+}
+
 /// Fault attribution through the dag runtime: a panicking task surfaces
 /// `-104` on its own slot (dependents skipped), and an ABFT-detected
 /// soft fault surfaces `-102` through the driver stack with the dag
-/// routing active.
+/// routing active — and is repaired, under `Recover`, to the clean graph's
+/// bits.
 #[cfg(feature = "fault-inject")]
 mod fault_attribution {
     use super::*;
     use la_core::abft::inject::{arm, disarm, CorruptKind, Corruption};
     use la_core::abft::{self, AbftPolicy};
     use la_core::{DagBuilder, LaError, Mat};
+
+    /// Serializes the tests that arm the process-wide corruption slot: an
+    /// `arm` replaces whatever another test armed.
+    static ARMED: Mutex<()> = Mutex::new(());
+
+    /// The dag route with the ABFT flop threshold at zero, so the
+    /// factor-level checksum engages at test size, and eight-wide ABFT
+    /// blocks: block 11 of a 96-order factor exists in no other test's
+    /// call, so a factorization running beside these cannot fire it.
+    fn dag_abft() -> tune::TuneConfig {
+        tune::TuneConfig {
+            par_flops: 0,
+            nb_getrf: 8,
+            nb_potrf: 8,
+            ..dag(TILE)
+        }
+    }
 
     /// Silences the intentional test panic only; everything else still
     /// prints.
@@ -367,7 +487,7 @@ mod fault_attribution {
         quiet_test_panics();
         let n = 8usize;
         let a: Vec<f64> = (0..n * n).map(|k| k as f64).collect();
-        let tm = TileMat::from_col_major(n, n, &a, n, 4);
+        let tm = TileMat::try_from_col_major(n, n, &a, n, 4).unwrap();
         let result = tune::with(dag(4), || {
             let mut g = DagBuilder::new();
             let t00 = tm.tile_id(0, 0);
@@ -395,19 +515,13 @@ mod fault_attribution {
         }
         let b0: Vec<f64> = rng.vec(n);
 
-        // Same dag routing, with the ABFT flop threshold at zero so the
-        // factor-level checksum engages at test size.
-        let dag_abft = |nb: usize| tune::TuneConfig {
-            par_flops: 0,
-            ..dag(nb)
-        };
-
+        let _armed = ARMED.lock().unwrap_or_else(|e| e.into_inner());
         abft::clear_pending();
-        let err = tune::with(dag_abft(32), || {
+        let err = tune::with(dag_abft(), || {
             abft::with_policy(AbftPolicy::Verify, || {
                 arm(Corruption {
                     routine: "getrf",
-                    stripe: 1,
+                    stripe: 11,
                     kind: CorruptKind::Scale,
                 });
                 let mut a = a0.clone();
@@ -428,11 +542,11 @@ mod fault_attribution {
         );
 
         // Recover policy: same corruption, clean solve.
-        let solved = tune::with(dag_abft(32), || {
+        let solved = tune::with(dag_abft(), || {
             abft::with_policy(AbftPolicy::Recover, || {
                 arm(Corruption {
                     routine: "getrf",
-                    stripe: 1,
+                    stripe: 11,
                     kind: CorruptKind::Scale,
                 });
                 let mut a = a0.clone();
@@ -454,6 +568,60 @@ mod fault_attribution {
         let resid = r.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         assert!(resid < 1e-8, "recovered residual {resid:e}");
     }
+
+    /// Recovery re-runs the route the call took. Above the threshold that
+    /// is the graph, on one thread: it computes the same bits as on four,
+    /// so the repaired factors are the clean call's bit for bit — the
+    /// contract `tests/degrade.rs` pins on the blocked route.
+    #[test]
+    fn recovery_on_the_graph_route_is_bitwise_the_clean_graph() {
+        use la_core::abft::inject::is_armed;
+
+        let n = 96usize;
+        let mut rng = Rng(37);
+        let general: Vec<f64> = rng.vec(n * n);
+        let posdef: Vec<f64> = spd(&mut rng, n);
+        let _armed = ARMED.lock().unwrap_or_else(|e| e.into_inner());
+        for routine in ["getrf", "potrf"] {
+            let run = |policy: AbftPolicy, armed: bool| {
+                let mut a = if routine == "getrf" {
+                    &general
+                } else {
+                    &posdef
+                }
+                .clone();
+                let mut piv = vec![0i32; n];
+                let info = tune::with(dag_abft(), || {
+                    abft::with_policy(policy, || {
+                        if armed {
+                            arm(Corruption {
+                                routine,
+                                stripe: 11,
+                                kind: CorruptKind::Scale,
+                            });
+                        }
+                        match routine {
+                            "getrf" => f77::getrf(n, n, &mut a, n, &mut piv),
+                            _ => f77::potrf(Uplo::Lower, n, &mut a, n),
+                        }
+                    })
+                });
+                assert_eq!(info, 0, "{routine} {policy:?}");
+                (a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), piv)
+            };
+            let clean = run(AbftPolicy::Off, false);
+            abft::clear_pending();
+            let recoveries = abft::recoveries();
+            let recovered = run(AbftPolicy::Recover, true);
+            assert!(!is_armed(), "{routine}: the corruption did not fire");
+            assert!(abft::recoveries() > recoveries, "{routine}: not recovered");
+            assert!(abft::take_pending().is_none(), "{routine}: pending fault");
+            assert!(
+                clean == recovered,
+                "{routine}: recovery is not the clean graph's output"
+            );
+        }
+    }
 }
 
 /// Oversubscribed scheduler stress: many repeated runs at a high worker
@@ -469,7 +637,6 @@ fn oversubscribed_stress_repeated_seeds() {
         .unwrap_or(8);
     let n = 128usize;
     let stress = tune::TuneConfig {
-        factor: tune::FactorAlgo::Dag,
         tile_nb: 16,
         max_threads: 16,
         oversubscribe: true,

@@ -8,6 +8,10 @@
 //!   out of the thread's arena at every size, and the drivers stay within
 //!   the counts `la_bench` reports (`la90.allocs_per_gesv` /
 //!   `allocs_per_posv`).
+//! * The same allocator refuses, on request, every allocation from a given
+//!   size on: the tile task graph's copy of the matrix is then declined,
+//!   and `getrf`/`potrf`/`geqrf` fall back to the blocked loop (or report
+//!   `INFO_NO_WORKSPACE`) instead of aborting the process.
 //! * Around the crossover (n = 47 … 129, four types) the default route is
 //!   bitwise the unblocked form up to n = 64 and bitwise the forced-blocked
 //!   form above it; both forms agree to the `par_equiv` tolerances, report
@@ -22,25 +26,43 @@ use la_core::{tune, Diag, Mat, RealScalar, Scalar, Side, Trans, Uplo, C32, C64};
 use la_lapack as f77;
 
 thread_local! {
-    // Const-initialised and without a destructor, so reading it from
+    // Const-initialised and without a destructor, so reading them from
     // inside the allocator neither allocates nor registers anything.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Requests of this many bytes or more fail on this thread.
+    static REFUSE_FROM: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+/// A refused request: the null pointer an exhausted allocator returns.
+fn refused(size: usize) -> bool {
+    size >= REFUSE_FROM.with(Cell::get)
 }
 
 struct Counting;
 
-// SAFETY: every method forwards to `System` unchanged; the only addition
-// is a thread-local counter bump that cannot allocate (see `ALLOCS`).
+// SAFETY: every method forwards to `System` unchanged or returns null (a
+// refusal the `GlobalAlloc` contract allows); the only additions are
+// thread-local reads and a counter bump that cannot allocate (see
+// `ALLOCS`).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
+        if refused(l.size()) {
+            return std::ptr::null_mut();
+        }
         ALLOCS.with(|c| c.set(c.get() + 1));
         System.alloc(l)
     }
     unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
+        if refused(l.size()) {
+            return std::ptr::null_mut();
+        }
         ALLOCS.with(|c| c.set(c.get() + 1));
         System.alloc_zeroed(l)
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, new_size: usize) -> *mut u8 {
+        if refused(new_size) {
+            return std::ptr::null_mut();
+        }
         ALLOCS.with(|c| c.set(c.get() + 1));
         System.realloc(p, l, new_size)
     }
@@ -324,6 +346,91 @@ fn gesv_with_many_right_hand_sides_allocates_only_its_own_workspace() {
             })
         });
         assert!(gesv <= 2, "gesv allocated {gesv} times");
+    }
+}
+
+/// Runs `f` with every allocation of `bytes` or more refused on this
+/// thread.
+fn refusing<R>(bytes: usize, f: impl FnOnce() -> R) -> R {
+    REFUSE_FROM.with(|r| r.set(bytes));
+    let out = f();
+    REFUSE_FROM.with(|r| r.set(usize::MAX));
+    out
+}
+
+/// The task graph copies `A` into tiles and keeps a panel store per block
+/// column, ≈ 1.5·n² elements the blocked loop does without, and asks for
+/// them fallibly. With a tile refused, `getrf`, `potrf` and `geqrf` at two
+/// threads run the serial blocked loop instead — the one-thread call's
+/// bits. With the loop's own workspace refused as well, `getrf` and
+/// `potrf` report `INFO_NO_WORKSPACE` and leave `A` untouched. Nothing
+/// aborts.
+#[test]
+fn a_refused_tile_copy_falls_back_to_the_blocked_loop() {
+    use la_core::abft::{with_policy, AbftPolicy};
+    let tile = 48usize;
+    // Four-wide panels: every workspace of the blocked loops stays under
+    // one tile's 18 KiB (the largest, `geqrf`'s block-reflector product at
+    // n = 384, is 12 KiB).
+    let budget = |threads: usize| tune::TuneConfig {
+        max_threads: threads,
+        oversubscribe: true,
+        tile_nb: tile,
+        nb_getrf: 4,
+        nb_potrf: 4,
+        nb_geqrf: 4,
+        ..tune::TuneConfig::defaults()
+    };
+    let one_tile = tile * tile * std::mem::size_of::<f64>();
+    // Each run returns `info` and the output besides `A`: pivots or `tau`.
+    type Run = fn(usize, &mut [f64]) -> (i32, Vec<f64>);
+    let routines: [(&str, usize, Run); 3] = [
+        ("getrf", 4, |n, a| {
+            let mut piv = vec![0i32; n];
+            let info = f77::getrf(n, n, a, n, &mut piv);
+            (info, piv.iter().map(|&p| p as f64).collect())
+        }),
+        ("potrf", 4, |n, a| {
+            (f77::potrf(Uplo::Lower, n, a, n), Vec::new())
+        }),
+        ("geqrf", 8, |n, a| {
+            let mut tau = vec![0.0; n];
+            (f77::geqrf(n, n, a, n, &mut tau), tau)
+        }),
+    ];
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (name, tiles, run) in routines {
+        // The graph's threshold for this routine.
+        let n = tiles * tile;
+        let a0: Vec<f64> = match name {
+            "potrf" => posdef(n, 31),
+            _ => general(n, 31),
+        };
+        let at = |threads: usize, a: &mut Vec<f64>| {
+            with_policy(AbftPolicy::Off, || {
+                tune::with(budget(threads), || run(n, a))
+            })
+        };
+        // The one-thread call, which also warms this thread's packing
+        // arenas for the blocked loop's shapes.
+        let mut serial = a0.clone();
+        let (info, serial_extra) = at(1, &mut serial);
+        assert_eq!(info, 0, "{name}: one thread");
+
+        let mut a = a0.clone();
+        let (info, extra) = refusing(one_tile, || at(2, &mut a));
+        assert_eq!(info, 0, "{name}: two threads, tiles refused");
+        assert!(
+            bits(&a) == bits(&serial) && bits(&extra) == bits(&serial_extra),
+            "{name}: the fallback is not the one-thread blocked loop"
+        );
+
+        if name != "geqrf" {
+            let mut a = a0.clone();
+            let (info, _) = refusing(4096, || at(2, &mut a));
+            assert_eq!(info, f77::INFO_NO_WORKSPACE, "{name}: everything refused");
+            assert!(bits(&a) == bits(&a0), "{name}: a refused call changed A");
+        }
     }
 }
 
