@@ -18,40 +18,320 @@
 //! * the `dgetf2` panel at the shapes a blocked `getrf` factors — 96 × 32,
 //!   64 × 32, 32 × 32 (n = 96), 736 × 32 (n = 768) — and 64 × 64 (the
 //!   largest unblocked order), each with its ratio to the right-looking
-//!   rank-1 loop it replaced (kept here as the reference; these rows do
-//!   not depend on the gemm kernel),
+//!   rank-1 loop it replaced (kept here as the reference, the two taking
+//!   turns for 0.4 s; these rows do not depend on the gemm kernel),
 //!
 //! and prints wall-clock and GF/s. Generates the kernel tables in
-//! `EXPERIMENTS.md`. Three "call floor" rows close the table — what the
-//! thread-budget resolution, a 4×4×4 `dgemm` and a one-column `dtrsm`
-//! (next to the `dtrsv` it runs) cost in ns, under the default thread
-//! budget: the price of a call before it computes.
+//! `EXPERIMENTS.md`. Best of at least 3 repetitions and 0.2 s per point.
+//! The `simd` row only appears when the binary is built with `--features
+//! simd` (otherwise the Simd selection would silently fall back to the
+//! unrolled kernel and mislabel the row).
 //!
-//! Usage: `kernel_bench [--min-trsm-over-gemm R] [--min-panel-over-rank1 R]
-//! [n ...]` — the square
-//! sizes default to `256 512 1024`; pass explicit sizes (e.g.
-//! `kernel_bench 256 512 1024 2048`) for the full table. With
-//! `--min-trsm-over-gemm R` the run exits 1 when the `simd` kernel's
-//! `dtrsm` 256 × 1024 (L/N/unit) runs below `R` times its `dgemm`
-//! 256 × 1024 × 256, and with `--min-panel-over-rank1 R` when `dgetf2`
-//! 96 × 32 is less than `R` times as fast as the rank-1 loop — same-run
-//! ratios, so they gate on any host. Best of
-//! at least 3 repetitions and 0.2 s per point. The `simd` row only
-//! appears when the binary is built with `--features simd` (otherwise
-//! the Simd selection would silently fall back to the unrolled kernel
-//! and mislabel the row).
+//! Then, under the default kernel and one thread, with the calls of each
+//! group taking turns for at least [`MIN_SECS`] (best time each):
+//!
+//! * `dtrsm` 256 × 1024 (L/N/unit) against `dgemm` 256 × 1024 × 256;
+//! * `dgemm` n = 256 against [`gemm_axpy`], a column-`axpy` loop with no
+//!   packing or blocking kept here as the reference;
+//! * `dgemm`, `dgetrf` and `dpotrf` at n = 1024, each with ABFT off and
+//!   verifying: each factorization's GF/s over gemm's (ROADMAP item 1's
+//!   bar) and each verify/off time ratio;
+//! * `dgesv` / `dgesv_mixed` and `dposv` / `dposv_mixed` at n = 1024, one
+//!   right-hand side;
+//! * `dgetrf` and `dpotrf` at n = 512 for NB 16 … 128, each time over the
+//!   default NB's (ungated).
+//!
+//! Three "call floor" rows close the table — what the thread-budget
+//! resolution, a 4×4×4 `dgemm` and a one-column `dtrsm` (next to the
+//! `dtrsv` it runs) cost in ns, under the default thread budget: the price
+//! of a call before it computes.
+//!
+//! Usage: `kernel_bench [GATE R ...] [n ...]` — the square sizes default
+//! to `256 512 1024`; pass explicit sizes (e.g. `kernel_bench 256 512 1024
+//! 2048`) for the full table. Each gate reads a ratio of this run, so it
+//! gates on any host, and the run exits 1 when one fails:
+//!
+//! * `--min-trsm-over-gemm R`: `dtrsm` 256 × 1024 (L/N/unit) over `dgemm`
+//!   256 × 1024 × 256, taking turns (needs `simd`);
+//! * `--min-panel-over-rank1 R`: `dgetf2` 96 × 32 over the rank-1 loop;
+//! * `--min-packed-over-reference R`: `dgemm` n = 256 over [`gemm_axpy`];
+//! * `--min-factor-over-gemm R`: the smaller of `dgetrf`'s and `dpotrf`'s
+//!   rate over `dgemm`'s at n = 1024;
+//! * `--max-abft-overhead R`: the largest verify/off ratio at n = 1024;
+//! * `--min-mixed-speedup R`: `dgesv` time over `dgesv_mixed` time at
+//!   n = 1024.
 //!
 //! Blocking parameters come from [`la_core::tune`], so `LA_GEMM_MC`,
 //! `LA_GEMM_KC`, and `LA_GEMM_NC` override the cache blocking for
 //! parameter sweeps.
 
-use la_core::tune::{self, GemmKernel};
+use la_bench::{bench_matrix, bench_spd, gate, Args};
+use la_core::abft::{self, AbftPolicy};
+use la_core::probe::flops;
+use la_core::tune::{self, GemmKernel, TuneConfig};
 use la_core::{Diag, Side, Trans, Uplo};
+use la_lapack as f77;
 use std::time::Instant;
 
 /// Order of the update rows: n = 768 minus one nb = 32 panel.
 const UPDATE_N: usize = 736;
 const UPDATE_K: [usize; 4] = [32, 48, 96, 256];
+
+/// Order of the factorization, ABFT and mixed-precision rows.
+const FACTOR_N: usize = 1024;
+
+/// Order of the reference row: the column-`axpy` loop's `A` (512 KiB)
+/// stays in L2, where its speed repeats (±1.5 % across processes, against
+/// ±10 % at n = 512, where it streams `A` from L3 for every column).
+const REFERENCE_N: usize = 256;
+
+/// Order of the NB table.
+const NB_N: usize = 512;
+
+/// Least wall time the calls of one group take turns for: long enough for
+/// a slow stretch of a shared host to pass.
+const MIN_SECS: f64 = 4.0;
+
+/// One timed call of a group: returns the seconds of what it times.
+type Call<'a> = Box<dyn FnMut() -> f64 + 'a>;
+
+fn serial() -> TuneConfig {
+    TuneConfig {
+        max_threads: 1,
+        ..TuneConfig::defaults()
+    }
+}
+
+fn timed(f: impl FnOnce()) -> f64 {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed().as_secs_f64()
+}
+
+/// Best seconds of each call, on one thread, the calls taking turns for at
+/// least [`MIN_SECS`] and three rounds.
+fn interleaved(mut calls: Vec<Call>) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; calls.len()];
+    let (start, mut rounds) = (Instant::now(), 0);
+    tune::with(serial(), || {
+        while rounds < 3 || start.elapsed().as_secs_f64() < MIN_SECS {
+            for (b, call) in best.iter_mut().zip(&mut calls) {
+                *b = b.min(call());
+            }
+            rounds += 1;
+        }
+    });
+    best
+}
+
+/// `dgemm` `C = A·B` (`m × k` times `k × n`) under `policy`.
+fn gemm_call<'a>(
+    (m, n, k): (usize, usize, usize),
+    a: &'a [f64],
+    b: &'a [f64],
+    policy: AbftPolicy,
+) -> Call<'a> {
+    let mut c = vec![0.0; m * n];
+    Box::new(move || {
+        abft::with_policy(policy, || {
+            timed(|| {
+                la_blas::gemm(
+                    Trans::No,
+                    Trans::No,
+                    m,
+                    n,
+                    k,
+                    1.0,
+                    a,
+                    m,
+                    b,
+                    k,
+                    0.0,
+                    &mut c,
+                    m,
+                );
+                std::hint::black_box(&c);
+            })
+        })
+    })
+}
+
+/// `f` under `policy` on a fresh copy of `a0`, which `f` must factor with
+/// `info = 0`; only `f` is timed.
+fn factor_call<'a>(
+    a0: &'a [f64],
+    policy: AbftPolicy,
+    f: impl Fn(&mut [f64]) -> i32 + 'a,
+) -> Call<'a> {
+    let mut a = a0.to_vec();
+    Box::new(move || {
+        a.copy_from_slice(a0);
+        abft::with_policy(policy, || timed(|| assert_eq!(f(&mut a), 0)))
+    })
+}
+
+/// `C = A·B` (order `n`) one column at a time as `axpy`s over the columns
+/// of `A`, with no packing or blocking: the reference the packed path is
+/// rated against.
+fn gemm_axpy(n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+    for (cj, bj) in c.chunks_exact_mut(n).zip(b.chunks_exact(n)) {
+        cj.fill(0.0);
+        for (al, &blj) in a.chunks_exact(n).zip(bj) {
+            for (x, &y) in cj.iter_mut().zip(al) {
+                *x += blj * y;
+            }
+        }
+    }
+}
+
+/// `dgemm` n = [`REFERENCE_N`] against [`gemm_axpy`]; returns the packed
+/// path's speed-up.
+fn reference_row() -> f64 {
+    let n = REFERENCE_N;
+    let (a, b) = (bench_matrix::<f64>(n, 3), bench_matrix::<f64>(n, 5));
+    let (a, b) = (a.as_slice(), b.as_slice());
+    let mut c = vec![0.0; n * n];
+    let reference: Call = Box::new(|| {
+        timed(|| {
+            gemm_axpy(n, a, b, &mut c);
+            std::hint::black_box(&c);
+        })
+    });
+    let t = interleaved(vec![gemm_call((n, n, n), a, b, AbftPolicy::Off), reference]);
+    let rate = |secs: f64| flops::gemm(n, n, n) as f64 / secs / 1e9;
+    println!(
+        "gemm  n={n} packed {:8.3} ms {:6.2} GF/s  column-axpy {:8.3} ms {:6.2} GF/s  {:4.2} x",
+        t[0] * 1e3,
+        rate(t[0]),
+        t[1] * 1e3,
+        rate(t[1]),
+        t[1] / t[0]
+    );
+    t[1] / t[0]
+}
+
+/// `dgemm`, `dgetrf` and `dpotrf` at n = [`FACTOR_N`], each with ABFT off
+/// and verifying. Returns the smaller factorization-over-gemm rate ratio
+/// and the largest verify/off time ratio.
+fn factor_rows() -> (f64, f64) {
+    const N: usize = FACTOR_N;
+    let (gen, spd) = (bench_matrix::<f64>(N, 17), bench_spd::<f64>(N, 19));
+    let (gen, spd) = (gen.as_slice(), spd.as_slice());
+    let mut calls = Vec::new();
+    for policy in [AbftPolicy::Off, AbftPolicy::Verify] {
+        calls.push(gemm_call((N, N, N), gen, spd, policy));
+        calls.push(factor_call(gen, policy, |a| {
+            f77::getrf(N, N, a, N, &mut [0; N])
+        }));
+        calls.push(factor_call(spd, policy, |a| {
+            f77::potrf(Uplo::Lower, N, a, N)
+        }));
+    }
+    let checks = abft::checks();
+    let t = interleaved(calls);
+    assert!(abft::checks() > checks, "no ABFT check ran under Verify");
+    let rates = [flops::gemm(N, N, N), flops::getrf(N, N), flops::potrf(N)].map(|f| f as f64);
+    let (mut over_gemm, mut overhead) = (f64::INFINITY, 0.0f64);
+    for (i, op) in ["gemm", "getrf", "potrf"].into_iter().enumerate() {
+        let rate = rates[i] / t[i] / 1e9;
+        let of_gemm = rate / (rates[0] / t[0] / 1e9);
+        println!(
+            "{op:<5} n={N} {:8.2} ms {rate:6.2} GF/s  {of_gemm:4.2} of gemm  abft verify {:8.2} ms  {:4.2} x off",
+            t[i] * 1e3,
+            t[i + 3] * 1e3,
+            t[i + 3] / t[i],
+        );
+        if i > 0 {
+            over_gemm = over_gemm.min(of_gemm);
+        }
+        overhead = overhead.max(t[i + 3] / t[i]);
+    }
+    (over_gemm, overhead)
+}
+
+/// `dgesv` / `dgesv_mixed` and `dposv` / `dposv_mixed` at n =
+/// [`FACTOR_N`], one right-hand side. Returns `gesv`'s mixed speed-up.
+fn mixed_rows() -> f64 {
+    const N: usize = FACTOR_N;
+    let (gen, spd) = (bench_matrix::<f64>(N, 17), bench_spd::<f64>(N, 19));
+    let (gen, spd) = (gen.as_slice(), spd.as_slice());
+    let b: Vec<f64> = (0..N).map(|i| 1.0 + (i % 7) as f64).collect();
+    let b = b.as_slice();
+    // The matrices are well conditioned: a fallback would time the wrong
+    // algorithm.
+    let converged = |info: i32, iter: i32| {
+        assert!(iter >= 0, "the mixed driver fell back");
+        info
+    };
+    let t = interleaved(vec![
+        factor_call(gen, AbftPolicy::Off, |a| {
+            f77::gesv(N, 1, a, N, &mut [0; N], &mut b.to_vec(), N)
+        }),
+        factor_call(gen, AbftPolicy::Off, |a| {
+            let (mut x, mut iter) = ([0.0; N], 0);
+            let info = f77::gesv_mixed(N, 1, a, N, &mut [0; N], b, N, &mut x, N, &mut iter);
+            converged(info, iter)
+        }),
+        factor_call(spd, AbftPolicy::Off, |a| {
+            f77::posv(Uplo::Lower, N, 1, a, N, &mut b.to_vec(), N)
+        }),
+        factor_call(spd, AbftPolicy::Off, |a| {
+            let (mut x, mut iter) = ([0.0; N], 0);
+            let info = f77::posv_mixed(Uplo::Lower, N, 1, a, N, b, N, &mut x, N, &mut iter);
+            converged(info, iter)
+        }),
+    ]);
+    for (i, op) in ["gesv", "posv"].into_iter().enumerate() {
+        let (full, mixed) = (t[2 * i], t[2 * i + 1]);
+        println!(
+            "{op:<5} n={N} {:8.2} ms  {op}_mixed {:8.2} ms  {:4.2} x",
+            full * 1e3,
+            mixed * 1e3,
+            full / mixed
+        );
+    }
+    t[0] / t[1]
+}
+
+/// `dgetrf` and `dpotrf` at n = [`NB_N`] over a range of NB, each time
+/// over the default NB's. Ungated: input for choosing NB by rule.
+fn nb_rows() {
+    const N: usize = NB_N;
+    const NBS: [usize; 6] = [16, 32, 48, 64, 96, 128];
+    let (gen, spd) = (bench_matrix::<f64>(N, 11), bench_spd::<f64>(N, 13));
+    let (gen, spd) = (gen.as_slice(), spd.as_slice());
+    let mut calls = Vec::new();
+    for nb in NBS {
+        let cfg = TuneConfig {
+            nb_getrf: nb,
+            nb_potrf: nb,
+            ..serial()
+        };
+        let getrf = move |a: &mut [f64]| tune::with(cfg, || f77::getrf(N, N, a, N, &mut [0; N]));
+        let potrf = move |a: &mut [f64]| tune::with(cfg, || f77::potrf(Uplo::Lower, N, a, N));
+        calls.push(factor_call(gen, AbftPolicy::Off, getrf));
+        calls.push(factor_call(spd, AbftPolicy::Off, potrf));
+    }
+    let t = interleaved(calls);
+    let d = TuneConfig::defaults();
+    for (k, (op, default)) in [("getrf", d.nb_getrf), ("potrf", d.nb_potrf)]
+        .into_iter()
+        .enumerate()
+    {
+        let at = |i: usize| t[2 * i + k];
+        let base = at(NBS
+            .iter()
+            .position(|&nb| nb == default)
+            .expect("default NB in the table"));
+        let cells: String = (0..NBS.len())
+            .map(|i| format!("  {}: {:.3}", NBS[i], at(i) / base))
+            .collect();
+        println!(
+            "{op:<5} n={N} NB {default} {:7.3} ms; time over it at NB{cells}",
+            base * 1e3
+        );
+    }
+}
 
 /// Best wall-clock seconds of `f` over at least 3 calls and 0.2 s.
 fn best_of(mut f: impl FnMut()) -> f64 {
@@ -140,10 +420,9 @@ fn rows(
 ) -> Vec<f64> {
     let mut rates = Vec::new();
     for (idx, &kern) in kernels.iter().enumerate() {
-        let cfg = tune::TuneConfig {
+        let cfg = TuneConfig {
             gemm_kernel: kern,
-            max_threads: 1,
-            ..tune::TuneConfig::defaults()
+            ..serial()
         };
         let secs = tune::with(cfg, || best_of(&mut call));
         let rate = flops / secs / 1e9;
@@ -170,17 +449,30 @@ fn rows(
 const SOLVE_M: usize = 256;
 const SOLVE_N: usize = 1024;
 
-/// The `trsm` rows. Returns the 256 × 1024 L/N/unit ratio to `dgemm`
-/// 256 × 1024 × 256 per kernel.
-fn trsm_rows(kernels: &[GemmKernel], fill: impl Fn(usize, usize, usize) -> Vec<f64>) -> Vec<f64> {
-    let (m, n) = (SOLVE_M, SOLVE_N);
-    // A unit diagonal and off-diagonals of order 1e-10: the right-hand
-    // side is solved over and over without a reset and must stay put.
+/// `len` entries repeating with period `modulus`, of order 1.
+fn fill(len: usize, mul: usize, modulus: usize) -> Vec<f64> {
+    (0..len)
+        .map(|i| ((i * mul % modulus) as f64 - (modulus / 2) as f64) / 7.0)
+        .collect()
+}
+
+/// The triangle and right-hand side of the `trsm` rows. A unit diagonal
+/// and off-diagonals of order 1e-10: the right-hand side is solved over
+/// and over without a reset and must stay put.
+fn solve_operands() -> (Vec<f64>, Vec<f64>) {
+    let m = SOLVE_M;
     let mut tri: Vec<f64> = fill(m * m, 7, 13).iter().map(|x| x * 1e-10).collect();
     for i in 0..m {
         tri[i + i * m] = 1.0;
     }
-    let b0 = fill(m * n, 5, 11);
+    (tri, fill(m * SOLVE_N, 5, 11))
+}
+
+/// The `trsm` rows, each with its ratio to `dgemm` 256 × 1024 × 256 under
+/// the same kernel.
+fn trsm_rows(kernels: &[GemmKernel]) {
+    let (m, n) = (SOLVE_M, SOLVE_N);
+    let (tri, b0) = solve_operands();
     let mut b = b0.clone();
     let gemm = rows(
         kernels,
@@ -222,8 +514,7 @@ fn trsm_rows(kernels: &[GemmKernel], fill: impl Fn(usize, usize, usize) -> Vec<f
         (96, 8, l, no, Diag::Unit),
         (96, 16, l, no, Diag::Unit),
     ];
-    let mut gated = Vec::new();
-    for (idx, (tm, tn, uplo, trans, diag)) in shapes.into_iter().enumerate() {
+    for (tm, tn, uplo, trans, diag) in shapes {
         // L/N/U: the initials of `Lower`, `No`, `Unit`.
         let initial = |name: String| name.chars().next().unwrap_or('?');
         let shape = format!(
@@ -233,7 +524,7 @@ fn trsm_rows(kernels: &[GemmKernel], fill: impl Fn(usize, usize, usize) -> Vec<f
             initial(format!("{diag:?}")),
         );
         let flops = (tm * tm * tn) as f64;
-        let rates = rows(kernels, "trsm", &shape, flops, Some(&gemm), || {
+        rows(kernels, "trsm", &shape, flops, Some(&gemm), || {
             la_blas::trsm(
                 Side::Left,
                 uplo,
@@ -249,11 +540,30 @@ fn trsm_rows(kernels: &[GemmKernel], fill: impl Fn(usize, usize, usize) -> Vec<f
             );
             std::hint::black_box(&b);
         });
-        if idx == 0 {
-            gated = rates.iter().zip(&gemm).map(|(t, g)| t / g).collect();
-        }
     }
-    gated
+}
+
+/// `dtrsm` 256 × 1024 (L/N/unit) against `dgemm` 256 × 1024 × 256 under
+/// the default kernel, taking turns; returns trsm's rate over gemm's. (The
+/// table rows time each shape in its own 0.2 s window; their ratio read
+/// 0.63–1.03 over 18 processes.)
+fn trsm_gate_row() -> f64 {
+    let (m, n) = (SOLVE_M, SOLVE_N);
+    let (tri, b0) = solve_operands();
+    let mut x = b0.clone();
+    let trsm: Call = Box::new(|| {
+        timed(|| {
+            let (l, no, unit) = (Uplo::Lower, Trans::No, Diag::Unit);
+            la_blas::trsm(Side::Left, l, no, unit, m, n, 1.0, &tri, m, &mut x, m);
+            std::hint::black_box(&x);
+        })
+    });
+    let gemm = gemm_call((m, n, m), &tri, &b0, AbftPolicy::Off);
+    let t = interleaved(vec![gemm, trsm]);
+    // A trsm does half a gemm's flops.
+    let ratio = t[0] / (2.0 * t[1]);
+    println!("trsm  {m}x{n} L/N/U over gemm {m}x{n}x{m}, taking turns: {ratio:.2}");
+    ratio
 }
 
 /// The right-looking rank-1 `getf2` (one pass over the trailing panel per
@@ -307,19 +617,20 @@ fn panel_rows() -> f64 {
         let mut ipiv = vec![0i32; n];
         // Each call factors a fresh copy; only the factorization is timed.
         let mut time = |f: Panel| {
-            let mut best = f64::INFINITY;
-            let start = Instant::now();
-            while start.elapsed().as_secs_f64() < 0.2 {
-                a.copy_from_slice(&a0);
-                let t0 = Instant::now();
+            a.copy_from_slice(&a0);
+            let secs = timed(|| {
                 f(m, n, &mut a, m, &mut ipiv);
-                best = best.min(t0.elapsed().as_secs_f64());
-                std::hint::black_box(&a);
-            }
-            best
+            });
+            std::hint::black_box(&a);
+            secs
         };
-        let rank1 = time(getf2_rank1);
-        let panel = time(la_lapack::getf2::<f64>);
+        // The two loops take turns, so a slow stretch lands on both.
+        let (mut rank1, mut panel) = (f64::INFINITY, f64::INFINITY);
+        let start = Instant::now();
+        while start.elapsed().as_secs_f64() < 0.4 {
+            rank1 = rank1.min(time(getf2_rank1));
+            panel = panel.min(time(la_lapack::getf2::<f64>));
+        }
         let rate = la_core::probe::flops::getrf(m, n) as f64 / panel / 1e9;
         let shape = format!("{m}x{n}");
         println!(
@@ -336,20 +647,18 @@ fn panel_rows() -> f64 {
 }
 
 fn main() {
-    let mut min_ratio: Option<f64> = None;
-    let mut min_panel: Option<f64> = None;
-    let mut sizes: Vec<usize> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--min-trsm-over-gemm" {
-            let v = args.next().and_then(|v| v.parse().ok());
-            min_ratio = Some(v.expect("--min-trsm-over-gemm needs a ratio"));
-        } else if arg == "--min-panel-over-rank1" {
-            let v = args.next().and_then(|v| v.parse().ok());
-            min_panel = Some(v.expect("--min-panel-over-rank1 needs a ratio"));
-        } else {
-            sizes.push(arg.parse().unwrap_or_else(|_| panic!("bad size {arg:?}")));
-        }
+    let mut args = Args::from_env();
+    let min_trsm = args.limit("--min-trsm-over-gemm");
+    let min_panel = args.limit("--min-panel-over-rank1");
+    let min_packed = args.limit("--min-packed-over-reference");
+    let min_factor = args.limit("--min-factor-over-gemm");
+    let max_abft = args.limit("--max-abft-overhead");
+    let min_mixed = args.limit("--min-mixed-speedup");
+    let mut sizes: Vec<usize> = args.positional();
+    args.finish();
+    if min_trsm.is_some() && !cfg!(feature = "simd") {
+        eprintln!("error: --min-trsm-over-gemm rates the simd kernel: build with --features simd");
+        std::process::exit(2);
     }
     if sizes.is_empty() {
         sizes = vec![256, 512, 1024];
@@ -359,11 +668,6 @@ fn main() {
         kernels.push(GemmKernel::Simd);
     }
     kernels.push(GemmKernel::Auto);
-    let fill = |len: usize, mul: usize, modulus: usize| -> Vec<f64> {
-        (0..len)
-            .map(|i| ((i * mul % modulus) as f64 - (modulus / 2) as f64) / 7.0)
-            .collect()
-    };
     println!("== kernel_bench: f64, serial, best-of per LA_GEMM_KERNEL ==");
     for &n in &sizes {
         let a = fill(n * n, 7, 13);
@@ -421,26 +725,28 @@ fn main() {
             std::hint::black_box(&c);
         });
     }
-    let ratios = trsm_rows(&kernels, fill);
-    let panel_ratio = panel_rows();
+    trsm_rows(&kernels);
+    let panel = panel_rows();
+    println!("== one thread, default kernel, calls taking turns for {MIN_SECS} s per group ==");
+    let trsm = trsm_gate_row();
+    let packed = reference_row();
+    let (factor, abft_overhead) = factor_rows();
+    let mixed = mixed_rows();
+    nb_rows();
     call_floor();
-    if let Some(min) = min_ratio {
-        let at = kernels.iter().position(|&k| k == GemmKernel::Simd);
-        let at = at.expect("--min-trsm-over-gemm reads the simd row: build with --features simd");
-        let ratio = ratios[at];
-        println!("gate  trsm {SOLVE_M}x{SOLVE_N} over gemm (simd): {ratio:.2}, floor {min:.2}");
-        if ratio < min {
-            eprintln!("kernel_bench: trsm runs at {ratio:.2} of gemm, below {min:.2}");
-            std::process::exit(1);
-        }
-    }
-    if let Some(min) = min_panel {
-        println!("gate  getf2 96x32 over the rank-1 loop: {panel_ratio:.2}, floor {min:.2}");
-        if panel_ratio < min {
-            eprintln!(
-                "kernel_bench: getf2 runs at {panel_ratio:.2} x the rank-1 loop, below {min:.2}"
-            );
-            std::process::exit(1);
-        }
+    let gates = [
+        gate("trsm 256x1024 over gemm", trsm, min_trsm),
+        gate("getf2 96x32 over the rank-1 loop", panel, min_panel),
+        gate("gemm n=256 over the column-axpy loop", packed, min_packed),
+        gate(
+            "min(getrf, potrf) rate over gemm, n=1024",
+            factor,
+            min_factor,
+        ),
+        gate("max ABFT verify over off, n=1024", abft_overhead, max_abft),
+        gate("gesv over gesv_mixed, n=1024", mixed, min_mixed),
+    ];
+    if gates.contains(&false) {
+        std::process::exit(1);
     }
 }

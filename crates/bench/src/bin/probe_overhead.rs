@@ -6,12 +6,19 @@
 //! every repetition, so a slow stretch of the host hits all three, and the
 //! minimum per policy is reported. Results feed the EXPERIMENTS.md entry
 //! that the `LA_PROFILE=off` cost is below timing noise.
+//!
+//! Usage: `probe_overhead [--max-counters-overhead R] [n ...]`. The gate
+//! exits 1 when `Counters` over `Off` at n = 96 (measured whatever the
+//! orders given) is above `R`: a same-run ratio, so host speed cancels.
 
 use std::time::Instant;
 
-use la_bench::bench_matrix;
+use la_bench::{bench_matrix, gate, Args};
 use la_core::probe::{self, ProbePolicy};
 use la_core::Mat;
+
+/// The order the gate reads: the serve-sized solve.
+const GATED_N: usize = 96;
 
 const POLICIES: [(&str, ProbePolicy); 3] = [
     ("off", ProbePolicy::Off),
@@ -20,13 +27,17 @@ const POLICIES: [(&str, ProbePolicy); 3] = [
 ];
 
 fn main() {
-    let mut sizes: Vec<usize> = std::env::args()
-        .skip(1)
-        .map(|a| a.parse().unwrap_or_else(|_| panic!("bad order {a:?}")))
-        .collect();
+    let mut args = Args::from_env();
+    let max_counters = args.limit("--max-counters-overhead");
+    let mut sizes: Vec<usize> = args.positional();
+    args.finish();
     if sizes.is_empty() {
         sizes = vec![96, 256, 512];
     }
+    if max_counters.is_some() && !sizes.contains(&GATED_N) {
+        sizes.insert(0, GATED_N);
+    }
+    let mut counters = f64::NAN;
     for n in sizes {
         // About a second of solves per policy, and never fewer than 60.
         let reps = (1_500_000_000 / (n * n * n)).clamp(60, 5000);
@@ -62,6 +73,9 @@ fn main() {
                 println!("{name:<10} {ms:9.4} ms/solve  ({pct:+.1}% vs off)");
             }
         }
+        if n == GATED_N {
+            counters = best[1] / best[0];
+        }
     }
     // One traced solve, to show what the spans policy records.
     let n = 256usize;
@@ -74,4 +88,8 @@ fn main() {
         "\nspans-policy report of one n={n} solve:\n{}",
         probe::snapshot().to_table()
     );
+    let what = format!("counters over off at n = {GATED_N}");
+    if !gate(&what, counters, max_counters) {
+        std::process::exit(1);
+    }
 }

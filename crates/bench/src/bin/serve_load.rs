@@ -1,8 +1,9 @@
-//! Load generator for the `la-serve` solve service: emits
-//! `BENCH_serve.json` with p50/p99 latency and goodput versus client
-//! concurrency, clean mode and (with `--chaos`, `fault-inject` builds
-//! only) a chaos soak that injects silent corruption, worker panics,
-//! NaN-poisoned inputs and expired deadlines into live traffic.
+//! Load generator for the `la-serve` solve service: p50/p99 latency and
+//! goodput versus client concurrency, clean mode and (with `--chaos`,
+//! `fault-inject` builds only) a chaos soak that injects silent
+//! corruption, worker panics, NaN-poisoned inputs and expired deadlines
+//! into live traffic. Every run writes what it measured to
+//! `target/serve_load.json` (relative to the working directory).
 //!
 //! The chaos soak enforces the serving invariants and exits non-zero on
 //! violation: **zero wrong answers served** (every served answer is
@@ -14,12 +15,13 @@
 //! arrival schedule, paced at 2× measured capacity (wedged workers and
 //! bursts injected on top with `--chaos`), runs against the fixed-depth
 //! queue bound and against the adaptive admission controller, and both
-//! rows land in an `"overload"` JSON section for `bench_gate` to hold
-//! the line on (`--max-overload-p99-ms`, `--min-overload-goodput`).
-//! The same invariants apply, plus: every *admitted* job must resolve.
+//! rows land in an `"overload"` JSON section. The same invariants apply,
+//! plus: every *admitted* job must resolve. `--max-overload-p99-ratio R`
+//! (which implies `--overload`) exits 1 when the adaptive row's p99 is
+//! above `R` times the fixed row's: the same offered load in the same
+//! run, so host speed cancels.
 //!
-//! `--quick` shrinks the sweep for CI and writes
-//! `BENCH_serve.quick.json`, leaving the checked-in baseline untouched.
+//! `--quick` shrinks the sweep for CI.
 //!
 //! Every run also prices the answer check: served n = 96 `gesv` round
 //! trips with `verify_residual` on and off, one worker each, interleaved
@@ -33,7 +35,7 @@
 
 use std::time::Instant;
 
-use la_bench::{bench_matrix, bench_spd, rowsum_rhs};
+use la_bench::{bench_matrix, bench_spd, gate, rowsum_rhs, Args};
 use la_core::json::JsonBuf;
 use la_core::{Mat, RealScalar, Trans};
 use la_lapack::max_abs1;
@@ -677,20 +679,13 @@ mod overload {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let chaos = args.iter().any(|a| a == "--chaos");
-    let do_overload = args.iter().any(|a| a == "--overload");
-    let max_verify_ratio: Option<f64> =
-        args.iter()
-            .position(|a| a == "--max-verify-ratio")
-            .map(|i| match args.get(i + 1).and_then(|v| v.parse().ok()) {
-                Some(r) => r,
-                None => {
-                    eprintln!("serve_load: --max-verify-ratio needs a number");
-                    std::process::exit(2);
-                }
-            });
+    let mut args = Args::from_env();
+    let quick = args.flag("--quick");
+    let chaos = args.flag("--chaos");
+    let max_verify_ratio = args.limit("--max-verify-ratio");
+    let max_overload_p99 = args.limit("--max-overload-p99-ratio");
+    let do_overload = args.flag("--overload") || max_overload_p99.is_some();
+    args.finish();
     let cores = la_core::tune::host_parallelism();
     let mode = if quick { " (quick)" } else { "" };
     println!("== serve_load{mode}: {cores} core(s) ==");
@@ -737,16 +732,7 @@ fn main() {
         vc.on_ms[1],
         vc.off_ms[1]
     );
-    if let Some(limit) = max_verify_ratio {
-        if vc.ratio() > limit {
-            eprintln!(
-                "  VERIFY GATE: residual verification costs {:.3}x an unverified served \
-                 solve, limit {limit}",
-                vc.ratio()
-            );
-            failed = true;
-        }
-    }
+    failed |= !gate("verified over unverified p25", vc.ratio(), max_verify_ratio);
 
     #[cfg(feature = "fault-inject")]
     let chaos_outcome = if chaos {
@@ -801,12 +787,9 @@ fn main() {
     let overload_rows: Vec<overload::OverloadRow> = if do_overload {
         // Enough arrivals that the run is *sustained* overload — many
         // multiples of the controller's reaction window — not one
-        // transient burst.
-        let (oworkers, on, ojobs, stall_ms) = if quick {
-            (2, 96, 6000, 15)
-        } else {
-            (2, 128, 16000, 20)
-        };
+        // transient burst. `--quick` runs it too: 6000 arrivals at
+        // n = 96 spread the gated p99 ratio over 0.40–0.92.
+        let (oworkers, on, ojobs, stall_ms) = (2, 128, 16000, 20);
         let sc = overload::Scenario {
             workers: oworkers,
             n: on,
@@ -861,6 +844,8 @@ fn main() {
             }
             rows.push(r);
         }
+        let ratio = rows[1].p99_ms / rows[0].p99_ms;
+        failed |= !gate("adaptive over fixed overload p99", ratio, max_overload_p99);
         rows
     } else {
         Vec::new()
@@ -963,12 +948,10 @@ fn main() {
         j.end_arr();
     }
     j.end_obj();
-    let path = if quick {
-        "BENCH_serve.quick.json"
-    } else {
-        "BENCH_serve.json"
-    };
-    std::fs::write(path, j.into_string()).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    let path = "target/serve_load.json";
+    std::fs::create_dir_all("target")
+        .and_then(|()| std::fs::write(path, j.into_string()))
+        .unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("wrote {path}");
     if failed {
         std::process::exit(1);
