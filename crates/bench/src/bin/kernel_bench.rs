@@ -61,9 +61,9 @@
 //! * `--min-mixed-speedup R`: `dgesv` time over `dgesv_mixed` time at
 //!   n = 1024.
 //!
-//! Blocking parameters come from [`la_core::tune`], so `LA_GEMM_MC`,
-//! `LA_GEMM_KC`, and `LA_GEMM_NC` override the cache blocking for
-//! parameter sweeps.
+//! Blocking parameters come from [`la_core::tune`]: a sweep over the
+//! cache blocking sets `TuneConfig::{gemm_mc, gemm_kc, gemm_nc}` in code
+//! (`tune::with`); they have no environment variable.
 
 use la_bench::{bench_matrix, bench_spd, gate, Args};
 use la_core::abft::{self, AbftPolicy};

@@ -14,7 +14,7 @@
 //! `--overload` adds the open-loop overload comparison: the same
 //! arrival schedule, paced at 2× measured capacity (wedged workers and
 //! bursts injected on top with `--chaos`), runs against the fixed-depth
-//! queue bound and against the adaptive admission controller, and both
+//! queue bound and against target-delay (adaptive) admission, and both
 //! rows land in an `"overload"` JSON section. The same invariants apply,
 //! plus: every *admitted* job must resolve. `--max-overload-p99-ratio R`
 //! (which implies `--overload`) exits 1 when the adaptive row's p99 is
@@ -133,7 +133,7 @@ fn run_clean(op: SolveOp, concurrency: usize, n: usize, jobs_per_client: u64) ->
     let spd: Mat<f64> = bench_spd(n, 23);
     let a = match op {
         SolveOp::Gesv | SolveOp::GesvMixed => &gen,
-        SolveOp::Posv(_) | SolveOp::PosvMixed(_) => &spd,
+        SolveOp::Posv(_) => &spd,
     };
     let b = rowsum_rhs(a, 2);
     let t0 = Instant::now();
@@ -272,7 +272,7 @@ mod chaos_run {
     }
 
     /// The chaos soak: `clients` closed-loop clients driving `jobs` total
-    /// jobs (ops rotating over all four drivers) while a deterministic
+    /// jobs (ops rotating over the three served drivers) while a deterministic
     /// chaos plan injects faults. Runs under [`chaos_tune`] so the
     /// ABFT-protected blocked paths engage at soak sizes.
     pub fn run(clients: usize, n: usize, jobs: u64, seed: u64) -> ChaosOutcome {
@@ -292,11 +292,10 @@ mod chaos_run {
         let spd: Mat<f64> = bench_spd(n, 37);
         let bg = rowsum_rhs(&gen, 2);
         let bs = rowsum_rhs(&spd, 2);
-        const OPS: [SolveOp; 4] = [
+        const OPS: [SolveOp; 3] = [
             SolveOp::Gesv,
             SolveOp::Posv(la_core::Uplo::Upper),
             SolveOp::GesvMixed,
-            SolveOp::PosvMixed(la_core::Uplo::Upper),
         ];
         let t0 = Instant::now();
         let per_client = jobs / clients as u64;
@@ -325,7 +324,7 @@ mod chaos_run {
                             None => rejs.push((k, 1)),
                         };
                         for i in 0..per_client {
-                            let op = OPS[((ci as u64 + i) % 4) as usize];
+                            let op = OPS[((ci as u64 + i) % OPS.len() as u64) as usize];
                             let (a0, b0) = match op {
                                 SolveOp::Gesv | SolveOp::GesvMixed => (gen, bg),
                                 _ => (spd, bs),
@@ -456,9 +455,9 @@ mod chaos_run {
 /// multiple of the measured service capacity and shed arrivals are
 /// *lost*, never retried — the regime a closed-loop client cannot
 /// produce and the one admission control exists for. The same offered
-/// schedule runs twice, against the fixed-depth bound and against the
-/// adaptive controller (target-delay admission + brownout), so the two
-/// rows in the JSON are directly comparable. With `--chaos`
+/// schedule runs twice, against the fixed-depth bound and against
+/// target-delay admission (the adaptive controller), so the two rows in
+/// the JSON are directly comparable. With `--chaos`
 /// (`fault-inject` builds), wedged workers and arrival bursts are
 /// injected on top.
 mod overload {
@@ -480,7 +479,6 @@ mod overload {
         pub rejected: u64,
         pub stuck: u64,
         pub respawned: u64,
-        pub brownout_served: u64,
         pub p50_ms: f64,
         pub p99_ms: f64,
         pub goodput_jps: f64,
@@ -565,7 +563,6 @@ mod overload {
             } else {
                 None
             },
-            brownout: adaptive,
             watchdog: Some(stall),
             ..ServeConfig::default()
         });
@@ -667,7 +664,6 @@ mod overload {
             rejected,
             stuck: stats.stuck,
             respawned: stats.respawned,
-            brownout_served: stats.brownout_served,
             p50_ms: percentile(&lats, 0.50),
             p99_ms: percentile(&lats, 0.99),
             goodput_jps: served as f64 / wall.max(1e-9),
@@ -810,7 +806,7 @@ fn main() {
             let r = overload::run(adaptive, chaos, sc);
             println!(
                 "  {:<9} offered {:7.1}/s  goodput {:7.1}/s  p50 {:8.3} ms  p99 {:8.3} ms  \
-                 shed {:<4} stuck {:<3} respawned {:<2} brownout-served {}",
+                 shed {:<4} stuck {:<3} respawned {}",
                 r.mode,
                 r.offered_jps,
                 r.goodput_jps,
@@ -818,8 +814,7 @@ fn main() {
                 r.p99_ms,
                 r.shed,
                 r.stuck,
-                r.respawned,
-                r.brownout_served
+                r.respawned
             );
             if r.wrong > 0 {
                 eprintln!(
@@ -936,7 +931,6 @@ fn main() {
             j.field_uint("rejected", r.rejected);
             j.field_uint("stuck", r.stuck);
             j.field_uint("respawned", r.respawned);
-            j.field_uint("brownout_served", r.brownout_served);
             j.field_num("p50_ms", r.p50_ms);
             j.field_num("p99_ms", r.p99_ms);
             j.field_num("goodput_jps", r.goodput_jps);

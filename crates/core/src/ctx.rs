@@ -183,37 +183,22 @@ fn store<E>(field: &mut E, parsed: Option<E>) -> bool {
     parsed.map(|v| *field = v).is_some()
 }
 
-fn parse_flag(s: &str) -> Option<bool> {
-    match s.to_ascii_lowercase().as_str() {
-        "1" | "true" | "yes" | "on" => Some(true),
-        "0" | "false" | "no" | "off" | "" => Some(false),
-        _ => None,
-    }
-}
-
-/// Every `LA_*` variable the library reads. Each enum row defers to the
-/// type's own `parse`, which is case-insensitive and also accepts the
-/// aliases listed here.
-pub fn vars() -> [Var; 20] {
+/// Every `LA_*` variable the library reads: the thread budget, the three
+/// policies, the residual precision, the two serving knobs, the kernel
+/// choice, and the one block size a measurement has shown a host to want
+/// changed (`LA_NB_POTRF`). Every other tuning field of [`TuneConfig`] is
+/// set in code only. Each enum row defers to the type's own `parse`, which
+/// is case-insensitive and also accepts the aliases listed here.
+pub fn vars() -> [Var; 9] {
     [
         Var::count("LA_NUM_THREADS", "0", |c| &mut c.tune.max_threads),
-        Var::count("LA_PAR_FLOPS", "8000000", |c| &mut c.tune.par_flops),
-        Var::size("LA_NB_GETRF", "32", |c| &mut c.tune.nb_getrf),
         Var::size("LA_NB_POTRF", "96", |c| &mut c.tune.nb_potrf),
-        Var::size("LA_NB_GEQRF", "32", |c| &mut c.tune.nb_geqrf),
-        Var::size("LA_NB_SYTRF", "32", |c| &mut c.tune.nb_sytrf),
-        Var::size("LA_NB_DEFAULT", "32", |c| &mut c.tune.nb_default),
-        Var::count("LA_CROSSOVER", "128", |c| &mut c.tune.crossover),
         Var::choice(
             "LA_GEMM_KERNEL",
             "auto|scalar|unrolled|simd",
             "auto",
             |c, s| store(&mut c.tune.gemm_kernel, GemmKernel::parse(s)),
         ),
-        Var::count("LA_GEMM_MC", "0", |c| &mut c.tune.gemm_mc),
-        Var::count("LA_GEMM_KC", "0", |c| &mut c.tune.gemm_kc),
-        Var::count("LA_GEMM_NC", "0", |c| &mut c.tune.gemm_nc),
-        Var::size("LA_TILE_NB", "192", |c| &mut c.tune.tile_nb),
         Var::choice(
             "LA_REFINE",
             "working|off, dd|double-double",
@@ -224,12 +209,6 @@ pub fn vars() -> [Var; 20] {
             &mut c.tune.serve_target_delay_ms
         }),
         Var::count("LA_SERVE_WATCHDOG", "0", |c| &mut c.tune.serve_watchdog_ms),
-        Var::choice(
-            "LA_OVERSUBSCRIBE",
-            "1|true|yes|on, 0|false|no|off",
-            "off",
-            |c, s| store(&mut c.tune.oversubscribe, parse_flag(s)),
-        ),
         Var::choice(
             "LA_FP_CHECK",
             "off|none|0, inputs|in, outputs|out, full|all|on|1",
@@ -498,13 +477,6 @@ mod tests {
             .collect()
     }
 
-    /// `c` with the one "0 = compiled-in default" field the table spells by
-    /// its resolved value (`LA_TILE_NB`) resolved, for comparisons.
-    fn resolved(mut c: Ctx) -> Ctx {
-        c.tune.tile_nb = c.tune.tile_size();
-        c
-    }
-
     /// One parser case: the variable, a raw value, and either the check
     /// that it landed in the right field (`Some`) or `None` when the value
     /// must be rejected.
@@ -513,22 +485,12 @@ mod tests {
     const CASES: &[Case] = &[
         // Every variable round-trips a valid value into its own field...
         ("LA_NUM_THREADS", "3", Some(|c| c.tune.max_threads == 3)),
-        ("LA_PAR_FLOPS", "1000", Some(|c| c.tune.par_flops == 1000)),
-        ("LA_NB_GETRF", "64", Some(|c| c.tune.nb_getrf == 64)),
         ("LA_NB_POTRF", "48", Some(|c| c.tune.nb_potrf == 48)),
-        ("LA_NB_GEQRF", "16", Some(|c| c.tune.nb_geqrf == 16)),
-        ("LA_NB_SYTRF", "24", Some(|c| c.tune.nb_sytrf == 24)),
-        ("LA_NB_DEFAULT", "8", Some(|c| c.tune.nb_default == 8)),
-        ("LA_CROSSOVER", "256", Some(|c| c.tune.crossover == 256)),
         (
             "LA_GEMM_KERNEL",
             "scalar",
             Some(|c| c.tune.gemm_kernel == GemmKernel::Scalar),
         ),
-        ("LA_GEMM_MC", "64", Some(|c| c.tune.gemm_mc == 64)),
-        ("LA_GEMM_KC", "128", Some(|c| c.tune.gemm_kc == 128)),
-        ("LA_GEMM_NC", "192", Some(|c| c.tune.gemm_nc == 192)),
-        ("LA_TILE_NB", "128", Some(|c| c.tune.tile_nb == 128)),
         ("LA_REFINE", "dd", Some(|c| c.tune.refine == RefineMode::Dd)),
         (
             "LA_SERVE_TARGET_DELAY",
@@ -540,7 +502,6 @@ mod tests {
             "500",
             Some(|c| c.tune.serve_watchdog_ms == 500),
         ),
-        ("LA_OVERSUBSCRIBE", "1", Some(|c| c.tune.oversubscribe)),
         (
             "LA_FP_CHECK",
             "full",
@@ -558,22 +519,15 @@ mod tests {
         ),
         // ...and rejects a malformed one.
         ("LA_NUM_THREADS", "three", None),
-        ("LA_PAR_FLOPS", "-1", None),
-        ("LA_NB_GETRF", "wide", None),
+        ("LA_NUM_THREADS", "-1", None),
         ("LA_NB_POTRF", "0", None),
-        ("LA_NB_GEQRF", "0", None),
-        ("LA_NB_SYTRF", "3.5", None),
-        ("LA_NB_DEFAULT", "0", None),
-        ("LA_CROSSOVER", "big", None),
+        ("LA_NB_POTRF", "3.5", None),
+        ("LA_NB_POTRF", "wide", None),
         ("LA_GEMM_KERNEL", "fancy", None),
-        ("LA_GEMM_MC", "x", None),
-        ("LA_GEMM_KC", "1e3", None),
-        ("LA_GEMM_NC", "", None),
-        ("LA_TILE_NB", "0", None),
         ("LA_REFINE", "quad", None),
         ("LA_SERVE_TARGET_DELAY", "soon", None),
+        ("LA_SERVE_TARGET_DELAY", "", None),
         ("LA_SERVE_WATCHDOG", "garbage", None),
-        ("LA_OVERSUBSCRIBE", "maybe", None),
         // The typos that used to run unprotected without a word:
         ("LA_FP_CHECK", "ful", None),
         ("LA_ABFT", "recovery", None),
@@ -581,15 +535,12 @@ mod tests {
         // Zero stays a valid "auto"/"off" spelling where it means
         // something, and the documented aliases stay accepted.
         ("LA_NUM_THREADS", "0", Some(|c| c.tune.max_threads == 0)),
-        ("LA_PAR_FLOPS", "0", Some(|c| c.tune.par_flops == 0)),
-        ("LA_GEMM_MC", "0", Some(|c| c.tune.gemm_mc == 0)),
-        ("LA_CROSSOVER", "0", Some(|c| c.tune.crossover == 0)),
         (
             "LA_SERVE_TARGET_DELAY",
             "0",
             Some(|c| c.tune.serve_target_delay_ms == 0),
         ),
-        ("LA_NB_GETRF", " 64 ", Some(|c| c.tune.nb_getrf == 64)),
+        ("LA_NB_POTRF", " 64 ", Some(|c| c.tune.nb_potrf == 64)),
         (
             "LA_GEMM_KERNEL",
             "SIMD",
@@ -600,8 +551,6 @@ mod tests {
             "double-double",
             Some(|c| c.tune.refine == RefineMode::Dd),
         ),
-        ("LA_OVERSUBSCRIBE", "Yes", Some(|c| c.tune.oversubscribe)),
-        ("LA_OVERSUBSCRIBE", "", Some(|c| !c.tune.oversubscribe)),
         (
             "LA_FP_CHECK",
             "in",
@@ -639,11 +588,7 @@ mod tests {
                     let var = vars().into_iter().find(|v| v.name == name).unwrap();
                     let mut undone = ctx;
                     assert!(var.apply(&mut undone, var.default));
-                    assert_eq!(
-                        resolved(undone),
-                        resolved(Ctx::defaults()),
-                        "{name}={raw:?}"
-                    );
+                    assert_eq!(undone, Ctx::defaults(), "{name}={raw:?}");
                 }
                 None => {
                     assert_eq!(ctx, Ctx::defaults(), "{name}={raw:?} must keep the default");
@@ -677,50 +622,59 @@ mod tests {
         for var in &vars() {
             let mut ctx = Ctx::defaults();
             assert!(var.apply(&mut ctx, var.default), "{}", var.name);
-            assert_eq!(resolved(ctx), resolved(Ctx::defaults()), "{}", var.name);
+            assert_eq!(ctx, Ctx::defaults(), "{}", var.name);
         }
     }
 
     #[test]
     fn several_variables_combine_and_warn_independently() {
         let (ctx, warnings) = Ctx::from_source(source(&[
-            ("LA_NB_GETRF", "64"),
+            ("LA_NB_POTRF", "48"),
             ("LA_ABFT", "recovery"),
             ("LA_FP_CHECK", "full"),
-            ("LA_TILE_NB", "0"),
+            ("LA_NB_POTRF", "0"),
         ]));
-        assert_eq!(ctx.tune.nb_getrf, 64);
+        assert_eq!(ctx.tune.nb_potrf, 48);
         assert_eq!(ctx.fp_check, FpCheckPolicy::Full);
         assert_eq!(ctx.abft, AbftPolicy::Off);
-        assert_eq!(ctx.tune.tile_nb, 0);
         assert_eq!(warnings.len(), 2, "{warnings:?}");
     }
 
     #[test]
     fn an_unknown_la_name_is_reported_once_and_changes_nothing() {
-        // A typo, two retired variables (the second one's factorization
-        // route is now the thread budget's), and two names that are not
-        // the library's business: no `LA_` prefix, or a different case.
-        let (ctx, warnings) = Ctx::from_source(source(&[
-            ("LA_THREDS", "4"),
-            ("LA_GESV_MIXED", "f16"),
-            ("LA_FACTOR", "dag"),
-            ("LANG", "C"),
-            ("la_num_threads", "4"),
-        ]));
+        // A typo, the retired variables (the factorization route is now
+        // the thread budget's, and the tuning internals are set in code),
+        // and two names that are not the library's business: no `LA_`
+        // prefix, or a different case.
+        const RETIRED: [&str; 13] = [
+            "LA_GESV_MIXED",
+            "LA_FACTOR",
+            "LA_PAR_FLOPS",
+            "LA_NB_GETRF",
+            "LA_NB_GEQRF",
+            "LA_NB_SYTRF",
+            "LA_NB_DEFAULT",
+            "LA_CROSSOVER",
+            "LA_GEMM_MC",
+            "LA_GEMM_KC",
+            "LA_GEMM_NC",
+            "LA_TILE_NB",
+            "LA_OVERSUBSCRIBE",
+        ];
+        let mut env = vec![("LA_THREDS", "4")];
+        env.extend(RETIRED.map(|name| (name, "1")));
+        env.extend([("LANG", "C"), ("la_num_threads", "4")]);
+        let (ctx, warnings) = Ctx::from_source(source(&env));
         assert_eq!(ctx, Ctx::defaults());
-        assert_eq!(
-            warnings,
-            [
-                "LA_THREDS: not a library variable (ignored)",
-                "LA_GESV_MIXED: not a library variable (ignored)",
-                "LA_FACTOR: not a library variable (ignored)",
-            ]
-        );
+        let expected: Vec<String> = std::iter::once("LA_THREDS")
+            .chain(RETIRED)
+            .map(|name| format!("{name}: not a library variable (ignored)"))
+            .collect();
+        assert_eq!(warnings, expected);
         // Known names beside it still land, and are not reported.
         let (ctx, warnings) =
-            Ctx::from_source(source(&[("LA_NB_GETRF", "64"), ("LA_THREDS", "4")]));
-        assert_eq!(ctx.tune.nb_getrf, 64);
+            Ctx::from_source(source(&[("LA_NB_POTRF", "48"), ("LA_THREDS", "4")]));
+        assert_eq!(ctx.tune.nb_potrf, 48);
         assert_eq!(warnings.len(), 1, "{warnings:?}");
     }
 
@@ -732,6 +686,16 @@ mod tests {
                 readme.contains(&format!("| `{}` |", var.name)),
                 "README.md's configuration table has no row for {}",
                 var.name
+            );
+        }
+        // ...and documents nothing else: every row of a table whose first
+        // cell names one `LA_*` variable is a row of `vars()`.
+        let names = vars().map(|var| var.name);
+        for row in readme.lines().filter_map(|l| l.strip_prefix("| `LA_")) {
+            let name = format!("LA_{}", &row[..row.find('`').unwrap_or(row.len())]);
+            assert!(
+                names.contains(&name.as_str()),
+                "README.md documents {name}, which is not a library variable"
             );
         }
     }

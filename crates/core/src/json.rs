@@ -9,7 +9,8 @@
 //!   recovers bit-exactly). Non-finite floats become `null` — JSON has no
 //!   NaN/Inf — so emitters never produce invalid documents.
 //! * [`Json`] — a small recursive-descent *parser* producing a value tree,
-//!   used by the CI bench-regression gate to read `BENCH_*.json` files.
+//!   used by the `la_bench` benchmark and by the tests that read back what
+//!   the writer emitted.
 //!
 //! Both are deliberately tiny: the repo is hermetic (no serde), and every
 //! JSON document we read or write is machine-generated by this same pair,

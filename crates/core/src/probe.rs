@@ -32,7 +32,7 @@
 //! with [`snapshot`], which
 //! returns a [`Report`] convertible to a plain-text table
 //! ([`Report::to_table`]) or JSON ([`Report::to_json`], emitted through
-//! [`crate::json`] and shaped like the `BENCH_*.json` trajectory files).
+//! [`crate::json`]: flat counter rows plus a recursive span forest).
 //!
 //! ```
 //! use la_core::probe::{self, ProbePolicy};
@@ -675,8 +675,7 @@ impl Report {
         out
     }
 
-    /// Serializes the report as JSON (via [`crate::json::JsonBuf`]),
-    /// shaped like the repo's `BENCH_*.json` trajectory files: a
+    /// Serializes the report as JSON (via [`crate::json::JsonBuf`]): a
     /// `counters` array of flat rows plus a recursive `spans` forest.
     pub fn to_json(&self) -> String {
         let mut j = JsonBuf::new();

@@ -15,6 +15,10 @@
 //! (one table, [`crate::ctx::vars`]; malformed values are rejected with a
 //! warning, never silently dropped), [`update`] for the whole process, and
 //! [`with`] for one call tree — worker threads the tree spawns included.
+//! Only the fields a user has a reason to set have a variable (thread
+//! budget, kernel, refinement, serving, and `nb_potrf`); the other
+//! tuning internals are set in code — by tests and benches through
+//! [`with`] — and otherwise keep the defaults the library chose.
 //!
 //! ```
 //! use la_core::tune::{self, TuneConfig};
@@ -120,23 +124,26 @@ pub struct TuneConfig {
     pub max_threads: usize,
     /// Effective-flop product (`m·n·k` for `gemm`, the analogous triple
     /// product for the other Level-3 operations) at or above which an
-    /// operation may go parallel. `0` parallelises everything the shape
-    /// allows — useful for tests, ruinous for performance.
+    /// operation may go parallel, and ABFT engages. `0` parallelises
+    /// everything the shape allows — useful for tests, ruinous for
+    /// performance. Set in code only.
     pub par_flops: usize,
-    /// Panel width for LU-family routines (`getrf`, `getri`).
+    /// Panel width for LU-family routines (`getrf`, `getri`). Set in code
+    /// only.
     pub nb_getrf: usize,
-    /// Panel width for the Cholesky family (`potrf`).
+    /// Panel width for the Cholesky family (`potrf`, `LA_NB_POTRF`).
     pub nb_potrf: usize,
     /// Panel width for the orthogonal-factorization family
-    /// (`geqrf`, `gelqf`, `ormqr`).
+    /// (`geqrf`, `gelqf`, `ormqr`). Set in code only.
     pub nb_geqrf: usize,
     /// Panel width for the symmetric-indefinite / tridiagonalization
-    /// family (`sytrf`, `sytrd`).
+    /// family (`sytrf`, `sytrd`). Set in code only.
     pub nb_sytrf: usize,
-    /// Panel width for any routine without a dedicated knob.
+    /// Panel width for any routine without a dedicated knob. Set in code
+    /// only.
     pub nb_default: usize,
     /// Problem order at or below which blocked algorithms fall back to
-    /// their unblocked forms.
+    /// their unblocked forms. Set in code only.
     pub crossover: usize,
     /// Test-only fault-injection hook: when `true`, the parallel BLAS-3
     /// panics in one of its worker stripes, exercising the graceful
@@ -149,19 +156,19 @@ pub struct TuneConfig {
     pub fault_inject_par: bool,
     /// Microkernel the packed BLAS-3 path runs (`LA_GEMM_KERNEL`).
     pub gemm_kernel: GemmKernel,
-    /// Packed-gemm row block: rows of A packed per cache block
-    /// (`LA_GEMM_MC`). `0` falls back to the compiled-in default.
+    /// Packed-gemm row block: rows of A packed per cache block. `0` falls
+    /// back to the compiled-in default. Set in code only.
     pub gemm_mc: usize,
-    /// Packed-gemm depth block: the k-extent packed per panel
-    /// (`LA_GEMM_KC`). `0` falls back to the compiled-in default.
+    /// Packed-gemm depth block: the k-extent packed per panel. `0` falls
+    /// back to the compiled-in default. Set in code only.
     pub gemm_kc: usize,
-    /// Packed-gemm column block: columns of B packed per cache block
-    /// (`LA_GEMM_NC`). `0` falls back to the compiled-in default.
+    /// Packed-gemm column block: columns of B packed per cache block. `0`
+    /// falls back to the compiled-in default. Set in code only.
     pub gemm_nc: usize,
-    /// Tile order for the task-graph factorizations (`LA_TILE_NB`).
-    /// `0` falls back to the compiled-in default (see
-    /// [`TuneConfig::tile_size`]). With more than one thread, `getrf`
-    /// and `potrf` run on tiles from four tiles up, `geqrf` from eight.
+    /// Tile order for the task-graph factorizations. `0` falls back to the
+    /// compiled-in default (see [`TuneConfig::tile_size`]). With more than
+    /// one thread, `getrf` and `potrf` run on tiles from four tiles up,
+    /// `geqrf` from eight. Set in code only.
     pub tile_nb: usize,
     /// Residual precision for the refinement loops (`LA_REFINE`):
     /// working precision (classic) or double-double (three-precision
@@ -187,7 +194,7 @@ pub struct TuneConfig {
     /// hand-offs and cold caches to the same work, so
     /// [`TuneConfig::threads`] clamps to the core count unless this is
     /// set. The equivalence tests set it to run the parallel machinery —
-    /// BLAS-3 stripes, the tile task graph — on any host.
+    /// BLAS-3 stripes, the tile task graph — on any host. Set in code only.
     pub oversubscribe: bool,
 }
 

@@ -8,16 +8,16 @@ use la_core::{Diag, Norm, RealScalar, Scalar, Side, Trans, Uplo};
 
 /// Environment inquiry (`ILAENV(1, NAME, OPTS, N1..)`-lite): the block
 /// size `routine` uses on a problem of order `n`. Reads the runtime
-/// [`la_core::tune`] configuration, so block sizes follow `LA_NB_*`
-/// environment variables, `tune::update`, and scoped `tune::with` overrides
-/// instead of a compiled-in table.
+/// [`la_core::tune`] configuration, so block sizes follow `LA_NB_POTRF`,
+/// `tune::update`, and scoped `tune::with` overrides instead of a
+/// compiled-in table.
 pub fn ilaenv_nb(routine: &str, n: usize) -> usize {
     la_core::tune::current().nb(routine, n)
 }
 
 /// Crossover order (`ILAENV(3, ...)`): an order-`n` problem at or below it
 /// runs `routine`'s unblocked form. Like [`ilaenv_nb`], resolved against
-/// the runtime [`la_core::tune`] configuration (`LA_CROSSOVER`).
+/// the runtime [`la_core::tune`] configuration (`TuneConfig::crossover`).
 pub fn ilaenv_crossover(routine: &str, n: usize) -> usize {
     la_core::tune::current().crossover(routine, n)
 }
@@ -31,8 +31,8 @@ pub fn ilaenv_crossover(routine: &str, n: usize) -> usize {
 /// on, shares it. `geqrf` from 8 (n ≥ 1536): from n = 960 to 1344 its
 /// graph lost in 9 of 20 runs (0.69–1.22), at 1536 in 1 of 7 (0.77–1.32),
 /// at 2048 in none (1.16–1.39). Measured at two threads only — a wider
-/// host may cross over elsewhere. Not a knob: `LA_TILE_NB` moves every
-/// threshold with the tile.
+/// host may cross over elsewhere. Not a knob: `TuneConfig::tile_nb` moves
+/// every threshold with the tile.
 pub(crate) const DAG_MIN_TILES: [(&str, usize); 3] = [("getrf", 4), ("potrf", 4), ("geqrf", 8)];
 
 /// Which engine factors one call.
@@ -62,7 +62,7 @@ impl Blocking {
     /// is chosen. With more than one thread, a problem of at least the
     /// routine's [`DAG_MIN_TILES`] runs the tile task graph; everything
     /// else runs on this thread, blocked above the crossover — for `geqrf`
-    /// two panels, whatever `LA_CROSSOVER` says.
+    /// two panels, whatever `TuneConfig::crossover` says.
     pub(crate) fn of(routine: &str, m: usize, n: usize) -> Self {
         let cfg = la_core::tune::current();
         let k = m.min(n);

@@ -13,13 +13,13 @@
 //! * **Little's-law bound** — with `W` workers and a target queueing
 //!   delay `T`, a job admitted at the back of a queue of length `L`
 //!   expects to wait `L·s/W` where `s` is the class EWMA; the admit bound
-//!   is therefore `W·T/s`, clamped to `[workers, queue_depth]` — the
-//!   configured depth stays the hard cap.
+//!   is therefore `W·T/s`, clamped to `[min(workers, queue_depth),
+//!   queue_depth]` — the configured depth stays the hard cap.
 //! * **CoDel-flavored sojourn window** — the controller tracks the
 //!   *minimum* queue sojourn over a sliding window (4·T): if even the
 //!   luckiest job of a window queued longer than the target, the overload
-//!   is persistent, not a burst, and the brownout level steps up; a good
-//!   window steps it back down. (Min-over-window is CoDel's insight:
+//!   is persistent, not a burst, and the `overloaded` latch is set; a good
+//!   or idle window clears it. (Min-over-window is CoDel's insight:
 //!   max or mean sojourn flags transient bursts a bounded queue absorbs
 //!   fine.)
 //! * **Priority-weighted shedding** — under load, `Low` jobs see half
@@ -38,13 +38,10 @@
 use crate::Priority;
 
 /// Number of [`crate::SolveOp`] service classes tracked.
-pub(crate) const CLASSES: usize = 4;
+pub(crate) const CLASSES: usize = 3;
 
 /// EWMA smoothing: new = old + (sample − old)/8.
 const EWMA_SHIFT: u32 = 3;
-
-/// Brownout ceiling: Dd refinement off → ABFT verification off.
-pub(crate) const MAX_LEVEL: u8 = 2;
 
 /// Admission decision for one submit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,10 +78,6 @@ pub(crate) struct Controller {
     window_end_ns: u64,
     /// Minimum sojourn observed in the current window.
     window_min_ns: Option<u64>,
-    /// Whether the brownout ladder may engage (service config).
-    brownout: bool,
-    /// Current brownout level, `0..=MAX_LEVEL`.
-    level: u8,
     /// `true` while the last completed window was bad (min sojourn over
     /// target) — the "sustained overload" latch the priority weights
     /// sharpen on.
@@ -92,7 +85,7 @@ pub(crate) struct Controller {
 }
 
 impl Controller {
-    pub(crate) fn new(workers: usize, cap: usize, target_ns: u64, brownout: bool) -> Self {
+    pub(crate) fn new(workers: usize, cap: usize, target_ns: u64) -> Self {
         Controller {
             workers: workers.max(1) as u64,
             cap: cap.max(1),
@@ -101,8 +94,6 @@ impl Controller {
             any_ewma_ns: 0,
             window_end_ns: 0,
             window_min_ns: None,
-            brownout,
-            level: 0,
             overloaded: false,
         }
     }
@@ -136,9 +127,10 @@ impl Controller {
             // Cold start: no history to size from, keep the classic cap.
             return self.cap;
         };
-        // Little's law: W workers drain W·T/s jobs within the target.
+        // Little's law: W workers drain W·T/s jobs within the target. The
+        // floor is one job per worker, unless the cap is lower still.
         let base = ((self.workers * self.target_ns) / s.max(1)) as usize;
-        let base = base.clamp(self.workers as usize, self.cap);
+        let base = base.clamp((self.workers as usize).min(self.cap), self.cap);
         // Priority weights: High keeps the full bound; Normal and Low
         // shed earlier, and earlier still while the sojourn window says
         // the overload is sustained.
@@ -198,8 +190,8 @@ impl Controller {
     }
 
     /// Closes the window if it has elapsed: a window whose *minimum*
-    /// sojourn exceeded the target is sustained overload (level up); a
-    /// window with an under-target minimum is recovery (level down).
+    /// sojourn exceeded the target is sustained overload; a window with an
+    /// under-target minimum, or with no dequeue at all, is not.
     fn roll_window(&mut self, now_ns: u64) {
         if self.target_ns == 0 {
             return;
@@ -211,24 +203,10 @@ impl Controller {
         if now_ns < self.window_end_ns {
             return;
         }
-        match self.window_min_ns.take() {
-            Some(min) if min > self.target_ns => {
-                self.overloaded = true;
-                if self.brownout {
-                    self.level = (self.level + 1).min(MAX_LEVEL);
-                }
-            }
-            Some(_) => {
-                self.overloaded = false;
-                self.level = self.level.saturating_sub(1);
-            }
-            // An idle window (no dequeues) says nothing about overload;
-            // decay toward full quality.
-            None => {
-                self.overloaded = false;
-                self.level = self.level.saturating_sub(1);
-            }
-        }
+        self.overloaded = self
+            .window_min_ns
+            .take()
+            .is_some_and(|min| min > self.target_ns);
         self.window_end_ns = now_ns + self.window_ns();
     }
 
@@ -246,11 +224,6 @@ impl Controller {
                 *slot = (*slot as i64 + (delta >> EWMA_SHIFT)) as u64;
             }
         }
-    }
-
-    /// Current brownout level (`0` = full quality).
-    pub(crate) fn level(&self) -> u8 {
-        self.level
     }
 
     /// `true` while the last completed sojourn window was bad.
@@ -274,7 +247,7 @@ mod tests {
 
     #[test]
     fn ewma_converges_to_a_step_change_in_service_time() {
-        let mut c = Controller::new(4, 64, 20 * MS, true);
+        let mut c = Controller::new(4, 64, 20 * MS);
         for _ in 0..64 {
             c.note_service(0, 2 * MS);
         }
@@ -301,7 +274,7 @@ mod tests {
 
     #[test]
     fn bound_follows_littles_law_and_respects_the_cap() {
-        let mut c = Controller::new(4, 64, 20 * MS, true);
+        let mut c = Controller::new(4, 64, 20 * MS);
         // Cold start: no history, the configured cap holds.
         assert_eq!(c.bound(0, Priority::High), 64);
         // 2ms service, 20ms target, 4 workers → 40 jobs clear in target.
@@ -327,55 +300,41 @@ mod tests {
 
     #[test]
     fn sojourn_window_sheds_on_min_not_max() {
-        let mut c = Controller::new(2, 64, 10 * MS, true);
+        let mut c = Controller::new(2, 64, 10 * MS);
         for _ in 0..16 {
             c.note_service(0, 2 * MS);
         }
         let mut now = 0;
-        // Window 1: one terrible sojourn amid fine ones — a burst, the
-        // *minimum* stays low, no brownout. (The inner loops advance by
-        // less than a window, so only the explicit jump rolls it.)
-        c.note_sojourn(0, now); // opens the window
-        for i in 0..10 {
-            now += 2 * MS;
-            let sojourn = if i == 5 { 500 * MS } else { MS };
-            c.note_sojourn(sojourn, now);
-        }
-        now += c.window_ns();
-        c.note_sojourn(MS, now); // rolls the window
-        assert_eq!(c.level(), 0, "a burst must not trip brownout");
-        assert!(!c.is_overloaded());
-        // Windows 2..: every sojourn over target — sustained overload,
-        // the level walks up to the ceiling one window at a time.
-        for expect_level in 1..=MAX_LEVEL {
-            for _ in 0..10 {
+        // One window of ten dequeues `sojourn(i)` apart by 2ms, closed by
+        // a jump past its end. (The inner loop advances by less than a
+        // window, so only the jump rolls it.)
+        let mut window = |c: &mut Controller, sojourn: &dyn Fn(usize) -> u64| {
+            for i in 0..10 {
                 now += 2 * MS;
-                c.note_sojourn(40 * MS, now);
+                c.note_sojourn(sojourn(i), now);
             }
             now += c.window_ns();
-            c.note_sojourn(40 * MS, now);
-            assert_eq!(c.level(), expect_level);
+            c.note_sojourn(sojourn(0), now);
+        };
+        // Open the first window, then fill it with one terrible sojourn
+        // amid fine ones — a burst: the *minimum* stays low, no latch.
+        c.note_sojourn(0, 0);
+        window(&mut c, &|i| if i == 5 { 500 * MS } else { MS });
+        assert!(!c.is_overloaded(), "a burst must not set the latch");
+        // Every sojourn over target — sustained overload, and the latch
+        // holds for as long as it lasts.
+        for _ in 0..2 {
+            window(&mut c, &|_| 40 * MS);
+            assert!(c.is_overloaded());
         }
-        assert!(c.is_overloaded());
-        now += c.window_ns();
-        c.note_sojourn(40 * MS, now);
-        assert_eq!(c.level(), MAX_LEVEL, "level is capped");
-        // Recovery: good windows walk it back down.
-        for expect_level in (0..MAX_LEVEL).rev() {
-            for _ in 0..10 {
-                now += 2 * MS;
-                c.note_sojourn(MS, now);
-            }
-            now += c.window_ns();
-            c.note_sojourn(MS, now);
-            assert_eq!(c.level(), expect_level);
-        }
+        // Recovery: one good window clears it.
+        window(&mut c, &|_| MS);
         assert!(!c.is_overloaded());
     }
 
     #[test]
     fn overloaded_windows_halve_sub_high_bounds() {
-        let mut c = Controller::new(4, 64, 10 * MS, true);
+        let mut c = Controller::new(4, 64, 10 * MS);
         for _ in 0..32 {
             c.note_service(0, MS);
         }
@@ -397,7 +356,7 @@ mod tests {
 
     #[test]
     fn retry_after_is_monotone_under_step_function_load() {
-        let mut c = Controller::new(2, 8, 5 * MS, true);
+        let mut c = Controller::new(2, 8, 5 * MS);
         for _ in 0..32 {
             c.note_service(0, 4 * MS);
         }
@@ -426,7 +385,7 @@ mod tests {
 
     #[test]
     fn fixed_depth_mode_keeps_the_classic_contract() {
-        let mut c = Controller::new(2, 3, 0, true);
+        let mut c = Controller::new(2, 3, 0);
         for _ in 0..32 {
             c.note_service(0, 100 * MS); // would shrink an adaptive bound
         }
@@ -442,9 +401,28 @@ mod tests {
             }
             Verdict::Admit => panic!("at the cap, must shed"),
         }
-        // Sojourn windows never brown out without a target.
+        // Sojourn windows never latch overload without a target.
         c.note_sojourn(1_000 * MS, 0);
         c.note_sojourn(1_000 * MS, u64::MAX / 2);
-        assert_eq!(c.level(), 0);
+        assert!(!c.is_overloaded());
+    }
+
+    #[test]
+    fn more_workers_than_queue_slots_keep_the_cap_as_the_bound() {
+        // The Little's-law floor is one job per worker; with more workers
+        // than queue slots the cap is lower still and must win (a clamp
+        // whose minimum exceeds its maximum panics).
+        let mut c = Controller::new(4, 2, 5 * MS);
+        c.note_service(0, 100 * MS); // W·T/s = 0: the floor binds
+        assert_eq!(c.bound(0, Priority::High), 2);
+        assert_eq!(c.bound(0, Priority::Low), 1);
+        assert_eq!(c.admit(0, Priority::High, 1, MS), Verdict::Admit);
+        assert!(matches!(
+            c.admit(0, Priority::High, 2, 2 * MS),
+            Verdict::Shed { bound: 2, .. }
+        ));
+        // A fast class wants more than the cap, and gets the cap.
+        c.note_service(1, 1_000);
+        assert_eq!(c.bound(1, Priority::High), 2);
     }
 }

@@ -29,7 +29,7 @@ pub enum ChaosEvent {
     /// No interference.
     Clean,
     /// Arm a one-shot silent corruption against the job's factorization
-    /// routine (`getrf` for the LU ops, `potrf` for the Cholesky ops).
+    /// routine (`getrf` for the LU ops, `potrf` for the Cholesky op).
     SoftFault,
     /// Set the job's [`JobSpec::chaos_panic`] flag: the worker panics at
     /// the job boundary, exercising panic isolation.
@@ -140,7 +140,7 @@ impl ChaosPlan {
             ChaosEvent::SoftFault => {
                 let routine = match spec.op {
                     SolveOp::Gesv | SolveOp::GesvMixed => "getrf",
-                    SolveOp::Posv(_) | SolveOp::PosvMixed(_) => "potrf",
+                    SolveOp::Posv(_) => "potrf",
                 };
                 let kind = if self.next_u64() % 2 == 0 {
                     CorruptKind::FlipMantissaBit

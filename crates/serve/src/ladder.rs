@@ -13,10 +13,13 @@
 //!   offending argument; a pinpointed `NonFinite` is definitive.
 //! * A worker panic → plain retry (the panic was isolated at the job
 //!   boundary); exhausting the budget yields [`Rejection::Panicked`].
-//! * A residual-check failure on an `INFO = 0` answer → retry under
-//!   `Recover` (the answer is wrong the way silent corruption is wrong);
+//! * A residual-check failure on a finite `INFO = 0` answer → plain
+//!   re-run under the job's own policy: the corruption that makes an
+//!   answer wrong is transient (an injected one disarms itself on firing),
+//!   so the re-run computes the clean answer without paying for checksums;
 //!   exhausting the budget yields [`Rejection::ResidualRejected`] — the
-//!   service refuses to serve the answer.
+//!   service refuses to serve the answer. A non-finite answer is a NaN
+//!   problem and takes the `NonFinite` arm's full screen instead.
 //! * `Cancelled` (`−103`) → [`Rejection::DeadlineExceeded`], never
 //!   retried: the deadline that cancelled attempt k has also expired for
 //!   attempt k+1.
@@ -109,11 +112,6 @@ fn solve_once<T: Demote>(
             let iter = la90::gesv_mixed(af, b, &mut x)?;
             Ok((x, iter))
         }
-        SolveOp::PosvMixed(uplo) => {
-            let mut x = Mat::zeros(b.nrows(), b.ncols());
-            let iter = la90::posv_mixed_uplo(af, b, &mut x, uplo)?;
-            Ok((x, iter))
-        }
     }
 }
 
@@ -160,7 +158,7 @@ fn residual_ok<T: Scalar>(op: SolveOp, a: &Mat<T>, b: &Mat<T>, x: &Mat<T>, r: &m
     }
     let mop = match op {
         SolveOp::Gesv | SolveOp::GesvMixed => MixedOp::Lu,
-        SolveOp::Posv(uplo) | SolveOp::PosvMixed(uplo) => MixedOp::Chol(uplo),
+        SolveOp::Posv(uplo) => MixedOp::Chol(uplo),
     };
     if r.len() < n * nrhs {
         r.resize(n * nrhs, T::zero());
@@ -272,11 +270,9 @@ pub(crate) fn run<T: Demote>(
                     // A poisoned (non-finite) answer is a NaN problem, not
                     // a corruption problem: retry under the full screen so
                     // the rejection pinpoints the offending argument.
-                    // A finite-but-wrong answer retries under Recover.
+                    // A finite-but-wrong answer is re-run as it was.
                     if x.as_slice().iter().any(|v| !v.abs1().is_finite_r()) {
                         fp_boost = Some(FpCheckPolicy::Full);
-                    } else {
-                        abft_boost = Some(AbftPolicy::Recover);
                     }
                 } else {
                     return finish(
@@ -285,9 +281,6 @@ pub(crate) fn run<T: Demote>(
                             iter,
                             attempts,
                             degraded: attempts > 1,
-                            // The service stamps the job's effective
-                            // brownout level after the ladder returns.
-                            brownout: 0,
                         }),
                         fault_seen,
                     );
@@ -430,7 +423,7 @@ mod tests {
             SolveOp::Gesv,
             SolveOp::GesvMixed,
             SolveOp::Posv(la_core::Uplo::Upper),
-            SolveOp::PosvMixed(la_core::Uplo::Lower),
+            SolveOp::Posv(la_core::Uplo::Lower),
         ] {
             let m = match op {
                 SolveOp::Gesv | SolveOp::GesvMixed => &a,
@@ -480,7 +473,7 @@ mod tests {
                 r.as_mut_slice(),
                 rld,
             ),
-            SolveOp::Posv(uplo) | SolveOp::PosvMixed(uplo) => la_blas::symm(
+            SolveOp::Posv(uplo) => la_blas::symm(
                 T::IS_COMPLEX,
                 Side::Left,
                 uplo,
@@ -527,19 +520,17 @@ mod tests {
         true
     }
 
-    const ALL_OPS: [SolveOp; 6] = [
+    const ALL_OPS: [SolveOp; 4] = [
         SolveOp::Gesv,
         SolveOp::GesvMixed,
         SolveOp::Posv(Uplo::Upper),
         SolveOp::Posv(Uplo::Lower),
-        SolveOp::PosvMixed(Uplo::Upper),
-        SolveOp::PosvMixed(Uplo::Lower),
     ];
 
     fn stored_triangle(op: SolveOp) -> Option<Uplo> {
         match op {
             SolveOp::Gesv | SolveOp::GesvMixed => None,
-            SolveOp::Posv(uplo) | SolveOp::PosvMixed(uplo) => Some(uplo),
+            SolveOp::Posv(uplo) => Some(uplo),
         }
     }
 
@@ -654,7 +645,7 @@ mod tests {
     }
 
     fn other_triangle_is_never_read<T: Scalar>() {
-        for op in [SolveOp::Posv(Uplo::Upper), SolveOp::PosvMixed(Uplo::Lower)] {
+        for op in [SolveOp::Posv(Uplo::Upper), SolveOp::Posv(Uplo::Lower)] {
             let uplo = stored_triangle(op).unwrap();
             let (mut a, b, x) = solved_system::<T>(op, 21, 2, 0xfeed);
             for j in 0..21 {
@@ -708,5 +699,71 @@ mod tests {
     fn gate_rejects_an_answer_whose_only_nonfinite_entry_comes_first() {
         leading_nonfinite_is_rejected::<f64>();
         leading_nonfinite_is_rejected::<la_core::C64>();
+    }
+
+    #[cfg(feature = "fault-inject")]
+    #[test]
+    fn a_wrong_answer_is_re_run_under_the_jobs_own_abft_policy() {
+        use la_core::abft::inject::{arm, is_armed, CorruptKind, Corruption};
+        use la_core::probe::{self, Layer, Span};
+        use la_core::{Ctx, ProbePolicy, TuneConfig};
+        // The job runs with ABFT off, so the corrupted factor goes
+        // unnoticed until the residual gate; with `par_flops: 0` any retry
+        // that turned ABFT on would checksum this order-128 `getrf`, and
+        // its spans would say so.
+        let job = Ctx {
+            tune: TuneConfig {
+                max_threads: 1,
+                par_flops: 0,
+                nb_getrf: 8,
+                crossover: 8,
+                ..TuneConfig::defaults()
+            },
+            abft: AbftPolicy::Off,
+            probe: ProbePolicy::Spans,
+            ..ctx::current()
+        };
+        let n = 128;
+        let a = Mat::<f64>::from_fn(n, n, |i, j| {
+            if i == j {
+                n as f64
+            } else {
+                ((i * 7 + j * 3) % 11) as f64 / 11.0 - 0.5
+            }
+        });
+        let b = Mat::<f64>::from_fn(n, 1, |i, _| 1.0 + i as f64 / n as f64);
+        // Block 13 of 16: no other test of this crate factors that many
+        // blocks, so none of them can take the one shot.
+        arm(Corruption {
+            routine: "getrf",
+            stripe: 13,
+            kind: CorruptKind::Scale,
+        });
+        let att = ctx::with(job, || {
+            let _root = probe::span(Layer::Driver, "ladder_wrong_answer_rerun", 0, 0);
+            run(SolveOp::Gesv, &a, &b, &cfg())
+        });
+        assert!(!is_armed(), "the corruption did not fire");
+        let out = att.outcome.expect("the re-run is served");
+        assert_eq!(out.attempts, 2, "served on the re-run");
+        assert!(out.degraded && att.fault_seen);
+        let root = probe::snapshot()
+            .spans
+            .into_iter()
+            .find(|s| s.routine == "ladder_wrong_answer_rerun")
+            .expect("the test's root span");
+        let attempts: Vec<&Span> = root
+            .children
+            .iter()
+            .filter(|s| s.routine == "LA_GESV")
+            .collect();
+        assert_eq!(attempts.len(), 2);
+        fn abft_tagged(s: &Span) -> bool {
+            s.abft || s.children.iter().any(abft_tagged)
+        }
+        assert!(
+            attempts[1].find("getrf").is_some() && !abft_tagged(attempts[1]),
+            "the re-run ran under ABFT"
+        );
     }
 }

@@ -25,11 +25,6 @@
 //!   a wedged job through cooperative cancel (`−103`) and, if ignored,
 //!   worker write-off + respawn, resolving the job as a typed
 //!   [`Rejection::Stuck`] — siblings never notice.
-//! * **Brownout** — under sustained overload the service sheds *quality*
-//!   before it sheds more *traffic*: double-double refinement off, then
-//!   ABFT verify off, priority-shielded so high-priority jobs degrade last ([`SolveOutput::brownout`] and the
-//!   probe span name record the level an answer was served at; the
-//!   residual gate is never browned out).
 //! * **Deadlines** — each job carries an optional absolute deadline; an
 //!   expired job is rejected before it starts, and an in-flight
 //!   factorization abandons at its next panel checkpoint via
@@ -51,11 +46,11 @@
 //!   `‖b_j − A·x_j‖∞ ≤ 64·n·ε·(n·max|A|·‖x_j‖∞ + ‖b_j‖∞)`. The residual is
 //!   [`la_lapack::residual_working`] — the routine the mixed-precision
 //!   refinement uses: Level-2 per column up to two right-hand sides,
-//!   Level-3 above, the stored triangle only for the Cholesky ops — written
+//!   Level-3 above, the stored triangle only for the Cholesky op — written
 //!   into the worker's scratch vector, and the norms are
 //!   [`la_lapack::max_abs1`], whose NaN sticks wherever it sits. A failing
-//!   answer is retried under `Recover` and, if still wrong, rejected
-//!   rather than served.
+//!   answer is re-run under the job's own policy and, if still wrong,
+//!   rejected rather than served.
 //! * **Per-worker workspace** — the factor copy each ladder attempt
 //!   overwrites and the residual vector live in a scratch owned by the
 //!   worker loop and refilled from the job's pristine `A` per attempt; a
@@ -124,9 +119,10 @@ use la_core::{Demote, LaError, Mat, Uplo};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Which driver a job runs. The mixed variants take the demoted-precision
+/// Which driver a job runs. The mixed variant takes the demoted-precision
 /// refinement path with the bitwise full-precision fallback built into
-/// the driver.
+/// the driver; the positive-definite solve has no served mixed variant,
+/// because `posv_mixed` does not beat `posv` at any order measured.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum SolveOp {
     /// General `A·X = B` by LU with partial pivoting (`LA_GESV`).
@@ -136,8 +132,6 @@ pub enum SolveOp {
     Posv(Uplo),
     /// Mixed-precision general solve (`LA_GESV_MIXED`).
     GesvMixed,
-    /// Mixed-precision positive-definite solve (`LA_POSV_MIXED`).
-    PosvMixed(Uplo),
 }
 
 impl SolveOp {
@@ -147,7 +141,6 @@ impl SolveOp {
             SolveOp::Gesv => "gesv",
             SolveOp::Posv(_) => "posv",
             SolveOp::GesvMixed => "gesv_mixed",
-            SolveOp::PosvMixed(_) => "posv_mixed",
         }
     }
 
@@ -157,30 +150,25 @@ impl SolveOp {
             SolveOp::Gesv => 0,
             SolveOp::Posv(_) => 1,
             SolveOp::GesvMixed => 2,
-            SolveOp::PosvMixed(_) => 3,
         }
     }
 }
 
-/// Scheduling priority of a job: who is shed first under load and who
-/// degrades last under brownout.
+/// Scheduling priority of a job: who is shed first under load.
 ///
 /// Under adaptive admission, `Low` jobs see half the effective queue
 /// bound and `Normal` three quarters of it (halved again during a
 /// sustained-overload window), so `High` traffic is the last to be shed.
-/// Under brownout, a global brownout level `L` reaches a job as
-/// `L − shield` (High and Normal shield 1 level, Low 0): `Low` traffic
-/// gives up double-double refinement first and is the only class ever
-/// served without ABFT verification; `Normal` and `High` are untouched
-/// until the top level, and then lose only the refinement.
+/// Every admitted job is served at the same quality, whatever its
+/// priority.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Priority {
-    /// Best-effort traffic: shed first, degraded first.
+    /// Best-effort traffic: shed first.
     Low,
     /// The default class.
     #[default]
     Normal,
-    /// Paying/interactive traffic: shed last, degraded last.
+    /// Paying/interactive traffic: shed last.
     High,
 }
 
@@ -191,15 +179,6 @@ impl Priority {
             Priority::Low => "low",
             Priority::Normal => "normal",
             Priority::High => "high",
-        }
-    }
-
-    /// Brownout shielding: how many global brownout levels this priority
-    /// absorbs before its jobs degrade.
-    pub(crate) fn shield(self) -> u8 {
-        match self {
-            Priority::Low => 0,
-            Priority::Normal | Priority::High => 1,
         }
     }
 }
@@ -251,7 +230,7 @@ impl<T: Demote> JobSpec<T> {
     }
 
     /// Sets the scheduling priority (default [`Priority::Normal`]):
-    /// who is shed first under load, who degrades last under brownout.
+    /// who is shed first under load.
     pub fn priority(mut self, priority: Priority) -> Self {
         self.priority = priority;
         self
@@ -316,16 +295,10 @@ pub struct SolveOutput<T: Demote> {
     pub iter: i32,
     /// Ladder attempts consumed (1 = clean first try).
     pub attempts: u32,
-    /// `true` when the answer needed the degradation ladder (retry under
-    /// `Recover` or a re-pinpointing pass) — the serving analog of a
-    /// corrected error.
+    /// `true` when the answer needed the degradation ladder (a retry
+    /// under `Recover`, a re-run after a wrong answer, or a re-pinpointing
+    /// pass) — the serving analog of a corrected error.
     pub degraded: bool,
-    /// The brownout level this job was actually served at (`0` = full
-    /// quality; `1` = Dd refinement off; `2` = also ABFT verification
-    /// off).
-    /// The *global* level at solve time may have been higher — the job's
-    /// [`Priority`] shields it (see [`Priority`]).
-    pub brownout: u8,
 }
 
 /// Why the service did not return an answer — every rejection is typed so
@@ -438,9 +411,10 @@ pub struct ServeConfig {
     /// the effective queue bound is sized from per-class service-time
     /// EWMAs so an admitted job expects to start within this budget
     /// ([`queue_depth`](ServeConfig::queue_depth) stays the hard cap),
-    /// and a sliding sojourn window drives the brownout ladder. `None`:
-    /// classic fixed-depth admission. Defaults from
-    /// `LA_SERVE_TARGET_DELAY` (milliseconds; `0`/unset = off).
+    /// and a sliding sojourn window tightens the bounds of sub-`High`
+    /// [`Priority`] traffic while overload is sustained. `None`: classic
+    /// fixed-depth admission. Defaults from `LA_SERVE_TARGET_DELAY`
+    /// (milliseconds; `0`/unset = off).
     pub target_delay: Option<Duration>,
     /// Stuck-job watchdog: a worker whose heartbeat stalls this long
     /// while holding one job is escalated — cooperative cancel first,
@@ -448,11 +422,6 @@ pub struct ServeConfig {
     /// respawned. `None`: watchdog off. Defaults from
     /// `LA_SERVE_WATCHDOG` (milliseconds; `0`/unset = off).
     pub watchdog: Option<Duration>,
-    /// Permit the brownout ladder under sustained overload (requires
-    /// [`target_delay`](ServeConfig::target_delay) for overload
-    /// detection): Dd refinement off → ABFT verification off, applied
-    /// least to [`Priority::High`] jobs.
-    pub brownout: bool,
 }
 
 impl Default for ServeConfig {
@@ -467,7 +436,6 @@ impl Default for ServeConfig {
             verify_residual: true,
             target_delay: ms(tune.serve_target_delay_ms),
             watchdog: ms(tune.serve_watchdog_ms),
-            brownout: true,
         }
     }
 }

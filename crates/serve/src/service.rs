@@ -1,18 +1,15 @@
 //! The service: bounded queue, worker pool, per-job robustness pipeline,
-//! and the overload subsystem (adaptive admission, stuck-job watchdog,
-//! brownout).
+//! and the overload subsystem (adaptive admission, stuck-job watchdog).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use la_core::abft::AbftPolicy;
 use la_core::cancel::{CancelToken, Heartbeat};
 use la_core::probe::Layer;
-use la_core::tune::RefineMode;
 use la_core::Demote;
 use la_core::{abft, ctx, probe, tune, Ctx};
 
@@ -21,7 +18,7 @@ use crate::handle::Shared;
 use crate::ladder::Scratch;
 use crate::tenant::TenantState;
 use crate::watchdog::{self, patrol, WorkerSlot};
-use crate::{handoff, ladder, JobHandle, JobSpec, Rejection, ServeConfig, SolveOp, TenantReport};
+use crate::{handoff, ladder, JobHandle, JobSpec, Rejection, ServeConfig, TenantReport};
 
 /// One admitted, not-yet-processed job.
 struct Queued<T: Demote> {
@@ -44,7 +41,6 @@ struct Stats {
     pool_poisonings: AtomicU64,
     stuck: AtomicU64,
     respawned: AtomicU64,
-    brownout_served: AtomicU64,
 }
 
 /// Counter snapshot from [`Service::stats`]. All counts are cumulative
@@ -79,10 +75,6 @@ pub struct ServeStats {
     /// escalations). The pool size never shrinks below the configured
     /// worker count.
     pub respawned: u64,
-    /// Answered jobs served at a brownout level above full quality.
-    pub brownout_served: u64,
-    /// Current global brownout level (`0` = full quality, up to `2`).
-    pub brownout_level: u8,
     /// Jobs sitting in the queue right now.
     pub queued: usize,
 }
@@ -102,14 +94,11 @@ struct Inner<T: Demote> {
     shutdown: AtomicBool,
     stats: Stats,
     tenants: Mutex<BTreeMap<String, TenantState>>,
-    /// Adaptive admission + brownout controller (clock-free; the service
-    /// feeds it nanoseconds from `epoch`).
+    /// Adaptive admission controller (clock-free; the service feeds it
+    /// nanoseconds from `epoch`).
     admission: Mutex<Controller>,
     /// The `now_ns` epoch for the controller's timestamps.
     epoch: Instant,
-    /// Mirror of the controller's brownout level, readable without the
-    /// admission lock on the per-job hot path.
-    level: AtomicU8,
     /// One watchdog mailbox per live worker, index-aligned with the pool.
     slots: Mutex<Vec<Arc<WorkerSlot<T>>>>,
     /// Worker + watchdog thread handles; the watchdog appends respawns.
@@ -177,7 +166,7 @@ impl<T: Demote> Service<T> {
             ..cfg
         };
         let target_ns = cfg.target_delay.map(|d| d.as_nanos() as u64).unwrap_or(0);
-        let admission = Controller::new(workers, cfg.queue_depth, target_ns, cfg.brownout);
+        let admission = Controller::new(workers, cfg.queue_depth, target_ns);
         let watchdog = cfg.watchdog;
         let inner = Arc::new(Inner {
             cfg,
@@ -191,7 +180,6 @@ impl<T: Demote> Service<T> {
             tenants: Mutex::new(BTreeMap::new()),
             admission: Mutex::new(admission),
             epoch: Instant::now(),
-            level: AtomicU8::new(0),
             slots: Mutex::new(Vec::new()),
             threads: Mutex::new(Vec::new()),
             job_seq: AtomicU64::new(1),
@@ -246,16 +234,12 @@ impl<T: Demote> Service<T> {
                 return Err(Rejection::ShuttingDown);
             }
             let now_ns = self.inner.now_ns();
-            let verdict = {
-                let mut adm = self
-                    .inner
-                    .admission
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                let v = adm.admit(spec.op.class(), spec.priority, q.len(), now_ns);
-                self.inner.level.store(adm.level(), Ordering::Relaxed);
-                v
-            };
+            let verdict = self
+                .inner
+                .admission
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .admit(spec.op.class(), spec.priority, q.len(), now_ns);
             match verdict {
                 Verdict::Admit => {}
                 Verdict::Shed {
@@ -345,8 +329,6 @@ impl<T: Demote> Service<T> {
             pool_poisonings: s.pool_poisonings.load(Ordering::Relaxed),
             stuck: s.stuck.load(Ordering::Relaxed),
             respawned: s.respawned.load(Ordering::Relaxed),
-            brownout_served: s.brownout_served.load(Ordering::Relaxed),
-            brownout_level: self.inner.level.load(Ordering::Relaxed),
             queued: self.inner.pending.load(Ordering::Relaxed),
         }
     }
@@ -507,53 +489,19 @@ fn worker_loop<T: Demote>(inner: Arc<Inner<T>>, slot: Arc<WorkerSlot<T>>) {
         }
         match next_job(&inner) {
             Some(job) => {
-                // Queue sojourn feeds the CoDel window; the rolled level
-                // is mirrored for the brownout decision below.
+                // Queue sojourn feeds the CoDel window.
                 let now_ns = inner.now_ns();
-                {
-                    let mut adm = inner.admission.lock().unwrap_or_else(|e| e.into_inner());
-                    adm.note_sojourn(now_ns.saturating_sub(job.enqueued_ns), now_ns);
-                    inner.level.store(adm.level(), Ordering::Relaxed);
-                }
+                inner
+                    .admission
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .note_sojourn(now_ns.saturating_sub(job.enqueued_ns), now_ns);
                 process(&inner, &slot, job, &mut scratch);
                 scratch.trim();
             }
             None => return,
         }
     }
-}
-
-/// The probe span name a job runs under — the brownout state is visible
-/// in the span stream and the per-tenant counter rows.
-fn brownout_span(level: u8) -> &'static str {
-    match level {
-        0 => "serve",
-        1 => "serve_brownout_l1",
-        _ => "serve_brownout_l2",
-    }
-}
-
-/// Runs the ladder under the job's effective brownout level:
-/// `1` turns double-double refinement off, `2` additionally turns ABFT
-/// verification off. The answer's residual check (the no-wrong-
-/// answers gate) is never browned out, and the ladder's own `Recover`
-/// retry re-enables ABFT innermost if a fault does surface.
-fn run_browned_out<T: Demote>(
-    level: u8,
-    op: SolveOp,
-    a: &la_core::Mat<T>,
-    b: &la_core::Mat<T>,
-    cfg: &ServeConfig,
-    scratch: &mut Scratch<T>,
-) -> ladder::Attempted<T> {
-    let mut browned = ctx::current();
-    if level >= 1 {
-        browned.tune.refine = RefineMode::Working;
-    }
-    if level >= 2 {
-        browned.abft = AbftPolicy::Off;
-    }
-    ctx::with(browned, || ladder::run(op, a, b, cfg, scratch))
 }
 
 /// Runs one job through the full robustness pipeline and fulfills its
@@ -586,16 +534,6 @@ fn process<T: Demote>(
     }
     let workers = inner.workers;
     let cfg = &inner.cfg;
-    // The job's effective brownout: the global level, shielded by the
-    // job's priority so paying tenants degrade last.
-    let level = if cfg.brownout {
-        inner
-            .level
-            .load(Ordering::Relaxed)
-            .saturating_sub(spec.priority.shield())
-    } else {
-        0
-    };
     // Register with the watchdog: the heartbeat is stamped at every
     // cancellation checkpoint the solve was polling anyway.
     let heartbeat = Heartbeat::new();
@@ -619,7 +557,7 @@ fn process<T: Demote>(
         ambient.enter(|| {
             probe::job_scope(|| {
                 abft::job_scope(|| {
-                    let _span = probe::span(Layer::Driver, brownout_span(level), 0, 0);
+                    let _span = probe::span(Layer::Driver, "serve", 0, 0);
                     #[cfg(feature = "fault-inject")]
                     if spec.chaos_panic {
                         panic!("chaos: injected worker panic");
@@ -628,7 +566,7 @@ fn process<T: Demote>(
                     if let Some(kind) = spec.chaos_wedge {
                         crate::chaos::wedge(kind, &token, &slot.abandoned, &inner.shutdown);
                     }
-                    run_browned_out(level, spec.op, &spec.a, &spec.b, cfg, scratch)
+                    ladder::run(spec.op, &spec.a, &spec.b, cfg, scratch)
                 })
             })
         })
@@ -669,8 +607,7 @@ fn process<T: Demote>(
                 })
             };
             match att.outcome {
-                Ok(mut out) => {
-                    out.brownout = level;
+                Ok(out) => {
                     // Completed service times feed the per-class EWMA
                     // the admission bound is derived from.
                     {
@@ -681,10 +618,7 @@ fn process<T: Demote>(
                     if out.degraded {
                         inner.stats.degraded.fetch_add(1, Ordering::Relaxed);
                     }
-                    if level > 0 {
-                        inner.stats.brownout_served.fetch_add(1, Ordering::Relaxed);
-                    }
-                    book(&|t| t.record_completed(att.fault_seen, level > 0));
+                    book(&|t| t.record_completed(att.fault_seen));
                     shared.fulfill(Ok(out));
                 }
                 Err(rej) => {
@@ -735,7 +669,8 @@ fn process<T: Demote>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Priority, SolveOp};
+    use crate::SolveOp;
+    use la_core::abft::AbftPolicy;
     use la_core::{mat, Mat};
     use std::time::Duration;
 
@@ -766,7 +701,7 @@ mod tests {
     }
 
     #[test]
-    fn serves_all_four_ops_and_reports_stats() {
+    fn serves_all_three_ops_and_reports_stats() {
         let svc: Service<f64> = Service::start(ServeConfig {
             workers: 2,
             ..ServeConfig::default()
@@ -776,7 +711,6 @@ mod tests {
             SolveOp::Gesv,
             SolveOp::Posv(la_core::Uplo::Upper),
             SolveOp::GesvMixed,
-            SolveOp::PosvMixed(la_core::Uplo::Upper),
         ]
         .into_iter()
         .map(|op| {
@@ -788,24 +722,22 @@ mod tests {
         for h in handles {
             let out = h.wait().unwrap();
             assert_eq!(out.attempts, 1);
-            assert_eq!(out.brownout, 0, "no overload, full quality");
             xs.push(out.x);
         }
-        // All four ops solve the same SPD system: answers must agree.
+        // All three ops solve the same SPD system: answers must agree.
         for x in &xs[1..] {
             for i in 0..16 {
                 assert!((x[(i, 0)] - xs[0][(i, 0)]).abs() < 1e-8);
             }
         }
         let s = svc.stats();
-        assert_eq!(s.submitted, 4);
-        assert_eq!(s.completed, 4);
+        assert_eq!(s.submitted, 3);
+        assert_eq!(s.completed, 3);
         assert_eq!(s.pool_poisonings, 0);
         assert_eq!(s.stuck, 0);
         assert_eq!(s.respawned, 0);
-        assert_eq!(s.brownout_level, 0);
         let rep = svc.tenant_report("t1").unwrap();
-        assert_eq!(rep.completed, 4);
+        assert_eq!(rep.completed, 3);
         assert_eq!(rep.fault_streak, 0);
         svc.shutdown();
         // Post-shutdown submissions are typed, not panics.
@@ -991,64 +923,38 @@ mod tests {
     }
 
     #[test]
-    fn sustained_overload_browns_out_low_priority_answers() {
+    fn more_workers_than_queue_slots_admit_adaptively_without_panicking() {
+        // The Little's-law floor (one job per worker) exceeds the cap here;
+        // the cap must win, or `submit` panics with the queue and
+        // admission locks held.
         let svc: Service<f64> = Service::start(ServeConfig {
-            workers: 1,
-            queue_depth: 64,
-            target_delay: Some(Duration::from_nanos(1)),
-            brownout: true,
+            workers: 4,
+            queue_depth: 2,
+            target_delay: Some(Duration::from_millis(5)),
             ..ServeConfig::default()
         });
-        let (a, b) = spd(64);
-        // Keep one job queued behind the in-flight one: every dequeue
-        // then observes a sojourn over the (1ns) target, so each closed
-        // window is a bad window and the level climbs. Low priority has
-        // no shield, so level 1 already browns its answers out.
-        let t0 = Instant::now();
-        let mut served_brownout = false;
-        while t0.elapsed() < Duration::from_secs(30) {
-            let spec = JobSpec::new(SolveOp::Gesv, a.clone(), b.clone()).priority(Priority::Low);
-            match svc.submit(spec) {
-                Ok(h) => {
-                    if let Ok(out) = h.wait() {
-                        if out.brownout > 0 {
-                            served_brownout = true;
-                            break;
-                        }
-                    }
+        let (a, b) = spd(24);
+        // One completion gives the controller a service time to size from.
+        svc.submit(JobSpec::new(SolveOp::Gesv, a.clone(), b.clone()))
+            .unwrap()
+            .wait()
+            .unwrap();
+        let mut admitted = Vec::new();
+        for _ in 0..8 {
+            match svc.submit(JobSpec::new(SolveOp::Gesv, a.clone(), b.clone())) {
+                Ok(h) => admitted.push(h),
+                Err(Rejection::Overloaded { depth, .. }) => {
+                    assert!(depth <= 2, "the cap bounds the adaptive bound, got {depth}")
                 }
-                Err(Rejection::Overloaded { .. }) => std::thread::yield_now(),
                 Err(other) => panic!("unexpected rejection {other}"),
             }
         }
-        assert!(
-            served_brownout,
-            "sustained overload must brown low-priority answers out"
-        );
-        let s = svc.stats();
-        assert!(s.brownout_served >= 1);
-        assert_eq!(s.pool_poisonings, 0);
+        assert!(!admitted.is_empty());
+        for h in admitted {
+            h.wait().unwrap();
+        }
+        assert_eq!(svc.stats().pool_poisonings, 0);
         svc.shutdown();
-    }
-
-    #[test]
-    fn high_priority_degrades_last_and_least() {
-        use crate::admission::MAX_LEVEL;
-        let served_at = |p: Priority, global: u8| global.saturating_sub(p.shield());
-        for global in 0..=MAX_LEVEL {
-            assert!(served_at(Priority::High, global) <= served_at(Priority::Normal, global));
-            assert!(served_at(Priority::Normal, global) <= served_at(Priority::Low, global));
-        }
-        // Low degrades from the first level on and alone reaches the rung
-        // that turns ABFT verification off.
-        assert_eq!(served_at(Priority::Low, 1), 1);
-        assert_eq!(served_at(Priority::Low, MAX_LEVEL), MAX_LEVEL);
-        // High is untouched below the ceiling and loses only Dd refinement
-        // at it.
-        for global in 0..MAX_LEVEL {
-            assert_eq!(served_at(Priority::High, global), 0);
-        }
-        assert_eq!(served_at(Priority::High, MAX_LEVEL), 1);
     }
 
     #[test]

@@ -10,7 +10,6 @@ pub(crate) struct TenantState {
     rejected: u64,
     degraded: u64,
     stuck: u64,
-    brownout_served: u64,
     flops: u64,
     nanos: u64,
 }
@@ -23,7 +22,6 @@ impl TenantState {
             rejected: 0,
             degraded: 0,
             stuck: 0,
-            brownout_served: 0,
             flops: 0,
             nanos: 0,
         }
@@ -39,14 +37,9 @@ impl TenantState {
 
     /// Records a served answer. A faulty-but-recovered job (`degraded`)
     /// still counts toward the fault streak: the tenant's workload is
-    /// provoking faults even when the ladder absorbs them. `brownout`
-    /// marks answers served below full quality (overload brownout) —
-    /// visible in the report, not a fault.
-    pub(crate) fn record_completed(&mut self, degraded: bool, brownout: bool) {
+    /// provoking faults even when the ladder absorbs them.
+    pub(crate) fn record_completed(&mut self, degraded: bool) {
         self.completed += 1;
-        if brownout {
-            self.brownout_served += 1;
-        }
         if degraded {
             self.degraded += 1;
             self.streak += 1;
@@ -81,7 +74,6 @@ impl TenantState {
             rejected: self.rejected,
             degraded: self.degraded,
             stuck: self.stuck,
-            brownout_served: self.brownout_served,
             fault_streak: self.streak,
             flops: self.flops,
             nanos: self.nanos,
@@ -104,9 +96,6 @@ pub struct TenantReport {
     /// Jobs resolved [`crate::Rejection::Stuck`] by the watchdog (subset
     /// of `rejected`).
     pub stuck: u64,
-    /// Answered jobs served below full quality under overload brownout
-    /// (subset of `completed`).
-    pub brownout_served: u64,
     /// Consecutive faulty jobs (panic, soft fault, residual failure,
     /// re-screened NaN) up to now; a clean answer resets it.
     pub fault_streak: u32,
@@ -126,10 +115,11 @@ mod tests {
         let mut t = TenantState::new();
         t.record_rejected(true);
         t.record_rejected(true);
-        t.record_completed(false, false); // clean answer resets the streak
+        t.record_completed(false); // clean answer resets the streak
         t.record_rejected(true);
-        t.record_completed(true, false); // a recovered fault still counts
-                                         // Overload/deadline rejections are not faults.
+        // A recovered fault still counts; overload and deadline rejections
+        // are not faults.
+        t.record_completed(true);
         for _ in 0..10 {
             t.record_rejected(false);
         }
@@ -141,21 +131,18 @@ mod tests {
     }
 
     #[test]
-    fn stuck_and_brownout_are_visible_but_never_count_as_faults() {
+    fn stuck_is_visible_but_never_counts_as_a_fault() {
         let mut t = TenantState::new();
         // A wedged job is a liveness event, not a numerics fault: it
         // counts as rejected + stuck but leaves the streak alone.
         for _ in 0..9 {
             t.record_stuck();
         }
-        // Browned-out answers are completions, flagged for the report.
-        t.record_completed(false, true);
-        t.record_completed(false, false);
+        t.record_completed(false);
         let r = t.report("acme");
         assert_eq!(r.rejected, 9);
         assert_eq!(r.stuck, 9);
-        assert_eq!(r.completed, 2);
-        assert_eq!(r.brownout_served, 1);
+        assert_eq!(r.completed, 1);
         assert_eq!(r.fault_streak, 0);
     }
 }

@@ -626,8 +626,9 @@ mod fault_attribution {
 
 /// Oversubscribed scheduler stress: many repeated runs at a high worker
 /// count on small tiles, checking dag-vs-blocked equality every time.
-/// Ignored by default (slow); the CI TSan job runs it with
-/// `--ignored` under `LA_NUM_THREADS=16 LA_OVERSUBSCRIBE=1`.
+/// Ignored by default (slow); the CI TSan job runs it with `--ignored`.
+/// It sets its own budget (16 threads, oversubscribed), so no `LA_*`
+/// variable is needed; `LA_STRESS_ITERS` sets the repetitions.
 #[test]
 #[ignore = "stress loop; run explicitly (CI TSan job does)"]
 fn oversubscribed_stress_repeated_seeds() {
