@@ -33,6 +33,8 @@
 //! * `dtrsm` 256 × 1024 (L/N/unit) against `dgemm` 256 × 1024 × 256;
 //! * `dgemm` n = 256 against [`gemm_axpy`], a column-`axpy` loop with no
 //!   packing or blocking kept here as the reference;
+//! * `gemm` n = 256, f64 and f32, on the AVX-512 tiles against the AVX2
+//!   tiles (`la_blas::kernel::with_narrow_simd`), on a host that has both;
 //! * `dgemm`, `dgetrf` and `dpotrf` at n = 1024, each with ABFT off and
 //!   verifying: each factorization's GF/s over gemm's (ROADMAP item 1's
 //!   bar) and each verify/off time ratio;
@@ -40,6 +42,9 @@
 //!   right-hand side;
 //! * `dgetrf` and `dpotrf` at n = 512 for NB 16 … 128, each time over the
 //!   default NB's (ungated).
+//!
+//! On a host with both `simd` tiers the n = 1024 groups run once more on
+//! the AVX2 tier, rows marked `[avx2]`.
 //!
 //! Three "call floor" rows close the table — what the thread-budget
 //! resolution, a 4×4×4 `dgemm` and a one-column `dtrsm` (next to the
@@ -55,21 +60,32 @@
 //!   256 × 1024 × 256, taking turns (needs `simd`);
 //! * `--min-panel-over-rank1 R`: `dgetf2` 96 × 32 over the rank-1 loop;
 //! * `--min-packed-over-reference R`: `dgemm` n = 256 over [`gemm_axpy`];
+//! * `--min-avx512-over-avx2 R`: the f64 AVX-512 tile's `gemm` n = 256
+//!   speed-up over the AVX2 tile (needs `simd`; prints `skipped: no
+//!   avx512f` and passes on a host without it) — what a silent fallback
+//!   to the AVX2 tile fails, while every ratio to gemm would pass (the f32
+//!   row is printed, ungated);
 //! * `--min-factor-over-gemm R`: the smaller of `dgetrf`'s and `dpotrf`'s
 //!   rate over `dgemm`'s at n = 1024;
 //! * `--max-abft-overhead R`: the largest verify/off ratio at n = 1024;
 //! * `--min-mixed-speedup R`: `dgesv` time over `dgesv_mixed` time at
 //!   n = 1024.
 //!
+//! The last three read the AVX2 tier's run: the tile every `simd` host
+//! runs, so one bound holds on any runner (the AVX-512 tier moves each of
+//! these ratios by more than the slowdown it must catch; EXPERIMENTS.md,
+//! "An AVX-512 tier").
+//!
 //! Blocking parameters come from [`la_core::tune`]: a sweep over the
 //! cache blocking sets `TuneConfig::{gemm_mc, gemm_kc, gemm_nc}` in code
 //! (`tune::with`); they have no environment variable.
 
 use la_bench::{bench_matrix, bench_spd, gate, Args};
+use la_blas::kernel::{kernel_for, with_narrow_simd, MicroKernel};
 use la_core::abft::{self, AbftPolicy};
 use la_core::probe::flops;
 use la_core::tune::{self, GemmKernel, TuneConfig};
-use la_core::{Diag, Side, Trans, Uplo};
+use la_core::{Diag, Scalar, Side, Trans, Uplo};
 use la_lapack as f77;
 use std::time::Instant;
 
@@ -124,14 +140,14 @@ fn interleaved(mut calls: Vec<Call>) -> Vec<f64> {
     best
 }
 
-/// `dgemm` `C = A·B` (`m × k` times `k × n`) under `policy`.
-fn gemm_call<'a>(
+/// `gemm` `C = A·B` (`m × k` times `k × n`) under `policy`.
+fn gemm_call<'a, T: Scalar>(
     (m, n, k): (usize, usize, usize),
-    a: &'a [f64],
-    b: &'a [f64],
+    a: &'a [T],
+    b: &'a [T],
     policy: AbftPolicy,
 ) -> Call<'a> {
-    let mut c = vec![0.0; m * n];
+    let mut c = vec![T::zero(); m * n];
     Box::new(move || {
         abft::with_policy(policy, || {
             timed(|| {
@@ -141,12 +157,12 @@ fn gemm_call<'a>(
                     m,
                     n,
                     k,
-                    1.0,
+                    T::one(),
                     a,
                     m,
                     b,
                     k,
-                    0.0,
+                    T::zero(),
                     &mut c,
                     m,
                 );
@@ -210,10 +226,65 @@ fn reference_row() -> f64 {
     t[1] / t[0]
 }
 
+/// Whether the host runs two `simd` tiers: `simd` resolves to a wider
+/// tile than it does under [`with_narrow_simd`].
+fn two_tiers() -> bool {
+    let dims = |k: &dyn MicroKernel<f64>| (k.mr(), k.nr());
+    let narrow = with_narrow_simd(|| kernel_for::<f64>(GemmKernel::Simd));
+    dims(kernel_for::<f64>(GemmKernel::Simd)) != dims(narrow)
+}
+
+/// `call` pinned to the narrowest `simd` tier.
+fn narrow(mut call: Call) -> Call {
+    Box::new(move || with_narrow_simd(&mut call))
+}
+
+/// `gemm` n = [`REFERENCE_N`], f64 and f32, on the AVX-512 tiles against
+/// the AVX2 tiles. Returns the f64 speed-up, `None` on a host with one
+/// tier.
+fn tier_row() -> Option<f64> {
+    let n = REFERENCE_N;
+    if !two_tiers() {
+        println!("gemm  n={n} avx-512 over avx2 tiles: skipped: no avx512f");
+        return None;
+    }
+    let (a, b) = (bench_matrix::<f64>(n, 3), bench_matrix::<f64>(n, 5));
+    let (a, b) = (a.as_slice(), b.as_slice());
+    let single = |x: &[f64]| x.iter().map(|&v| v as f32).collect::<Vec<f32>>();
+    let (a32, b32) = (single(a), single(b));
+    let t = interleaved(vec![
+        gemm_call((n, n, n), a, b, AbftPolicy::Off),
+        narrow(gemm_call((n, n, n), a, b, AbftPolicy::Off)),
+        gemm_call((n, n, n), &a32, &b32, AbftPolicy::Off),
+        narrow(gemm_call((n, n, n), &a32, &b32, AbftPolicy::Off)),
+    ]);
+    let rate = |secs: f64| flops::gemm(n, n, n) as f64 / secs / 1e9;
+    for (i, ty) in ["f64", "f32"].into_iter().enumerate() {
+        let (wide, avx2) = (t[2 * i], t[2 * i + 1]);
+        println!(
+            "gemm  n={n} {ty} avx-512 {:6.2} GF/s  avx2 {:6.2} GF/s  {:4.2} x",
+            rate(wide),
+            rate(avx2),
+            avx2 / wide
+        );
+    }
+    Some(t[1] / t[0])
+}
+
+/// The `[avx2]` mark of a row timed on the narrow tier.
+fn mark(on_narrow: bool) -> &'static str {
+    if on_narrow {
+        " [avx2]"
+    } else {
+        ""
+    }
+}
+
 /// `dgemm`, `dgetrf` and `dpotrf` at n = [`FACTOR_N`], each with ABFT off
-/// and verifying. Returns the smaller factorization-over-gemm rate ratio
-/// and the largest verify/off time ratio.
-fn factor_rows() -> (f64, f64) {
+/// and verifying, on the narrow tier if `on_narrow`. Returns the smaller
+/// factorization-over-gemm rate ratio and the largest verify/off time
+/// ratio.
+fn factor_rows(on_narrow: bool) -> (f64, f64) {
     const N: usize = FACTOR_N;
     let (gen, spd) = (bench_matrix::<f64>(N, 17), bench_spd::<f64>(N, 19));
     let (gen, spd) = (gen.as_slice(), spd.as_slice());
@@ -227,6 +298,9 @@ fn factor_rows() -> (f64, f64) {
             f77::potrf(Uplo::Lower, N, a, N)
         }));
     }
+    if on_narrow {
+        calls = calls.into_iter().map(narrow).collect();
+    }
     let checks = abft::checks();
     let t = interleaved(calls);
     assert!(abft::checks() > checks, "no ABFT check ran under Verify");
@@ -236,10 +310,11 @@ fn factor_rows() -> (f64, f64) {
         let rate = rates[i] / t[i] / 1e9;
         let of_gemm = rate / (rates[0] / t[0] / 1e9);
         println!(
-            "{op:<5} n={N} {:8.2} ms {rate:6.2} GF/s  {of_gemm:4.2} of gemm  abft verify {:8.2} ms  {:4.2} x off",
+            "{op:<5} n={N} {:8.2} ms {rate:6.2} GF/s  {of_gemm:4.2} of gemm  abft verify {:8.2} ms  {:4.2} x off{}",
             t[i] * 1e3,
             t[i + 3] * 1e3,
             t[i + 3] / t[i],
+            mark(on_narrow),
         );
         if i > 0 {
             over_gemm = over_gemm.min(of_gemm);
@@ -250,8 +325,9 @@ fn factor_rows() -> (f64, f64) {
 }
 
 /// `dgesv` / `dgesv_mixed` and `dposv` / `dposv_mixed` at n =
-/// [`FACTOR_N`], one right-hand side. Returns `gesv`'s mixed speed-up.
-fn mixed_rows() -> f64 {
+/// [`FACTOR_N`], one right-hand side, on the narrow tier if `on_narrow`.
+/// Returns `gesv`'s mixed speed-up.
+fn mixed_rows(on_narrow: bool) -> f64 {
     const N: usize = FACTOR_N;
     let (gen, spd) = (bench_matrix::<f64>(N, 17), bench_spd::<f64>(N, 19));
     let (gen, spd) = (gen.as_slice(), spd.as_slice());
@@ -263,7 +339,7 @@ fn mixed_rows() -> f64 {
         assert!(iter >= 0, "the mixed driver fell back");
         info
     };
-    let t = interleaved(vec![
+    let mut calls = vec![
         factor_call(gen, AbftPolicy::Off, |a| {
             f77::gesv(N, 1, a, N, &mut [0; N], &mut b.to_vec(), N)
         }),
@@ -280,14 +356,19 @@ fn mixed_rows() -> f64 {
             let info = f77::posv_mixed(Uplo::Lower, N, 1, a, N, b, N, &mut x, N, &mut iter);
             converged(info, iter)
         }),
-    ]);
+    ];
+    if on_narrow {
+        calls = calls.into_iter().map(narrow).collect();
+    }
+    let t = interleaved(calls);
     for (i, op) in ["gesv", "posv"].into_iter().enumerate() {
         let (full, mixed) = (t[2 * i], t[2 * i + 1]);
         println!(
-            "{op:<5} n={N} {:8.2} ms  {op}_mixed {:8.2} ms  {:4.2} x",
+            "{op:<5} n={N} {:8.2} ms  {op}_mixed {:8.2} ms  {:4.2} x{}",
             full * 1e3,
             mixed * 1e3,
-            full / mixed
+            full / mixed,
+            mark(on_narrow),
         );
     }
     t[0] / t[1]
@@ -651,14 +732,20 @@ fn main() {
     let min_trsm = args.limit("--min-trsm-over-gemm");
     let min_panel = args.limit("--min-panel-over-rank1");
     let min_packed = args.limit("--min-packed-over-reference");
+    let min_tier = args.limit("--min-avx512-over-avx2");
     let min_factor = args.limit("--min-factor-over-gemm");
     let max_abft = args.limit("--max-abft-overhead");
     let min_mixed = args.limit("--min-mixed-speedup");
     let mut sizes: Vec<usize> = args.positional();
     args.finish();
-    if min_trsm.is_some() && !cfg!(feature = "simd") {
-        eprintln!("error: --min-trsm-over-gemm rates the simd kernel: build with --features simd");
-        std::process::exit(2);
+    for (flag, asked) in [
+        ("--min-trsm-over-gemm", min_trsm.is_some()),
+        ("--min-avx512-over-avx2", min_tier.is_some()),
+    ] {
+        if asked && !cfg!(feature = "simd") {
+            eprintln!("error: {flag} rates the simd kernel: build with --features simd");
+            std::process::exit(2);
+        }
     }
     if sizes.is_empty() {
         sizes = vec![256, 512, 1024];
@@ -730,14 +817,24 @@ fn main() {
     println!("== one thread, default kernel, calls taking turns for {MIN_SECS} s per group ==");
     let trsm = trsm_gate_row();
     let packed = reference_row();
-    let (factor, abft_overhead) = factor_rows();
-    let mixed = mixed_rows();
+    let tier = tier_row();
+    let (mut factor, mut abft_overhead) = factor_rows(false);
+    let mut mixed = mixed_rows(false);
+    // On a two-tier host the gates read the AVX2 tier's run.
+    if two_tiers() {
+        (factor, abft_overhead) = factor_rows(true);
+        mixed = mixed_rows(true);
+    }
     nb_rows();
     call_floor();
     let gates = [
         gate("trsm 256x1024 over gemm", trsm, min_trsm),
         gate("getf2 96x32 over the rank-1 loop", panel, min_panel),
         gate("gemm n=256 over the column-axpy loop", packed, min_packed),
+        match tier {
+            Some(tier) => gate("f64 gemm n=256 avx-512 over avx2 tile", tier, min_tier),
+            None => true,
+        },
         gate(
             "min(getrf, potrf) rate over gemm, n=1024",
             factor,

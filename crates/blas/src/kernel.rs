@@ -8,43 +8,51 @@
 //! product in registers from zero, adds it into `C` once and masks ragged
 //! edges itself, so a rank-32 update pays no scratch round trip per tile.
 //!
-//! Three interchangeable implementations sit behind the [`MicroKernel`]
-//! trait, selected through the `LA_GEMM_KERNEL` tune knob
-//! ([`la_core::tune::GemmKernel`]):
+//! Three kinds of kernel sit behind the [`MicroKernel`] trait, selected
+//! through the `LA_GEMM_KERNEL` tune knob ([`la_core::tune::GemmKernel`]):
 //!
 //! * [`RefKernel`] — the reference triple loop. Slow; the bitwise ground
 //!   truth the equivalence tests compare everything against.
 //! * [`Unrolled`] — an explicitly unrolled register tile, generic over the
 //!   scalar type. Performs the *same additions in the same order* as
 //!   `RefKernel`, so the two are bitwise identical.
-//! * the `simd` kernels — x86-64 AVX2+FMA vectorized tiles, one per real
-//!   type (behind the `simd` cargo feature). FMA contracts the
-//!   multiply-add rounding, so their results differ from the scalar
-//!   kernels by a few ulps. [`kernel_for`] picks them once per
-//!   [`PackedPlan`], after checking the scalar type and the CPU; complex
-//!   types and other hosts get the unrolled kernel, so selecting `simd`
-//!   is always safe and nothing is re-tested per tile.
+//! * the `simd` kernels — x86-64 vectorized tiles for the real types
+//!   (behind the `simd` cargo feature), in two tiers: AVX-512F `zmm` tiles
+//!   (f64 16×8, f32 16×16) on a CPU with AVX-512F, else AVX2+FMA `ymm`
+//!   tiles (f64 8×4, f32 16×4). FMA contracts the multiply-add rounding,
+//!   so their results differ from the scalar kernels by a few ulps.
+//!   [`kernel_for`] picks the widest tier the CPU runs, once per
+//!   [`PackedPlan`], after checking the scalar type; complex types and
+//!   other hosts get the unrolled kernel, so selecting `simd` is always
+//!   safe and nothing is re-tested per tile.
 //!
-//! Every kernel for a given scalar type shares the same tile shape
-//! ([`tile_dims`]), so the packed-panel layout — and therefore the
-//! summation *grouping* — is identical across kernels.
+//! The scalar, unrolled and AVX2 kernels share one tile shape per scalar
+//! type ([`tile_dims`]); the AVX-512 tiles are wider. Nothing outside a
+//! kernel assumes its shape: the packing, the stack tile of an edge and the
+//! solve sweep read it from the plan's kernel. Every kernel sums each
+//! element from zero over the depth in order and adds it into `C` once, so
+//! a shape moves where tiles fall, not what they sum: the two `simd` tiers
+//! give `gemm` and `syrk` the same bits.
 //!
 //! The triangular solve sweep (`l3::trsm_left_cols`) drives the same `tile`
-//! method and adds no kernel code: its in-tile substitution is one
-//! function generic over the tile shape (`solve_tile`), shared by all three
-//! kernels.
+//! method and takes its in-tile substitution from the kernel
+//! ([`MicroKernel::solver`]): one function generic over the tile shape
+//! (`solve_tile`) for every kernel but the AVX-512 tier, whose
+//! substitution holds the tile in 16 `zmm` registers and gives the generic
+//! function's bits.
 
 use la_core::tune::GemmKernel;
 use la_core::Scalar;
 
-/// Largest `MR·NR` over all tile shapes in [`tile_dims`]; sizes the stack
-/// tile of [`via_stack_tile`].
-const MAX_TILE: usize = 64;
+/// Largest `MR·NR` over every kernel's tile (the f32 AVX-512 tile,
+/// 16×16); sizes the stack tile of [`via_stack_tile`].
+const MAX_TILE: usize = 256;
 
-/// The microkernel tile shape `(MR, NR)` for a scalar type. One shape per
-/// type, shared by every kernel variant so the packed layout is
-/// kernel-independent: `f32` 16×4, `f64` 8×4 (two/two AVX vectors of rows
-/// by four broadcast columns), complex types 4×2.
+/// The tile shape `(MR, NR)` of the scalar, unrolled and AVX2 kernels for
+/// a scalar type: `f32` 16×4, `f64` 8×4 (two/two AVX vectors of rows by
+/// four broadcast columns), complex types 4×2. The AVX-512 tier's tiles are
+/// wider; code that packs for a kernel reads [`MicroKernel::mr`] and
+/// [`MicroKernel::nr`].
 pub fn tile_dims<T: Scalar>() -> (usize, usize) {
     if T::IS_COMPLEX {
         (4, 2)
@@ -88,6 +96,9 @@ pub trait MicroKernel<T: Scalar>: Sync {
         rows: usize,
         cols: usize,
     );
+    /// The in-tile substitution of the solve sweep for this kernel's tile
+    /// shape, forward (`lower`) or backward.
+    fn solver(&self, lower: bool) -> SolveTile<T>;
 }
 
 /// The argument checks of [`MicroKernel::tile`]. Returns `false` for an
@@ -211,19 +222,15 @@ pub fn tile_where<T: Scalar>(
 /// identity. Only the triangle is read, and with `unit` not its diagonal.
 /// `xneg` holds `rows` groups of `nr` in packed-B layout, columns past
 /// `cols` zero.
-pub(crate) type SolveTile<T> =
+pub type SolveTile<T> =
     fn(unit: bool, d: &[T], b: &mut [T], ldb: usize, rows: usize, cols: usize, xneg: &mut [T]);
 
-/// The [`SolveTile`] for `T`'s tile shape, substituting forward (`lower`)
-/// or backward.
-pub(crate) fn solve_tile_for<T: Scalar>(lower: bool) -> SolveTile<T> {
-    match (tile_dims::<T>(), lower) {
-        ((16, 4), true) => solve_tile::<T, 16, 4, true>,
-        ((16, 4), false) => solve_tile::<T, 16, 4, false>,
-        ((8, 4), true) => solve_tile::<T, 8, 4, true>,
-        ((8, 4), false) => solve_tile::<T, 8, 4, false>,
-        (_, true) => solve_tile::<T, 4, 2, true>,
-        (_, false) => solve_tile::<T, 4, 2, false>,
+/// The generic [`SolveTile`] at one tile shape.
+fn solve_tile_at<T: Scalar, const MR: usize, const NR: usize>(lower: bool) -> SolveTile<T> {
+    if lower {
+        solve_tile::<T, MR, NR, true>
+    } else {
+        solve_tile::<T, MR, NR, false>
     }
 }
 
@@ -342,6 +349,9 @@ impl<T: Scalar, const MR: usize, const NR: usize> MicroKernel<T> for RefKernel<M
             }
         }
     }
+    fn solver(&self, lower: bool) -> SolveTile<T> {
+        solve_tile_at::<T, MR, NR>(lower)
+    }
 }
 
 /// Explicitly unrolled register-tiled microkernel: the whole MR×NR
@@ -402,6 +412,9 @@ impl<T: Scalar, const MR: usize, const NR: usize> MicroKernel<T> for Unrolled<MR
             Self::full(kb, ap, bp, c, ldc)
         });
     }
+    fn solver(&self, lower: bool) -> SolveTile<T> {
+        solve_tile_at::<T, MR, NR>(lower)
+    }
 }
 
 /// The CPU check of the `simd` feature: everything compiled with
@@ -412,23 +425,66 @@ pub(crate) fn host_has_avx2_fma() -> bool {
     std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
 }
 
-/// AVX2+FMA microkernels for the real types. [`Avx`] is private to this
-/// module and [`for_type`] hands it out only after the CPU check, which is
-/// what makes the `target_feature` calls behind its `tile` sound.
+/// The x86-64 SIMD microkernels for the real types, in two tiers: AVX-512F
+/// (`Simd<true>`) and AVX2+FMA (`Simd<false>`). Both are private to this
+/// module and [`tiers`] hands one out only after its CPU check, which is
+/// what makes the `target_feature` calls behind its methods sound.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod simd {
-    use super::{check_tile, full_or_edge, MicroKernel, Scalar};
+    use super::{
+        check_tile, full_or_edge, solve_tile_at, MicroKernel, Scalar, SolveTile, MAX_TILE,
+    };
+    use std::any::Any;
     use std::arch::x86_64::*;
+    use std::cell::Cell;
 
-    /// The kernel for `T` if `T` is `f64` or `f32` and the host has
-    /// AVX2+FMA.
-    pub(super) fn for_type<T: Scalar>() -> Option<&'static dyn MicroKernel<T>> {
-        use std::any::Any;
-        if !super::host_has_avx2_fma() {
-            return None;
+    thread_local! {
+        /// Whether [`super::with_narrow_simd`] is running on this thread.
+        static NARROW: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Pins this thread to the narrowest tier until dropped, then restores
+    /// the previous setting (also on unwind).
+    pub(super) struct Narrow(bool);
+
+    impl Narrow {
+        pub(super) fn pin() -> Self {
+            Narrow(NARROW.replace(true))
         }
-        let d: &'static dyn MicroKernel<f64> = &Avx;
-        let s: &'static dyn MicroKernel<f32> = &Avx;
+    }
+
+    impl Drop for Narrow {
+        fn drop(&mut self) {
+            NARROW.set(self.0);
+        }
+    }
+
+    /// The SIMD kernels the CPU runs for `T`, widest first: the AVX-512
+    /// tile if it has AVX-512F, the AVX2 tile if it has AVX2+FMA; `None`
+    /// for a tier it lacks and for complex `T`.
+    pub(super) fn tiers<T: Scalar>() -> [Option<&'static dyn MicroKernel<T>>; 2] {
+        [
+            std::arch::is_x86_feature_detected!("avx512f")
+                .then(real::<T, true>)
+                .flatten(),
+            super::host_has_avx2_fma().then(real::<T, false>).flatten(),
+        ]
+    }
+
+    /// The kernel [`super::kernel_for`] resolves `simd` to: the widest
+    /// tier, or the narrowest under [`super::with_narrow_simd`].
+    pub(super) fn for_type<T: Scalar>() -> Option<&'static dyn MicroKernel<T>> {
+        let [wide, narrow] = tiers::<T>();
+        wide.filter(|_| !NARROW.get()).or(narrow)
+    }
+
+    /// `Simd<ZMM>` as `T`'s kernel when `T` is `f64` or `f32`.
+    fn real<T: Scalar, const ZMM: bool>() -> Option<&'static dyn MicroKernel<T>>
+    where
+        Simd<ZMM>: Tile<f64> + Tile<f32>,
+    {
+        let d: &'static dyn MicroKernel<f64> = &Simd::<ZMM>;
+        let s: &'static dyn MicroKernel<f32> = &Simd::<ZMM>;
         // A downcast succeeds exactly when `T` is that kernel's type.
         (&d as &dyn Any)
             .downcast_ref::<&'static dyn MicroKernel<T>>()
@@ -436,31 +492,110 @@ mod simd {
             .copied()
     }
 
-    struct Avx;
+    /// One tier's kernel: AVX-512F `zmm` tiles when `ZMM`, AVX2+FMA `ymm`
+    /// tiles otherwise.
+    struct Simd<const ZMM: bool>;
 
-    /// A real type with a vectorized full-tile accumulate.
-    trait AvxTile: Scalar {
+    /// A tier's tile for one real type.
+    trait Tile<T> {
+        /// `(MR, NR)`.
         const DIMS: (usize, usize);
         /// `C[..MR, ..NR] += Ap·Bp`.
         ///
         /// # Safety
-        /// AVX2+FMA must be available; `a` / `b` must be readable for
-        /// `kb·MR` / `kb·NR` elements and `c` readable and writable for
-        /// `(NR − 1)·ldc + MR`.
-        unsafe fn full(kb: usize, a: *const Self, b: *const Self, c: *mut Self, ldc: usize);
+        /// The tier's CPU features must be available; `a` / `b` must be
+        /// readable for `kb·MR` / `kb·NR` elements and `c` readable and
+        /// writable for `(NR − 1)·ldc + MR`.
+        unsafe fn full(kb: usize, a: *const T, b: *const T, c: *mut T, ldc: usize);
+        /// The tile's [`SolveTile`].
+        fn solver(lower: bool) -> SolveTile<T>;
     }
 
-    impl AvxTile for f64 {
+    impl Tile<f64> for Simd<false> {
         const DIMS: (usize, usize) = (8, 4);
         unsafe fn full(kb: usize, a: *const f64, b: *const f64, c: *mut f64, ldc: usize) {
             full_f64_8x4(kb, a, b, c, ldc)
         }
+        fn solver(lower: bool) -> SolveTile<f64> {
+            solve_tile_at::<f64, 8, 4>(lower)
+        }
     }
 
-    impl AvxTile for f32 {
+    impl Tile<f32> for Simd<false> {
         const DIMS: (usize, usize) = (16, 4);
         unsafe fn full(kb: usize, a: *const f32, b: *const f32, c: *mut f32, ldc: usize) {
             full_f32_16x4(kb, a, b, c, ldc)
+        }
+        fn solver(lower: bool) -> SolveTile<f32> {
+            solve_tile_at::<f32, 16, 4>(lower)
+        }
+    }
+
+    impl Tile<f64> for Simd<true> {
+        const DIMS: (usize, usize) = (16, 8);
+        unsafe fn full(kb: usize, a: *const f64, b: *const f64, c: *mut f64, ldc: usize) {
+            full_f64_16x8(kb, a, b, c, ldc)
+        }
+        fn solver(lower: bool) -> SolveTile<f64> {
+            if lower {
+                solve_f64::<true>
+            } else {
+                solve_f64::<false>
+            }
+        }
+    }
+
+    impl Tile<f32> for Simd<true> {
+        const DIMS: (usize, usize) = (16, 16);
+        unsafe fn full(kb: usize, a: *const f32, b: *const f32, c: *mut f32, ldc: usize) {
+            full_f32_16x16(kb, a, b, c, ldc)
+        }
+        fn solver(lower: bool) -> SolveTile<f32> {
+            if lower {
+                solve_f32::<true>
+            } else {
+                solve_f32::<false>
+            }
+        }
+    }
+
+    impl<T: Scalar, const ZMM: bool> MicroKernel<T> for Simd<ZMM>
+    where
+        Self: Tile<T>,
+    {
+        fn name(&self) -> &'static str {
+            "simd"
+        }
+        fn mr(&self) -> usize {
+            <Self as Tile<T>>::DIMS.0
+        }
+        fn nr(&self) -> usize {
+            <Self as Tile<T>>::DIMS.1
+        }
+        fn tile(
+            &self,
+            kb: usize,
+            ap: &[T],
+            bp: &[T],
+            c: &mut [T],
+            ldc: usize,
+            rows: usize,
+            cols: usize,
+        ) {
+            let dims = <Self as Tile<T>>::DIMS;
+            if !check_tile(dims, kb, ap, bp, c, ldc, rows, cols) {
+                return;
+            }
+            full_or_edge(dims, c, ldc, rows, cols, |c, ldc| {
+                assert!(c.len() >= (dims.1 - 1) * ldc + dims.0);
+                // SAFETY: `check_tile` proved the panel lengths and the
+                // line above the extent of `c`; a `Simd` exists only on a
+                // host with its tier's features (see `tiers`).
+                unsafe { Self::full(kb, ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr(), ldc) }
+            });
+        }
+        fn solver(&self, lower: bool) -> SolveTile<T> {
+            <Self as Tile<T>>::solver(lower)
         }
     }
 
@@ -469,7 +604,7 @@ mod simd {
     /// loaded-added-stored into its C column at the end.
     ///
     /// # Safety
-    /// See [`AvxTile::full`].
+    /// See [`Tile::full`].
     #[target_feature(enable = "avx2,fma")]
     unsafe fn full_f64_8x4(kb: usize, a: *const f64, b: *const f64, c: *mut f64, ldc: usize) {
         let mut c0 = [_mm256_setzero_pd(); 4];
@@ -494,7 +629,7 @@ mod simd {
     /// columns.
     ///
     /// # Safety
-    /// See [`AvxTile::full`].
+    /// See [`Tile::full`].
     #[target_feature(enable = "avx2,fma")]
     unsafe fn full_f32_16x4(kb: usize, a: *const f32, b: *const f32, c: *mut f32, ldc: usize) {
         let mut c0 = [_mm256_setzero_ps(); 4];
@@ -515,38 +650,340 @@ mod simd {
         }
     }
 
-    impl<T: AvxTile> MicroKernel<T> for Avx {
-        fn name(&self) -> &'static str {
-            "simd"
-        }
-        fn mr(&self) -> usize {
-            T::DIMS.0
-        }
-        fn nr(&self) -> usize {
-            T::DIMS.1
-        }
-        fn tile(
-            &self,
-            kb: usize,
-            ap: &[T],
-            bp: &[T],
-            c: &mut [T],
-            ldc: usize,
-            rows: usize,
-            cols: usize,
-        ) {
-            if !check_tile(T::DIMS, kb, ap, bp, c, ldc, rows, cols) {
-                return;
+    /// 16×8 f64 tile: rows in two 8-lane `zmm` vectors, eight broadcast
+    /// columns — 16 accumulator registers.
+    ///
+    /// # Safety
+    /// See [`Tile::full`].
+    #[target_feature(enable = "avx512f")]
+    unsafe fn full_f64_16x8(kb: usize, a: *const f64, b: *const f64, c: *mut f64, ldc: usize) {
+        let mut c0 = [_mm512_setzero_pd(); 8];
+        let mut c1 = [_mm512_setzero_pd(); 8];
+        for l in 0..kb {
+            let a0 = _mm512_loadu_pd(a.add(l * 16));
+            let a1 = _mm512_loadu_pd(a.add(l * 16 + 8));
+            for s in 0..8 {
+                let bv = _mm512_set1_pd(*b.add(l * 8 + s));
+                c0[s] = _mm512_fmadd_pd(a0, bv, c0[s]);
+                c1[s] = _mm512_fmadd_pd(a1, bv, c1[s]);
             }
-            full_or_edge(T::DIMS, c, ldc, rows, cols, |c, ldc| {
-                assert!(c.len() >= (T::DIMS.1 - 1) * ldc + T::DIMS.0);
-                // SAFETY: `check_tile` proved the panel lengths and the
-                // line above the extent of `c`; an `Avx` exists only on a
-                // host with AVX2+FMA (see `for_type`).
-                unsafe { T::full(kb, ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr(), ldc) }
-            });
+        }
+        for s in 0..8 {
+            let p = c.add(s * ldc);
+            _mm512_storeu_pd(p, _mm512_add_pd(_mm512_loadu_pd(p), c0[s]));
+            _mm512_storeu_pd(p.add(8), _mm512_add_pd(_mm512_loadu_pd(p.add(8)), c1[s]));
         }
     }
+
+    /// 16×16 f32 tile: rows in one 16-lane `zmm` vector, 16 broadcast
+    /// columns — 16 accumulator registers.
+    ///
+    /// # Safety
+    /// See [`Tile::full`].
+    #[target_feature(enable = "avx512f")]
+    unsafe fn full_f32_16x16(kb: usize, a: *const f32, b: *const f32, c: *mut f32, ldc: usize) {
+        let mut acc = [_mm512_setzero_ps(); 16];
+        for l in 0..kb {
+            let a0 = _mm512_loadu_ps(a.add(l * 16));
+            for s in 0..16 {
+                let bv = _mm512_set1_ps(*b.add(l * 16 + s));
+                acc[s] = _mm512_fmadd_ps(a0, bv, acc[s]);
+            }
+        }
+        for s in 0..16 {
+            let p = c.add(s * ldc);
+            _mm512_storeu_ps(p, _mm512_add_ps(_mm512_loadu_ps(p), acc[s]));
+        }
+    }
+
+    /// The f64 16×8 [`SolveTile`] of the AVX-512 tier.
+    fn solve_f64<const LOWER: bool>(
+        unit: bool,
+        d: &[f64],
+        b: &mut [f64],
+        ldb: usize,
+        rows: usize,
+        cols: usize,
+        xneg: &mut [f64],
+    ) {
+        full_or_padded::<f64, 8>(d, b, ldb, rows, cols, xneg, |b, ldb, xneg| {
+            // SAFETY: `full_or_padded`'s contract, and a `Simd<true>` —
+            // the only way here — exists only on an AVX-512F host.
+            unsafe { solve_f64_16x8::<LOWER>(unit, d.as_ptr(), b, ldb, xneg) }
+        })
+    }
+
+    /// The f32 16×16 [`SolveTile`] of the AVX-512 tier.
+    fn solve_f32<const LOWER: bool>(
+        unit: bool,
+        d: &[f32],
+        b: &mut [f32],
+        ldb: usize,
+        rows: usize,
+        cols: usize,
+        xneg: &mut [f32],
+    ) {
+        full_or_padded::<f32, 16>(d, b, ldb, rows, cols, xneg, |b, ldb, xneg| {
+            // SAFETY: as in `solve_f64`.
+            unsafe { solve_f32_16x16::<LOWER>(unit, d.as_ptr(), b, ldb, xneg) }
+        })
+    }
+
+    /// The checks of a 16-row [`SolveTile`], then `full(b, ldb, xneg)` —
+    /// a substitution of the whole `16 × NR` tile — straight on `b` for a
+    /// full tile, or on a zero-padded copy whose `X` and `−X` are written
+    /// back as the generic `solve_tile` writes them. `full` may assume `d`
+    /// readable for 16·16 elements, `b` readable and writable for
+    /// `(NR − 1)·ldb + 16` and `xneg` writable for `16·NR`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn full_or_padded<T: Scalar, const NR: usize>(
+        d: &[T],
+        b: &mut [T],
+        ldb: usize,
+        rows: usize,
+        cols: usize,
+        xneg: &mut [T],
+        full: impl FnOnce(*mut T, usize, *mut T),
+    ) {
+        assert!(rows <= 16 && cols <= NR && rows > 0 && cols > 0);
+        assert!(d.len() >= 16 * 16 && xneg.len() >= rows * NR);
+        assert!(b.len() >= (cols - 1) * ldb + rows);
+        if (rows, cols) == (16, NR) {
+            return full(b.as_mut_ptr(), ldb, xneg.as_mut_ptr());
+        }
+        // Zero right-hand sides in the rows and lanes past a ragged edge.
+        let mut t = [T::zero(); MAX_TILE];
+        let mut x = [T::zero(); MAX_TILE];
+        for s in 0..cols {
+            t[16 * s..16 * s + rows].copy_from_slice(&b[s * ldb..s * ldb + rows]);
+        }
+        full(t.as_mut_ptr(), 16, x.as_mut_ptr());
+        for s in 0..cols {
+            b[s * ldb..s * ldb + rows].copy_from_slice(&t[16 * s..16 * s + rows]);
+        }
+        for (g, xr) in xneg.chunks_exact_mut(NR).zip(x.chunks_exact(NR)).take(rows) {
+            g[..cols].copy_from_slice(&xr[..cols]);
+            g[cols..].fill(T::zero());
+        }
+    }
+
+    /// The substitution of a 16-row tile held in registers, `$t[r]` one
+    /// row of right-hand sides: per step the pivot row is divided by its
+    /// pivot (unless `$unit`), then every row still to be solved takes a
+    /// multiply and a subtract — the generic `solve_tile`'s operations in
+    /// its order, unfused, so its bits. `$set1`, `$div`, `$mul` and `$sub`
+    /// are the lane type's intrinsics. The 16 steps are spelled out so
+    /// every row index is a constant and the tile never leaves registers.
+    macro_rules! substitute {
+        ($t:ident, $d:ident, $unit:ident, $lower:ident, $set1:ident, $div:ident, $mul:ident, $sub:ident) => {
+            substitute!(@ $t $d $unit $lower $set1 $div $mul $sub;
+                0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)
+        };
+        (@ $t:ident $d:ident $unit:ident $lower:ident $set1:ident $div:ident $mul:ident $sub:ident;
+            $($step:literal)*) => {$({
+            let k = if $lower { $step } else { 15 - $step };
+            let col = $d.add(16 * k);
+            if !$unit {
+                $t[k] = $div($t[k], $set1(*col.add(k)));
+            }
+            let xk = $t[k];
+            for r in if $lower { k + 1..16 } else { 0..k } {
+                $t[r] = $sub($t[r], $mul($set1(*col.add(r)), xk));
+            }
+        })*};
+    }
+
+    /// The full 16×8 f64 substitution with the tile in 16 `zmm` registers,
+    /// one row of eight right-hand sides each: the columns of `b` are
+    /// loaded and transposed into rows, substituted, transposed back and
+    /// stored, and the rows negated into `xneg`.
+    ///
+    /// # Safety
+    /// AVX-512F must be available; `d` must be readable for 16·16
+    /// elements, `b` readable and writable for `7·ldb + 16` and `xneg`
+    /// writable for 128.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn solve_f64_16x8<const LOWER: bool>(
+        unit: bool,
+        d: *const f64,
+        b: *mut f64,
+        ldb: usize,
+        xneg: *mut f64,
+    ) {
+        let mut t = [_mm512_setzero_pd(); 16];
+        for h in 0..2 {
+            let mut cols = [_mm512_setzero_pd(); 8];
+            for (s, v) in cols.iter_mut().enumerate() {
+                *v = _mm512_loadu_pd(b.add(s * ldb + 8 * h));
+            }
+            for (r, v) in transpose_8x8(cols).into_iter().enumerate() {
+                t[8 * h + r] = v;
+            }
+        }
+        substitute!(
+            t,
+            d,
+            unit,
+            LOWER,
+            _mm512_set1_pd,
+            _mm512_div_pd,
+            _mm512_mul_pd,
+            _mm512_sub_pd
+        );
+        for h in 0..2 {
+            let mut rows = [_mm512_setzero_pd(); 8];
+            for (r, v) in rows.iter_mut().enumerate() {
+                *v = t[8 * h + r];
+            }
+            for (s, v) in transpose_8x8(rows).into_iter().enumerate() {
+                _mm512_storeu_pd(b.add(s * ldb + 8 * h), v);
+            }
+        }
+        // −x flips the sign bit, as the generic `-x` does (0 − x would
+        // turn +0 into +0).
+        let sign = _mm512_set1_epi64(i64::MIN);
+        for (r, v) in t.into_iter().enumerate() {
+            let neg = _mm512_xor_si512(_mm512_castpd_si512(v), sign);
+            _mm512_storeu_pd(xneg.add(8 * r), _mm512_castsi512_pd(neg));
+        }
+    }
+
+    /// The full 16×16 f32 substitution with the tile in 16 `zmm`
+    /// registers, as [`solve_f64_16x8`].
+    ///
+    /// # Safety
+    /// AVX-512F must be available; `d` must be readable for 16·16
+    /// elements, `b` readable and writable for `15·ldb + 16` and `xneg`
+    /// writable for 256.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn solve_f32_16x16<const LOWER: bool>(
+        unit: bool,
+        d: *const f32,
+        b: *mut f32,
+        ldb: usize,
+        xneg: *mut f32,
+    ) {
+        let mut cols = [_mm512_setzero_ps(); 16];
+        for (s, v) in cols.iter_mut().enumerate() {
+            *v = _mm512_loadu_ps(b.add(s * ldb));
+        }
+        let mut t = transpose_16x16(cols);
+        substitute!(
+            t,
+            d,
+            unit,
+            LOWER,
+            _mm512_set1_ps,
+            _mm512_div_ps,
+            _mm512_mul_ps,
+            _mm512_sub_ps
+        );
+        for (s, v) in transpose_16x16(t).into_iter().enumerate() {
+            _mm512_storeu_ps(b.add(s * ldb), v);
+        }
+        let sign = _mm512_set1_epi32(i32::MIN);
+        for (r, v) in t.into_iter().enumerate() {
+            let neg = _mm512_xor_si512(_mm512_castps_si512(v), sign);
+            _mm512_storeu_ps(xneg.add(16 * r), _mm512_castsi512_ps(neg));
+        }
+    }
+
+    /// The 4×4 transpose of 128-bit lanes: lane `j` of `x[i]` becomes lane
+    /// `i` of output `j`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn transpose_lanes(x: [__m512d; 4]) -> [__m512d; 4] {
+        // 0x88 takes lanes 0 and 2 of each source, 0xDD lanes 1 and 3.
+        let even = [
+            _mm512_shuffle_f64x2::<0x88>(x[0], x[1]),
+            _mm512_shuffle_f64x2::<0x88>(x[2], x[3]),
+        ];
+        let odd = [
+            _mm512_shuffle_f64x2::<0xDD>(x[0], x[1]),
+            _mm512_shuffle_f64x2::<0xDD>(x[2], x[3]),
+        ];
+        [
+            _mm512_shuffle_f64x2::<0x88>(even[0], even[1]),
+            _mm512_shuffle_f64x2::<0x88>(odd[0], odd[1]),
+            _mm512_shuffle_f64x2::<0xDD>(even[0], even[1]),
+            _mm512_shuffle_f64x2::<0xDD>(odd[0], odd[1]),
+        ]
+    }
+
+    /// Transposes the 8×8 f64 block held in eight `zmm` rows (its own
+    /// inverse).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn transpose_8x8(r: [__m512d; 8]) -> [__m512d; 8] {
+        // Lane j of `lo[i]` holds element 2j of rows 2i and 2i + 1, lane j
+        // of `hi[i]` element 2j + 1.
+        let mut lo = [_mm512_setzero_pd(); 4];
+        let mut hi = [_mm512_setzero_pd(); 4];
+        for i in 0..4 {
+            lo[i] = _mm512_unpacklo_pd(r[2 * i], r[2 * i + 1]);
+            hi[i] = _mm512_unpackhi_pd(r[2 * i], r[2 * i + 1]);
+        }
+        let (even, odd) = (transpose_lanes(lo), transpose_lanes(hi));
+        [
+            even[0], odd[0], even[1], odd[1], even[2], odd[2], even[3], odd[3],
+        ]
+    }
+
+    /// Transposes the 16×16 f32 block held in 16 `zmm` rows (its own
+    /// inverse).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn transpose_16x16(r: [__m512; 16]) -> [__m512; 16] {
+        // Lane j of `lo[i]` interleaves elements 4j, 4j + 1 of rows 2i and
+        // 2i + 1; lane j of `hi[i]` elements 4j + 2, 4j + 3.
+        let mut lo = [_mm512_setzero_ps(); 8];
+        let mut hi = [_mm512_setzero_ps(); 8];
+        for i in 0..8 {
+            lo[i] = _mm512_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+            hi[i] = _mm512_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+        }
+        // Lane j of `q[c][i]` holds element 4j + c of rows 4i … 4i + 3.
+        let mut q = [[_mm512_setzero_pd(); 4]; 4];
+        for i in 0..4 {
+            let (l0, l1) = (_mm512_castps_pd(lo[2 * i]), _mm512_castps_pd(lo[2 * i + 1]));
+            let (h0, h1) = (_mm512_castps_pd(hi[2 * i]), _mm512_castps_pd(hi[2 * i + 1]));
+            q[0][i] = _mm512_unpacklo_pd(l0, l1);
+            q[1][i] = _mm512_unpackhi_pd(l0, l1);
+            q[2][i] = _mm512_unpacklo_pd(h0, h1);
+            q[3][i] = _mm512_unpackhi_pd(h0, h1);
+        }
+        let mut out = [_mm512_setzero_ps(); 16];
+        for (c, qc) in q.into_iter().enumerate() {
+            for (j, v) in transpose_lanes(qc).into_iter().enumerate() {
+                out[4 * j + c] = _mm512_castpd_ps(v);
+            }
+        }
+        out
+    }
+}
+
+/// Runs `f` with `simd` and `auto` resolving, on this thread, to the
+/// narrowest SIMD tier the CPU runs: the AVX2 tiles on an AVX-512F host,
+/// the same kernel elsewhere. A hook for the tests and benches that put
+/// the tiers side by side, not a tuning knob: a call that fans out to
+/// other threads resolves its plans there to the widest tier.
+#[doc(hidden)]
+pub fn with_narrow_simd<R>(f: impl FnOnce() -> R) -> R {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    let _pin = simd::Narrow::pin();
+    f()
+}
+
+/// The SIMD kernels the host runs for `T`, widest first; empty without
+/// the `simd` feature, on other CPUs and for complex types. Every kernel
+/// contract in the tests runs on each of them.
+#[cfg(test)]
+pub(crate) fn simd_kernels<T: Scalar>() -> Vec<&'static dyn MicroKernel<T>> {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    return simd::tiers::<T>().into_iter().flatten().collect();
+    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    Vec::new()
 }
 
 /// Resolves a [`GemmKernel`] selection to a concrete kernel for `T` —
@@ -632,17 +1069,38 @@ mod tests {
     use super::*;
     use la_core::{RealScalar, C32, C64};
 
-    const KERNELS: [GemmKernel; 3] = [GemmKernel::Scalar, GemmKernel::Unrolled, GemmKernel::Simd];
+    /// Every kernel the host runs for `T`: scalar, unrolled and each SIMD
+    /// tier.
+    fn kernels<T: Scalar>() -> Vec<&'static dyn MicroKernel<T>> {
+        let mut k = vec![
+            kernel_for::<T>(GemmKernel::Scalar),
+            kernel_for::<T>(GemmKernel::Unrolled),
+        ];
+        k.extend(simd_kernels::<T>());
+        k
+    }
+
+    /// Whether `kern` sums in the reference order, so gives its bits.
+    fn exact<T: Scalar>(kern: &dyn MicroKernel<T>) -> bool {
+        kern.name() != "simd"
+    }
 
     #[test]
     fn tile_shapes_fit_the_stack_tile() {
         fn check<T: Scalar>() {
-            let (mr, nr) = tile_dims::<T>();
-            assert!(mr * nr <= MAX_TILE);
-            for sel in KERNELS {
-                let k = kernel_for::<T>(sel);
-                assert_eq!((k.mr(), k.nr()), (mr, nr), "{} shape", k.name());
+            for k in kernels::<T>() {
+                assert!(k.mr() * k.nr() <= MAX_TILE, "{} shape", k.name());
+                if exact(k) {
+                    assert_eq!((k.mr(), k.nr()), tile_dims::<T>(), "{} shape", k.name());
+                }
             }
+            // `simd` is the widest tier, and the narrowest while pinned.
+            let tiers = simd_kernels::<T>();
+            let dims = |k: &dyn MicroKernel<T>| (k.mr(), k.nr());
+            let want = |k: Option<&&dyn MicroKernel<T>>| k.map_or(tile_dims::<T>(), |k| dims(*k));
+            let narrow = with_narrow_simd(|| kernel_for::<T>(GemmKernel::Simd));
+            assert_eq!(dims(narrow), want(tiers.last()));
+            assert_eq!(dims(kernel_for::<T>(GemmKernel::Simd)), want(tiers.first()));
         }
         check::<f32>();
         check::<f64>();
@@ -661,49 +1119,60 @@ mod tests {
             .collect()
     }
 
+    /// Both parts of every element as bit patterns (`f32` widens exactly).
+    fn bits<T: Scalar>(v: &[T]) -> Vec<(u64, u64)> {
+        v.iter()
+            .map(|x| (x.re().to_f64().to_bits(), x.im().to_f64().to_bits()))
+            .collect()
+    }
+
     /// The contract of `tile` on every kernel, full and edge shapes, with
     /// `ldc > rows` and a spare column so every kind of neighbour of the
     /// tile is present: the tile region is `C + Ap·Bp` (the reference
     /// order bitwise for scalar and unrolled, rounding-bounded for simd)
     /// and nothing else is touched.
     fn tile_contract<T: Scalar>() {
-        let (mr, nr) = tile_dims::<T>();
         let eps = T::Real::EPS.to_f64();
-        for kb in [0usize, 1, 33] {
-            let ap: Vec<T> = vals(kb * mr, 1);
-            let bp: Vec<T> = vals(kb * nr, 2);
-            for rows in [1, mr - 1, mr] {
-                for cols in [1, nr - 1, nr] {
-                    let ldc = rows + 3;
-                    let c0: Vec<T> = vals((nr + 1) * ldc, 3);
-                    let run = |sel: GemmKernel| {
-                        let mut c = c0.clone();
-                        kernel_for::<T>(sel).tile(kb, &ap, &bp, &mut c, ldc, rows, cols);
-                        c
-                    };
-                    let mut want = c0.clone();
-                    let mut bound = vec![0.0f64; c0.len()];
-                    for s in 0..cols {
-                        for r in 0..rows {
-                            let mut sum = T::zero();
-                            for l in 0..kb {
-                                sum += ap[l * mr + r] * bp[l * nr + s];
-                                bound[r + s * ldc] +=
-                                    (ap[l * mr + r].abs() * bp[l * nr + s].abs()).to_f64();
+        for kern in kernels::<T>() {
+            let (mr, nr) = (kern.mr(), kern.nr());
+            for kb in [0usize, 1, 33] {
+                let ap: Vec<T> = vals(kb * mr, 1);
+                let bp: Vec<T> = vals(kb * nr, 2);
+                for rows in [1, mr - 1, mr] {
+                    for cols in [1, nr - 1, nr] {
+                        let ldc = rows + 3;
+                        let c0: Vec<T> = vals((nr + 1) * ldc, 3);
+                        let mut got = c0.clone();
+                        kern.tile(kb, &ap, &bp, &mut got, ldc, rows, cols);
+                        let mut want = c0.clone();
+                        let mut bound = vec![0.0f64; c0.len()];
+                        for s in 0..cols {
+                            for r in 0..rows {
+                                let mut sum = T::zero();
+                                for l in 0..kb {
+                                    sum += ap[l * mr + r] * bp[l * nr + s];
+                                    bound[r + s * ldc] +=
+                                        (ap[l * mr + r].abs() * bp[l * nr + s].abs()).to_f64();
+                                }
+                                want[r + s * ldc] += sum;
+                                bound[r + s * ldc] += c0[r + s * ldc].abs().to_f64();
                             }
-                            want[r + s * ldc] += sum;
-                            bound[r + s * ldc] += c0[r + s * ldc].abs().to_f64();
                         }
-                    }
-                    let tag = format!("{} kb={kb} {rows}x{cols}", T::PREFIX);
-                    assert_eq!(run(GemmKernel::Scalar), want, "{tag} scalar");
-                    assert_eq!(run(GemmKernel::Unrolled), want, "{tag} unrolled");
-                    // Outside the tile `bound` is 0: untouched means equal.
-                    let simd = run(GemmKernel::Simd);
-                    for (idx, (&g, &w)) in simd.iter().zip(&want).enumerate() {
-                        let d = (g - w).abs().to_f64();
-                        let tol = 4.0 * eps * (kb as f64 + 1.0) * bound[idx];
-                        assert!(d <= tol, "{tag} simd[{idx}]: {g} vs {w}");
+                        let tag = format!(
+                            "{} {} {mr}x{nr} kb={kb} {rows}x{cols}",
+                            T::PREFIX,
+                            kern.name()
+                        );
+                        if exact(kern) {
+                            assert_eq!(got, want, "{tag}");
+                            continue;
+                        }
+                        // Outside the tile `bound` is 0: untouched means equal.
+                        for (idx, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                            let d = (g - w).abs().to_f64();
+                            let tol = 4.0 * eps * (kb as f64 + 1.0) * bound[idx];
+                            assert!(d <= tol, "{tag} [{idx}]: {g} vs {w}");
+                        }
                     }
                 }
             }
@@ -721,25 +1190,21 @@ mod tests {
     /// A `c` one element short of the tile's extent panics before any
     /// element is written, for full and edge tiles alike.
     fn short_c_panics<T: Scalar>() {
-        let (mr, nr) = tile_dims::<T>();
         let kb = 3;
-        let ap: Vec<T> = vals(kb * mr, 4);
-        let bp: Vec<T> = vals(kb * nr, 5);
-        for sel in KERNELS {
+        for kern in kernels::<T>() {
+            let (mr, nr) = (kern.mr(), kern.nr());
+            let ap: Vec<T> = vals(kb * mr, 4);
+            let bp: Vec<T> = vals(kb * nr, 5);
             for (rows, cols) in [(mr, nr), (mr - 1, nr), (1, 1)] {
                 let ldc = mr + 2;
                 let c0: Vec<T> = vals((cols - 1) * ldc + rows - 1, 6);
                 let mut c = c0.clone();
-                let kern = kernel_for::<T>(sel);
                 let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     kern.tile(kb, &ap, &bp, &mut c, ldc, rows, cols)
                 }));
-                assert!(
-                    r.is_err(),
-                    "{} {rows}x{cols} accepted a short C",
-                    kern.name()
-                );
-                assert_eq!(c, c0, "{} wrote before panicking", kern.name());
+                let tag = format!("{} {mr}x{nr} {rows}x{cols}", kern.name());
+                assert!(r.is_err(), "{tag} accepted a short C");
+                assert_eq!(c, c0, "{tag} wrote before panicking");
             }
         }
     }
@@ -752,65 +1217,81 @@ mod tests {
         short_c_panics::<C64>();
     }
 
-    /// The contract of the tile substitution, full and ragged shapes, both
-    /// directions, with NaN wherever it must not look (the other triangle,
-    /// a unit diagonal): the tile holds `X`, `xneg` holds `−X` in packed-B
-    /// layout with zero lanes past `cols`, and nothing else is touched.
+    /// A packed `mr × mr` diagonal tile for the substitution tests, a
+    /// well-conditioned triangle for `rows` rows (identity past them), and
+    /// `nan` wherever it must not be read: the other triangle and, with
+    /// `unit`, the diagonal.
+    fn diagonal_tile<T: Scalar>(mr: usize, rows: usize, lower: bool, unit: bool, nan: T) -> Vec<T> {
+        // op(A)(r, k) at d[k·mr + r].
+        let tri: Vec<T> = vals(mr * mr, 10);
+        let mut d = vec![nan; mr * mr];
+        for k in 0..mr {
+            for r in 0..mr {
+                let inside = if lower { r > k } else { r < k };
+                d[k * mr + r] = match (r == k, r < rows && k < rows) {
+                    (true, true) if unit => nan,
+                    (true, true) => tri[k * mr + r] + T::from_f64(3.0),
+                    (true, false) => T::one(),
+                    (false, true) if inside => tri[k * mr + r],
+                    (false, true) => nan,
+                    (false, false) => T::zero(),
+                };
+            }
+        }
+        d
+    }
+
+    /// The contract of every kernel's tile substitution, full and ragged
+    /// shapes, both directions, with NaN wherever it must not look (the
+    /// other triangle, a unit diagonal): the tile holds `X`, `xneg` holds
+    /// `−X` in packed-B layout with zero lanes past `cols`, and nothing
+    /// else is touched.
     fn solve_tile_contract<T: Scalar>() {
-        let (mr, nr) = tile_dims::<T>();
         let nan = T::from_f64(f64::NAN);
-        for lower in [true, false] {
-            for unit in [false, true] {
-                for (rows, cols) in [(mr, nr), (mr - 1, nr), (mr, nr - 1), (1, 1)] {
-                    // op(A)(r, k) at d[k·mr + r]; identity past `rows`.
-                    let tri: Vec<T> = vals(mr * mr, 10);
-                    let mut d = vec![nan; mr * mr];
-                    for k in 0..mr {
-                        for r in 0..mr {
-                            let inside = if lower { r > k } else { r < k };
-                            d[k * mr + r] = match (r == k, r < rows && k < rows) {
-                                (true, true) if unit => nan,
-                                (true, true) => tri[k * mr + r] + T::from_f64(3.0),
-                                (true, false) => T::one(),
-                                (false, true) if inside => tri[k * mr + r],
-                                (false, true) => nan,
-                                (false, false) => T::zero(),
-                            };
-                        }
-                    }
-                    let ldb = rows + 3;
-                    let b0: Vec<T> = vals(cols * ldb + ldb, 11);
-                    // Naive substitution, one dot product per element.
-                    let mut want = b0.clone();
-                    for s in 0..cols {
-                        for step in 0..rows {
-                            let r = if lower { step } else { rows - 1 - step };
-                            let done = if lower { 0..r } else { r + 1..rows };
-                            let mut x = want[r + s * ldb];
-                            for k in done {
-                                x -= d[k * mr + r] * want[k + s * ldb];
+        for kern in kernels::<T>() {
+            let (mr, nr) = (kern.mr(), kern.nr());
+            for lower in [true, false] {
+                for unit in [false, true] {
+                    for (rows, cols) in [(mr, nr), (mr - 1, nr), (mr, nr - 1), (1, 1)] {
+                        let d = diagonal_tile(mr, rows, lower, unit, nan);
+                        let ldb = rows + 3;
+                        let b0: Vec<T> = vals(cols * ldb + ldb, 11);
+                        // Naive substitution, one dot product per element.
+                        let mut want = b0.clone();
+                        for s in 0..cols {
+                            for step in 0..rows {
+                                let r = if lower { step } else { rows - 1 - step };
+                                let done = if lower { 0..r } else { r + 1..rows };
+                                let mut x = want[r + s * ldb];
+                                for k in done {
+                                    x -= d[k * mr + r] * want[k + s * ldb];
+                                }
+                                want[r + s * ldb] = if unit { x } else { x / d[r * mr + r] };
                             }
-                            want[r + s * ldb] = if unit { x } else { x / d[r * mr + r] };
                         }
-                    }
-                    let mut b = b0.clone();
-                    let mut xneg = vec![nan; rows * nr];
-                    solve_tile_for::<T>(lower)(unit, &d, &mut b, ldb, rows, cols, &mut xneg);
-                    let tag = format!("{} lower={lower} unit={unit} {rows}x{cols}", T::PREFIX);
-                    let tol = 8.0 * mr as f64 * T::Real::EPS.to_f64();
-                    for (idx, (&g, &w)) in b.iter().zip(&want).enumerate() {
-                        let (r, s) = (idx % ldb, idx / ldb);
-                        if r < rows && s < cols {
-                            let err = (g - w).abs().to_f64();
-                            assert!(err <= tol * (1.0 + w.abs().to_f64()), "{tag} ({r},{s})");
-                            assert_eq!(xneg[r * nr + s], -g, "{tag} xneg ({r},{s})");
-                        } else {
-                            assert_eq!(g, b0[idx], "{tag} touched ({r},{s})");
+                        let mut b = b0.clone();
+                        let mut xneg = vec![nan; rows * nr];
+                        kern.solver(lower)(unit, &d, &mut b, ldb, rows, cols, &mut xneg);
+                        let tag = format!(
+                            "{} {} lower={lower} unit={unit} {rows}x{cols}",
+                            T::PREFIX,
+                            kern.name()
+                        );
+                        let tol = 8.0 * mr as f64 * T::Real::EPS.to_f64();
+                        for (idx, (&g, &w)) in b.iter().zip(&want).enumerate() {
+                            let (r, s) = (idx % ldb, idx / ldb);
+                            if r < rows && s < cols {
+                                let err = (g - w).abs().to_f64();
+                                assert!(err <= tol * (1.0 + w.abs().to_f64()), "{tag} ({r},{s})");
+                                assert_eq!(xneg[r * nr + s], -g, "{tag} xneg ({r},{s})");
+                            } else {
+                                assert_eq!(g, b0[idx], "{tag} touched ({r},{s})");
+                            }
                         }
-                    }
-                    for r in 0..rows {
-                        for s in cols..nr {
-                            assert_eq!(xneg[r * nr + s], T::zero(), "{tag} pad lane ({r},{s})");
+                        for r in 0..rows {
+                            for s in cols..nr {
+                                assert_eq!(xneg[r * nr + s], T::zero(), "{tag} pad lane ({r},{s})");
+                            }
                         }
                     }
                 }
@@ -826,17 +1307,77 @@ mod tests {
         solve_tile_contract::<C64>();
     }
 
+    /// The generic `solve_tile` at a kernel's shape.
+    fn generic_solver<T: Scalar>(dims: (usize, usize), lower: bool) -> SolveTile<T> {
+        match dims {
+            (16, 16) => solve_tile_at::<T, 16, 16>(lower),
+            (16, 8) => solve_tile_at::<T, 16, 8>(lower),
+            (16, 4) => solve_tile_at::<T, 16, 4>(lower),
+            (8, 4) => solve_tile_at::<T, 8, 4>(lower),
+            (4, 2) => solve_tile_at::<T, 4, 2>(lower),
+            _ => panic!("no generic substitution at {dims:?}"),
+        }
+    }
+
+    /// Every kernel's substitution gives the generic `solve_tile`'s bits at
+    /// its shape — the promise of the AVX-512 tier's register-resident
+    /// one: both directions, `unit` or not, every ragged `rows × cols`,
+    /// with and without a NaN and an Inf in `B`.
+    fn solver_is_the_generic_bit_for_bit<T: Scalar>() {
+        let (nan, inf) = (T::from_f64(f64::NAN), T::from_f64(f64::INFINITY));
+        for kern in kernels::<T>() {
+            let (mr, nr) = (kern.mr(), kern.nr());
+            for lower in [true, false] {
+                for unit in [false, true] {
+                    // The identity past `rows` is the packer's; a finite
+                    // tile throughout keeps every NaN one of B's.
+                    let d = diagonal_tile(mr, mr, lower, unit, T::zero());
+                    for rows in 1..=mr {
+                        for cols in 1..=nr {
+                            for poison in [false, true] {
+                                let ldb = rows + 2;
+                                let mut b0: Vec<T> = vals(cols * ldb, 12);
+                                if poison {
+                                    b0[rows / 2 + (cols - 1) * ldb] = nan;
+                                    b0[rows - 1] = inf;
+                                }
+                                let run = |solve: SolveTile<T>| {
+                                    let (mut b, mut xneg) = (b0.clone(), vec![nan; rows * nr]);
+                                    solve(unit, &d, &mut b, ldb, rows, cols, &mut xneg);
+                                    (bits(&b), bits(&xneg))
+                                };
+                                assert!(
+                                    run(kern.solver(lower)) == run(generic_solver((mr, nr), lower)),
+                                    "{} {} lower={lower} unit={unit} {rows}x{cols} poison={poison}",
+                                    T::PREFIX,
+                                    kern.name()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_solver_is_the_generic_substitution_bit_for_bit() {
+        solver_is_the_generic_bit_for_bit::<f32>();
+        solver_is_the_generic_bit_for_bit::<f64>();
+        solver_is_the_generic_bit_for_bit::<C32>();
+        solver_is_the_generic_bit_for_bit::<C64>();
+    }
+
     #[test]
     fn tile_where_adds_exactly_the_kept_entries() {
         fn check<T: Scalar>() {
-            let (mr, nr) = tile_dims::<T>();
             let kb = 5;
-            let ap: Vec<T> = vals(kb * mr, 7);
-            let bp: Vec<T> = vals(kb * nr, 8);
-            let ldc = mr + 1;
-            let c0: Vec<T> = vals(nr * ldc, 9);
-            for sel in KERNELS {
-                let kern = kernel_for::<T>(sel);
+            for kern in kernels::<T>() {
+                let (mr, nr) = (kern.mr(), kern.nr());
+                let ap: Vec<T> = vals(kb * mr, 7);
+                let bp: Vec<T> = vals(kb * nr, 8);
+                let ldc = mr + 1;
+                let c0: Vec<T> = vals(nr * ldc, 9);
                 let mut full = c0.clone();
                 kern.tile(kb, &ap, &bp, &mut full, ldc, mr, nr);
                 let mut got = c0.clone();
@@ -845,7 +1386,8 @@ mod tests {
                     for r in 0..ldc {
                         let kept = r < mr - 1 && r >= s;
                         let want = if kept { &full } else { &c0 }[r + s * ldc];
-                        assert_eq!(got[r + s * ldc], want, "{} ({r},{s})", kern.name());
+                        let tag = format!("{} {mr}x{nr} ({r},{s})", kern.name());
+                        assert_eq!(got[r + s * ldc], want, "{tag}");
                     }
                 }
             }

@@ -1636,7 +1636,7 @@ fn trsm_left_cols<T: Scalar>(
     // substitution, ascending rows.
     let lower = (uplo == Uplo::Lower) != trans.is_transposed();
     let unit = diag == Diag::Unit;
-    let solve_tile = kernel::solve_tile_for::<T>(lower);
+    let solve_tile = kern.solver(lower);
     // Order of a diagonal block: KC on the MR grid.
     let kd = (plan.kc / mr).max(1) * mr;
     let np = kd.min(m).div_ceil(mr);

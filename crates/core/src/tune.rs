@@ -51,7 +51,8 @@ pub enum GemmKernel {
     /// Explicitly unrolled register-tiled microkernel (portable). Forces
     /// the packed path at every size.
     Unrolled,
-    /// Vectorized microkernel (x86-64 AVX2+FMA, `simd` cargo feature).
+    /// Vectorized microkernel (x86-64, `simd` cargo feature): the widest
+    /// tier the host runs, AVX-512F where the CPU has it, else AVX2+FMA.
     /// Falls back to [`GemmKernel::Unrolled`] when the feature is not
     /// compiled in, the host lacks AVX2/FMA, or the scalar type is
     /// complex. Forces the packed path at every size.

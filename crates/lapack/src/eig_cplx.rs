@@ -99,7 +99,7 @@ pub fn hseqr_cplx<R: RealScalar>(
             }
             its += 1;
             // Wilkinson shift from the trailing 2×2 (exceptional every 10th).
-            let shift = if its % 10 == 0 {
+            let shift = if its.is_multiple_of(10) {
                 h[iu + iu * ldh] + C::from_real(R::from_f64(0.75) * h[iu + (iu - 1) * ldh].abs1())
             } else {
                 let a = h[iu - 1 + (iu - 1) * ldh];

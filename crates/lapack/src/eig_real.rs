@@ -199,7 +199,7 @@ pub fn hseqr<R: RealScalar>(
             its += 1;
             // Shifts.
             let (h11, h21, h12, h22);
-            if its == 10 || its == 20 || its % 30 == 0 {
+            if its == 10 || its == 20 || its.is_multiple_of(30) {
                 // Exceptional shift.
                 let s = h[iu + (iu - 1) * ldh].rabs() + h[iu - 1 + (iu - 2) * ldh].rabs();
                 h11 = dat1 * s + h[iu + iu * ldh];

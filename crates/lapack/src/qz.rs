@@ -213,7 +213,7 @@ pub fn hgeqz<R: RealScalar>(
             its_total += 1;
             // Shift: eigenvalue of the trailing 2×2 pencil closest to the
             // bottom ratio (Wilkinson analog); exceptional every 10th.
-            let sigma = if its % 10 == 0 {
+            let sigma = if its.is_multiple_of(10) {
                 (a[iu + iu * lda].ladiv(b[iu + iu * ldb]))
                     + C::from_real(R::from_f64(0.75) * a[iu + (iu - 1) * lda].abs1())
             } else {

@@ -142,7 +142,7 @@ impl ChaosPlan {
                     SolveOp::Gesv | SolveOp::GesvMixed => "getrf",
                     SolveOp::Posv(_) => "potrf",
                 };
-                let kind = if self.next_u64() % 2 == 0 {
+                let kind = if self.next_u64().is_multiple_of(2) {
                     CorruptKind::FlipMantissaBit
                 } else {
                     CorruptKind::Scale
@@ -161,7 +161,7 @@ impl ChaosPlan {
             }
             ChaosEvent::PastDeadline => spec.deadline_at(Instant::now()),
             ChaosEvent::WedgedWorker => {
-                let kind = if self.next_u64() % 2 == 0 {
+                let kind = if self.next_u64().is_multiple_of(2) {
                     WedgeKind::Cooperative
                 } else {
                     WedgeKind::Hard

@@ -8,7 +8,9 @@
 //!   the `scalar` and `unrolled` kernels against each other *bitwise*
 //!   (they perform the same additions in the same order by contract);
 //! * the SIMD kernel (when compiled in) matches to rounding tolerance
-//!   only, since FMA contracts the multiply-add rounding;
+//!   only, since FMA contracts the multiply-add rounding; on a host with
+//!   both SIMD tiers the AVX-512 tiles give `gemm` and `syrk` the AVX2
+//!   tiles' bits, and `getrf` the same pivots;
 //! * the triangle-masked `syrk`/`herk` band sweep matches a naive rank-k
 //!   reference around the band, tile and blocking boundaries, and leaves
 //!   the unreferenced triangle untouched;
@@ -31,7 +33,7 @@
 //! degenerate shapes — empty matrices, single vectors, ragged tiles —
 //! for all four scalar types.
 
-use la_blas::kernel::tile_dims;
+use la_blas::kernel::{kernel_for, tile_dims, with_narrow_simd};
 use la_blas::{gemm, herk, syrk, trsm};
 use la_core::abft::{self, AbftPolicy};
 use la_core::tune::{self, GemmKernel};
@@ -145,16 +147,28 @@ fn run_gemm<T: Scalar>(
     c
 }
 
-/// Edge sizes for one tile extent: both sides of the tile boundary plus a
+/// The tile shapes a sweep must cross: the one of [`tile_dims`] and the
+/// `simd` kernel's, which is wider on an AVX-512F host.
+fn tile_shapes<T: Scalar>() -> [(usize, usize); 2] {
+    let k = kernel_for::<T>(GemmKernel::Simd);
+    [tile_dims::<T>(), (k.mr(), k.nr())]
+}
+
+/// Edge sizes for tile extents: both sides of each tile boundary plus a
 /// many-tile ragged size.
-fn edge_sizes(tile: usize) -> Vec<usize> {
-    let mut v = vec![0, 1, tile - 1, tile, tile + 1, 97];
+fn edge_sizes(tiles: [usize; 2]) -> Vec<usize> {
+    let mut v = vec![0, 1, 97];
+    for t in tiles {
+        v.extend([t - 1, t, t + 1]);
+    }
+    v.sort_unstable();
     v.dedup();
     v
 }
 
 fn edge_sweep<T: Scalar>(eps: f64) {
-    let (mr, nr) = tile_dims::<T>();
+    let [(mr, nr), (wide_mr, wide_nr)] = tile_shapes::<T>();
+    let (ms, ns) = (edge_sizes([mr, wide_mr]), edge_sizes([nr, wide_nr]));
     let mut rng = Rng(0x5eed ^ mr as u64);
     // Generous upper bounds so one allocation serves every size.
     let cap = 97 * 97;
@@ -178,9 +192,9 @@ fn edge_sweep<T: Scalar>(eps: f64) {
         ]
     };
     for &(ta, tb) in pairs {
-        for &m in &edge_sizes(mr) {
-            for &n in &edge_sizes(nr) {
-                for &k in &edge_sizes(mr) {
+        for &m in &ms {
+            for &n in &ns {
+                for &k in &ms {
                     let a = &abuf[..m.max(k) * k.max(m).max(1)];
                     let b = &bbuf[..k.max(n) * n.max(k).max(1)];
                     let c0 = &cbuf[..m * n];
@@ -565,11 +579,13 @@ fn trsm_sweep<T: Scalar>(eps: f64, base: tune::TuneConfig, side: Side, ms: &[usi
 /// Orders around one tile row, the old 48-row blocking and two blocks of
 /// it; widths on both sides of the narrow (`trsv`) route and of one tile.
 fn trsm_left_shapes<T: Scalar>() -> (Vec<usize>, Vec<usize>) {
-    let (mr, nr) = tile_dims::<T>();
-    (
-        vec![1, mr - 1, mr, mr + 1, 47, 48, 49, 97],
-        vec![4, 5, nr + 1, 64],
-    )
+    let [(mr, nr), (wide_mr, wide_nr)] = tile_shapes::<T>();
+    let mut ms = edge_sizes([mr, wide_mr]);
+    ms.retain(|&m| m > 0 && m != 97);
+    ms.extend([47, 48, 49, 97]);
+    let mut ns = vec![4, 5, nr + 1, wide_nr + 1, 64];
+    ns.dedup();
+    (ms, ns)
 }
 
 fn trsm_left_sweep<T: Scalar>(eps: f64) {
@@ -1012,4 +1028,140 @@ fn getf2_is_the_rank1_panel_bit_for_bit() {
     panel_contract::<f64>();
     panel_contract::<C32>();
     panel_contract::<C64>();
+}
+
+/// Whether the host runs two `simd` tiers for `T` (an AVX-512F CPU, the
+/// `simd` feature on): the kernel `simd` resolves to is then wider than
+/// the one it resolves to under `with_narrow_simd`.
+fn two_simd_tiers<T: Scalar>() -> bool {
+    let dims = |k: &dyn la_blas::kernel::MicroKernel<T>| (k.mr(), k.nr());
+    let narrow = with_narrow_simd(|| kernel_for::<T>(GemmKernel::Simd));
+    dims(kernel_for::<T>(GemmKernel::Simd)) != dims(narrow)
+}
+
+/// `f` under `cfg`, on the wide `simd` tier or pinned to the narrow.
+fn on_tier<R>(cfg: tune::TuneConfig, narrow: bool, f: impl FnOnce() -> R) -> R {
+    tune::with(cfg, || if narrow { with_narrow_simd(f) } else { f() })
+}
+
+/// The AVX-512 tiles give `gemm` and `syrk` the AVX2 tiles' bits: each
+/// element is one FMA chain over the depth from zero whatever the tile
+/// shape, so only where tiles fall moves. Ragged shapes around both
+/// tiles, a depth across two `KC` blocks, every operand layout, both
+/// triangles; `C` padded so a stray write shows.
+fn simd_tiers_agree<T: Scalar>() {
+    if !two_simd_tiers::<T>() {
+        eprintln!("skipped: one simd tier for {}", T::PREFIX);
+        return;
+    }
+    let [(mr, nr), (wide_mr, wide_nr)] = tile_shapes::<T>();
+    let mut ms = edge_sizes([mr, wide_mr]);
+    let mut ns = edge_sizes([nr, wide_nr]);
+    ms.retain(|&m| m > 0);
+    ns.retain(|&n| n > 0);
+    let depths = [1usize, 33, 300];
+    let mut rng = Rng(0x71e5 ^ mr as u64);
+    let cap = 97 * 300;
+    let (abuf, bbuf): (Vec<T>, Vec<T>) = (rng.vec(cap), rng.vec(cap));
+    let cbuf: Vec<T> = rng.vec(100 * 97);
+    let (alpha, beta) = (T::from_f64(-1.25), T::from_f64(0.5));
+    for &k in &depths {
+        for &m in &ms {
+            for &n in &ns {
+                for (ta, tb) in [
+                    (Trans::No, Trans::No),
+                    (Trans::Trans, Trans::No),
+                    (Trans::No, Trans::Trans),
+                ] {
+                    let lda = if ta == Trans::No { m } else { k };
+                    let ldb = if tb == Trans::No { k } else { n };
+                    let ldc = m + 3;
+                    let run = |narrow: bool| {
+                        let mut c = cbuf[..ldc * n].to_vec();
+                        on_tier(kernel_cfg(GemmKernel::Simd), narrow, || {
+                            gemm(
+                                ta, tb, m, n, k, alpha, &abuf, lda, &bbuf, ldb, beta, &mut c, ldc,
+                            )
+                        });
+                        bits(&c)
+                    };
+                    let tag = format!("{} gemm {ta:?}/{tb:?} m={m} n={n} k={k}", T::PREFIX);
+                    assert!(run(false) == run(true), "{tag}: tiers differ");
+                }
+            }
+            // syrk: `m` is the order.
+            for (uplo, trans) in UPLOS
+                .iter()
+                .flat_map(|&u| [Trans::No, Trans::Trans].map(move |t| (u, t)))
+            {
+                let n = m;
+                let lda = if trans == Trans::No { n } else { k };
+                let ldc = n + 3;
+                let run = |narrow: bool| {
+                    let mut c = cbuf[..ldc * n].to_vec();
+                    on_tier(kernel_cfg(GemmKernel::Simd), narrow, || {
+                        syrk(uplo, trans, n, k, alpha, &abuf, lda, beta, &mut c, ldc)
+                    });
+                    bits(&c)
+                };
+                let tag = format!("{} syrk {uplo:?}/{trans:?} n={n} k={k}", T::PREFIX);
+                assert!(run(false) == run(true), "{tag}: tiers differ");
+            }
+        }
+    }
+}
+
+#[test]
+fn simd_tiers_give_gemm_and_syrk_the_same_bits() {
+    simd_tiers_agree::<f32>();
+    simd_tiers_agree::<f64>();
+}
+
+/// No pivot moves between the `simd` tiers: `getrf` on seeded general
+/// matrices — entries uniform in [−1, 1), drawn as `la_bench` draws the
+/// first system of a pool — at its workloads' orders gives the same pivots
+/// and `info` on both, and factors within `tests/par_equiv.rs`'s
+/// tolerance. They may differ in the last bits, through the `trsm` sweep's
+/// 16-row substitution grouping only. One thread: the whole factorization
+/// runs on the pinned tier.
+#[test]
+fn getrf_pivots_do_not_move_between_simd_tiers() {
+    if !two_simd_tiers::<f64>() {
+        eprintln!("skipped: one simd tier");
+        return;
+    }
+    // la_bench's SplitMix64 and `unit()`.
+    let uniform = |seed: u64, len: usize| {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            (z >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        };
+        (0..len).map(|_| next()).collect::<Vec<f64>>()
+    };
+    let serial = tune::TuneConfig {
+        max_threads: 1,
+        ..tune::TuneConfig::defaults()
+    };
+    for (n, seed) in [(96usize, 1u64), (256, 2), (768, 3)] {
+        let a0 = uniform(seed, n * n);
+        let run = |narrow: bool| {
+            let (mut a, mut ipiv) = (a0.clone(), vec![0i32; n]);
+            let info = on_tier(serial, narrow, || {
+                la_lapack::getrf(n, n, &mut a, n, &mut ipiv)
+            });
+            (a, ipiv, info)
+        };
+        let ((wide, wpiv, winfo), (narrow, npiv, ninfo)) = (run(false), run(true));
+        assert_eq!(wpiv, npiv, "n={n}: pivots moved");
+        assert_eq!(winfo, ninfo, "n={n}: info");
+        for (idx, (&w, &x)) in wide.iter().zip(&narrow).enumerate() {
+            let d = (w - x).abs();
+            assert!(d <= 1e-10 * (1.0 + x.abs()), "n={n} element {idx}: {d}");
+        }
+    }
 }
