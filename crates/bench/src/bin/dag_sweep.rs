@@ -1,8 +1,8 @@
 //! Same-run gate for the two-thread routes: times `getrf`, `potrf` and
 //! `geqrf` (f64) at `max_threads = 1` — the serial blocked route — and at
 //! `max_threads = 2`, where the thread budget sends orders past the
-//! routine's threshold (at the default tile order of 192: n ≥ 768 for
-//! `getrf` and `potrf`, n ≥ 1536 for `geqrf`) to the tile task graph; and
+//! routine's threshold (at the default block width of 128: n ≥ 512 for
+//! `getrf` and `potrf`, n ≥ 768 for `geqrf`) to the task graph; and
 //! `dgemm` `C = A·A` the same way, which two threads run as column stripes
 //! of `C`. The two budgets alternate call by call for at least
 //! [`MIN_SECS`] per routine and order, so a slow stretch of a shared host
@@ -12,13 +12,15 @@
 //! edges, critical path, occupancy), `serial blocked` below the threshold,
 //! or gemm's stripe count.
 //!
-//! Usage: `dag_sweep [--quick] [--min-speedup R] [--min-gemm-speedup R]`.
-//! The orders are 768, 1024, 1536 and 2048, `--quick` keeps 1024 only.
+//! Usage: `dag_sweep [--quick] [--min-speedup R] [--min-gemm-speedup R]
+//! [n ...]`. The orders are the ones given, else 768, 1024, 1536 and 2048;
+//! `--quick` keeps 1024 only.
 //! With `--min-speedup R` the run exits 1 when the smaller of the `getrf`
 //! and `potrf` speed-ups at n = 1024 is below `R`, or when either
 //! two-thread call there did not take the task graph; with
 //! `--min-gemm-speedup R` when `gemm`'s speed-up at n = 1024 is below `R`,
-//! or when its two-thread call did not run two stripes. Same-run ratios,
+//! or when its two-thread call did not run two stripes; a gate fails when
+//! 1024 is not among the orders. Same-run ratios,
 //! like `kernel_bench --min-trsm-over-gemm`: host speed cancels. On a
 //! one-core host there is no second thread to measure; the run says
 //! `skipped: 1 core` and exits 0.
@@ -105,6 +107,7 @@ fn main() {
     let quick = args.flag("--quick");
     let min_speedup = args.limit("--min-speedup");
     let min_gemm = args.limit("--min-gemm-speedup");
+    let given: Vec<usize> = args.positional();
     args.finish();
     let cores = tune::host_parallelism();
     if cores < 2 {
@@ -114,14 +117,16 @@ fn main() {
     let tile = tune::TuneConfig::defaults().tile_size();
     let sizes: &[usize] = if quick {
         &[GATED_N]
-    } else {
+    } else if given.is_empty() {
         &[768, GATED_N, 1536, 2048]
+    } else {
+        &given
     };
     println!(
         "== dag_sweep: {cores} cores, f64, max_threads 1 vs {WIDE}, tile {tile}, \
          best of each over {MIN_SECS} s =="
     );
-    let (mut factor, mut gemm) = (f64::INFINITY, f64::NAN);
+    let (mut factor, mut gemm) = (f64::NAN, f64::NAN);
     for &n in sizes {
         let general: Mat<f64> = bench_matrix(n, 17);
         let spd: Mat<f64> = bench_spd(n, 19);

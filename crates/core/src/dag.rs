@@ -1,12 +1,12 @@
-//! Dependency-tracked task-graph runtime — the tile-DAG engine under the
-//! tiled factorizations (PLASMA-style superscalar scheduling).
+//! Dependency-tracked task-graph runtime — the engine under the
+//! task-graph factorizations (PLASMA-style superscalar scheduling).
 //!
 //! A blocked factorization is a chain of steps: the trailing update of
 //! step `k` finishes before the panel of step `k+1` starts, so a second
 //! core could only help inside each BLAS-3 call — too little work per
 //! fork to pay for it, which is why the blocked route runs serial. This
 //! module removes that barrier: an algorithm *declares* its
-//! tasks with the resources (tile ids, workspace ids) each one reads and
+//! tasks with the resources (column blocks, workspaces) each one reads and
 //! writes, the [`Builder`] infers the RAW/WAR/WAW edges sequential-task-
 //! flow style, and [`Builder::run`] executes the graph on a scoped worker
 //! pool that starts any task the moment its predecessors finish.
@@ -16,7 +16,7 @@
 //!
 //! * **Panic isolation** — a task body that panics is caught at the task
 //!   boundary and recorded as [`crate::cancel::INFO_PANICKED`] (`-104`);
-//!   the graph aborts (dependents of a poisoned tile must not run) but
+//!   the graph aborts (dependents of a poisoned block must not run) but
 //!   already-running siblings finish normally.
 //! * **Cancellation checkpoints** — the inherited [`crate::cancel`] token
 //!   is checked before every task body, so a deadline lands within one
@@ -32,12 +32,18 @@
 //!   siblings, so BLAS-3 opened inside a task divides the host instead of
 //!   multiplying with the worker count.
 //!
+//! Among the tasks ready at one moment, [`Builder::run`] starts the one
+//! with the longest chain of successors still ahead of it, so a
+//! factorization's next panel overtakes the trailing updates that became
+//! ready with it instead of queueing behind them.
+//!
 //! [`Builder::run`] also records the graph's shape — task count, edge
 //!   count, critical-path length, worker occupancy — on the innermost
 //! active probe span ([`crate::probe::note_dag`]), so `LA_PROFILE=spans`
 //! shows what the scheduler actually did.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
@@ -55,8 +61,6 @@ struct Node<'a> {
     body: Mutex<Option<Body<'a>>>,
     succs: Vec<usize>,
     npred: usize,
-    /// Longest predecessor chain ending here (0 for a root).
-    depth: usize,
 }
 
 #[derive(Default)]
@@ -124,10 +128,8 @@ impl RunResult {
 /// in program order with the resource ids each reads and writes, and the
 /// builder infers every RAW, WAR, and WAW dependency.
 ///
-/// Resource ids are plain `usize` — tile ids from
-/// [`crate::tile::TileMat::tile_id`] plus any auxiliary ids the algorithm
-/// invents (pivot vectors, panel workspaces) above
-/// [`crate::tile::TileMat::resource_count`].
+/// Resource ids are plain `usize`, numbered by the algorithm: blocks of
+/// the matrix, pivot vectors, per-step workspaces.
 #[derive(Default)]
 pub struct Builder<'a> {
     tasks: Vec<Node<'a>>,
@@ -175,11 +177,6 @@ impl<'a> Builder<'a> {
         preds.sort_unstable();
         preds.dedup();
         preds.retain(|&p| p != id);
-        let depth = preds
-            .iter()
-            .map(|&p| self.tasks[p].depth + 1)
-            .max()
-            .unwrap_or(0);
         let npred = preds.len();
         self.edges += npred;
         for &p in &preds {
@@ -190,7 +187,6 @@ impl<'a> Builder<'a> {
             body: Mutex::new(Some(Box::new(body))),
             succs: Vec::new(),
             npred,
-            depth,
         });
         // Update resource state *after* computing dependencies.
         for &r in reads {
@@ -208,11 +204,24 @@ impl<'a> Builder<'a> {
     /// graph shape. The worker count is the [`tune`] thread budget
     /// clamped to the task count; a budget of 1 runs every task inline on
     /// the calling thread **in submission order** (the deterministic
-    /// serial schedule). Also records the shape on the innermost active
-    /// probe span via [`probe::note_dag`].
+    /// serial schedule). More workers take the ready task with the longest
+    /// remaining chain first, the lowest submission index among equals.
+    /// Also records the shape on the innermost active probe span via
+    /// [`probe::note_dag`].
     pub fn run(self) -> RunResult {
         let total = self.tasks.len();
-        let critical_path = self.tasks.iter().map(|t| t.depth + 1).max().unwrap_or(0);
+        // Tasks on the longest chain from each task to a sink, itself
+        // included: successors always have larger indices.
+        let mut rank = vec![1usize; total];
+        for i in (0..total).rev() {
+            rank[i] += self.tasks[i]
+                .succs
+                .iter()
+                .map(|&s| rank[s])
+                .max()
+                .unwrap_or(0);
+        }
+        let critical_path = rank.iter().copied().max().unwrap_or(0);
         let edges = self.edges;
         let workers = tune::current().threads().min(total).max(1);
         let started = Instant::now();
@@ -254,7 +263,7 @@ impl<'a> Builder<'a> {
             }
         } else {
             struct Sched {
-                ready: std::collections::VecDeque<usize>,
+                ready: BinaryHeap<(usize, Reverse<usize>)>,
                 npred: Vec<usize>,
                 infos: Vec<i32>,
                 done: usize,
@@ -265,7 +274,7 @@ impl<'a> Builder<'a> {
                     .iter()
                     .enumerate()
                     .filter(|(_, t)| t.npred == 0)
-                    .map(|(i, _)| i)
+                    .map(|(i, _)| (rank[i], Reverse(i)))
                     .collect(),
                 npred: tasks.iter().map(|t| t.npred).collect(),
                 infos: std::mem::take(&mut infos),
@@ -278,7 +287,7 @@ impl<'a> Builder<'a> {
                 let (task, skip) = {
                     let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
                     loop {
-                        if let Some(t) = st.ready.pop_front() {
+                        if let Some((_, Reverse(t))) = st.ready.pop() {
                             break (t, st.abort);
                         }
                         if st.done == tasks.len() {
@@ -288,7 +297,7 @@ impl<'a> Builder<'a> {
                     }
                 };
                 // An aborted graph drains without running bodies:
-                // dependents of a poisoned or cancelled tile must not
+                // dependents of a poisoned or cancelled block must not
                 // execute.
                 let info = if skip { 0 } else { run_one(&tasks[task]) };
                 let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
@@ -299,7 +308,7 @@ impl<'a> Builder<'a> {
                 for &succ in &tasks[task].succs {
                     st.npred[succ] -= 1;
                     if st.npred[succ] == 0 {
-                        st.ready.push_back(succ);
+                        st.ready.push((rank[succ], Reverse(succ)));
                     }
                 }
                 st.done += 1;
@@ -390,7 +399,7 @@ mod tests {
     }
 
     #[test]
-    fn independent_tasks_all_run_and_depth_is_one() {
+    fn independent_tasks_all_run_and_critical_path_is_one() {
         let hits = AtomicUsize::new(0);
         let mut g = Builder::new();
         for i in 0..32 {
@@ -404,6 +413,43 @@ mod tests {
         assert_eq!(res.stats.critical_path, 1);
         assert_eq!(res.stats.edges, 0);
         assert!(res.stats.occupancy() >= 0.0);
+    }
+
+    #[test]
+    fn the_longest_remaining_chain_starts_first() {
+        // After the root, six leaves and a two-task chain become ready at
+        // once; the chain's head is submitted last. A leaf waits (up to a
+        // bound) for the head to have started: first-in-first-out, both
+        // workers would sit in leaves and the head would start late.
+        use std::sync::atomic::AtomicBool;
+        use std::time::Duration;
+        let head_started = AtomicBool::new(false);
+        let late = AtomicUsize::new(0);
+        let mut g = Builder::new();
+        g.task("root", &[], &[0], || 0);
+        for i in 0..6 {
+            let (head_started, late) = (&head_started, &late);
+            g.task("leaf", &[0], &[10 + i], move || {
+                let t0 = Instant::now();
+                while !head_started.load(Ordering::Acquire) {
+                    if t0.elapsed() > Duration::from_secs(2) {
+                        late.fetch_add(1, Ordering::Relaxed);
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
+                0
+            });
+        }
+        g.task("head", &[0], &[1], || {
+            head_started.store(true, Ordering::Release);
+            0
+        });
+        g.task("tail", &[1], &[2], || 0);
+        let res = tune::with(wide(2), || g.run());
+        assert_eq!(res.info(), 0);
+        assert_eq!(res.stats.critical_path, 3);
+        assert_eq!(late.into_inner(), 0, "a leaf ran before the chain's head");
     }
 
     #[test]

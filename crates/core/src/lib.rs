@@ -35,12 +35,11 @@
 //!   extension code, detection/recovery counters, and (behind the
 //!   `fault-inject` feature) silent-corruption injection for tests.
 //! * [`dag`] — the dependency-tracked task-graph runtime (PLASMA-style
-//!   sequential-task-flow scheduling) under the tiled factorizations:
-//!   per-task panic isolation, fault scoping, policy inheritance and the
-//!   no-oversubscription clamp ([`ctx::isolated`], [`ctx::fan_out`]).
-//! * [`tile`] — [`TileMat`], the tile-major store the dag algorithms
-//!   operate on: copy-in/copy-out from column-major [`Mat`] layout,
-//!   one allocation per tile so a memory-mapped backing can follow.
+//!   sequential-task-flow scheduling, longest remaining chain first) under
+//!   the task-graph factorizations, which work in place on the caller's
+//!   column-major matrix: per-task panic isolation, fault scoping, policy
+//!   inheritance and the no-oversubscription clamp ([`ctx::isolated`],
+//!   [`ctx::fan_out`]).
 //! * [`cancel`] — cooperative cancellation: [`CancelToken`] deadlines and
 //!   the `INFO = -103` (cancelled) / `-104` (worker panicked) extension
 //!   codes consumed by the dag runtime and the `la-serve` queue.
@@ -75,7 +74,6 @@ pub mod mixed;
 pub mod probe;
 pub mod scalar;
 pub mod storage;
-pub mod tile;
 pub mod tune;
 
 pub use abft::AbftPolicy;
@@ -92,5 +90,4 @@ pub use mixed::{Demote, Promote};
 pub use probe::ProbePolicy;
 pub use scalar::{RealScalar, Scalar};
 pub use storage::{BandMat, PackedMat, SymBandMat};
-pub use tile::TileMat;
 pub use tune::TuneConfig;

@@ -166,10 +166,10 @@ pub struct TuneConfig {
     /// Packed-gemm column block: columns of B packed per cache block. `0`
     /// falls back to the compiled-in default. Set in code only.
     pub gemm_nc: usize,
-    /// Tile order for the task-graph factorizations. `0` falls back to the
-    /// compiled-in default (see [`TuneConfig::tile_size`]). With more than
-    /// one thread, `getrf` and `potrf` run on tiles from four tiles up,
-    /// `geqrf` from eight. Set in code only.
+    /// Block width of the task-graph factorizations, in columns. `0` falls
+    /// back to the compiled-in default (see [`TuneConfig::tile_size`]). With
+    /// more than one thread, `getrf` and `potrf` take the graph from four
+    /// blocks up, `geqrf` from six. Set in code only.
     pub tile_nb: usize,
     /// Residual precision for the refinement loops (`LA_REFINE`):
     /// working precision (classic) or double-double (three-precision
@@ -229,9 +229,9 @@ impl TuneConfig {
     /// core count unless [`TuneConfig::oversubscribe`] is set — more
     /// threads than cores only add scheduling overhead. Besides sizing
     /// BLAS-3 stripes, this budget picks the route of `getrf`, `potrf`
-    /// and `geqrf`: above 1 they run the tile task graph from four tiles
-    /// up (`geqrf` eight) and serial blocked below — thresholds measured
-    /// at two threads only.
+    /// and `geqrf`: above 1 they run the task graph from four blocks up
+    /// (`geqrf` six) and serial blocked below — thresholds measured at two
+    /// threads only.
     ///
     /// On a thread that is itself one of `W` siblings of an enclosing
     /// worker pool (see [`in_pool_worker`]), the clamp tightens to
@@ -294,19 +294,20 @@ impl TuneConfig {
         self.crossover.min(2 * self.nb(routine, n))
     }
 
-    /// Resolved tile order for the task-graph factorizations:
-    /// `tile_nb`, or the compiled-in default when `tile_nb == 0`. The
-    /// default (192) gives each tile task a few million flops — large
-    /// enough to amortize scheduling — and puts the task-graph route's
-    /// four-tile threshold at n = 768, where two threads first beat the
-    /// best one-thread blocked `getrf` (`geqrf`'s eight tiles: n = 1536;
-    /// EXPERIMENTS.md, "The thread budget picks the factorization
-    /// route").
+    /// Resolved block width of the task-graph factorizations, which work
+    /// in place on blocks of this many whole columns: `tile_nb`, or the
+    /// compiled-in default when `tile_nb == 0`. The default (128) is the
+    /// narrowest width at which two-thread `getrf` holds its best time
+    /// (96, 128, 160 and 192 measured): `potrf` and `geqrf` gain from
+    /// narrower blocks, `getrf` loses below 128. It puts the route's
+    /// four-block threshold at n = 512 and `geqrf`'s six blocks at 768
+    /// (EXPERIMENTS.md, "The task graph factors the caller's matrix in
+    /// place").
     pub fn tile_size(&self) -> usize {
         if self.tile_nb > 0 {
             self.tile_nb
         } else {
-            192
+            128
         }
     }
 }
@@ -511,7 +512,7 @@ mod tests {
     #[test]
     fn tile_size_resolves_default_and_override() {
         let mut cfg = TuneConfig::defaults();
-        assert_eq!(cfg.tile_size(), 192);
+        assert_eq!(cfg.tile_size(), 128);
         cfg.tile_nb = 96;
         assert_eq!(cfg.tile_size(), 96);
     }

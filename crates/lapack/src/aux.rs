@@ -22,18 +22,18 @@ pub fn ilaenv_crossover(routine: &str, n: usize) -> usize {
     la_core::tune::current().crossover(routine, n)
 }
 
-/// Tiles a problem must span, in its smaller dimension, before a
-/// factorization hands it to the tile task graph — each routine at its own
+/// Blocks a problem must span, in its smaller dimension, before a
+/// factorization hands it to the task graph — each routine at its own
 /// measured crossover, the graph on two threads against the blocked loop
-/// on one (EXPERIMENTS.md, "The thread budget picks the factorization
-/// route"). `getrf` from 4 tiles (n ≥ 768 at the default tile order of
-/// 192): 1.11–1.17 at 768, at most 1.10 below; `potrf`, ahead from n = 512
-/// on, shares it. `geqrf` from 8 (n ≥ 1536): from n = 960 to 1344 its
-/// graph lost in 9 of 20 runs (0.69–1.22), at 1536 in 1 of 7 (0.77–1.32),
-/// at 2048 in none (1.16–1.39). Measured at two threads only — a wider
+/// on one (EXPERIMENTS.md, "The task graph factors the caller's matrix in
+/// place"). At the default width of 128: `getrf` from 4 blocks (n ≥ 512),
+/// 1.31–1.38 at 512 and 0.85–1.01 below; `potrf` shares it, 1.04 (Lower)
+/// and 1.13 (Upper) at 512, 0.91–0.97 at 448; `geqrf` from 6 (n ≥ 768),
+/// 0.96–1.50 at 768 (one process in eight lost), 1.12–1.18 at 576–640 in
+/// one each, 0.81–1.05 at 512. Measured at two threads only — a wider
 /// host may cross over elsewhere. Not a knob: `TuneConfig::tile_nb` moves
-/// every threshold with the tile.
-pub(crate) const DAG_MIN_TILES: [(&str, usize); 3] = [("getrf", 4), ("potrf", 4), ("geqrf", 8)];
+/// every threshold with the block.
+pub(crate) const DAG_MIN_TILES: [(&str, usize); 3] = [("getrf", 4), ("potrf", 4), ("geqrf", 6)];
 
 /// Which engine factors one call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,7 +42,7 @@ pub(crate) enum Route {
     Unblocked,
     /// The blocked right-looking loop, its BLAS-3 calls serial.
     Blocked,
-    /// The tile task graph ([`crate::tiled`]).
+    /// The task graph ([`crate::tiled`]).
     Dag,
 }
 
@@ -60,7 +60,7 @@ impl Blocking {
     /// The decision for `routine` on an `m × n` problem under the
     /// configuration in effect on this thread — the one place the route
     /// is chosen. With more than one thread, a problem of at least the
-    /// routine's [`DAG_MIN_TILES`] runs the tile task graph; everything
+    /// routine's [`DAG_MIN_TILES`] runs the task graph; everything
     /// else runs on this thread, blocked above the crossover — for `geqrf`
     /// two panels, whatever `TuneConfig::crossover` says.
     pub(crate) fn of(routine: &str, m: usize, n: usize) -> Self {
@@ -741,7 +741,8 @@ pub fn larft<T: Scalar>(
 /// conjugate transpose to `C` (`xLARFB`, `STOREV='C'`, `DIRECT='F'`).
 ///
 /// `V` is `len × k` with unit lower-trapezoidal structure (the geqrf
-/// panel layout).
+/// panel layout). `work` holds at least `n·k` elements (`Side::Left`) or
+/// `m·k` (`Side::Right`); its contents are ignored.
 #[allow(clippy::too_many_arguments)]
 pub fn larfb<T: Scalar>(
     side: Side,
@@ -755,6 +756,7 @@ pub fn larfb<T: Scalar>(
     ldt: usize,
     c: &mut [T],
     ldc: usize,
+    work: &mut [T],
 ) {
     if k == 0 || m == 0 || n == 0 {
         return;
@@ -768,7 +770,7 @@ pub fn larfb<T: Scalar>(
         Side::Left => {
             // W := Cᴴ·V  (n × k); W := W·Tᴴ or W·T; C := C − V·Wᴴ.
             let len = m;
-            let mut w = vec![T::zero(); n * k];
+            let w = &mut work[..n * k];
             // W = C(0..len, :)^H V — split V into the triangular head V1
             // (k×k unit lower) and the rest V2.
             // W := C1ᴴ (n×k from first k rows of C)
@@ -788,7 +790,7 @@ pub fn larfb<T: Scalar>(
                 T::one(),
                 v,
                 ldv,
-                &mut w,
+                w,
                 n,
             );
             if len > k {
@@ -805,7 +807,7 @@ pub fn larfb<T: Scalar>(
                     &v[k..],
                     ldv,
                     T::one(),
-                    &mut w,
+                    w,
                     n,
                 );
             }
@@ -824,7 +826,7 @@ pub fn larfb<T: Scalar>(
                 T::one(),
                 t,
                 ldt,
-                &mut w,
+                w,
                 n,
             );
             // C := C − V·Wᴴ: C2 -= V2 Wᴴ; C1 -= V1 Wᴴ.
@@ -838,7 +840,7 @@ pub fn larfb<T: Scalar>(
                     -T::one(),
                     &v[k..],
                     ldv,
-                    &w,
+                    w,
                     n,
                     T::one(),
                     &mut c[k..],
@@ -856,7 +858,7 @@ pub fn larfb<T: Scalar>(
                 T::one(),
                 v,
                 ldv,
-                &mut w,
+                w,
                 n,
             );
             for j in 0..n {
@@ -869,7 +871,7 @@ pub fn larfb<T: Scalar>(
         Side::Right => {
             // W := C·V (m × k); W := W·T or W·Tᴴ; C := C − W·Vᴴ.
             let len = n;
-            let mut w = vec![T::zero(); m * k];
+            let w = &mut work[..m * k];
             // W := C1 · V1
             for j in 0..k {
                 for i in 0..m {
@@ -886,7 +888,7 @@ pub fn larfb<T: Scalar>(
                 T::one(),
                 v,
                 ldv,
-                &mut w,
+                w,
                 m,
             );
             if len > k {
@@ -902,7 +904,7 @@ pub fn larfb<T: Scalar>(
                     &v[k..],
                     ldv,
                     T::one(),
-                    &mut w,
+                    w,
                     m,
                 );
             }
@@ -916,7 +918,7 @@ pub fn larfb<T: Scalar>(
                 T::one(),
                 t,
                 ldt,
-                &mut w,
+                w,
                 m,
             );
             if len > k {
@@ -927,7 +929,7 @@ pub fn larfb<T: Scalar>(
                     len - k,
                     k,
                     -T::one(),
-                    &w,
+                    w,
                     m,
                     &v[k..],
                     ldv,
@@ -937,7 +939,7 @@ pub fn larfb<T: Scalar>(
                 );
             }
             // C1 := C1 − W · V1ᴴ
-            let mut wv = w.clone();
+            let mut wv = w.to_vec();
             la_blas::trmm(
                 Side::Right,
                 Uplo::Lower,

@@ -23,7 +23,13 @@ pub fn potf2<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i32 {
 /// [`potf2`] on a caller-provided workspace of at least `n − 1` elements
 /// (contents ignored), so the blocked loop factors its panels without an
 /// allocation each.
-fn potf2_ws<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize, ws: &mut [T]) -> i32 {
+pub(crate) fn potf2_ws<T: Scalar>(
+    uplo: Uplo,
+    n: usize,
+    a: &mut [T],
+    lda: usize,
+    ws: &mut [T],
+) -> i32 {
     let ws = &mut ws[..n.saturating_sub(1)];
     for j in 0..n {
         match uplo {
@@ -170,7 +176,7 @@ pub(crate) fn potrf_core<T: Scalar>(
 ) -> i32 {
     match how.route {
         // Same factor up to rounding, same info codes. A graph without
-        // memory for its tile copy leaves `a` as it found it; the serial
+        // memory for its workspace leaves `a` as it found it; the serial
         // route, which needs one panel's worth, runs instead.
         Route::Dag => match crate::tiled::potrf_dag(uplo, n, a, lda) {
             INFO_NO_WORKSPACE => {
@@ -179,17 +185,25 @@ pub(crate) fn potrf_core<T: Scalar>(
             info => info,
         },
         Route::Unblocked => potf2(uplo, n, a, lda),
-        Route::Blocked => one_thread(|| potrf_blocked(uplo, n, a, lda, how.nb)),
+        Route::Blocked => match try_zeros::<T>(how.nb * n) {
+            Some(mut ws) => one_thread(|| potrf_blocked(uplo, n, a, lda, how.nb, &mut ws)),
+            None => INFO_NO_WORKSPACE,
+        },
     }
 }
 
-/// Right-looking blocked Cholesky with panel width `nb`.
-fn potrf_blocked<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize, nb: usize) -> i32 {
-    // One workspace for every step's copies of the diagonal block (whose
-    // other triangle is never read) and of the off-diagonal panel.
-    let Some(mut ws) = try_zeros::<T>(nb * n) else {
-        return INFO_NO_WORKSPACE;
-    };
+/// Right-looking blocked Cholesky with panel width `nb`. `ws` (at least
+/// `nb·n` elements, contents ignored) holds every step's copies of the
+/// diagonal block (whose other triangle is never read) and of the
+/// off-diagonal panel.
+pub(crate) fn potrf_blocked<T: Scalar>(
+    uplo: Uplo,
+    n: usize,
+    a: &mut [T],
+    lda: usize,
+    nb: usize,
+    ws: &mut [T],
+) -> i32 {
     let (tri, panel) = ws.split_at_mut(nb * nb);
     let mut j = 0;
     while j < n {

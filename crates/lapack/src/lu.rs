@@ -184,7 +184,7 @@ pub(crate) fn getrf_core<T: Scalar>(
 ) -> i32 {
     match how.route {
         // Same factors up to rounding, same pivots and info codes. A graph
-        // without memory for its tile copy leaves `a` as it found it; the
+        // without memory for its workspace leaves `a` as it found it; the
         // serial route, which needs one panel's worth, runs instead.
         Route::Dag => match crate::tiled::getrf_dag(m, n, a, lda, ipiv) {
             INFO_NO_WORKSPACE => {
@@ -193,25 +193,26 @@ pub(crate) fn getrf_core<T: Scalar>(
             info => info,
         },
         Route::Unblocked => getf2(m, n, a, lda, ipiv),
-        Route::Blocked => one_thread(|| getrf_blocked(m, n, a, lda, ipiv, how.nb)),
+        Route::Blocked => match try_zeros::<T>(how.nb * (n - how.nb)) {
+            Some(mut u12) => one_thread(|| getrf_blocked(m, n, a, lda, ipiv, how.nb, &mut u12)),
+            None => INFO_NO_WORKSPACE,
+        },
     }
 }
 
-/// Right-looking blocked LU with panel width `nb`.
-fn getrf_blocked<T: Scalar>(
+/// Right-looking blocked LU with panel width `nb`; `u12` holds each step's
+/// copy of U12 (at least `nb·(n − nb)` elements, contents ignored).
+pub(crate) fn getrf_blocked<T: Scalar>(
     m: usize,
     n: usize,
     a: &mut [T],
     lda: usize,
     ipiv: &mut [i32],
     nb: usize,
+    u12: &mut [T],
 ) -> i32 {
     let mn = m.min(n);
     let mut info = 0i32;
-    // Holds each step's copy of U12; step 0 has the largest.
-    let Some(mut u12) = try_zeros::<T>(nb * (n - nb)) else {
-        return INFO_NO_WORKSPACE;
-    };
     let mut j = 0;
     while j < mn {
         // Cooperative cancellation checkpoint: one cheap thread-local

@@ -6,7 +6,9 @@
 use la_blas::{lacgv, nrm2, scal};
 use la_core::{probe, RealScalar, Scalar, Side, Trans};
 
-use crate::aux::{larf, larfb, larfg, larft, one_thread, Blocking, Route, INFO_NO_WORKSPACE};
+use crate::aux::{
+    larf, larfb, larfg, larft, one_thread, try_zeros, Blocking, Route, INFO_NO_WORKSPACE,
+};
 
 /// Strided [`larfg`]: gathers the vector, generates the reflector and
 /// scatters the tail back.
@@ -79,28 +81,34 @@ pub fn geqrf<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, tau: &mut [
     let how = Blocking::of("geqrf", m, n);
     match how.route {
         // Same compact-WY output up to rounding, same info codes. A graph
-        // without memory for its tile copy leaves `a` as it found it; the
+        // without memory for its workspace leaves `a` as it found it; the
         // serial route, which needs one panel's worth, runs instead.
         Route::Dag => match crate::tiled::geqrf_dag(m, n, a, lda, tau) {
             INFO_NO_WORKSPACE => one_thread(|| geqrf(m, n, a, lda, tau)),
             info => info,
         },
         Route::Unblocked => geqr2(m, n, a, lda, tau),
-        Route::Blocked => one_thread(|| geqrf_blocked(m, n, a, lda, tau, how.nb)),
+        Route::Blocked => match try_zeros::<T>(how.nb * n) {
+            Some(mut ws) => one_thread(|| geqrf_blocked(m, n, a, lda, tau, how.nb, &mut ws)),
+            None => INFO_NO_WORKSPACE,
+        },
     }
 }
 
-/// Blocked Householder QR with panel width `nb`.
-fn geqrf_blocked<T: Scalar>(
+/// Blocked Householder QR with panel width `nb`. `ws` (at least `nb·n`
+/// elements, contents ignored) holds each step's block-reflector factor
+/// `T` and [`larfb`]'s workspace.
+pub(crate) fn geqrf_blocked<T: Scalar>(
     m: usize,
     n: usize,
     a: &mut [T],
     lda: usize,
     tau: &mut [T],
     nb: usize,
+    ws: &mut [T],
 ) -> i32 {
     let k = m.min(n);
-    let mut t = vec![T::zero(); nb * nb];
+    let (t, work) = ws.split_at_mut(nb * nb);
     let mut i = 0;
     while i < k {
         // Cooperative cancellation checkpoint: one cheap thread-local
@@ -114,15 +122,7 @@ fn geqrf_blocked<T: Scalar>(
         geqr2(m - i, ib, &mut a[i + i * lda..], lda, &mut tau[i..i + ib]);
         if i + ib < n {
             // Form T and apply Hᴴ to the trailing matrix.
-            larft(
-                m - i,
-                ib,
-                &a[i + i * lda..],
-                lda,
-                &tau[i..i + ib],
-                &mut t,
-                nb,
-            );
+            larft(m - i, ib, &a[i + i * lda..], lda, &tau[i..i + ib], t, nb);
             // larfb needs V (in the panel) and C (trailing) disjoint: the
             // panel columns i..i+ib vs trailing columns i+ib.. — split.
             let (panel, trail) = a.split_at_mut((i + ib) * lda);
@@ -134,10 +134,11 @@ fn geqrf_blocked<T: Scalar>(
                 ib,
                 &panel[i + i * lda..],
                 lda,
-                &t,
+                t,
                 nb,
                 &mut trail[i..],
                 lda,
+                work,
             );
         }
         i += ib;

@@ -1,183 +1,168 @@
-//! Tiled task-graph factorizations: `getrf`, `potrf` and `geqrf`
-//! decomposed into per-tile tasks over a [`TileMat`] and executed by the
-//! dependency-tracked dag runtime (`la_core::dag`). The public entries
-//! come here when the thread budget is above one and the problem spans the
-//! routine's threshold in tiles (`aux::DAG_MIN_TILES`: four for `getrf`
-//! and `potrf`, eight for `geqrf`; decided in `aux::Blocking::of`).
+//! Task-graph factorizations: `getrf`, `potrf` and `geqrf` cut into tasks
+//! over blocks of whole columns of the caller's matrix, factored in place
+//! by the dependency-tracked dag runtime (`la_core::dag`). The public
+//! entries come here when the thread budget is above one and the problem
+//! spans the routine's threshold in blocks (`aux::DAG_MIN_TILES`, decided
+//! in `aux::Blocking::of`); the block width is
+//! `TuneConfig::tile_size()`.
 //!
-//! The PLASMA-style sequential-task-flow formulation: each kernel call
-//! (panel factorization, `trsm`, `herk`, `gemm`, block-reflector apply)
-//! becomes one task declaring the tiles it reads and writes; the runtime
-//! infers RAW/WAR/WAW edges and runs the whole graph on one
-//! `ctx::fan_out` team — one fork and one join per factorization, where
-//! the blocked loop would need one per BLAS-3 call. Lookahead is emergent:
-//! the step-`k+1` panel only depends on the step-`k` updates of its own
-//! tile column, so it starts while the rest of the step-`k` trailing
-//! matrix is still in flight.
+//! The PLASMA-style sequential-task-flow formulation: each step of the
+//! blocked loop becomes a panel task on its block plus one update task per
+//! later block, each declaring the blocks (and per-step stores) it reads
+//! and writes; the runtime infers the RAW/WAR/WAW edges and runs the whole
+//! graph on one `ctx::fan_out` team — one fork and one join per
+//! factorization, where the blocked loop would need one per BLAS-3 call.
+//! Lookahead is emergent: the step-`k+1` panel only depends on the step-`k`
+//! update of its own block, and the runtime starts the ready task with the
+//! longest chain ahead of it, so that panel overtakes the rest of the
+//! step-`k` updates.
+//!
+//! A block of whole columns is one contiguous range of the column-major
+//! `a`, so two blocks never share an element, and every task reaches its
+//! memory through [`Cols`], the one place that turns a shared array into
+//! slices: it asserts bounds, and in debug builds that no two live views
+//! overlap where either writes.
 //!
 //! Contracts match the blocked routines exactly — same output layout
 //! (LAPACK factor formats, global 1-based `ipiv`, `tau`), same `info`
 //! conventions including the `-102`/`-103`/`-104` extension codes — so
 //! `getrs`/`potrs`/`ormqr` consume the results unchanged. `geqrf_dag`
-//! keeps the standard compact-WY panel format (a panel task per block
-//! column plus per-tile-column block-reflector applies) rather than the
-//! tile-QR `tsqrt`/`ssrfb` variant, which would change the `V`/`tau`
-//! layout consumers rely on.
+//! keeps the standard compact-WY panel format (a panel task per block plus
+//! per-block block-reflector applies) rather than the tile-QR
+//! `tsqrt`/`ssrfb` variant, which would change the `V`/`tau` layout
+//! consumers rely on.
 //!
 //! One deliberate divergence: on a positive `info` (singular `U`, non-SPD
 //! minor) the graph keeps running — later tasks consume whatever the
 //! failed panel left, exactly as blocked `getrf` does; `potrf_dag`
 //! reports the same first failing index as blocked `potrf` but the
-//! trailing tiles hold updated (meaningless) values rather than untouched
+//! trailing blocks hold updated (meaningless) values rather than untouched
 //! input. Negative codes abort the graph.
 //!
-//! Memory: a graph works on a copy — the tiles plus one panel store per
-//! block column, ≈ 1.5·m·n elements where the blocked loop needs one
-//! panel's worth — and takes it fallibly. When the allocator refuses it,
-//! or a panel task finds no workspace, the entry returns
-//! `aux::INFO_NO_WORKSPACE` with `a` as it found it, and the public
-//! `getrf`/`potrf`/`geqrf` run their serial route instead.
+//! Memory: besides `a`, a graph takes one scratch block per block of `a`
+//! (`getrf`: each update's copy of `U12`; `geqrf`: `larfb`'s workspace) —
+//! nb·n elements — plus `geqrf`'s block-reflector factors (nb² per step),
+//! `potrf`'s diagonal workspace (nb²) and, for `Uplo::Upper`, each step's
+//! row of `U` right of its diagonal block (under n²/2). A panel task works
+//! in its own block's scratch. All of it is taken fallibly before the first
+//! task runs: refused, the entry returns `aux::INFO_NO_WORKSPACE` with `a`
+//! as it found it, and the public `getrf`/`potrf`/`geqrf` run their serial
+//! route instead.
 
-use std::cell::UnsafeCell;
+use std::marker::PhantomData;
+use std::ops::{Deref, DerefMut};
 
 use la_blas::{gemm, herk, trsm};
 use la_core::dag::Builder;
-use la_core::tile::TileMat;
 use la_core::{probe, Diag, Scalar, Side, Trans, Uplo};
 
-use crate::aux::{larfb, larft, try_zeros, INFO_NO_WORKSPACE};
+use crate::aux::{
+    lacpy, larfb, larft, laswp, one_thread, try_zeros, Blocking, Route, INFO_NO_WORKSPACE,
+};
 
-/// Per-panel-step workspace: the panel task writes it, that step's update
-/// tasks read it. Reached through a dag resource id (`resource_count() +
-/// step`), so the same dependency contract that guards tiles guards this.
-struct PanelStore<T> {
-    /// Factored panel (`getrf`) or reflector block `V` (`geqrf`),
-    /// `rows × jb` column-major with `ld == rows`.
-    data: UnsafeCell<Vec<T>>,
-    /// Local 1-based pivots (`getrf`; prefilled with the identity so a
-    /// cancelled run still leaves a valid permutation).
-    piv: UnsafeCell<Vec<i32>>,
-    /// Triangular `T` factor of the block reflector (`geqrf`), `jb × jb`.
-    tfac: UnsafeCell<Vec<T>>,
-    /// Householder scalars (`geqrf`).
-    tau: UnsafeCell<Vec<T>>,
+/// A column-major array shared by the tasks of one graph and lent out by
+/// ranges of whole columns: column `c` is the `rows` elements at `c·ld`.
+struct Cols<'a, T> {
+    ptr: *mut T,
+    len: usize,
+    ld: usize,
     rows: usize,
-    jb: usize,
+    /// Element ranges of the live views, and whether each one writes.
+    #[cfg(debug_assertions)]
+    live: std::sync::Mutex<Vec<(usize, usize, bool)>>,
+    _array: PhantomData<&'a mut [T]>,
 }
 
-// SAFETY: accessed only inside dag tasks that declare the store's
-// resource id; the scheduler serializes writer vs. readers.
-unsafe impl<T: Send> Sync for PanelStore<T> {}
+// SAFETY: views are only lent through `Cols::view`, whose callers (dag
+// tasks) never hold overlapping views where either writes — the runtime
+// never runs two tasks with conflicting declarations at once. `T: Send`
+// scalars carry no thread affinity.
+unsafe impl<T: Send> Sync for Cols<'_, T> {}
 
-impl<T: Scalar> PanelStore<T> {
-    /// `None` when the allocator refuses the panel copy or the `T` factor.
-    fn try_new(rows: usize, jb: usize, with_t: bool) -> Option<Self> {
-        Some(PanelStore {
-            data: UnsafeCell::new(try_zeros(rows * jb)?),
-            piv: UnsafeCell::new((1..=jb as i32).collect()),
-            tfac: UnsafeCell::new(try_zeros(if with_t { jb * jb } else { 0 })?),
-            tau: UnsafeCell::new(vec![T::zero(); jb]),
+impl<'a, T> Cols<'a, T> {
+    fn new(a: &'a mut [T], rows: usize, ld: usize) -> Self {
+        debug_assert!(rows <= ld);
+        Cols {
+            ptr: a.as_mut_ptr(),
+            len: a.len(),
+            ld,
             rows,
-            jb,
-        })
-    }
-}
-
-/// Gathers columns `c0..c0+w` of tile column `j`, tile rows `i0..mt`,
-/// into the contiguous `rows × w` buffer `buf` (`ld == rows`).
-///
-/// # Safety
-/// Caller must hold (via the dag contract) read access to those tiles.
-unsafe fn gather<T: Scalar>(
-    tm: &TileMat<T>,
-    i0: usize,
-    j: usize,
-    c0: usize,
-    w: usize,
-    buf: &mut [T],
-) {
-    let rows = buf.len() / w;
-    let mut off = 0;
-    for i in i0..tm.mt() {
-        let tr = tm.tile_rows(i);
-        let tile = tm.tile(i, j);
-        for c in 0..w {
-            buf[off + c * rows..off + c * rows + tr]
-                .copy_from_slice(&tile[(c0 + c) * tr..(c0 + c) * tr + tr]);
+            #[cfg(debug_assertions)]
+            live: Default::default(),
+            _array: PhantomData,
         }
-        off += tr;
     }
-}
 
-/// Exact inverse of [`gather`].
-///
-/// # Safety
-/// Caller must hold write access to those tiles.
-unsafe fn scatter<T: Scalar>(tm: &TileMat<T>, i0: usize, j: usize, c0: usize, w: usize, buf: &[T]) {
-    let rows = buf.len() / w;
-    let mut off = 0;
-    for i in i0..tm.mt() {
-        let tr = tm.tile_rows(i);
-        let tile = tm.tile_mut(i, j);
-        for c in 0..w {
-            tile[(c0 + c) * tr..(c0 + c) * tr + tr]
-                .copy_from_slice(&buf[off + c * rows..off + c * rows + tr]);
+    /// Columns `c0..c1`: the slice from row 0 of column `c0` to the last
+    /// row of column `c1 − 1`, element `(i, c0 + c)` at `i + c·ld`.
+    ///
+    /// # Safety
+    /// The calling task declared a write (`write`) or a read of every
+    /// resource these columns belong to, so no other task writes them —
+    /// or, for a write, reads them — while the view lives.
+    unsafe fn view(&self, c0: usize, c1: usize, write: bool) -> View<'_, 'a, T> {
+        assert!(c0 < c1, "empty column range {c0}..{c1}");
+        let (start, end) = (c0 * self.ld, (c1 - 1) * self.ld + self.rows);
+        assert!(end <= self.len, "columns {c0}..{c1} out of bounds");
+        #[cfg(debug_assertions)]
+        {
+            let mut live = self.live.lock().unwrap_or_else(|e| e.into_inner());
+            assert!(
+                live.iter()
+                    .all(|&(s, e, w)| e <= start || end <= s || !(w || write)),
+                "columns {c0}..{c1} overlap a live view"
+            );
+            live.push((start, end, write));
         }
-        off += tr;
-    }
-}
-
-/// Swaps global rows `g1` and `g2` across columns `c0..c1` of tile
-/// column `j`.
-///
-/// # Safety
-/// Caller must hold write access to every tile in tile column `j`.
-unsafe fn swap_rows<T: Scalar>(
-    tm: &TileMat<T>,
-    j: usize,
-    c0: usize,
-    c1: usize,
-    g1: usize,
-    g2: usize,
-) {
-    if g1 == g2 {
-        return;
-    }
-    let nb = tm.nb();
-    let (t1, r1) = (g1 / nb, g1 % nb);
-    let (t2, r2) = (g2 / nb, g2 % nb);
-    if t1 == t2 {
-        let ld = tm.tile_rows(t1);
-        let tile = tm.tile_mut(t1, j);
-        for c in c0..c1 {
-            tile.swap(r1 + c * ld, r2 + c * ld);
-        }
-    } else {
-        let (ld1, ld2) = (tm.tile_rows(t1), tm.tile_rows(t2));
-        let (a, b) = (tm.tile_mut(t1, j), tm.tile_mut(t2, j));
-        for c in c0..c1 {
-            std::mem::swap(&mut a[r1 + c * ld1], &mut b[r2 + c * ld2]);
+        View {
+            cols: self,
+            start,
+            len: end - start,
+            write,
         }
     }
 }
 
-/// The trailing column regions of panel step `k`: whole tile columns to
-/// the right, plus the remainder of tile column `k` itself when the
-/// panel is narrower than the tile (the `m < n` edge).
-fn trailing_regions<T>(tm: &TileMat<T>, k: usize, jb: usize) -> Vec<(usize, usize, usize)> {
-    let mut regions = Vec::new();
-    if jb < tm.tile_cols(k) {
-        regions.push((k, jb, tm.tile_cols(k)));
+/// One task's borrow of a column range of a [`Cols`].
+struct View<'s, 'a, T> {
+    cols: &'s Cols<'a, T>,
+    start: usize,
+    len: usize,
+    write: bool,
+}
+
+impl<T> Deref for View<'_, '_, T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        // SAFETY: in bounds (asserted in `Cols::view`), and by its contract
+        // no other task writes these elements while the view lives.
+        unsafe { std::slice::from_raw_parts(self.cols.ptr.add(self.start), self.len) }
     }
-    for j in k + 1..tm.nt() {
-        regions.push((j, 0, tm.tile_cols(j)));
+}
+
+impl<T> DerefMut for View<'_, '_, T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        assert!(self.write, "write through a read view");
+        // SAFETY: as for `deref`; a write view's contract also excludes
+        // readers in other tasks.
+        unsafe { std::slice::from_raw_parts_mut(self.cols.ptr.add(self.start), self.len) }
     }
-    regions
+}
+
+#[cfg(debug_assertions)]
+impl<T> Drop for View<'_, '_, T> {
+    fn drop(&mut self) {
+        let mut live = self.cols.live.lock().unwrap_or_else(|e| e.into_inner());
+        let me = (self.start, self.start + self.len, self.write);
+        if let Some(at) = live.iter().position(|&v| v == me) {
+            live.swap_remove(at);
+        }
+    }
 }
 
 /// A panel core's `info` as the task's: a positive index moves from the
-/// panel's numbering to the matrix's; a negative code (no workspace,
-/// cancelled) is the task's own, which is what aborts the graph.
+/// panel's numbering to the matrix's; a negative code (cancelled) is the
+/// task's own, which is what aborts the graph.
 fn global_info(info: i32, offset: usize) -> i32 {
     if info > 0 {
         info + offset as i32
@@ -186,28 +171,64 @@ fn global_info(info: i32, offset: usize) -> i32 {
     }
 }
 
-/// What a graph over the `m × n` matrix `a` needs besides `a`: its tile
-/// copy and one panel store per block column (`with_t`: with room for the
-/// block reflector's `T`), ≈ 1.5·m·n elements the blocked loop does
-/// without. `None` when the allocator refuses any of it.
-fn tile_copy<T: Scalar>(
-    m: usize,
-    n: usize,
-    a: &[T],
+/// One LU step applied to the `w` columns `c` right of its panel `l`
+/// (`rows × jb`, both from the panel's first row): the panel's row
+/// interchanges `piv`, `U12 := L11⁻¹·A12` and `A22 −= L21·U12`, reading
+/// `U12` from a copy in `u12` (`jb·w` elements) because it shares its
+/// columns with `A22`.
+#[allow(clippy::too_many_arguments)]
+fn lu_update<T: Scalar>(
+    jb: usize,
+    rows: usize,
+    w: usize,
+    l: &[T],
     lda: usize,
-    nb: usize,
-    with_t: bool,
-) -> Option<(TileMat<T>, Vec<PanelStore<T>>)> {
-    let tm = TileMat::try_from_col_major(m, n, a, lda, nb)?;
-    let mn = m.min(n);
-    let stores = (0..mn.div_ceil(nb))
-        .map(|k| PanelStore::try_new(m - k * nb, nb.min(mn - k * nb).min(tm.tile_cols(k)), with_t))
-        .collect::<Option<Vec<_>>>()?;
-    Some((tm, stores))
+    piv: &[i32],
+    c: &mut [T],
+    u12: &mut [T],
+) {
+    laswp(w, c, lda, 0, jb, piv);
+    trsm(
+        Side::Left,
+        Uplo::Lower,
+        Trans::No,
+        Diag::Unit,
+        jb,
+        w,
+        T::one(),
+        l,
+        lda,
+        c,
+        lda,
+    );
+    if rows > jb {
+        let u12 = &mut u12[..jb * w];
+        for (col, dst) in u12.chunks_exact_mut(jb).enumerate() {
+            dst.copy_from_slice(&c[col * lda..col * lda + jb]);
+        }
+        gemm(
+            Trans::No,
+            Trans::No,
+            rows - jb,
+            w,
+            jb,
+            -T::one(),
+            &l[jb..],
+            lda,
+            u12,
+            jb,
+            T::one(),
+            &mut c[jb..],
+            lda,
+        );
+    }
 }
 
-/// Tiled-dag LU with partial pivoting — drop-in for the blocked
-/// `getrf_core` (same factors, same global 1-based `ipiv`).
+/// Task-graph LU with partial pivoting — drop-in for the blocked
+/// `getrf_core` (same pivots, same global 1-based `ipiv`).
+///
+/// Resources: block `j` is id `j`, step `k`'s pivots `nt + k`; block `j`'s
+/// scratch belongs to the tasks that write block `j`.
 pub fn getrf_dag<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &mut [i32]) -> i32 {
     let _probe = probe::span(
         probe::Layer::Lapack,
@@ -220,138 +241,114 @@ pub fn getrf_dag<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &
         return 0;
     }
     let nb = la_core::tune::current().tile_size();
-    let Some((tm, stores)) = tile_copy(m, n, a, lda, nb, false) else {
+    let Some(mut scratch) = try_zeros::<T>(nb * n) else {
         return INFO_NO_WORKSPACE;
     };
-    let kt = stores.len();
-    let pid = |k: usize| tm.resource_count() + k;
-
-    let mut g = Builder::new();
-    for k in 0..kt {
-        let store = &stores[k];
-        let (rows, jb) = (store.rows, store.jb);
-        let col_off = k * nb;
-        // Panel: gather block column k, factor with local pivoting,
-        // scatter back. Owns every tile of its block column plus the
-        // step workspace.
-        let panel_writes: Vec<usize> = (k..tm.mt())
-            .map(|i| tm.tile_id(i, k))
-            .chain([pid(k)])
-            .collect();
-        let tm_ref = &tm;
-        g.task("lu_panel", &[], &panel_writes, move || {
-            // SAFETY: this task owns the block-column tiles and the store
-            // (declared writes); the dag serializes all other access.
-            unsafe {
-                let buf = &mut *store.data.get();
-                gather(tm_ref, k, k, 0, jb, buf);
-                let piv = &mut *store.piv.get();
-                // Blocked panel (never re-enters the dag: the panel's
-                // min dimension is at most one tile).
-                let how = crate::aux::Blocking::of("getrf", rows, jb);
-                let info = crate::lu::getrf_core(rows, jb, buf, rows, piv, how);
-                scatter(tm_ref, k, k, 0, jb, buf);
-                global_info(info, col_off)
-            }
-        });
-        // Row interchanges on the columns left of the panel (the factored
-        // L block columns), one task per tile column.
-        for j in 0..k {
-            let writes: Vec<usize> = (k..tm.mt()).map(|i| tm.tile_id(i, j)).collect();
-            let cols = tm.tile_cols(j);
-            g.task("lu_swap_left", &[pid(k)], &writes, move || {
-                // SAFETY: declared writes cover tile column j rows k..mt;
-                // the store is a declared read.
-                unsafe {
-                    let piv = &*store.piv.get();
-                    for (idx, &p) in piv.iter().enumerate() {
-                        swap_rows(tm_ref, j, 0, cols, col_off + idx, col_off + p as usize - 1);
-                    }
-                }
-                0
-            });
+    let (nt, kt) = (n.div_ceil(nb), mn.div_ceil(nb));
+    let width = |j: usize| nb.min(n - j * nb);
+    // Each step's pivots count from its panel's first row; a step that
+    // never runs (a cancelled graph) leaves the identity.
+    for p in ipiv[..mn].chunks_mut(nb) {
+        for (i, p) in p.iter_mut().enumerate() {
+            *p = i as i32 + 1;
         }
-        // Trailing updates: per column region, swap + triangular solve
-        // for the U block row, then one gemm task per trailing tile.
-        for (j, c0, c1) in trailing_regions(&tm, k, jb) {
-            let writes: Vec<usize> = (k..tm.mt()).map(|i| tm.tile_id(i, j)).collect();
-            g.task("lu_swap_trsm", &[pid(k)], &writes, move || {
-                // SAFETY: declared writes cover tile column j rows k..mt.
-                unsafe {
-                    let piv = &*store.piv.get();
-                    for (idx, &p) in piv.iter().enumerate() {
-                        swap_rows(tm_ref, j, c0, c1, col_off + idx, col_off + p as usize - 1);
-                    }
-                    let l11 = &*store.data.get();
-                    let ldk = tm_ref.tile_rows(k);
-                    let c = tm_ref.tile_mut(k, j);
-                    trsm(
-                        Side::Left,
-                        Uplo::Lower,
-                        Trans::No,
-                        Diag::Unit,
-                        jb,
-                        c1 - c0,
-                        T::one(),
-                        l11,
+    }
+    let info = {
+        let a = &Cols::new(a, m, lda);
+        let piv = &Cols::new(&mut ipiv[..mn], 1, 1);
+        let ws = &Cols::new(&mut scratch, nb, nb);
+        let mut g = Builder::new();
+        for k in 0..kt {
+            let (ck, jb, wk) = (k * nb, nb.min(mn - k * nb), width(k));
+            let rows = m - ck;
+            g.task("lu_panel", &[], &[k, nt + k], move || {
+                // SAFETY: block k (with its scratch) and step k's pivots are
+                // this task's declared writes.
+                let (mut blk, mut p, mut w) = unsafe {
+                    (
+                        a.view(ck, ck + wk, true),
+                        piv.view(ck, ck + jb, true),
+                        ws.view(ck, ck + wk, true),
+                    )
+                };
+                let split = (jb * lda).min(blk.len());
+                let (panel, rest) = blk.split_at_mut(split);
+                // Blocked panel (never re-enters the dag: it is one block
+                // wide).
+                let how = Blocking::of("getrf", rows, jb);
+                let info = one_thread(|| match how.route {
+                    Route::Unblocked => crate::lu::getf2(rows, jb, &mut panel[ck..], lda, &mut p),
+                    _ => crate::lu::getrf_blocked(
                         rows,
-                        &mut c[c0 * ldk..],
-                        ldk,
+                        jb,
+                        &mut panel[ck..],
+                        lda,
+                        &mut p,
+                        how.nb,
+                        &mut w,
+                    ),
+                });
+                if jb < wk {
+                    // The m < n edge: the last panel is narrower than its
+                    // block, whose other columns get the step's update here.
+                    lu_update(
+                        jb,
+                        rows,
+                        wk - jb,
+                        &panel[ck..],
+                        lda,
+                        &p,
+                        &mut rest[ck..],
+                        &mut w,
                     );
                 }
-                0
+                global_info(info, ck)
             });
-            for i in k + 1..tm.mt() {
-                let reads = [pid(k), tm.tile_id(k, j)];
-                let writes = [tm.tile_id(i, j)];
-                g.task("lu_gemm", &reads, &writes, move || {
-                    // SAFETY: reads tile (k,j) + store, writes tile (i,j),
-                    // all declared.
-                    unsafe {
-                        let panel: &Vec<T> = &*store.data.get();
-                        let l = &panel[i * nb - col_off..];
-                        let u = tm_ref.tile(k, j);
-                        let ldk = tm_ref.tile_rows(k);
-                        let ldi = tm_ref.tile_rows(i);
-                        let c = tm_ref.tile_mut(i, j);
-                        gemm(
-                            Trans::No,
-                            Trans::No,
-                            ldi,
-                            c1 - c0,
-                            jb,
-                            -T::one(),
-                            l,
-                            rows,
-                            &u[c0 * ldk..],
-                            ldk,
-                            T::one(),
-                            &mut c[c0 * ldi..],
-                            ldi,
-                        );
-                    }
+            // Row interchanges on the blocks left of the panel (the
+            // factored L columns).
+            for j in 0..k {
+                let cj = j * nb;
+                g.task("lu_swap_left", &[nt + k], &[j], move || {
+                    // SAFETY: declared write of block j, read of the pivots.
+                    let (mut blk, p) =
+                        unsafe { (a.view(cj, cj + nb, true), piv.view(ck, ck + jb, false)) };
+                    laswp(nb, &mut blk[ck..], lda, 0, jb, &p);
+                    0
+                });
+            }
+            for j in k + 1..nt {
+                let (cj, wj) = (j * nb, width(j));
+                g.task("lu_update", &[k, nt + k], &[j], move || {
+                    // SAFETY: declared reads of block k and the pivots, write
+                    // of block j (with its scratch).
+                    let (l, p, mut c, mut w) = unsafe {
+                        (
+                            a.view(ck, ck + jb, false),
+                            piv.view(ck, ck + jb, false),
+                            a.view(cj, cj + wj, true),
+                            ws.view(cj, cj + wj, true),
+                        )
+                    };
+                    lu_update(jb, rows, wj, &l[ck..], lda, &p, &mut c[ck..], &mut w);
                     0
                 });
             }
         }
-    }
-    let info = g.run().info();
-    // A panel without workspace: `a` stays as found, as for a refused copy.
-    if info == INFO_NO_WORKSPACE {
-        return info;
-    }
-    tm.copy_out(a, lda);
-    for (k, store) in stores.iter().enumerate() {
-        // SAFETY: the graph has quiesced; exclusive access again.
-        let piv = unsafe { &*store.piv.get() };
-        for (idx, &p) in piv.iter().enumerate() {
-            ipiv[k * nb + idx] = p + (k * nb) as i32;
+        g.run().info()
+    };
+    for (k, p) in ipiv[..mn].chunks_mut(nb).enumerate() {
+        for p in p {
+            *p += (k * nb) as i32;
         }
     }
     info
 }
 
-/// Tiled-dag Cholesky — drop-in for the blocked `potrf_core`.
+/// Task-graph Cholesky — drop-in for the blocked `potrf_core`.
+///
+/// Resources: block `j` is id `j`, the diagonal workspace `nt`, and (for
+/// `Upper`) the part of step `k`'s row store over block `j` is
+/// `nt + 1 + k·nt + j`.
 pub fn potrf_dag<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i32 {
     let _probe = probe::span(
         probe::Layer::Lapack,
@@ -363,219 +360,188 @@ pub fn potrf_dag<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i3
         return 0;
     }
     let nb = la_core::tune::current().tile_size();
-    let Some(tm) = TileMat::try_from_col_major(n, n, a, lda, nb) else {
+    let nt = n.div_ceil(nb);
+    let width = |j: usize| nb.min(n - j * nb);
+    // Step k's store holds U(k, (k+1)·nb..n), `nb` rows, from this column
+    // of the store on (every step that has one is a whole block wide).
+    let first = |k: usize| k * n - nb * k * (k + 1) / 2;
+    let store_cols = match uplo {
+        Uplo::Upper => first(nt - 1),
+        Uplo::Lower => 0,
+    };
+    let Some(mut ws) = try_zeros::<T>(nb * nb + nb * store_cols) else {
         return INFO_NO_WORKSPACE;
     };
-    let nt = tm.nt();
-    let tm_ref = &tm;
+    let (diag_ws, stores) = ws.split_at_mut(nb * nb);
+    let diag_ws = &Cols::new(diag_ws, nb * nb, nb * nb);
+    let stores = &Cols::new(stores, nb, nb);
+    let a = &Cols::new(a, n, lda);
+    let part = |k: usize, j: usize| nt + 1 + k * nt + j;
 
     let mut g = Builder::new();
     for k in 0..nt {
-        let nbk = tm.tile_cols(k);
-        let off = k * nb;
-        g.task("po_potf2", &[], &[tm.tile_id(k, k)], move || {
-            // SAFETY: exclusive declared write on the diagonal tile.
-            let info = unsafe {
-                let ld = tm_ref.tile_rows(k);
-                // Blocked diagonal factorization (never re-enters the
-                // dag: the tile is at most one tile wide).
-                let how = crate::aux::Blocking::of("potrf", nbk, nbk);
-                crate::chol::potrf_core(uplo, nbk, tm_ref.tile_mut(k, k), ld, how)
-            };
-            global_info(info, off)
+        let (ck, nk) = (k * nb, width(k));
+        g.task("po_diag", &[], &[k, nt], move || {
+            // SAFETY: declared writes of block k and the diagonal workspace.
+            let (mut blk, mut w) = unsafe { (a.view(ck, ck + nk, true), diag_ws.view(0, 1, true)) };
+            // Blocked diagonal factorization (never re-enters the dag: it
+            // is one block wide).
+            let how = Blocking::of("potrf", nk, nk);
+            let info = one_thread(|| match how.route {
+                Route::Unblocked => crate::chol::potf2_ws(uplo, nk, &mut blk[ck..], lda, &mut w),
+                _ => crate::chol::potrf_blocked(uplo, nk, &mut blk[ck..], lda, how.nb, &mut w),
+            });
+            if info == 0 && uplo == Uplo::Lower && ck + nk < n {
+                // L21 := A21·L11⁻ᴴ, reading L11 from a copy: the two share
+                // columns.
+                let l11 = &mut w[..nk * nk];
+                lacpy(Some(Uplo::Lower), nk, nk, &blk[ck..], lda, l11, nk);
+                trsm(
+                    Side::Right,
+                    Uplo::Lower,
+                    Trans::ConjTrans,
+                    Diag::NonUnit,
+                    n - ck - nk,
+                    nk,
+                    T::one(),
+                    l11,
+                    nk,
+                    &mut blk[ck + nk..],
+                    lda,
+                );
+            }
+            global_info(info, ck)
         });
         match uplo {
             Uplo::Lower => {
-                for i in k + 1..nt {
-                    g.task(
-                        "po_trsm",
-                        &[tm.tile_id(k, k)],
-                        &[tm.tile_id(i, k)],
-                        move || {
-                            // SAFETY: declared read (k,k) / write (i,k).
-                            unsafe {
-                                let l11 = tm_ref.tile(k, k);
-                                let ldk = tm_ref.tile_rows(k);
-                                let ldi = tm_ref.tile_rows(i);
-                                trsm(
-                                    Side::Right,
-                                    Uplo::Lower,
-                                    Trans::ConjTrans,
-                                    Diag::NonUnit,
-                                    ldi,
-                                    nbk,
-                                    T::one(),
-                                    l11,
-                                    ldk,
-                                    tm_ref.tile_mut(i, k),
-                                    ldi,
-                                );
-                            }
-                            0
-                        },
-                    );
-                }
                 for j in k + 1..nt {
-                    g.task(
-                        "po_herk",
-                        &[tm.tile_id(j, k)],
-                        &[tm.tile_id(j, j)],
-                        move || {
-                            // SAFETY: declared read (j,k) / write (j,j).
-                            unsafe {
-                                let ldj = tm_ref.tile_rows(j);
-                                herk(
-                                    Uplo::Lower,
-                                    Trans::No,
-                                    ldj,
-                                    nbk,
-                                    -T::Real::one(),
-                                    tm_ref.tile(j, k),
-                                    ldj,
-                                    T::Real::one(),
-                                    tm_ref.tile_mut(j, j),
-                                    ldj,
-                                );
-                            }
-                            0
-                        },
-                    );
-                    for i in j + 1..nt {
-                        g.task(
-                            "po_gemm",
-                            &[tm.tile_id(i, k), tm.tile_id(j, k)],
-                            &[tm.tile_id(i, j)],
-                            move || {
-                                // SAFETY: all three tiles declared.
-                                unsafe {
-                                    let ldi = tm_ref.tile_rows(i);
-                                    let ldj = tm_ref.tile_rows(j);
-                                    gemm(
-                                        Trans::No,
-                                        Trans::ConjTrans,
-                                        ldi,
-                                        ldj,
-                                        nbk,
-                                        -T::one(),
-                                        tm_ref.tile(i, k),
-                                        ldi,
-                                        tm_ref.tile(j, k),
-                                        ldj,
-                                        T::one(),
-                                        tm_ref.tile_mut(i, j),
-                                        ldi,
-                                    );
-                                }
-                                0
-                            },
+                    let (cj, wj) = (j * nb, width(j));
+                    g.task("po_update", &[k], &[j], move || {
+                        // SAFETY: declared read of block k, write of block j.
+                        let (l, mut c) =
+                            unsafe { (a.view(ck, ck + nk, false), a.view(cj, cj + wj, true)) };
+                        // A(j, j) −= L(j, k)·L(j, k)ᴴ; the rows below it
+                        // −= L(i, k)·L(j, k)ᴴ.
+                        herk(
+                            Uplo::Lower,
+                            Trans::No,
+                            wj,
+                            nk,
+                            -T::Real::one(),
+                            &l[cj..],
+                            lda,
+                            T::Real::one(),
+                            &mut c[cj..],
+                            lda,
                         );
-                    }
+                        if cj + wj < n {
+                            gemm(
+                                Trans::No,
+                                Trans::ConjTrans,
+                                n - cj - wj,
+                                wj,
+                                nk,
+                                -T::one(),
+                                &l[cj + wj..],
+                                lda,
+                                &l[cj..],
+                                lda,
+                                T::one(),
+                                &mut c[cj + wj..],
+                                lda,
+                            );
+                        }
+                        0
+                    });
                 }
             }
             Uplo::Upper => {
+                // Column of block j in step k's store.
+                let at = move |j: usize| first(k) + (j - k - 1) * nb;
                 for j in k + 1..nt {
-                    g.task(
-                        "po_trsm",
-                        &[tm.tile_id(k, k)],
-                        &[tm.tile_id(k, j)],
-                        move || {
-                            // SAFETY: declared read (k,k) / write (k,j).
-                            unsafe {
-                                let u11 = tm_ref.tile(k, k);
-                                let ldk = tm_ref.tile_rows(k);
-                                let cols = tm_ref.tile_cols(j);
-                                trsm(
-                                    Side::Left,
-                                    Uplo::Upper,
-                                    Trans::ConjTrans,
-                                    Diag::NonUnit,
-                                    nbk,
-                                    cols,
-                                    T::one(),
-                                    u11,
-                                    ldk,
-                                    tm_ref.tile_mut(k, j),
-                                    ldk,
-                                );
-                            }
-                            0
-                        },
-                    );
+                    let (cj, wj, sj) = (j * nb, width(j), at(j));
+                    g.task("po_trsm", &[k], &[j, part(k, j)], move || {
+                        // SAFETY: declared read of block k, writes of block j
+                        // and of its part of step k's store.
+                        let (u11, mut c, mut s) = unsafe {
+                            (
+                                a.view(ck, ck + nk, false),
+                                a.view(cj, cj + wj, true),
+                                stores.view(sj, sj + wj, true),
+                            )
+                        };
+                        trsm(
+                            Side::Left,
+                            Uplo::Upper,
+                            Trans::ConjTrans,
+                            Diag::NonUnit,
+                            nk,
+                            wj,
+                            T::one(),
+                            &u11[ck..],
+                            lda,
+                            &mut c[ck..],
+                            lda,
+                        );
+                        lacpy(None, nk, wj, &c[ck..], lda, &mut s, nb);
+                        0
+                    });
                 }
                 for j in k + 1..nt {
-                    g.task(
-                        "po_herk",
-                        &[tm.tile_id(k, j)],
-                        &[tm.tile_id(j, j)],
-                        move || {
-                            // SAFETY: declared read (k,j) / write (j,j).
-                            unsafe {
-                                let ldk = tm_ref.tile_rows(k);
-                                let ldj = tm_ref.tile_rows(j);
-                                let cols = tm_ref.tile_cols(j);
-                                herk(
-                                    Uplo::Upper,
-                                    Trans::ConjTrans,
-                                    cols,
-                                    nbk,
-                                    -T::Real::one(),
-                                    tm_ref.tile(k, j),
-                                    ldk,
-                                    T::Real::one(),
-                                    tm_ref.tile_mut(j, j),
-                                    ldj,
-                                );
-                            }
-                            0
-                        },
-                    );
-                    for i in k + 1..j {
-                        g.task(
-                            "po_gemm",
-                            &[tm.tile_id(k, i), tm.tile_id(k, j)],
-                            &[tm.tile_id(i, j)],
-                            move || {
-                                // SAFETY: all three tiles declared.
-                                unsafe {
-                                    let ldk = tm_ref.tile_rows(k);
-                                    let ldi = tm_ref.tile_rows(i);
-                                    gemm(
-                                        Trans::ConjTrans,
-                                        Trans::No,
-                                        tm_ref.tile_cols(i),
-                                        tm_ref.tile_cols(j),
-                                        nbk,
-                                        -T::one(),
-                                        tm_ref.tile(k, i),
-                                        ldk,
-                                        tm_ref.tile(k, j),
-                                        ldk,
-                                        T::one(),
-                                        tm_ref.tile_mut(i, j),
-                                        ldi,
-                                    );
-                                }
-                                0
-                            },
+                    let (cj, wj, s0, sj) = (j * nb, width(j), at(k + 1), at(j));
+                    let reads: Vec<usize> = (k + 1..=j).map(|i| part(k, i)).collect();
+                    g.task("po_update", &reads, &[j], move || {
+                        // SAFETY: declared reads of step k's store over
+                        // blocks k+1..=j, write of block j.
+                        let (u, mut c) =
+                            unsafe { (stores.view(s0, sj + wj, false), a.view(cj, cj + wj, true)) };
+                        // A(j, j) −= U(k, j)ᴴ·U(k, j); the rows above it
+                        // −= U(k, i)ᴴ·U(k, j).
+                        let uj = &u[(sj - s0) * nb..];
+                        herk(
+                            Uplo::Upper,
+                            Trans::ConjTrans,
+                            wj,
+                            nk,
+                            -T::Real::one(),
+                            uj,
+                            nb,
+                            T::Real::one(),
+                            &mut c[cj..],
+                            lda,
                         );
-                    }
+                        if cj > ck + nk {
+                            gemm(
+                                Trans::ConjTrans,
+                                Trans::No,
+                                cj - ck - nk,
+                                wj,
+                                nk,
+                                -T::one(),
+                                &u,
+                                nb,
+                                uj,
+                                nb,
+                                T::one(),
+                                &mut c[ck + nk..],
+                                lda,
+                            );
+                        }
+                        0
+                    });
                 }
             }
         }
     }
-    let info = g.run().info();
-    // A diagonal tile without workspace: `a` stays as found, as for a
-    // refused copy.
-    if info == INFO_NO_WORKSPACE {
-        return info;
-    }
-    tm.copy_out(a, lda);
-    info
+    g.run().info()
 }
 
-/// Tiled-dag Householder QR — drop-in for the blocked `geqrf` (standard
+/// Task-graph Householder QR — drop-in for the blocked `geqrf` (standard
 /// compact-WY output: reflectors below the diagonal, `R` above, scalars
 /// in `tau`).
+///
+/// Resources: block `j` is id `j`, step `k`'s block-reflector factor
+/// `nt + k`; block `j`'s scratch belongs to the tasks that write block `j`.
 pub fn geqrf_dag<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, tau: &mut [T]) -> i32 {
     let _probe = probe::span(
         probe::Layer::Lapack,
@@ -588,79 +554,97 @@ pub fn geqrf_dag<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, tau: &m
         return 0;
     }
     let nb = la_core::tune::current().tile_size();
-    let Some((tm, stores)) = tile_copy(m, n, a, lda, nb, true) else {
+    let (nt, kt) = (n.div_ceil(nb), mn.div_ceil(nb));
+    let width = |j: usize| nb.min(n - j * nb);
+    let Some(mut ws) = try_zeros::<T>(nb * n + nb * nb * kt) else {
         return INFO_NO_WORKSPACE;
     };
-    let kt = stores.len();
-    let pid = |k: usize| tm.resource_count() + k;
-    let tm_ref = &tm;
+    let (work, tfac) = ws.split_at_mut(nb * n);
+    let work = &Cols::new(work, nb, nb);
+    let tfac = &Cols::new(tfac, nb, nb);
+    let tau = &Cols::new(&mut tau[..mn], 1, 1);
+    let a = &Cols::new(a, m, lda);
 
     let mut g = Builder::new();
     for k in 0..kt {
-        let store = &stores[k];
-        let (rows, ib) = (store.rows, store.jb);
-        let regions = trailing_regions(&tm, k, ib);
-        let form_t = !regions.is_empty();
-        let panel_writes: Vec<usize> = (k..tm.mt())
-            .map(|i| tm.tile_id(i, k))
-            .chain([pid(k)])
-            .collect();
-        g.task("qr_panel", &[], &panel_writes, move || {
-            // SAFETY: this task owns the block-column tiles and the store.
-            unsafe {
-                let v = &mut *store.data.get();
-                gather(tm_ref, k, k, 0, ib, v);
-                let tau_k = &mut *store.tau.get();
-                // Blocked panel (never re-enters the dag: the panel's
-                // min dimension is at most one tile).
-                crate::qr::geqrf(rows, ib, v, rows, tau_k);
-                if form_t {
-                    larft(rows, ib, v, rows, tau_k, &mut *store.tfac.get(), ib);
-                }
-                scatter(tm_ref, k, k, 0, ib, v);
-            }
-            0
-        });
-        for (j, c0, c1) in regions {
-            let writes: Vec<usize> = (k..tm.mt()).map(|i| tm.tile_id(i, j)).collect();
-            let w = c1 - c0;
-            g.task("qr_larfb", &[pid(k)], &writes, move || {
-                // SAFETY: declared writes cover tile column j rows k..mt;
-                // the store is a declared read.
-                unsafe {
-                    let mut c = vec![T::zero(); rows * w];
-                    gather(tm_ref, k, j, c0, w, &mut c);
+        let (ck, ib, wk) = (k * nb, nb.min(mn - k * nb), width(k));
+        let rows = m - ck;
+        g.task("qr_panel", &[], &[k, nt + k], move || {
+            // SAFETY: declared writes of block k (with its scratch, `tau`'s
+            // part for this step) and of step k's `T`.
+            let (mut blk, mut tk, mut t, mut w) = unsafe {
+                (
+                    a.view(ck, ck + wk, true),
+                    tau.view(ck, ck + ib, true),
+                    tfac.view(ck, ck + ib, true),
+                    work.view(ck, ck + wk, true),
+                )
+            };
+            let split = (ib * lda).min(blk.len());
+            let (v, rest) = blk.split_at_mut(split);
+            let v = &mut v[ck..];
+            // Blocked panel (never re-enters the dag: it is one block
+            // wide).
+            let how = Blocking::of("geqrf", rows, ib);
+            let info = one_thread(|| match how.route {
+                Route::Unblocked => crate::qr::geqr2(rows, ib, v, lda, &mut tk),
+                _ => crate::qr::geqrf_blocked(rows, ib, v, lda, &mut tk, how.nb, &mut w),
+            });
+            if info == 0 && ck + ib < n {
+                larft(rows, ib, v, lda, &tk, &mut t, nb);
+                if ib < wk {
+                    // The m < n edge: the last panel is narrower than its
+                    // block, whose other columns get the reflector here.
                     larfb(
                         Side::Left,
                         Trans::ConjTrans,
                         rows,
-                        w,
+                        wk - ib,
                         ib,
-                        &*store.data.get(),
-                        rows,
-                        &*store.tfac.get(),
-                        ib,
-                        &mut c,
-                        rows,
+                        v,
+                        lda,
+                        &t,
+                        nb,
+                        &mut rest[ck..],
+                        lda,
+                        &mut w,
                     );
-                    scatter(tm_ref, k, j, c0, w, &c);
                 }
+            }
+            info
+        });
+        for j in k + 1..nt {
+            let (cj, wj) = (j * nb, width(j));
+            g.task("qr_larfb", &[k, nt + k], &[j], move || {
+                // SAFETY: declared reads of block k and step k's `T`, write
+                // of block j (with its scratch).
+                let (v, t, mut c, mut w) = unsafe {
+                    (
+                        a.view(ck, ck + ib, false),
+                        tfac.view(ck, ck + ib, false),
+                        a.view(cj, cj + wj, true),
+                        work.view(cj, cj + wj, true),
+                    )
+                };
+                larfb(
+                    Side::Left,
+                    Trans::ConjTrans,
+                    rows,
+                    wj,
+                    ib,
+                    &v[ck..],
+                    lda,
+                    &t,
+                    nb,
+                    &mut c[ck..],
+                    lda,
+                    &mut w,
+                );
                 0
             });
         }
     }
-    let info = g.run().info();
-    // A panel without workspace: `a` stays as found, as for a refused copy.
-    if info == INFO_NO_WORKSPACE {
-        return info;
-    }
-    tm.copy_out(a, lda);
-    for (k, store) in stores.iter().enumerate() {
-        // SAFETY: the graph has quiesced; exclusive access again.
-        let tau_k = unsafe { &*store.tau.get() };
-        tau[k * nb..k * nb + store.jb].copy_from_slice(tau_k);
-    }
-    info
+    g.run().info()
 }
 
 #[cfg(test)]
@@ -668,17 +652,19 @@ mod tests {
     use super::*;
     use crate::testmat::{Dist, Larnv};
     use la_core::tune::{self, TuneConfig};
+    use la_core::{C32, C64};
 
     fn dag_cfg(nb: usize) -> TuneConfig {
         TuneConfig {
             tile_nb: nb,
             max_threads: 2,
+            oversubscribe: true,
             ..TuneConfig::default()
         }
     }
 
-    /// What makes a panel's `INFO_NO_WORKSPACE` / `INFO_CANCELLED` the
-    /// graph's result (`RunResult::info` puts a negative code first).
+    /// What makes a panel's `INFO_CANCELLED` the graph's result
+    /// (`RunResult::info` puts a negative code first).
     #[test]
     fn panel_info_offsets_positive_and_keeps_negative() {
         assert_eq!(global_info(0, 64), 0);
@@ -688,6 +674,43 @@ mod tests {
             la_core::cancel::INFO_CANCELLED,
         ] {
             assert_eq!(global_info(code, 64), code);
+        }
+    }
+
+    #[test]
+    fn column_views_check_bounds_and_overlap() {
+        let mut a = vec![0.0f64; 5 * 4];
+        let cols = Cols::new(&mut a, 3, 5);
+        // SAFETY: one thread; the overlaps below are what is under test.
+        unsafe {
+            let mut left = cols.view(0, 2, true);
+            let right = cols.view(2, 4, false);
+            assert_eq!((left.len(), right.len()), (8, 8));
+            left[7] = 1.0;
+            let shared = cols.view(3, 4, false);
+            assert_eq!(shared.len(), 3);
+            drop((left, right, shared));
+            let whole = cols.view(0, 4, true);
+            assert_eq!(whole[7], 1.0);
+        }
+        let bounds = std::panic::catch_unwind(|| {
+            let mut b = [0.0f64; 7];
+            let short = Cols::new(&mut b, 3, 5);
+            // SAFETY: panics before lending anything.
+            let len = unsafe { short.view(0, 2, false).len() };
+            len
+        });
+        assert!(bounds.is_err(), "a view past the array");
+        #[cfg(debug_assertions)]
+        {
+            let overlap = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                // SAFETY: panics before lending the second view.
+                unsafe {
+                    let _w = cols.view(1, 2, true);
+                    cols.view(0, 3, false).len()
+                }
+            }));
+            assert!(overlap.is_err(), "a read overlapping a write");
         }
     }
 
@@ -715,31 +738,35 @@ mod tests {
         }
     }
 
-    #[test]
-    fn potrf_dag_matches_unblocked_both_triangles() {
-        let n = 80;
-        let mut rng = Larnv::new(11);
-        let b: Vec<f64> = rng.vec(Dist::Uniform11, n * n);
-        // SPD: A = B·Bᵀ + n·I.
-        let mut a0 = vec![0.0f64; n * n];
+    /// `B·Bᴴ + n·I`, Hermitian positive definite.
+    fn spd<T: Scalar>(n: usize, seed: u64) -> Vec<T> {
+        let b: Vec<T> = Larnv::new(seed).vec(Dist::Uniform11, n * n);
+        let mut a = vec![T::zero(); n * n];
         gemm(
             Trans::No,
-            Trans::Trans,
+            Trans::ConjTrans,
             n,
             n,
             n,
-            1.0,
+            T::one(),
             &b,
             n,
             &b,
             n,
-            0.0,
-            &mut a0,
+            T::zero(),
+            &mut a,
             n,
         );
         for i in 0..n {
-            a0[i + i * n] += n as f64;
+            a[i + i * n] += T::from_f64(n as f64);
         }
+        a
+    }
+
+    #[test]
+    fn potrf_dag_matches_unblocked_both_triangles() {
+        let n = 80;
+        let a0: Vec<f64> = spd(n, 11);
         for uplo in [Uplo::Lower, Uplo::Upper] {
             let mut ab = a0.clone();
             assert_eq!(crate::chol::potf2(uplo, n, &mut ab, n), 0);
@@ -768,13 +795,15 @@ mod tests {
     #[test]
     fn potrf_dag_reports_first_nonspd_minor() {
         let n = 60;
-        let mut a = vec![0.0f64; n * n];
-        for i in 0..n {
-            a[i + i * n] = 1.0;
+        for uplo in [Uplo::Lower, Uplo::Upper] {
+            let mut a = vec![0.0f64; n * n];
+            for i in 0..n {
+                a[i + i * n] = 1.0;
+            }
+            a[40 + 40 * n] = -5.0; // first bad leading minor is order 41
+            let info = tune::with(dag_cfg(16), || potrf_dag(uplo, n, &mut a, n));
+            assert_eq!(info, 41, "{uplo:?}");
         }
-        a[40 + 40 * n] = -5.0; // first bad leading minor is order 41
-        let info = tune::with(dag_cfg(16), || potrf_dag(Uplo::Lower, n, &mut a, n));
-        assert_eq!(info, 41);
     }
 
     #[test]
@@ -805,5 +834,81 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `m × n` in an `lda = m + 3` array whose padding rows hold a sentinel
+    /// — and, for `potrf`, whose unreferenced triangle does.
+    fn padded<T: Scalar>(
+        m: usize,
+        n: usize,
+        a0: &[T],
+        keep: impl Fn(usize, usize) -> bool,
+    ) -> Vec<T> {
+        let lda = m + 3;
+        let sentinel = T::from_f64(-777.0);
+        let mut a = vec![sentinel; lda * n];
+        for j in 0..n {
+            for i in 0..m {
+                if keep(i, j) {
+                    a[i + j * lda] = a0[i + j * m];
+                }
+            }
+        }
+        a
+    }
+
+    /// Every element the graph may not write is bitwise the sentinel.
+    fn untouched<T: Scalar>(m: usize, a: &[T], written: impl Fn(usize, usize) -> bool, what: &str) {
+        let lda = m + 3;
+        let sentinel = T::from_f64(-777.0);
+        for (idx, &x) in a.iter().enumerate() {
+            let (i, j) = (idx % lda, idx / lda);
+            if i >= m || !written(i, j) {
+                assert!(x == sentinel, "{what}: ({i}, {j}) written");
+            }
+        }
+    }
+
+    fn stays_inside<T: Scalar>() {
+        let cfg = dag_cfg(16);
+        for &(m, n) in &[(97usize, 83usize), (60, 96), (96, 60)] {
+            let what = |r: &str| format!("{}{r} {m}x{n}", T::PREFIX);
+            let a0: Vec<T> = Larnv::new(3).vec(Dist::Uniform11, m * n);
+            let all = |_: usize, _: usize| true;
+            let mut a = padded(m, n, &a0, all);
+            let mut piv = vec![0i32; m.min(n)];
+            let info = tune::with(cfg, || getrf_dag(m, n, &mut a, m + 3, &mut piv));
+            assert_eq!(info, 0, "{}", what("getrf"));
+            assert!(piv.iter().all(|&p| p >= 1 && p as usize <= m));
+            untouched(m, &a, all, &what("getrf"));
+
+            let mut a = padded(m, n, &a0, all);
+            let mut tau = vec![T::zero(); m.min(n)];
+            let info = tune::with(cfg, || geqrf_dag(m, n, &mut a, m + 3, &mut tau));
+            assert_eq!(info, 0, "{}", what("geqrf"));
+            untouched(m, &a, all, &what("geqrf"));
+        }
+        for n in [97usize, 60] {
+            let a0: Vec<T> = spd(n, 5);
+            for uplo in [Uplo::Lower, Uplo::Upper] {
+                let what = format!("{}potrf {uplo:?} n={n}", T::PREFIX);
+                let stored = |i: usize, j: usize| (i <= j) == (uplo == Uplo::Upper) || i == j;
+                let mut a = padded(n, n, &a0, stored);
+                let info = tune::with(cfg, || potrf_dag(uplo, n, &mut a, n + 3));
+                assert_eq!(info, 0, "{what}");
+                untouched(n, &a, stored, &what);
+            }
+        }
+    }
+
+    /// The graph writes nothing outside its matrix: not the rows past `m`
+    /// of a padded array, nor `potrf`'s unreferenced triangle — on ragged
+    /// shapes, including a last panel narrower than its block (60 × 96).
+    #[test]
+    fn the_graph_writes_nothing_outside_its_matrix() {
+        stays_inside::<f32>();
+        stays_inside::<f64>();
+        stays_inside::<C32>();
+        stays_inside::<C64>();
     }
 }

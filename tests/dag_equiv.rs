@@ -1,28 +1,27 @@
 //! Dag-vs-blocked equivalence for the tiled task-graph factorizations,
 //! across all four scalar types, plus the robustness contract of the dag
-//! runtime: tile-store losslessness, `INFO` extension-code attribution
-//! (`-102` soft fault, `-103` cancelled, `-104` panicked) and the probe
-//! record of the executed graph shape against closed-form task counts.
+//! runtime: `INFO` extension-code attribution (`-102` soft fault, `-103`
+//! cancelled, `-104` panicked) and the probe record of the executed graph
+//! shape against closed-form task counts.
 //!
 //! The thread budget picks the route: more than one thread and at least
-//! the routine's threshold in tiles (four for `getrf` and `potrf`, eight
+//! the routine's threshold in blocks (four for `getrf` and `potrf`, six
 //! for `geqrf`) run the task graph, anything else the serial blocked loop.
 //! The dag cases get there through a scoped `tune::with` override (an
 //! oversubscribed budget of four and a `tile_nb` small enough for eight
-//! tiles), so the task decomposition and the concurrent scheduler run even
+//! blocks), so the task decomposition and the concurrent scheduler run even
 //! on small matrices and single-core hosts; `the_thread_budget_picks_the_route`
 //! pins the rule itself.
 
 use std::sync::Mutex;
 
-use la_core::tile::TileMat;
 use la_core::{tune, RealScalar, Scalar, Uplo, C32, C64};
 use la_lapack as f77;
 
 /// Serializes the tests that reset and read the process-wide probe record.
 static PROBE: Mutex<()> = Mutex::new(());
 
-/// Tile order of the equivalence cases: every one spans at least eight.
+/// Block width of the equivalence cases: every one spans at least eight.
 const TILE: usize = 12;
 
 /// Serial blocked reference: thread budget 1.
@@ -34,7 +33,7 @@ fn blocked() -> tune::TuneConfig {
 }
 
 /// The dag route: 4 workers (oversubscribed if the host has fewer cores),
-/// small tiles so test-sized matrices span the tiles the route needs.
+/// narrow blocks so test-sized matrices span the blocks the route needs.
 fn dag(tile_nb: usize) -> tune::TuneConfig {
     tune::TuneConfig {
         tile_nb,
@@ -198,35 +197,6 @@ fn dag_matches_blocked_c64() {
 }
 
 #[test]
-fn tile_copy_round_trip_is_bitwise() {
-    // Values chosen to be representation-sensitive: subnormals, negative
-    // zero, huge magnitudes — a lossy copy path would perturb them.
-    let specials = [
-        f64::MIN_POSITIVE / 4.0,
-        -0.0,
-        1.0e300,
-        -3.5e-200,
-        f64::MAX,
-        1.0 + f64::EPSILON,
-    ];
-    for &(m, n, nb) in &[(37usize, 29usize, 8usize), (64, 64, 16), (5, 90, 32)] {
-        let a: Vec<f64> = (0..m * n)
-            .map(|k| specials[k % specials.len()] * (1.0 + k as f64))
-            .collect();
-        let t = TileMat::try_from_col_major(m, n, &a, m, nb).unwrap();
-        let mut back = vec![0.0f64; m * n];
-        t.copy_out(&mut back, m);
-        for k in 0..m * n {
-            assert_eq!(
-                a[k].to_bits(),
-                back[k].to_bits(),
-                "m={m} n={n} nb={nb} at {k}"
-            );
-        }
-    }
-}
-
-#[test]
 fn cancelled_token_reports_info_minus_103() {
     let token = la_core::CancelToken::new();
     token.cancel();
@@ -260,33 +230,22 @@ fn cancelled_token_reports_info_minus_103() {
     assert_eq!(info, la_core::cancel::INFO_CANCELLED);
 }
 
-/// Closed-form task counts for evenly tiled problems (`nb | n`).
+/// Closed-form task counts for evenly blocked problems (`nb | n`), `t`
+/// blocks of whole columns.
 mod task_counts {
-    /// Lower Cholesky on a `t × t` tile grid: per step `k` one `potf2`,
-    /// `t−k−1` `trsm`, `t−k−1` `herk` and `C(t−k−1, 2)` `gemm` tasks.
+    /// Lower Cholesky: per step `k` one diagonal task (`potf2` + `trsm`)
+    /// and one `herk` + `gemm` update per later block, `t−k−1`.
     pub fn potrf(t: usize) -> u64 {
-        (0..t)
-            .map(|k| {
-                let r = (t - k - 1) as u64;
-                1 + 2 * r + r * r.saturating_sub(1) / 2
-            })
-            .sum()
+        (0..t).map(|k| 1 + (t - k - 1) as u64).sum()
     }
 
-    /// Square LU on a `t × t` tile grid: per step `k` one panel, `k`
-    /// left-swap tasks, `t−k−1` swap+trsm tasks and `(t−k−1)²` gemm
-    /// tasks.
+    /// Square LU: per step `k` one panel, `k` left-swap tasks and `t−k−1`
+    /// swap + `trsm` + `gemm` updates — `t` tasks a step.
     pub fn getrf(t: usize) -> u64 {
-        (0..t)
-            .map(|k| {
-                let r = (t - k - 1) as u64;
-                1 + k as u64 + r + r * r
-            })
-            .sum()
+        (0..t).map(|k| 1 + k as u64 + (t - k - 1) as u64).sum()
     }
 
-    /// Square QR on a `t × t` tile grid: per step one panel and `t−k−1`
-    /// block-reflector applies.
+    /// Square QR: per step one panel and `t−k−1` block-reflector applies.
     pub fn geqrf(t: usize) -> u64 {
         (0..t).map(|k| 1 + (t - k - 1) as u64).sum()
     }
@@ -295,7 +254,7 @@ mod task_counts {
 #[test]
 fn probe_task_counts_match_closed_form() {
     use la_core::probe::{self, ProbePolicy};
-    let n = 128usize; // 8 × 8 grid at tile_nb = 16
+    let n = 128usize; // eight blocks at tile_nb = 16
     let t = 8usize;
     let mut rng = Rng(33);
     let a0: Vec<f64> = rng.vec(n * n);
@@ -321,7 +280,8 @@ fn probe_task_counts_match_closed_form() {
         assert_eq!(f77::getrf(n, n, &mut a, n, &mut piv), 0);
     });
     assert_eq!(shape.tasks, task_counts::getrf(t), "getrf task count");
-    assert!(shape.critical_path >= t as u64, "getrf critical path");
+    // panel, update of the next block, …, the last panel, its left swap.
+    assert_eq!(shape.critical_path, 2 * t as u64, "getrf critical path");
     assert!(shape.occupancy > 0.0 && shape.occupancy <= 1.0);
 
     let shape = shape_of("potrf_dag", &mut || {
@@ -329,7 +289,11 @@ fn probe_task_counts_match_closed_form() {
         assert_eq!(f77::potrf(Uplo::Lower, n, &mut a, n), 0);
     });
     assert_eq!(shape.tasks, task_counts::potrf(t), "potrf task count");
-    assert!(shape.critical_path >= t as u64, "potrf critical path");
+    assert_eq!(
+        shape.critical_path,
+        (2 * t - 1) as u64,
+        "potrf critical path"
+    );
 
     let shape = shape_of("geqrf_dag", &mut || {
         let mut a = a0.clone();
@@ -346,7 +310,7 @@ fn probe_task_counts_match_closed_form() {
 
 /// The route rule, routine × thread budget × order: the task graph exactly
 /// when the budget is above one and the order spans the routine's tiles
-/// (four for `getrf` and `potrf`, eight for `geqrf`); otherwise
+/// (four for `getrf` and `potrf`, six for `geqrf`); otherwise
 /// the blocked loop with every BLAS-3 call serial (`par_flops: 0` would
 /// stripe them all if it were not), whose output at two threads is the
 /// one-thread output bit for bit. Above the threshold the graph keeps the
@@ -384,7 +348,7 @@ fn the_thread_budget_picks_the_route() {
         ("potrf", 4, |n, a| {
             (f77::potrf(Uplo::Lower, n, a, n), Vec::new())
         }),
-        ("geqrf", 8, |n, a| {
+        ("geqrf", 6, |n, a| {
             let mut tau = vec![0.0; n];
             (f77::geqrf(n, n, a, n, &mut tau), tau)
         }),
@@ -485,13 +449,10 @@ mod fault_attribution {
     #[test]
     fn panicking_task_is_attributed_minus_104() {
         quiet_test_panics();
-        let n = 8usize;
-        let a: Vec<f64> = (0..n * n).map(|k| k as f64).collect();
-        let tm = TileMat::try_from_col_major(n, n, &a, n, 4).unwrap();
         let result = tune::with(dag(4), || {
             let mut g = DagBuilder::new();
-            let t00 = tm.tile_id(0, 0);
-            let t11 = tm.tile_id(1, 1);
+            // Two resources, as two blocks of a matrix would be.
+            let (t00, t11) = (0, 1);
             g.task("ok", &[], &[t00], || 0);
             g.task("boom", &[t00], &[t11], || panic!("injected dag task fault"));
             g.task("dependent", &[t11], &[t00], || 7);

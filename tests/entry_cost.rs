@@ -9,9 +9,10 @@
 //!   the counts `la_bench` reports (`la90.allocs_per_gesv` /
 //!   `allocs_per_posv`).
 //! * The same allocator refuses, on request, every allocation from a given
-//!   size on: the tile task graph's copy of the matrix is then declined,
-//!   and `getrf`/`potrf`/`geqrf` fall back to the blocked loop (or report
-//!   `INFO_NO_WORKSPACE`) instead of aborting the process.
+//!   size on: the task graph's workspace is then declined, and
+//!   `getrf`/`potrf`/`geqrf` fall back to the blocked loop (or report
+//!   `INFO_NO_WORKSPACE`) instead of aborting the process. It also counts
+//!   bytes, which bounds what a graph takes besides `A`.
 //! * Around the crossover (n = 47 … 129, four types) the default route is
 //!   bitwise the unblocked form up to n = 64 and bitwise the forced-blocked
 //!   form above it; both forms agree to the `par_equiv` tolerances, report
@@ -29,6 +30,7 @@ thread_local! {
     // Const-initialised and without a destructor, so reading them from
     // inside the allocator neither allocates nor registers anything.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<usize> = const { Cell::new(0) };
     /// Requests of this many bytes or more fail on this thread.
     static REFUSE_FROM: Cell<usize> = const { Cell::new(usize::MAX) };
 }
@@ -36,6 +38,12 @@ thread_local! {
 /// A refused request: the null pointer an exhausted allocator returns.
 fn refused(size: usize) -> bool {
     size >= REFUSE_FROM.with(Cell::get)
+}
+
+/// Counts one granted request of `size` bytes.
+fn count(size: usize) {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+    BYTES.with(|b| b.set(b.get() + size));
 }
 
 struct Counting;
@@ -49,21 +57,21 @@ unsafe impl GlobalAlloc for Counting {
         if refused(l.size()) {
             return std::ptr::null_mut();
         }
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(l.size());
         System.alloc(l)
     }
     unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
         if refused(l.size()) {
             return std::ptr::null_mut();
         }
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(l.size());
         System.alloc_zeroed(l)
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, new_size: usize) -> *mut u8 {
         if refused(new_size) {
             return std::ptr::null_mut();
         }
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(new_size);
         System.realloc(p, l, new_size)
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
@@ -358,20 +366,19 @@ fn refusing<R>(bytes: usize, f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// The task graph copies `A` into tiles and keeps a panel store per block
-/// column, ≈ 1.5·n² elements the blocked loop does without, and asks for
-/// them fallibly. With a tile refused, `getrf`, `potrf` and `geqrf` at two
-/// threads run the serial blocked loop instead — the one-thread call's
-/// bits. With the loop's own workspace refused as well, `getrf` and
-/// `potrf` report `INFO_NO_WORKSPACE` and leave `A` untouched. Nothing
-/// aborts.
+/// The task graph factors `A` in place: besides it, a graph takes about
+/// one block column of scratch per block of `A`, fallibly, before its first
+/// task runs — at most 0.6·n² elements, measured on the calling thread in a
+/// warm call. With that workspace refused, `getrf`, `potrf` and `geqrf` at
+/// two threads run the serial blocked loop instead — the one-thread call's
+/// bits. With the loop's own workspace refused as well, they report
+/// `INFO_NO_WORKSPACE` and leave `A` untouched. Nothing aborts.
 #[test]
-fn a_refused_tile_copy_falls_back_to_the_blocked_loop() {
+fn a_refused_graph_workspace_falls_back_to_the_blocked_loop() {
     use la_core::abft::{with_policy, AbftPolicy};
     let tile = 48usize;
     // Four-wide panels: every workspace of the blocked loops stays under
-    // one tile's 18 KiB (the largest, `geqrf`'s block-reflector product at
-    // n = 384, is 12 KiB).
+    // one block's 18 KiB (the largest, `geqrf`'s at n = 288, is 9 KiB).
     let budget = |threads: usize| tune::TuneConfig {
         max_threads: threads,
         oversubscribe: true,
@@ -384,7 +391,7 @@ fn a_refused_tile_copy_falls_back_to_the_blocked_loop() {
     let one_tile = tile * tile * std::mem::size_of::<f64>();
     // Each run returns `info` and the output besides `A`: pivots or `tau`.
     type Run = fn(usize, &mut [f64]) -> (i32, Vec<f64>);
-    let routines: [(&str, usize, Run); 3] = [
+    let routines: [(&str, usize, Run); 4] = [
         ("getrf", 4, |n, a| {
             let mut piv = vec![0i32; n];
             let info = f77::getrf(n, n, a, n, &mut piv);
@@ -393,7 +400,10 @@ fn a_refused_tile_copy_falls_back_to_the_blocked_loop() {
         ("potrf", 4, |n, a| {
             (f77::potrf(Uplo::Lower, n, a, n), Vec::new())
         }),
-        ("geqrf", 8, |n, a| {
+        ("potrf upper", 4, |n, a| {
+            (f77::potrf(Uplo::Upper, n, a, n), Vec::new())
+        }),
+        ("geqrf", 6, |n, a| {
             let mut tau = vec![0.0; n];
             (f77::geqrf(n, n, a, n, &mut tau), tau)
         }),
@@ -403,8 +413,8 @@ fn a_refused_tile_copy_falls_back_to_the_blocked_loop() {
         // The graph's threshold for this routine.
         let n = tiles * tile;
         let a0: Vec<f64> = match name {
-            "potrf" => posdef(n, 31),
-            _ => general(n, 31),
+            "geqrf" | "getrf" => general(n, 31),
+            _ => posdef(n, 31),
         };
         let at = |threads: usize, a: &mut Vec<f64>| {
             with_policy(AbftPolicy::Off, || {
@@ -418,19 +428,32 @@ fn a_refused_tile_copy_falls_back_to_the_blocked_loop() {
         assert_eq!(info, 0, "{name}: one thread");
 
         let mut a = a0.clone();
+        let mut graph = || {
+            a.copy_from_slice(&a0);
+            assert_eq!(at(2, &mut a).0, 0, "{name}: two threads");
+        };
+        graph();
+        let before = BYTES.with(Cell::get);
+        graph();
+        let taken = BYTES.with(Cell::get) - before;
+        let limit = 0.6 * (n * n * std::mem::size_of::<f64>()) as f64;
+        assert!(
+            taken as f64 <= limit,
+            "{name}: the graph took {taken} bytes, over 0.6·n² elements"
+        );
+
+        let mut a = a0.clone();
         let (info, extra) = refusing(one_tile, || at(2, &mut a));
-        assert_eq!(info, 0, "{name}: two threads, tiles refused");
+        assert_eq!(info, 0, "{name}: two threads, workspace refused");
         assert!(
             bits(&a) == bits(&serial) && bits(&extra) == bits(&serial_extra),
             "{name}: the fallback is not the one-thread blocked loop"
         );
 
-        if name != "geqrf" {
-            let mut a = a0.clone();
-            let (info, _) = refusing(4096, || at(2, &mut a));
-            assert_eq!(info, f77::INFO_NO_WORKSPACE, "{name}: everything refused");
-            assert!(bits(&a) == bits(&a0), "{name}: a refused call changed A");
-        }
+        let mut a = a0.clone();
+        let (info, _) = refusing(4096, || at(2, &mut a));
+        assert_eq!(info, f77::INFO_NO_WORKSPACE, "{name}: everything refused");
+        assert!(bits(&a) == bits(&a0), "{name}: a refused call changed A");
     }
 }
 
