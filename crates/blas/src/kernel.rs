@@ -1027,7 +1027,7 @@ pub const DEFAULT_NC: usize = 512;
 
 /// A resolved packed-gemm execution plan: the concrete microkernel plus
 /// the cache-blocking sizes, resolved *once* per call and passed down
-/// through the stripe workers and the ABFT recovery reruns so every path
+/// through the band workers and the ABFT recovery reruns so every path
 /// computes with the same kernel.
 #[derive(Clone, Copy)]
 pub struct PackedPlan<T: Scalar> {

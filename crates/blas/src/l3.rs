@@ -7,22 +7,27 @@
 //! copied once into contiguous zero-padded buffers ([`crate::pack`]) and a
 //! register-tiled microkernel ([`crate::kernel`]) does the flops, with the
 //! MC/KC/NC cache blocking and the kernel choice read from the runtime
-//! [`la_core::tune`] configuration. Large products additionally split the
-//! columns of `C` across OS threads ([`la_core::ctx::fan_out`]) — the same
-//! data-parallel decomposition a Rayon `par_chunks_mut` would express.
+//! [`la_core::tune`] configuration.
+//!
+//! `gemm`, left-side `trsm` and `trmm`, and `syrk`/`herk` each hand one
+//! *band body* to one band driver (`bands`): it cuts the output into
+//! column bands and runs them on the calling thread or across OS threads
+//! ([`la_core::ctx::fan_out`]) — the data-parallel decomposition a Rayon
+//! `par_chunks_mut` would express. Every body makes its kernel choices
+//! from the whole call's shape, so any cut gives the one-thread bits, and
+//! the ABFT recovery (`crate::abft`) re-runs the same body on the bands
+//! it restores. `symm` routes its large products through `gemm`.
 //!
 //! Every decision point (thread budget, flop threshold, kernel, blocking)
 //! reads the ambient context once on the *calling* thread and travels down
 //! into the workers as a resolved [`PackedPlan`], so callers can retune or
 //! force paths per call tree via `tune::with` without recompiling.
-//! `trsm`, `trmm`, `syrk`/`herk` and `symm` reuse the same column-striped
-//! decomposition as `gemm`. `trmm`, `syrk`/`herk` and `symm` route their
-//! inner updates through the same packed serial gemm; left-side `trsm`
-//! drives the microkernel itself, over a packed triangle
-//! (`trsm_left_cols`) — so the microkernel carries the flops of the
-//! blocked factorizations above as well.
+//! `trmm`, `syrk`/`herk` and `symm` route their inner updates through the
+//! same packed gemm; left-side `trsm` drives the microkernel itself, over
+//! a packed triangle (`trsm_left_cols`) — so the microkernel carries the
+//! flops of the blocked factorizations above as well.
 //!
-//! Internally the whole call chain — striping, packing, the macro-kernel,
+//! Internally the whole call chain — banding, packing, the macro-kernel,
 //! the ABFT checksum passes — passes typed [`MatRef`]/[`MatMut`] views
 //! instead of raw `(&[T], lda, offset)` triples; the public signatures
 //! keep the Fortran-style slice interface.
@@ -48,79 +53,6 @@ fn cj<T: Scalar>(conj: bool, x: T) -> T {
     }
 }
 
-/// Graceful degradation of a parallel BLAS-3 operation: snapshots the
-/// output, attempts the parallel path, and — if any worker thread panics
-/// (`ctx::fan_out` re-raises a worker panic on the caller)
-/// — restores the snapshot and re-runs the operation on the serial path,
-/// so the process survives and the result is the one the serial code
-/// would have produced. The fallback is counted through
-/// [`la_core::except::note_parallel_fallback`].
-///
-/// The snapshot is O(output), negligible against the O(m·n·k) flops that
-/// put the operation above the parallel threshold in the first place.
-fn with_serial_fallback<T: Scalar>(
-    out: &mut [T],
-    parallel: impl FnOnce(&mut [T]),
-    serial: impl FnOnce(&mut [T]),
-) {
-    let snapshot = out.to_vec();
-    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| parallel(&mut *out)));
-    if attempt.is_err() {
-        out.copy_from_slice(&snapshot);
-        la_core::except::note_parallel_fallback();
-        serial(out);
-    }
-}
-
-/// Test-only fault injection (see `TuneConfig::fault_inject_par`): panics
-/// inside the worker that drew the first stripe, so the panic takes the
-/// real cross-thread propagation path. Compiled only into builds with the
-/// `fault-inject` cargo feature; default builds never read the flag.
-fn maybe_inject_stripe_fault(stripe: usize) {
-    if cfg!(feature = "fault-inject") && stripe == 0 && tune::current().fault_inject_par {
-        panic!("injected BLAS-3 stripe fault");
-    }
-}
-
-/// Splits the columns of `c` into `stripes` contiguous bands and runs
-/// `f(j0, band)` on scoped threads, where `band` starts at column `j0`.
-/// [`MatMut::split_at_col`] hands each worker a disjoint view, so the
-/// split needs no manual length bookkeeping (the final band may be
-/// unpadded, per the view contract).
-fn stripe_cols<T: Scalar, F>(routine: &'static str, stripes: usize, c: MatMut<'_, T>, f: F)
-where
-    F: Fn(usize, MatMut<'_, T>) + Sync,
-{
-    let n = c.ncols();
-    let base = n / stripes;
-    let extra = n % stripes;
-    #[cfg(not(feature = "fault-inject"))]
-    let _ = routine;
-    let mut bands = Vec::with_capacity(stripes);
-    let mut rest = c;
-    let mut j0 = 0usize;
-    for t in 0..stripes {
-        let w = base + usize::from(t < extra);
-        if w == 0 {
-            continue;
-        }
-        let (mine, tail) = rest.split_at_col(w);
-        rest = tail;
-        bands.push((t, j0, mine));
-        j0 += w;
-    }
-    ctx::fan_out(stripes, bands.into_iter(), |(t, j0, mut mine)| {
-        maybe_inject_stripe_fault(t);
-        f(j0, mine.rb());
-        // Silent-corruption injection (one-shot, armed through
-        // `la_core::abft::inject`): flips one element of this worker's
-        // finished band so the checksum layer above has something real to
-        // detect.
-        #[cfg(feature = "fault-inject")]
-        la_core::abft::inject::maybe_corrupt(routine, t, &mut mine.as_mut_slice()[0]);
-    });
-}
-
 /// Dimension product for a parallel-threshold flop estimate. Computed in
 /// `u128` so extreme dimensions (`m·n·k` overflows `usize` already at
 /// ~2.6M per side on 64-bit) saturate instead of wrapping around to a
@@ -129,17 +61,65 @@ fn flop_product(d0: usize, d1: usize, d2: usize) -> u128 {
     d0 as u128 * d1 as u128 * d2 as u128
 }
 
-/// Number of column stripes worth spawning for an `n`-column output under
-/// the current tuning config, with `min_cols` columns per stripe as the
-/// granularity floor. Returns 1 (serial) when the flop count is below the
-/// configured parallel threshold or the thread budget is 1. The tests run
-/// cheapest first — two field compares settle every small call — so the
-/// resolved budget is consulted only by a call that may really stripe.
-fn par_stripes(cfg: &tune::TuneConfig, flops: u128, n: usize, min_cols: usize) -> usize {
-    if flops < cfg.par_flops as u128 || cfg.max_threads == 1 {
-        return 1;
-    }
-    cfg.threads().min(n.div_ceil(min_cols.max(1))).max(1)
+/// The one fork of the Level-3 operations: runs `body(j0, band)` over the
+/// column bands of `c`, where `band` is the `width(workers)` columns
+/// starting at column `j0` (the last band may be narrower), and returns
+/// that width — the unit the ABFT recovery maps a bad column to.
+///
+/// The worker count is 1 below the parallel flop threshold (`flops` under
+/// `par_flops`) or at a thread budget of one, else the budget with at
+/// least `min_cols` columns a worker; it is noted on the probe span. One
+/// worker runs the bands in order on the calling thread; more take them in
+/// order from one [`ctx::fan_out`]. Every body makes its kernel choices
+/// from the whole call's shape, never from its band's, so neither the
+/// worker count, nor the width, nor a band re-run by the recovery changes
+/// a bit of the result.
+///
+/// With the `fault-inject` feature this hosts the one silent-corruption
+/// hook of the Level-3 operations (`la_core::abft::inject`), addressed by
+/// band index: it hits the band's first column at row `min(j0, m − 1)` —
+/// the diagonal of a triangular update, referenced under either `uplo`.
+fn bands<T: Scalar, F>(
+    routine: &'static str,
+    cfg: &tune::TuneConfig,
+    flops: u128,
+    min_cols: usize,
+    width: impl FnOnce(usize) -> usize,
+    c: MatMut<'_, T>,
+    body: &F,
+) -> usize
+where
+    F: Fn(usize, MatMut<'_, T>) + Sync,
+{
+    let n = c.ncols();
+    let workers = if flops < cfg.par_flops as u128 || cfg.max_threads == 1 {
+        1
+    } else {
+        cfg.threads().min(n.div_ceil(min_cols)).max(1)
+    };
+    let width = width(workers).max(1);
+    let workers = workers.min(n.div_ceil(width));
+    probe::note_parallelism(workers);
+    // The bands, cut lazily off the front of what is left of `c`.
+    let mut rest = Some((0, c));
+    let cut = std::iter::from_fn(move || {
+        let (j0, c) = rest.take().filter(|(_, c)| c.ncols() > 0)?;
+        let w = width.min(c.ncols());
+        let (band, tail) = c.split_at_col(w);
+        rest = Some((j0 + band.ncols(), tail));
+        Some((j0, band))
+    });
+    #[cfg(not(feature = "fault-inject"))]
+    let _ = routine;
+    ctx::fan_out(workers, cut, |(j0, mut band): (usize, MatMut<'_, T>)| {
+        body(j0, band.rb());
+        #[cfg(feature = "fault-inject")]
+        {
+            let i = j0.min(band.nrows() - 1);
+            la_core::abft::inject::maybe_corrupt(routine, j0 / width, band.at_mut(i, 0));
+        }
+    });
+    width
 }
 
 /// Depth (`k`) extent of op(A) given its stored view.
@@ -199,17 +179,17 @@ pub fn gemm<T: Scalar>(
     }
 
     let cfg = &ctx.tune;
-    let stripes = par_stripes(cfg, flop_product(m, n, k), n, 8);
-    probe::note_parallelism(stripes);
     let (ar, ac) = if transa == Trans::No { (m, k) } else { (k, m) };
     let (br, bc) = if transb == Trans::No { (k, n) } else { (n, k) };
     let av = MatRef::new(a, ar, ac, lda);
     let bv = MatRef::new(b, br, bc, ldb);
     let abft = crate::abft::active(&ctx, flop_product(m, n, k));
-    // Small shapes first: a serial, unprotected product below the packing
-    // crossover is the unpacked sweep and needs no plan.
+    // The kernel is chosen once, from the call's shape: below the packing
+    // crossover an `Auto` selection takes the unpacked sweep, which needs
+    // no plan and, unprotected, no fork.
     let small = cfg.gemm_kernel == tune::GemmKernel::Auto && m * n * k < SMALL_CROSSOVER;
-    if small && stripes == 1 && abft.is_none() {
+    if small && abft.is_none() {
+        probe::note_parallelism(1);
         probe::note_kernel("small");
         gemm_small(transa, transb, alpha, av, bv, MatMut::new(c, m, n, ldc));
         return;
@@ -229,83 +209,27 @@ pub fn gemm<T: Scalar>(
             MatRef::new(c, m, n, ldc),
         )
     });
-    if stripes > 1 {
-        with_serial_fallback(
-            c,
-            |c| {
-                gemm_striped(
-                    stripes,
-                    &plan,
-                    transa,
-                    transb,
-                    alpha,
-                    av,
-                    bv,
-                    MatMut::new(c, m, n, ldc),
-                )
-            },
-            |c| {
-                gemm_serial(
-                    &plan,
-                    transa,
-                    transb,
-                    alpha,
-                    av,
-                    bv,
-                    MatMut::new(c, m, n, ldc),
-                )
-            },
-        );
-    } else {
-        gemm_serial(
-            &plan,
-            transa,
-            transb,
-            alpha,
-            av,
-            bv,
-            MatMut::new(c, m, n, ldc),
-        );
-    }
-    if let Some(ck) = check {
-        crate::abft::gemm_verify(
-            ck,
-            stripes,
-            &plan,
-            transa,
-            transb,
-            alpha,
-            av,
-            bv,
-            MatMut::new(c, m, n, ldc),
-        );
-    }
-}
-
-/// Splits the columns of `C` into `stripes` independent sub-products run
-/// on scoped threads (the data-parallel decomposition a Rayon
-/// `par_chunks_mut` would express). Exposed at crate level so the split
-/// bookkeeping stays testable on single-core machines.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_striped<T: Scalar>(
-    stripes: usize,
-    plan: &PackedPlan<T>,
-    transa: Trans,
-    transb: Trans,
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    c: MatMut<'_, T>,
-) {
-    let k = op_k(transa, &a);
-    stripe_cols("gemm", stripes, c, |j0, cb| {
+    let body = |j0: usize, cb: MatMut<'_, T>| {
         let w = cb.ncols();
         let bsub = match transb {
-            Trans::No => b.subview(0, j0, k, w),
-            _ => b.subview(j0, 0, w, k),
+            Trans::No => bv.subview(0, j0, k, w),
+            _ => bv.subview(j0, 0, w, k),
         };
-        gemm_serial(plan, transa, transb, alpha, a, bsub, cb);
-    });
+        gemm_with(&plan, small, transa, transb, alpha, av, bsub, cb);
+    };
+    let cv = MatMut::new(c, m, n, ldc);
+    let width = bands(
+        "gemm",
+        cfg,
+        flop_product(m, n, k),
+        8,
+        |w| n.div_ceil(w),
+        cv,
+        &body,
+    );
+    if let Some(ck) = check {
+        crate::abft::verify_cols("gemm", ck, None, width, &body, MatMut::new(c, m, n, ldc));
+    }
 }
 
 /// Products below this `m·n·k` run the unpacked sweep under an `Auto`
@@ -313,12 +237,14 @@ pub(crate) fn gemm_striped<T: Scalar>(
 /// selection forces the packed path at every size.
 const SMALL_CROSSOVER: usize = 24 * 24 * 24;
 
-/// Serial gemm accumulating `alpha*op(A)*op(B)` into `C` (beta already
-/// applied): small problems take a simple sweep; larger ones — or any
-/// problem under a forced kernel choice — go through the packed
-/// microkernel path.
-pub(crate) fn gemm_serial<T: Scalar>(
+/// `C += alpha*op(A)*op(B)` (beta already applied) on the kernel the
+/// caller chose from its whole call's shape: the unpacked sweep when
+/// `small`, the packed microkernel otherwise. A piece of a call computes
+/// its elements exactly as the whole call would.
+#[allow(clippy::too_many_arguments)]
+fn gemm_with<T: Scalar>(
     plan: &PackedPlan<T>,
+    small: bool,
     transa: Trans,
     transb: Trans,
     alpha: T,
@@ -326,15 +252,10 @@ pub(crate) fn gemm_serial<T: Scalar>(
     b: MatRef<'_, T>,
     c: MatMut<'_, T>,
 ) {
-    let (m, n) = (c.nrows(), c.ncols());
-    let k = op_k(transa, &a);
-    if m == 0 || n == 0 || k == 0 || alpha.is_zero() {
-        return;
-    }
-    if plan.force || m * n * k >= SMALL_CROSSOVER {
-        gemm_packed(plan, transa, transb, alpha, a, b, c, None);
-    } else {
+    if small {
         gemm_small(transa, transb, alpha, a, b, c);
+    } else {
+        gemm_packed(plan, transa, transb, alpha, a, b, c, None);
     }
 }
 
@@ -758,23 +679,21 @@ fn syrk_impl<T: Scalar>(
         }
         return;
     }
-    // The update decomposes into column bands of C, each one packed sweep
-    // (`syrk_block`). The serial path takes `NC`-wide bands; the parallel
-    // path deals `SYRK_NB`-wide ones round-robin across scoped threads,
-    // which balances the triangle's uneven band heights and needs no
-    // synchronisation. Both run the same band code, and a band's width
-    // does not change any element's summation order.
+    // The update decomposes into column bands of C, each one triangle-
+    // masked packed sweep (`band_update`). One worker takes `NC`-wide
+    // bands; more take `SYRK_NB`-wide ones, which balances the triangle's
+    // uneven band heights. A band's width does not change any element's
+    // summation order.
     let ctx = ctx::current();
     let cfg = &ctx.tune;
     let plan = PackedPlan::<T>::from_cfg(cfg);
-    let workers = par_stripes(cfg, flop_product(n, n, k) / 2, n, SYRK_NB).min(n.div_ceil(SYRK_NB));
-    probe::note_parallelism(workers);
     probe::note_kernel(plan.kern.name());
     let (ar, ac) = if trans == Trans::No { (n, k) } else { (k, n) };
     let av = MatRef::new(a, ar, ac, lda);
+    let flops = flop_product(n, n, k) / 2;
     // ABFT: encode over the stored triangle before the update runs (the
-    // blocks β-scale internally, so the snapshot is the pristine input).
-    let check = crate::abft::active(&ctx, flop_product(n, n, k) / 2).map(|pol| {
+    // bands β-scale internally, so the snapshot is the pristine input).
+    let check = crate::abft::active(&ctx, flops).map(|pol| {
         crate::abft::syrk_encode(
             pol,
             conj,
@@ -787,178 +706,33 @@ fn syrk_impl<T: Scalar>(
             MatRef::new(c, n, n, ldc),
         )
     });
-    if workers > 1 {
-        with_serial_fallback(
-            c,
-            |c| {
-                syrk_blocks_par(
-                    workers,
-                    &plan,
-                    conj,
-                    uplo,
-                    trans,
-                    n,
-                    k,
-                    alpha,
-                    av,
-                    beta,
-                    MatMut::new(c, n, n, ldc),
-                )
-            },
-            |c| {
-                syrk_blocks_serial(
-                    &plan,
-                    conj,
-                    uplo,
-                    trans,
-                    n,
-                    k,
-                    alpha,
-                    av,
-                    beta,
-                    MatMut::new(c, n, n, ldc),
-                )
-            },
-        );
-    } else {
-        syrk_blocks_serial(
-            &plan,
-            conj,
-            uplo,
-            trans,
-            n,
-            k,
-            alpha,
-            av,
-            beta,
-            MatMut::new(c, n, n, ldc),
-        );
-    }
-    if let Some(ck) = check {
-        crate::abft::syrk_verify(
-            ck,
-            &plan,
-            conj,
-            uplo,
-            trans,
-            k,
-            alpha,
-            av,
-            beta,
-            MatMut::new(c, n, n, ldc),
-        );
-    }
-}
-
-/// Column-band width the parallel rank-k path deals out, and the unit
-/// the ABFT recovery re-runs.
-pub(crate) const SYRK_NB: usize = 48;
-
-/// The parallel rank-k path: `SYRK_NB`-column bands dealt round-robin to
-/// `workers` scoped threads. Carries the same fault-injection hook as
-/// [`stripe_cols`] so the degradation path is testable here too.
-#[allow(clippy::too_many_arguments)]
-fn syrk_blocks_par<T: Scalar>(
-    workers: usize,
-    plan: &PackedPlan<T>,
-    conj: bool,
-    uplo: Uplo,
-    trans: Trans,
-    n: usize,
-    k: usize,
-    alpha: T,
-    a: MatRef<'_, T>,
-    beta: T,
-    c: MatMut<'_, T>,
-) {
-    let mut blocks: Vec<(usize, usize, MatMut<'_, T>)> = Vec::new();
-    let mut rest = c;
-    let mut j0 = 0usize;
-    while j0 < n {
-        let jb = SYRK_NB.min(n - j0);
-        let (mine, tail) = rest.split_at_col(jb);
-        rest = tail;
-        blocks.push((j0, jb, mine));
-        j0 += jb;
-    }
-    let mut work: Vec<Vec<(usize, usize, MatMut<'_, T>)>> = Vec::new();
-    work.resize_with(workers, Vec::new);
-    for (idx, blk) in blocks.into_iter().enumerate() {
-        work[idx % workers].push(blk);
-    }
-    ctx::fan_out(workers, work.into_iter().enumerate(), |(t, list)| {
-        maybe_inject_stripe_fault(t);
-        for (j0, jb, mut cb) in list {
-            syrk_block(plan, conj, uplo, trans, k, alpha, a, beta, j0, jb, cb.rb());
-            // One-shot silent-corruption hook: hits the diagonal element
-            // of this block (updated under either uplo), addressed by
-            // block index so tests can aim at it.
-            #[cfg(feature = "fault-inject")]
-            la_core::abft::inject::maybe_corrupt("syrk", j0 / SYRK_NB, &mut cb.as_mut_slice()[j0]);
-        }
-    });
-}
-
-/// The serial rank-k path: `NC`-wide column bands, in order. Each element
-/// sees the same additions in the same order as under the parallel
-/// path's narrower bands — a band's width only moves tile boundaries.
-#[allow(clippy::too_many_arguments)]
-fn syrk_blocks_serial<T: Scalar>(
-    plan: &PackedPlan<T>,
-    conj: bool,
-    uplo: Uplo,
-    trans: Trans,
-    n: usize,
-    k: usize,
-    alpha: T,
-    a: MatRef<'_, T>,
-    beta: T,
-    c: MatMut<'_, T>,
-) {
-    let mut rest = c;
-    let mut j0 = 0usize;
-    while j0 < n {
-        let jb = plan.nc.min(n - j0);
-        let (mine, tail) = rest.split_at_col(jb);
-        rest = tail;
-        syrk_block(plan, conj, uplo, trans, k, alpha, a, beta, j0, jb, mine);
-        j0 += jb;
-    }
-}
-
-/// One column band of a rank-k update ([`band_update`] with the single
-/// term `op(A)·op(A)ᵀ`, or `·op(A)ᴴ` with a real diagonal for `conj`).
-/// Always packed, whatever the size. `cb` is the column band of `C`
-/// starting at column `j0` (full `n` rows, `jb` columns).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn syrk_block<T: Scalar>(
-    plan: &PackedPlan<T>,
-    conj: bool,
-    uplo: Uplo,
-    trans: Trans,
-    k: usize,
-    alpha: T,
-    a: MatRef<'_, T>,
-    beta: T,
-    j0: usize,
-    jb: usize,
-    mut cb: MatMut<'_, T>,
-) {
     let ops = match (trans, conj) {
         (Trans::No, false) => (Trans::No, Trans::Trans),
         (Trans::No, true) => (Trans::No, Trans::ConjTrans),
         (_, false) => (Trans::Trans, Trans::No),
         (_, true) => (Trans::ConjTrans, Trans::No),
     };
-    band_update(plan, uplo, ops, k, alpha, &[(a, a)], beta, j0, cb.rb());
-    // The Hermitian update keeps the diagonal real.
-    if conj {
-        for j in j0..j0 + jb {
-            let cc = cb.at_mut(j, j - j0);
-            *cc = T::from_real(cc.re());
+    // One band: `op(A)·op(A)ᵀ`, or `·op(A)ᴴ` with a real diagonal.
+    let body = |j0: usize, mut cb: MatMut<'_, T>| {
+        band_update(&plan, uplo, ops, k, alpha, &[(av, av)], beta, j0, cb.rb());
+        if conj {
+            for j in 0..cb.ncols() {
+                let cc = cb.at_mut(j0 + j, j);
+                *cc = T::from_real(cc.re());
+            }
         }
+    };
+    let width = |w: usize| if w > 1 { SYRK_NB } else { plan.nc };
+    let cv = MatMut::new(c, n, n, ldc);
+    let width = bands("syrk", cfg, flops, SYRK_NB, width, cv, &body);
+    if let Some(ck) = check {
+        let cv = MatMut::new(c, n, n, ldc);
+        crate::abft::verify_cols("syrk", ck, Some(uplo), width, &body, cv);
     }
 }
+
+/// Column-band width of the rank-k update at more than one worker.
+const SYRK_NB: usize = 48;
 
 /// One column band of a triangular update,
 /// `C := β·C + α·Σ op(X)·op(Y)ᵀ` over the `(X, Y)` pairs in `terms`, on
@@ -1198,12 +972,9 @@ fn trmm_impl<T: Scalar>(
                 trmv_cols(uplo, trans, diag, alpha, av, bv);
                 return;
             }
-            // Column bands of B are independent: band := alpha·op(A)·band,
-            // so the columns stripe across threads exactly like gemm's C.
+            // Column bands of B are independent: band := alpha·op(A)·band.
             let cfg = &ctx.tune;
             let plan = PackedPlan::<T>::from_cfg(cfg);
-            let stripes = par_stripes(cfg, flop_product(m, m, n) / 2, n, 4);
-            probe::note_parallelism(stripes);
             probe::note_kernel(plan.kern.name());
             let av = MatRef::new(a, m, m, lda);
             // ABFT: encode from the unscaled input (the column kernel
@@ -1219,49 +990,15 @@ fn trmm_impl<T: Scalar>(
                     MatRef::new(b, m, n, ldb),
                 )
             });
-            if stripes > 1 {
-                with_serial_fallback(
-                    b,
-                    |b| {
-                        stripe_cols("trmm", stripes, MatMut::new(b, m, n, ldb), |_, bb| {
-                            trmm_left_cols(&plan, uplo, trans, diag, alpha, av, bb);
-                        })
-                    },
-                    |b| {
-                        trmm_left_cols(
-                            &plan,
-                            uplo,
-                            trans,
-                            diag,
-                            alpha,
-                            av,
-                            MatMut::new(b, m, n, ldb),
-                        )
-                    },
-                );
-            } else {
-                trmm_left_cols(
-                    &plan,
-                    uplo,
-                    trans,
-                    diag,
-                    alpha,
-                    av,
-                    MatMut::new(b, m, n, ldb),
-                );
-            }
+            let body = |_: usize, bb: MatMut<'_, T>| {
+                trmm_left_cols(&plan, n, uplo, trans, diag, alpha, av, bb)
+            };
+            let flops = flop_product(m, m, n) / 2;
+            let bv = MatMut::new(b, m, n, ldb);
+            let width = bands("trmm", cfg, flops, 4, |w| n.div_ceil(w), bv, &body);
             if let Some(ck) = check {
-                crate::abft::trmm_verify(
-                    ck,
-                    stripes,
-                    &plan,
-                    uplo,
-                    trans,
-                    diag,
-                    alpha,
-                    av,
-                    MatMut::new(b, m, n, ldb),
-                );
+                let bv = MatMut::new(b, m, n, ldb);
+                crate::abft::verify_cols("trmm", ck, None, width, &body, bv);
             }
         }
         Side::Right => {
@@ -1353,11 +1090,13 @@ fn trmv_cols<T: Scalar>(
 /// Serial left-side trmm: `b := alpha·op(A)·b` over every column of the
 /// band. Small orders run a trmv per column; larger ones go blocked —
 /// per diagonal block, the triangular part stays a trmv while the
-/// off-diagonal contribution comes from the packed gemm into a scratch
-/// panel (the scratch sidesteps aliasing between the read and written
-/// row ranges of `b`).
-pub(crate) fn trmm_left_cols<T: Scalar>(
+/// off-diagonal contribution comes from gemm into a scratch panel (the
+/// scratch sidesteps aliasing between the read and written row ranges of
+/// `b`), on the kernel the whole call's width `n` picks.
+#[allow(clippy::too_many_arguments)]
+fn trmm_left_cols<T: Scalar>(
     plan: &PackedPlan<T>,
+    n: usize,
     uplo: Uplo,
     trans: Trans,
     diag: Diag,
@@ -1395,8 +1134,9 @@ pub(crate) fn trmm_left_cols<T: Scalar>(
                 (Uplo::Upper, false) => (a.subview(i0, i0 + ib, ib, rb), Trans::No),
                 (Uplo::Lower, false) => (a.subview(i0 + ib, i0, rb, ib), trans),
             };
-            gemm_serial(
+            gemm_with(
                 plan,
+                !plan.force && ib * n * rb < SMALL_CROSSOVER,
                 ta,
                 Trans::No,
                 T::one(),
@@ -1503,8 +1243,8 @@ fn trsm_impl<T: Scalar>(
             let av = MatRef::new(a, m, m, lda);
             // The kernel is chosen once, from the call's own width: with a
             // few right-hand sides a trsv each beats setting up the packed
-            // sweep. Stripes and ABFT re-runs solve with the same choice,
-            // so a column's result depends on neither.
+            // sweep. Every band and ABFT re-run solves with the same
+            // choice, so a column's result depends on neither.
             let narrow = n < TRSM_OPA_MIN_COLS;
             if narrow && abft.is_none() {
                 probe::note_parallelism(1);
@@ -1514,40 +1254,27 @@ fn trsm_impl<T: Scalar>(
             }
             let cfg = &ctx.tune;
             let plan = PackedPlan::<T>::from_cfg(cfg);
-            let solve = |bb: MatMut<'_, T>| {
+            // Each right-hand-side column solves independently against the
+            // same triangle, so the columns of B split into bands like
+            // gemm's C.
+            let solve = |_: usize, bb: MatMut<'_, T>| {
                 if narrow {
                     trsv_cols(uplo, trans, diag, av, bb)
                 } else {
                     trsm_left_cols(&plan, uplo, trans, diag, av, bb)
                 }
             };
-            // Each right-hand-side column solves independently against the
-            // same triangle, so the columns of B stripe across threads the
-            // same way gemm stripes C (per-column arithmetic identical to
-            // the serial path).
-            let stripes = par_stripes(cfg, flop_product(m, m, n) / 2, n, 4);
-            probe::note_parallelism(stripes);
             probe::note_kernel(if narrow { "trsv" } else { plan.kern.name() });
             // ABFT: alpha is already folded into B, so the column sums of
             // B as it stands are the expected values of (eᵀop(A))·X.
             let check = abft.map(|pol| {
                 crate::abft::trsm_encode(pol, uplo, trans, diag, av, MatRef::new(b, m, n, ldb))
             });
-            if stripes > 1 {
-                with_serial_fallback(
-                    b,
-                    |b| {
-                        stripe_cols("trsm", stripes, MatMut::new(b, m, n, ldb), |_, bb| {
-                            solve(bb)
-                        })
-                    },
-                    |b| solve(MatMut::new(b, m, n, ldb)),
-                );
-            } else {
-                solve(MatMut::new(b, m, n, ldb));
-            }
+            let flops = flop_product(m, m, n) / 2;
+            let bv = MatMut::new(b, m, n, ldb);
+            let width = bands("trsm", cfg, flops, 4, |w| n.div_ceil(w), bv, &solve);
             if let Some(ck) = check {
-                crate::abft::trsm_verify(ck, stripes, solve, MatMut::new(b, m, n, ldb));
+                crate::abft::trsm_verify(ck, width, &solve, MatMut::new(b, m, n, ldb));
             }
         }
         Side::Right => {
@@ -1770,8 +1497,9 @@ fn trsv_cols<T: Scalar>(
 }
 
 #[cfg(test)]
-mod striped_tests {
+mod band_tests {
     use super::*;
+    use la_core::{RealScalar, C64};
 
     #[test]
     fn flop_estimates_do_not_wrap_at_extreme_dims() {
@@ -1785,31 +1513,15 @@ mod striped_tests {
         assert!(p > usize::MAX as u128);
         // The wrapped usize computation demonstrates the old failure:
         assert_eq!(huge.wrapping_mul(huge).wrapping_mul(huge), 0);
-
-        // And par_stripes still parallelises at those extremes (multi-
-        // thread config — oversubscribed on purpose, since this host may
-        // have a single core — and the default threshold) instead of
-        // reporting 1.
-        let cfg = tune::TuneConfig {
-            max_threads: 4,
-            oversubscribe: true,
-            ..tune::TuneConfig::defaults()
-        };
-        assert_eq!(
-            par_stripes(&cfg, flop_product(huge, huge, huge), huge, 8),
-            4
-        );
-        // Small products still honour the threshold.
-        assert_eq!(par_stripes(&cfg, flop_product(8, 8, 8), 8, 8), 1);
     }
 
     #[test]
     fn stripe_workers_run_under_the_callers_ambient() {
         // The la-blas row of la-core's hop test
         // (`ctx::tests::every_hop_carries_the_ambient_and_nothing_else`):
-        // a striped gemm under `oversubscribe` is a `ctx::fan_out`, so the
+        // two bands under `oversubscribe` are a `ctx::fan_out`, so the
         // scoped configuration, the cancel token, the heartbeat and the
-        // sibling clamp all reach the stripe workers, and the caller's
+        // sibling clamp all reach the band workers, and the caller's
         // parked ABFT fault does not.
         use la_core::cancel::{self, CancelToken, Heartbeat};
         use la_core::{abft, AbftPolicy, Ctx, FpCheckPolicy, ProbePolicy};
@@ -1838,89 +1550,240 @@ mod striped_tests {
                 lost.lock().unwrap().push(what.to_string());
             }
         };
+        let body = |_: usize, _: MatMut<'_, f64>| {
+            check(std::thread::current().id() != caller, "ran on the caller");
+            check(ctx::current() == sentinel, "Ctx");
+            check(
+                tune::TuneConfig::defaults().threads() == (host / 2).clamp(1, 8),
+                "sibling clamp",
+            );
+            let beats = beat.beats();
+            cancel::cancelled();
+            check(beat.beats() > beats, "heartbeat");
+            check(abft::take_pending().is_none(), "ABFT pending fault crossed");
+            outside.cancel();
+            check(cancel::cancelled(), "cancel token");
+        };
         let mut c = vec![0.0f64; 16 * 16];
         abft::clear_pending();
         abft::raise("hop-test", 7);
         ctx::with(sentinel, || {
             cancel::with_token(token, || {
                 cancel::with_heartbeat(beat.clone(), || {
-                    stripe_cols("gemm", 2, MatMut::new(&mut c, 16, 16, 16), |_, _| {
-                        check(std::thread::current().id() != caller, "ran on the caller");
-                        check(ctx::current() == sentinel, "Ctx");
-                        check(
-                            tune::TuneConfig::defaults().threads() == (host / 2).clamp(1, 8),
-                            "sibling clamp",
-                        );
-                        let beats = beat.beats();
-                        cancel::cancelled();
-                        check(beat.beats() > beats, "heartbeat");
-                        check(abft::take_pending().is_none(), "ABFT pending fault crossed");
-                        outside.cancel();
-                        check(cancel::cancelled(), "cancel token");
-                    })
+                    // Flops above any threshold: the budget decides.
+                    let cv = MatMut::new(&mut c, 16, 16, 16);
+                    let cfg = tune::current();
+                    bands("hop-test", &cfg, u128::MAX, 1, |w| 16 / w, cv, &body)
                 })
             })
         });
         let lost = lost.into_inner().unwrap();
-        assert!(lost.is_empty(), "stripe hop lost: {lost:?}");
+        assert!(lost.is_empty(), "band hop lost: {lost:?}");
         assert_eq!(abft::take_pending().map(|f| f.block), Some(7));
     }
 
-    #[test]
-    fn striped_split_matches_serial() {
-        // Exercises the thread-stripe bookkeeping even on one core.
-        let (m, n, k) = (13usize, 23usize, 9usize);
-        let plan = PackedPlan::<f64>::from_cfg(&tune::TuneConfig::defaults());
-        let a: Vec<f64> = (0..m * k).map(|x| (x % 17) as f64 - 8.0).collect();
-        let b: Vec<f64> = (0..k * n).map(|x| (x % 13) as f64 - 6.0).collect();
-        let av = MatRef::new(&a, m, k, m);
-        for &tb in &[Trans::No, Trans::Trans] {
-            let bb: Vec<f64> = if tb == Trans::No {
-                b.clone()
-            } else {
-                // n × k layout for the transposed operand.
-                let mut t = vec![0.0; n * k];
-                for j in 0..n {
-                    for l in 0..k {
-                        t[j + l * n] = b[l + j * k];
-                    }
-                }
-                t
-            };
-            let bv = if tb == Trans::No {
-                MatRef::new(&bb, k, n, k)
-            } else {
-                MatRef::new(&bb, n, k, n)
-            };
-            let mut c1 = vec![0.0f64; m * n];
-            gemm_serial(
-                &plan,
+    fn vals<T: Scalar>(seed: u64, len: usize) -> Vec<T> {
+        let mut z = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move || {
+            z ^= z << 13;
+            z ^= z >> 7;
+            z ^= z << 17;
+            T::Real::from_f64((z >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0)
+        };
+        (0..len)
+            .map(|_| {
+                let re = next();
+                let im = if T::IS_COMPLEX {
+                    next()
+                } else {
+                    T::Real::zero()
+                };
+                T::from_re_im(re, im)
+            })
+            .collect()
+    }
+
+    fn bits<T: Scalar>(v: &[T]) -> Vec<(u64, u64)> {
+        v.iter()
+            .map(|x| (x.re().to_f64().to_bits(), x.im().to_f64().to_bits()))
+            .collect()
+    }
+
+    /// One call of the table: the routine (the name its bands carry), a
+    /// label, and the call on fresh copies of its inputs, returning its
+    /// output.
+    type Call<T> = (&'static str, String, Box<dyn Fn() -> Vec<T>>);
+
+    fn gemm_call<T: Scalar>(m: usize, n: usize, k: usize, tb: Trans) -> Call<T> {
+        let a: Vec<T> = vals(1, m * k);
+        let b: Vec<T> = vals(2, k * n);
+        let c0: Vec<T> = vals(3, m * n);
+        let ldb = if tb == Trans::No { k } else { n };
+        let (alpha, beta) = (T::from_f64(1.5), T::from_f64(0.5));
+        let call = move || {
+            let mut c = c0.clone();
+            gemm(
                 Trans::No,
                 tb,
-                1.0,
-                av,
-                bv,
-                MatMut::new(&mut c1, m, n, m),
+                m,
+                n,
+                k,
+                alpha,
+                &a,
+                m,
+                &b,
+                ldb,
+                beta,
+                &mut c,
+                m,
             );
-            for stripes in [2usize, 3, 5] {
-                let mut c2 = vec![0.0f64; m * n];
-                gemm_striped(
-                    stripes,
-                    &plan,
-                    Trans::No,
-                    tb,
-                    1.0,
-                    av,
-                    bv,
-                    MatMut::new(&mut c2, m, n, m),
-                );
-                for idx in 0..m * n {
-                    assert!(
-                        (c1[idx] - c2[idx]).abs() < 1e-12,
-                        "{tb:?} stripes={stripes} at {idx}"
-                    );
+            c
+        };
+        ("gemm", format!("gemm {m}x{n}x{k} {tb:?}"), Box::new(call))
+    }
+
+    /// `gemm` (both `transb`), `syrk` and `herk` (both `uplo` and
+    /// `trans`), Left `trmm` and Left `trsm` (both `uplo` and `trans`), at
+    /// order `n`.
+    fn calls<T: Scalar>(n: usize) -> Vec<Call<T>> {
+        let mut out = vec![
+            gemm_call(n, n, n, Trans::No),
+            gemm_call(n, n, n, Trans::Trans),
+        ];
+        let k = 17;
+        let mut tri: Vec<T> = vals(4, n * n);
+        for i in 0..n {
+            tri[i + i * n] = T::from_f64(n as f64 + 1.0);
+        }
+        for uplo in [Uplo::Lower, Uplo::Upper] {
+            for trans in [Trans::No, Trans::ConjTrans] {
+                let lda = if trans == Trans::No { n } else { k };
+                let a: Vec<T> = vals(5, n * k);
+                let c0: Vec<T> = vals(6, n * n);
+                for hermitian in [false, true] {
+                    let (a, c0) = (a.clone(), c0.clone());
+                    let call = move || {
+                        let mut c = c0.clone();
+                        if hermitian {
+                            let (alpha, beta) = (T::Real::from_f64(1.5), T::Real::from_f64(0.5));
+                            herk(uplo, trans, n, k, alpha, &a, lda, beta, &mut c, n);
+                        } else {
+                            let (alpha, beta) = (T::from_f64(1.5), T::from_f64(0.5));
+                            let trans = if trans == Trans::No {
+                                trans
+                            } else {
+                                Trans::Trans
+                            };
+                            syrk(uplo, trans, n, k, alpha, &a, lda, beta, &mut c, n);
+                        }
+                        c
+                    };
+                    let name = if hermitian { "herk" } else { "syrk" };
+                    out.push((
+                        "syrk",
+                        format!("{name} {n} {uplo:?} {trans:?}"),
+                        Box::new(call),
+                    ));
+                }
+                let b0: Vec<T> = vals(7, n * n);
+                for solve in [false, true] {
+                    let (tri, b0) = (tri.clone(), b0.clone());
+                    let call = move || {
+                        let mut b = b0.clone();
+                        let (side, diag, alpha) = (Side::Left, Diag::NonUnit, T::from_f64(0.75));
+                        let op = if solve { trsm::<T> } else { trmm::<T> };
+                        op(side, uplo, trans, diag, n, n, alpha, &tri, n, &mut b, n);
+                        b
+                    };
+                    let name = if solve { "trsm" } else { "trmm" };
+                    out.push((
+                        name,
+                        format!("{name} {n} {uplo:?} {trans:?}"),
+                        Box::new(call),
+                    ));
                 }
             }
+        }
+        out
+    }
+
+    /// `workers` forced bands: every call forks, whatever its size.
+    fn forced(workers: usize) -> tune::TuneConfig {
+        tune::TuneConfig {
+            max_threads: workers,
+            oversubscribe: true,
+            par_flops: 0,
+            ..tune::TuneConfig::defaults()
+        }
+    }
+
+    /// Every call of the table at 1, 2, 3 and 5 forced workers gives the
+    /// one-thread bits: the bands cut only the columns, and every band
+    /// body takes its kernel from the whole call's shape. The 20 × 67 × 20
+    /// `gemm` is the shape whose 17-column bands fall under the packing
+    /// crossover that the whole call does not.
+    fn bands_are_bit_neutral_for<T: Scalar>() {
+        let one = tune::TuneConfig {
+            max_threads: 1,
+            ..tune::TuneConfig::defaults()
+        };
+        let mut table = vec![
+            gemm_call::<T>(20, 67, 20, Trans::No),
+            gemm_call::<T>(20, 67, 20, Trans::Trans),
+        ];
+        for n in [1, 7, 47, 48, 49, 97] {
+            table.extend(calls::<T>(n));
+        }
+        for (_, what, call) in &table {
+            let want = bits(&tune::with(one, call));
+            for workers in [1, 2, 3, 5] {
+                let got = bits(&tune::with(forced(workers), call));
+                assert!(got == want, "{} {what}: {workers} workers", T::PREFIX);
+            }
+        }
+    }
+
+    /// An ABFT `Recover` of a corrupted ragged last band re-runs the band
+    /// body on it and gives the clean bits: at order 97 two workers cut
+    /// 49 + 48 columns, and `syrk`'s 48-wide bands leave one.
+    #[cfg(feature = "fault-inject")]
+    fn recovered_last_band_is_clean<T: Scalar>() {
+        use la_core::abft::inject::{arm, is_armed, CorruptKind, Corruption};
+        use la_core::abft::{self, AbftPolicy};
+        let table = calls::<T>(97);
+        for (routine, last) in [("gemm", 1), ("syrk", 2), ("trmm", 1), ("trsm", 1)] {
+            let (_, what, call) = table.iter().find(|c| c.0 == routine).unwrap();
+            let clean = bits(&tune::with(forced(1), call));
+            abft::clear_pending();
+            let recoveries = abft::recoveries();
+            let got = abft::with_policy(AbftPolicy::Recover, || {
+                arm(Corruption {
+                    routine,
+                    stripe: last,
+                    kind: CorruptKind::FlipMantissaBit,
+                });
+                bits(&tune::with(forced(2), call))
+            });
+            let tag = format!("{} {what}", T::PREFIX);
+            assert!(!is_armed(), "{tag}: the corruption did not fire");
+            assert!(abft::recoveries() > recoveries, "{tag}: not recovered");
+            assert!(abft::take_pending().is_none(), "{tag}: pending fault");
+            assert!(got == clean, "{tag}: recovery is not the clean bits");
+        }
+    }
+
+    #[test]
+    fn bands_are_bit_neutral() {
+        // Multi-band calls may fire a corruption another test armed.
+        let _armed = crate::abft::tests::ARMED
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        bands_are_bit_neutral_for::<f64>();
+        bands_are_bit_neutral_for::<C64>();
+        #[cfg(feature = "fault-inject")]
+        {
+            recovered_last_band_is_clean::<f64>();
+            recovered_last_band_is_clean::<C64>();
         }
     }
 }

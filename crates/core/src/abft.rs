@@ -2,9 +2,9 @@
 //! verification for the parallel BLAS-3 layer and the blocked
 //! factorizations, with optional automatic recovery.
 //!
-//! A worker stripe that *panics* is already handled by the graceful
-//! degradation of [`crate::except`]; a stripe that silently computes a
-//! **wrong finite answer** — a soft error — passes every existing check.
+//! A band body that *panics* is a bug and re-raises like any other panic
+//! (a dag task maps it to `INFO = -104`); a band that silently computes a
+//! **wrong finite answer** — a soft error — passes every other check.
 //! The classical Huang–Abraham scheme closes that gap: encode checksum
 //! vectors of the inputs (`e^T·A`, `B·e`), run the O(n³) operation, and
 //! verify the O(n²) output against the checksum identity
@@ -16,7 +16,7 @@
 //!
 //! * [`AbftPolicy`] — `Off` (default, zero cost) / `Verify` (detect and
 //!   report `INFO = -102`) / `Recover` (detect, then recompute the
-//!   offending stripe from the pre-call snapshot). One field of the
+//!   offending column band from the pre-call snapshot). One field of the
 //!   ambient context ([`crate::ctx::Ctx::abft`]): initialized from the
 //!   `LA_ABFT` environment variable, settable process-wide via
 //!   [`crate::ctx::update`] or per call tree via [`with_policy`].
@@ -28,7 +28,7 @@
 //!   counters, folded into [`crate::probe`] reports.
 //! * `inject` (behind the `fault-inject` cargo feature) — silent
 //!   corruption injection: flip a mantissa bit or scale one output element
-//!   in a chosen stripe, so detection and recovery are testable
+//!   in a chosen band or block, so detection and recovery are testable
 //!   end-to-end. Release builds without the feature compile the hooks out.
 //!
 //! Verification deliberately ignores non-finite discrepancies: a NaN/Inf
@@ -61,10 +61,10 @@ pub enum AbftPolicy {
     /// the driver layer to report as `LaError::SoftFault` (`INFO = -102`).
     /// The corrupted result is left in place for post-mortem inspection.
     Verify,
-    /// Encode, verify, and on mismatch restore the offending stripe from
-    /// the pre-call snapshot and recompute it on the serial path — the
-    /// same snapshot-restore machinery the panic-degradation path uses.
-    /// The repaired result is bitwise-identical to an uncorrupted run.
+    /// Encode, verify, and on mismatch restore the offending column bands
+    /// from the pre-call snapshot and re-run the call's own band body on
+    /// them. The repaired result is bitwise-identical to an uncorrupted
+    /// run.
     Recover,
 }
 
@@ -127,7 +127,7 @@ pub struct SoftFault {
     /// The protected routine whose checksum identity failed (lowercase
     /// computational name, e.g. `"gemm"`, `"getrf"`).
     pub routine: &'static str,
-    /// The offending stripe / block index (0-based) when the verifier
+    /// The offending column band / block index (0-based) when the verifier
     /// could localize it, `usize::MAX` when it could not.
     pub block: usize,
 }
@@ -231,11 +231,11 @@ pub fn recoveries() -> u64 {
 }
 
 /// Silent-corruption injection, compiled in only with the `fault-inject`
-/// cargo feature — the soft-error analog of the panic-injection hook in
-/// [`crate::tune::TuneConfig::fault_inject_par`].
+/// cargo feature — the soft-error analog of the refused-spawn hook in
+/// [`crate::ctx::inject`].
 ///
 /// A test [`arm`](inject::arm)s one [`Corruption`](inject::Corruption) naming a routine, a
-/// stripe and a [`CorruptKind`](inject::CorruptKind); the first matching worker stripe calls
+/// band and a [`CorruptKind`](inject::CorruptKind); the first matching column band calls
 /// [`maybe_corrupt`](inject::maybe_corrupt) on one of its output elements,
 /// fires exactly once (disarming itself, so ABFT recovery reruns recompute
 /// clean), and everything else proceeds untouched. Without the feature the
@@ -258,14 +258,14 @@ pub mod inject {
         Scale,
     }
 
-    /// One armed corruption: fires in `routine`, worker stripe/block
+    /// One armed corruption: fires in `routine`, column band / block
     /// `stripe`, then disarms.
     #[derive(Copy, Clone, Debug, PartialEq, Eq)]
     pub struct Corruption {
         /// Protected routine to corrupt (lowercase computational name,
         /// e.g. `"gemm"`, `"getrf"`).
         pub routine: &'static str,
-        /// 0-based stripe (BLAS-3) or block (factorization) index.
+        /// 0-based column band (BLAS-3) or block (factorization) index.
         pub stripe: usize,
         /// The corruption applied.
         pub kind: CorruptKind,
@@ -276,7 +276,7 @@ pub mod inject {
         ARMED.get_or_init(|| Mutex::new(None))
     }
 
-    /// Arms `c`; the next matching stripe fires it. Replaces any
+    /// Arms `c`; the next matching band or block fires it. Replaces any
     /// previously armed corruption.
     pub fn arm(c: Corruption) {
         *armed().lock().unwrap_or_else(|e| e.into_inner()) = Some(c);
@@ -295,7 +295,7 @@ pub mod inject {
 
     /// Injection point: if the armed corruption matches `(routine,
     /// stripe)`, corrupt `*x`, disarm, and return `true`. One cheap lock
-    /// per *stripe*, not per element — and only in `fault-inject` builds.
+    /// per *band*, not per element — and only in `fault-inject` builds.
     pub fn maybe_corrupt<T: Scalar>(routine: &str, stripe: usize, x: &mut T) -> bool {
         let mut guard = armed().lock().unwrap_or_else(|e| e.into_inner());
         match *guard {

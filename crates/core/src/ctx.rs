@@ -24,8 +24,8 @@
 //!   nesting composes; the frame pops on scope exit, panic included.
 //! * One thread hop: [`capture`] takes the top frame as an [`Ambient`],
 //!   [`Ambient::enter`] installs it on another thread. [`fan_out`] is the
-//!   scoped-thread pool every parallel path runs on (BLAS-3 stripes, dag
-//!   workers), and [`isolated`] is the per-job robustness wrapper (cancel
+//!   scoped-thread pool every parallel path runs on (BLAS-3 column bands,
+//!   dag workers), and [`isolated`] is the per-job robustness wrapper (cancel
 //!   gate, panic boundary, ABFT fault scope) every dag task runs under.
 //!
 //! What deliberately does **not** cross a hop: the ABFT pending fault and
@@ -414,9 +414,15 @@ impl Ambient {
 /// registered as one of `workers` pool siblings. With one worker the items
 /// run inline on the calling thread.
 ///
+/// A thread the OS refuses to start is not an error: the items run on the
+/// workers that did start, or inline on the caller (under the same
+/// ambient) when none did. An item is taken from the cursor only by a
+/// running thread, so none is lost or run twice, and no call fails for
+/// want of a thread.
+///
 /// This is the only place the library spawns compute threads: BLAS-3
-/// stripes and dag workers are both `fan_out` calls that differ in what an
-/// item is.
+/// column bands and dag workers are both `fan_out` calls that differ in
+/// what an item is.
 pub fn fan_out<I, F>(workers: usize, items: I, f: F)
 where
     I: Iterator + Send,
@@ -428,19 +434,64 @@ where
     }
     let ambient = capture().shared_by(workers);
     let queue = Mutex::new(items);
+    let work = || {
+        ambient.enter(|| loop {
+            let next = queue.lock().unwrap_or_else(|e| e.into_inner()).next();
+            match next {
+                Some(item) => f(item),
+                None => return,
+            }
+        })
+    };
     std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                ambient.enter(|| loop {
-                    let next = queue.lock().unwrap_or_else(|e| e.into_inner()).next();
-                    match next {
-                        Some(item) => f(item),
-                        None => return,
-                    }
-                })
-            });
+        let started = (0..workers)
+            .filter(|_| {
+                !spawn_refused() && std::thread::Builder::new().spawn_scoped(s, work).is_ok()
+            })
+            .count();
+        if started == 0 {
+            work();
         }
     });
+}
+
+/// `true` when the injection hook refuses this spawn ([`inject`]); always
+/// `false` in builds without the `fault-inject` feature.
+fn spawn_refused() -> bool {
+    #[cfg(feature = "fault-inject")]
+    return inject::take_refusal();
+    #[cfg(not(feature = "fault-inject"))]
+    false
+}
+
+/// Refused-spawn injection, compiled in only with the `fault-inject` cargo
+/// feature: makes [`fan_out`] on the calling thread see the OS refuse its
+/// next threads, so the no-thread path is testable on any host.
+#[cfg(feature = "fault-inject")]
+pub mod inject {
+    use std::cell::Cell;
+
+    thread_local! {
+        static REFUSALS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Arms `k` refusals on this thread: the next `k` threads [`super::fan_out`]
+    /// tries to start from it fail as if the OS had refused them
+    /// (`usize::MAX`: every one). One-shot: each refusal is spent as it
+    /// fires. Returns the refusals left from the previous arming, so
+    /// `refuse_spawns(0)` disarms and tells whether they all fired.
+    pub fn refuse_spawns(k: usize) -> usize {
+        REFUSALS.with(|r| r.replace(k))
+    }
+
+    /// Spends one armed refusal; `false` when none is left.
+    pub(super) fn take_refusal() -> bool {
+        REFUSALS.with(|r| {
+            let k = r.get();
+            r.set(k.saturating_sub(1));
+            k > 0
+        })
+    }
 }
 
 /// Runs `body` as one isolated job and returns its raw `INFO`: the cancel

@@ -19,13 +19,6 @@
 //!   dedicated `INFO` extension code `-101` (mirroring the paper's `-100`
 //!   allocation-failure convention) and the 1-based index of the offending
 //!   argument.
-//!
-//! The module also hosts the observability counter for the parallel BLAS-3
-//! graceful-degradation path: when a scoped-thread stripe panics, the
-//! operation is re-run serially and [`note_parallel_fallback`] is bumped so
-//! tests and monitoring can see that the degradation fired.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::ctx;
 use crate::scalar::Scalar;
@@ -108,20 +101,6 @@ pub fn all_finite<T: Scalar>(xs: &[T]) -> bool {
         }
     }
     chunks.remainder().iter().all(|x| x.is_finite())
-}
-
-static PARALLEL_FALLBACKS: AtomicUsize = AtomicUsize::new(0);
-
-/// Records that a parallel BLAS-3 operation lost a worker to a panic and
-/// was transparently re-run on the serial path.
-pub fn note_parallel_fallback() {
-    PARALLEL_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Process-lifetime count of parallel-to-serial degradations (see
-/// [`note_parallel_fallback`]). Monotone; useful for tests and monitoring.
-pub fn parallel_fallbacks() -> usize {
-    PARALLEL_FALLBACKS.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]

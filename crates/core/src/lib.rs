@@ -11,7 +11,7 @@
 //!   which the drivers derive `N`, `NRHS`, `LDA`, … by shape inspection.
 //! * [`MatRef`] / [`MatMut`] — borrowed column-major views
 //!   (`ptr/rows/cols/lda` with subview/split helpers): the typed currency
-//!   of the BLAS-3 packing, microkernel, and stripe-dispatch internals.
+//!   of the BLAS-3 packing, microkernel, and band-driver internals.
 //! * [`BandMat`], [`SymBandMat`], [`PackedMat`] — LAPACK band and packed
 //!   storage schemes for the `GB`/`SB`/`PB`/`SP`/`PP` drivers.
 //! * [`LaError`] / [`erinfo`] — the `ERINFO` error protocol: `INFO` codes

@@ -384,7 +384,7 @@ impl<'a, T: Scalar> MatRef<'a, T> {
 /// The mutable counterpart of [`MatRef`]: a uniquely borrowed column-major
 /// region. Splitting ([`MatMut::split_at_col`]) hands disjoint column
 /// bands to worker threads without raw-pointer arithmetic, which is what
-/// the striped BLAS-3 dispatch is built on.
+/// the BLAS-3 band driver is built on.
 pub struct MatMut<'a, T> {
     data: &'a mut [T],
     nrows: usize,
@@ -527,7 +527,7 @@ impl<'a, T: Scalar> MatMut<'a, T> {
     }
 
     /// Splits into disjoint mutable column bands `[0, j)` and
-    /// `[j, ncols)` — the primitive under the striped parallel dispatch.
+    /// `[j, ncols)` — the primitive under the BLAS-3 band driver.
     #[inline]
     pub fn split_at_col(self, j: usize) -> (MatMut<'a, T>, MatMut<'a, T>) {
         assert!(j <= self.ncols);

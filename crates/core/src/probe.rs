@@ -6,7 +6,7 @@
 //! Linear Algebra Mapping Problem literature (arXiv:1911.09421) documents
 //! as a usability hazard, and what tracing wrappers like LAW
 //! (arXiv:0710.4896) bolt on from the outside. This module builds the
-//! visibility in: every instrumented routine — the striped BLAS-3 leaves,
+//! visibility in: every instrumented routine — the banded BLAS-3 leaves,
 //! the blocked factorizations, the `la90` drivers — reports what it
 //! actually executed, with the block size and thread count it read from
 //! [`crate::tune`] at that moment.
@@ -171,7 +171,7 @@ pub struct Span {
     /// that resolve it against the problem order.
     pub nb: usize,
     /// Thread count: the [`crate::tune`] budget at entry, overwritten with the
-    /// *actual* stripe count via [`note_parallelism`] by the parallel
+    /// *actual* worker count via [`note_parallelism`] by the parallel
     /// BLAS-3 decision points.
     pub threads: usize,
     /// Microkernel the packed BLAS-3 path actually ran for this call,
@@ -510,7 +510,7 @@ pub fn span_in(
     ProbeGuard { active: true }
 }
 
-/// Records the parallelism a routine *actually* chose (stripe/worker
+/// Records the parallelism a routine *actually* chose (band worker
 /// count after the [`crate::tune`] thresholds were applied) on the innermost
 /// active span of this thread. No-op when no span is active.
 pub fn note_parallelism(threads: usize) {
@@ -562,17 +562,13 @@ pub fn note_dag(shape: DagShape) {
 
 /// A point-in-time view of everything the probe layer has recorded: the
 /// per-routine counter table, the finished span trees, and the
-/// process-lifetime parallel-fallback count from [`crate::except`].
+/// process-lifetime ABFT counters from [`crate::abft`].
 #[derive(Clone, Debug)]
 pub struct Report {
     /// Per-routine totals, sorted by layer then routine name.
     pub counters: Vec<CounterRow>,
     /// Completed root spans (only populated under [`ProbePolicy::Spans`]).
     pub spans: Vec<Span>,
-    /// Process-lifetime count of parallel-to-serial BLAS-3 degradations
-    /// ([`crate::except::parallel_fallbacks`]); monotone, not cleared by
-    /// [`reset`].
-    pub parallel_fallbacks: usize,
     /// Process-lifetime count of ABFT checksum verifications
     /// ([`crate::abft::checks`]); monotone, not cleared by [`reset`].
     pub abft_checks: u64,
@@ -606,7 +602,6 @@ pub fn snapshot() -> Report {
     Report {
         counters: rows,
         spans: roots().lock().unwrap_or_else(|e| e.into_inner()).clone(),
-        parallel_fallbacks: crate::except::parallel_fallbacks(),
         abft_checks: crate::abft::checks(),
         abft_detections: crate::abft::detections(),
         abft_recoveries: crate::abft::recoveries(),
@@ -654,12 +649,6 @@ impl Report {
                 gfs
             ));
         }
-        if self.parallel_fallbacks > 0 {
-            out.push_str(&format!(
-                "parallel fallbacks: {}\n",
-                self.parallel_fallbacks
-            ));
-        }
         if self.abft_checks > 0 {
             out.push_str(&format!(
                 "abft: {} checks, {} detections, {} recoveries\n",
@@ -680,7 +669,6 @@ impl Report {
     pub fn to_json(&self) -> String {
         let mut j = JsonBuf::new();
         j.begin_obj();
-        j.field_uint("parallel_fallbacks", self.parallel_fallbacks as u64);
         j.field_uint("abft_checks", self.abft_checks);
         j.field_uint("abft_detections", self.abft_detections);
         j.field_uint("abft_recoveries", self.abft_recoveries);
@@ -791,8 +779,9 @@ fn span_json(j: &mut JsonBuf, s: &Span) {
 ///
 /// Products are evaluated in `u128` and saturated to `u64::MAX` — at
 /// extreme dimensions a wrapping product could otherwise land *below* a
-/// threshold it should exceed (the `par_stripes` serialization bug this
-/// guards against).
+/// threshold it should exceed (the serialization bug this guards
+/// against: a wrapped estimate below `par_flops` ran a huge call on one
+/// thread).
 pub mod flops {
     use crate::enums::Side;
 

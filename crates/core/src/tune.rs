@@ -137,24 +137,12 @@ pub struct TuneConfig {
     /// Panel width for the orthogonal-factorization family
     /// (`geqrf`, `gelqf`, `ormqr`). Set in code only.
     pub nb_geqrf: usize,
-    /// Panel width for the symmetric-indefinite / tridiagonalization
-    /// family (`sytrf`, `sytrd`). Set in code only.
-    pub nb_sytrf: usize,
-    /// Panel width for any routine without a dedicated knob. Set in code
-    /// only.
+    /// Panel width for any routine without a dedicated knob (`sytrf` and
+    /// `sytrd` among them). Set in code only.
     pub nb_default: usize,
     /// Problem order at or below which blocked algorithms fall back to
     /// their unblocked forms. Set in code only.
     pub crossover: usize,
-    /// Test-only fault-injection hook: when `true`, the parallel BLAS-3
-    /// panics in one of its worker stripes, exercising the graceful
-    /// serial-fallback path. Never read from the environment; exists so
-    /// the degradation machinery can be tested without unsafe tricks.
-    /// Only honoured in builds with the `fault-inject` cargo feature —
-    /// default builds compile the read out of the BLAS-3 hot path
-    /// entirely, so setting it there is a no-op.
-    #[doc(hidden)]
-    pub fault_inject_par: bool,
     /// Microkernel the packed BLAS-3 path runs (`LA_GEMM_KERNEL`).
     pub gemm_kernel: GemmKernel,
     /// Packed-gemm row block: rows of A packed per cache block. `0` falls
@@ -195,7 +183,7 @@ pub struct TuneConfig {
     /// hand-offs and cold caches to the same work, so
     /// [`TuneConfig::threads`] clamps to the core count unless this is
     /// set. The equivalence tests set it to run the parallel machinery —
-    /// BLAS-3 stripes, the tile task graph — on any host. Set in code only.
+    /// BLAS-3 column bands, the tile task graph — on any host. Set in code only.
     pub oversubscribe: bool,
 }
 
@@ -208,10 +196,8 @@ impl TuneConfig {
             nb_getrf: 32,
             nb_potrf: 96,
             nb_geqrf: 32,
-            nb_sytrf: 32,
             nb_default: 32,
             crossover: 128,
-            fault_inject_par: false,
             gemm_kernel: GemmKernel::Auto,
             gemm_mc: 0,
             gemm_kc: 0,
@@ -228,7 +214,7 @@ impl TuneConfig {
     /// (capped at 8) when `max_threads == 0`. Never exceeds the detected
     /// core count unless [`TuneConfig::oversubscribe`] is set — more
     /// threads than cores only add scheduling overhead. Besides sizing
-    /// BLAS-3 stripes, this budget picks the route of `getrf`, `potrf`
+    /// BLAS-3 column bands, this budget picks the route of `getrf`, `potrf`
     /// and `geqrf`: above 1 they run the task graph from four blocks up
     /// (`geqrf` six) and serial blocked below — thresholds measured at two
     /// threads only.
@@ -280,7 +266,6 @@ impl TuneConfig {
             "potrf" if n <= SMALL_ORDER => self.nb_potrf.min(NB_POTRF_SMALL),
             "potrf" => self.nb_potrf,
             "geqrf" | "gelqf" | "ormqr" => self.nb_geqrf,
-            "sytrf" | "sytrd" => self.nb_sytrf,
             _ => self.nb_default,
         }
         .max(1)
@@ -381,6 +366,7 @@ mod tests {
         assert_eq!(d.nb("getrf", 1000), 32);
         assert_eq!(d.nb("potrf", 1000), 96);
         assert_eq!(d.nb("ormqr", 1000), 32);
+        assert_eq!(d.nb("sytrf", 1000), 32);
         assert_eq!(d.nb("unknown-routine", 1000), 32);
         assert_eq!(d.crossover, 128);
     }

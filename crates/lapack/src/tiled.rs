@@ -19,7 +19,7 @@
 //!
 //! A block of whole columns is one contiguous range of the column-major
 //! `a`, so two blocks never share an element, and every task reaches its
-//! memory through [`Cols`], the one place that turns a shared array into
+//! memory through `Cols`, the one place that turns a shared array into
 //! slices: it asserts bounds, and in debug builds that no two live views
 //! overlap where either writes.
 //!

@@ -585,6 +585,71 @@ mod fault_attribution {
     }
 }
 
+/// A thread the OS refuses does not fail the graph: with every spawn
+/// refused its workers' items run on the caller, with one of the two
+/// refused on the worker that started — either way `INFO = 0` and the
+/// factors, pivots and `tau` of the unrefused two-thread graph, bit for
+/// bit.
+#[cfg(feature = "fault-inject")]
+#[test]
+fn refused_threads_leave_the_graph_output_unchanged() {
+    use la_core::ctx::inject::refuse_spawns;
+
+    fn bits<T: Scalar>(v: &[T]) -> Vec<(u64, u64)> {
+        v.iter()
+            .map(|x| (x.re().to_f64().to_bits(), x.im().to_f64().to_bits()))
+            .collect()
+    }
+
+    /// A routine, its `INFO` and every output, as bits.
+    type Output = (String, i32, Vec<(u64, u64)>);
+
+    fn outputs<T: Scalar>(n: usize) -> Vec<Output> {
+        let mut rng = Rng(51);
+        let general: Vec<T> = rng.vec(n * n);
+        let posdef: Vec<T> = spd(&mut rng, n);
+        let mut out = Vec::new();
+        let mut a = general.clone();
+        let mut piv = vec![0i32; n];
+        let info = f77::getrf(n, n, &mut a, n, &mut piv);
+        let piv: Vec<(u64, u64)> = piv.iter().map(|&p| (p as u64, 0)).collect();
+        out.push(("getrf".into(), info, [bits(&a), piv].concat()));
+        for uplo in [Uplo::Lower, Uplo::Upper] {
+            let mut a = posdef.clone();
+            let info = f77::potrf(uplo, n, &mut a, n);
+            out.push((format!("potrf {uplo:?}"), info, bits(&a)));
+        }
+        let mut a = general;
+        let mut tau = vec![T::zero(); n];
+        let info = f77::geqrf(n, n, &mut a, n, &mut tau);
+        out.push(("geqrf".into(), info, [bits(&a), bits(&tau)].concat()));
+        out
+    }
+
+    fn check<T: Scalar>() {
+        // Ten blocks: above every routine's graph threshold.
+        let n = 10 * TILE;
+        let two = tune::TuneConfig {
+            max_threads: 2,
+            ..dag(TILE)
+        };
+        let clean = tune::with(two, || outputs::<T>(n));
+        for (refused, what) in [(usize::MAX, "every spawn"), (1, "one of two spawns")] {
+            refuse_spawns(refused);
+            let got = tune::with(two, || outputs::<T>(n));
+            let left = refuse_spawns(0);
+            assert!(left < refused, "{} {what}: no spawn was refused", T::PREFIX);
+            for ((name, info, out), (_, _, want)) in got.iter().zip(&clean) {
+                let tag = format!("{} {name}, {what} refused", T::PREFIX);
+                assert_eq!(*info, 0, "{tag}");
+                assert!(out == want, "{tag}: not the unrefused graph's output");
+            }
+        }
+    }
+    check::<f64>();
+    check::<C64>();
+}
+
 /// Oversubscribed scheduler stress: many repeated runs at a high worker
 /// count on small tiles, checking dag-vs-blocked equality every time.
 /// Ignored by default (slow); the CI TSan job runs it with `--ignored`.

@@ -1,12 +1,11 @@
 //! Fault tolerance of the BLAS-3 layer and the blocked factorizations,
 //! exercised through the test-only injection hooks:
 //!
-//! 1. **Graceful degradation** (PR: parallel BLAS-3): a panic in a
-//!    scoped-thread stripe must not abort the process — the operation
-//!    restores its output and re-runs on the serial path, producing
-//!    bitwise-identical results.
+//! 1. **Refused threads**: when the OS refuses every thread a BLAS-3 call
+//!    asks for, the call runs its bands on the caller and produces the
+//!    one-thread result bit for bit — no fallback, no failure.
 //! 2. **ABFT corruption sweep**: a silently corrupted element (bit flip
-//!    or scaling, injected one-shot into a chosen stripe/block) must be
+//!    or scaling, injected one-shot into a chosen band/block) must be
 //!    *detected* by the Huang–Abraham checksums under
 //!    `AbftPolicy::Verify` (pending soft fault, `INFO = -102` at the
 //!    driver layer) and *repaired bitwise-identically* under
@@ -22,7 +21,8 @@
 use la_blas::{gemm, symm, syrk, trmm, trsm};
 use la_core::abft::inject::{arm, is_armed, CorruptKind, Corruption};
 use la_core::abft::{self, AbftPolicy};
-use la_core::{except, tune, Diag, LaError, Mat, Scalar, Side, Trans, Uplo, C64};
+use la_core::ctx::inject::refuse_spawns;
+use la_core::{tune, Diag, LaError, Mat, Scalar, Side, Trans, Uplo, C64};
 
 /// Serial reference: thread budget 1.
 fn serial() -> tune::TuneConfig {
@@ -32,20 +32,9 @@ fn serial() -> tune::TuneConfig {
     }
 }
 
-/// Forced-parallel with the stripe fault armed: 4 threads, every flop
-/// count above threshold, first worker panics.
-fn faulty() -> tune::TuneConfig {
-    tune::TuneConfig {
-        max_threads: 4,
-        oversubscribe: true,
-        par_flops: 0,
-        fault_inject_par: true,
-        ..tune::TuneConfig::defaults()
-    }
-}
-
-/// Forced-parallel without the panic hook, with small factorization
-/// blocks so the blocked getrf/potrf paths engage at test sizes.
+/// Forced-parallel, with small factorization blocks so the blocked
+/// getrf/potrf paths engage at test sizes: 4 threads, every flop count
+/// above threshold.
 fn forced() -> tune::TuneConfig {
     tune::TuneConfig {
         max_threads: 4,
@@ -56,25 +45,6 @@ fn forced() -> tune::TuneConfig {
         crossover: 8,
         ..tune::TuneConfig::defaults()
     }
-}
-
-/// Silences the default "thread panicked" report for the injected faults
-/// only; genuine panics (including assertion failures) still print.
-fn quiet_injected_panics() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<&str>()
-                .is_some_and(|s| s.contains("injected BLAS-3 stripe fault"));
-            if !injected {
-                prev(info);
-            }
-        }));
-    });
 }
 
 struct Rng(u64);
@@ -98,38 +68,35 @@ impl Rng {
     }
 }
 
-/// Runs `op` twice on a copy of `out0` — once serially, once with the
-/// fault armed — and asserts the degraded run survived, fell back, and
-/// produced bitwise-identical output.
-fn check_degrades<T: Scalar>(what: &str, out0: &[T], op: impl Fn(&mut [T])) {
-    quiet_injected_panics();
+/// Runs `op` twice on a copy of `out0` — once at one thread, once forced
+/// to four bands with every spawn refused — and asserts the refused run
+/// ran on the caller and produced bitwise-identical output.
+fn check_refused<T: Scalar>(what: &str, out0: &[T], op: impl Fn(&mut [T])) {
     let mut reference = out0.to_vec();
     tune::with(serial(), || op(&mut reference));
 
-    let before = except::parallel_fallbacks();
-    let mut degraded = out0.to_vec();
-    tune::with(faulty(), || op(&mut degraded));
+    let mut refused = out0.to_vec();
+    refuse_spawns(usize::MAX);
+    tune::with(forced(), || op(&mut refused));
+    let left = refuse_spawns(0);
+    assert!(left < usize::MAX, "{what}: no spawn was attempted");
     assert!(
-        except::parallel_fallbacks() > before,
-        "{what}: fault did not trigger the serial fallback"
-    );
-    assert_eq!(
-        reference, degraded,
-        "{what}: degraded result is not bitwise-identical to serial"
+        reference == refused,
+        "{what}: refused-spawn result is not bitwise-identical to one thread"
     );
     // The tune global must be left usable (no poisoned lock, no lingering
-    // override) after the panic was caught.
+    // override).
     assert_eq!(tune::current(), tune::current());
     tune::update(|_| {});
 }
 
-fn degrade_all_ops<T: Scalar>() {
+fn refuse_all_ops<T: Scalar>() {
     let mut rng = Rng(7);
     let (m, n, k) = (45usize, 67, 33);
     let a: Vec<T> = rng.vec(m * k);
     let b: Vec<T> = rng.vec(k * n);
     let c0: Vec<T> = rng.vec(m * n);
-    check_degrades("gemm", &c0, |c| {
+    check_refused("gemm", &c0, |c| {
         gemm(
             Trans::No,
             Trans::No,
@@ -154,7 +121,7 @@ fn degrade_all_ops<T: Scalar>() {
         tri[i + i * tm] = T::from_f64(4.0);
     }
     let b0: Vec<T> = rng.vec(tm * tn);
-    check_degrades("trsm", &b0, |bb| {
+    check_refused("trsm", &b0, |bb| {
         trsm(
             Side::Left,
             Uplo::Lower,
@@ -169,7 +136,7 @@ fn degrade_all_ops<T: Scalar>() {
             tm,
         )
     });
-    check_degrades("trmm", &b0, |bb| {
+    check_refused("trmm", &b0, |bb| {
         trmm(
             Side::Left,
             Uplo::Upper,
@@ -185,11 +152,11 @@ fn degrade_all_ops<T: Scalar>() {
         )
     });
 
-    // Rank-k update: n > 2·NB so the block deal produces several workers.
+    // Rank-k update: n > 2·NB so the bands go to several workers.
     let (sn, sk) = (100usize, 20usize);
     let sa: Vec<T> = rng.vec(sn * sk);
     let sc0: Vec<T> = rng.vec(sn * sn);
-    check_degrades("syrk", &sc0, |cc| {
+    check_refused("syrk", &sc0, |cc| {
         syrk(
             Uplo::Lower,
             Trans::No,
@@ -204,13 +171,13 @@ fn degrade_all_ops<T: Scalar>() {
         )
     });
 
-    // symm routes its heavy path through gemm, so the same stripe fault
-    // and the same fallback cover it.
+    // symm routes its heavy path through gemm, so the same bands run on
+    // the caller.
     let (hm, hn) = (30usize, 30usize);
     let ha: Vec<T> = rng.vec(hm * hm);
     let hb: Vec<T> = rng.vec(hm * hn);
     let hc0: Vec<T> = rng.vec(hm * hn);
-    check_degrades("symm", &hc0, |cc| {
+    check_refused("symm", &hc0, |cc| {
         symm(
             false,
             Side::Left,
@@ -229,52 +196,17 @@ fn degrade_all_ops<T: Scalar>() {
     });
 }
 
-// One sequential test: the fallback/ABFT counters and the injection
-// arming slot are process-global, so concurrent #[test] threads would
-// race their before/after deltas (and could consume each other's armed
-// corruption).
+// One sequential test: the ABFT counters and the injection arming slot
+// are process-global, so concurrent #[test] threads would race their
+// before/after deltas (and could consume each other's armed corruption).
 #[test]
-fn injected_faults_degrade_and_recover() {
-    degrade_all_ops::<f64>();
-    degrade_all_ops::<C64>();
-    uninjected_parallel_path_does_not_fall_back();
+fn injected_faults_are_survived_and_recovered() {
+    refuse_all_ops::<f64>();
+    refuse_all_ops::<C64>();
     corruption_sweep::<f64>();
     corruption_sweep::<C64>();
     corruption_through_drivers();
     abft_probe_report_sees_the_counters();
-}
-
-fn uninjected_parallel_path_does_not_fall_back() {
-    let mut rng = Rng(11);
-    let (m, n, k) = (45usize, 67, 33);
-    let a: Vec<f64> = rng.vec(m * k);
-    let b: Vec<f64> = rng.vec(k * n);
-    let mut c: Vec<f64> = rng.vec(m * n);
-    let before = except::parallel_fallbacks();
-    let forced = tune::TuneConfig {
-        max_threads: 4,
-        oversubscribe: true,
-        par_flops: 0,
-        ..tune::TuneConfig::defaults()
-    };
-    tune::with(forced, || {
-        gemm(
-            Trans::No,
-            Trans::No,
-            m,
-            n,
-            k,
-            1.0,
-            &a,
-            m,
-            &b,
-            k,
-            0.0,
-            &mut c,
-            m,
-        )
-    });
-    assert_eq!(except::parallel_fallbacks(), before);
 }
 
 // ---------------------------------------------------------------------

@@ -288,7 +288,7 @@ fn report_json_round_trips() {
         .expect("counters array");
     assert_eq!(counters.len(), report.counters.len());
     assert!(doc.get("spans").and_then(|v| v.as_arr()).is_some());
-    assert!(doc.get("parallel_fallbacks").is_some());
+    assert!(doc.get("abft_checks").is_some());
     // The table renderer covers the same rows.
     let table = report.to_table();
     assert!(table.contains("LA_GESV"));
