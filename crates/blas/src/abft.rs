@@ -213,37 +213,35 @@ pub(crate) fn gemm_encode<T: Scalar>(
     })
 }
 
-/// Verifies a column checksum — summed over every row (`gemm`, `trmm`)
-/// or over the `tri` triangle (`syrk`/`herk`) — and recovers or reports
-/// per policy through [`recover_bands`].
+/// Verifies a column checksum — `sum(c, j)` is the sum the check covers in
+/// column `j` of the output — and recovers or reports per policy through
+/// [`recover_bands`].
 pub(crate) fn verify_cols<T: Scalar, F>(
     routine: &'static str,
     ck: ColCheck<T>,
-    tri: Option<Uplo>,
     width: usize,
     body: &F,
     c: MatMut<'_, T>,
+    sum: impl Fn(&MatMut<'_, T>, usize) -> T,
 ) where
     F: Fn(usize, MatMut<'_, T>),
 {
     probe::with_abft(|| {
         let _s = probe::span(probe::Layer::Blas, routine, 0, 0);
         abft::note_check();
-        let m = c.nrows();
-        let diff = |c: &MatMut<'_, T>, j: usize| {
-            let rows = match tri {
-                None => 0..m,
-                Some(Uplo::Upper) => 0..j + 1,
-                Some(Uplo::Lower) => j..m,
-            };
-            let mut s = T::zero();
-            for &x in &c.col(j)[rows] {
-                s += x;
-            }
-            s - ck.expect[j]
-        };
+        let diff = |c: &MatMut<'_, T>, j: usize| sum(c, j) - ck.expect[j];
         recover_bands(routine, width, ck.tol, ck.snap.as_deref(), c, diff, body);
     })
+}
+
+/// The sum of `x`: the column sums the checksums of the rank-k update and
+/// of the products compare.
+pub(crate) fn sum<T: Scalar>(x: &[T]) -> T {
+    let mut s = T::zero();
+    for &v in x {
+        s += v;
+    }
+    s
 }
 
 // ---------------------------------------------------------------------

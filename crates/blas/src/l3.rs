@@ -68,7 +68,8 @@ fn flop_product(d0: usize, d1: usize, d2: usize) -> u128 {
 ///
 /// The worker count is 1 below the parallel flop threshold (`flops` under
 /// `par_flops`) or at a thread budget of one, else the budget with at
-/// least `min_cols` columns a worker; it is noted on the probe span. One
+/// least `min_cols` columns a worker; the probe span notes the threads
+/// that actually ran (1 when the OS refused every one). One
 /// worker runs the bands in order on the calling thread; more take them in
 /// order from one [`ctx::fan_out`]. Every body makes its kernel choices
 /// from the whole call's shape, never from its band's, so neither the
@@ -99,7 +100,6 @@ where
     };
     let width = width(workers).max(1);
     let workers = workers.min(n.div_ceil(width));
-    probe::note_parallelism(workers);
     // The bands, cut lazily off the front of what is left of `c`.
     let mut rest = Some((0, c));
     let cut = std::iter::from_fn(move || {
@@ -111,7 +111,7 @@ where
     });
     #[cfg(not(feature = "fault-inject"))]
     let _ = routine;
-    ctx::fan_out(workers, cut, |(j0, mut band): (usize, MatMut<'_, T>)| {
+    let ran = ctx::fan_out(workers, cut, |(j0, mut band): (usize, MatMut<'_, T>)| {
         body(j0, band.rb());
         #[cfg(feature = "fault-inject")]
         {
@@ -119,6 +119,7 @@ where
             la_core::abft::inject::maybe_corrupt(routine, j0 / width, band.at_mut(i, 0));
         }
     });
+    probe::note_parallelism(ran);
     width
 }
 
@@ -184,17 +185,16 @@ pub fn gemm<T: Scalar>(
     let av = MatRef::new(a, ar, ac, lda);
     let bv = MatRef::new(b, br, bc, ldb);
     let abft = crate::abft::active(&ctx, flop_product(m, n, k));
-    // The kernel is chosen once, from the call's shape: below the packing
-    // crossover an `Auto` selection takes the unpacked sweep, which needs
-    // no plan and, unprotected, no fork.
-    let small = cfg.gemm_kernel == tune::GemmKernel::Auto && m * n * k < SMALL_CROSSOVER;
+    // The kernel is chosen once, from the call's shape: the unpacked sweep
+    // below the packing crossover needs, unprotected, no fork.
+    let plan = PackedPlan::<T>::from_cfg(cfg);
+    let small = small(&plan, m, n, k);
     if small && abft.is_none() {
         probe::note_parallelism(1);
         probe::note_kernel("small");
         gemm_small(transa, transb, alpha, av, bv, MatMut::new(c, m, n, ldc));
         return;
     }
-    let plan = PackedPlan::<T>::from_cfg(cfg);
     probe::note_kernel(if small { "small" } else { plan.kern.name() });
     // ABFT (see `crate::abft`): encode the column checksum after the
     // β-scaling, before the product accumulates.
@@ -228,7 +228,10 @@ pub fn gemm<T: Scalar>(
         &body,
     );
     if let Some(ck) = check {
-        crate::abft::verify_cols("gemm", ck, None, width, &body, MatMut::new(c, m, n, ldc));
+        let cv = MatMut::new(c, m, n, ldc);
+        crate::abft::verify_cols("gemm", ck, width, &body, cv, |c, j| {
+            crate::abft::sum(c.col(j))
+        });
     }
 }
 
@@ -236,6 +239,12 @@ pub fn gemm<T: Scalar>(
 /// kernel selection (packing overhead dominates); an explicit kernel
 /// selection forces the packed path at every size.
 const SMALL_CROSSOVER: usize = 24 * 24 * 24;
+
+/// Whether an `m × n × k` product runs the unpacked sweep: below
+/// [`SMALL_CROSSOVER`], unless the plan's kernel was chosen explicitly.
+fn small<T: Scalar>(plan: &PackedPlan<T>, m: usize, n: usize, k: usize) -> bool {
+    !plan.force && flop_product(m, n, k) < SMALL_CROSSOVER as u128
+}
 
 /// `C += alpha*op(A)*op(B)` (beta already applied) on the kernel the
 /// caller chose from its whole call's shape: the unpacked sweep when
@@ -407,11 +416,7 @@ fn gemm_packed<T: Scalar>(
 /// `MC × kb` block of op(A), which is packed here `MC` rows at a time.
 /// `cs` is the whole of `C` (column stride `ldc`); `tri` masks as in
 /// [`gemm_packed`].
-// Not inlined: one copy of the tile loops per scalar type serves the gemm
-// nest and the solve sweep, and measured 4–6 % faster on a 64×64×32 update
-// than a copy inlined into `gemm_packed`.
 #[allow(clippy::too_many_arguments)]
-#[inline(never)]
 fn panel_update<T: Scalar>(
     plan: &PackedPlan<T>,
     transa: Trans,
@@ -419,49 +424,73 @@ fn panel_update<T: Scalar>(
     span: std::ops::Range<usize>,
     (lc, kb): (usize, usize),
     bpack: &[T],
-    (jc, nb): (usize, usize),
+    cols: (usize, usize),
     apack: &mut [T],
     cs: &mut [T],
     ldc: usize,
     tri: Option<Triangle>,
 ) {
-    let kern = plan.kern;
-    let (mr, nr) = (kern.mr(), kern.nr());
+    let mr = plan.kern.mr();
     let mut ic = span.start;
     while ic < span.end {
         let mb = plan.mc.min(span.end - ic);
-        let mb_pad = mb.div_ceil(mr) * mr;
-        pack::pack_a(&mut apack[..mb_pad * kb], a, transa, ic, mb, lc, kb, mr);
-        for js in (0..nb).step_by(nr) {
-            let bp = &bpack[js * kb..(js + nr) * kb];
-            let cols = nr.min(nb - js);
-            for is in (0..mb).step_by(mr) {
-                let ap = &apack[is * kb..(is + mr) * kb];
-                let rows = mr.min(mb - is);
-                // The tile covers rows i.., columns j.. of C.
-                let (i, j) = (ic + is, jc + js);
-                let ct = &mut cs[i + j * ldc..];
-                let Some(tri) = tri else {
-                    kern.tile(kb, ap, bp, ct, ldc, rows, cols);
-                    continue;
-                };
-                // The corners deepest inside / outside a lower
-                // triangle; the other way round for an upper.
-                let (bl, tr) = ((i + rows - 1, j), (i, j + cols - 1));
-                let (best, worst) = if tri.lower { (bl, tr) } else { (tr, bl) };
-                if !tri.keeps(best.0, best.1) {
-                    continue;
-                }
-                if tri.keeps(worst.0, worst.1) {
-                    kern.tile(kb, ap, bp, ct, ldc, rows, cols);
-                } else {
-                    kernel::tile_where(kern, kb, ap, bp, ct, ldc, rows, cols, |r, s| {
-                        tri.keeps(i + r, j + s)
-                    });
-                }
+        let ap = &mut apack[..mb.div_ceil(mr) * mr * kb];
+        pack::pack_a(ap, a, transa, ic, mb, lc, kb, mr);
+        tiles(plan.kern, ap, (ic, mb), kb, bpack, cols, cs, ldc, tri);
+        ic += mb;
+    }
+}
+
+/// The tile loops of the macro-kernel:
+/// `C[ic..ic+mb, jc..jc+nb] += Ap·Bp` over a depth of `kb`, with `apack`
+/// the `mb` rows in [`pack::pack_a`] layout and `bpack` the `nb` columns in
+/// [`pack::pack_b`] layout. `cs` is the whole of `C` (column stride
+/// `ldc`); `tri` masks as in [`gemm_packed`].
+// Not inlined: one copy of the tile loops per scalar type serves the gemm
+// nest, the solve sweep and the LU step, and measured 4–6 % faster on a
+// 64×64×32 update than a copy inlined into `gemm_packed`.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn tiles<T: Scalar>(
+    kern: &dyn kernel::MicroKernel<T>,
+    apack: &[T],
+    (ic, mb): (usize, usize),
+    kb: usize,
+    bpack: &[T],
+    (jc, nb): (usize, usize),
+    cs: &mut [T],
+    ldc: usize,
+    tri: Option<Triangle>,
+) {
+    let (mr, nr) = (kern.mr(), kern.nr());
+    for js in (0..nb).step_by(nr) {
+        let bp = &bpack[js * kb..(js + nr) * kb];
+        let cols = nr.min(nb - js);
+        for is in (0..mb).step_by(mr) {
+            let ap = &apack[is * kb..(is + mr) * kb];
+            let rows = mr.min(mb - is);
+            // The tile covers rows i.., columns j.. of C.
+            let (i, j) = (ic + is, jc + js);
+            let ct = &mut cs[i + j * ldc..];
+            let Some(tri) = tri else {
+                kern.tile(kb, ap, bp, ct, ldc, rows, cols);
+                continue;
+            };
+            // The corners deepest inside / outside a lower
+            // triangle; the other way round for an upper.
+            let (bl, tr) = ((i + rows - 1, j), (i, j + cols - 1));
+            let (best, worst) = if tri.lower { (bl, tr) } else { (tr, bl) };
+            if !tri.keeps(best.0, best.1) {
+                continue;
+            }
+            if tri.keeps(worst.0, worst.1) {
+                kern.tile(kb, ap, bp, ct, ldc, rows, cols);
+            } else {
+                kernel::tile_where(kern, kb, ap, bp, ct, ldc, rows, cols, |r, s| {
+                    tri.keeps(i + r, j + s)
+                });
             }
         }
-        ic += mb;
     }
 }
 
@@ -727,7 +756,12 @@ fn syrk_impl<T: Scalar>(
     let width = bands("syrk", cfg, flops, SYRK_NB, width, cv, &body);
     if let Some(ck) = check {
         let cv = MatMut::new(c, n, n, ldc);
-        crate::abft::verify_cols("syrk", ck, Some(uplo), width, &body, cv);
+        // Only the stored triangle is summed.
+        let sum = |c: &MatMut<'_, T>, j: usize| match uplo {
+            Uplo::Upper => crate::abft::sum(&c.col(j)[..=j]),
+            Uplo::Lower => crate::abft::sum(&c.col(j)[j..]),
+        };
+        crate::abft::verify_cols("syrk", ck, width, &body, cv, sum);
     }
 }
 
@@ -833,7 +867,7 @@ pub fn syr2k<T: Scalar>(
     let plan = PackedPlan::<T>::from_cfg(&cfg);
     // Large updates run like syrk's serial path: `NC`-wide column bands,
     // each one masked packed sweep per product term.
-    if !alpha.is_zero() && k > 0 && (plan.force || n * n * k >= SMALL_CROSSOVER) {
+    if !alpha.is_zero() && k > 0 && !small(&plan, n, n, k) {
         probe::note_kernel(plan.kern.name());
         let (r, cdim) = if trans == Trans::No { (n, k) } else { (k, n) };
         let av = MatRef::new(a, r, cdim, lda);
@@ -998,7 +1032,8 @@ fn trmm_impl<T: Scalar>(
             let width = bands("trmm", cfg, flops, 4, |w| n.div_ceil(w), bv, &body);
             if let Some(ck) = check {
                 let bv = MatMut::new(b, m, n, ldb);
-                crate::abft::verify_cols("trmm", ck, None, width, &body, bv);
+                let sum = |b: &MatMut<'_, T>, j: usize| crate::abft::sum(b.col(j));
+                crate::abft::verify_cols("trmm", ck, width, &body, bv, sum);
             }
         }
         Side::Right => {
@@ -1136,7 +1171,7 @@ fn trmm_left_cols<T: Scalar>(
             };
             gemm_with(
                 plan,
-                !plan.force && ib * n * rb < SMALL_CROSSOVER,
+                small(plan, ib, n, rb),
                 ta,
                 Trans::No,
                 T::one(),
@@ -1336,13 +1371,9 @@ fn trsm_impl<T: Scalar>(
 /// Serial left-side triangular solve over the columns of `b` (alpha
 /// already applied), `op(A)·x_j = b_j`, as one sweep of the packed
 /// microkernel. Per diagonal block of order ≤ `KC` the triangle of op(A)
-/// is packed once ([`pack_triangle`]); per `NC` band and `NR`-column panel
-/// of `b` the block's row panels are walked in substitution order: the
-/// kernel adds `A·(−X)` of the rows already solved straight into the `b`
-/// tile (`X` is kept negated, in packed-B layout, so the `C += Ap·Bp`
-/// tile contract serves unchanged), the tile is substituted against its
-/// diagonal tile, and `X` goes to `b`, `−X` to the panel. The rows outside
-/// the block then take an ordinary packed update from that same panel.
+/// is packed once ([`pack_triangle`]); per `NC` band of `b` the block's
+/// rows are solved ([`solve_band`]), and the rows outside the block then
+/// take an ordinary packed update from the −X panel that solve leaves.
 /// Row panels sit on the `MR` grid of the whole triangle and columns do
 /// not interact, so a column's result depends on nothing but `m`.
 fn trsm_left_cols<T: Scalar>(
@@ -1357,17 +1388,13 @@ fn trsm_left_cols<T: Scalar>(
     if m == 0 || w == 0 {
         return;
     }
-    let kern = plan.kern;
-    let (mr, nr) = (kern.mr(), kern.nr());
+    let (mr, nr) = (plan.kern.mr(), plan.kern.nr());
     // Whether op(A) acts as a *lower* triangular factor: forward
     // substitution, ascending rows.
     let lower = (uplo == Uplo::Lower) != trans.is_transposed();
     let unit = diag == Diag::Unit;
-    let solve_tile = kern.solver(lower);
-    // Order of a diagonal block: KC on the MR grid.
-    let kd = (plan.kc / mr).max(1) * mr;
-    let np = kd.min(m).div_ceil(mr);
-    let tri_cap = mr * mr * np * (np + 1) / 2;
+    let kd = diag_block(plan);
+    let tri_cap = tri_len(kd.min(m), mr);
     // Room for the op(A) blocks of the off-block update, if there is one.
     let blk_cap = if m > kd {
         plan.mc.min(m).div_ceil(mr) * mr * kd
@@ -1389,30 +1416,24 @@ fn trsm_left_cols<T: Scalar>(
             let mut jc = 0;
             while jc < w {
                 let nb = plan.nc.min(w - jc);
-                for js in (0..nb).step_by(nr) {
-                    let cols = nr.min(nb - js);
-                    let xp = &mut xpack[js * kb..(js + nr) * kb];
-                    for (is, rows, solved, at) in tri_panels(kb, mr, lower) {
-                        let (dt, ap) = tri[at..at + (mr + solved) * mr].split_at(mr * mr);
-                        let bt = &mut bs[k0 + is + (jc + js) * ldb..];
-                        if solved > 0 {
-                            // The solved rows: above the panel, or below.
-                            let x0 = if lower { 0 } else { is + rows };
-                            let xs = &xp[x0 * nr..(x0 + solved) * nr];
-                            kern.tile(solved, ap, xs, bt, ldb, rows, cols);
-                        }
-                        let xneg = &mut xp[is * nr..(is + rows) * nr];
-                        solve_tile(unit, dt, bt, ldb, rows, cols, xneg);
-                    }
-                }
-                let nb_pad = nb.div_ceil(nr) * nr;
+                let xp = &mut xpack[..nb.div_ceil(nr) * nr * kb];
+                solve_band(
+                    plan.kern,
+                    tri,
+                    (lower, unit),
+                    (k0, kb),
+                    (jc, nb),
+                    bs,
+                    ldb,
+                    xp,
+                );
                 panel_update(
                     plan,
                     trans,
                     a,
                     rest.clone(),
                     (k0, kb),
-                    &xpack[..nb_pad * kb],
+                    xp,
                     (jc, nb),
                     apack,
                     bs,
@@ -1423,6 +1444,231 @@ fn trsm_left_cols<T: Scalar>(
             }
         }
     });
+}
+
+/// Order of the solve sweep's diagonal blocks: `KC` on the `MR` grid.
+fn diag_block<T: Scalar>(plan: &PackedPlan<T>) -> usize {
+    let mr = plan.kern.mr();
+    (plan.kc / mr).max(1) * mr
+}
+
+/// Elements of a packed triangle of order `kb` ([`pack_triangle`]).
+fn tri_len(kb: usize, mr: usize) -> usize {
+    let np = kb.div_ceil(mr);
+    mr * mr * np * (np + 1) / 2
+}
+
+/// The substitution of the solve sweep on one band: solves rows
+/// `k0..k0 + kb` of columns `jc..jc + nb` of `bs` (column stride `ldb`)
+/// against the diagonal block packed in `tri` ([`pack_triangle`]), every
+/// row outside the block already applied. Per `NR`-column panel the
+/// block's row panels are walked in substitution order: the kernel adds
+/// `A·(−X)` of the rows already solved straight into the `b` tile (`X` is
+/// kept negated, in packed-B layout, so the `C += Ap·Bp` tile contract
+/// serves unchanged), the tile is substituted against its diagonal tile,
+/// and `X` goes to `bs`, `−X` to `xpack` — which then holds the band's
+/// `kb × nb` panel of −X in [`pack::pack_b`] layout.
+#[allow(clippy::too_many_arguments)]
+fn solve_band<T: Scalar>(
+    kern: &dyn kernel::MicroKernel<T>,
+    tri: &[T],
+    (lower, unit): (bool, bool),
+    (k0, kb): (usize, usize),
+    (jc, nb): (usize, usize),
+    bs: &mut [T],
+    ldb: usize,
+    xpack: &mut [T],
+) {
+    let (mr, nr) = (kern.mr(), kern.nr());
+    let solve_tile = kern.solver(lower);
+    for js in (0..nb).step_by(nr) {
+        let cols = nr.min(nb - js);
+        let xp = &mut xpack[js * kb..(js + nr) * kb];
+        for (is, rows, solved, at) in tri_panels(kb, mr, lower) {
+            let (dt, ap) = tri[at..at + (mr + solved) * mr].split_at(mr * mr);
+            let bt = &mut bs[k0 + is + (jc + js) * ldb..];
+            if solved > 0 {
+                // The solved rows: above the panel, or below.
+                let x0 = if lower { 0 } else { is + rows };
+                let xs = &xp[x0 * nr..(x0 + solved) * nr];
+                kern.tile(solved, ap, xs, bt, ldb, rows, cols);
+            }
+            let xneg = &mut xp[is * nr..(is + rows) * nr];
+            solve_tile(unit, dt, bt, ldb, rows, cols, xneg);
+        }
+    }
+}
+
+/// One step of right-looking LU on the `n` columns `c` right of a
+/// factored panel `l` — the `m × jb` unit-lower `L11` over `L21`, both
+/// counted from the panel's first row, as is `c`: the panel's row
+/// interchanges `ipiv` (1-based, from the panel's first row),
+/// `U12 := L11⁻¹·A12` and `A22 −= L21·U12`. This is the `laswp`, the
+/// `trsm` and the `gemm` of a blocked `getrf` step, with their bits, in
+/// one serial sweep.
+///
+/// Where the `trsm` and the `gemm` would both pack, the step packs `L11`
+/// and `L21` once and then walks bands of `c` a few hundred KiB wide
+/// ([`lu_band`]): each band takes its interchanges, the substitution of
+/// the solve sweep ([`solve_band`]), which leaves −U12 in packed-B layout,
+/// and the update of the rows below from that panel — while the band is
+/// still in cache, and with no copy of `U12`. Below those sizes (fewer
+/// than four columns, a product under the packing crossover, or a panel
+/// deeper than one diagonal block) the step runs the forms the separate
+/// calls would choose.
+#[allow(clippy::too_many_arguments)]
+pub fn lu_step<T: Scalar>(
+    m: usize,
+    n: usize,
+    jb: usize,
+    l: &[T],
+    ldl: usize,
+    ipiv: &[i32],
+    c: &mut [T],
+    ldc: usize,
+) {
+    let below = m - jb;
+    let _probe = probe::span(
+        probe::Layer::Blas,
+        "lu_step",
+        probe::flops::trsm(Side::Left, jb, n) + probe::flops::gemm(below, n, jb),
+        probe_bytes::<T>(m * jb, m * n),
+    );
+    if n == 0 || jb == 0 {
+        return;
+    }
+    probe::note_parallelism(1);
+    let plan = PackedPlan::<T>::from_cfg(&tune::current());
+    let (mr, nr) = (plan.kern.mr(), plan.kern.nr());
+    let lv = MatRef::new(l, m, jb, ldl);
+    let l11 = lv.subview(0, 0, jb, jb);
+    // Each kernel is chosen from the whole step's shape, as the separate
+    // `trsm` and `gemm` calls choose theirs.
+    let narrow = n < TRSM_OPA_MIN_COLS;
+    let small = below > 0 && small(&plan, below, n, jb);
+    if narrow || small || jb > diag_block(&plan) {
+        probe::note_kernel(if narrow { "trsv" } else { plan.kern.name() });
+        swap_rows(ipiv, c, ldc, n);
+        let top = MatMut::new(c, jb, n, ldc);
+        if narrow {
+            trsv_cols(Uplo::Lower, Trans::No, Diag::Unit, l11, top);
+        } else {
+            trsm_left_cols(&plan, Uplo::Lower, Trans::No, Diag::Unit, l11, top);
+        }
+        if below == 0 {
+            return;
+        }
+        let l21 = lv.subview(jb, 0, below, jb);
+        if small {
+            // U12 staged in the arena, as the unpacked sweep reads it.
+            pack::with_arena::<T, _>(0, jb * n, |_, u12| {
+                for (j, dst) in u12.chunks_exact_mut(jb).enumerate() {
+                    dst.copy_from_slice(&c[j * ldc..j * ldc + jb]);
+                }
+                let u12 = MatRef::new(u12, jb, n, jb);
+                let a22 = MatMut::new(&mut c[jb..], below, n, ldc);
+                gemm_small(Trans::No, Trans::No, -T::one(), l21, u12, a22);
+            });
+            return;
+        }
+        // The packed nest, packing −U12 straight from `c`.
+        let (kc, nc) = (plan.kc.min(jb), plan.nc.min(n));
+        let a_cap = plan.mc.min(below).div_ceil(mr) * mr * kc;
+        pack::with_arena::<T, _>(a_cap, nc.div_ceil(nr) * nr * kc, |apack, bpack| {
+            for jc in (0..n).step_by(plan.nc) {
+                let nb = plan.nc.min(n - jc);
+                for lc in (0..jb).step_by(plan.kc) {
+                    let kb = plan.kc.min(jb - lc);
+                    let bp = &mut bpack[..nb.div_ceil(nr) * nr * kb];
+                    let u12 = MatRef::new(c, jb, n, ldc);
+                    pack::pack_b(bp, u12, Trans::No, lc, kb, jc, nb, nr, -T::one());
+                    let cols = (jc, nb);
+                    panel_update(
+                        &plan,
+                        Trans::No,
+                        lv,
+                        jb..m,
+                        (lc, kb),
+                        bp,
+                        cols,
+                        apack,
+                        c,
+                        ldc,
+                        None,
+                    );
+                }
+            }
+        });
+        return;
+    }
+    probe::note_kernel(plan.kern.name());
+    // `L21` is packed once when it fits, and the bands are cut for the
+    // cache; else it is packed per `MC` block of each `NC` band, as in gemm.
+    let whole = below * jb * std::mem::size_of::<T>() <= LU_PACK_BYTES;
+    let bw = if whole { lu_band::<T>(m, nr) } else { plan.nc }.min(n);
+    let tri_cap = tri_len(jb, mr);
+    let l21_rows = if whole { below } else { plan.mc.min(below) };
+    let a_cap = tri_cap + l21_rows.div_ceil(mr) * mr * jb;
+    pack::with_arena::<T, _>(a_cap, bw.div_ceil(nr) * nr * jb, |abuf, xpack| {
+        let (tri, apack) = abuf.split_at_mut(tri_cap);
+        pack_triangle(tri, lv, Trans::No, true, 0, jb, mr);
+        if whole {
+            pack::pack_a(apack, lv, Trans::No, jb, below, 0, jb, mr);
+        }
+        let mc = (plan.mc / mr).max(1) * mr;
+        for jc in (0..n).step_by(bw) {
+            let nb = bw.min(n - jc);
+            swap_rows(ipiv, &mut c[jc * ldc..], ldc, nb);
+            let xp = &mut xpack[..nb.div_ceil(nr) * nr * jb];
+            solve_band(plan.kern, tri, (true, true), (0, jb), (jc, nb), c, ldc, xp);
+            if !whole {
+                let cols = (jc, nb);
+                panel_update(
+                    &plan,
+                    Trans::No,
+                    lv,
+                    jb..m,
+                    (0, jb),
+                    xp,
+                    cols,
+                    apack,
+                    c,
+                    ldc,
+                    None,
+                );
+                continue;
+            }
+            for i0 in (0..below).step_by(mc) {
+                let mb = mc.min(below - i0);
+                let ap = &apack[i0 * jb..];
+                tiles(plan.kern, ap, (jb + i0, mb), jb, xp, (jc, nb), c, ldc, None);
+            }
+        }
+    });
+}
+
+/// Largest `L21` (in bytes) that [`lu_step`] packs once for all its
+/// bands: half the L2 of the hosts it was tuned on.
+const LU_PACK_BYTES: usize = 1 << 20;
+
+/// Bytes of `c` one band of [`lu_step`] spans.
+const LU_BAND_BYTES: usize = 384 << 10;
+
+/// Width of one band of [`lu_step`] over `m` rows: [`LU_BAND_BYTES`] of
+/// `T`, on the `NR` grid and at least one `NR` panel.
+fn lu_band<T: Scalar>(m: usize, nr: usize) -> usize {
+    (LU_BAND_BYTES / (m * std::mem::size_of::<T>()) / nr).max(1) * nr
+}
+
+/// The row interchanges `ipiv` (1-based: row `i` swaps with row
+/// `ipiv[i] − 1`, in order) on the `n` columns of `c`, as `laswp` does.
+fn swap_rows<T: Scalar>(ipiv: &[i32], c: &mut [T], ldc: usize, n: usize) {
+    for j in 0..n {
+        let col = &mut c[j * ldc..];
+        for (i, &p) in ipiv.iter().enumerate() {
+            col.swap(i, (p - 1) as usize);
+        }
+    }
 }
 
 /// The `MR`-row panels of a diagonal block of order `kb`, in substitution
@@ -1513,6 +1759,22 @@ mod band_tests {
         assert!(p > usize::MAX as u128);
         // The wrapped usize computation demonstrates the old failure:
         assert_eq!(huge.wrapping_mul(huge).wrapping_mul(huge), 0);
+        // And the worker rule reads the estimate as it is: under a
+        // four-thread budget a tiny product stays one band of width `n`,
+        // the u128-sized one takes four.
+        let cfg = tune::TuneConfig {
+            max_threads: 4,
+            oversubscribe: true,
+            ..tune::TuneConfig::defaults()
+        };
+        let n = 64;
+        let mut c = vec![0.0f64; n * n];
+        let mut width = |flops: u128| {
+            let cv = MatMut::new(&mut c, n, n, n);
+            bands("rule", &cfg, flops, 1, |w| n.div_ceil(w), cv, &|_, _| {})
+        };
+        assert_eq!(width(flop_product(8, 8, 8)), n);
+        assert_eq!(width(p), n.div_ceil(4));
     }
 
     #[test]

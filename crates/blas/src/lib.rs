@@ -38,4 +38,4 @@ pub use l2::{
     gbmv, gemv, gerc, geru, hemv, her, her2, sbmv, spmv, spr2, strip_update, symv, syr, syr2, tbsv,
     tpmv, tpsv, trmv, trsv, STRIP,
 };
-pub use l3::{gemm, herk, symm, syr2k, syrk, trmm, trsm};
+pub use l3::{gemm, herk, lu_step, symm, syr2k, syrk, trmm, trsm};

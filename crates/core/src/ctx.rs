@@ -412,7 +412,8 @@ impl Ambient {
 /// from a shared cursor, so a worker that drew a long item does not stall
 /// the others. Every worker runs under the caller's [`Ambient`] and is
 /// registered as one of `workers` pool siblings. With one worker the items
-/// run inline on the calling thread.
+/// run inline on the calling thread. Returns the number of threads that
+/// ran the items: the workers that started, or 1 when they ran inline.
 ///
 /// A thread the OS refuses to start is not an error: the items run on the
 /// workers that did start, or inline on the caller (under the same
@@ -423,14 +424,14 @@ impl Ambient {
 /// This is the only place the library spawns compute threads: BLAS-3
 /// column bands and dag workers are both `fan_out` calls that differ in
 /// what an item is.
-pub fn fan_out<I, F>(workers: usize, items: I, f: F)
+pub fn fan_out<I, F>(workers: usize, items: I, f: F) -> usize
 where
     I: Iterator + Send,
     F: Fn(I::Item) + Sync,
 {
     if workers <= 1 {
         items.for_each(f);
-        return;
+        return 1;
     }
     let ambient = capture().shared_by(workers);
     let queue = Mutex::new(items);
@@ -452,7 +453,8 @@ where
         if started == 0 {
             work();
         }
-    });
+        started.max(1)
+    })
 }
 
 /// `true` when the injection hook refuses this spawn ([`inject`]); always
@@ -894,7 +896,9 @@ mod tests {
     type Hop = fn(&(dyn Fn() + Sync));
 
     const HOPS: [(&str, Hop); 2] = [
-        ("ctx::fan_out", |probe| fan_out(2, 0..4, |_| probe())),
+        ("ctx::fan_out", |probe| {
+            fan_out(2, 0..4, |_| probe());
+        }),
         ("dag::Builder::run", |probe| {
             let mut g = dag::Builder::new();
             for i in 0..4 {
@@ -983,17 +987,19 @@ mod tests {
     #[test]
     fn fan_out_hands_every_item_out_once_and_reraises_panics() {
         let seen = Mutex::new(Vec::new());
-        fan_out(3, 0..40, |i| seen.lock().unwrap().push(i));
+        let ran = fan_out(3, 0..40, |i| seen.lock().unwrap().push(i));
+        assert_eq!(ran, 3, "threads that ran");
         let mut seen = seen.into_inner().unwrap();
         seen.sort_unstable();
         assert_eq!(seen, (0..40).collect::<Vec<_>>());
         // One worker: inline, in order, on the caller.
         let caller = std::thread::current().id();
         let order = Mutex::new(Vec::new());
-        fan_out(1, 0..5, |i| {
+        let ran = fan_out(1, 0..5, |i| {
             assert_eq!(std::thread::current().id(), caller);
             order.lock().unwrap().push(i);
         });
+        assert_eq!(ran, 1, "inline");
         assert_eq!(order.into_inner().unwrap(), vec![0, 1, 2, 3, 4]);
         let died = catch_unwind(|| {
             fan_out(2, 0..4, |i| {

@@ -223,7 +223,7 @@ impl<'a> Builder<'a> {
         }
         let critical_path = rank.iter().copied().max().unwrap_or(0);
         let edges = self.edges;
-        let workers = tune::current().threads().min(total).max(1);
+        let planned = tune::current().threads().min(total).max(1);
         let started = Instant::now();
         let busy = AtomicU64::new(0);
 
@@ -247,7 +247,7 @@ impl<'a> Builder<'a> {
             info
         };
 
-        if workers <= 1 {
+        let workers = if planned <= 1 {
             // Inline path: submission order is a valid topological order
             // (dependencies only ever point backwards), and it is the
             // *deterministic* schedule the equivalence tests pin against.
@@ -261,6 +261,7 @@ impl<'a> Builder<'a> {
                     abort = true;
                 }
             }
+            1
         } else {
             struct Sched {
                 ready: BinaryHeap<(usize, Reverse<usize>)>,
@@ -283,7 +284,7 @@ impl<'a> Builder<'a> {
             });
             let ready_cv = Condvar::new();
 
-            ctx::fan_out(workers, 0..workers, |_| loop {
+            let ran = ctx::fan_out(planned, 0..planned, |_| loop {
                 let (task, skip) = {
                     let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
                     loop {
@@ -316,7 +317,8 @@ impl<'a> Builder<'a> {
                 ready_cv.notify_all();
             });
             infos = state.into_inner().unwrap_or_else(|e| e.into_inner()).infos;
-        }
+            ran
+        };
 
         let stats = GraphStats {
             tasks: total,

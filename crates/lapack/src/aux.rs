@@ -119,9 +119,7 @@ pub fn lacpy<T: Scalar>(
             Some(Uplo::Upper) => (0, (j + 1).min(m)),
             Some(Uplo::Lower) => (j.min(m), m),
         };
-        for i in lo..hi {
-            b[i + j * ldb] = a[i + j * lda];
-        }
+        b[lo + j * ldb..hi + j * ldb].copy_from_slice(&a[lo + j * lda..hi + j * lda]);
     }
 }
 

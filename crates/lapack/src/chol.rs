@@ -185,17 +185,33 @@ pub(crate) fn potrf_core<T: Scalar>(
             info => info,
         },
         Route::Unblocked => potf2(uplo, n, a, lda),
-        Route::Blocked => match try_zeros::<T>(how.nb * n) {
+        Route::Blocked => match try_zeros::<T>(potrf_ws_len(n, how.nb)) {
             Some(mut ws) => one_thread(|| potrf_blocked(uplo, n, a, lda, how.nb, &mut ws)),
             None => INFO_NO_WORKSPACE,
         },
     }
 }
 
+/// Elements of workspace [`potrf_blocked`] takes: room for one step's
+/// off-diagonal block, `nb·(n − nb)`, and for its diagonal block, `nb²` —
+/// the one copy a step needs, which also serves as the panel's `potf2`
+/// scratch.
+pub(crate) fn potrf_ws_len(n: usize, nb: usize) -> usize {
+    nb * n.saturating_sub(nb).max(nb)
+}
+
+/// Rows of `L21` from which a right-side `trsm` solves through a
+/// conjugate-transposed copy of its right-hand side (`la_blas::trsm`'s own
+/// crossover); below it, row by row.
+const TRANSPOSED_SOLVE_MIN_ROWS: usize = 12;
+
 /// Right-looking blocked Cholesky with panel width `nb`. `ws` (at least
-/// `nb·n` elements, contents ignored) holds every step's copies of the
-/// diagonal block (whose other triangle is never read) and of the
-/// off-diagonal panel.
+/// [`potrf_ws_len`] elements, contents ignored) holds each step's one copy
+/// of an operand that shares its columns with what the step writes: `U12`
+/// (`Upper`), read by the update of `A22`; `L21ᴴ` (`Lower`), solved in the
+/// workspace as a right-side `trsm` would solve it in a copy of its own —
+/// or `L11` when `L21` has too few rows for that form. Every other operand
+/// is read in place.
 pub(crate) fn potrf_blocked<T: Scalar>(
     uplo: Uplo,
     n: usize,
@@ -204,7 +220,6 @@ pub(crate) fn potrf_blocked<T: Scalar>(
     nb: usize,
     ws: &mut [T],
 ) -> i32 {
-    let (tri, panel) = ws.split_at_mut(nb * nb);
     let mut j = 0;
     while j < n {
         // Cooperative cancellation checkpoint: one cheap thread-local
@@ -214,52 +229,81 @@ pub(crate) fn potrf_blocked<T: Scalar>(
             return la_core::cancel::INFO_CANCELLED;
         }
         let jb = nb.min(n - j);
-        // `panel` is free until this step's off-diagonal copy below.
-        let info = potf2_ws(uplo, jb, &mut a[j + j * lda..], lda, panel);
+        // `ws` is free until this step's copy below.
+        let info = potf2_ws(uplo, jb, &mut a[j + j * lda..], lda, ws);
         if info != 0 {
             // A positive code counts minors from this panel's corner.
             return if info > 0 { info + j as i32 } else { info };
         }
         if j + jb < n {
             let rest = n - j - jb;
+            // The panel's columns, and the columns right of it.
+            let (left, right) = a.split_at_mut((j + jb) * lda);
             match uplo {
                 Uplo::Lower => {
-                    // L21 := A21 · L11⁻ᴴ, then A22 -= L21·L21ᴴ.
-                    let l11 = &mut tri[..jb * jb];
-                    crate::aux::lacpy(Some(Uplo::Lower), jb, jb, &a[j + j * lda..], lda, l11, jb);
-                    trsm(
-                        Side::Right,
-                        Uplo::Lower,
-                        Trans::ConjTrans,
-                        Diag::NonUnit,
-                        rest,
-                        jb,
-                        T::one(),
-                        l11,
-                        jb,
-                        &mut a[j + jb + j * lda..],
-                        lda,
-                    );
-                    // Copy L21 so herk can read it while writing A22.
-                    let l21 = &mut panel[..rest * jb];
-                    crate::aux::lacpy(None, rest, jb, &a[j + jb + j * lda..], lda, l21, rest);
+                    // L21 := A21·L11⁻ᴴ. Both sit in the panel's columns, so
+                    // the solve runs on a copy.
+                    let panel = &mut left[j * lda..];
+                    if rest < TRANSPOSED_SOLVE_MIN_ROWS {
+                        let l11 = &mut ws[..jb * jb];
+                        crate::aux::lacpy(Some(Uplo::Lower), jb, jb, &panel[j..], lda, l11, jb);
+                        trsm(
+                            Side::Right,
+                            Uplo::Lower,
+                            Trans::ConjTrans,
+                            Diag::NonUnit,
+                            rest,
+                            jb,
+                            T::one(),
+                            l11,
+                            jb,
+                            &mut panel[j + jb..],
+                            lda,
+                        );
+                    } else {
+                        // L21ᴴ := L11⁻¹·A21ᴴ, column `r` of the copy being
+                        // row `r` of A21.
+                        let l21h = &mut ws[..jb * rest];
+                        for (r, col) in l21h.chunks_exact_mut(jb).enumerate() {
+                            for (c, x) in col.iter_mut().enumerate() {
+                                *x = panel[j + jb + r + c * lda].conj();
+                            }
+                        }
+                        trsm(
+                            Side::Left,
+                            Uplo::Lower,
+                            Trans::No,
+                            Diag::NonUnit,
+                            jb,
+                            rest,
+                            T::one(),
+                            &panel[j..],
+                            lda,
+                            l21h,
+                            jb,
+                        );
+                        for (r, col) in l21h.chunks_exact(jb).enumerate() {
+                            for (c, &x) in col.iter().enumerate() {
+                                panel[j + jb + r + c * lda] = x.conj();
+                            }
+                        }
+                    }
+                    // A22 -= L21·L21ᴴ: L21 sits left of A22.
                     herk(
                         Uplo::Lower,
                         Trans::No,
                         rest,
                         jb,
                         -T::Real::one(),
-                        l21,
-                        rest,
+                        &left[j + jb + j * lda..],
+                        lda,
                         T::Real::one(),
-                        &mut a[j + jb + (j + jb) * lda..],
+                        &mut right[j + jb..],
                         lda,
                     );
                 }
                 Uplo::Upper => {
-                    // U12 := U11⁻ᴴ · A12, then A22 -= U12ᴴ·U12.
-                    let u11 = &mut tri[..jb * jb];
-                    crate::aux::lacpy(Some(Uplo::Upper), jb, jb, &a[j + j * lda..], lda, u11, jb);
+                    // U12 := U11⁻ᴴ · A12.
                     trsm(
                         Side::Left,
                         Uplo::Upper,
@@ -268,13 +312,15 @@ pub(crate) fn potrf_blocked<T: Scalar>(
                         jb,
                         rest,
                         T::one(),
-                        u11,
-                        jb,
-                        &mut a[j + (j + jb) * lda..],
+                        &left[j + j * lda..],
+                        lda,
+                        &mut right[j..],
                         lda,
                     );
-                    let u12 = &mut panel[..jb * rest];
-                    crate::aux::lacpy(None, jb, rest, &a[j + (j + jb) * lda..], lda, u12, jb);
+                    // A22 -= U12ᴴ·U12, reading U12 from a copy: the two
+                    // share columns.
+                    let u12 = &mut ws[..jb * rest];
+                    crate::aux::lacpy(None, jb, rest, &right[j..], lda, u12, jb);
                     herk(
                         Uplo::Upper,
                         Trans::ConjTrans,
@@ -284,7 +330,7 @@ pub(crate) fn potrf_blocked<T: Scalar>(
                         u12,
                         jb,
                         T::Real::one(),
-                        &mut a[j + jb + (j + jb) * lda..],
+                        &mut right[j + jb..],
                         lda,
                     );
                 }

@@ -6,10 +6,10 @@
 //! leading dimensions, 1-based `ipiv`, `info` return) so the `la90` layer
 //! can wrap them exactly as the paper's `SGESV_F90` wraps `SGESV`.
 
-use la_blas::{gemm, gemv, iamax, scal, strip_update, trsm, STRIP};
+use la_blas::{gemv, iamax, lu_step, scal, strip_update, trsm, STRIP};
 use la_core::{probe, Diag, Norm, RealScalar, Scalar, Side, Trans, Uplo};
 
-use crate::aux::{lacon, lange, laswp, one_thread, try_zeros, Blocking, Route, INFO_NO_WORKSPACE};
+use crate::aux::{lacon, lange, laswp, one_thread, Blocking, Route};
 
 /// Unblocked LU factorization with partial pivoting (`xGETF2`).
 ///
@@ -148,10 +148,10 @@ pub fn getrf<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &mut 
     } else {
         getrf_core(m, n, a, lda, ipiv, how)
     };
-    // A cancelled factorization left the buffers partially updated and one
-    // without workspace never started; there is nothing meaningful to
-    // verify (or corrupt), so surface the code as-is.
-    if info == la_core::cancel::INFO_CANCELLED || info == INFO_NO_WORKSPACE {
+    // A cancelled factorization left the buffers partially updated; there
+    // is nothing meaningful to verify (or corrupt), so surface the code
+    // as-is.
+    if info == la_core::cancel::INFO_CANCELLED {
         return info;
     }
     #[cfg(feature = "fault-inject")]
@@ -183,25 +183,16 @@ pub(crate) fn getrf_core<T: Scalar>(
     how: Blocking,
 ) -> i32 {
     match how.route {
-        // Same factors up to rounding, same pivots and info codes. A graph
-        // without memory for its workspace leaves `a` as it found it; the
-        // serial route, which needs one panel's worth, runs instead.
-        Route::Dag => match crate::tiled::getrf_dag(m, n, a, lda, ipiv) {
-            INFO_NO_WORKSPACE => {
-                one_thread(|| getrf_core(m, n, a, lda, ipiv, Blocking::of("getrf", m, n)))
-            }
-            info => info,
-        },
+        // Same factors up to rounding, same pivots and info codes.
+        Route::Dag => crate::tiled::getrf_dag(m, n, a, lda, ipiv),
         Route::Unblocked => getf2(m, n, a, lda, ipiv),
-        Route::Blocked => match try_zeros::<T>(how.nb * (n - how.nb)) {
-            Some(mut u12) => one_thread(|| getrf_blocked(m, n, a, lda, ipiv, how.nb, &mut u12)),
-            None => INFO_NO_WORKSPACE,
-        },
+        Route::Blocked => one_thread(|| getrf_blocked(m, n, a, lda, ipiv, how.nb)),
     }
 }
 
-/// Right-looking blocked LU with panel width `nb`; `u12` holds each step's
-/// copy of U12 (at least `nb·(n − nb)` elements, contents ignored).
+/// Right-looking blocked LU with panel width `nb`. It takes no workspace:
+/// each step's interchanges, `U12` solve and trailing update right of the
+/// panel are one [`lu_step`] sweep.
 pub(crate) fn getrf_blocked<T: Scalar>(
     m: usize,
     n: usize,
@@ -209,7 +200,6 @@ pub(crate) fn getrf_blocked<T: Scalar>(
     lda: usize,
     ipiv: &mut [i32],
     nb: usize,
-    u12: &mut [T],
 ) -> i32 {
     let mn = m.min(n);
     let mut info = 0i32;
@@ -222,72 +212,25 @@ pub(crate) fn getrf_blocked<T: Scalar>(
             return la_core::cancel::INFO_CANCELLED;
         }
         let jb = nb.min(mn - j);
-        // Factor the panel A(j:m, j:j+jb).
-        let panel_info = {
-            let panel = &mut a[j + j * lda..];
-            getf2(m - j, jb, panel, lda, &mut ipiv[j..j + jb])
-        };
+        // The panel A(j:m, j:j+jb), and the columns right of it (none
+        // when `a` ends in the panel).
+        let (left, right) = a.split_at_mut(((j + jb) * lda).min(a.len()));
+        let panel = &mut left[j + j * lda..];
+        let piv = &mut ipiv[j..j + jb];
+        let panel_info = getf2(m - j, jb, panel, lda, piv);
         if panel_info > 0 && info == 0 {
             info = panel_info + j as i32;
         }
-        // Adjust pivot indices to the global row numbering.
-        for k in j..j + jb {
-            ipiv[k] += j as i32;
-        }
-        // Apply interchanges to the columns left of the panel...
-        laswp(j, a, lda, j, j + jb, ipiv);
         if j + jb < n {
-            // ...and to the right of it.
-            let right = &mut a[(j + jb) * lda..];
-            laswp(n - j - jb, right, lda, j, j + jb, ipiv);
-            // U block row: solve L11 * U12 = A12.
-            {
-                let (left, right) = a.split_at_mut((j + jb) * lda);
-                let l11 = &left[j + j * lda..];
-                trsm(
-                    Side::Left,
-                    Uplo::Lower,
-                    Trans::No,
-                    Diag::Unit,
-                    jb,
-                    n - j - jb,
-                    T::one(),
-                    l11,
-                    lda,
-                    &mut right[j..],
-                    lda,
-                );
-            }
-            // Trailing update: A22 -= L21 * U12.
-            if j + jb < m {
-                let (left, right) = a.split_at_mut((j + jb) * lda);
-                let l21 = &left[j + jb + j * lda..];
-                let ld = lda;
-                // U12 (rows j..j+jb of `right`) and A22 (rows j+jb..)
-                // interleave column by column in the one buffer, so gemm
-                // reads U12 from a copy.
-                let ncols = n - j - jb;
-                let u12 = &mut u12[..jb * ncols];
-                for (c, dst) in u12.chunks_exact_mut(jb).enumerate() {
-                    dst.copy_from_slice(&right[j + c * ld..j + c * ld + jb]);
-                }
-                gemm(
-                    Trans::No,
-                    Trans::No,
-                    m - j - jb,
-                    ncols,
-                    jb,
-                    -T::one(),
-                    l21,
-                    ld,
-                    u12,
-                    jb,
-                    T::one(),
-                    &mut right[j + jb..],
-                    ld,
-                );
-            }
+            // Interchanges, U12 := L11⁻¹·A12 and A22 −= L21·U12.
+            lu_step(m - j, n - j - jb, jb, panel, lda, piv, &mut right[j..], lda);
         }
+        // Adjust pivot indices to the global row numbering, and apply the
+        // interchanges to the columns left of the panel.
+        for p in piv {
+            *p += j as i32;
+        }
+        laswp(j, a, lda, j, j + jb, ipiv);
         j += jb;
     }
     info
@@ -1106,7 +1049,7 @@ pub fn latrs_basic<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use la_blas::trsv;
+    use la_blas::{gemm, trsv};
     use la_core::C64;
 
     fn matvec_dense<T: Scalar>(n: usize, a: &[T], x: &[T]) -> Vec<T> {

@@ -39,20 +39,22 @@
 //! trailing blocks hold updated (meaningless) values rather than untouched
 //! input. Negative codes abort the graph.
 //!
-//! Memory: besides `a`, a graph takes one scratch block per block of `a`
-//! (`getrf`: each update's copy of `U12`; `geqrf`: `larfb`'s workspace) —
-//! nb·n elements — plus `geqrf`'s block-reflector factors (nb² per step),
-//! `potrf`'s diagonal workspace (nb²) and, for `Uplo::Upper`, each step's
-//! row of `U` right of its diagonal block (under n²/2). A panel task works
-//! in its own block's scratch. All of it is taken fallibly before the first
-//! task runs: refused, the entry returns `aux::INFO_NO_WORKSPACE` with `a`
-//! as it found it, and the public `getrf`/`potrf`/`geqrf` run their serial
-//! route instead.
+//! Memory: `getrf` takes nothing besides `a` — each update is one
+//! `la_blas::lu_step` sweep, which solves `U12` and updates below it from
+//! the packing arena of the thread that runs it, and a panel runs the
+//! blocked loop, which takes no workspace either. `geqrf` takes one scratch
+//! block per block of `a` (`larfb`'s workspace, nb·n elements; a panel task
+//! works in its own block's) plus its block-reflector factors (nb² per
+//! step); `potrf` its diagonal workspace (nb²) and, for `Uplo::Upper`, each
+//! step's row of `U` right of its diagonal block (under n²/2). All of it is
+//! taken fallibly before the first task runs: refused, the entry returns
+//! `aux::INFO_NO_WORKSPACE` with `a` as it found it, and the public
+//! `potrf`/`geqrf` run their serial route instead.
 
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 
-use la_blas::{gemm, herk, trsm};
+use la_blas::{gemm, herk, lu_step, trsm};
 use la_core::dag::Builder;
 use la_core::{probe, Diag, Scalar, Side, Trans, Uplo};
 
@@ -171,64 +173,10 @@ fn global_info(info: i32, offset: usize) -> i32 {
     }
 }
 
-/// One LU step applied to the `w` columns `c` right of its panel `l`
-/// (`rows × jb`, both from the panel's first row): the panel's row
-/// interchanges `piv`, `U12 := L11⁻¹·A12` and `A22 −= L21·U12`, reading
-/// `U12` from a copy in `u12` (`jb·w` elements) because it shares its
-/// columns with `A22`.
-#[allow(clippy::too_many_arguments)]
-fn lu_update<T: Scalar>(
-    jb: usize,
-    rows: usize,
-    w: usize,
-    l: &[T],
-    lda: usize,
-    piv: &[i32],
-    c: &mut [T],
-    u12: &mut [T],
-) {
-    laswp(w, c, lda, 0, jb, piv);
-    trsm(
-        Side::Left,
-        Uplo::Lower,
-        Trans::No,
-        Diag::Unit,
-        jb,
-        w,
-        T::one(),
-        l,
-        lda,
-        c,
-        lda,
-    );
-    if rows > jb {
-        let u12 = &mut u12[..jb * w];
-        for (col, dst) in u12.chunks_exact_mut(jb).enumerate() {
-            dst.copy_from_slice(&c[col * lda..col * lda + jb]);
-        }
-        gemm(
-            Trans::No,
-            Trans::No,
-            rows - jb,
-            w,
-            jb,
-            -T::one(),
-            &l[jb..],
-            lda,
-            u12,
-            jb,
-            T::one(),
-            &mut c[jb..],
-            lda,
-        );
-    }
-}
-
 /// Task-graph LU with partial pivoting — drop-in for the blocked
 /// `getrf_core` (same pivots, same global 1-based `ipiv`).
 ///
-/// Resources: block `j` is id `j`, step `k`'s pivots `nt + k`; block `j`'s
-/// scratch belongs to the tasks that write block `j`.
+/// Resources: block `j` is id `j`, step `k`'s pivots `nt + k`.
 pub fn getrf_dag<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &mut [i32]) -> i32 {
     let _probe = probe::span(
         probe::Layer::Lapack,
@@ -241,9 +189,6 @@ pub fn getrf_dag<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &
         return 0;
     }
     let nb = la_core::tune::current().tile_size();
-    let Some(mut scratch) = try_zeros::<T>(nb * n) else {
-        return INFO_NO_WORKSPACE;
-    };
     let (nt, kt) = (n.div_ceil(nb), mn.div_ceil(nb));
     let width = |j: usize| nb.min(n - j * nb);
     // Each step's pivots count from its panel's first row; a step that
@@ -256,51 +201,29 @@ pub fn getrf_dag<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &
     let info = {
         let a = &Cols::new(a, m, lda);
         let piv = &Cols::new(&mut ipiv[..mn], 1, 1);
-        let ws = &Cols::new(&mut scratch, nb, nb);
         let mut g = Builder::new();
         for k in 0..kt {
             let (ck, jb, wk) = (k * nb, nb.min(mn - k * nb), width(k));
             let rows = m - ck;
             g.task("lu_panel", &[], &[k, nt + k], move || {
-                // SAFETY: block k (with its scratch) and step k's pivots are
-                // this task's declared writes.
-                let (mut blk, mut p, mut w) = unsafe {
-                    (
-                        a.view(ck, ck + wk, true),
-                        piv.view(ck, ck + jb, true),
-                        ws.view(ck, ck + wk, true),
-                    )
-                };
+                // SAFETY: block k and step k's pivots are this task's
+                // declared writes.
+                let (mut blk, mut p) =
+                    unsafe { (a.view(ck, ck + wk, true), piv.view(ck, ck + jb, true)) };
                 let split = (jb * lda).min(blk.len());
                 let (panel, rest) = blk.split_at_mut(split);
+                let panel = &mut panel[ck..];
                 // Blocked panel (never re-enters the dag: it is one block
                 // wide).
                 let how = Blocking::of("getrf", rows, jb);
                 let info = one_thread(|| match how.route {
-                    Route::Unblocked => crate::lu::getf2(rows, jb, &mut panel[ck..], lda, &mut p),
-                    _ => crate::lu::getrf_blocked(
-                        rows,
-                        jb,
-                        &mut panel[ck..],
-                        lda,
-                        &mut p,
-                        how.nb,
-                        &mut w,
-                    ),
+                    Route::Unblocked => crate::lu::getf2(rows, jb, panel, lda, &mut p),
+                    _ => crate::lu::getrf_blocked(rows, jb, panel, lda, &mut p, how.nb),
                 });
                 if jb < wk {
                     // The m < n edge: the last panel is narrower than its
                     // block, whose other columns get the step's update here.
-                    lu_update(
-                        jb,
-                        rows,
-                        wk - jb,
-                        &panel[ck..],
-                        lda,
-                        &p,
-                        &mut rest[ck..],
-                        &mut w,
-                    );
+                    lu_step(rows, wk - jb, jb, panel, lda, &p, &mut rest[ck..], lda);
                 }
                 global_info(info, ck)
             });
@@ -320,16 +243,15 @@ pub fn getrf_dag<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &
                 let (cj, wj) = (j * nb, width(j));
                 g.task("lu_update", &[k, nt + k], &[j], move || {
                     // SAFETY: declared reads of block k and the pivots, write
-                    // of block j (with its scratch).
-                    let (l, p, mut c, mut w) = unsafe {
+                    // of block j.
+                    let (l, p, mut c) = unsafe {
                         (
                             a.view(ck, ck + jb, false),
                             piv.view(ck, ck + jb, false),
                             a.view(cj, cj + wj, true),
-                            ws.view(cj, cj + wj, true),
                         )
                     };
-                    lu_update(jb, rows, wj, &l[ck..], lda, &p, &mut c[ck..], &mut w);
+                    lu_step(rows, wj, jb, &l[ck..], lda, &p, &mut c[ck..], lda);
                     0
                 });
             }

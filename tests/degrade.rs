@@ -22,7 +22,7 @@ use la_blas::{gemm, symm, syrk, trmm, trsm};
 use la_core::abft::inject::{arm, is_armed, CorruptKind, Corruption};
 use la_core::abft::{self, AbftPolicy};
 use la_core::ctx::inject::refuse_spawns;
-use la_core::{tune, Diag, LaError, Mat, Scalar, Side, Trans, Uplo, C64};
+use la_core::{probe, tune, Diag, LaError, Mat, ProbePolicy, Scalar, Side, Trans, Uplo, C64};
 
 /// Serial reference: thread budget 1.
 fn serial() -> tune::TuneConfig {
@@ -70,20 +70,39 @@ impl Rng {
 
 /// Runs `op` twice on a copy of `out0` — once at one thread, once forced
 /// to four bands with every spawn refused — and asserts the refused run
-/// ran on the caller and produced bitwise-identical output.
+/// ran on the caller, says so on its probe span, and produced
+/// bitwise-identical output.
 fn check_refused<T: Scalar>(what: &str, out0: &[T], op: impl Fn(&mut [T])) {
     let mut reference = out0.to_vec();
     tune::with(serial(), || op(&mut reference));
 
     let mut refused = out0.to_vec();
+    probe::reset();
     refuse_spawns(usize::MAX);
-    tune::with(forced(), || op(&mut refused));
+    probe::with_policy(ProbePolicy::Spans, || {
+        tune::with(forced(), || op(&mut refused))
+    });
     let left = refuse_spawns(0);
     assert!(left < usize::MAX, "{what}: no spawn was attempted");
     assert!(
         reference == refused,
         "{what}: refused-spawn result is not bitwise-identical to one thread"
     );
+    // Every banded call under the op (`symm`'s is a `gemm`) records the
+    // one thread that ran, not the four it planned.
+    fn banded<'s>(s: &'s probe::Span, out: &mut Vec<&'s probe::Span>) {
+        if ["gemm", "syrk", "trmm", "trsm"].contains(&s.routine) && !s.abft {
+            out.push(s);
+        }
+        s.children.iter().for_each(|c| banded(c, out));
+    }
+    let report = probe::snapshot();
+    let mut spans = Vec::new();
+    report.spans.iter().for_each(|s| banded(s, &mut spans));
+    assert!(!spans.is_empty(), "{what}: no banded span recorded");
+    for s in spans {
+        assert_eq!(s.threads, 1, "{what}: {} span threads", s.routine);
+    }
     // The tune global must be left usable (no poisoned lock, no lingering
     // override).
     assert_eq!(tune::current(), tune::current());

@@ -72,23 +72,21 @@ fn gesv_span_tree_matches_closed_form_flops() {
     // NB captured from tune at entry.
     assert_eq!(getrf.nb, tune::current().nb("getrf", n));
 
-    // The factorization's BLAS-3 leaves: gemm and trsm children whose
-    // summed flops must match the analytically replicated blocked loop
-    // within 1% (they agree exactly — both sides evaluate the same
-    // closed forms — but the acceptance bound is 1%).
+    // The factorization's BLAS-3 leaves: one `lu_step` child per step (its
+    // interchanges, U12 solve and trailing update), each carrying the
+    // step's `trsm` + `gemm` closed forms, whose summed flops must match
+    // the analytically replicated blocked loop within 1% (they agree
+    // exactly — both sides evaluate the same closed forms — but the
+    // acceptance bound is 1%).
     let child_sum: u64 = getrf
         .children
         .iter()
-        .filter(|c| c.routine == "gemm" || c.routine == "trsm")
+        .filter(|c| c.routine == "lu_step")
         .map(|c| c.flops)
         .sum();
     assert!(
-        getrf.children.iter().any(|c| c.routine == "gemm"),
-        "getrf should record gemm leaves"
-    );
-    assert!(
-        getrf.children.iter().any(|c| c.routine == "trsm"),
-        "getrf should record trsm leaves"
+        getrf.children.iter().any(|c| c.routine == "lu_step"),
+        "getrf should record lu_step leaves"
     );
     let expected = getrf_blas_child_flops(n, tune::current().nb("getrf", n));
     let diff = child_sum.abs_diff(expected) as f64;
