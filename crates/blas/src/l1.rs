@@ -4,6 +4,8 @@
 //! 0-based indexing and strictly positive strides. One generic function
 //! replaces each S/D/C/Z quadruple; real and complex variants that differ
 //! only by conjugation are split (`dotu`/`dotc`) exactly as in BLAS.
+//! LAPACK's row interchanges, `laswp`, live here too: `l3::lu_step`
+//! applies them band by band, and `la_lapack` re-exports them.
 
 use la_core::{RealScalar, Scalar};
 
@@ -322,6 +324,21 @@ pub fn lacgv<T: Scalar>(n: usize, x: &mut [T], incx: usize) {
     for _ in 0..n {
         x[ix] = x[ix].conj();
         ix += incx;
+    }
+}
+
+/// Applies a sequence of row interchanges to `A` (`xLASWP`).
+///
+/// `ipiv` is 1-based (LAPACK convention): for `k` in `k1..k2`, row `k` is
+/// swapped with row `ipiv[k] - 1` (0-based rows). Columns are the outer
+/// loop: every interchange is applied to one column while it sits in L1,
+/// instead of striding each swap across all `n` columns.
+pub fn laswp<T: Scalar>(n: usize, a: &mut [T], lda: usize, k1: usize, k2: usize, ipiv: &[i32]) {
+    for j in 0..n {
+        let col = &mut a[j * lda..];
+        for k in k1..k2 {
+            col.swap(k, (ipiv[k] - 1) as usize);
+        }
     }
 }
 

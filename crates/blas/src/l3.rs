@@ -35,7 +35,7 @@
 use la_core::{ctx, probe, tune, Diag, MatMut, MatRef, Scalar, Side, Trans, Uplo};
 
 use crate::kernel::{self, PackedPlan};
-use crate::l1::axpy;
+use crate::l1::{axpy, laswp};
 use crate::pack;
 
 /// Estimated bytes touched by an operation that reads `reads` elements and
@@ -1527,6 +1527,10 @@ pub fn lu_step<T: Scalar>(
     c: &mut [T],
     ldc: usize,
 ) {
+    assert!(
+        jb <= m && ipiv.len() >= jb,
+        "lu_step: {jb} pivots over {m} rows"
+    );
     let below = m - jb;
     let _probe = probe::span(
         probe::Layer::Blas,
@@ -1548,7 +1552,7 @@ pub fn lu_step<T: Scalar>(
     let small = below > 0 && small(&plan, below, n, jb);
     if narrow || small || jb > diag_block(&plan) {
         probe::note_kernel(if narrow { "trsv" } else { plan.kern.name() });
-        swap_rows(ipiv, c, ldc, n);
+        laswp(n, c, ldc, 0, jb, ipiv);
         let top = MatMut::new(c, jb, n, ldc);
         if narrow {
             trsv_cols(Uplo::Lower, Trans::No, Diag::Unit, l11, top);
@@ -1618,7 +1622,7 @@ pub fn lu_step<T: Scalar>(
         let mc = (plan.mc / mr).max(1) * mr;
         for jc in (0..n).step_by(bw) {
             let nb = bw.min(n - jc);
-            swap_rows(ipiv, &mut c[jc * ldc..], ldc, nb);
+            laswp(nb, &mut c[jc * ldc..], ldc, 0, jb, ipiv);
             let xp = &mut xpack[..nb.div_ceil(nr) * nr * jb];
             solve_band(plan.kern, tri, (true, true), (0, jb), (jc, nb), c, ldc, xp);
             if !whole {
@@ -1648,8 +1652,10 @@ pub fn lu_step<T: Scalar>(
 }
 
 /// Largest `L21` (in bytes) that [`lu_step`] packs once for all its
-/// bands: half the L2 of the hosts it was tuned on.
-const LU_PACK_BYTES: usize = 1 << 20;
+/// bands — a serial step's up to ≈ 1 000 f64 rows. A task-graph block's
+/// deeper panel takes `gemm`'s per-block packing instead, so the arena of
+/// each of the graph's short-lived workers stays at `gemm`'s size.
+const LU_PACK_BYTES: usize = 256 << 10;
 
 /// Bytes of `c` one band of [`lu_step`] spans.
 const LU_BAND_BYTES: usize = 384 << 10;
@@ -1658,17 +1664,6 @@ const LU_BAND_BYTES: usize = 384 << 10;
 /// `T`, on the `NR` grid and at least one `NR` panel.
 fn lu_band<T: Scalar>(m: usize, nr: usize) -> usize {
     (LU_BAND_BYTES / (m * std::mem::size_of::<T>()) / nr).max(1) * nr
-}
-
-/// The row interchanges `ipiv` (1-based: row `i` swaps with row
-/// `ipiv[i] − 1`, in order) on the `n` columns of `c`, as `laswp` does.
-fn swap_rows<T: Scalar>(ipiv: &[i32], c: &mut [T], ldc: usize, n: usize) {
-    for j in 0..n {
-        let col = &mut c[j * ldc..];
-        for (i, &p) in ipiv.iter().enumerate() {
-            col.swap(i, (p - 1) as usize);
-        }
-    }
 }
 
 /// The `MR`-row panels of a diagonal block of order `kb`, in substitution

@@ -32,7 +32,7 @@ pub mod l3;
 pub mod pack;
 
 pub use l1::{
-    asum, axpy, copy, dotc, dotu, iamax, lacgv, lassq, nrm2, rot, rotg, rscal, scal, swap,
+    asum, axpy, copy, dotc, dotu, iamax, lacgv, lassq, laswp, nrm2, rot, rotg, rscal, scal, swap,
 };
 pub use l2::{
     gbmv, gemv, gerc, geru, hemv, her, her2, sbmv, spmv, spr2, strip_update, symv, syr, syr2, tbsv,

@@ -164,20 +164,7 @@ pub(crate) fn try_zeros<T: Scalar>(n: usize) -> Option<Vec<T>> {
     Some(v)
 }
 
-/// Applies a sequence of row interchanges to `A` (`xLASWP`).
-///
-/// `ipiv` is 1-based (LAPACK convention): for `k` in `k1..k2`, row `k` is
-/// swapped with row `ipiv[k] - 1` (0-based rows). Columns are the outer
-/// loop: every interchange is applied to one column while it sits in L1,
-/// instead of striding each swap across all `n` columns.
-pub fn laswp<T: Scalar>(n: usize, a: &mut [T], lda: usize, k1: usize, k2: usize, ipiv: &[i32]) {
-    for j in 0..n {
-        let col = &mut a[j * lda..];
-        for k in k1..k2 {
-            col.swap(k, (ipiv[k] - 1) as usize);
-        }
-    }
-}
+pub use la_blas::laswp;
 
 /// Applies the interchanges of [`laswp`] in reverse order (used when
 /// undoing a permutation, e.g. in `getri`).
