@@ -262,11 +262,12 @@ pub(crate) fn potrf_blocked<T: Scalar>(
                         );
                     } else {
                         // L21ᴴ := L11⁻¹·A21ᴴ, column `r` of the copy being
-                        // row `r` of A21.
+                        // row `r` of A21 (read down A21's columns).
                         let l21h = &mut ws[..jb * rest];
-                        for (r, col) in l21h.chunks_exact_mut(jb).enumerate() {
-                            for (c, x) in col.iter_mut().enumerate() {
-                                *x = panel[j + jb + r + c * lda].conj();
+                        for c in 0..jb {
+                            let src = &panel[j + jb + c * lda..][..rest];
+                            for (r, &x) in src.iter().enumerate() {
+                                l21h[c + r * jb] = x.conj();
                             }
                         }
                         trsm(
@@ -282,9 +283,10 @@ pub(crate) fn potrf_blocked<T: Scalar>(
                             l21h,
                             jb,
                         );
-                        for (r, col) in l21h.chunks_exact(jb).enumerate() {
-                            for (c, &x) in col.iter().enumerate() {
-                                panel[j + jb + r + c * lda] = x.conj();
+                        for c in 0..jb {
+                            let dst = &mut panel[j + jb + c * lda..][..rest];
+                            for (r, x) in dst.iter_mut().enumerate() {
+                                *x = l21h[c + r * jb].conj();
                             }
                         }
                     }
