@@ -1509,8 +1509,8 @@ fn solve_band<T: Scalar>(
 ///
 /// Where the `trsm` and the `gemm` would both pack, the step packs `L11`
 /// and `L21` once and then walks bands of `c` a few hundred KiB wide
-/// ([`lu_band`]): each band takes its interchanges, the substitution of
-/// the solve sweep ([`solve_band`]), which leaves −U12 in packed-B layout,
+/// (`lu_band`): each band takes its interchanges, the substitution of
+/// the solve sweep (`solve_band`), which leaves −U12 in packed-B layout,
 /// and the update of the rows below from that panel — while the band is
 /// still in cache, and with no copy of `U12`. Below those sizes (fewer
 /// than four columns, a product under the packing crossover, or a panel
