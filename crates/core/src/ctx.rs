@@ -15,13 +15,15 @@
 //!   rejected value, the accepted spellings and the fallback goes to
 //!   stderr. So does one line per `LA_*` name that is not in the table — a
 //!   typo (`LA_THREDS`) or a retired variable changes nothing, and says so.
-//! * One thread-local stack of frames. A frame is a `Ctx` plus the three
-//!   things that belong to a call tree rather than to the process: the
-//!   cancel token, the watchdog heartbeat, and the number of pool siblings
-//!   the thread shares the host with. [`with`] (and the per-field
-//!   projections `tune::with`, `abft::with_policy`, `cancel::with_token`,
-//!   …) push a copy of the top frame with one field changed, so mixed
-//!   nesting composes; the frame pops on scope exit, panic included.
+//! * One thread-local stack of frames. A frame is a `Ctx` plus the things
+//!   that belong to a call tree rather than to the process: the cancel
+//!   token, the watchdog heartbeat, the number of pool siblings the thread
+//!   shares the host with, and the probe's state (its `lo` and `abft`
+//!   tags, the job's counter sink, a fork's span graft point). [`with`]
+//!   (and the per-field projections `tune::with`, `abft::with_policy`,
+//!   `cancel::with_token`, `probe::with_lo`, `probe::job_scope`, …) push a
+//!   copy of the top frame with one field changed, so mixed nesting
+//!   composes; the frame pops on scope exit, panic included.
 //! * One thread hop: [`capture`] takes the top frame as an [`Ambient`],
 //!   [`Ambient::enter`] installs it on another thread. [`fan_out`] is the
 //!   scoped-thread pool every parallel path runs on (BLAS-3 column bands,
@@ -29,9 +31,11 @@
 //!   gate, panic boundary, ABFT fault scope) every dag task runs under.
 //!
 //! What deliberately does **not** cross a hop: the ABFT pending fault and
-//! its epoch ([`crate::abft::take_pending`]) and the probe span/tag/job
-//! stacks. They are per-job state; carrying them would be the cross-job
-//! leak the epochs exist to prevent.
+//! its epoch ([`crate::abft::take_pending`]). A fault is a per-job result,
+//! not call-tree state: carrying it would be the cross-job leak the epochs
+//! exist to prevent. The probe's open spans stay with their thread too,
+//! but a worker's top-level spans are moved under the span open at the
+//! fork when [`fan_out`] joins.
 //!
 //! ```
 //! use la_core::{ctx, AbftPolicy};
@@ -50,7 +54,7 @@ use std::sync::{Mutex, OnceLock};
 use crate::abft::{self, AbftPolicy};
 use crate::cancel::{self, CancelToken, Heartbeat};
 use crate::except::FpCheckPolicy;
-use crate::probe::ProbePolicy;
+use crate::probe::{self, ProbePolicy};
 use crate::tune::{GemmKernel, RefineMode, TuneConfig};
 
 /// The ambient configuration: everything a routine may consult that is
@@ -267,6 +271,8 @@ pub(crate) struct Frame {
     /// How many pool workers share the host with this thread (1 = not a
     /// pool worker); multiplies across nested pools.
     pub(crate) share: usize,
+    /// The probe's tags, job counter sink and span graft point.
+    pub(crate) probe: probe::Scope,
 }
 
 struct Local {
@@ -300,6 +306,7 @@ thread_local! {
                 token: None,
                 beat: None,
                 share: 1,
+                probe: probe::Scope::NONE,
             },
             seen: 0,
         })
@@ -369,7 +376,8 @@ pub fn update(f: impl FnOnce(&mut Ctx)) {
 
 /// Everything a thread hop must carry, taken from the current thread with
 /// [`capture`] and installed on another with [`Ambient::enter`]: the
-/// [`Ctx`], the cancel token, the heartbeat and the pool share.
+/// [`Ctx`], the cancel token, the heartbeat, the pool share and the probe's
+/// tags and job sink.
 #[derive(Clone, Debug)]
 pub struct Ambient(Frame);
 
@@ -411,7 +419,9 @@ impl Ambient {
 /// worker panic is re-raised on the caller. Items are handed out in order
 /// from a shared cursor, so a worker that drew a long item does not stall
 /// the others. Every worker runs under the caller's [`Ambient`] and is
-/// registered as one of `workers` pool siblings. With one worker the items
+/// registered as one of `workers` pool siblings; under
+/// [`ProbePolicy::Spans`] the spans the workers record land, after the
+/// join, under the span open on the caller. With one worker the items
 /// run inline on the calling thread. Returns the number of threads that
 /// ran the items: the workers that started, or 1 when they ran inline.
 ///
@@ -433,7 +443,8 @@ where
         items.for_each(f);
         return 1;
     }
-    let ambient = capture().shared_by(workers);
+    let mut ambient = capture().shared_by(workers);
+    let graft = probe::fork(&mut ambient.0.probe, ambient.0.ctx.probe);
     let queue = Mutex::new(items);
     let work = || {
         ambient.enter(|| loop {
@@ -444,7 +455,7 @@ where
             }
         })
     };
-    std::thread::scope(|s| {
+    let ran = std::thread::scope(|s| {
         let started = (0..workers)
             .filter(|_| {
                 !spawn_refused() && std::thread::Builder::new().spawn_scoped(s, work).is_ok()
@@ -454,7 +465,9 @@ where
             work();
         }
         started.max(1)
-    })
+    });
+    probe::join(graft);
+    ran
 }
 
 /// `true` when the injection hook refuses this spawn ([`inject`]); always
@@ -959,7 +972,11 @@ mod tests {
                 let beats = beat.beats();
                 cancel::cancelled();
                 check(beat.beats() > beats, "heartbeat");
-                // Per-job state stays behind on the caller's thread.
+                // The probe tags and the job sink: this span is tagged and
+                // lands in the caller's job (read after the hop).
+                drop(probe::span(probe::Layer::Blas, "hop-test", 0, 0));
+                // The ABFT pending fault is a per-job result: it stays
+                // behind on the caller's thread.
                 check(abft::take_pending().is_none(), "ABFT pending fault crossed");
                 // Cancelled from outside, seen inside. Later items of the
                 // hop are gated out by `isolated`, hence "at least one".
@@ -968,14 +985,25 @@ mod tests {
             };
             abft::clear_pending();
             abft::raise("hop-test", 7);
-            with(sentinel, || {
-                cancel::with_token(token, || {
-                    cancel::with_heartbeat(beat.clone(), || run(&probe))
+            let ((), job) = with(sentinel, || {
+                probe::with_lo(|| {
+                    probe::with_abft(|| {
+                        probe::job_scope(|| {
+                            cancel::with_token(token, || {
+                                cancel::with_heartbeat(beat.clone(), || run(&probe))
+                            })
+                        })
+                    })
                 })
             });
-            assert!(probes.load(Ordering::Relaxed) >= 1, "{hop}: no worker ran");
+            let probes = probes.load(Ordering::Relaxed);
+            assert!(probes >= 1, "{hop}: no worker ran");
             let failures = failures.into_inner().unwrap();
             assert!(failures.is_empty(), "{hop} lost: {failures:?}");
+            let rows: Vec<_> = job.iter().filter(|r| r.routine == "hop-test").collect();
+            assert_eq!(rows.len(), 1, "{hop}: lo and abft tags: {rows:?}");
+            assert!(rows[0].lo && rows[0].abft, "{hop} lost the probe tags");
+            assert_eq!(rows[0].calls, probes as u64, "{hop} lost the job sink");
             assert_eq!(
                 abft::take_pending().map(|f| f.block),
                 Some(7),

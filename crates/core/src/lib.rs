@@ -21,8 +21,9 @@
 //! * [`ctx`] — the ambient context: one [`Ctx`] (tuning + the three
 //!   policies below) with one process global read from the `LA_*`
 //!   environment by one table-driven parser, one thread-local scope stack
-//!   that also carries the cancel token and heartbeat, and the one thread
-//!   hop (`ctx::fan_out`) every parallel path runs on.
+//!   that also carries the cancel token, the heartbeat and the probe's
+//!   call-tree state, and the one thread hop (`ctx::fan_out`) every
+//!   parallel path runs on.
 //! * [`tune`] — the runtime tuning subsystem (`ILAENV` as a settable
 //!   object): thread budget, parallel thresholds, per-routine block
 //!   sizes, all adjustable programmatically or via `LA_*` environment

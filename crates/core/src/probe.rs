@@ -26,13 +26,16 @@
 //! The policy is one field of the ambient context
 //! ([`crate::ctx::Ctx::probe`]): set it with the `LA_PROFILE` environment
 //! variable (`off|counters|spans`), process-wide with
-//! [`crate::ctx::update`], or per call tree with [`with_policy`]. Spans
-//! and counters themselves stay thread-private: a worker thread records
-//! under the caller's policy but into its own span stack. Read results
-//! with [`snapshot`], which
-//! returns a [`Report`] convertible to a plain-text table
-//! ([`Report::to_table`]) or JSON ([`Report::to_json`], emitted through
-//! [`crate::json`]: flat counter rows plus a recursive span forest).
+//! [`crate::ctx::update`], or per call tree with [`with_policy`]. The rest
+//! of the probe's call-tree state rides the same ctx frame and crosses
+//! [`crate::ctx::fan_out`] with it: the `lo` and `abft` tags, the job's
+//! counter sink ([`job_scope`]), and a graft point that moves a worker's
+//! top-level spans under the span open at the fork, so a parallel call
+//! still records one tree. Only the open spans stay with their thread.
+//! Read results with [`snapshot`], which returns a [`Report`] convertible
+//! to a plain-text table ([`Report::to_table`]) or JSON
+//! ([`Report::to_json`], emitted through [`crate::json`]: flat counter
+//! rows plus a recursive span forest).
 //!
 //! ```
 //! use la_core::probe::{self, ProbePolicy};
@@ -49,7 +52,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::ctx::{self, Ctx};
@@ -127,7 +130,7 @@ impl Layer {
 /// Aggregated totals for one routine (one row of [`Report::counters`]).
 /// Low-precision work (inside [`with_lo`]) aggregates into its own row,
 /// so a mixed-precision driver's flop split is visible per routine.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct CounterRow {
     /// Stack layer of the routine.
     pub layer: Layer,
@@ -242,139 +245,157 @@ struct Frame {
 }
 
 thread_local! {
+    /// The open spans of this thread. The only probe state that stays with
+    /// one thread: everything else that follows a call tree rides the ctx
+    /// frame ([`Scope`]).
     static ACTIVE: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
-    /// Nesting depth of [`with_lo`] scopes on this thread; spans opened
-    /// while it is positive are tagged low-precision.
-    static LO_DEPTH: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    /// Nesting depth of [`with_abft`] scopes on this thread; spans opened
-    /// while it is positive are tagged as ABFT bookkeeping.
-    static ABFT_DEPTH: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// Runs `f` with every span opened on this thread tagged as
-/// *low-precision* work ([`Span::lo`] / [`CounterRow::lo`]). The
-/// mixed-precision drivers wrap their demoted factorization and solves
-/// in this scope, so reports separate the cheap low-precision flops from
-/// the working-precision refinement around them. Nests; restores on
-/// panic.
+/// Finished spans waiting for a parent: the process's roots, or a fork's
+/// graft point.
+type SpanList = Mutex<Vec<Span>>;
+
+/// The probe's share of a ctx frame: what follows a call tree, across
+/// [`ctx::fan_out`] too. Edited only through [`with_lo`], [`with_abft`],
+/// [`job_scope`] and the fork's graft point.
+#[derive(Clone, Debug)]
+pub(crate) struct Scope {
+    /// Spans opened here ran in the demoted precision ([`with_lo`]).
+    lo: bool,
+    /// Spans opened here are ABFT bookkeeping ([`with_abft`]).
+    abft: bool,
+    /// The innermost job's counter table ([`job_scope`]).
+    sink: Option<Arc<Sink>>,
+    /// Set on a fork's workers under [`ProbePolicy::Spans`]: where they
+    /// put the spans they close with no open parent of their own, for the
+    /// forking thread to move under its open span.
+    graft: Option<Arc<SpanList>>,
+}
+
+impl Scope {
+    /// No tag, no job, no fork.
+    pub(crate) const NONE: Scope = Scope {
+        lo: false,
+        abft: false,
+        sink: None,
+        graft: None,
+    };
+}
+
+/// Under [`ProbePolicy::Spans`], gives a fork's workers (`scope`, the frame
+/// they enter) a graft point of their own and returns it for [`join`];
+/// nothing is allocated under the other policies.
+pub(crate) fn fork(scope: &mut Scope, policy: ProbePolicy) -> Option<Arc<SpanList>> {
+    scope.graft = (policy == ProbePolicy::Spans).then(Arc::default);
+    scope.graft.clone()
+}
+
+/// Once a fork's workers have joined: moves their top-level spans under
+/// the span open on this thread, as if they had closed here.
+pub(crate) fn join(graft: Option<Arc<SpanList>>) {
+    for span in graft.map_or_else(Vec::new, |g| std::mem::take(&mut *lock(&g))) {
+        attach(span);
+    }
+}
+
+/// Runs `f` with every span opened in it tagged as *low-precision* work
+/// ([`Span::lo`] / [`CounterRow::lo`]), on this thread and on every worker
+/// it fans out to. The mixed-precision drivers wrap their demoted
+/// factorization and solves in this scope, so reports separate the cheap
+/// low-precision flops from the working-precision refinement around them.
+/// Nests; restores on panic.
 pub fn with_lo<R>(f: impl FnOnce() -> R) -> R {
-    struct Guard;
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            LO_DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        }
-    }
-    LO_DEPTH.with(|d| d.set(d.get() + 1));
-    let _guard = Guard;
-    f()
+    ctx::scoped(|frame| frame.probe.lo = true, f)
 }
 
-/// Runs `f` with every span opened on this thread tagged as *ABFT
-/// bookkeeping* ([`Span::abft`] / [`CounterRow::abft`]). The checksum
-/// verifiers and the fault-recovery reruns of [`crate::abft`] wrap
-/// themselves in this scope, so reports separate the fault-tolerance
-/// overhead (and any recovery recomputation) from the protected
-/// computation itself. Nests; restores on panic.
+/// Runs `f` with every span opened in it tagged as *ABFT bookkeeping*
+/// ([`Span::abft`] / [`CounterRow::abft`]), on this thread and on every
+/// worker it fans out to. The checksum verifiers and the fault-recovery
+/// reruns of [`crate::abft`] wrap themselves in this scope, so reports
+/// separate the fault-tolerance overhead (and any recovery recomputation)
+/// from the protected computation itself. Nests; restores on panic.
 pub fn with_abft<R>(f: impl FnOnce() -> R) -> R {
-    struct Guard;
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            ABFT_DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        }
-    }
-    ABFT_DEPTH.with(|d| d.set(d.get() + 1));
-    let _guard = Guard;
-    f()
+    ctx::scoped(|frame| frame.probe.abft = true, f)
 }
 
-struct Totals {
-    layer: Layer,
-    calls: u64,
-    flops: u64,
-    bytes: u64,
-    nanos: u64,
+/// Counter rows keyed in report order.
+type Table = BTreeMap<(Layer, &'static str, bool, bool), CounterRow>;
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-type CounterKey = (&'static str, bool, bool); // (routine, lo, abft)
-
-fn counters() -> &'static Mutex<BTreeMap<CounterKey, Totals>> {
-    static C: OnceLock<Mutex<BTreeMap<CounterKey, Totals>>> = OnceLock::new();
-    C.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-thread_local! {
-    /// Stack of per-job counter maps (see [`job_scope`]); every finished
-    /// span also accumulates into the innermost map of this thread.
-    static JOB_STACK: RefCell<Vec<BTreeMap<CounterKey, Totals>>> =
-        const { RefCell::new(Vec::new()) };
-}
-
-fn rows_from(map: &BTreeMap<CounterKey, Totals>) -> Vec<CounterRow> {
-    let mut rows: Vec<CounterRow> = map
-        .iter()
-        .map(|(&(name, lo, abft), t)| CounterRow {
-            layer: t.layer,
-            routine: name,
-            lo,
-            abft,
-            calls: t.calls,
-            flops: t.flops,
-            bytes: t.bytes,
-            nanos: t.nanos,
+/// Adds one finished call to `table`.
+fn record(table: &Mutex<Table>, call: &CounterRow) {
+    lock(table)
+        .entry((call.layer, call.routine, call.lo, call.abft))
+        .and_modify(|t| {
+            t.calls += call.calls;
+            t.flops += call.flops;
+            t.bytes += call.bytes;
+            t.nanos += call.nanos;
         })
-        .collect();
-    rows.sort_by_key(|r| (r.layer, r.routine, r.lo, r.abft));
-    rows
+        .or_insert(*call);
+}
+
+fn rows(table: &Mutex<Table>) -> Vec<CounterRow> {
+    lock(table).values().copied().collect()
+}
+
+/// The process-wide counter table.
+static COUNTERS: Mutex<Table> = Mutex::new(BTreeMap::new());
+
+/// A job's counter table. An inner job's sink points at the enclosing
+/// job's, so its calls count toward both.
+#[derive(Debug)]
+pub(crate) struct Sink {
+    table: Mutex<Table>,
+    parent: Option<Arc<Sink>>,
 }
 
 /// Runs `f` as a *job* and returns its result together with the counter
-/// rows recorded by this thread **inside the scope only** — the per-job
-/// slice of the process-global table that [`snapshot`] can never separate
-/// once jobs from many tenants interleave on shared workers.
+/// rows recorded **inside the scope only** — on this thread and on every
+/// worker the job fans out to: the per-job slice of the process-global
+/// table that [`snapshot`] can never separate once jobs from many tenants
+/// interleave on shared workers.
 ///
 /// The global counters still accumulate exactly as before (a job's work
-/// is real work); nested scopes stack, and an inner job's rows also fold
-/// into the enclosing job's on exit, panic included. The `la-serve`
-/// workers wrap each job in this scope to attribute flops and wall time
-/// to the tenant that submitted it. Under [`ProbePolicy::Off`] the
-/// returned rows are empty — the probe layer records nothing to slice.
+/// is real work); nested scopes stack, and an inner job's rows also count
+/// toward the enclosing job's. The `la-serve` workers wrap each job in
+/// this scope to attribute flops and wall time to the tenant that
+/// submitted it. Under [`ProbePolicy::Off`] the scope installs nothing
+/// and the returned rows are empty — the probe layer records nothing to
+/// slice.
 pub fn job_scope<R>(f: impl FnOnce() -> R) -> (R, Vec<CounterRow>) {
-    struct Guard;
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            // Pop this job's map and fold it into the parent job, if any —
-            // also on panic, so an enclosing job's accounting stays whole.
-            JOB_STACK.with(|s| {
-                let mut stack = s.borrow_mut();
-                let Some(map) = stack.pop() else { return };
-                if let Some(parent) = stack.last_mut() {
-                    for (k, t) in map {
-                        let e = parent.entry(k).or_insert(Totals {
-                            layer: t.layer,
-                            calls: 0,
-                            flops: 0,
-                            bytes: 0,
-                            nanos: 0,
-                        });
-                        e.calls += t.calls;
-                        e.flops += t.flops;
-                        e.bytes += t.bytes;
-                        e.nanos += t.nanos;
-                    }
-                }
-            });
-        }
+    if policy() == ProbePolicy::Off {
+        return (f(), Vec::new());
     }
-    JOB_STACK.with(|s| s.borrow_mut().push(BTreeMap::new()));
-    let _guard = Guard;
-    let r = f();
-    let rows = JOB_STACK.with(|s| s.borrow().last().map(rows_from).unwrap_or_default());
-    (r, rows)
+    let sink = Arc::new(Sink {
+        table: Mutex::default(),
+        parent: ctx::peek(|frame| frame.probe.sink.clone()),
+    });
+    let r = ctx::scoped(|frame| frame.probe.sink = Some(Arc::clone(&sink)), f);
+    (r, rows(&sink.table))
 }
 
-fn roots() -> &'static Mutex<Vec<Span>> {
-    static R: OnceLock<Mutex<Vec<Span>>> = OnceLock::new();
-    R.get_or_init(|| Mutex::new(Vec::new()))
+/// Finished spans with no parent: the top of each call tree.
+static ROOTS: SpanList = Mutex::new(Vec::new());
+
+/// Puts a finished span under the innermost open span of this thread; a
+/// span with no open parent goes to the fork it runs in, or else is a
+/// root.
+fn attach(span: Span) {
+    let orphan = ACTIVE.with(|a| match a.borrow_mut().last_mut() {
+        Some(parent) if parent.tree => {
+            parent.children.push(span);
+            None
+        }
+        _ => Some(span),
+    });
+    if let Some(span) = orphan {
+        let graft = ctx::peek(|f| f.probe.graft.clone());
+        lock(graft.as_deref().unwrap_or(&ROOTS)).push(span);
+    }
 }
 
 /// RAII guard returned by [`span`]; records the call when dropped.
@@ -390,42 +411,26 @@ impl Drop for ProbeGuard {
         }
         let frame = ACTIVE.with(|a| a.borrow_mut().pop());
         let Some(frame) = frame else { return };
-        let nanos = frame.start.elapsed().as_nanos() as u64;
-        {
-            let mut map = counters().lock().unwrap_or_else(|e| e.into_inner());
-            let t = map
-                .entry((frame.routine, frame.lo, frame.abft))
-                .or_insert(Totals {
-                    layer: frame.layer,
-                    calls: 0,
-                    flops: 0,
-                    bytes: 0,
-                    nanos: 0,
-                });
-            t.calls += 1;
-            t.flops += frame.flops;
-            t.bytes += frame.bytes;
-            t.nanos += nanos;
-        }
-        JOB_STACK.with(|s| {
-            if let Some(job) = s.borrow_mut().last_mut() {
-                let t = job
-                    .entry((frame.routine, frame.lo, frame.abft))
-                    .or_insert(Totals {
-                        layer: frame.layer,
-                        calls: 0,
-                        flops: 0,
-                        bytes: 0,
-                        nanos: 0,
-                    });
-                t.calls += 1;
-                t.flops += frame.flops;
-                t.bytes += frame.bytes;
-                t.nanos += nanos;
+        let call = CounterRow {
+            layer: frame.layer,
+            routine: frame.routine,
+            lo: frame.lo,
+            abft: frame.abft,
+            calls: 1,
+            flops: frame.flops,
+            bytes: frame.bytes,
+            nanos: frame.start.elapsed().as_nanos() as u64,
+        };
+        record(&COUNTERS, &call);
+        ctx::peek(|f| {
+            let mut sink = f.probe.sink.as_deref();
+            while let Some(job) = sink {
+                record(&job.table, &call);
+                sink = job.parent.as_deref();
             }
         });
         if frame.tree {
-            let span = Span {
+            attach(Span {
                 layer: frame.layer,
                 routine: frame.routine,
                 lo: frame.lo,
@@ -435,22 +440,10 @@ impl Drop for ProbeGuard {
                 kernel: frame.kernel,
                 flops: frame.flops,
                 bytes: frame.bytes,
-                nanos,
+                nanos: call.nanos,
                 dag: frame.dag,
                 children: frame.children,
-            };
-            let attached = ACTIVE.with(|a| {
-                if let Some(parent) = a.borrow_mut().last_mut() {
-                    if parent.tree {
-                        parent.children.push(span.clone());
-                        return true;
-                    }
-                }
-                false
             });
-            if !attached {
-                roots().lock().unwrap_or_else(|e| e.into_inner()).push(span);
-            }
         }
     }
 }
@@ -486,8 +479,7 @@ pub fn span_in(
         return ProbeGuard { active: false };
     }
     let cfg = &ctx.tune;
-    let lo = LO_DEPTH.with(|d| d.get()) > 0;
-    let abft = ABFT_DEPTH.with(|d| d.get()) > 0;
+    let (lo, abft) = ctx::peek(|f| (f.probe.lo, f.probe.abft));
     ACTIVE.with(|a| {
         a.borrow_mut().push(Frame {
             layer,
@@ -583,25 +575,9 @@ pub struct Report {
 /// Snapshots the counters and finished spans. Cheap; safe to call at any
 /// time (active spans on other threads are simply not included yet).
 pub fn snapshot() -> Report {
-    let mut rows: Vec<CounterRow> = counters()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-        .map(|(&(name, lo, abft), t)| CounterRow {
-            layer: t.layer,
-            routine: name,
-            lo,
-            abft,
-            calls: t.calls,
-            flops: t.flops,
-            bytes: t.bytes,
-            nanos: t.nanos,
-        })
-        .collect();
-    rows.sort_by_key(|r| (r.layer, r.routine, r.lo, r.abft));
     Report {
-        counters: rows,
-        spans: roots().lock().unwrap_or_else(|e| e.into_inner()).clone(),
+        counters: rows(&COUNTERS),
+        spans: lock(&ROOTS).clone(),
         abft_checks: crate::abft::checks(),
         abft_detections: crate::abft::detections(),
         abft_recoveries: crate::abft::recoveries(),
@@ -611,8 +587,8 @@ pub fn snapshot() -> Report {
 /// Clears the counter table and the finished span trees. Call between
 /// measurement windows, while no instrumented call is in flight.
 pub fn reset() {
-    counters().lock().unwrap_or_else(|e| e.into_inner()).clear();
-    roots().lock().unwrap_or_else(|e| e.into_inner()).clear();
+    lock(&COUNTERS).clear();
+    lock(&ROOTS).clear();
 }
 
 impl Report {
@@ -1078,6 +1054,42 @@ mod tests {
                 .any(|r| r.routine == "unit-test-outside"));
             assert!(rep.counters.iter().any(|r| r.routine == "unit-test-joba"));
         });
+    }
+
+    #[test]
+    fn worker_spans_graft_under_the_span_open_at_the_fork() {
+        let leaves = |_| drop(span(Layer::Blas, "unit-test-leaf", 1, 0));
+        with_policy(ProbePolicy::Spans, || {
+            let _fork = span(Layer::Lapack, "unit-test-fork", 0, 0);
+            ctx::fan_out(2, 0..4, leaves);
+            // A worker that forks again grafts its own workers' spans
+            // under the span it has open.
+            ctx::fan_out(2, 0..1, |_| {
+                let _mid = span(Layer::Lapack, "unit-test-mid", 0, 0);
+                ctx::fan_out(2, 0..3, leaves);
+            });
+        });
+        // A fork with no span open on the caller: its spans are roots.
+        with_policy(ProbePolicy::Spans, || {
+            ctx::fan_out(2, 0..2, |_| {
+                drop(span(Layer::Blas, "unit-test-rootleaf", 0, 0))
+            })
+        });
+        let rep = snapshot();
+        let named = |name| rep.spans.iter().filter(move |s| s.routine == name);
+        assert_eq!(named("unit-test-leaf").count(), 0, "a worker span detached");
+        assert_eq!(named("unit-test-mid").count(), 0, "a worker span detached");
+        assert_eq!(named("unit-test-rootleaf").count(), 2);
+        let fork = named("unit-test-fork").next().expect("fork span recorded");
+        let kids: Vec<_> = fork.children.iter().map(|c| c.routine).collect();
+        assert_eq!(
+            kids,
+            ["unit-test-leaf"; 4]
+                .into_iter()
+                .chain(["unit-test-mid"])
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(fork.children[4].children.len(), 3);
     }
 
     #[test]

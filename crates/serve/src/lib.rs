@@ -72,7 +72,10 @@
 //! * **Per-job state scoping** — every job runs inside
 //!   [`la_core::abft::job_scope`] and [`la_core::probe::job_scope`], so a
 //!   fault or counter from an abandoned job can never leak into a
-//!   sibling, and per-tenant flop/time accounting is exact.
+//!   sibling. The job's counters include the calls its task-graph and
+//!   band workers make, and a tenant is billed each unit of work once:
+//!   the closed-form flops of the job's LAPACK-layer calls and the wall
+//!   time of its `serve` span (the rows of the other layers restate them).
 //! * **One ambient context** — workers run under the configuration
 //!   ([`la_core::ctx::Ctx`]) of the thread that started the service, and
 //!   each job enters one [`la_core::ctx::Ambient`]: that configuration,

@@ -773,15 +773,6 @@ mod tests {
             abft: AbftPolicy::Verify,
             probe: ProbePolicy::Spans,
         };
-        // Thread-private state of the starting thread stays behind.
-        abft::clear_pending();
-        abft::raise("hop-test", 7);
-        let svc: Service<f64> = ctx::with(sentinel, || {
-            Service::start(ServeConfig {
-                workers: 2,
-                ..ServeConfig::default()
-            })
-        });
         // The jobs of this test, told apart from any other test's by a
         // default block size (the driver span's) no other test uses.
         let mine = || -> Vec<Span> {
@@ -794,11 +785,29 @@ mod tests {
         fn any(s: &Span, pred: &dyn Fn(&Span) -> bool) -> bool {
             pred(s) || s.children.iter().any(|c| any(c, pred))
         }
-        let (a, b) = spd(48);
-        svc.submit(JobSpec::new(SolveOp::Gesv, a.clone(), b.clone()))
-            .unwrap()
-            .wait()
-            .expect("the starting thread's parked fault must not reach the job");
+        // The starting thread's call-tree state stays behind: a parked
+        // fault, the probe's `lo` tag and its job sink. A service takes
+        // its configuration, not the call tree it was started from.
+        abft::clear_pending();
+        abft::raise("hop-test", 7);
+        let n = 48;
+        let (svc, starter) = ctx::with(sentinel, || {
+            probe::with_lo(|| {
+                probe::job_scope(|| {
+                    let svc: Service<f64> = Service::start(ServeConfig {
+                        workers: 2,
+                        ..ServeConfig::default()
+                    });
+                    let (a, b) = spd(n);
+                    svc.submit(JobSpec::new(SolveOp::Gesv, a, b).tenant("hop"))
+                        .unwrap()
+                        .wait()
+                        .expect("the starting thread's parked fault must not reach the job");
+                    svc
+                })
+            })
+        });
+        assert!(starter.is_empty(), "a job counted in the starter's sink");
         let spans = mine();
         assert_eq!(
             spans.len(),
@@ -816,8 +825,17 @@ mod tests {
             any(&spans[0], &|s| s.abft),
             "ABFT policy reached the worker"
         );
+        assert!(
+            !any(&spans[0], &|s| s.lo),
+            "the starter's lo tag reached the job"
+        );
+        // The job's own sink took the job's work, and only once.
+        assert_eq!(
+            svc.tenant_report("hop").map(|t| t.flops),
+            Some(probe::flops::getrf(n, n) + probe::flops::getrs(n, 1))
+        );
         // A poisoned job is rejected at the input screen, before getrf.
-        let mut poisoned = a.clone();
+        let (mut poisoned, b) = spd(n);
         poisoned[(3, 5)] = f64::NAN;
         let rej = svc
             .submit(JobSpec::new(SolveOp::Gesv, poisoned, b))
@@ -836,6 +854,121 @@ mod tests {
         );
         svc.shutdown();
         assert_eq!(abft::take_pending().map(|f| f.block), Some(7));
+    }
+
+    #[test]
+    fn a_tenant_is_billed_each_unit_of_work_once() {
+        // Under `Counters` a clean served gesv bills the closed forms of
+        // its factorization and solve, and no more wall time than the
+        // client waited; every layer's rows nest, so summing them all
+        // counted the same work several times over.
+        use la_core::ProbePolicy;
+        let svc: Service<f64> = probe::with_policy(ProbePolicy::Counters, || {
+            Service::start(ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            })
+        });
+        let n = 200;
+        let (a, b) = spd(n);
+        let started = Instant::now();
+        svc.submit(JobSpec::new(SolveOp::Gesv, a, b).tenant("billed"))
+            .unwrap()
+            .wait()
+            .unwrap();
+        let wall = started.elapsed().as_nanos() as u64;
+        let t = svc.tenant_report("billed").unwrap();
+        assert_eq!(
+            t.flops,
+            probe::flops::getrf(n, n) + probe::flops::getrs(n, 1)
+        );
+        assert!(
+            t.nanos > 0 && t.nanos <= wall,
+            "billed {} ns for a {wall} ns round trip",
+            t.nanos
+        );
+        svc.shutdown();
+    }
+
+    #[test]
+    fn concurrent_jobs_that_fan_out_record_disjoint_trees() {
+        // Two workers, each job's factorization a two-thread task graph
+        // (four 32-column blocks from n = 128). Every span a graph worker
+        // records lands in its own job's tree: run concurrently, each
+        // tree holds exactly what the same job records alone.
+        use la_core::probe::Span;
+        use la_core::{ProbePolicy, TuneConfig};
+        type Tally = BTreeMap<&'static str, (usize, u64)>;
+        fn tally(s: &Span, t: &mut Tally) {
+            let e = t.entry(s.routine).or_default();
+            e.0 += 1;
+            e.1 += s.flops;
+            s.children.iter().for_each(|c| tally(c, t));
+        }
+        let sentinel = Ctx {
+            tune: TuneConfig {
+                max_threads: 2,
+                oversubscribe: true,
+                tile_nb: 32,
+                nb_default: 23,
+                ..TuneConfig::defaults()
+            },
+            probe: ProbePolicy::Spans,
+            ..Ctx::defaults()
+        };
+        let svc: Service<f64> = ctx::with(sentinel, || {
+            Service::start(ServeConfig {
+                workers: 2,
+                ..ServeConfig::default()
+            })
+        });
+        // This test's jobs, keyed by order, in the order they finished.
+        let mine = || -> Vec<(usize, Tally)> {
+            let spans = probe::snapshot().spans;
+            let mut trees = Vec::new();
+            let ours = spans
+                .iter()
+                .filter(|s| s.find("LA_GESV").is_some_and(|d| d.nb == 23));
+            for s in ours {
+                let dag = s.find("getrf_dag").expect("the job takes the graph");
+                assert_eq!(dag.dag.map(|d| d.workers), Some(2));
+                let n = [128, 160]
+                    .into_iter()
+                    .find(|&n| dag.flops == probe::flops::getrf(n, n))
+                    .unwrap();
+                let mut t = Tally::new();
+                tally(s, &mut t);
+                assert!(t.contains_key("lu_step"), "the graph's updates detached");
+                trees.push((n, t));
+            }
+            trees
+        };
+        let submit = |n| {
+            let (a, b) = spd(n);
+            svc.submit(JobSpec::new(SolveOp::Gesv, a, b).tenant("graph"))
+                .unwrap()
+        };
+        submit(128).wait().unwrap();
+        submit(160).wait().unwrap();
+        let alone = mine();
+        assert_eq!(alone.len(), 2);
+        let both = [submit(128), submit(160)];
+        for h in both {
+            h.wait().unwrap();
+        }
+        let trees = mine();
+        assert_eq!(trees.len(), 4, "one tree per job, no worker span detached");
+        for (n, t) in &trees[2..] {
+            let solo = &alone.iter().find(|(m, _)| m == n).unwrap().1;
+            assert_eq!(t, solo, "n = {n}: the concurrent tree is not the job's own");
+        }
+        // Billed once per job: the `getrf_dag` row restates `getrf`'s flops.
+        let bill = |n| probe::flops::getrf(n, n) + probe::flops::getrs(n, 1);
+        assert_eq!(
+            svc.tenant_report("graph").map(|t| t.flops),
+            Some(2 * (bill(128) + bill(160)))
+        );
+        svc.shutdown();
     }
 
     #[test]

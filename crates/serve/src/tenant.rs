@@ -1,5 +1,7 @@
 //! Per-tenant bookkeeping: the fault streak and accounting snapshots.
 
+use la_core::probe::{CounterRow, Layer};
+
 /// Mutable per-tenant state the service keeps under its tenants lock.
 #[derive(Debug)]
 pub(crate) struct TenantState {
@@ -27,11 +29,20 @@ impl TenantState {
         }
     }
 
-    /// Folds a job's probe counters into the tenant's totals.
-    pub(crate) fn account(&mut self, rows: &[la_core::probe::CounterRow]) {
+    /// Folds a job's probe counters into the tenant's totals, counting
+    /// each unit of work once. The rows nest (a span's time includes its
+    /// children's, a factorization's flops are its BLAS calls' too), so
+    /// time is the job's own `serve` row and flops are the closed forms of
+    /// the LAPACK-layer calls; a `*_dag` row restates the entry that took
+    /// the task-graph route, and is skipped.
+    pub(crate) fn account(&mut self, rows: &[CounterRow]) {
         for r in rows {
-            self.flops += r.flops;
-            self.nanos += r.nanos;
+            if r.routine == "serve" {
+                self.nanos += r.nanos;
+            }
+            if r.layer == Layer::Lapack && !r.routine.ends_with("_dag") {
+                self.flops += r.flops;
+            }
         }
     }
 
@@ -99,10 +110,12 @@ pub struct TenantReport {
     /// Consecutive faulty jobs (panic, soft fault, residual failure,
     /// re-screened NaN) up to now; a clean answer resets it.
     pub fault_streak: u32,
-    /// Probe-counted flops attributed to this tenant's jobs (0 unless a
-    /// counting [`la_core::probe`] policy is active).
+    /// Closed-form flops of the factorizations and solves this tenant's
+    /// jobs ran, ladder re-runs included (0 unless a counting
+    /// [`la_core::probe`] policy is active).
     pub flops: u64,
-    /// Probe-counted wall nanoseconds attributed to this tenant's jobs.
+    /// Wall nanoseconds of this tenant's jobs on the workers, from the
+    /// start of the solve to its answer check.
     pub nanos: u64,
 }
 

@@ -8,7 +8,7 @@
 
 use std::sync::Mutex;
 
-use la_core::probe::{self, flops, ProbePolicy};
+use la_core::probe::{self, flops, CounterRow, ProbePolicy, Span};
 use la_core::{tune, Mat, Side, Trans, Uplo};
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -291,4 +291,88 @@ fn report_json_round_trips() {
     let table = report.to_table();
     assert!(table.contains("LA_GESV"));
     assert!(table.contains("getrf"));
+}
+
+/// Two workers on any host: past the graph threshold at n = 768, `getrf`
+/// runs the task graph on a `ctx::fan_out` team.
+fn two_threads() -> tune::TuneConfig {
+    tune::TuneConfig {
+        max_threads: 2,
+        oversubscribe: true,
+        ..tune::TuneConfig::defaults()
+    }
+}
+
+/// How many spans named `routine` the tree under `s` holds, `s` included.
+fn count(s: &Span, routine: &str) -> usize {
+    usize::from(s.routine == routine) + s.children.iter().map(|c| count(c, routine)).sum::<usize>()
+}
+
+#[test]
+fn two_thread_gesv_records_one_tree_and_one_job_slice() {
+    let _l = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    probe::reset();
+
+    let n = 768usize;
+    let ((), job) = probe::with_policy(ProbePolicy::Spans, || {
+        tune::with(two_threads(), || {
+            probe::job_scope(|| {
+                let mut a = test_matrix(n, 11);
+                let mut b: Vec<f64> = vec![1.0; n];
+                la90::gesv(&mut a, &mut b).expect("gesv");
+            })
+        })
+    });
+
+    let report = probe::snapshot();
+    let roots: Vec<_> = report.spans.iter().map(|s| s.routine).collect();
+    assert_eq!(roots, ["LA_GESV"], "the graph's worker spans detached");
+    let root = &report.spans[0];
+    let getrf = root.find("getrf").expect("getrf under LA_GESV");
+    let dag = getrf
+        .find("getrf_dag")
+        .expect("n = 768 on two threads takes the graph");
+    assert_eq!(dag.dag.expect("graph shape").workers, 2);
+    let steps = count(root, "lu_step");
+    assert!(steps > 0, "the graph's updates record lu_step spans");
+    assert_eq!(count(getrf, "lu_step"), steps, "every lu_step under getrf");
+    let global = report.counters.iter().find(|r| r.routine == "lu_step");
+    assert_eq!(global.map(|r| r.calls), Some(steps as u64));
+
+    // The job's slice holds every call the global table grew by, worker
+    // calls included, with the same totals.
+    assert_eq!(job, report.counters);
+}
+
+#[test]
+fn two_thread_gesv_mixed_tags_every_demoted_step() {
+    let _l = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    probe::reset();
+
+    let n = 768usize;
+    probe::with_policy(ProbePolicy::Counters, || {
+        tune::with(two_threads(), || {
+            let mut a = test_matrix(n, 12);
+            let b: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
+            let mut x = vec![0.0f64; n];
+            let iter = la90::gesv_mixed(&mut a, &b, &mut x).expect("gesv_mixed");
+            assert!(iter > 0, "expected the low-precision path, iter = {iter}");
+        })
+    });
+
+    let report = probe::snapshot();
+    let steps: Vec<&CounterRow> = report
+        .counters
+        .iter()
+        .filter(|r| r.routine == "lu_step")
+        .collect();
+    assert!(!steps.is_empty(), "the demoted getrf records lu_step calls");
+    assert!(
+        steps.iter().all(|r| r.lo),
+        "an lu_step of the demoted factorization lost the lo tag: {steps:?}"
+    );
+    assert!(report
+        .counters
+        .iter()
+        .any(|r| r.routine == "getrf_dag" && r.lo));
 }
