@@ -20,6 +20,10 @@
 //!   largest unblocked order), each with its ratio to the right-looking
 //!   rank-1 loop it replaced (kept here as the reference, the two taking
 //!   turns for 0.4 s; these rows do not depend on the gemm kernel),
+//! * the Cholesky panel at the diagonal blocks a blocked `potrf` factors —
+//!   96 × 96 and 128 × 128, Upper and Lower — `potrf2` (the recursive
+//!   panel) with its ratio to `potf2` (the Level-2 loop it replaced), the
+//!   two taking turns for 0.4 s,
 //!
 //! and prints wall-clock and GF/s. Generates the kernel tables in
 //! `EXPERIMENTS.md`. Best of at least 3 repetitions and 0.2 s per point.
@@ -59,6 +63,8 @@
 //! * `--min-trsm-over-gemm R`: `dtrsm` 256 × 1024 (L/N/unit) over `dgemm`
 //!   256 × 1024 × 256, taking turns (needs `simd`);
 //! * `--min-panel-over-rank1 R`: `dgetf2` 96 × 32 over the rank-1 loop;
+//! * `--min-chol-panel-over-potf2 R`: the smallest of the four `dpotrf2`
+//!   speed-ups over `dpotf2`;
 //! * `--min-packed-over-reference R`: `dgemm` n = 256 over [`gemm_axpy`];
 //! * `--min-avx512-over-avx2 R`: the f64 AVX-512 tile's `gemm` n = 256
 //!   speed-up over the AVX2 tile (needs `simd`; prints `skipped: no
@@ -71,10 +77,12 @@
 //! * `--min-mixed-speedup R`: `dgesv` time over `dgesv_mixed` time at
 //!   n = 1024.
 //!
-//! The last three read the AVX2 tier's run: the tile every `simd` host
+//! The last two read the AVX2 tier's run: the tile every `simd` host
 //! runs, so one bound holds on any runner (the AVX-512 tier moves each of
 //! these ratios by more than the slowdown it must catch; EXPERIMENTS.md,
-//! "An AVX-512 tier").
+//! "An AVX-512 tier"). The factor gate reads the widest tier's run, where
+//! one bound separates a 25 % slower Cholesky step (EXPERIMENTS.md,
+//! "Cholesky at Level-3 speed").
 //!
 //! Blocking parameters come from [`la_core::tune`]: a sweep over the
 //! cache blocking sets `TuneConfig::{gemm_mc, gemm_kc, gemm_nc}` in code
@@ -727,10 +735,49 @@ fn panel_rows() -> f64 {
     gated
 }
 
+/// The Cholesky panel rows: the recursive `potrf2` against `potf2` on the
+/// 96- and 128-wide diagonal blocks a blocked `potrf` factors, both
+/// triangles, the two taking turns for 0.4 s on fresh copies. Returns the
+/// smallest speed-up over `potf2`.
+fn chol_panel_rows() -> f64 {
+    type Panel = fn(Uplo, usize, &mut [f64], usize) -> i32;
+    let mut gated = f64::INFINITY;
+    for n in [96usize, 128] {
+        let a0 = bench_spd::<f64>(n, 23);
+        let a0 = a0.as_slice();
+        let mut a = a0.to_vec();
+        for uplo in [Uplo::Upper, Uplo::Lower] {
+            let mut time = |f: Panel| {
+                a.copy_from_slice(a0);
+                let secs = timed(|| assert_eq!(f(uplo, n, &mut a, n), 0));
+                std::hint::black_box(&a);
+                secs
+            };
+            let (mut potf2, mut panel) = (f64::INFINITY, f64::INFINITY);
+            let start = Instant::now();
+            while start.elapsed().as_secs_f64() < 0.4 {
+                potf2 = potf2.min(time(f77::potf2::<f64>));
+                panel = panel.min(time(f77::potrf2::<f64>));
+            }
+            let rate = flops::potrf(n) as f64 / panel / 1e9;
+            let shape = format!("{n}x{n} {uplo:?}");
+            println!(
+                "potrf2 {shape:<15}                 {:9.3} us  {rate:6.2} GF/s  {:4.2} x potf2 ({:.3} us)",
+                panel * 1e6,
+                potf2 / panel,
+                potf2 * 1e6,
+            );
+            gated = gated.min(potf2 / panel);
+        }
+    }
+    gated
+}
+
 fn main() {
     let mut args = Args::from_env();
     let min_trsm = args.limit("--min-trsm-over-gemm");
     let min_panel = args.limit("--min-panel-over-rank1");
+    let min_chol_panel = args.limit("--min-chol-panel-over-potf2");
     let min_packed = args.limit("--min-packed-over-reference");
     let min_tier = args.limit("--min-avx512-over-avx2");
     let min_factor = args.limit("--min-factor-over-gemm");
@@ -814,15 +861,16 @@ fn main() {
     }
     trsm_rows(&kernels);
     let panel = panel_rows();
+    let chol_panel = chol_panel_rows();
     println!("== one thread, default kernel, calls taking turns for {MIN_SECS} s per group ==");
     let trsm = trsm_gate_row();
     let packed = reference_row();
     let tier = tier_row();
-    let (mut factor, mut abft_overhead) = factor_rows(false);
+    let (factor, mut abft_overhead) = factor_rows(false);
     let mut mixed = mixed_rows(false);
-    // On a two-tier host the gates read the AVX2 tier's run.
+    // On a two-tier host the ABFT and mixed gates read the AVX2 tier's run.
     if two_tiers() {
-        (factor, abft_overhead) = factor_rows(true);
+        (_, abft_overhead) = factor_rows(true);
         mixed = mixed_rows(true);
     }
     nb_rows();
@@ -830,6 +878,11 @@ fn main() {
     let gates = [
         gate("trsm 256x1024 over gemm", trsm, min_trsm),
         gate("getf2 96x32 over the rank-1 loop", panel, min_panel),
+        gate(
+            "min potrf2 over potf2, 96 and 128",
+            chol_panel,
+            min_chol_panel,
+        ),
         gate("gemm n=256 over the column-axpy loop", packed, min_packed),
         match tier {
             Some(tier) => gate("f64 gemm n=256 avx-512 over avx2 tile", tier, min_tier),

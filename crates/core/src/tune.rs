@@ -254,16 +254,13 @@ impl TuneConfig {
 
     /// Block size for `routine` at problem order `n` (an
     /// `ILAENV(1, NAME, OPTS, N1..)` analog; lowercase LAPACK routine
-    /// names): the routine's `nb_*` knob, narrowed where the order is
-    /// small. Only the Cholesky panel is — at most 32 wide up to order
-    /// 256, where a 96-wide panel would leave one or two steps of mostly
-    /// Level-2 work (sweep in EXPERIMENTS.md, "A BLAS-3 call costs what it
-    /// computes"); the knob stays the upper bound, so a smaller
-    /// `LA_NB_POTRF` is honoured at every order.
-    pub fn nb(&self, routine: &str, n: usize) -> usize {
+    /// names): the routine's `nb_*` knob, at every order. Small orders
+    /// need no narrower Cholesky panel: the recursive panel cuts any
+    /// width into 32-wide leaves (EXPERIMENTS.md, "Cholesky at Level-3
+    /// speed").
+    pub fn nb(&self, routine: &str, _n: usize) -> usize {
         match routine {
             "getrf" | "getri" => self.nb_getrf,
-            "potrf" if n <= SMALL_ORDER => self.nb_potrf.min(NB_POTRF_SMALL),
             "potrf" => self.nb_potrf,
             "geqrf" | "gelqf" | "ormqr" => self.nb_geqrf,
             _ => self.nb_default,
@@ -296,12 +293,6 @@ impl TuneConfig {
         }
     }
 }
-
-/// Order up to which [`TuneConfig::nb`] narrows the Cholesky panel.
-const SMALL_ORDER: usize = 256;
-
-/// The widest Cholesky panel at orders up to [`SMALL_ORDER`].
-const NB_POTRF_SMALL: usize = 32;
 
 impl Default for TuneConfig {
     fn default() -> Self {
@@ -479,17 +470,19 @@ mod tests {
     }
 
     #[test]
-    fn small_orders_narrow_the_cholesky_panel_and_pull_in_its_crossover() {
+    fn the_cholesky_panel_is_the_knob_at_every_order() {
         let d = TuneConfig::defaults();
-        assert_eq!((d.nb("potrf", 256), d.nb("potrf", 257)), (32, 96));
-        assert_eq!((d.nb("getrf", 96), d.nb("getrf", 768)), (32, 32));
-        // Two panels of the width in effect bind below the knob.
+        for n in [32, 96, 256, 257, 768] {
+            assert_eq!((d.nb("potrf", n), d.nb("getrf", n)), (96, 32), "n={n}");
+        }
+        // The crossover knob binds for `potrf` (two 96-wide panels would
+        // be 192), two panels for `getrf`: a Cholesky up to order 128 is
+        // one recursive panel.
         assert_eq!(
             (d.crossover("potrf", 96), d.crossover("getrf", 96)),
-            (64, 64)
+            (128, 64)
         );
-        assert_eq!(d.crossover("potrf", 768), 128);
-        // The knob stays the upper bound at every order.
+        // A narrower knob is honoured, and its two panels bind.
         let narrow = TuneConfig { nb_potrf: 8, ..d };
         assert_eq!((narrow.nb("potrf", 96), narrow.nb("potrf", 768)), (8, 8));
         assert_eq!(narrow.crossover("potrf", 96), 16);

@@ -1024,7 +1024,7 @@ mod tests {
     use super::*;
     use la_core::C64;
 
-    /// What `getrf_core` / `potrf_core` / `potf2` turn into
+    /// What `getrf_core` / `potrf_core` / `potf2` / `potrf2` turn into
     /// `INFO_NO_WORKSPACE`: a refused request is `None`, not an abort.
     #[test]
     fn try_zeros_reports_a_refused_request() {

@@ -21,15 +21,9 @@ pub fn potf2<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i32 {
 }
 
 /// [`potf2`] on a caller-provided workspace of at least `n − 1` elements
-/// (contents ignored), so the blocked loop factors its panels without an
-/// allocation each.
-pub(crate) fn potf2_ws<T: Scalar>(
-    uplo: Uplo,
-    n: usize,
-    a: &mut [T],
-    lda: usize,
-    ws: &mut [T],
-) -> i32 {
+/// (contents ignored), so the recursive panel factors its leaves without
+/// an allocation each.
+fn potf2_ws<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize, ws: &mut [T]) -> i32 {
     let ws = &mut ws[..n.saturating_sub(1)];
     for j in 0..n {
         match uplo {
@@ -111,6 +105,150 @@ pub(crate) fn potf2_ws<T: Scalar>(
     0
 }
 
+/// Recursive Cholesky factorization (`xPOTRF2`): `A = UᴴU` or `A = LLᴴ`
+/// with every flop outside the [`POTRF2_LEAF`]-wide leaves in `trsm` and
+/// `herk`. Same `info` as [`potf2`]: the order of the first leading minor
+/// that is not positive, or [`INFO_NO_WORKSPACE`] if its workspace
+/// ([`potrf2_ws_len`] elements) cannot be allocated.
+pub fn potrf2<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i32 {
+    let Some(mut ws) = try_zeros::<T>(potrf2_ws_len(n)) else {
+        return INFO_NO_WORKSPACE;
+    };
+    one_thread(|| potrf2_ws(uplo, n, a, lda, &mut ws))
+}
+
+/// Widest block [`potrf2`] factors with [`potf2`], and the grid its splits
+/// fall on.
+const POTRF2_LEAF: usize = 32;
+
+/// Columns a [`potrf2`] node of order `n > POTRF2_LEAF` factors first:
+/// half its leaves, rounded up, so the leaves are the `POTRF2_LEAF`-wide
+/// panels a blocked loop at that width would factor, in the same order.
+fn potrf2_split(n: usize) -> usize {
+    POTRF2_LEAF * n.div_ceil(POTRF2_LEAF).div_ceil(2)
+}
+
+/// Elements of workspace [`potrf2`] takes on an order-`n` block: the
+/// largest step copy, `n1·(n − n1)`, or leaf scratch, `n − 1`, of any node;
+/// the nodes run one after another on the same elements.
+pub(crate) fn potrf2_ws_len(n: usize) -> usize {
+    if n <= POTRF2_LEAF {
+        return n.saturating_sub(1);
+    }
+    let n1 = potrf2_split(n);
+    (n1 * (n - n1))
+        .max(potrf2_ws_len(n1))
+        .max(potrf2_ws_len(n - n1))
+}
+
+/// [`potrf2`] on a caller-provided workspace of at least
+/// [`potrf2_ws_len`]`(n)` elements (contents ignored).
+fn potrf2_ws<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize, ws: &mut [T]) -> i32 {
+    if n <= POTRF2_LEAF {
+        return potf2_ws(uplo, n, a, lda, ws);
+    }
+    let n1 = potrf2_split(n);
+    let info = potrf2_ws(uplo, n1, a, lda, ws);
+    if info != 0 {
+        return info;
+    }
+    chol_step(uplo, n1, n - n1, a, lda, ws);
+    match potrf2_ws(uplo, n - n1, &mut a[n1 + n1 * lda..], lda, ws) {
+        0 => 0,
+        // A positive code counts minors from the second block's corner.
+        info => info + n1 as i32,
+    }
+}
+
+/// One right-looking step on the `(jb + rest)`-order block whose corner is
+/// `a[0]`, `A11` (`jb × jb`) already factored: the off-diagonal block
+/// (`U12 := U11⁻ᴴ·A12`, resp. `L21 := A21·L11⁻ᴴ`), then `A22 −= U12ᴴ·U12`
+/// (resp. `L21·L21ᴴ`). `ws` (at least `jb·rest` elements, contents
+/// ignored) holds the one copy the step needs of an operand that shares
+/// its columns with what the step writes: `U12`, read by the update;
+/// `L21ᴴ`, solved there as a right-side `trsm` would solve it in a copy of
+/// its own. Every other operand is read in place. The blocked loop and
+/// the recursive panel both step through here.
+fn chol_step<T: Scalar>(uplo: Uplo, jb: usize, rest: usize, a: &mut [T], lda: usize, ws: &mut [T]) {
+    // The factored columns, and the columns right of them.
+    let (left, right) = a.split_at_mut(jb * lda);
+    let copy = &mut ws[..jb * rest];
+    match uplo {
+        Uplo::Lower => {
+            // L21ᴴ := L11⁻¹·A21ᴴ, column `r` of the copy being row `r` of
+            // A21 (read down A21's columns).
+            for c in 0..jb {
+                let src = &left[jb + c * lda..][..rest];
+                for (r, &x) in src.iter().enumerate() {
+                    copy[c + r * jb] = x.conj();
+                }
+            }
+            trsm(
+                Side::Left,
+                Uplo::Lower,
+                Trans::No,
+                Diag::NonUnit,
+                jb,
+                rest,
+                T::one(),
+                left,
+                lda,
+                copy,
+                jb,
+            );
+            for c in 0..jb {
+                let dst = &mut left[jb + c * lda..][..rest];
+                for (r, x) in dst.iter_mut().enumerate() {
+                    *x = copy[c + r * jb].conj();
+                }
+            }
+            // A22 -= L21·L21ᴴ: L21 sits left of A22.
+            herk(
+                Uplo::Lower,
+                Trans::No,
+                rest,
+                jb,
+                -T::Real::one(),
+                &left[jb..],
+                lda,
+                T::Real::one(),
+                &mut right[jb..],
+                lda,
+            );
+        }
+        Uplo::Upper => {
+            trsm(
+                Side::Left,
+                Uplo::Upper,
+                Trans::ConjTrans,
+                Diag::NonUnit,
+                jb,
+                rest,
+                T::one(),
+                left,
+                lda,
+                right,
+                lda,
+            );
+            // A22 -= U12ᴴ·U12, reading U12 from the copy: the two share
+            // columns.
+            crate::aux::lacpy(None, jb, rest, right, lda, copy, jb);
+            herk(
+                Uplo::Upper,
+                Trans::ConjTrans,
+                rest,
+                jb,
+                -T::Real::one(),
+                copy,
+                jb,
+                T::Real::one(),
+                &mut right[jb..],
+                lda,
+            );
+        }
+    }
+}
+
 /// Blocked right-looking Cholesky factorization (`xPOTRF`).
 ///
 /// When the ABFT policy (`la_core::abft`) is enabled and the problem is
@@ -184,34 +322,39 @@ pub(crate) fn potrf_core<T: Scalar>(
             }
             info => info,
         },
-        Route::Unblocked => potf2(uplo, n, a, lda),
-        Route::Blocked => match try_zeros::<T>(potrf_ws_len(n, how.nb)) {
-            Some(mut ws) => one_thread(|| potrf_blocked(uplo, n, a, lda, how.nb, &mut ws)),
-            None => INFO_NO_WORKSPACE,
-        },
+        Route::Unblocked | Route::Blocked => {
+            let nb = loop_nb(how, n);
+            match try_zeros::<T>(potrf_ws_len(n, nb)) {
+                Some(mut ws) => one_thread(|| potrf_blocked(uplo, n, a, lda, nb, &mut ws)),
+                None => INFO_NO_WORKSPACE,
+            }
+        }
     }
 }
 
-/// Elements of workspace [`potrf_blocked`] takes: room for one step's
-/// off-diagonal block, `nb·(n − nb)`, and for its diagonal block, `nb²` —
-/// the one copy a step needs, which also serves as the panel's `potf2`
-/// scratch.
-pub(crate) fn potrf_ws_len(n: usize, nb: usize) -> usize {
-    nb * n.saturating_sub(nb).max(nb)
+/// Panel width of the serial loop on `how`'s route for an order-`n`
+/// problem: the whole order at or below the crossover, where the recursive
+/// panel factors the matrix in one piece.
+pub(crate) fn loop_nb(how: Blocking, n: usize) -> usize {
+    match how.route {
+        Route::Unblocked => n,
+        _ => how.nb,
+    }
 }
 
-/// Rows of `L21` from which a right-side `trsm` solves through a
-/// conjugate-transposed copy of its right-hand side (`la_blas::trsm`'s own
-/// crossover); below it, row by row.
-const TRANSPOSED_SOLVE_MIN_ROWS: usize = 12;
+/// Elements of workspace [`potrf_blocked`] takes: the first step's copy of
+/// its off-diagonal block, `nb·(n − nb)`, or the recursion on a whole
+/// diagonal block, whichever is larger. A last, narrower block of `r`
+/// columns needs at most `r²/4`, under the first step's copy.
+pub(crate) fn potrf_ws_len(n: usize, nb: usize) -> usize {
+    let nb = nb.min(n);
+    (nb * (n - nb)).max(potrf2_ws_len(nb))
+}
 
-/// Right-looking blocked Cholesky with panel width `nb`. `ws` (at least
-/// [`potrf_ws_len`] elements, contents ignored) holds each step's one copy
-/// of an operand that shares its columns with what the step writes: `U12`
-/// (`Upper`), read by the update of `A22`; `L21ᴴ` (`Lower`), solved in the
-/// workspace as a right-side `trsm` would solve it in a copy of its own —
-/// or `L11` when `L21` has too few rows for that form. Every other operand
-/// is read in place.
+/// Right-looking blocked Cholesky with panel width `nb` (`nb ≥ n`: one
+/// panel): [`potrf2`] on each diagonal block, then [`chol_step`] right of
+/// it, both on `ws` (at least [`potrf_ws_len`] elements, contents
+/// ignored).
 pub(crate) fn potrf_blocked<T: Scalar>(
     uplo: Uplo,
     n: usize,
@@ -229,114 +372,14 @@ pub(crate) fn potrf_blocked<T: Scalar>(
             return la_core::cancel::INFO_CANCELLED;
         }
         let jb = nb.min(n - j);
-        // `ws` is free until this step's copy below.
-        let info = potf2_ws(uplo, jb, &mut a[j + j * lda..], lda, ws);
+        let corner = &mut a[j + j * lda..];
+        let info = potrf2_ws(uplo, jb, corner, lda, ws);
         if info != 0 {
             // A positive code counts minors from this panel's corner.
-            return if info > 0 { info + j as i32 } else { info };
+            return info + j as i32;
         }
         if j + jb < n {
-            let rest = n - j - jb;
-            // The panel's columns, and the columns right of it.
-            let (left, right) = a.split_at_mut((j + jb) * lda);
-            match uplo {
-                Uplo::Lower => {
-                    // L21 := A21·L11⁻ᴴ. Both sit in the panel's columns, so
-                    // the solve runs on a copy.
-                    let panel = &mut left[j * lda..];
-                    if rest < TRANSPOSED_SOLVE_MIN_ROWS {
-                        let l11 = &mut ws[..jb * jb];
-                        crate::aux::lacpy(Some(Uplo::Lower), jb, jb, &panel[j..], lda, l11, jb);
-                        trsm(
-                            Side::Right,
-                            Uplo::Lower,
-                            Trans::ConjTrans,
-                            Diag::NonUnit,
-                            rest,
-                            jb,
-                            T::one(),
-                            l11,
-                            jb,
-                            &mut panel[j + jb..],
-                            lda,
-                        );
-                    } else {
-                        // L21ᴴ := L11⁻¹·A21ᴴ, column `r` of the copy being
-                        // row `r` of A21 (read down A21's columns).
-                        let l21h = &mut ws[..jb * rest];
-                        for c in 0..jb {
-                            let src = &panel[j + jb + c * lda..][..rest];
-                            for (r, &x) in src.iter().enumerate() {
-                                l21h[c + r * jb] = x.conj();
-                            }
-                        }
-                        trsm(
-                            Side::Left,
-                            Uplo::Lower,
-                            Trans::No,
-                            Diag::NonUnit,
-                            jb,
-                            rest,
-                            T::one(),
-                            &panel[j..],
-                            lda,
-                            l21h,
-                            jb,
-                        );
-                        for c in 0..jb {
-                            let dst = &mut panel[j + jb + c * lda..][..rest];
-                            for (r, x) in dst.iter_mut().enumerate() {
-                                *x = l21h[c + r * jb].conj();
-                            }
-                        }
-                    }
-                    // A22 -= L21·L21ᴴ: L21 sits left of A22.
-                    herk(
-                        Uplo::Lower,
-                        Trans::No,
-                        rest,
-                        jb,
-                        -T::Real::one(),
-                        &left[j + jb + j * lda..],
-                        lda,
-                        T::Real::one(),
-                        &mut right[j + jb..],
-                        lda,
-                    );
-                }
-                Uplo::Upper => {
-                    // U12 := U11⁻ᴴ · A12.
-                    trsm(
-                        Side::Left,
-                        Uplo::Upper,
-                        Trans::ConjTrans,
-                        Diag::NonUnit,
-                        jb,
-                        rest,
-                        T::one(),
-                        &left[j + j * lda..],
-                        lda,
-                        &mut right[j..],
-                        lda,
-                    );
-                    // A22 -= U12ᴴ·U12, reading U12 from a copy: the two
-                    // share columns.
-                    let u12 = &mut ws[..jb * rest];
-                    crate::aux::lacpy(None, jb, rest, &right[j..], lda, u12, jb);
-                    herk(
-                        Uplo::Upper,
-                        Trans::ConjTrans,
-                        rest,
-                        jb,
-                        -T::Real::one(),
-                        u12,
-                        jb,
-                        T::Real::one(),
-                        &mut right[j + jb..],
-                        lda,
-                    );
-                }
-            }
+            chol_step(uplo, jb, n - j - jb, corner, lda, ws);
         }
         j += jb;
     }

@@ -309,9 +309,9 @@ pub fn potrf_dag<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i3
             // Blocked diagonal factorization (never re-enters the dag: it
             // is one block wide).
             let how = Blocking::of("potrf", nk, nk);
-            let info = one_thread(|| match how.route {
-                Route::Unblocked => crate::chol::potf2_ws(uplo, nk, &mut blk[ck..], lda, &mut w),
-                _ => crate::chol::potrf_blocked(uplo, nk, &mut blk[ck..], lda, how.nb, &mut w),
+            let nb = crate::chol::loop_nb(how, nk);
+            let info = one_thread(|| {
+                crate::chol::potrf_blocked(uplo, nk, &mut blk[ck..], lda, nb, &mut w)
             });
             if info == 0 && uplo == Uplo::Lower && ck + nk < n {
                 // L21 := A21·L11⁻ᴴ, reading L11 from a copy: the two share

@@ -233,7 +233,7 @@ fn cancelled_token_reports_info_minus_103() {
 /// Closed-form task counts for evenly blocked problems (`nb | n`), `t`
 /// blocks of whole columns.
 mod task_counts {
-    /// Lower Cholesky: per step `k` one diagonal task (`potf2` + `trsm`)
+    /// Lower Cholesky: per step `k` one diagonal task (`potrf2` + `trsm`)
     /// and one `herk` + `gemm` update per later block, `t−k−1`.
     pub fn potrf(t: usize) -> u64 {
         (0..t).map(|k| 1 + (t - k - 1) as u64).sum()

@@ -14,8 +14,11 @@
 //!   `INFO_NO_WORKSPACE`) instead of aborting the process. It also counts
 //!   bytes, which bounds what a graph takes besides `A`.
 //! * Around the crossover (n = 47 … 129, four types) the default route is
-//!   bitwise the unblocked form up to n = 64 and bitwise the forced-blocked
-//!   form above it; both forms agree to the `par_equiv` tolerances, report
+//!   bitwise the unblocked form up to the crossover and bitwise the
+//!   forced-blocked form above it — `getf2` up to n = 64; for `potrf` the
+//!   recursive panel `potrf2`, whole, up to n = 128, where the crossover
+//!   knob binds before two 96-wide panels do; both forms agree to the
+//!   `par_equiv` tolerances, report
 //!   the same `info` wherever the first zero pivot / non-positive minor
 //!   sits, and `potrf` never touches the triangle it was not given.
 
@@ -550,12 +553,18 @@ fn potrf_boundary<T: Scalar>(tol: f64) {
                 let mut a = a0.to_vec();
                 let info = match cfg {
                     Some(cfg) => tune::with(cfg, || f77::potrf(uplo, n, &mut a, n)),
-                    None => f77::potf2(uplo, n, &mut a, n),
+                    None => f77::potrf2(uplo, n, &mut a, n),
                 };
                 (a, info)
             };
+            // The forced-blocked form with 32-wide panels: at the default
+            // NB (96) most of these orders are one panel.
+            let blocked_32 = tune::TuneConfig {
+                nb_potrf: 32,
+                ..blocked_cfg()
+            };
             let unblocked = run(&a0, None);
-            let blocked = run(&a0, Some(blocked_cfg()));
+            let blocked = run(&a0, Some(blocked_32));
             assert_eq!((unblocked.1, blocked.1), (0, 0), "{what}");
             assert_close(&unblocked.0, &blocked.0, tol, &what);
             for (form, out) in [("unblocked", &unblocked.0), ("blocked", &blocked.0)] {
@@ -569,14 +578,19 @@ fn potrf_boundary<T: Scalar>(tol: f64) {
                 }
             }
             let default = run(&a0, Some(serial_cfg()));
-            let same_as = if n <= 64 { &unblocked } else { &blocked };
-            assert!(default.0 == same_as.0, "{what}: default route");
+            let crossover = tune::with(serial_cfg(), || f77::ilaenv_crossover("potrf", n));
+            let same_as = if n <= crossover {
+                unblocked.0.clone()
+            } else {
+                run(&a0, Some(blocked_cfg())).0
+            };
+            assert!(default.0 == same_as, "{what}: default route");
             // A negative diagonal entry makes the minor of order p + 1 the
             // first that is not positive.
             for p in [2, n / 2, n - 2] {
                 let mut bad = a0.clone();
                 bad[p + p * n] = T::from_f64(-1.0);
-                let (u, b) = (run(&bad, None), run(&bad, Some(blocked_cfg())));
+                let (u, b) = (run(&bad, None), run(&bad, Some(blocked_32)));
                 assert_eq!(u.1, p as i32 + 1, "{what}: unblocked info, minor {p}");
                 assert_eq!(b.1, p as i32 + 1, "{what}: blocked info, minor {p}");
             }

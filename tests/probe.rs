@@ -261,8 +261,57 @@ fn counter_totals_match_closed_forms_across_sizes() {
                 }
             }
             assert_eq!(la_lapack::potrf(Uplo::Lower, n, spd.as_mut_slice(), n), 0);
+            assert_eq!(la_lapack::potrf(Uplo::Upper, n, spd.as_mut_slice(), n), 0);
         });
-        assert_eq!(take("potrf"), (1, flops::potrf(n)), "potrf n={n}");
+        // One row per call, both triangles, whatever the panel recursion
+        // does underneath.
+        assert_eq!(take("potrf"), (2, 2 * flops::potrf(n)), "potrf n={n}");
+    }
+}
+
+/// The recursive Cholesky panel calls private cores, never the public
+/// `potrf`: one `potrf` span per call however deep the recursion runs
+/// (n = 64 and 96: the panel whole; 320: 96-wide panels, each split
+/// twice), the steps' `trsm` and `herk` under it, and one ABFT factor
+/// check when the policy verifies (its encode and verify spans, tagged
+/// `abft`, are the only other `potrf` spans).
+#[test]
+fn potrf_records_one_span_and_one_check_through_its_recursion() {
+    use la_core::abft::{with_policy, AbftPolicy};
+    let _l = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let checked = tune::TuneConfig {
+        max_threads: 1,
+        par_flops: 0,
+        ..tune::TuneConfig::defaults()
+    };
+    for n in [64usize, 96, 320] {
+        for uplo in [Uplo::Upper, Uplo::Lower] {
+            probe::reset();
+            let before = probe::snapshot().abft_checks;
+            probe::with_policy(ProbePolicy::Spans, || {
+                let mut a = test_matrix(n, 3);
+                let info = with_policy(AbftPolicy::Verify, || {
+                    tune::with(checked, || la_lapack::potrf(uplo, n, a.as_mut_slice(), n))
+                });
+                assert_eq!(info, 0);
+            });
+            let report = probe::snapshot();
+            let what = format!("potrf {uplo:?} n={n}");
+            assert_eq!(report.abft_checks - before, 1, "{what}: ABFT checks");
+            let roots: Vec<_> = report.spans.iter().map(|s| s.routine).collect();
+            assert_eq!(roots, ["potrf"], "{what}");
+            let root = &report.spans[0];
+            // The encode and the verify each record a zero-flop `potrf`
+            // span tagged `abft`; the factorization records no second one.
+            let untagged = |s: &Span| s.routine == "potrf" && !s.abft;
+            assert!(
+                !root.abft && root.children.iter().all(|c| !untagged(c)),
+                "{what}"
+            );
+            assert_eq!(count(root, "potrf"), 3, "{what}: potrf spans");
+            assert!(count(root, "herk") > 0, "{what}: no herk under potrf");
+            assert_eq!(root.flops, flops::potrf(n), "{what}");
+        }
     }
 }
 
