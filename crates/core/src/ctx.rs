@@ -9,7 +9,7 @@
 //! * [`Ctx`] — the `Copy` configuration: [`TuneConfig`] plus the three
 //!   policies ([`FpCheckPolicy`], [`AbftPolicy`], [`ProbePolicy`]).
 //! * One process global, filled on first use from the `LA_*` environment
-//!   by the table-driven parser ([`vars`], [`Ctx::from_source`]) and edited
+//!   by the table-driven parser ([`VARS`], [`Ctx::from_source`]) and edited
 //!   with [`update`]. A malformed value is **rejected, not silently
 //!   dropped**: the default is kept and a warning naming the variable, the
 //!   rejected value, the accepted spellings and the fallback goes to
@@ -86,18 +86,17 @@ impl Ctx {
 
     /// Defaults overlaid with the `LA_*` variables among the `(name, value)`
     /// pairs of `env`, plus one diagnostic per rejected value and one per
-    /// `LA_*` name that is not a row of [`vars`]. The process global is
+    /// `LA_*` name that is not a row of [`VARS`]. The process global is
     /// built from the process environment; tests pass a list instead,
     /// because mutating the process environment races with parallel tests.
     pub fn from_source(env: impl IntoIterator<Item = (String, String)>) -> (Self, Vec<String>) {
-        let table = vars();
         let mut ctx = Ctx::defaults();
         let mut warnings = Vec::new();
         for (name, raw) in env {
             if !name.starts_with("LA_") {
                 continue;
             }
-            match table.iter().find(|var| var.name == name) {
+            match VARS.iter().find(|var| var.name == name) {
                 Some(var) if var.apply(&mut ctx, &raw) => {}
                 Some(var) => warnings.push(format!(
                     "{name}: rejected value {raw:?} (expected {}); using default {}",
@@ -114,8 +113,6 @@ impl Ctx {
 enum Kind {
     /// Non-negative integer; `0` is a meaningful "auto"/"off" spelling.
     Count(fn(&mut Ctx) -> &mut usize),
-    /// Positive integer: a block size, where `0` would be meaningless.
-    Size(fn(&mut Ctx) -> &mut usize),
     /// One of a fixed set of spellings; `false` means unknown spelling.
     Choice(fn(&mut Ctx, &str) -> bool),
 }
@@ -133,7 +130,11 @@ pub struct Var {
 }
 
 impl Var {
-    fn count(name: &'static str, default: &'static str, f: fn(&mut Ctx) -> &mut usize) -> Self {
+    const fn count(
+        name: &'static str,
+        default: &'static str,
+        f: fn(&mut Ctx) -> &mut usize,
+    ) -> Self {
         Var {
             name,
             accepts: "an integer >= 0",
@@ -142,16 +143,7 @@ impl Var {
         }
     }
 
-    fn size(name: &'static str, default: &'static str, f: fn(&mut Ctx) -> &mut usize) -> Self {
-        Var {
-            name,
-            accepts: "an integer >= 1",
-            default,
-            kind: Kind::Size(f),
-        }
-    }
-
-    fn choice(
+    const fn choice(
         name: &'static str,
         accepts: &'static str,
         default: &'static str,
@@ -170,14 +162,7 @@ impl Var {
     fn apply(&self, ctx: &mut Ctx, raw: &str) -> bool {
         let raw = raw.trim();
         match self.kind {
-            Kind::Count(field) | Kind::Size(field) => match raw.parse::<usize>() {
-                Ok(0) if matches!(self.kind, Kind::Size(_)) => false,
-                Ok(v) => {
-                    *field(ctx) = v;
-                    true
-                }
-                Err(_) => false,
-            },
+            Kind::Count(field) => raw.parse().map(|v| *field(ctx) = v).is_ok(),
             Kind::Choice(set) => set(ctx, raw),
         }
     }
@@ -187,52 +172,44 @@ fn store<E>(field: &mut E, parsed: Option<E>) -> bool {
     parsed.map(|v| *field = v).is_some()
 }
 
-/// Every `LA_*` variable the library reads: the thread budget, the three
-/// policies, the residual precision, the two serving knobs, the kernel
-/// choice, and the one block size a measurement has shown a host to want
-/// changed (`LA_NB_POTRF`). Every other tuning field of [`TuneConfig`] is
-/// set in code only. Each enum row defers to the type's own `parse`, which
-/// is case-insensitive and also accepts the aliases listed here.
-pub fn vars() -> [Var; 9] {
-    [
-        Var::count("LA_NUM_THREADS", "0", |c| &mut c.tune.max_threads),
-        Var::size("LA_NB_POTRF", "96", |c| &mut c.tune.nb_potrf),
-        Var::choice(
-            "LA_GEMM_KERNEL",
-            "auto|scalar|unrolled|simd",
-            "auto",
-            |c, s| store(&mut c.tune.gemm_kernel, GemmKernel::parse(s)),
-        ),
-        Var::choice(
-            "LA_REFINE",
-            "working|off, dd|double-double",
-            "working",
-            |c, s| store(&mut c.tune.refine, RefineMode::parse(s)),
-        ),
-        Var::count("LA_SERVE_TARGET_DELAY", "0", |c| {
-            &mut c.tune.serve_target_delay_ms
-        }),
-        Var::count("LA_SERVE_WATCHDOG", "0", |c| &mut c.tune.serve_watchdog_ms),
-        Var::choice(
-            "LA_FP_CHECK",
-            "off|none|0, inputs|in, outputs|out, full|all|on|1",
-            "off",
-            |c, s| store(&mut c.fp_check, FpCheckPolicy::parse(s)),
-        ),
-        Var::choice(
-            "LA_ABFT",
-            "off|none|0, verify|check|detect, recover|on|1",
-            "off",
-            |c, s| store(&mut c.abft, AbftPolicy::parse(s)),
-        ),
-        Var::choice(
-            "LA_PROFILE",
-            "off|none|0, counters|count|1, spans|span|trace|2",
-            "off",
-            |c, s| store(&mut c.probe, ProbePolicy::parse(s)),
-        ),
-    ]
-}
+/// Every `LA_*` variable the library reads: the thread budget, the kernel
+/// choice, the residual precision and the three policies. Every other
+/// field of [`TuneConfig`] — the block sizes among them — is set in code
+/// only. Each enum row defers to the type's own `parse`, which is
+/// case-insensitive and also accepts the aliases listed here.
+pub const VARS: [Var; 6] = [
+    Var::count("LA_NUM_THREADS", "0", |c| &mut c.tune.max_threads),
+    Var::choice(
+        "LA_GEMM_KERNEL",
+        "auto|scalar|unrolled|simd",
+        "auto",
+        |c, s| store(&mut c.tune.gemm_kernel, GemmKernel::parse(s)),
+    ),
+    Var::choice(
+        "LA_REFINE",
+        "working|off, dd|double-double",
+        "working",
+        |c, s| store(&mut c.tune.refine, RefineMode::parse(s)),
+    ),
+    Var::choice(
+        "LA_FP_CHECK",
+        "off|none|0, inputs|in, outputs|out, full|all|on|1",
+        "off",
+        |c, s| store(&mut c.fp_check, FpCheckPolicy::parse(s)),
+    ),
+    Var::choice(
+        "LA_ABFT",
+        "off|none|0, verify|check|detect, recover|on|1",
+        "off",
+        |c, s| store(&mut c.abft, AbftPolicy::parse(s)),
+    ),
+    Var::choice(
+        "LA_PROFILE",
+        "off|none|0, counters|count|1, spans|span|trace|2",
+        "off",
+        |c, s| store(&mut c.probe, ProbePolicy::parse(s)),
+    ),
+];
 
 /// The process environment as [`Ctx::from_source`] takes it. A name or
 /// value that is not Unicode cannot be a library setting and is skipped.
@@ -551,23 +528,12 @@ mod tests {
     const CASES: &[Case] = &[
         // Every variable round-trips a valid value into its own field...
         ("LA_NUM_THREADS", "3", Some(|c| c.tune.max_threads == 3)),
-        ("LA_NB_POTRF", "48", Some(|c| c.tune.nb_potrf == 48)),
         (
             "LA_GEMM_KERNEL",
             "scalar",
             Some(|c| c.tune.gemm_kernel == GemmKernel::Scalar),
         ),
         ("LA_REFINE", "dd", Some(|c| c.tune.refine == RefineMode::Dd)),
-        (
-            "LA_SERVE_TARGET_DELAY",
-            "25",
-            Some(|c| c.tune.serve_target_delay_ms == 25),
-        ),
-        (
-            "LA_SERVE_WATCHDOG",
-            "500",
-            Some(|c| c.tune.serve_watchdog_ms == 500),
-        ),
         (
             "LA_FP_CHECK",
             "full",
@@ -586,14 +552,10 @@ mod tests {
         // ...and rejects a malformed one.
         ("LA_NUM_THREADS", "three", None),
         ("LA_NUM_THREADS", "-1", None),
-        ("LA_NB_POTRF", "0", None),
-        ("LA_NB_POTRF", "3.5", None),
-        ("LA_NB_POTRF", "wide", None),
+        ("LA_NUM_THREADS", "3.5", None),
         ("LA_GEMM_KERNEL", "fancy", None),
         ("LA_REFINE", "quad", None),
-        ("LA_SERVE_TARGET_DELAY", "soon", None),
-        ("LA_SERVE_TARGET_DELAY", "", None),
-        ("LA_SERVE_WATCHDOG", "garbage", None),
+        ("LA_NUM_THREADS", "", None),
         // The typos that used to run unprotected without a word:
         ("LA_FP_CHECK", "ful", None),
         ("LA_ABFT", "recovery", None),
@@ -601,12 +563,7 @@ mod tests {
         // Zero stays a valid "auto"/"off" spelling where it means
         // something, and the documented aliases stay accepted.
         ("LA_NUM_THREADS", "0", Some(|c| c.tune.max_threads == 0)),
-        (
-            "LA_SERVE_TARGET_DELAY",
-            "0",
-            Some(|c| c.tune.serve_target_delay_ms == 0),
-        ),
-        ("LA_NB_POTRF", " 64 ", Some(|c| c.tune.nb_potrf == 64)),
+        ("LA_NUM_THREADS", " 4 ", Some(|c| c.tune.max_threads == 4)),
         (
             "LA_GEMM_KERNEL",
             "SIMD",
@@ -632,7 +589,7 @@ mod tests {
 
     #[test]
     fn every_variable_round_trips_and_rejects_through_the_one_table() {
-        for var in &vars() {
+        for var in &VARS {
             for accepted in [true, false] {
                 assert!(
                     CASES
@@ -651,14 +608,14 @@ mod tests {
                     assert!(warnings.is_empty(), "{name}={raw:?}: {warnings:?}");
                     assert!(landed(&ctx), "{name}={raw:?} did not reach its field");
                     // ...and only its own field: undoing it gives defaults.
-                    let var = vars().into_iter().find(|v| v.name == name).unwrap();
+                    let var = VARS.iter().find(|v| v.name == name).unwrap();
                     let mut undone = ctx;
                     assert!(var.apply(&mut undone, var.default));
                     assert_eq!(undone, Ctx::defaults(), "{name}={raw:?}");
                 }
                 None => {
                     assert_eq!(ctx, Ctx::defaults(), "{name}={raw:?} must keep the default");
-                    let var = vars().into_iter().find(|v| v.name == name).unwrap();
+                    let var = VARS.iter().find(|v| v.name == name).unwrap();
                     assert_eq!(warnings.len(), 1, "{name}={raw:?}: {warnings:?}");
                     let w = &warnings[0];
                     assert!(w.starts_with(name), "{w:?} must name the variable");
@@ -685,7 +642,7 @@ mod tests {
         assert_eq!(ctx.abft, AbftPolicy::default());
         assert_eq!(ctx.probe, ProbePolicy::default());
         // The table's `default` column is the struct's default.
-        for var in &vars() {
+        for var in &VARS {
             let mut ctx = Ctx::defaults();
             assert!(var.apply(&mut ctx, var.default), "{}", var.name);
             assert_eq!(ctx, Ctx::defaults(), "{}", var.name);
@@ -695,12 +652,12 @@ mod tests {
     #[test]
     fn several_variables_combine_and_warn_independently() {
         let (ctx, warnings) = Ctx::from_source(source(&[
-            ("LA_NB_POTRF", "48"),
+            ("LA_NUM_THREADS", "3"),
             ("LA_ABFT", "recovery"),
             ("LA_FP_CHECK", "full"),
-            ("LA_NB_POTRF", "0"),
+            ("LA_NUM_THREADS", "-1"),
         ]));
-        assert_eq!(ctx.tune.nb_potrf, 48);
+        assert_eq!(ctx.tune.max_threads, 3);
         assert_eq!(ctx.fp_check, FpCheckPolicy::Full);
         assert_eq!(ctx.abft, AbftPolicy::Off);
         assert_eq!(warnings.len(), 2, "{warnings:?}");
@@ -739,15 +696,33 @@ mod tests {
         assert_eq!(warnings, expected);
         // Known names beside it still land, and are not reported.
         let (ctx, warnings) =
-            Ctx::from_source(source(&[("LA_NB_POTRF", "48"), ("LA_THREDS", "4")]));
-        assert_eq!(ctx.tune.nb_potrf, 48);
+            Ctx::from_source(source(&[("LA_NUM_THREADS", "3"), ("LA_THREDS", "4")]));
+        assert_eq!(ctx.tune.max_threads, 3);
         assert_eq!(warnings.len(), 1, "{warnings:?}");
+    }
+
+    #[test]
+    fn a_value_the_retired_rows_accepted_is_ignored_and_says_so() {
+        // Block sizes are set in code now, and the serving settings are
+        // fields of `la_serve::ServeConfig`.
+        for (name, raw) in [
+            ("LA_NB_POTRF", "48"),
+            ("LA_SERVE_TARGET_DELAY", "25"),
+            ("LA_SERVE_WATCHDOG", "500"),
+        ] {
+            let (ctx, warnings) = Ctx::from_source(source(&[(name, raw)]));
+            assert_eq!(ctx, Ctx::defaults(), "{name}={raw}");
+            assert_eq!(
+                warnings,
+                [format!("{name}: not a library variable (ignored)")]
+            );
+        }
     }
 
     #[test]
     fn readme_documents_every_variable() {
         let readme = include_str!("../../../README.md");
-        for var in &vars() {
+        for var in &VARS {
             assert!(
                 readme.contains(&format!("| `{}` |", var.name)),
                 "README.md's configuration table has no row for {}",
@@ -755,8 +730,8 @@ mod tests {
             );
         }
         // ...and documents nothing else: every row of a table whose first
-        // cell names one `LA_*` variable is a row of `vars()`.
-        let names = vars().map(|var| var.name);
+        // cell names one `LA_*` variable is a row of `VARS`.
+        let names = VARS.map(|var| var.name);
         for row in readme.lines().filter_map(|l| l.strip_prefix("| `LA_")) {
             let name = format!("LA_{}", &row[..row.find('`').unwrap_or(row.len())]);
             assert!(
@@ -870,37 +845,33 @@ mod tests {
     fn update_reaches_unscoped_threads_only() {
         let _serial = GLOBAL_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         // A field nothing in this crate's tests depends on.
-        let before = std::thread::spawn(|| current().tune.serve_watchdog_ms)
+        let before = std::thread::spawn(|| current().tune.nb_geqrf)
             .join()
             .unwrap();
         let barrier = std::sync::Barrier::new(3);
         std::thread::scope(|s| {
             let unscoped = s.spawn(|| {
-                assert_eq!(current().tune.serve_watchdog_ms, before);
+                assert_eq!(current().tune.nb_geqrf, before);
                 barrier.wait(); // the update happens here
                 barrier.wait();
-                current().tune.serve_watchdog_ms
+                current().tune.nb_geqrf
             });
             let scoped = s.spawn(|| {
                 tune::with(tune::current(), || {
                     barrier.wait();
                     barrier.wait();
-                    current().tune.serve_watchdog_ms
+                    current().tune.nb_geqrf
                 })
             });
             barrier.wait();
-            update(|c| c.tune.serve_watchdog_ms = before + 1);
+            update(|c| c.tune.nb_geqrf = before + 1);
             barrier.wait();
             assert_eq!(unscoped.join().unwrap(), before + 1);
             assert_eq!(scoped.join().unwrap(), before);
         });
-        tune::update(|t| t.serve_watchdog_ms = before);
+        tune::update(|t| t.nb_geqrf = before);
         assert_eq!(
-            std::thread::spawn(current)
-                .join()
-                .unwrap()
-                .tune
-                .serve_watchdog_ms,
+            std::thread::spawn(current).join().unwrap().tune.nb_geqrf,
             before
         );
     }

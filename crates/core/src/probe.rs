@@ -8,8 +8,8 @@
 //! (arXiv:0710.4896) bolt on from the outside. This module builds the
 //! visibility in: every instrumented routine — the banded BLAS-3 leaves,
 //! the blocked factorizations, the `la90` drivers — reports what it
-//! actually executed, with the block size and thread count it read from
-//! [`crate::tune`] at that moment.
+//! actually executed, with the thread count it ran on and, for a blocked
+//! factorization, the block size it resolved.
 //!
 //! Three policy levels, mirroring the `LA_FP_CHECK` pattern of
 //! [`crate::except`]:
@@ -21,7 +21,8 @@
 //!   [`std::time::Instant`]), aggregated process-wide across threads.
 //! * [`ProbePolicy::Spans`] — counters plus a hierarchical span tree:
 //!   a `gesv` driver call records its `getrf` child and that child's
-//!   `gemm`/`trsm` leaves, each leaf carrying the NB/thread-count it used.
+//!   `lu_step`/`gemm`/`trsm` leaves, each span carrying the thread count
+//!   it used (and `getrf` its NB).
 //!
 //! The policy is one field of the ambient context
 //! ([`crate::ctx::Ctx::probe`]): set it with the `LA_PROFILE` environment
@@ -169,9 +170,8 @@ pub struct Span {
     /// reruns carry the tag, so span trees separate the fault-tolerance
     /// overhead from the protected computation.
     pub abft: bool,
-    /// Block size: the routine's [`crate::tune`] knob at entry, overwritten
-    /// via [`note_nb`] with the width *in effect* by the factorizations
-    /// that resolve it against the problem order.
+    /// Block size the routine resolved and reported via [`note_nb`] (the
+    /// blocked factorizations do); `0` for a routine that reports none.
     pub nb: usize,
     /// Thread count: the [`crate::tune`] budget at entry, overwritten with the
     /// *actual* worker count via [`note_parallelism`] by the parallel
@@ -465,8 +465,8 @@ pub fn span(layer: Layer, routine: &'static str, flops: u64, bytes: u64) -> Prob
 }
 
 /// [`span`] for an entry point that has already read the ambient context:
-/// takes the policy and the recorded block size / thread budget from
-/// `ctx` instead of reading them again.
+/// takes the policy and the recorded thread budget from `ctx` instead of
+/// reading them again.
 pub fn span_in(
     ctx: &Ctx,
     layer: Layer,
@@ -478,7 +478,6 @@ pub fn span_in(
     if p == ProbePolicy::Off {
         return ProbeGuard { active: false };
     }
-    let cfg = &ctx.tune;
     let (lo, abft) = ctx::peek(|f| (f.probe.lo, f.probe.abft));
     ACTIVE.with(|a| {
         a.borrow_mut().push(Frame {
@@ -486,10 +485,8 @@ pub fn span_in(
             routine,
             lo,
             abft,
-            // The knob itself (no order narrows it at usize::MAX); a
-            // routine that resolves it against its order says so later.
-            nb: cfg.nb(routine, usize::MAX),
-            threads: cfg.threads(),
+            nb: 0,
+            threads: ctx.tune.threads(),
             kernel: "",
             flops,
             bytes,
@@ -513,9 +510,8 @@ pub fn note_parallelism(threads: usize) {
     });
 }
 
-/// Records the block size a factorization *actually* resolved for its
-/// problem order on the innermost active span of this thread. No-op when
-/// no span is active.
+/// Records the block size a factorization resolved for its call on the
+/// innermost active span of this thread. No-op when no span is active.
 pub fn note_nb(nb: usize) {
     ACTIVE.with(|a| {
         if let Some(f) = a.borrow_mut().last_mut() {

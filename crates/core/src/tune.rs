@@ -3,8 +3,9 @@
 //!
 //! Every performance knob the BLAS-3 layer and the blocked factorizations
 //! consult lives in one [`TuneConfig`]: the thread budget, the flop
-//! threshold above which Level-3 operations go parallel, the per-routine
-//! block sizes (`NB`) and the blocked/unblocked crossover order. The
+//! threshold above which Level-3 operations go parallel and the
+//! per-routine block sizes (`NB`), from which the blocked/unblocked
+//! crossover follows (two panels, [`TuneConfig::crossover`]). The
 //! paper's premise is that `LA_GESV(A, B)` should deliver the performance
 //! of the tuned substrate underneath with zero caller changes; this module
 //! is where that tuning happens.
@@ -12,13 +13,14 @@
 //! The configuration is one field of the ambient context
 //! ([`crate::ctx::Ctx`]), so it is set the way everything ambient is, in
 //! increasing precedence: the `LA_*` environment variables at first use
-//! (one table, [`crate::ctx::vars`]; malformed values are rejected with a
+//! (one table, [`crate::ctx::VARS`]; malformed values are rejected with a
 //! warning, never silently dropped), [`update`] for the whole process, and
 //! [`with`] for one call tree — worker threads the tree spawns included.
 //! Only the fields a user has a reason to set have a variable (thread
-//! budget, kernel, refinement, serving, and `nb_potrf`); the other
-//! tuning internals are set in code — by tests and benches through
-//! [`with`] — and otherwise keep the defaults the library chose.
+//! budget, kernel, refinement); the block sizes and the other tuning
+//! internals are set in code — by tests and benches through [`with`] —
+//! and otherwise keep the defaults the library chose. The `la-serve`
+//! settings are not here: they are fields of its own `ServeConfig`.
 //!
 //! ```
 //! use la_core::tune::{self, TuneConfig};
@@ -132,17 +134,11 @@ pub struct TuneConfig {
     /// Panel width for LU-family routines (`getrf`, `getri`). Set in code
     /// only.
     pub nb_getrf: usize,
-    /// Panel width for the Cholesky family (`potrf`, `LA_NB_POTRF`).
+    /// Panel width for the Cholesky family (`potrf`). Set in code only.
     pub nb_potrf: usize,
     /// Panel width for the orthogonal-factorization family
     /// (`geqrf`, `gelqf`, `ormqr`). Set in code only.
     pub nb_geqrf: usize,
-    /// Panel width for any routine without a dedicated knob (`sytrf` and
-    /// `sytrd` among them). Set in code only.
-    pub nb_default: usize,
-    /// Problem order at or below which blocked algorithms fall back to
-    /// their unblocked forms. Set in code only.
-    pub crossover: usize,
     /// Microkernel the packed BLAS-3 path runs (`LA_GEMM_KERNEL`).
     pub gemm_kernel: GemmKernel,
     /// Packed-gemm row block: rows of A packed per cache block. `0` falls
@@ -163,21 +159,6 @@ pub struct TuneConfig {
     /// working precision (classic) or double-double (three-precision
     /// GMRES-IR regime).
     pub refine: RefineMode,
-    /// Target queueing delay for the `la-serve` adaptive admission
-    /// controller, in milliseconds (`LA_SERVE_TARGET_DELAY`). When set,
-    /// the serve queue bound is sized from observed service times so a
-    /// job admitted at the back of the queue still expects to start
-    /// within this budget; `0` (the default) keeps the fixed
-    /// `queue_depth` behaviour. Lives here rather than in the serve
-    /// crate so operators tune it the same way as every other `LA_*`
-    /// knob.
-    pub serve_target_delay_ms: usize,
-    /// Stall tolerance for the `la-serve` stuck-job watchdog, in
-    /// milliseconds (`LA_SERVE_WATCHDOG`): a worker whose heartbeat
-    /// stands still this long while holding one job is escalated
-    /// (cooperative cancel, then respawn). `0` (the default) disables
-    /// the watchdog.
-    pub serve_watchdog_ms: usize,
     /// Permit a thread budget above the detected core count. Off by
     /// default: threads beyond the cores only time-share them, adding
     /// hand-offs and cold caches to the same work, so
@@ -196,16 +177,12 @@ impl TuneConfig {
             nb_getrf: 32,
             nb_potrf: 96,
             nb_geqrf: 32,
-            nb_default: 32,
-            crossover: 128,
             gemm_kernel: GemmKernel::Auto,
             gemm_mc: 0,
             gemm_kc: 0,
             gemm_nc: 0,
             tile_nb: 0,
             refine: RefineMode::Working,
-            serve_target_delay_ms: 0,
-            serve_watchdog_ms: 0,
             oversubscribe: false,
         }
     }
@@ -222,9 +199,9 @@ impl TuneConfig {
     /// On a thread that is itself one of `W` siblings of an enclosing
     /// worker pool (see [`in_pool_worker`]), the clamp tightens to
     /// `host / W`: a pool running `W` jobs at once, each of which opens
-    /// striped BLAS-3, would otherwise put `W × stripes` runnable threads
+    /// banded BLAS-3, would otherwise put `W × bands` runnable threads
     /// on `host` cores. `oversubscribe` bypasses this clamp too —
-    /// the equivalence tests and bench sweeps that force wide striping on
+    /// the equivalence tests and bench sweeps that force wide banding on
     /// small hosts keep working unchanged.
     ///
     /// Pure arithmetic over the fields, [`host_parallelism`] (resolved once
@@ -252,28 +229,26 @@ impl TuneConfig {
         host_share.min(8)
     }
 
-    /// Block size for `routine` at problem order `n` (an
-    /// `ILAENV(1, NAME, OPTS, N1..)` analog; lowercase LAPACK routine
-    /// names): the routine's `nb_*` knob, at every order. Small orders
-    /// need no narrower Cholesky panel: the recursive panel cuts any
-    /// width into 32-wide leaves (EXPERIMENTS.md, "Cholesky at Level-3
-    /// speed").
-    pub fn nb(&self, routine: &str, _n: usize) -> usize {
+    /// Block size for `routine` (an `ILAENV(1, NAME, OPTS, N1..)` analog;
+    /// lowercase LAPACK routine names): the routine's `nb_*` knob, and 32
+    /// for a routine without one. No width depends on the order: the
+    /// recursive Cholesky panel cuts any width into 32-wide leaves
+    /// (EXPERIMENTS.md, "Cholesky at Level-3 speed").
+    pub fn nb(&self, routine: &str) -> usize {
         match routine {
             "getrf" | "getri" => self.nb_getrf,
             "potrf" => self.nb_potrf,
             "geqrf" | "gelqf" | "ormqr" => self.nb_geqrf,
-            _ => self.nb_default,
+            _ => 32,
         }
         .max(1)
     }
 
-    /// Order at or below which `routine` runs unblocked on an order-`n`
-    /// problem (an `ILAENV(3, ...)` analog): the `crossover` knob, and in
-    /// any case two panels of the block size in effect at that order —
-    /// blocking pays from the third panel on.
-    pub fn crossover(&self, routine: &str, n: usize) -> usize {
-        self.crossover.min(2 * self.nb(routine, n))
+    /// Order at or below which `routine` runs unblocked (an
+    /// `ILAENV(3, ...)` analog): two panels of its block size — blocking
+    /// pays from the third panel on.
+    pub fn crossover(&self, routine: &str) -> usize {
+        self.nb(routine).saturating_mul(2)
     }
 
     /// Resolved block width of the task-graph factorizations, which work
@@ -354,12 +329,11 @@ mod tests {
     fn defaults_match_seed_constants() {
         let d = TuneConfig::defaults();
         assert_eq!(d.par_flops, 200 * 200 * 200);
-        assert_eq!(d.nb("getrf", 1000), 32);
-        assert_eq!(d.nb("potrf", 1000), 96);
-        assert_eq!(d.nb("ormqr", 1000), 32);
-        assert_eq!(d.nb("sytrf", 1000), 32);
-        assert_eq!(d.nb("unknown-routine", 1000), 32);
-        assert_eq!(d.crossover, 128);
+        assert_eq!(d.nb("getrf"), 32);
+        assert_eq!(d.nb("potrf"), 96);
+        assert_eq!(d.nb("ormqr"), 32);
+        assert_eq!(d.nb("sytrf"), 32);
+        assert_eq!(d.nb("unknown-routine"), 32);
     }
 
     #[test]
@@ -413,8 +387,8 @@ mod tests {
 
     #[test]
     fn pool_workers_split_the_host_budget() {
-        // Regression: a pool worker invoking striped BLAS-3 must not
-        // oversubscribe — worker-count × stripe-count ≤ host cores unless
+        // Regression: a pool worker invoking banded BLAS-3 must not
+        // oversubscribe — worker-count × band-count ≤ host cores unless
         // `oversubscribe` is set.
         let host = std::thread::available_parallelism()
             .map(|p| p.get())
@@ -466,26 +440,17 @@ mod tests {
     fn nb_never_zero() {
         let mut cfg = TuneConfig::defaults();
         cfg.nb_getrf = 0;
-        assert_eq!(cfg.nb("getrf", 100), 1);
+        assert_eq!(cfg.nb("getrf"), 1);
     }
 
     #[test]
-    fn the_cholesky_panel_is_the_knob_at_every_order() {
+    fn the_crossover_is_two_panels() {
+        // A Cholesky up to order 192 is one recursive panel, an LU up to
+        // 64 one `getf2` call, and a narrower knob pulls its crossover in.
         let d = TuneConfig::defaults();
-        for n in [32, 96, 256, 257, 768] {
-            assert_eq!((d.nb("potrf", n), d.nb("getrf", n)), (96, 32), "n={n}");
-        }
-        // The crossover knob binds for `potrf` (two 96-wide panels would
-        // be 192), two panels for `getrf`: a Cholesky up to order 128 is
-        // one recursive panel.
-        assert_eq!(
-            (d.crossover("potrf", 96), d.crossover("getrf", 96)),
-            (128, 64)
-        );
-        // A narrower knob is honoured, and its two panels bind.
+        assert_eq!((d.crossover("potrf"), d.crossover("getrf")), (192, 64));
         let narrow = TuneConfig { nb_potrf: 8, ..d };
-        assert_eq!((narrow.nb("potrf", 96), narrow.nb("potrf", 768)), (8, 8));
-        assert_eq!(narrow.crossover("potrf", 96), 16);
+        assert_eq!((narrow.nb("potrf"), narrow.crossover("potrf")), (8, 16));
     }
 
     #[test]

@@ -7,19 +7,19 @@ use la_blas::{gemm, gemv, gerc, iamax, lacgv, lassq, nrm2, rscal, scal, trmv};
 use la_core::{Diag, Norm, RealScalar, Scalar, Side, Trans, Uplo};
 
 /// Environment inquiry (`ILAENV(1, NAME, OPTS, N1..)`-lite): the block
-/// size `routine` uses on a problem of order `n`. Reads the runtime
-/// [`la_core::tune`] configuration, so block sizes follow `LA_NB_POTRF`,
-/// `tune::update`, and scoped `tune::with` overrides instead of a
+/// size `routine` uses on a problem of order `n`, at every order. Reads
+/// the runtime [`la_core::tune`] configuration, so block sizes follow
+/// `tune::update` and scoped `tune::with` overrides instead of a
 /// compiled-in table.
-pub fn ilaenv_nb(routine: &str, n: usize) -> usize {
-    la_core::tune::current().nb(routine, n)
+pub fn ilaenv_nb(routine: &str, _n: usize) -> usize {
+    la_core::tune::current().nb(routine)
 }
 
 /// Crossover order (`ILAENV(3, ...)`): an order-`n` problem at or below it
-/// runs `routine`'s unblocked form. Like [`ilaenv_nb`], resolved against
-/// the runtime [`la_core::tune`] configuration (`TuneConfig::crossover`).
-pub fn ilaenv_crossover(routine: &str, n: usize) -> usize {
-    la_core::tune::current().crossover(routine, n)
+/// runs `routine`'s unblocked form. Two panels of [`ilaenv_nb`], at every
+/// order (`TuneConfig::crossover`).
+pub fn ilaenv_crossover(routine: &str, _n: usize) -> usize {
+    la_core::tune::current().crossover(routine)
 }
 
 /// Blocks a problem must span, in its smaller dimension, before a
@@ -61,23 +61,19 @@ impl Blocking {
     /// configuration in effect on this thread — the one place the route
     /// is chosen. With more than one thread, a problem of at least the
     /// routine's [`DAG_MIN_TILES`] runs the task graph; everything
-    /// else runs on this thread, blocked above the crossover — for `geqrf`
-    /// two panels, whatever `TuneConfig::crossover` says.
+    /// else runs on this thread, blocked above the crossover of two
+    /// panels.
     pub(crate) fn of(routine: &str, m: usize, n: usize) -> Self {
         let cfg = la_core::tune::current();
         let k = m.min(n);
-        let nb = cfg.nb(routine, k);
+        let nb = cfg.nb(routine);
         let tiles = DAG_MIN_TILES
             .iter()
             .find(|&&(r, _)| r == routine)
             .map_or(usize::MAX, |&(_, t)| t);
-        let crossover = match routine {
-            "geqrf" => 2 * nb,
-            _ => cfg.crossover(routine, k),
-        };
         let route = if cfg.threads() > 1 && k >= tiles.saturating_mul(cfg.tile_size()) {
             Route::Dag
-        } else if k > crossover && nb < k {
+        } else if k > cfg.crossover(routine) {
             Route::Blocked
         } else {
             Route::Unblocked

@@ -106,10 +106,10 @@ fn potf2_ws<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize, ws: &mut [
 }
 
 /// Recursive Cholesky factorization (`xPOTRF2`): `A = UᴴU` or `A = LLᴴ`
-/// with every flop outside the [`POTRF2_LEAF`]-wide leaves in `trsm` and
-/// `herk`. Same `info` as [`potf2`]: the order of the first leading minor
-/// that is not positive, or [`INFO_NO_WORKSPACE`] if its workspace
-/// ([`potrf2_ws_len`] elements) cannot be allocated.
+/// with every flop outside the 32-wide leaves in `trsm` and `herk`. Same
+/// `info` as [`potf2`]: the order of the first leading minor that is not
+/// positive, or [`INFO_NO_WORKSPACE`] if its workspace (about `n²/4`
+/// elements) cannot be allocated.
 pub fn potrf2<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i32 {
     let Some(mut ws) = try_zeros::<T>(potrf2_ws_len(n)) else {
         return INFO_NO_WORKSPACE;
@@ -1184,11 +1184,11 @@ mod tests {
 
     #[test]
     fn blocked_potrf_matches_unblocked() {
-        let n = 180;
+        let n = 250;
         let a0 = rand_spd(n, 11);
         for uplo in [Uplo::Upper, Uplo::Lower] {
             let mut f1 = a0.clone();
-            // Force the blocked path by going above the crossover.
+            // Above the crossover (2·96 = 192): the blocked path.
             assert_eq!(potrf(uplo, n, &mut f1, n), 0);
             let mut f2 = a0.clone();
             assert_eq!(potf2(uplo, n, &mut f2, n), 0);
@@ -1205,6 +1205,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The identity the two-panel crossover rests on: from 129 to 192
+    /// columns a recursive panel splits at 96 (up to 128 it splits at 64),
+    /// so it makes the blocked loop's calls at NB 96 and computes its
+    /// bits. The matrices are Hermitian and diagonally dominant.
+    fn potrf2_is_the_blocked_loop_at_96<T: Scalar>() {
+        let bits = |v: &[T]| -> Vec<(u64, u64)> {
+            v.iter()
+                .map(|x| (x.re().to_f64().to_bits(), x.im().to_f64().to_bits()))
+                .collect()
+        };
+        for n in 129..=192 {
+            let mut s = n as u64;
+            let mut next = move || {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
+                T::Real::from_f64((s >> 33) as f64 / (1u64 << 31) as f64 - 1.0)
+            };
+            let mut a0 = vec![T::from_f64(2.0 * n as f64); n * n];
+            for j in 0..n {
+                for i in 0..j {
+                    let im = if T::IS_COMPLEX {
+                        next()
+                    } else {
+                        T::Real::zero()
+                    };
+                    a0[i + j * n] = T::from_re_im(next(), im);
+                    a0[j + i * n] = a0[i + j * n].conj();
+                }
+            }
+            for uplo in [Uplo::Upper, Uplo::Lower] {
+                let (mut whole, mut blocked) = (a0.clone(), a0.clone());
+                let mut ws = vec![T::zero(); potrf_ws_len(n, 96)];
+                let info = one_thread(|| potrf_blocked(uplo, n, &mut blocked, n, 96, &mut ws));
+                assert_eq!((potrf2(uplo, n, &mut whole, n), info), (0, 0));
+                assert!(bits(&whole) == bits(&blocked), "n={n} {uplo:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn potrf2_is_the_blocked_loop_from_129_to_192() {
+        potrf2_is_the_blocked_loop_at_96::<f64>();
+        potrf2_is_the_blocked_loop_at_96::<C64>();
     }
 
     #[test]

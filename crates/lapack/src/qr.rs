@@ -79,6 +79,7 @@ pub fn geqrf<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, tau: &mut [
         (2 * m * n * std::mem::size_of::<T>()) as u64,
     );
     let how = Blocking::of("geqrf", m, n);
+    probe::note_nb(how.nb);
     match how.route {
         // Same compact-WY output up to rounding, same info codes. A graph
         // without memory for its workspace leaves `a` as it found it; the

@@ -211,7 +211,6 @@ pub fn chaos_tune() -> TuneConfig {
         par_flops: 0,
         nb_getrf: 8,
         nb_potrf: 8,
-        crossover: 8,
         ..TuneConfig::defaults()
     }
 }

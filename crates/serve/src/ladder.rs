@@ -6,7 +6,7 @@
 //! re-roll:
 //!
 //! * `SoftFault` (`−102`, detected corruption) → retry under
-//!   [`AbftPolicy::Recover`], which repairs the stripe from its snapshot;
+//!   [`AbftPolicy::Recover`], which repairs the band from its snapshot;
 //!   a fault that survives even `Recover` is reported, not retried again.
 //! * `NonFinite` with an unpinpointed origin (`argument == 0`) → one
 //!   retry under [`FpCheckPolicy::Full`] so the rejection names the
@@ -716,7 +716,6 @@ mod tests {
                 max_threads: 1,
                 par_flops: 0,
                 nb_getrf: 8,
-                crossover: 8,
                 ..TuneConfig::defaults()
             },
             abft: AbftPolicy::Off,

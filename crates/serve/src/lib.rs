@@ -80,8 +80,8 @@
 //!   ([`la_core::ctx::Ctx`]) of the thread that started the service, and
 //!   each job enters one [`la_core::ctx::Ambient`]: that configuration,
 //!   the job's own cancel token and heartbeat, and the worker count as
-//!   pool share, so striped BLAS-3 inside a job divides the host cores by
-//!   the worker count — and carries all of it into its stripe workers.
+//!   pool share, so banded BLAS-3 inside a job divides the host cores by
+//!   the worker count — and carries all of it into its band workers.
 //!
 //! Completion is exposed as a [`JobHandle`] that is both a blocking
 //! future ([`JobHandle::wait`]) and a [`std::future::Future`], so the
@@ -416,29 +416,25 @@ pub struct ServeConfig {
     /// ([`queue_depth`](ServeConfig::queue_depth) stays the hard cap),
     /// and a sliding sojourn window tightens the bounds of sub-`High`
     /// [`Priority`] traffic while overload is sustained. `None`: classic
-    /// fixed-depth admission. Defaults from `LA_SERVE_TARGET_DELAY`
-    /// (milliseconds; `0`/unset = off).
+    /// fixed-depth admission (the default).
     pub target_delay: Option<Duration>,
     /// Stuck-job watchdog: a worker whose heartbeat stalls this long
     /// while holding one job is escalated — cooperative cancel first,
     /// then the job is resolved [`Rejection::Stuck`] and the worker
-    /// respawned. `None`: watchdog off. Defaults from
-    /// `LA_SERVE_WATCHDOG` (milliseconds; `0`/unset = off).
+    /// respawned. `None`: watchdog off (the default).
     pub watchdog: Option<Duration>,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let tune = la_core::tune::current();
-        let ms = |v: usize| (v > 0).then(|| Duration::from_millis(v as u64));
         ServeConfig {
             workers: 0,
             queue_depth: 64,
             default_deadline: None,
             max_attempts: 3,
             verify_residual: true,
-            target_delay: ms(tune.serve_target_delay_ms),
-            watchdog: ms(tune.serve_watchdog_ms),
+            target_delay: None,
+            watchdog: None,
         }
     }
 }

@@ -546,7 +546,7 @@ fn process<T: Demote>(
     );
     let started = Instant::now();
     // The job's ambient state: the worker's configuration, the job's own
-    // token and heartbeat, and the nested-pool clamp so striped BLAS-3
+    // token and heartbeat, and the nested-pool clamp so banded BLAS-3
     // inside the job divides the host by the worker count. ABFT faults
     // and probe counters are scoped to this job alone.
     let ambient = ctx::capture()
@@ -764,22 +764,21 @@ mod tests {
         let sentinel = Ctx {
             tune: TuneConfig {
                 nb_getrf: 17,
-                nb_default: 19,
                 par_flops: 0,
-                crossover: 0,
                 ..TuneConfig::defaults()
             },
             fp_check: FpCheckPolicy::Full,
             abft: AbftPolicy::Verify,
             probe: ProbePolicy::Spans,
         };
-        // The jobs of this test, told apart from any other test's by a
-        // default block size (the driver span's) no other test uses.
+        // The jobs of this test that factored, told apart from any other
+        // test's by a `getrf` block size no other test uses (48 > 2·17:
+        // the blocked loop).
         let mine = || -> Vec<Span> {
             probe::snapshot()
                 .spans
                 .into_iter()
-                .filter(|s| s.routine == "serve" && s.find("LA_GESV").is_some_and(|d| d.nb == 19))
+                .filter(|s| s.routine == "serve" && s.find("getrf").is_some_and(|d| d.nb == 17))
                 .collect()
         };
         fn any(s: &Span, pred: &dyn Fn(&Span) -> bool) -> bool {
@@ -814,8 +813,6 @@ mod tests {
             1,
             "probe policy and tune sentinel reached the worker"
         );
-        let getrf = spans[0].find("getrf").expect("gesv factors");
-        assert_eq!(getrf.nb, 17);
         assert_eq!(
             spans[0].threads,
             (host / 2).clamp(1, 8),
@@ -834,7 +831,8 @@ mod tests {
             svc.tenant_report("hop").map(|t| t.flops),
             Some(probe::flops::getrf(n, n) + probe::flops::getrs(n, 1))
         );
-        // A poisoned job is rejected at the input screen, before getrf.
+        // A poisoned job is rejected at the input screen, before getrf:
+        // it adds no factoring job.
         let (mut poisoned, b) = spd(n);
         poisoned[(3, 5)] = f64::NAN;
         let rej = svc
@@ -846,12 +844,7 @@ mod tests {
             matches!(rej, Rejection::Failed(la_core::LaError::NonFinite { argument, .. }) if argument > 0),
             "{rej:?}"
         );
-        let spans = mine();
-        assert_eq!(spans.len(), 2);
-        assert!(
-            spans[1].find("getrf").is_none(),
-            "fp_check policy reached the worker"
-        );
+        assert_eq!(mine().len(), 1, "fp_check policy reached the worker");
         svc.shutdown();
         assert_eq!(abft::take_pending().map(|f| f.block), Some(7));
     }
@@ -910,7 +903,9 @@ mod tests {
                 max_threads: 2,
                 oversubscribe: true,
                 tile_nb: 32,
-                nb_default: 23,
+                // The sentinel this test's `getrf` spans carry. Like the
+                // default, it leaves a 32-column graph panel unblocked.
+                nb_getrf: 23,
                 ..TuneConfig::defaults()
             },
             probe: ProbePolicy::Spans,
@@ -928,7 +923,7 @@ mod tests {
             let mut trees = Vec::new();
             let ours = spans
                 .iter()
-                .filter(|s| s.find("LA_GESV").is_some_and(|d| d.nb == 23));
+                .filter(|s| s.find("getrf").is_some_and(|d| d.nb == 23));
             for s in ours {
                 let dag = s.find("getrf_dag").expect("the job takes the graph");
                 assert_eq!(dag.dag.map(|d| d.workers), Some(2));

@@ -71,9 +71,9 @@ fn refusing<R>(bytes: usize, f: impl FnOnce() -> R) -> R {
 }
 
 /// Orders on every leaf (32), split (multiples of 32) and block-size (96:
-/// `nb_potrf`; 128: the Cholesky crossover and the task graph's block;
-/// 192 and 256: two of each) boundary, and the benchmark's `large_factor`
-/// order.
+/// `nb_potrf`; 128: the task graph's block; 192: two of the first, and the
+/// crossover; 256: two of the second) boundary, and the benchmark's
+/// `large_factor` order.
 const ORDERS: [usize; 21] = [
     1, 2, 31, 32, 33, 63, 64, 65, 95, 96, 97, 127, 128, 129, 191, 192, 193, 255, 256, 257, 768,
 ];

@@ -13,14 +13,14 @@
 //!   `getrf`/`potrf`/`geqrf` fall back to the blocked loop (or report
 //!   `INFO_NO_WORKSPACE`) instead of aborting the process. It also counts
 //!   bytes, which bounds what a graph takes besides `A`.
-//! * Around the crossover (n = 47 … 129, four types) the default route is
-//!   bitwise the unblocked form up to the crossover and bitwise the
-//!   forced-blocked form above it — `getf2` up to n = 64; for `potrf` the
-//!   recursive panel `potrf2`, whole, up to n = 128, where the crossover
-//!   knob binds before two 96-wide panels do; both forms agree to the
-//!   `par_equiv` tolerances, report
-//!   the same `info` wherever the first zero pivot / non-positive minor
-//!   sits, and `potrf` never touches the triangle it was not given.
+//! * Around the crossover (n = 47 … 193, four types) the default route is
+//!   bitwise the unblocked form up to the crossover, two panels, and
+//!   bitwise the blocked form at the default NB above it — `getf2` up to
+//!   n = 64; for `potrf` the recursive panel `potrf2`, whole, up to
+//!   n = 192; the unblocked form and a blocked one with narrow panels
+//!   agree to the `par_equiv` tolerances, report the same `info` wherever
+//!   the first zero pivot / non-positive minor sits, and `potrf` never
+//!   touches the triangle it was not given.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -479,17 +479,22 @@ fn a_refused_graph_workspace_falls_back_to_the_blocked_loop() {
 }
 
 /// Orders on both sides of every boundary the blocking rule has or had:
-/// the old Cholesky crossover (128), the common one (2·nb = 64) and the
-/// measured break-even (≈ 48).
-const ORDERS: [usize; 8] = [47, 48, 63, 64, 65, 96, 128, 129];
+/// the measured break-even (≈ 48), the LU crossover (2·32 = 64), the old
+/// Cholesky crossover (128) and the Cholesky one (2·96 = 192).
+const ORDERS: [usize; 11] = [47, 48, 63, 64, 65, 96, 128, 129, 191, 192, 193];
 
-/// Forces the blocked form at the default block sizes.
-fn blocked_cfg() -> tune::TuneConfig {
+/// The blocked form with `nb`-wide panels, which every order above `2·nb`
+/// takes.
+fn blocked_cfg(nb: usize) -> tune::TuneConfig {
     tune::TuneConfig {
-        crossover: 0,
+        nb_getrf: nb,
+        nb_potrf: nb,
         ..serial_cfg()
     }
 }
+
+/// Panels narrow enough that every order in [`ORDERS`] is more than two.
+const NARROW: usize = 16;
 
 fn assert_close<T: Scalar>(want: &[T], got: &[T], tol: f64, what: &str) {
     for (idx, (&w, &g)) in want.iter().zip(got).enumerate() {
@@ -515,19 +520,24 @@ fn getrf_boundary<T: Scalar>(tol: f64) {
             (a, ipiv, info)
         };
         let unblocked = run(&a0, None);
-        let blocked = run(&a0, Some(blocked_cfg()));
+        let blocked = run(&a0, Some(blocked_cfg(NARROW)));
         assert_eq!((unblocked.2, blocked.2), (0, 0), "{what}");
         assert_eq!(unblocked.1, blocked.1, "{what}: pivots");
         assert_close(&unblocked.0, &blocked.0, tol, &what);
-        // Where the default sits: unblocked through 2·nb = 64.
+        // Where the default sits: unblocked through 2·nb = 64, blocked at
+        // nb = 32 above.
         let default = run(&a0, Some(serial_cfg()));
-        let same_as = if n <= 64 { &unblocked } else { &blocked };
-        assert!(default.0 == same_as.0, "{what}: default route");
+        let same_as = if n <= 64 {
+            unblocked.0.clone()
+        } else {
+            run(&a0, Some(blocked_cfg(32))).0
+        };
+        assert!(default.0 == same_as, "{what}: default route");
         // A zero column makes U(p, p) exactly zero in either form.
         for p in [2, n / 2, n - 2] {
             let mut sing = a0.clone();
             sing[p * n..(p + 1) * n].fill(T::zero());
-            let (u, b) = (run(&sing, None), run(&sing, Some(blocked_cfg())));
+            let (u, b) = (run(&sing, None), run(&sing, Some(blocked_cfg(NARROW))));
             assert_eq!(u.2, p as i32 + 1, "{what}: unblocked info, zero column {p}");
             assert_eq!(b.2, p as i32 + 1, "{what}: blocked info, zero column {p}");
         }
@@ -557,14 +567,10 @@ fn potrf_boundary<T: Scalar>(tol: f64) {
                 };
                 (a, info)
             };
-            // The forced-blocked form with 32-wide panels: at the default
-            // NB (96) most of these orders are one panel.
-            let blocked_32 = tune::TuneConfig {
-                nb_potrf: 32,
-                ..blocked_cfg()
-            };
+            // The blocked form with narrow panels: at the default NB (96)
+            // every order here up to 192 is one recursive panel.
             let unblocked = run(&a0, None);
-            let blocked = run(&a0, Some(blocked_32));
+            let blocked = run(&a0, Some(blocked_cfg(NARROW)));
             assert_eq!((unblocked.1, blocked.1), (0, 0), "{what}");
             assert_close(&unblocked.0, &blocked.0, tol, &what);
             for (form, out) in [("unblocked", &unblocked.0), ("blocked", &blocked.0)] {
@@ -578,11 +584,16 @@ fn potrf_boundary<T: Scalar>(tol: f64) {
                 }
             }
             let default = run(&a0, Some(serial_cfg()));
-            let crossover = tune::with(serial_cfg(), || f77::ilaenv_crossover("potrf", n));
+            let (nb, crossover) = tune::with(serial_cfg(), || {
+                (
+                    f77::ilaenv_nb("potrf", n),
+                    f77::ilaenv_crossover("potrf", n),
+                )
+            });
             let same_as = if n <= crossover {
                 unblocked.0.clone()
             } else {
-                run(&a0, Some(blocked_cfg())).0
+                run(&a0, Some(blocked_cfg(nb))).0
             };
             assert!(default.0 == same_as, "{what}: default route");
             // A negative diagonal entry makes the minor of order p + 1 the
@@ -590,7 +601,7 @@ fn potrf_boundary<T: Scalar>(tol: f64) {
             for p in [2, n / 2, n - 2] {
                 let mut bad = a0.clone();
                 bad[p + p * n] = T::from_f64(-1.0);
-                let (u, b) = (run(&bad, None), run(&bad, Some(blocked_32)));
+                let (u, b) = (run(&bad, None), run(&bad, Some(blocked_cfg(NARROW))));
                 assert_eq!(u.1, p as i32 + 1, "{what}: unblocked info, minor {p}");
                 assert_eq!(b.1, p as i32 + 1, "{what}: blocked info, minor {p}");
             }

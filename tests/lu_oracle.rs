@@ -112,12 +112,12 @@ fn bits<T: Scalar>(v: &[T]) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// One thread, the blocked route at panel width `nb`, and kernel `kern`.
+/// One thread, panel width `nb` (the blocked route above two panels), and
+/// kernel `kern`.
 fn blocked(nb: usize, kern: GemmKernel) -> TuneConfig {
     TuneConfig {
         max_threads: 1,
         nb_getrf: nb,
-        crossover: 0,
         gemm_kernel: kern,
         ..TuneConfig::defaults()
     }
@@ -127,7 +127,7 @@ fn case<T: Scalar>(m: usize, n: usize, nb: usize, kern: GemmKernel, zero: &[usiz
     let a0: Vec<T> = matrix(m, n, (m * 1000 + n) as u64, zero);
     let lda = m + 2;
     tune::with(blocked(nb, kern), || {
-        let width = tune::current().nb("getrf", m.min(n));
+        let width = tune::current().nb("getrf");
         let (mut want, mut got) = (a0.clone(), a0.clone());
         let (mut want_piv, mut got_piv) = (vec![0i32; m.min(n)], vec![0i32; m.min(n)]);
         let want_info = oracle(m, n, &mut want, lda, &mut want_piv, width);
@@ -145,6 +145,7 @@ fn case<T: Scalar>(m: usize, n: usize, nb: usize, kern: GemmKernel, zero: &[usiz
 /// Square orders on both sides of the crossover, a ragged last band at
 /// 768, a tall and a wide shape, a tall panel whose `L21` is too large to
 /// pack once, a panel deeper than one diagonal block, and a zero column.
+/// Every case is more than two panels, so `getrf` takes the blocked loop.
 fn oracle_for<T: Scalar>() {
     for nb in [8, 32] {
         for n in [65, 96, 97, 200, 256, 768] {
@@ -152,11 +153,12 @@ fn oracle_for<T: Scalar>() {
         }
         case::<T>(300, 96, nb, GemmKernel::Auto, &[]);
         case::<T>(96, 300, nb, GemmKernel::Auto, &[]);
-        case::<T>(4200, 40, nb, GemmKernel::Auto, &[]);
+        // 40 columns are three panels at most 16 wide.
+        case::<T>(4200, 40, nb.min(16), GemmKernel::Auto, &[]);
         case::<T>(97, 97, nb, GemmKernel::Auto, &[5, 40]);
         case::<T>(97, 97, nb, GemmKernel::Unrolled, &[]);
     }
-    case::<T>(300, 300, 264, GemmKernel::Auto, &[]);
+    case::<T>(540, 540, 264, GemmKernel::Auto, &[]);
 }
 
 #[test]

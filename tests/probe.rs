@@ -70,7 +70,7 @@ fn gesv_span_tree_matches_closed_form_flops() {
     assert_eq!(getrf.layer, probe::Layer::Lapack);
     assert_eq!(getrf.flops, flops::getrf(n, n));
     // NB captured from tune at entry.
-    assert_eq!(getrf.nb, tune::current().nb("getrf", n));
+    assert_eq!(getrf.nb, tune::current().nb("getrf"));
 
     // The factorization's BLAS-3 leaves: one `lu_step` child per step (its
     // interchanges, U12 solve and trailing update), each carrying the
@@ -88,7 +88,7 @@ fn gesv_span_tree_matches_closed_form_flops() {
         getrf.children.iter().any(|c| c.routine == "lu_step"),
         "getrf should record lu_step leaves"
     );
-    let expected = getrf_blas_child_flops(n, tune::current().nb("getrf", n));
+    let expected = getrf_blas_child_flops(n, tune::current().nb("getrf"));
     let diff = child_sum.abs_diff(expected) as f64;
     assert!(
         diff <= expected as f64 * 0.01,

@@ -35,7 +35,6 @@ fn forced() -> tune::TuneConfig {
         par_flops: 0,
         nb_getrf: 8,
         nb_potrf: 8,
-        crossover: 8,
         ..tune::TuneConfig::defaults()
     }
 }
