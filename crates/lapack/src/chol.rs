@@ -1210,45 +1210,28 @@ mod tests {
     /// The identity the two-panel crossover rests on: from 129 to 192
     /// columns a recursive panel splits at 96 (up to 128 it splits at 64),
     /// so it makes the blocked loop's calls at NB 96 and computes its
-    /// bits. The matrices are Hermitian and diagonally dominant.
-    fn potrf2_is_the_blocked_loop_at_96<T: Scalar>() {
+    /// bits.
+    fn potrf2_is_the_blocked_loop_at_96<T: Scalar>(n: usize, a0: &[T]) {
         let bits = |v: &[T]| -> Vec<(u64, u64)> {
             v.iter()
                 .map(|x| (x.re().to_f64().to_bits(), x.im().to_f64().to_bits()))
                 .collect()
         };
-        for n in 129..=192 {
-            let mut s = n as u64;
-            let mut next = move || {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-                T::Real::from_f64((s >> 33) as f64 / (1u64 << 31) as f64 - 1.0)
-            };
-            let mut a0 = vec![T::from_f64(2.0 * n as f64); n * n];
-            for j in 0..n {
-                for i in 0..j {
-                    let im = if T::IS_COMPLEX {
-                        next()
-                    } else {
-                        T::Real::zero()
-                    };
-                    a0[i + j * n] = T::from_re_im(next(), im);
-                    a0[j + i * n] = a0[i + j * n].conj();
-                }
-            }
-            for uplo in [Uplo::Upper, Uplo::Lower] {
-                let (mut whole, mut blocked) = (a0.clone(), a0.clone());
-                let mut ws = vec![T::zero(); potrf_ws_len(n, 96)];
-                let info = one_thread(|| potrf_blocked(uplo, n, &mut blocked, n, 96, &mut ws));
-                assert_eq!((potrf2(uplo, n, &mut whole, n), info), (0, 0));
-                assert!(bits(&whole) == bits(&blocked), "n={n} {uplo:?}");
-            }
+        for uplo in [Uplo::Upper, Uplo::Lower] {
+            let (mut whole, mut blocked) = (a0.to_vec(), a0.to_vec());
+            let mut ws = vec![T::zero(); potrf_ws_len(n, 96)];
+            let info = one_thread(|| potrf_blocked(uplo, n, &mut blocked, n, 96, &mut ws));
+            assert_eq!((potrf2(uplo, n, &mut whole, n), info), (0, 0));
+            assert!(bits(&whole) == bits(&blocked), "n={n} {uplo:?}");
         }
     }
 
     #[test]
     fn potrf2_is_the_blocked_loop_from_129_to_192() {
-        potrf2_is_the_blocked_loop_at_96::<f64>();
-        potrf2_is_the_blocked_loop_at_96::<C64>();
+        for n in 129..=192 {
+            potrf2_is_the_blocked_loop_at_96(n, &rand_spd(n, n as u64));
+            potrf2_is_the_blocked_loop_at_96(n, &rand_hpd(n, n as u64));
+        }
     }
 
     #[test]

@@ -831,12 +831,13 @@ mod tests {
             svc.tenant_report("hop").map(|t| t.flops),
             Some(probe::flops::getrf(n, n) + probe::flops::getrs(n, 1))
         );
-        // A poisoned job is rejected at the input screen, before getrf:
-        // it adds no factoring job.
+        // A poisoned job is rejected at the input screen, before getrf: a
+        // worker ran it under the probe policy (its `serve` row took time)
+        // and it factored nothing.
         let (mut poisoned, b) = spd(n);
         poisoned[(3, 5)] = f64::NAN;
         let rej = svc
-            .submit(JobSpec::new(SolveOp::Gesv, poisoned, b))
+            .submit(JobSpec::new(SolveOp::Gesv, poisoned, b).tenant("poisoned"))
             .unwrap()
             .wait()
             .unwrap_err();
@@ -844,7 +845,13 @@ mod tests {
             matches!(rej, Rejection::Failed(la_core::LaError::NonFinite { argument, .. }) if argument > 0),
             "{rej:?}"
         );
-        assert_eq!(mine().len(), 1, "fp_check policy reached the worker");
+        let t = svc
+            .tenant_report("poisoned")
+            .expect("the poisoned job's books");
+        assert_eq!((t.completed, t.rejected), (0, 1));
+        assert!(t.nanos > 0, "the poisoned job never ran on a worker");
+        assert_eq!(t.flops, 0, "fp_check policy reached the worker");
+        assert_eq!(mine().len(), 1, "the poisoned job factored");
         svc.shutdown();
         assert_eq!(abft::take_pending().map(|f| f.block), Some(7));
     }

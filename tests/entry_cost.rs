@@ -14,19 +14,21 @@
 //!   `INFO_NO_WORKSPACE`) instead of aborting the process. It also counts
 //!   bytes, which bounds what a graph takes besides `A`.
 //! * Around the crossover (n = 47 … 193, four types) the default route is
-//!   bitwise the unblocked form up to the crossover, two panels, and
-//!   bitwise the blocked form at the default NB above it — `getf2` up to
-//!   n = 64; for `potrf` the recursive panel `potrf2`, whole, up to
-//!   n = 192; the unblocked form and a blocked one with narrow panels
-//!   agree to the `par_equiv` tolerances, report the same `info` wherever
-//!   the first zero pivot / non-positive minor sits, and `potrf` never
-//!   touches the triangle it was not given.
+//!   bitwise the unblocked form up to the crossover, two panels — `getf2`
+//!   up to n = 64; for `potrf` the recursive panel `potrf2`, whole, up to
+//!   n = 192 — and above it the blocked loop at the default NB, read off
+//!   the call's span tree; the unblocked form and a blocked one with
+//!   narrow panels agree to the `par_equiv` tolerances, report the same
+//!   `info` wherever the first zero pivot / non-positive minor sits, and
+//!   `potrf` never touches the triangle it was not given.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Mutex;
 
 use la_blas::{gemm, trmm, trmv, trsm, trsv};
-use la_core::{tune, Diag, Mat, RealScalar, Scalar, Side, Trans, Uplo, C32, C64};
+use la_core::probe::{self, flops, Span};
+use la_core::{tune, Diag, Mat, ProbePolicy, RealScalar, Scalar, Side, Trans, Uplo, C32, C64};
 use la_lapack as f77;
 
 thread_local! {
@@ -483,18 +485,37 @@ fn a_refused_graph_workspace_falls_back_to_the_blocked_loop() {
 /// Cholesky crossover (128) and the Cholesky one (2·96 = 192).
 const ORDERS: [usize; 11] = [47, 48, 63, 64, 65, 96, 128, 129, 191, 192, 193];
 
-/// The blocked form with `nb`-wide panels, which every order above `2·nb`
-/// takes.
-fn blocked_cfg(nb: usize) -> tune::TuneConfig {
+/// The blocked form, with panels narrow enough that every order in
+/// [`ORDERS`] is more than two of them.
+fn blocked_cfg() -> tune::TuneConfig {
     tune::TuneConfig {
-        nb_getrf: nb,
-        nb_potrf: nb,
+        nb_getrf: 16,
+        nb_potrf: 16,
         ..serial_cfg()
     }
 }
 
-/// Panels narrow enough that every order in [`ORDERS`] is more than two.
-const NARROW: usize = 16;
+/// `f`'s result and the span tree of the one call it makes under
+/// [`ProbePolicy::Spans`]. The probe's roots are process-wide, so the
+/// tests that read them take turns.
+fn traced<R>(f: impl FnOnce() -> R) -> (R, Span) {
+    static TURN: Mutex<()> = Mutex::new(());
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    probe::reset();
+    let out = probe::with_policy(ProbePolicy::Spans, f);
+    let mut roots = probe::snapshot().spans;
+    assert_eq!(roots.len(), 1, "one call, one span tree");
+    (out, roots.remove(0))
+}
+
+/// The flops of `span`'s children named `routine`, in call order.
+fn child_flops(span: &Span, routine: &str) -> Vec<u64> {
+    span.children
+        .iter()
+        .filter(|c| c.routine == routine)
+        .map(|c| c.flops)
+        .collect()
+}
 
 fn assert_close<T: Scalar>(want: &[T], got: &[T], tol: f64, what: &str) {
     for (idx, (&w, &g)) in want.iter().zip(got).enumerate() {
@@ -520,24 +541,33 @@ fn getrf_boundary<T: Scalar>(tol: f64) {
             (a, ipiv, info)
         };
         let unblocked = run(&a0, None);
-        let blocked = run(&a0, Some(blocked_cfg(NARROW)));
+        let blocked = run(&a0, Some(blocked_cfg()));
         assert_eq!((unblocked.2, blocked.2), (0, 0), "{what}");
         assert_eq!(unblocked.1, blocked.1, "{what}: pivots");
         assert_close(&unblocked.0, &blocked.0, tol, &what);
-        // Where the default sits: unblocked through 2·nb = 64, blocked at
-        // nb = 32 above.
-        let default = run(&a0, Some(serial_cfg()));
-        let same_as = if n <= 64 {
-            unblocked.0.clone()
+        // Where the default sits: `getf2` through 2·nb = 64; above, the
+        // blocked loop at nb = 32, whose every panel with columns right of
+        // it makes one `lu_step` on the rest.
+        let (default, span) = traced(|| run(&a0, Some(serial_cfg())));
+        let steps = child_flops(&span, "lu_step");
+        if n <= 64 {
+            assert!(default.0 == unblocked.0, "{what}: default route");
+            assert!(
+                steps.is_empty(),
+                "{what}: the default took the blocked loop"
+            );
         } else {
-            run(&a0, Some(blocked_cfg(32))).0
-        };
-        assert!(default.0 == same_as, "{what}: default route");
+            let loop_32: Vec<u64> = (32..n)
+                .step_by(32)
+                .map(|j| flops::trsm(Side::Left, 32, n - j) + flops::gemm(n - j, n - j, 32))
+                .collect();
+            assert_eq!(steps, loop_32, "{what}: default route");
+        }
         // A zero column makes U(p, p) exactly zero in either form.
         for p in [2, n / 2, n - 2] {
             let mut sing = a0.clone();
             sing[p * n..(p + 1) * n].fill(T::zero());
-            let (u, b) = (run(&sing, None), run(&sing, Some(blocked_cfg(NARROW))));
+            let (u, b) = (run(&sing, None), run(&sing, Some(blocked_cfg())));
             assert_eq!(u.2, p as i32 + 1, "{what}: unblocked info, zero column {p}");
             assert_eq!(b.2, p as i32 + 1, "{what}: blocked info, zero column {p}");
         }
@@ -570,7 +600,7 @@ fn potrf_boundary<T: Scalar>(tol: f64) {
             // The blocked form with narrow panels: at the default NB (96)
             // every order here up to 192 is one recursive panel.
             let unblocked = run(&a0, None);
-            let blocked = run(&a0, Some(blocked_cfg(NARROW)));
+            let blocked = run(&a0, Some(blocked_cfg()));
             assert_eq!((unblocked.1, blocked.1), (0, 0), "{what}");
             assert_close(&unblocked.0, &blocked.0, tol, &what);
             for (form, out) in [("unblocked", &unblocked.0), ("blocked", &blocked.0)] {
@@ -583,25 +613,30 @@ fn potrf_boundary<T: Scalar>(tol: f64) {
                     }
                 }
             }
-            let default = run(&a0, Some(serial_cfg()));
-            let (nb, crossover) = tune::with(serial_cfg(), || {
-                (
-                    f77::ilaenv_nb("potrf", n),
-                    f77::ilaenv_crossover("potrf", n),
-                )
-            });
-            let same_as = if n <= crossover {
-                unblocked.0.clone()
+            let (default, span) = traced(|| run(&a0, Some(serial_cfg())));
+            // Where the default sits: `potrf2` whole through two panels.
+            let nb = tune::with(serial_cfg(), || f77::ilaenv_nb("potrf", n));
+            if n <= 2 * nb {
+                assert!(default.0 == unblocked.0, "{what}: default route");
             } else {
-                run(&a0, Some(blocked_cfg(nb))).0
-            };
-            assert!(default.0 == same_as, "{what}: default route");
+                // The blocked loop at NB: each step ends in a rank-nb
+                // `herk` on the rest, the first the largest of the call. A
+                // whole `potrf2` first splits past 96 from n = 193 on.
+                let herks = child_flops(&span, "herk");
+                for rest in (nb..n).step_by(nb).map(|j| n - j) {
+                    assert!(
+                        herks.contains(&flops::syrk(rest, nb)),
+                        "{what}: no rank-{nb} update of the last {rest} columns"
+                    );
+                }
+                assert_eq!(herks.iter().max(), Some(&flops::syrk(n - nb, nb)), "{what}");
+            }
             // A negative diagonal entry makes the minor of order p + 1 the
             // first that is not positive.
             for p in [2, n / 2, n - 2] {
                 let mut bad = a0.clone();
                 bad[p + p * n] = T::from_f64(-1.0);
-                let (u, b) = (run(&bad, None), run(&bad, Some(blocked_cfg(NARROW))));
+                let (u, b) = (run(&bad, None), run(&bad, Some(blocked_cfg())));
                 assert_eq!(u.1, p as i32 + 1, "{what}: unblocked info, minor {p}");
                 assert_eq!(b.1, p as i32 + 1, "{what}: blocked info, minor {p}");
             }

@@ -387,11 +387,11 @@ fn syrk_herk_serial_parallel_equivalent() {
 
 /// The factorizations must compute the same factors for every block size:
 /// NB only changes how the trailing updates are batched. Every width here
-/// is under half the order, so each run takes the blocked loop; 63 leaves
-/// a ragged last panel.
+/// is under half the order, so each run takes the blocked loop; 63 and 96
+/// leave a ragged last panel.
 #[test]
 fn getrf_identical_across_block_sizes() {
-    let n = 128usize;
+    let n = 200usize;
     let mut rng = Rng(6);
     let mut a0: Vec<f64> = rng.vec(n * n);
     for i in 0..n {
@@ -410,7 +410,7 @@ fn getrf_identical_across_block_sizes() {
         })
     };
     let (aref, pref) = run(1);
-    for nb in [8usize, 32, 63] {
+    for nb in [8usize, 32, 63, 96] {
         let (a, p) = run(nb);
         assert_eq!(p, pref, "pivots differ at nb={nb}");
         for idx in 0..n * n {
@@ -425,7 +425,7 @@ fn getrf_identical_across_block_sizes() {
 
 #[test]
 fn potrf_identical_across_block_sizes() {
-    let n = 128usize;
+    let n = 200usize;
     let mut rng = Rng(7);
     // SPD: diagonally dominant symmetric matrix.
     let mut a0 = vec![0.0f64; n * n];
@@ -449,7 +449,7 @@ fn potrf_identical_across_block_sizes() {
         })
     };
     let aref = run(1);
-    for nb in [8usize, 32, 63] {
+    for nb in [8usize, 32, 63, 96] {
         let a = run(nb);
         for j in 0..n {
             for i in j..n {
