@@ -82,7 +82,7 @@
 //! these ratios by more than the slowdown it must catch; EXPERIMENTS.md,
 //! "An AVX-512 tier"). The factor gate reads the widest tier's run, where
 //! one bound separates a 25 % slower Cholesky step (EXPERIMENTS.md,
-//! "Cholesky at Level-3 speed").
+//! "One sweep per Cholesky step").
 //!
 //! Blocking parameters come from [`la_core::tune`]: a sweep over the
 //! cache blocking sets `TuneConfig::{gemm_mc, gemm_kc, gemm_nc}` in code

@@ -693,13 +693,15 @@ fn syrk_impl<T: Scalar>(
                 Uplo::Upper => (0, j + 1),
                 Uplo::Lower => (j, n),
             };
-            for i in lo..hi {
-                let cc = &mut c[i + j * ldc];
-                *cc = if beta.is_zero() {
-                    T::zero()
-                } else {
-                    beta * *cc
-                };
+            if beta != T::one() {
+                for i in lo..hi {
+                    let cc = &mut c[i + j * ldc];
+                    *cc = if beta.is_zero() {
+                        T::zero()
+                    } else {
+                        beta * *cc
+                    };
+                }
             }
             if conj {
                 let cc = &mut c[j + j * ldc];
@@ -770,12 +772,13 @@ const SYRK_NB: usize = 48;
 
 /// One column band of a triangular update,
 /// `C := β·C + α·Σ op(X)·op(Y)ᵀ` over the `(X, Y)` pairs in `terms`, on
-/// the `uplo` triangle only: β-scales the band's part of the triangle,
-/// then makes one triangle-masked packed sweep ([`gemm_packed`]) per term
-/// over the rows the triangle references — the band's rows of `op(Y)` are
-/// packed once per depth block (the B side of the product). `(ta, tb)`
-/// are the gemm ops that make `op(X)` and `op(Y)ᵀ` of the stored
-/// operands; `cb` is the column band of `C` starting at column `j0`.
+/// the `uplo` triangle only: β-scales the band's part of the triangle
+/// (unless β = 1), then makes one triangle-masked packed sweep
+/// ([`gemm_packed`]) per term over the rows the triangle references — the
+/// band's rows of `op(Y)` are packed once per depth block (the B side of
+/// the product). `(ta, tb)` are the gemm ops that make `op(X)` and
+/// `op(Y)ᵀ` of the stored operands; `cb` is the column band of `C`
+/// starting at column `j0`.
 #[allow(clippy::too_many_arguments)]
 fn band_update<T: Scalar>(
     plan: &PackedPlan<T>,
@@ -789,18 +792,20 @@ fn band_update<T: Scalar>(
     mut cb: MatMut<'_, T>,
 ) {
     let (n, jb) = (cb.nrows(), cb.ncols());
-    for j in j0..j0 + jb {
-        let (lo, hi) = match uplo {
-            Uplo::Upper => (0, j + 1),
-            Uplo::Lower => (j, n),
-        };
-        let col = cb.col_mut(j - j0);
-        for cc in &mut col[lo..hi] {
-            *cc = if beta.is_zero() {
-                T::zero()
-            } else {
-                beta * *cc
+    // C := β·C, skipped at β = 1 as `gemm` skips it.
+    if beta != T::one() {
+        for j in j0..j0 + jb {
+            let (lo, hi) = match uplo {
+                Uplo::Upper => (0, j + 1),
+                Uplo::Lower => (j, n),
             };
+            for cc in &mut cb.col_mut(j - j0)[lo..hi] {
+                *cc = if beta.is_zero() {
+                    T::zero()
+                } else {
+                    beta * *cc
+                };
+            }
         }
     }
     // Rows i0..i0+ib of op(X) as a stored subview.
@@ -1664,6 +1669,172 @@ const LU_BAND_BYTES: usize = 384 << 10;
 /// `T`, on the `NR` grid and at least one `NR` panel.
 fn lu_band<T: Scalar>(m: usize, nr: usize) -> usize {
     (LU_BAND_BYTES / (m * std::mem::size_of::<T>()) / nr).max(1) * nr
+}
+
+/// One step of right-looking Cholesky on the block of order `jb + rest`
+/// whose corner is `a[0]`, `A11` (`jb × jb`) already factored: the
+/// off-diagonal block (`U12 := U11⁻ᴴ·A12`, resp. `L21 := A21·L11⁻ᴴ`), then
+/// `A22 −= U12ᴴ·U12` (resp. `L21·L21ᴴ`) on the `uplo` triangle. This is
+/// the `trsm` and the `herk` of a blocked `potrf` step, with their bits,
+/// in one serial sweep.
+///
+/// Either triangle solves `op(A11)·X = B` by forward substitution, `X`
+/// being `jb × rest`: `U12` in place (`op = ᴴ`), or `L21ᴴ` in `ws` (at
+/// least `jb·rest` elements, contents ignored; an Upper step reads none
+/// of it), into which the step copies `A21`'s conjugate transpose and out
+/// of which it copies `L21` back. The step packs the triangle once; per
+/// `NC` band of `X` the substitution of the solve sweep (`solve_band`)
+/// leaves −X in packed-B layout, and that panel is the B side of the
+/// triangle-masked update of the band's columns of `A22`, whose A side,
+/// `Xᴴ`, is packed per `MC` block from rows of `X` already solved — Upper
+/// walks the bands left to right (it reads the rows above), Lower right to
+/// left (the rows below). Bands, blocks, tiles and masks are `herk`'s at
+/// one thread. With fewer than four columns, or a triangle deeper than one
+/// diagonal block or one `KC` depth, the step runs the forms the separate
+/// calls would choose.
+pub fn chol_step<T: Scalar>(
+    uplo: Uplo,
+    jb: usize,
+    rest: usize,
+    a: &mut [T],
+    lda: usize,
+    ws: &mut [T],
+) {
+    let _probe = probe::span(
+        probe::Layer::Blas,
+        "chol_step",
+        probe::flops::trsm(Side::Left, jb, rest) + probe::flops::syrk(rest, jb),
+        probe_bytes::<T>(jb * (jb + 1) / 2, jb * rest + rest * (rest + 1) / 2),
+    );
+    if rest == 0 || jb == 0 {
+        return;
+    }
+    probe::note_parallelism(1);
+    let plan = PackedPlan::<T>::from_cfg(&tune::current());
+    let (mr, nr) = (plan.kern.mr(), plan.kern.nr());
+    let upper = uplo == Uplo::Upper;
+    // op(A11) is lower triangular either way: U11ᴴ, or L11.
+    let trans = if upper { Trans::ConjTrans } else { Trans::No };
+    let (left, right) = a.split_at_mut(jb * lda);
+    let (mut copy, ldx) = match uplo {
+        Uplo::Upper => (None, lda),
+        Uplo::Lower => {
+            let copy = &mut ws[..jb * rest];
+            for c in 0..jb {
+                for (r, &x) in left[jb + c * lda..][..rest].iter().enumerate() {
+                    copy[c + r * jb] = x.conj();
+                }
+            }
+            (Some(copy), jb)
+        }
+    };
+    let a11 = MatRef::new(left, jb, jb, lda);
+    let tri = Triangle {
+        lower: !upper,
+        shift: 0,
+    };
+    // The rows of A22 a band of columns `jc..jc + nb` references.
+    let rows = |jc: usize, nb: usize| if upper { 0..jc + nb } else { jc..rest };
+    let narrow = rest < TRSM_OPA_MIN_COLS;
+    probe::note_kernel(if narrow { "trsv" } else { plan.kern.name() });
+    // The sweep solves a band while it updates: it needs `trsm`'s packed
+    // form on one diagonal block of one depth block. Else the solve's own
+    // form runs first, and the update packs −X from its result per `KC`
+    // depth block, as `herk` does.
+    let fused = !narrow && jb <= diag_block(&plan) && jb <= plan.kc;
+    if !fused {
+        let x = MatMut::new(copy.as_deref_mut().unwrap_or(right), jb, rest, ldx);
+        if narrow {
+            trsv_cols(uplo, trans, Diag::NonUnit, a11, x);
+        } else {
+            trsm_left_cols(&plan, uplo, trans, Diag::NonUnit, a11, x);
+        }
+    }
+    let kc = plan.kc.min(jb);
+    let tri_cap = if fused { tri_len(jb, mr) } else { 0 };
+    let a_cap = tri_cap + plan.mc.min(rest).div_ceil(mr) * mr * kc;
+    let b_cap = plan.nc.min(rest).div_ceil(nr) * nr * kc;
+    pack::with_arena::<T, _>(a_cap, b_cap, |abuf, bpack| {
+        let (tp, apack) = abuf.split_at_mut(tri_cap);
+        if fused {
+            pack_triangle(tp, a11, trans, true, 0, jb, mr);
+        }
+        let nbands = rest.div_ceil(plan.nc);
+        for q in 0..nbands {
+            // A Lower band reads the rows of X right of it.
+            let jc = if upper { q } else { nbands - 1 - q } * plan.nc;
+            let nb = plan.nc.min(rest - jc);
+            for lc in (0..jb).step_by(plan.kc) {
+                let kb = plan.kc.min(jb - lc);
+                let bp = &mut bpack[..nb.div_ceil(nr) * nr * kb];
+                if fused {
+                    let xs = copy.as_deref_mut().unwrap_or(right);
+                    solve_band(plan.kern, tp, (true, false), (0, jb), (jc, nb), xs, ldx, bp);
+                } else {
+                    let x = MatRef::new(copy.as_deref().unwrap_or(right), jb, rest, ldx);
+                    pack::pack_b(bp, x, Trans::No, lc, kb, jc, nb, nr, -T::one());
+                }
+                let home = (copy.as_deref(), ldx);
+                let block = (rows(jc, nb), (lc, kb), (jc, nb));
+                chol_update(&plan, (right, lda), home, (jb, rest), block, bp, apack, tri);
+            }
+            // `herk` leaves the diagonal of a Hermitian update real.
+            if T::IS_COMPLEX {
+                for j in jc..jc + nb {
+                    let d = &mut right[jb + j + j * lda];
+                    *d = T::from_real(d.re());
+                }
+            }
+        }
+    });
+    if let Some(copy) = copy {
+        for c in 0..jb {
+            for (r, x) in left[jb + c * lda..][..rest].iter_mut().enumerate() {
+                *x = copy[c + r * jb].conj();
+            }
+        }
+    }
+}
+
+/// `A22 −= XᴴX` on the rows and columns of `A22` that `block` names, at its
+/// depth block `(lc, kb)`, for a [`chol_step`]: `A22` is `right` below its
+/// top `jb` rows (column stride `lda`), `X` the `jb × rest` panel in the
+/// copy given (with its column stride), else in those top rows. `bpack`
+/// holds the columns' `kb` rows of −X in packed-B layout, and `Xᴴ` is
+/// packed here per `MC` block of rows, as `herk`'s sweep packs it; `tri`
+/// masks the tiles.
+#[allow(clippy::too_many_arguments)]
+fn chol_update<T: Scalar>(
+    plan: &PackedPlan<T>,
+    (right, lda): (&mut [T], usize),
+    (copy, ldx): (Option<&[T]>, usize),
+    (jb, rest): (usize, usize),
+    (rows, (lc, kb), cols): (std::ops::Range<usize>, (usize, usize), (usize, usize)),
+    bpack: &[T],
+    apack: &mut [T],
+    tri: Triangle,
+) {
+    let mr = plan.kern.mr();
+    let mut ic = rows.start;
+    while ic < rows.end {
+        let mb = plan.mc.min(rows.end - ic);
+        let ap = &mut apack[..mb.div_ceil(mr) * mr * kb];
+        let x = MatRef::new(copy.unwrap_or(right), jb, rest, ldx);
+        pack::pack_a(ap, x, Trans::ConjTrans, ic, mb, lc, kb, mr);
+        let a22 = &mut right[jb..];
+        tiles(
+            plan.kern,
+            ap,
+            (ic, mb),
+            kb,
+            bpack,
+            cols,
+            a22,
+            lda,
+            Some(tri),
+        );
+        ic += mb;
+    }
 }
 
 /// The `MR`-row panels of a diagonal block of order `kb`, in substitution

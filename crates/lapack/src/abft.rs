@@ -8,7 +8,8 @@
 //! ones that any corruption of the computed factors themselves breaks,
 //! not just corruption of an individual Level-3 update (defense in
 //! depth: the inner `gemm`/`trsm`/`herk` calls carry their own
-//! checksums when large enough).
+//! checksums when large enough; the fused `lu_step`/`chol_step` sweeps
+//! carry none, and this identity is what covers them).
 //!
 //! Recovery restores the snapshotted input and re-runs the whole
 //! factorization on the serial path — the same machinery the graceful-

@@ -3,7 +3,7 @@
 //! packed (`pptrf`/`pptrs`/`ppsv`), band (`pbtrf`/`pbtrs`/`pbsv`) and
 //! tridiagonal (`pttrf`/`pttrs`/`ptsv`).
 
-use la_blas::{dotc, gemv, hemv, herk, rscal, scal, spmv, tbsv, tpsv, trsm};
+use la_blas::{chol_step, dotc, gemv, hemv, rscal, scal, spmv, tbsv, tpsv, trsm};
 use la_core::{probe, Diag, Norm, RealScalar, Scalar, Side, Trans, Uplo};
 
 use crate::aux::{lacon, lansy, one_thread, try_zeros, Blocking, Route, INFO_NO_WORKSPACE};
@@ -106,12 +106,13 @@ fn potf2_ws<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize, ws: &mut [
 }
 
 /// Recursive Cholesky factorization (`xPOTRF2`): `A = UᴴU` or `A = LLᴴ`
-/// with every flop outside the 32-wide leaves in `trsm` and `herk`. Same
-/// `info` as [`potf2`]: the order of the first leading minor that is not
-/// positive, or [`INFO_NO_WORKSPACE`] if its workspace (about `n²/4`
-/// elements) cannot be allocated.
+/// with every flop outside the 32-wide leaves in one
+/// [`la_blas::chol_step`] per node. Same `info` as [`potf2`]: the order of
+/// the first leading minor that is not positive, or [`INFO_NO_WORKSPACE`]
+/// if its workspace (at most 31 elements for `Upper`, about `n²/4` for
+/// `Lower`) cannot be allocated.
 pub fn potrf2<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i32 {
-    let Some(mut ws) = try_zeros::<T>(potrf2_ws_len(n)) else {
+    let Some(mut ws) = try_zeros::<T>(potrf2_ws_len(uplo, n)) else {
         return INFO_NO_WORKSPACE;
     };
     one_thread(|| potrf2_ws(uplo, n, a, lda, &mut ws))
@@ -129,20 +130,25 @@ fn potrf2_split(n: usize) -> usize {
 }
 
 /// Elements of workspace [`potrf2`] takes on an order-`n` block: the
-/// largest step copy, `n1·(n − n1)`, or leaf scratch, `n − 1`, of any node;
-/// the nodes run one after another on the same elements.
-pub(crate) fn potrf2_ws_len(n: usize) -> usize {
+/// largest leaf scratch, `n − 1`, of any node, or for `Lower` the largest
+/// step's copy of `L21ᴴ`, `n1·(n − n1)`, if larger (an `Upper` step solves
+/// in place); the nodes run one after another on the same elements.
+pub(crate) fn potrf2_ws_len(uplo: Uplo, n: usize) -> usize {
     if n <= POTRF2_LEAF {
         return n.saturating_sub(1);
     }
     let n1 = potrf2_split(n);
-    (n1 * (n - n1))
-        .max(potrf2_ws_len(n1))
-        .max(potrf2_ws_len(n - n1))
+    let copy = if uplo == Uplo::Lower {
+        n1 * (n - n1)
+    } else {
+        0
+    };
+    copy.max(potrf2_ws_len(uplo, n1))
+        .max(potrf2_ws_len(uplo, n - n1))
 }
 
 /// [`potrf2`] on a caller-provided workspace of at least
-/// [`potrf2_ws_len`]`(n)` elements (contents ignored).
+/// [`potrf2_ws_len`]`(uplo, n)` elements (contents ignored).
 fn potrf2_ws<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize, ws: &mut [T]) -> i32 {
     if n <= POTRF2_LEAF {
         return potf2_ws(uplo, n, a, lda, ws);
@@ -157,95 +163,6 @@ fn potrf2_ws<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize, ws: &mut 
         0 => 0,
         // A positive code counts minors from the second block's corner.
         info => info + n1 as i32,
-    }
-}
-
-/// One right-looking step on the `(jb + rest)`-order block whose corner is
-/// `a[0]`, `A11` (`jb × jb`) already factored: the off-diagonal block
-/// (`U12 := U11⁻ᴴ·A12`, resp. `L21 := A21·L11⁻ᴴ`), then `A22 −= U12ᴴ·U12`
-/// (resp. `L21·L21ᴴ`). `ws` (at least `jb·rest` elements, contents
-/// ignored) holds the one copy the step needs of an operand that shares
-/// its columns with what the step writes: `U12`, read by the update;
-/// `L21ᴴ`, solved there as a right-side `trsm` would solve it in a copy of
-/// its own. Every other operand is read in place. The blocked loop and
-/// the recursive panel both step through here.
-fn chol_step<T: Scalar>(uplo: Uplo, jb: usize, rest: usize, a: &mut [T], lda: usize, ws: &mut [T]) {
-    // The factored columns, and the columns right of them.
-    let (left, right) = a.split_at_mut(jb * lda);
-    let copy = &mut ws[..jb * rest];
-    match uplo {
-        Uplo::Lower => {
-            // L21ᴴ := L11⁻¹·A21ᴴ, column `r` of the copy being row `r` of
-            // A21 (read down A21's columns).
-            for c in 0..jb {
-                let src = &left[jb + c * lda..][..rest];
-                for (r, &x) in src.iter().enumerate() {
-                    copy[c + r * jb] = x.conj();
-                }
-            }
-            trsm(
-                Side::Left,
-                Uplo::Lower,
-                Trans::No,
-                Diag::NonUnit,
-                jb,
-                rest,
-                T::one(),
-                left,
-                lda,
-                copy,
-                jb,
-            );
-            for c in 0..jb {
-                let dst = &mut left[jb + c * lda..][..rest];
-                for (r, x) in dst.iter_mut().enumerate() {
-                    *x = copy[c + r * jb].conj();
-                }
-            }
-            // A22 -= L21·L21ᴴ: L21 sits left of A22.
-            herk(
-                Uplo::Lower,
-                Trans::No,
-                rest,
-                jb,
-                -T::Real::one(),
-                &left[jb..],
-                lda,
-                T::Real::one(),
-                &mut right[jb..],
-                lda,
-            );
-        }
-        Uplo::Upper => {
-            trsm(
-                Side::Left,
-                Uplo::Upper,
-                Trans::ConjTrans,
-                Diag::NonUnit,
-                jb,
-                rest,
-                T::one(),
-                left,
-                lda,
-                right,
-                lda,
-            );
-            // A22 -= U12ᴴ·U12, reading U12 from the copy: the two share
-            // columns.
-            crate::aux::lacpy(None, jb, rest, right, lda, copy, jb);
-            herk(
-                Uplo::Upper,
-                Trans::ConjTrans,
-                rest,
-                jb,
-                -T::Real::one(),
-                copy,
-                jb,
-                T::Real::one(),
-                &mut right[jb..],
-                lda,
-            );
-        }
     }
 }
 
@@ -324,7 +241,7 @@ pub(crate) fn potrf_core<T: Scalar>(
         },
         Route::Unblocked | Route::Blocked => {
             let nb = loop_nb(how, n);
-            match try_zeros::<T>(potrf_ws_len(n, nb)) {
+            match try_zeros::<T>(potrf_ws_len(uplo, n, nb)) {
                 Some(mut ws) => one_thread(|| potrf_blocked(uplo, n, a, lda, nb, &mut ws)),
                 None => INFO_NO_WORKSPACE,
             }
@@ -342,18 +259,23 @@ pub(crate) fn loop_nb(how: Blocking, n: usize) -> usize {
     }
 }
 
-/// Elements of workspace [`potrf_blocked`] takes: the first step's copy of
-/// its off-diagonal block, `nb·(n − nb)`, or the recursion on a whole
-/// diagonal block, whichever is larger. A last, narrower block of `r`
-/// columns needs at most `r²/4`, under the first step's copy.
-pub(crate) fn potrf_ws_len(n: usize, nb: usize) -> usize {
+/// Elements of workspace [`potrf_blocked`] takes: the recursion's on a
+/// whole diagonal block, or for `Lower` the first step's copy of its
+/// off-diagonal block, `nb·(n − nb)`, if larger. A last, narrower block of
+/// `r` columns needs at most `r²/4`, under the first step's copy.
+pub(crate) fn potrf_ws_len(uplo: Uplo, n: usize, nb: usize) -> usize {
     let nb = nb.min(n);
-    (nb * (n - nb)).max(potrf2_ws_len(nb))
+    let copy = if uplo == Uplo::Lower {
+        nb * (n - nb)
+    } else {
+        0
+    };
+    copy.max(potrf2_ws_len(uplo, nb))
 }
 
 /// Right-looking blocked Cholesky with panel width `nb` (`nb ≥ n`: one
-/// panel): [`potrf2`] on each diagonal block, then [`chol_step`] right of
-/// it, both on `ws` (at least [`potrf_ws_len`] elements, contents
+/// panel): [`potrf2`] on each diagonal block, then [`la_blas::chol_step`]
+/// right of it, both on `ws` (at least [`potrf_ws_len`] elements, contents
 /// ignored).
 pub(crate) fn potrf_blocked<T: Scalar>(
     uplo: Uplo,
@@ -1219,7 +1141,7 @@ mod tests {
         };
         for uplo in [Uplo::Upper, Uplo::Lower] {
             let (mut whole, mut blocked) = (a0.to_vec(), a0.to_vec());
-            let mut ws = vec![T::zero(); potrf_ws_len(n, 96)];
+            let mut ws = vec![T::zero(); potrf_ws_len(uplo, n, 96)];
             let info = one_thread(|| potrf_blocked(uplo, n, &mut blocked, n, 96, &mut ws));
             assert_eq!((potrf2(uplo, n, &mut whole, n), info), (0, 0));
             assert!(bits(&whole) == bits(&blocked), "n={n} {uplo:?}");

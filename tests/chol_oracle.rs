@@ -15,14 +15,23 @@
 //!   outer block;
 //! * with its workspace refused, `potrf` either completes or reports
 //!   `INFO_NO_WORKSPACE` with `A` as it was given — it never aborts.
+//!
+//! Each step right of a diagonal block is one `la_blas::chol_step` sweep.
+//! The suite also keeps the loop that sweep replaced, written from public
+//! calls — `potf2` leaves on the 32-column split grid, a `trsm` for the
+//! off-diagonal block, a copy of it and a `herk` for the trailing update,
+//! inside the blocked loop at NB — and holds `potrf` and `potrf2` to its
+//! factors and `info` bit for bit, at one thread, for all four scalar
+//! types.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use la_blas::{herk, trsm};
 use la_core::dd::Dd;
-use la_core::tune::{self, TuneConfig};
-use la_core::{RealScalar, Scalar, Uplo, C32, C64};
-use la_lapack::{potrf, potrf2, INFO_NO_WORKSPACE};
+use la_core::tune::{self, GemmKernel, TuneConfig};
+use la_core::{Diag, RealScalar, Scalar, Side, Trans, Uplo, C32, C64};
+use la_lapack::{potf2, potrf, potrf2, INFO_NO_WORKSPACE};
 
 thread_local! {
     /// Requests of this many bytes or more fail on this thread.
@@ -408,4 +417,248 @@ fn a_refused_workspace_is_reported_c32() {
 #[test]
 fn a_refused_workspace_is_reported_c64() {
     a_refused_workspace_is_reported::<C64>();
+}
+
+/// One right-looking step with one call per phase: the off-diagonal block
+/// by `trsm` (Lower: on a conjugate-transposed copy of `A21`, copied
+/// back), then `A22 −= U12ᴴ·U12` (resp. `L21·L21ᴴ`) by `herk`, reading
+/// `U12` from a copy.
+fn oracle_step<T: Scalar>(uplo: Uplo, jb: usize, rest: usize, a: &mut [T], lda: usize) {
+    let (left, right) = a.split_at_mut(jb * lda);
+    let mut copy = vec![T::zero(); jb * rest];
+    let (one, minus) = (T::one(), -T::Real::one());
+    let (side, diag) = (Side::Left, Diag::NonUnit);
+    match uplo {
+        Uplo::Upper => {
+            let t = Trans::ConjTrans;
+            trsm(side, uplo, t, diag, jb, rest, one, left, lda, right, lda);
+            for (c, dst) in copy.chunks_exact_mut(jb).enumerate() {
+                dst.copy_from_slice(&right[c * lda..c * lda + jb]);
+            }
+            let a22 = &mut right[jb..];
+            herk(
+                uplo,
+                t,
+                rest,
+                jb,
+                minus,
+                &copy,
+                jb,
+                T::Real::one(),
+                a22,
+                lda,
+            );
+        }
+        Uplo::Lower => {
+            for c in 0..jb {
+                for r in 0..rest {
+                    copy[c + r * jb] = left[jb + r + c * lda].conj();
+                }
+            }
+            trsm(
+                side,
+                uplo,
+                Trans::No,
+                diag,
+                jb,
+                rest,
+                one,
+                left,
+                lda,
+                &mut copy,
+                jb,
+            );
+            for c in 0..jb {
+                for r in 0..rest {
+                    left[jb + r + c * lda] = copy[c + r * jb].conj();
+                }
+            }
+            let (l21, a22) = (&left[jb..], &mut right[jb..]);
+            herk(
+                uplo,
+                Trans::No,
+                rest,
+                jb,
+                minus,
+                l21,
+                lda,
+                T::Real::one(),
+                a22,
+                lda,
+            );
+        }
+    }
+}
+
+/// The recursive panel with one call per phase: `potf2` at leaves of at
+/// most 32 columns, else half the leaves (rounded up) first, a step, and
+/// the rest.
+fn oracle_potrf2<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i32 {
+    if n <= 32 {
+        return potf2(uplo, n, a, lda);
+    }
+    let n1 = 32 * n.div_ceil(32).div_ceil(2);
+    let info = oracle_potrf2(uplo, n1, a, lda);
+    if info != 0 {
+        return info;
+    }
+    oracle_step(uplo, n1, n - n1, a, lda);
+    match oracle_potrf2(uplo, n - n1, &mut a[n1 + n1 * lda..], lda) {
+        0 => 0,
+        info => info + n1 as i32,
+    }
+}
+
+/// `potrf`'s one-thread route with one call per phase: the recursive
+/// panel whole up to two panels of `nb`, else the blocked loop at `nb`.
+fn oracle_potrf<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize, nb: usize) -> i32 {
+    let nb = if n <= 2 * nb { n } else { nb };
+    let mut j = 0;
+    while j < n {
+        let jb = nb.min(n - j);
+        let info = oracle_potrf2(uplo, jb, &mut a[j + j * lda..], lda);
+        if info != 0 {
+            return info + j as i32;
+        }
+        if j + jb < n {
+            oracle_step(uplo, jb, n - j - jb, &mut a[j + j * lda..], lda);
+        }
+        j += jb;
+    }
+    0
+}
+
+fn bits_of<T: Scalar>(v: &[T]) -> Vec<(u64, u64)> {
+    v.iter()
+        .map(|x| (x.re().to_f64().to_bits(), x.im().to_f64().to_bits()))
+        .collect()
+}
+
+/// `potrf` at `cfg` (one thread), and with `whole` `potrf2`, against the
+/// oracle, bit for bit, on a matrix of order `n` in an `(n + 3)`-row
+/// array, positive definite or, with `bad`, with its minor of order
+/// `bad + 1` the first that is not positive.
+fn against_oracle<T: Scalar>(cfg: TuneConfig, n: usize, bad: Option<usize>, whole: bool) {
+    let lda = n + 3;
+    for uplo in [Uplo::Upper, Uplo::Lower] {
+        let mut a0: Vec<T> = posdef(uplo, n, lda, 53 + n as u64);
+        if let Some(p) = bad {
+            a0[p + p * lda] = T::from_f64(-1.0);
+        }
+        let what = format!(
+            "{} {uplo:?} n={n} nb={} {:?} mc/kc/nc={}/{}/{} bad={bad:?}",
+            T::PREFIX,
+            cfg.nb_potrf,
+            cfg.gemm_kernel,
+            cfg.gemm_mc,
+            cfg.gemm_kc,
+            cfg.gemm_nc
+        );
+        tune::with(cfg, || {
+            let (mut want, mut got) = (a0.clone(), a0.clone());
+            let want_info = oracle_potrf(uplo, n, &mut want, lda, cfg.nb_potrf);
+            let got_info = potrf(uplo, n, &mut got, lda);
+            assert_eq!(got_info, want_info, "potrf {what}: info");
+            assert!(bits_of(&got) == bits_of(&want), "potrf {what}: factor");
+            if !whole {
+                return;
+            }
+            let (mut want, mut got) = (a0.clone(), a0.clone());
+            let want_info = oracle_potrf2(uplo, n, &mut want, lda);
+            let got_info = potrf2(uplo, n, &mut got, lda);
+            assert_eq!(got_info, want_info, "potrf2 {what}: info");
+            assert!(bits_of(&got) == bits_of(&want), "potrf2 {what}: factor");
+            if let Some(p) = bad {
+                assert_eq!(got_info, p as i32 + 1, "potrf2 {what}: first bad minor");
+            }
+        });
+    }
+}
+
+/// Orders on every leaf (32), split and NB (96) boundary, a last step of
+/// one to three columns (97, 99 at NB 32; 193 at 96), `NC` (512) on both
+/// sides of a step's trailing block (607–609 at NB 96), and the
+/// benchmark's `large_factor` order; NB 8, 32, 96 and 257 (a step deeper
+/// than one diagonal block of the solve sweep), the default kernel, a
+/// pinned one, and the small `MC`/`KC`/`NC` of `tests/kernels.rs` (every
+/// step of 32 columns or more split in depth).
+fn oracle_for<T: Scalar>() {
+    let at = |nb: usize| TuneConfig {
+        nb_potrf: nb,
+        ..serial()
+    };
+    for n in [
+        1, 2, 31, 32, 33, 63, 64, 65, 95, 96, 97, 99, 128, 129, 191, 192, 193, 200,
+    ] {
+        // `potrf2` does not read NB: one run of it per order.
+        for nb in [8, 32, 96] {
+            against_oracle::<T>(at(nb), n, None, nb == 96);
+        }
+    }
+    for n in [607, 608, 609] {
+        against_oracle::<T>(at(96), n, None, false);
+    }
+    // `potrf2` at 768 splits at 384, deeper than one diagonal block.
+    against_oracle::<T>(at(96), 768, None, true);
+    against_oracle::<T>(at(257), 600, None, false);
+    for n in [97, 200] {
+        let pinned = TuneConfig {
+            gemm_kernel: GemmKernel::Unrolled,
+            ..at(32)
+        };
+        against_oracle::<T>(pinned, n, None, true);
+        let small = TuneConfig {
+            gemm_mc: 22,
+            gemm_kc: 16,
+            gemm_nc: 37,
+            ..at(32)
+        };
+        against_oracle::<T>(small, n, None, true);
+        // Steps of 8 fit one `KC` depth: the fused sweep on `MC` blocks off
+        // the `MR` grid and `NC` bands of 37.
+        against_oracle::<T>(
+            TuneConfig {
+                nb_potrf: 8,
+                ..small
+            },
+            n,
+            None,
+            false,
+        );
+        against_oracle::<T>(
+            TuneConfig {
+                nb_potrf: 96,
+                ..small
+            },
+            n,
+            None,
+            false,
+        );
+    }
+    // The first bad minor in a leaf, the second half of a node and a
+    // later block.
+    for p in [5, 70, 150] {
+        against_oracle::<T>(at(32), 200, Some(p), true);
+        against_oracle::<T>(at(96), 200, Some(p), false);
+    }
+}
+
+#[test]
+fn potrf_is_the_one_call_per_phase_loop_bit_for_bit_f32() {
+    oracle_for::<f32>();
+}
+
+#[test]
+fn potrf_is_the_one_call_per_phase_loop_bit_for_bit_f64() {
+    oracle_for::<f64>();
+}
+
+#[test]
+fn potrf_is_the_one_call_per_phase_loop_bit_for_bit_c32() {
+    oracle_for::<C32>();
+}
+
+#[test]
+fn potrf_is_the_one_call_per_phase_loop_bit_for_bit_c64() {
+    oracle_for::<C64>();
 }

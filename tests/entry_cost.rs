@@ -95,6 +95,14 @@ fn allocs_when_warm(mut f: impl FnMut()) -> u64 {
     ALLOCS.with(Cell::get) - before
 }
 
+/// Bytes `f` requests on this thread once warm.
+fn bytes_when_warm(mut f: impl FnMut()) -> usize {
+    f();
+    let before = BYTES.with(Cell::get);
+    f();
+    BYTES.with(Cell::get) - before
+}
+
 struct Rng(u64);
 
 impl Rng {
@@ -289,8 +297,9 @@ fn narrow_trsm_and_trmm_are_the_level2_routine_per_column() {
 #[test]
 fn drivers_at_n96_stay_within_the_reported_allocation_counts() {
     // `la_bench --trace 1` on `small_direct` reports 1 (gesv: the pivot
-    // vector) and 3 (posv: potrf's workspace and the op(A) copy of its two
-    // U12 solves); the bounds are 4 and 3.
+    // vector) and 1 (posv: potrf's leaf scratch); the bounds are 4 and 3.
+    // An Upper Cholesky step solves in place, so posv's one request is
+    // the leaf scratch, at most 31 elements.
     let n = 96usize;
     let a0 = Mat::from_col_major(n, n, general::<f64>(n, 7));
     let s0 = Mat::from_col_major(n, n, posdef::<f64>(n, 8));
@@ -310,6 +319,16 @@ fn drivers_at_n96_stay_within_the_reported_allocation_counts() {
                 la90::posv(&mut a, &mut b).expect("posv");
             });
             assert!(posv <= 3, "posv allocated {posv} times");
+            let bytes = bytes_when_warm(|| {
+                a.as_mut_slice().copy_from_slice(s0.as_slice());
+                b.copy_from_slice(&b0);
+                la90::posv(&mut a, &mut b).expect("posv");
+            });
+            let leaf = 31 * std::mem::size_of::<f64>();
+            assert!(
+                bytes <= leaf,
+                "posv took {bytes} bytes, over the leaf scratch"
+            );
         });
     }
 }
@@ -376,10 +395,11 @@ fn refusing<R>(bytes: usize, f: impl FnOnce() -> R) -> R {
 /// task runs — at most 0.6·n² elements, measured on the calling thread in a
 /// warm call. With that workspace refused, `potrf` and `geqrf` at two
 /// threads run the serial blocked loop instead — the one-thread call's
-/// bits. With the loop's own workspace refused as well, they report
-/// `INFO_NO_WORKSPACE` and leave `A` untouched. `getrf` takes no workspace,
-/// so its graph runs and gives its own bits at both refusals. Nothing
-/// aborts.
+/// bits. With the loop's own workspace refused as well, Lower `potrf` and
+/// `geqrf` report `INFO_NO_WORKSPACE` and leave `A` untouched; Upper
+/// `potrf`'s loop solves in place and takes only its leaf scratch, so it
+/// still gives the one-thread bits. `getrf` takes no workspace, so its
+/// graph runs and gives its own bits at both refusals. Nothing aborts.
 #[test]
 fn a_refused_graph_workspace_falls_back_to_the_blocked_loop() {
     use la_core::abft::{with_policy, AbftPolicy};
@@ -467,11 +487,11 @@ fn a_refused_graph_workspace_falls_back_to_the_blocked_loop() {
 
         let mut a = a0.clone();
         let (info, extra) = refusing(4096, || at(2, &mut a));
-        if name == "getrf" {
-            assert_eq!(info, 0, "getrf: everything refused");
+        if name == "getrf" || name == "potrf upper" {
+            assert_eq!(info, 0, "{name}: everything refused");
             assert!(
-                bits(&a) == bits(&graph_a) && bits(&extra) == bits(&graph_extra),
-                "getrf: a refused call is not the unrefused graph"
+                bits(&a) == bits(want) && bits(&extra) == bits(want_extra),
+                "{name}: a refused call is not the unrefused fallback"
             );
             continue;
         }
@@ -619,17 +639,19 @@ fn potrf_boundary<T: Scalar>(tol: f64) {
             if n <= 2 * nb {
                 assert!(default.0 == unblocked.0, "{what}: default route");
             } else {
-                // The blocked loop at NB: each step ends in a rank-nb
-                // `herk` on the rest, the first the largest of the call. A
-                // whole `potrf2` first splits past 96 from n = 193 on.
-                let herks = child_flops(&span, "herk");
+                // The blocked loop at NB: each block but the last ends in
+                // one `chol_step` of depth nb on the rest, the first the
+                // largest of the call. A whole `potrf2` first splits past
+                // 96 from n = 193 on.
+                let step = |rest: usize| flops::trsm(Side::Left, nb, rest) + flops::syrk(rest, nb);
+                let steps = child_flops(&span, "chol_step");
                 for rest in (nb..n).step_by(nb).map(|j| n - j) {
                     assert!(
-                        herks.contains(&flops::syrk(rest, nb)),
-                        "{what}: no rank-{nb} update of the last {rest} columns"
+                        steps.contains(&step(rest)),
+                        "{what}: no depth-{nb} step on the last {rest} columns"
                     );
                 }
-                assert_eq!(herks.iter().max(), Some(&flops::syrk(n - nb, nb)), "{what}");
+                assert_eq!(steps.iter().max(), Some(&step(n - nb)), "{what}");
             }
             // A negative diagonal entry makes the minor of order p + 1 the
             // first that is not positive.

@@ -272,7 +272,7 @@ fn counter_totals_match_closed_forms_across_sizes() {
 /// The recursive Cholesky panel calls private cores, never the public
 /// `potrf`: one `potrf` span per call however deep the recursion runs
 /// (n = 64 and 96: the panel whole; 320: 96-wide panels, each split
-/// twice), the steps' `trsm` and `herk` under it, and one ABFT factor
+/// twice), one `chol_step` per step under it, and one ABFT factor
 /// check when the policy verifies (its encode and verify spans, tagged
 /// `abft`, are the only other `potrf` spans).
 #[test]
@@ -309,7 +309,10 @@ fn potrf_records_one_span_and_one_check_through_its_recursion() {
                 "{what}"
             );
             assert_eq!(count(root, "potrf"), 3, "{what}: potrf spans");
-            assert!(count(root, "herk") > 0, "{what}: no herk under potrf");
+            assert!(
+                count(root, "chol_step") > 0,
+                "{what}: no chol_step under potrf"
+            );
             assert_eq!(root.flops, flops::potrf(n), "{what}");
         }
     }
