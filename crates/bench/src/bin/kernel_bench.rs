@@ -20,10 +20,11 @@
 //!   largest unblocked order), each with its ratio to the right-looking
 //!   rank-1 loop it replaced (kept here as the reference, the two taking
 //!   turns for 0.4 s; these rows do not depend on the gemm kernel),
-//! * the Cholesky panel at the diagonal blocks a blocked `potrf` factors —
-//!   96 × 96 and 128 × 128, Upper and Lower — `potrf2` (the recursive
-//!   panel) with its ratio to `potf2` (the Level-2 loop it replaced), the
-//!   two taking turns for 0.4 s,
+//! * the Cholesky leaf `potf2` on a 32 × 32 block (a `potrf2` leaf), then
+//!   the recursive panel `potrf2` at the diagonal blocks a blocked `potrf`
+//!   factors — 96 × 96 and 128 × 128 — Upper and Lower, each with its ratio
+//!   to the left-looking `potf2` loop the leaf replaced (kept here as the
+//!   reference, the two taking turns for 0.4 s),
 //!
 //! and prints wall-clock and GF/s. Generates the kernel tables in
 //! `EXPERIMENTS.md`. Best of at least 3 repetitions and 0.2 s per point.
@@ -63,8 +64,10 @@
 //! * `--min-trsm-over-gemm R`: `dtrsm` 256 × 1024 (L/N/unit) over `dgemm`
 //!   256 × 1024 × 256, taking turns (needs `simd`);
 //! * `--min-panel-over-rank1 R`: `dgetf2` 96 × 32 over the rank-1 loop;
+//! * `--min-chol-leaf-over-potf2 R`: the smaller of the two 32 × 32
+//!   `dpotf2` speed-ups over the left-looking loop;
 //! * `--min-chol-panel-over-potf2 R`: the smallest of the four `dpotrf2`
-//!   speed-ups over `dpotf2`;
+//!   speed-ups over the left-looking loop;
 //! * `--min-packed-over-reference R`: `dgemm` n = 256 over [`gemm_axpy`];
 //! * `--min-avx512-over-avx2 R`: the f64 AVX-512 tile's `gemm` n = 256
 //!   speed-up over the AVX2 tile (needs `simd`; prints `skipped: no
@@ -735,14 +738,70 @@ fn panel_rows() -> f64 {
     gated
 }
 
-/// The Cholesky panel rows: the recursive `potrf2` against `potf2` on the
-/// 96- and 128-wide diagonal blocks a blocked `potrf` factors, both
-/// triangles, the two taking turns for 0.4 s on fresh copies. Returns the
-/// smallest speed-up over `potf2`.
-fn chol_panel_rows() -> f64 {
+/// The left-looking `potf2` — a dot product per diagonal entry and a
+/// `gemv` per row (`Upper`) or column (`Lower`) — that the right-looking
+/// leaf in `la_lapack::potf2` replaced, kept as the fixed baseline of the
+/// Cholesky rows (as [`getf2_rank1`] is of the `getf2` rows). It takes its
+/// `n`-element scratch per call, as the loop it reproduces did.
+fn potf2_left(uplo: Uplo, n: usize, a: &mut [f64], lda: usize) -> i32 {
+    let mut ws = vec![0.0f64; n];
+    for j in 0..n {
+        let dot = match uplo {
+            Uplo::Upper => la_blas::dotc(j, &a[j * lda..], 1, &a[j * lda..], 1),
+            Uplo::Lower => (0..j).map(|k| a[j + k * lda] * a[j + k * lda]).sum(),
+        };
+        let ajj = a[j + j * lda] - dot;
+        if ajj <= 0.0 || !ajj.is_finite() {
+            return (j + 1) as i32;
+        }
+        let ajj = ajj.sqrt();
+        a[j + j * lda] = ajj;
+        if j + 1 == n {
+            continue;
+        }
+        let rest = n - j - 1;
+        match uplo {
+            Uplo::Upper => {
+                // Row j right of the diagonal: (a(j, ·) − U(0..j, ·)ᵀ·u_j) / ajj.
+                let (head, tail) = a.split_at_mut((j + 1) * lda);
+                let (uj, w) = (&head[j * lda..j * lda + j], &mut ws[..rest]);
+                la_blas::gemv(Trans::Trans, j, rest, 1.0, tail, lda, uj, 1, 0.0, w, 1);
+                for (k, wk) in w.iter().enumerate() {
+                    tail[j + k * lda] = (tail[j + k * lda] - wk) / ajj;
+                }
+            }
+            Uplo::Lower => {
+                // Column j below the diagonal: (a(·, j) − L(·, 0..j)·l_j) / ajj.
+                let (lrow, w) = ws.split_at_mut(j);
+                for (k, l) in lrow.iter_mut().enumerate() {
+                    *l = a[j + k * lda];
+                }
+                let (l, w) = (&a[j + 1..], &mut w[..rest]);
+                la_blas::gemv(Trans::No, rest, j, 1.0, l, lda, lrow, 1, 0.0, w, 1);
+                for (k, wk) in w.iter().enumerate() {
+                    let idx = j + 1 + k + j * lda;
+                    a[idx] = (a[idx] - wk) / ajj;
+                }
+            }
+        }
+    }
+    0
+}
+
+/// The Cholesky rows, each against [`potf2_left`] on a fresh copy of one
+/// SPD matrix, the two taking turns for 0.4 s: the leaf `potf2` on a 32 × 32
+/// block (the `potrf2` leaf), then the recursive panel `potrf2` on the 96-
+/// and 128-wide diagonal blocks a blocked `potrf` factors, both triangles.
+/// Returns the smallest leaf and the smallest panel speed-up over the
+/// reference.
+fn chol_rows() -> (f64, f64) {
     type Panel = fn(Uplo, usize, &mut [f64], usize) -> i32;
-    let mut gated = f64::INFINITY;
-    for n in [96usize, 128] {
+    let (mut leaf, mut panel) = (f64::INFINITY, f64::INFINITY);
+    for (n, name, f) in [
+        (32usize, "potf2", f77::potf2::<f64> as Panel),
+        (96, "potrf2", f77::potrf2::<f64>),
+        (128, "potrf2", f77::potrf2::<f64>),
+    ] {
         let a0 = bench_spd::<f64>(n, 23);
         let a0 = a0.as_slice();
         let mut a = a0.to_vec();
@@ -753,30 +812,32 @@ fn chol_panel_rows() -> f64 {
                 std::hint::black_box(&a);
                 secs
             };
-            let (mut potf2, mut panel) = (f64::INFINITY, f64::INFINITY);
+            let (mut reference, mut got) = (f64::INFINITY, f64::INFINITY);
             let start = Instant::now();
             while start.elapsed().as_secs_f64() < 0.4 {
-                potf2 = potf2.min(time(f77::potf2::<f64>));
-                panel = panel.min(time(f77::potrf2::<f64>));
+                reference = reference.min(time(potf2_left));
+                got = got.min(time(f));
             }
-            let rate = flops::potrf(n) as f64 / panel / 1e9;
+            let rate = flops::potrf(n) as f64 / got / 1e9;
             let shape = format!("{n}x{n} {uplo:?}");
             println!(
-                "potrf2 {shape:<15}                 {:9.3} us  {rate:6.2} GF/s  {:4.2} x potf2 ({:.3} us)",
-                panel * 1e6,
-                potf2 / panel,
-                potf2 * 1e6,
+                "{name:<6} {shape:<15}                 {:9.3} us  {rate:6.2} GF/s  {:4.2} x left-looking potf2 ({:.3} us)",
+                got * 1e6,
+                reference / got,
+                reference * 1e6,
             );
-            gated = gated.min(potf2 / panel);
+            let gated = if n == 32 { &mut leaf } else { &mut panel };
+            *gated = gated.min(reference / got);
         }
     }
-    gated
+    (leaf, panel)
 }
 
 fn main() {
     let mut args = Args::from_env();
     let min_trsm = args.limit("--min-trsm-over-gemm");
     let min_panel = args.limit("--min-panel-over-rank1");
+    let min_chol_leaf = args.limit("--min-chol-leaf-over-potf2");
     let min_chol_panel = args.limit("--min-chol-panel-over-potf2");
     let min_packed = args.limit("--min-packed-over-reference");
     let min_tier = args.limit("--min-avx512-over-avx2");
@@ -861,7 +922,7 @@ fn main() {
     }
     trsm_rows(&kernels);
     let panel = panel_rows();
-    let chol_panel = chol_panel_rows();
+    let (chol_leaf, chol_panel) = chol_rows();
     println!("== one thread, default kernel, calls taking turns for {MIN_SECS} s per group ==");
     let trsm = trsm_gate_row();
     let packed = reference_row();
@@ -879,7 +940,12 @@ fn main() {
         gate("trsm 256x1024 over gemm", trsm, min_trsm),
         gate("getf2 96x32 over the rank-1 loop", panel, min_panel),
         gate(
-            "min potrf2 over potf2, 96 and 128",
+            "min potf2 32 over the left-looking loop",
+            chol_leaf,
+            min_chol_leaf,
+        ),
+        gate(
+            "min potrf2 over the left-looking loop, 96 and 128",
             chol_panel,
             min_chol_panel,
         ),

@@ -40,6 +40,12 @@
 //! (`solve_tile`) for every kernel but the AVX-512 tier, whose
 //! substitution holds the tile in 16 `zmm` registers and gives the generic
 //! function's bits.
+//!
+//! The unblocked Level-2 leaves under the factorizations (`crate::leaf`)
+//! are plain Rust, not tiles: `on_tier` runs each one as compiled for the
+//! same tier the `simd` kernels would take (AVX-512F, else AVX2+FMA, else
+//! the generic build). No leaf asks for a fused multiply-add, so a leaf's
+//! bits do not depend on the tier.
 
 use la_core::tune::GemmKernel;
 use la_core::Scalar;
@@ -417,7 +423,7 @@ impl<T: Scalar, const MR: usize, const NR: usize> MicroKernel<T> for Unrolled<MR
     }
 }
 
-/// The CPU check of the `simd` feature: everything compiled with
+/// The CPU check of the AVX2 tier: everything compiled with
 /// `#[target_feature(enable = "avx2,fma")]` is called only behind it (the
 /// standard library caches the detection, so asking again is two loads).
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -438,24 +444,35 @@ mod simd {
     use std::arch::x86_64::*;
     use std::cell::Cell;
 
-    thread_local! {
-        /// Whether [`super::with_narrow_simd`] is running on this thread.
-        static NARROW: Cell<bool> = const { Cell::new(false) };
+    /// The widest tier a thread may use.
+    #[derive(Clone, Copy, PartialEq)]
+    pub(super) enum Pin {
+        /// The widest the CPU runs (the default).
+        Widest,
+        /// The AVX2 tier ([`super::with_narrow_simd`]).
+        Narrow,
+        /// No SIMD tier ([`super::with_no_simd`]).
+        Generic,
     }
 
-    /// Pins this thread to the narrowest tier until dropped, then restores
-    /// the previous setting (also on unwind).
-    pub(super) struct Narrow(bool);
+    thread_local! {
+        /// This thread's pin.
+        static PIN: Cell<Pin> = const { Cell::new(Pin::Widest) };
+    }
 
-    impl Narrow {
-        pub(super) fn pin() -> Self {
-            Narrow(NARROW.replace(true))
+    /// Pins this thread to a tier until dropped, then restores the previous
+    /// pin (also on unwind).
+    pub(super) struct Pinned(Pin);
+
+    impl Pinned {
+        pub(super) fn pin(to: Pin) -> Self {
+            Pinned(PIN.replace(to))
         }
     }
 
-    impl Drop for Narrow {
+    impl Drop for Pinned {
         fn drop(&mut self) {
-            NARROW.set(self.0);
+            PIN.set(self.0);
         }
     }
 
@@ -472,10 +489,44 @@ mod simd {
     }
 
     /// The kernel [`super::kernel_for`] resolves `simd` to: the widest
-    /// tier, or the narrowest under [`super::with_narrow_simd`].
+    /// tier the thread's pin allows.
     pub(super) fn for_type<T: Scalar>() -> Option<&'static dyn MicroKernel<T>> {
         let [wide, narrow] = tiers::<T>();
-        wide.filter(|_| !NARROW.get()).or(narrow)
+        match PIN.get() {
+            Pin::Widest => wide.or(narrow),
+            Pin::Narrow => narrow,
+            Pin::Generic => None,
+        }
+    }
+
+    /// The tier [`super::on_tier`] runs a leaf on, by the same rule as
+    /// [`for_type`]: `Some(true)` for AVX-512F, `Some(false)` for
+    /// AVX2+FMA, `None` for the generic build.
+    pub(super) fn leaf_tier() -> Option<bool> {
+        match PIN.get() {
+            Pin::Widest if std::arch::is_x86_feature_detected!("avx512f") => Some(true),
+            Pin::Generic => None,
+            _ => super::host_has_avx2_fma().then_some(false),
+        }
+    }
+
+    /// `leaf` compiled for AVX-512F.
+    ///
+    /// # Safety
+    /// The host must have AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn run_avx512<L: super::Leaf>(leaf: L) -> L::Out {
+        leaf.run()
+    }
+
+    /// `leaf` compiled for AVX2 and FMA (no fused multiply-add is asked
+    /// for, so none is used).
+    ///
+    /// # Safety
+    /// The host must have AVX2 and FMA.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn run_avx2<L: super::Leaf>(leaf: L) -> L::Out {
+        leaf.run()
     }
 
     /// `Simd<ZMM>` as `T`'s kernel when `T` is `f64` or `f32`.
@@ -971,8 +1022,48 @@ mod simd {
 #[doc(hidden)]
 pub fn with_narrow_simd<R>(f: impl FnOnce() -> R) -> R {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    let _pin = simd::Narrow::pin();
+    let _pin = simd::Pinned::pin(simd::Pin::Narrow);
     f()
+}
+
+/// Runs `f` with no SIMD tier on this thread: `simd` and `auto` resolve to
+/// the unrolled kernel and [`on_tier`] runs the generic build of each leaf.
+/// A hook for the tests that hold the tiers to the generic bits, like
+/// [`with_narrow_simd`].
+#[doc(hidden)]
+pub fn with_no_simd<R>(f: impl FnOnce() -> R) -> R {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    let _pin = simd::Pinned::pin(simd::Pin::Generic);
+    f()
+}
+
+/// The body of a Level-2 leaf, which [`on_tier`] runs as compiled for one
+/// SIMD tier.
+pub(crate) trait Leaf {
+    /// What the leaf returns.
+    type Out;
+    /// The leaf. Every implementation is `#[inline(always)]`: that is what
+    /// puts a copy of the body, compiled for its tier, inside each tier's
+    /// `target_feature` wrapper.
+    fn run(self) -> Self::Out;
+}
+
+/// Runs `leaf` as compiled for the widest SIMD tier this thread may use —
+/// the tier `simd` resolves to ([`kernel_for`]): AVX-512F, else AVX2+FMA,
+/// else the generic build. The body is the same Rust on every tier and
+/// never asks for a fused multiply-add, so only the vector width changes,
+/// not the bits.
+pub(crate) fn on_tier<L: Leaf>(leaf: L) -> L::Out {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    match simd::leaf_tier() {
+        // SAFETY: `leaf_tier` names a tier only on a host that has its
+        // features.
+        Some(true) => return unsafe { simd::run_avx512(leaf) },
+        // SAFETY: as above.
+        Some(false) => return unsafe { simd::run_avx2(leaf) },
+        None => {}
+    }
+    leaf.run()
 }
 
 /// The SIMD kernels the host runs for `T`, widest first; empty without

@@ -170,116 +170,6 @@ pub fn gerc<T: Scalar>(
     }
 }
 
-/// Most columns of `A` that [`strip_update`] folds into one pass over a
-/// column of `C` — and so the width of the strips `getf2` delays its
-/// updates by.
-pub const STRIP: usize = 4;
-
-/// Delayed update by a strip of columns: `C := C − A·B`, `A` `m × k`,
-/// `B` `k × n`, `C` `m × n`, unpacked, for a small depth `k` (any `k` is
-/// accepted; the loop takes [`STRIP`] columns of `A` at a time).
-///
-/// Each element of `C` is `((c − a₀b₀) − a₁b₁) − …` with the terms in
-/// depth order and each product rounded before its subtraction — what `k`
-/// successive rank-1 updates compute, bit for bit — but a column of `C` is
-/// loaded and stored once per [`STRIP`] terms instead of once per term. A
-/// term whose `B` entry is exactly zero is skipped (as `axpy` and the
-/// rank-1 loops skip it), so an `Inf` in `A` meets no `0`.
-///
-/// With the `simd` feature, on a host with AVX2 the loop runs as compiled
-/// for that vector unit; it is the same Rust (no intrinsics, no fused
-/// multiply-add), so the result does not depend on the host.
-pub fn strip_update<T: Scalar>(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[T],
-    lda: usize,
-    b: &[T],
-    ldb: usize,
-    c: &mut [T],
-    ldc: usize,
-) {
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if crate::kernel::host_has_avx2_fma() {
-        // SAFETY: the host has AVX2 and FMA, all the wrapper requires.
-        return unsafe { strip_update_avx2(m, n, k, a, lda, b, ldb, c, ldc) };
-    }
-    strip_update_body(m, n, k, a, lda, b, ldb, c, ldc)
-}
-
-/// [`strip_update_body`] compiled for AVX2 (wider vectors only: the body
-/// never asks for a fused multiply-add, so the bits stay the same).
-///
-/// # Safety
-/// The host must have AVX2 and FMA.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn strip_update_avx2<T: Scalar>(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[T],
-    lda: usize,
-    b: &[T],
-    ldb: usize,
-    c: &mut [T],
-    ldc: usize,
-) {
-    strip_update_body(m, n, k, a, lda, b, ldb, c, ldc)
-}
-
-#[inline(always)]
-fn strip_update_body<T: Scalar>(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[T],
-    lda: usize,
-    b: &[T],
-    ldb: usize,
-    c: &mut [T],
-    ldc: usize,
-) {
-    for l0 in (0..k).step_by(STRIP) {
-        let d = STRIP.min(k - l0);
-        let a = &a[l0 * lda..];
-        for j in 0..n {
-            let x = &b[l0 + j * ldb..l0 + j * ldb + d];
-            let y = &mut c[j * ldc..j * ldc + m];
-            // A full strip without a zero coefficient folds in one pass.
-            if d == STRIP && x.iter().all(|t| !t.is_zero()) {
-                fold::<T, STRIP>(a, lda, x, y);
-            } else {
-                for (l, t) in x.iter().enumerate() {
-                    if !t.is_zero() {
-                        fold::<T, 1>(&a[l * lda..], lda, std::slice::from_ref(t), y);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// One pass `y := (…(y − a₀x₀) − …) − a_{G−1}x_{G−1}`; `G` is a constant so
-/// the term loop unrolls inside the row loop.
-#[inline(always)]
-fn fold<T: Scalar, const G: usize>(a: &[T], lda: usize, x: &[T], y: &mut [T]) {
-    let m = y.len();
-    let cols: [&[T]; G] = std::array::from_fn(|l| &a[l * lda..l * lda + m]);
-    let x: [T; G] = std::array::from_fn(|l| x[l]);
-    for i in 0..m {
-        let mut v = y[i];
-        for l in 0..G {
-            v -= cols[l][i] * x[l];
-        }
-        y[i] = v;
-    }
-}
-
 fn symv_impl<T: Scalar>(
     conj: bool,
     uplo: Uplo,
@@ -1175,49 +1065,6 @@ mod tests {
             .collect()
     }
 
-    /// `strip_update` is `k` rank-1 updates in depth order, bit for bit —
-    /// ragged row counts around the vector widths, one and several
-    /// columns, depths around [`STRIP`], zero coefficients (skipped: the `Inf` in `A` they face
-    /// leaves no NaN), rows `m..ldc` untouched — and, with `simd` on an
-    /// AVX2 host, both compilations of the loop give those same bits.
-    fn strip_update_contract<T: Scalar>() {
-        let inf = T::from_real(T::Real::one() / T::Real::zero());
-        for m in [1usize, 3, 4, 5, 95, 96, 97] {
-            for n in [1usize, 2, 5] {
-                for k in [1usize, 3, 4, 5, 9] {
-                    let (lda, ldb, ldc) = (m + 2, k + 1, m + 3);
-                    let mut a: Vec<T> = vals(lda * k, 1);
-                    let mut b: Vec<T> = vals(ldb * n, 2);
-                    // A zero in the first column's second strip (or its
-                    // only one), facing an Inf.
-                    let l0 = k - 1;
-                    b[l0] = T::zero();
-                    a[l0 * lda] = inf;
-                    let c0: Vec<T> = vals(ldc * n, 3);
-                    let mut want = c0.clone();
-                    for j in 0..n {
-                        for l in 0..k {
-                            let t = b[l + j * ldb];
-                            if t.is_zero() {
-                                continue;
-                            }
-                            for i in 0..m {
-                                want[i + j * ldc] -= a[i + l * lda] * t;
-                            }
-                        }
-                    }
-                    let tag = format!("{} m={m} n={n} k={k}", T::PREFIX);
-                    let mut plain = c0.clone();
-                    strip_update_body(m, n, k, &a, lda, &b, ldb, &mut plain, ldc);
-                    assert_eq!(bits(&plain), bits(&want), "{tag}: plain");
-                    let mut got = c0.clone();
-                    strip_update(m, n, k, &a, lda, &b, ldb, &mut got, ldc);
-                    assert_eq!(bits(&got), bits(&want), "{tag}: dispatched");
-                }
-            }
-        }
-    }
-
     /// The transposed `gemv` on a contiguous `x` takes four columns at a
     /// time; every entry is still `y + alpha·dot(column, x)` with the sum
     /// in `dotc`/`dotu`'s order, bit for bit, on both sides of a group.
@@ -1255,13 +1102,5 @@ mod tests {
         gemv_transposed_contract::<f64>();
         gemv_transposed_contract::<C32>();
         gemv_transposed_contract::<C64>();
-    }
-
-    #[test]
-    fn strip_update_is_k_rank1_updates_bit_for_bit() {
-        strip_update_contract::<f32>();
-        strip_update_contract::<f64>();
-        strip_update_contract::<C32>();
-        strip_update_contract::<C64>();
     }
 }

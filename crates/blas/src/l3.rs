@@ -1048,12 +1048,7 @@ fn trmm_impl<T: Scalar>(
                 // copies are negligible against the O(mn²) compute.
                 let cjb = trans == Trans::ConjTrans;
                 let mut bt = vec![T::zero(); n * m];
-                for j in 0..n {
-                    for i in 0..m {
-                        let v = b[i + j * ldb];
-                        bt[j + i * n] = if cjb { v.conj() } else { v };
-                    }
-                }
+                transpose_into(m, n, b, ldb, &mut bt, n, cjb);
                 let ltr = match trans {
                     Trans::No => Trans::Trans,
                     _ => Trans::No,
@@ -1071,11 +1066,12 @@ fn trmm_impl<T: Scalar>(
                     &mut bt,
                     n,
                 );
-                for j in 0..n {
-                    for i in 0..m {
-                        let v = bt[j + i * n];
-                        let v = if cjb { v.conj() } else { v };
-                        b[i + j * ldb] = if alpha == T::one() { v } else { alpha * v };
+                transpose_into(n, m, &bt, n, b, ldb, cjb);
+                if alpha != T::one() {
+                    for j in 0..n {
+                        for x in &mut b[j * ldb..j * ldb + m] {
+                            *x = alpha * *x;
+                        }
                     }
                 }
                 return;
@@ -1323,12 +1319,7 @@ fn trsm_impl<T: Scalar>(
                 // back — the same trick as trmm's right side.
                 let cjb = trans == Trans::ConjTrans;
                 let mut bt = vec![T::zero(); n * m];
-                for j in 0..n {
-                    for i in 0..m {
-                        let v = b[i + j * ldb];
-                        bt[j + i * n] = if cjb { v.conj() } else { v };
-                    }
-                }
+                transpose_into(m, n, b, ldb, &mut bt, n, cjb);
                 let ltr = match trans {
                     Trans::No => Trans::Trans,
                     _ => Trans::No,
@@ -1346,12 +1337,7 @@ fn trsm_impl<T: Scalar>(
                     &mut bt,
                     n,
                 );
-                for j in 0..n {
-                    for i in 0..m {
-                        let v = bt[j + i * n];
-                        b[i + j * ldb] = if cjb { v.conj() } else { v };
-                    }
-                }
+                transpose_into(n, m, &bt, n, b, ldb, cjb);
                 return;
             }
             // X·op(A) = B  ⇔  op(A)ᵀ·Xᵀ = Bᵀ: solve along the rows of B,
@@ -1885,6 +1871,39 @@ fn pack_triangle<T: Scalar>(
         }
         let l0 = if lower { k0 } else { i0 + rows };
         pack::pack_a(ap, a, trans, i0, rows, l0, solved, mr);
+    }
+}
+
+/// Side of the square blocks [`transpose_into`] copies: each destination
+/// column of a block takes a whole 64-byte line of `f64`, so a transpose
+/// with a long destination stride writes a few lines at a time instead of
+/// one element per line.
+const TRANSPOSE_BLOCK: usize = 8;
+
+/// `dst := srcᵀ` (conjugated when `conj`): `src` is `m × n` with column
+/// stride `lds`, `dst` is `n × m` with column stride `ldd`. Copies
+/// [`TRANSPOSE_BLOCK`]-square blocks, a block row of `src` at a time, each
+/// block read down its columns.
+fn transpose_into<T: Scalar>(
+    m: usize,
+    n: usize,
+    src: &[T],
+    lds: usize,
+    dst: &mut [T],
+    ldd: usize,
+    conj: bool,
+) {
+    const B: usize = TRANSPOSE_BLOCK;
+    for i0 in (0..m).step_by(B) {
+        let rows = B.min(m - i0);
+        for j0 in (0..n).step_by(B) {
+            for j in j0..(j0 + B).min(n) {
+                let col = &src[i0 + j * lds..][..rows];
+                for (i, &v) in (i0..).zip(col) {
+                    dst[j + i * ldd] = if conj { v.conj() } else { v };
+                }
+            }
+        }
     }
 }
 

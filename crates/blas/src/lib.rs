@@ -29,13 +29,15 @@ pub mod kernel;
 pub mod l1;
 pub mod l2;
 pub mod l3;
+mod leaf;
 pub mod pack;
 
 pub use l1::{
     asum, axpy, copy, dotc, dotu, iamax, lacgv, lassq, laswp, nrm2, rot, rotg, rscal, scal, swap,
 };
 pub use l2::{
-    gbmv, gemv, gerc, geru, hemv, her, her2, sbmv, spmv, spr2, strip_update, symv, syr, syr2, tbsv,
-    tpmv, tpsv, trmv, trsv, STRIP,
+    gbmv, gemv, gerc, geru, hemv, her, her2, sbmv, spmv, spr2, symv, syr, syr2, tbsv, tpmv, tpsv,
+    trmv, trsv,
 };
 pub use l3::{chol_step, gemm, herk, lu_step, symm, syr2k, syrk, trmm, trsm};
+pub use leaf::{chol_leaf, lu_leaf};

@@ -3,7 +3,7 @@
 //! packed (`pptrf`/`pptrs`/`ppsv`), band (`pbtrf`/`pbtrs`/`pbsv`) and
 //! tridiagonal (`pttrf`/`pttrs`/`ptsv`).
 
-use la_blas::{chol_step, dotc, gemv, hemv, rscal, scal, spmv, tbsv, tpsv, trsm};
+use la_blas::{chol_leaf, chol_step, dotc, hemv, rscal, scal, spmv, tbsv, tpsv, trsm};
 use la_core::{probe, Diag, Norm, RealScalar, Scalar, Side, Trans, Uplo};
 
 use crate::aux::{lacon, lansy, one_thread, try_zeros, Blocking, Route, INFO_NO_WORKSPACE};
@@ -13,96 +13,19 @@ use crate::lu::refine_generic;
 /// Returns `info > 0` if the leading minor of that order is not positive
 /// definite, and [`INFO_NO_WORKSPACE`] if its `n − 1`-element workspace
 /// cannot be allocated.
+///
+/// The leaf is [`la_blas::chol_leaf`]: right-looking, as reference
+/// `xPOTF2` scales — each pivot scales its row or column by the reciprocal
+/// of its square root, then the trailing triangle is updated one contiguous
+/// column at a time, two pivots per pass (`Upper` through a copy of the
+/// pivot row in the workspace). It runs as compiled for the widest SIMD
+/// tier the host has (one tier selector in `la_blas::kernel`); it asks for
+/// no fused multiply-add, so the bits do not depend on the tier.
 pub fn potf2<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i32 {
     let Some(mut ws) = try_zeros::<T>(n.saturating_sub(1)) else {
         return INFO_NO_WORKSPACE;
     };
-    potf2_ws(uplo, n, a, lda, &mut ws)
-}
-
-/// [`potf2`] on a caller-provided workspace of at least `n − 1` elements
-/// (contents ignored), so the recursive panel factors its leaves without
-/// an allocation each.
-fn potf2_ws<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize, ws: &mut [T]) -> i32 {
-    let ws = &mut ws[..n.saturating_sub(1)];
-    for j in 0..n {
-        match uplo {
-            Uplo::Upper => {
-                // ajj := a_jj - u_jᴴ u_j  (u_j = column above the diagonal).
-                let dot = dotc(j, &a[j * lda..], 1, &a[j * lda..], 1);
-                let ajj = a[j + j * lda].re() - dot.re();
-                if ajj <= T::Real::zero() || !ajj.is_finite_r() {
-                    return (j + 1) as i32;
-                }
-                let ajj = ajj.sqrt_r();
-                a[j + j * lda] = T::from_real(ajj);
-                if j + 1 < n {
-                    // Row j of U to the right: a(j, j+1..) := (a(j, j+1..)
-                    //   − a(0..j, j+1..)ᴴ a(0..j, j)) / ajj.
-                    let (head, tail) = a.split_at_mut((j + 1) * lda);
-                    let uj = &head[j * lda..j * lda + j];
-                    // Conjugate trick: the update is u_colᴴ · u_j for each
-                    // later column.
-                    let w = &mut ws[..n - j - 1];
-                    gemv(
-                        Trans::ConjTrans,
-                        j,
-                        n - j - 1,
-                        T::one(),
-                        tail,
-                        lda,
-                        uj,
-                        1,
-                        T::zero(),
-                        w,
-                        1,
-                    );
-                    for (k, wk) in w.iter().enumerate() {
-                        let idx = j + k * lda;
-                        tail[idx] = (tail[idx] - wk.conj()).div_real(ajj);
-                    }
-                }
-            }
-            Uplo::Lower => {
-                // Row j of L to the left is already final; compute via dot.
-                let mut dot = T::Real::zero();
-                for k in 0..j {
-                    dot += a[j + k * lda].abs_sqr();
-                }
-                let ajj = a[j + j * lda].re() - dot;
-                if ajj <= T::Real::zero() || !ajj.is_finite_r() {
-                    return (j + 1) as i32;
-                }
-                let ajj = ajj.sqrt_r();
-                a[j + j * lda] = T::from_real(ajj);
-                if j + 1 < n {
-                    // a(j+1.., j) := (a(j+1.., j) − A(j+1.., 0..j)·conj(a(j, 0..j)ᵀ)) / ajj
-                    let (lrow, w) = ws.split_at_mut(j);
-                    for (k, l) in lrow.iter_mut().enumerate() {
-                        *l = a[j + k * lda].conj();
-                    }
-                    gemv(
-                        Trans::No,
-                        n - j - 1,
-                        j,
-                        T::one(),
-                        &a[j + 1..],
-                        lda,
-                        lrow,
-                        1,
-                        T::zero(),
-                        w,
-                        1,
-                    );
-                    for (k, wk) in w.iter().enumerate() {
-                        let idx = j + 1 + k + j * lda;
-                        a[idx] = (a[idx] - *wk).div_real(ajj);
-                    }
-                }
-            }
-        }
-    }
-    0
+    chol_leaf(uplo, n, a, lda, &mut ws)
 }
 
 /// Recursive Cholesky factorization (`xPOTRF2`): `A = UᴴU` or `A = LLᴴ`
@@ -151,7 +74,7 @@ pub(crate) fn potrf2_ws_len(uplo: Uplo, n: usize) -> usize {
 /// [`potrf2_ws_len`]`(uplo, n)` elements (contents ignored).
 fn potrf2_ws<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize, ws: &mut [T]) -> i32 {
     if n <= POTRF2_LEAF {
-        return potf2_ws(uplo, n, a, lda, ws);
+        return chol_leaf(uplo, n, a, lda, ws);
     }
     let n1 = potrf2_split(n);
     let info = potrf2_ws(uplo, n1, a, lda, ws);

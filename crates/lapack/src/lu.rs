@@ -6,7 +6,7 @@
 //! leading dimensions, 1-based `ipiv`, `info` return) so the `la90` layer
 //! can wrap them exactly as the paper's `SGESV_F90` wraps `SGESV`.
 
-use la_blas::{gemv, iamax, lu_step, scal, strip_update, trsm, STRIP};
+use la_blas::{gemv, lu_leaf, lu_step, scal, trsm};
 use la_core::{probe, Diag, Norm, RealScalar, Scalar, Side, Trans, Uplo};
 
 use crate::aux::{lacon, lange, laswp, one_thread, Blocking, Route};
@@ -17,100 +17,14 @@ use crate::aux::{lacon, lange, laswp, one_thread, Blocking, Route};
 /// diagonal; `ipiv` is 1-based. Returns `info` (LAPACK convention:
 /// `> 0` if `U(i,i)` is exactly zero).
 ///
-/// The eliminations reach the columns right of a strip of [`STRIP`] pivots
-/// late: inside the strip each pivot updates the strip's remaining columns
-/// at once, everything further right receives the whole strip in one pass
-/// (`apply_pivots`) instead of one pass per pivot. Every element still
-/// sees the same subtractions in the same order as the right-looking
-/// rank-1 form, so factors, pivots and `info` are that form's, bit for bit.
+/// The leaf is [`la_blas::lu_leaf`]: right-looking, with the eliminations
+/// delayed by strips of four pivots, which gives factors, pivots and `info`
+/// equal to the rank-1 form's bit for bit. It runs as compiled for the
+/// widest SIMD tier the host has (one tier selector in `la_blas::kernel`);
+/// it asks for no fused multiply-add, so the bits do not depend on the
+/// tier.
 pub fn getf2<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &mut [i32]) -> i32 {
-    let mut info = 0i32;
-    let mn = m.min(n);
-    let mut u = [T::zero(); STRIP * TILE_COLS];
-    for j0 in (0..mn).step_by(STRIP) {
-        let end = (j0 + STRIP).min(mn);
-        for j in j0..end {
-            // Pivot: largest |.| in column j at or below the diagonal.
-            let p = j + iamax(m - j, &a[j + j * lda..], 1);
-            ipiv[j] = (p + 1) as i32;
-            if !a[p + j * lda].is_zero() {
-                if p != j {
-                    // Swap full rows j and p.
-                    for k in 0..n {
-                        a.swap(j + k * lda, p + k * lda);
-                    }
-                }
-                // Scale the multipliers.
-                if j + 1 < m {
-                    let inv = a[j + j * lda].recip();
-                    scal(m - j - 1, inv, &mut a[j + 1 + j * lda..], 1);
-                }
-            } else if info == 0 {
-                info = (j + 1) as i32;
-            }
-            // Rank-1 update of the strip's remaining columns, in line: three
-            // columns at most are too little work for a call.
-            if j + 1 < m && j + 1 < end {
-                let (head, rest) = a.split_at_mut((j + 1) * lda);
-                let l = &head[j + 1 + j * lda..m + j * lda];
-                for col in rest.chunks_mut(lda).take(end - j - 1) {
-                    let ajk = col[j];
-                    if !ajk.is_zero() {
-                        for (x, &l) in col[j + 1..m].iter_mut().zip(l) {
-                            *x -= l * ajk;
-                        }
-                    }
-                }
-            }
-        }
-        apply_pivots(m, a, lda, j0, end - j0, end..n, &mut u);
-    }
-    info
-}
-
-/// Columns of `U` that [`apply_pivots`] stages at a time.
-const TILE_COLS: usize = 32;
-
-/// Applies pivot columns `j0..j0 + d` (`1 ≤ d ≤ STRIP`; factored, their row
-/// swaps done) to the columns `cols` right of them: the `d × d` unit-lower
-/// solve on the pivots' own rows leaves `U(j0..j0 + d, cols)` there, then
-/// the rows below get `x := (…(x − l₀u₀) − …) − l_{d−1}u_{d−1}` in one
-/// pass. A zero `u` skips its term, as the rank-1 form skips a zero in the
-/// pivot row.
-fn apply_pivots<T: Scalar>(
-    m: usize,
-    a: &mut [T],
-    lda: usize,
-    j0: usize,
-    d: usize,
-    cols: std::ops::Range<usize>,
-    u: &mut [T; STRIP * TILE_COLS],
-) {
-    if cols.is_empty() {
-        return;
-    }
-    // The pivot columns and `cols` borrow disjointly: `cols` starts `tail`.
-    let (head, tail) = a.split_at_mut(cols.start * lda);
-    for c0 in (0..cols.len()).step_by(TILE_COLS) {
-        let nc = TILE_COLS.min(cols.len() - c0);
-        for (c, uc) in u.chunks_exact_mut(STRIP).take(nc).enumerate() {
-            let col = &mut tail[j0 + (c0 + c) * lda..][..d];
-            for r in 0..d {
-                uc[r] = col[r];
-                if !col[r].is_zero() {
-                    let l = &head[j0 + (j0 + r) * lda..][..d];
-                    for s in r + 1..d {
-                        col[s] -= l[s] * uc[r];
-                    }
-                }
-            }
-        }
-        let below = j0 + d;
-        if below < m {
-            let (l, c) = (&head[below + j0 * lda..], &mut tail[below + c0 * lda..]);
-            strip_update(m - below, nc, d, l, lda, &u[..], STRIP, c, lda);
-        }
-    }
+    lu_leaf(m, n, a, lda, ipiv)
 }
 
 /// Blocked right-looking LU factorization with partial pivoting

@@ -26,14 +26,20 @@
 //! * the delayed-update `getf2` panel is the right-looking rank-1 loop bit
 //!   for bit — factors, pivots, `info`, padding rows — over ragged shapes,
 //!   zero pivots, ties, NaN and Inf, for all four types (with `simd`, the
-//!   AVX2 compilation of its update loop against a plain reference).
+//!   leaf as compiled for the widest tier against a plain reference);
+//! * both Level-2 leaves, `getf2` and `potf2`, give the same factors,
+//!   pivots and `info` on every path the tier selector can take — the
+//!   default tier, the tier `with_narrow_simd` pins, and the generic build
+//!   `with_no_simd` pins — for all four types, both triangles, orders
+//!   1…97 in padded storage, a zero column and an indefinite minor at each
+//!   position of a 32-wide leaf.
 //!
 //! An explicit (non-`Auto`) kernel selection forces the packed path at
 //! every size, so the sweep drives the pack/macro-kernel edge masking at
 //! degenerate shapes — empty matrices, single vectors, ragged tiles —
 //! for all four scalar types.
 
-use la_blas::kernel::{kernel_for, tile_dims, with_narrow_simd};
+use la_blas::kernel::{kernel_for, tile_dims, with_narrow_simd, with_no_simd};
 use la_blas::{gemm, herk, syrk, trsm};
 use la_core::abft::{self, AbftPolicy};
 use la_core::tune::{self, GemmKernel};
@@ -1164,4 +1170,93 @@ fn getrf_pivots_do_not_move_between_simd_tiers() {
             assert!(d <= 1e-10 * (1.0 + x.abs()), "n={n} element {idx}: {d}");
         }
     }
+}
+
+/// `f` on each path the leaves' tier selector can take, as (bits of the
+/// buffer, pivots, `info`); all three must agree with the generic build.
+fn same_on_every_tier(tag: &str, f: impl Fn() -> (Vec<(u64, u64)>, Vec<i32>, i32)) {
+    let generic = with_no_simd(&f);
+    let (default, narrow) = (f(), with_narrow_simd(&f));
+    for (tier, got) in [("default", default), ("narrow", narrow)] {
+        assert!(got.1 == generic.1, "{tag}: {tier} tier moved a pivot");
+        assert!(
+            got.2 == generic.2,
+            "{tag}: {tier} tier info {} != {}",
+            got.2,
+            generic.2
+        );
+        assert!(
+            got.0 == generic.0,
+            "{tag}: {tier} tier changed the factor bits"
+        );
+    }
+}
+
+/// A Hermitian matrix with a dominant diagonal (positive definite), order
+/// `n` in an `lda`-padded buffer, both triangles stored; padding is NaN.
+fn hpd<T: Scalar>(rng: &mut Rng, n: usize, lda: usize) -> Vec<T> {
+    let mut a = vec![T::from_real(T::Real::nan()); lda * n];
+    for j in 0..n {
+        for i in 0..j {
+            let v: T = rng.val();
+            a[i + j * lda] = v;
+            a[j + i * lda] = v.conj();
+        }
+        a[j + j * lda] = T::from_f64(n as f64 + 1.0);
+    }
+    a
+}
+
+fn leaves_agree<T: Scalar>() {
+    let mut rng = Rng(0x1eaf ^ std::mem::size_of::<T>() as u64);
+    let getf2 = |m: usize, n: usize, lda: usize, a0: &[T]| {
+        let (mut a, mut ipiv) = (a0.to_vec(), vec![0i32; m.min(n)]);
+        let info = la_lapack::getf2(m, n, &mut a, lda, &mut ipiv);
+        (bits(&a), ipiv, info)
+    };
+    let potf2 = |uplo: Uplo, n: usize, lda: usize, a0: &[T]| {
+        let mut a = a0.to_vec();
+        let info = la_lapack::potf2(uplo, n, &mut a, lda);
+        (bits(&a), Vec::new(), info)
+    };
+    for n in 1..=97usize {
+        let lda = n + 3;
+        let g: Vec<T> = rng.vec(lda * n);
+        same_on_every_tier(&format!("{} getf2 n={n}", T::PREFIX), || {
+            getf2(n, n, lda, &g)
+        });
+        let s = hpd::<T>(&mut rng, n, lda);
+        for uplo in UPLOS {
+            let tag = format!("{} potf2 {uplo:?} n={n}", T::PREFIX);
+            same_on_every_tier(&tag, || potf2(uplo, n, lda, &s));
+        }
+    }
+    // Each position of a 32-wide leaf: a zero column in a 96 × 32 panel
+    // (its pivot is zero, `info` names it), and a negative diagonal entry
+    // in a 32 × 32 Hermitian block (its leading minor is indefinite).
+    let (m, n, lda) = (96usize, 32usize, 99usize);
+    let g: Vec<T> = rng.vec(lda * n);
+    let s = hpd::<T>(&mut rng, n, lda);
+    for p in 0..n {
+        let mut a = g.clone();
+        a[p * lda..p * lda + m].fill(T::zero());
+        let tag = format!("{} getf2 zero column {p}", T::PREFIX);
+        same_on_every_tier(&tag, || getf2(m, n, lda, &a));
+        assert_eq!(getf2(m, n, lda, &a).2, p as i32 + 1, "{tag}: info");
+        let mut a = s.clone();
+        a[p + p * lda] = T::from_f64(-1.0);
+        for uplo in UPLOS {
+            let tag = format!("{} potf2 {uplo:?} indefinite minor {p}", T::PREFIX);
+            same_on_every_tier(&tag, || potf2(uplo, n, lda, &a));
+            assert_eq!(potf2(uplo, n, lda, &a).2, p as i32 + 1, "{tag}: info");
+        }
+    }
+}
+
+#[test]
+fn leaves_give_the_same_bits_on_every_tier() {
+    leaves_agree::<f32>();
+    leaves_agree::<f64>();
+    leaves_agree::<C32>();
+    leaves_agree::<C64>();
 }
