@@ -17,9 +17,11 @@
 //!
 //! * the `dgetf2` panel at the shapes a blocked `getrf` factors — 96 × 32,
 //!   64 × 32, 32 × 32 (n = 96), 736 × 32 (n = 768) — and 64 × 64 (the
-//!   largest unblocked order), each with its ratio to the right-looking
-//!   rank-1 loop it replaced (kept here as the reference, the two taking
-//!   turns for 0.4 s; these rows do not depend on the gemm kernel),
+//!   largest unblocked order), then `sgetf2` and (on a host with both
+//!   `simd` tiers) the AVX2 tier's `dgetf2` (`[avx2]`) at 96 × 32 and
+//!   32 × 32, each with its ratio to the right-looking rank-1 loop it
+//!   replaced (kept here as the reference, the two taking turns for 0.4 s;
+//!   these rows do not depend on the gemm kernel),
 //! * the Cholesky leaf `potf2` on a 32 × 32 block (a `potrf2` leaf), then
 //!   the recursive panel `potrf2` at the diagonal blocks a blocked `potrf`
 //!   factors — 96 × 96 and 128 × 128 — Upper and Lower, each with its ratio
@@ -63,7 +65,9 @@
 //!
 //! * `--min-trsm-over-gemm R`: `dtrsm` 256 × 1024 (L/N/unit) over `dgemm`
 //!   256 × 1024 × 256, taking turns (needs `simd`);
-//! * `--min-panel-over-rank1 R`: `dgetf2` 96 × 32 over the rank-1 loop;
+//! * `--min-panel-over-rank1 R`: the smaller of `dgetf2` 96 × 32 and
+//!   32 × 32 over the rank-1 loop, on the widest tier (the other panel rows
+//!   are printed, ungated);
 //! * `--min-chol-leaf-over-potf2 R`: the smaller of the two 32 × 32
 //!   `dpotf2` speed-ups over the left-looking loop;
 //! * `--min-chol-panel-over-potf2 R`: the smallest of the four `dpotrf2`
@@ -96,7 +100,7 @@ use la_blas::kernel::{kernel_for, with_narrow_simd, MicroKernel};
 use la_core::abft::{self, AbftPolicy};
 use la_core::probe::flops;
 use la_core::tune::{self, GemmKernel, TuneConfig};
-use la_core::{Diag, Scalar, Side, Trans, Uplo};
+use la_core::{Diag, RealScalar, Scalar, Side, Trans, Uplo};
 use la_lapack as f77;
 use std::time::Instant;
 
@@ -660,12 +664,20 @@ fn trsm_gate_row() -> f64 {
 
 /// The right-looking rank-1 `getf2` (one pass over the trailing panel per
 /// pivot) that `la_lapack::getf2` replaced: the baseline of the panel rows.
-fn getf2_rank1(m: usize, n: usize, a: &mut [f64], lda: usize, ipiv: &mut [i32]) -> i32 {
+/// It keeps `la_blas::iamax` and `la_blas::scal`, whatever the leaf's own
+/// search and scaling do.
+fn getf2_rank1<T: RealScalar>(
+    m: usize,
+    n: usize,
+    a: &mut [T],
+    lda: usize,
+    ipiv: &mut [i32],
+) -> i32 {
     let mut info = 0i32;
     for j in 0..m.min(n) {
         let p = j + la_blas::iamax(m - j, &a[j + j * lda..], 1);
         ipiv[j] = (p + 1) as i32;
-        if a[p + j * lda] != 0.0 {
+        if a[p + j * lda] != T::zero() {
             if p != j {
                 for k in 0..n {
                     a.swap(j + k * lda, p + k * lda);
@@ -684,7 +696,7 @@ fn getf2_rank1(m: usize, n: usize, a: &mut [f64], lda: usize, ipiv: &mut [i32]) 
             for k in 0..n - j - 1 {
                 let ck = &mut rest[j + k * lda..m + k * lda];
                 let ajk = ck[0];
-                if ajk != 0.0 {
+                if ajk != T::zero() {
                     for (x, &l) in ck[1..].iter_mut().zip(col) {
                         *x -= l * ajk;
                     }
@@ -695,44 +707,74 @@ fn getf2_rank1(m: usize, n: usize, a: &mut [f64], lda: usize, ipiv: &mut [i32]) 
     info
 }
 
-/// The `getf2` panel rows. Returns the 96 × 32 speed-up over the rank-1
-/// loop.
-fn panel_rows() -> f64 {
-    type Panel = fn(usize, usize, &mut [f64], usize, &mut [i32]) -> i32;
+/// One `getf2` row: `T`'s panel on a fresh copy of one full-rank `m × n`
+/// matrix against [`getf2_rank1`], the two taking turns for 0.4 s, the
+/// panel under `pin` (the default tier, or pinned to AVX2). Prints the row
+/// and returns the speed-up over the rank-1 loop.
+fn panel_row<T: RealScalar>(
+    (m, n): (usize, usize),
+    tag: &str,
+    pin: fn(&mut dyn FnMut()),
+    rng: &mut la_bench::SplitMix64,
+) -> f64 {
     // Full-rank entries in [−1, 1): the periodic `fill` of the other rows
     // has rank 13 and would time the zero-pivot path.
-    let mut rng = la_bench::SplitMix64::new(0x9e37_79b9_7f4a_7c15);
-    let mut gated = 0.0;
-    for (m, n) in [(96usize, 32usize), (64, 32), (32, 32), (736, 32), (64, 64)] {
-        let a0: Vec<f64> = (0..m * n).map(|_| rng.next_f64()).collect();
-        let mut a = a0.clone();
-        let mut ipiv = vec![0i32; n];
-        // Each call factors a fresh copy; only the factorization is timed.
-        let mut time = |f: Panel| {
-            a.copy_from_slice(&a0);
-            let secs = timed(|| {
-                f(m, n, &mut a, m, &mut ipiv);
-            });
-            std::hint::black_box(&a);
+    let a0: Vec<T> = (0..m * n).map(|_| T::from_f64(rng.next_f64())).collect();
+    let mut a = a0.clone();
+    let mut ipiv = vec![0i32; n];
+    // Each call factors a fresh copy; only the factorization is timed.
+    let mut time = |panel: bool| {
+        a.copy_from_slice(&a0);
+        let secs = if panel {
+            let mut secs = 0.0;
+            pin(&mut || secs = timed(|| _ = la_lapack::getf2(m, n, &mut a, m, &mut ipiv)));
             secs
+        } else {
+            timed(|| _ = getf2_rank1(m, n, &mut a, m, &mut ipiv))
         };
-        // The two loops take turns, so a slow stretch lands on both.
-        let (mut rank1, mut panel) = (f64::INFINITY, f64::INFINITY);
-        let start = Instant::now();
-        while start.elapsed().as_secs_f64() < 0.4 {
-            rank1 = rank1.min(time(getf2_rank1));
-            panel = panel.min(time(la_lapack::getf2::<f64>));
+        std::hint::black_box(&a);
+        secs
+    };
+    // The two loops take turns, so a slow stretch lands on both.
+    let (mut rank1, mut panel) = (f64::INFINITY, f64::INFINITY);
+    let start = Instant::now();
+    while start.elapsed().as_secs_f64() < 0.4 {
+        rank1 = rank1.min(time(false));
+        panel = panel.min(time(true));
+    }
+    let rate = la_core::probe::flops::getrf(m, n) as f64 / panel / 1e9;
+    let name = format!("{}getf2 {m}x{n}{tag}", T::PREFIX.to_ascii_lowercase());
+    println!(
+        "{name:<22}                 {:9.3} us  {rate:6.2} GF/s  {:4.2} x rank-1 ({:.3} us)",
+        panel * 1e6,
+        rank1 / panel,
+        rank1 * 1e6,
+    );
+    rank1 / panel
+}
+
+/// The `getf2` panel rows: f64 at the shapes of an n = 96 and an n = 768
+/// factorization and the largest unblocked order, then f32 and (on a host
+/// with both `simd` tiers) the AVX2 tier at 96 × 32 and 32 × 32, so each
+/// vector body of the leaf shows. Returns the smaller f64 speed-up over the
+/// rank-1 loop at 96 × 32 and 32 × 32 on the default tier.
+fn panel_rows() -> f64 {
+    let mut rng = la_bench::SplitMix64::new(0x9e37_79b9_7f4a_7c15);
+    let default: fn(&mut dyn FnMut()) = |f| f();
+    let avx2: fn(&mut dyn FnMut()) = |f| with_narrow_simd(f);
+    let mut gated = f64::INFINITY;
+    for shape in [(96usize, 32usize), (64, 32), (32, 32), (736, 32), (64, 64)] {
+        let ratio = panel_row::<f64>(shape, "", default, &mut rng);
+        if shape.1 == 32 && (shape.0 == 96 || shape.0 == 32) {
+            gated = gated.min(ratio);
         }
-        let rate = la_core::probe::flops::getrf(m, n) as f64 / panel / 1e9;
-        let shape = format!("{m}x{n}");
-        println!(
-            "getf2 {shape:<16}                 {:9.3} us  {rate:6.2} GF/s  {:4.2} x rank-1 ({:.3} us)",
-            panel * 1e6,
-            rank1 / panel,
-            rank1 * 1e6,
-        );
-        if (m, n) == (96, 32) {
-            gated = rank1 / panel;
+    }
+    for shape in [(96, 32), (32, 32)] {
+        panel_row::<f32>(shape, "", default, &mut rng);
+    }
+    if two_tiers() {
+        for shape in [(96, 32), (32, 32)] {
+            panel_row::<f64>(shape, " [avx2]", avx2, &mut rng);
         }
     }
     gated
@@ -938,7 +980,11 @@ fn main() {
     call_floor();
     let gates = [
         gate("trsm 256x1024 over gemm", trsm, min_trsm),
-        gate("getf2 96x32 over the rank-1 loop", panel, min_panel),
+        gate(
+            "min getf2 96x32, 32x32 over the rank-1 loop",
+            panel,
+            min_panel,
+        ),
         gate(
             "min potf2 32 over the left-looking loop",
             chol_leaf,

@@ -502,7 +502,7 @@ mod simd {
     /// The tier [`super::on_tier`] runs a leaf on, by the same rule as
     /// [`for_type`]: `Some(true)` for AVX-512F, `Some(false)` for
     /// AVX2+FMA, `None` for the generic build.
-    pub(super) fn leaf_tier() -> Option<bool> {
+    pub(crate) fn leaf_tier() -> Option<bool> {
         match PIN.get() {
             Pin::Widest if std::arch::is_x86_feature_detected!("avx512f") => Some(true),
             Pin::Generic => None,
@@ -1047,6 +1047,9 @@ pub(crate) trait Leaf {
     /// `target_feature` wrapper.
     fn run(self) -> Self::Out;
 }
+
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+pub(crate) use simd::leaf_tier;
 
 /// Runs `leaf` as compiled for the widest SIMD tier this thread may use —
 /// the tier `simd` resolves to ([`kernel_for`]): AVX-512F, else AVX2+FMA,

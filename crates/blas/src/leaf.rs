@@ -7,13 +7,18 @@
 //! compiler vectorizes them: no reduction carries a dependence from one
 //! element to the next. [`crate::kernel::on_tier`] runs each one as
 //! compiled for the widest SIMD tier the thread may use (AVX-512F, else
-//! AVX2+FMA, else the generic build). Nothing here asks for a fused
-//! multiply-add, so the factors, pivots and `info` are the same bits on
-//! every tier.
+//! AVX2+FMA, else the generic build). For `f64` and `f32` on a `simd`
+//! tier the LU leaf has an explicit vector body instead (`vector`, with
+//! masked loads and stores for the last rows of a column and a vector pivot
+//! search). Nothing here asks for a fused multiply-add, so the factors,
+//! pivots and `info` are the same bits on every tier.
 
 use la_core::{RealScalar, Scalar, Uplo};
 
 use crate::kernel::{on_tier, Leaf};
+
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+mod vector;
 
 /// Unblocked LU factorization with partial pivoting (`xGETF2`) of the
 /// `m × n` matrix `a`: on exit `A = P·L·U`, unit-lower `L` below the
@@ -29,7 +34,24 @@ use crate::kernel::{on_tier, Leaf};
 /// pivot. Every element still sees the same subtractions in the same order
 /// as the right-looking rank-1 form, so factors, pivots and `info` are that
 /// form's, bit for bit, on every tier.
+///
+/// The leaves' tier selector (`kernel::on_tier`'s rule) picks the body.
+/// Complex types, and every type in the generic build, run the plain Rust
+/// body as compiled for the tier. `f64` and `f32` on the AVX-512F or AVX2
+/// tier run an explicit vector body on `zmm` or `ymm` registers: every pass
+/// down a column runs whole registers, its last rows in one masked load and
+/// store, so a column of any length runs at vector width; and the search
+/// returns [`crate::l1::iamax`]'s index exactly — the first largest
+/// modulus, the first NaN if there is one — from a pass that keeps
+/// lane-wise maxima and a second that finds the first hit without a branch
+/// on where it lies. Each element takes the same operations in the same
+/// order, products rounded before their subtraction (no fused
+/// multiply-add), so the bits do not depend on the body or the tier.
 pub fn lu_leaf<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &mut [i32]) -> i32 {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if let Some(body) = vector::body::<T>() {
+        return body.lu(m, n, a, lda, ipiv);
+    }
     on_tier(LuLeaf { m, n, a, lda, ipiv })
 }
 

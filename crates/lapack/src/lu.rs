@@ -19,10 +19,12 @@ use crate::aux::{lacon, lange, laswp, one_thread, Blocking, Route};
 ///
 /// The leaf is [`la_blas::lu_leaf`]: right-looking, with the eliminations
 /// delayed by strips of four pivots, which gives factors, pivots and `info`
-/// equal to the rank-1 form's bit for bit. It runs as compiled for the
-/// widest SIMD tier the host has (one tier selector in `la_blas::kernel`);
-/// it asks for no fused multiply-add, so the bits do not depend on the
-/// tier.
+/// equal to the rank-1 form's bit for bit. It runs on the widest SIMD tier
+/// the host has (one tier selector in `la_blas::kernel`): for `f64` and
+/// `f32` an explicit vector body with masked tails and a vector pivot
+/// search that returns `iamax`'s index, for complex types the plain body
+/// compiled for the tier. Neither asks for a fused multiply-add, so the
+/// bits do not depend on the tier.
 pub fn getf2<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &mut [i32]) -> i32 {
     lu_leaf(m, n, a, lda, ipiv)
 }

@@ -32,7 +32,11 @@
 //!   default tier, the tier `with_narrow_simd` pins, and the generic build
 //!   `with_no_simd` pins — for all four types, both triangles, orders
 //!   1…97 in padded storage, a zero column and an indefinite minor at each
-//!   position of a 32-wide leaf.
+//!   position of a 32-wide leaf; `getf2` also on `m × n` panels with every
+//!   `m` up to 40 and around 96 and 736, `n` around the strip of four and
+//!   32, and pivot columns holding a NaN, ±Inf, a tie, signed zeros or only
+//!   zeros (the real types take the leaf's vector body there, with masked
+//!   tails of every length).
 //!
 //! An explicit (non-`Auto`) kernel selection forces the packed path at
 //! every size, so the sweep drives the pack/macro-kernel edge masking at
@@ -1229,6 +1233,52 @@ fn leaves_agree<T: Scalar>() {
         for uplo in UPLOS {
             let tag = format!("{} potf2 {uplo:?} n={n}", T::PREFIX);
             same_on_every_tier(&tag, || potf2(uplo, n, lda, &s));
+        }
+    }
+    // Panels of every row count up to 40 and around 96 (every tail length
+    // of the widest register, 16 `f32` lanes, and of each shorter one),
+    // and around the strip of four: random, then with one pivot column
+    // (the middle one, then the last) holding a NaN, ±Inf, an exact tie of
+    // opposite signs, signed zeros only, or zeros only.
+    let nan = T::from_real(T::Real::nan());
+    let inf = T::from_real(T::Real::one() / T::Real::zero());
+    for m in (1..=40usize).chain([95, 96, 97, 736]) {
+        for n in [1usize, 3, 4, 5, 31, 32, 33] {
+            let lda = m + 3;
+            let g: Vec<T> = rng.vec(lda * n);
+            let tag = format!("{} getf2 {m}x{n}", T::PREFIX);
+            same_on_every_tier(&tag, || getf2(m, n, lda, &g));
+            let mn = m.min(n);
+            for c in [mn / 2, mn - 1] {
+                let col = c * lda;
+                // Rows at and below the diagonal, spread down the column.
+                let (r0, r1, r2) = (c, c + (m - c) / 2, m - 1);
+                let mut cases: Vec<(&str, Vec<T>)> = Vec::new();
+                let mut a = g.clone();
+                a[col + r1] = nan;
+                a[col + r2] = nan;
+                cases.push(("nan", a));
+                let mut a = g.clone();
+                a[col + r1] = inf;
+                a[col + r0] = -inf;
+                cases.push(("inf", a));
+                let mut a = g.clone();
+                a[col + r1] = T::from_f64(-4.0);
+                a[col + r2] = T::from_f64(4.0);
+                cases.push(("tie", a));
+                let mut a = g.clone();
+                for (i, x) in a[col..col + m].iter_mut().enumerate() {
+                    *x = if i % 2 == 0 { -T::zero() } else { T::zero() };
+                }
+                cases.push(("signed zeros", a));
+                let mut a = g.clone();
+                a[col..col + m].fill(T::zero());
+                cases.push(("zeros", a));
+                for (what, a) in cases {
+                    let tag = format!("{tag} column {c} {what}");
+                    same_on_every_tier(&tag, || getf2(m, n, lda, &a));
+                }
+            }
         }
     }
     // Each position of a 32-wide leaf: a zero column in a 96 × 32 panel
