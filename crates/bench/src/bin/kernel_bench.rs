@@ -37,7 +37,8 @@
 //! Then, under the default kernel and one thread, with the calls of each
 //! group taking turns for at least [`MIN_SECS`] (best time each):
 //!
-//! * `dtrsm` 256 × 1024 (L/N/unit) against `dgemm` 256 × 1024 × 256;
+//! * `dtrsm` 256 × 1024, L/N/unit and U/T/non-unit, against `dgemm`
+//!   256 × 1024 × 256;
 //! * `dgemm` n = 256 against [`gemm_axpy`], a column-`axpy` loop with no
 //!   packing or blocking kept here as the reference;
 //! * `gemm` n = 256, f64 and f32, on the AVX-512 tiles against the AVX2
@@ -63,8 +64,10 @@
 //! 2048`) for the full table. Each gate reads a ratio of this run, so it
 //! gates on any host, and the run exits 1 when one fails:
 //!
-//! * `--min-trsm-over-gemm R`: `dtrsm` 256 × 1024 (L/N/unit) over `dgemm`
-//!   256 × 1024 × 256, taking turns (needs `simd`);
+//! * `--min-trsm-over-gemm R`: the smaller of `dtrsm` 256 × 1024 L/N/unit
+//!   and U/T/non-unit over `dgemm` 256 × 1024 × 256, taking turns (needs
+//!   `simd`) — the unit form alone never applies a pivot, so a slower
+//!   non-unit substitution would pass it;
 //! * `--min-panel-over-rank1 R`: the smaller of `dgetf2` 96 × 32 and
 //!   32 × 32 over the rank-1 loop, on the widest tier (the other panel rows
 //!   are printed, ungated);
@@ -639,27 +642,38 @@ fn trsm_rows(kernels: &[GemmKernel]) {
     }
 }
 
-/// `dtrsm` 256 × 1024 (L/N/unit) against `dgemm` 256 × 1024 × 256 under
-/// the default kernel, taking turns; returns trsm's rate over gemm's. (The
-/// table rows time each shape in its own 0.2 s window; their ratio read
-/// 0.63–1.03 over 18 processes.)
+/// `dtrsm` 256 × 1024 L/N/unit (`getrs`'s first solve) and U/T/non-unit
+/// (`potrs`'s, the one whose substitution applies pivots) against `dgemm`
+/// 256 × 1024 × 256 under the default kernel, the three taking turns;
+/// returns the smaller of the two trsm rates over gemm's. (The table rows
+/// time each shape in its own 0.2 s window; their ratio read 0.63–1.03
+/// over 18 processes.)
 fn trsm_gate_row() -> f64 {
     let (m, n) = (SOLVE_M, SOLVE_N);
     let (tri, b0) = solve_operands();
-    let mut x = b0.clone();
-    let trsm: Call = Box::new(|| {
-        timed(|| {
-            let (l, no, unit) = (Uplo::Lower, Trans::No, Diag::Unit);
-            la_blas::trsm(Side::Left, l, no, unit, m, n, 1.0, &tri, m, &mut x, m);
-            std::hint::black_box(&x);
-        })
-    });
-    let gemm = gemm_call((m, n, m), &tri, &b0, AbftPolicy::Off);
-    let t = interleaved(vec![gemm, trsm]);
-    // A trsm does half a gemm's flops.
-    let ratio = t[0] / (2.0 * t[1]);
-    println!("trsm  {m}x{n} L/N/U over gemm {m}x{n}x{m}, taking turns: {ratio:.2}");
-    ratio
+    let forms = [
+        (Uplo::Lower, Trans::No, Diag::Unit, "L/N/U"),
+        (Uplo::Upper, Trans::Trans, Diag::NonUnit, "U/T/N"),
+    ];
+    let mut calls = vec![gemm_call((m, n, m), &tri, &b0, AbftPolicy::Off)];
+    for (uplo, trans, diag, _) in forms {
+        let (tri, mut x) = (&tri, b0.clone());
+        calls.push(Box::new(move || {
+            timed(|| {
+                la_blas::trsm(Side::Left, uplo, trans, diag, m, n, 1.0, tri, m, &mut x, m);
+                std::hint::black_box(&x);
+            })
+        }));
+    }
+    let t = interleaved(calls);
+    let mut worst = f64::INFINITY;
+    for ((.., form), secs) in forms.iter().zip(&t[1..]) {
+        // A trsm does half a gemm's flops.
+        let ratio = t[0] / (2.0 * secs);
+        println!("trsm  {m}x{n} {form} over gemm {m}x{n}x{m}, taking turns: {ratio:.2}");
+        worst = worst.min(ratio);
+    }
+    worst
 }
 
 /// The right-looking rank-1 `getf2` (one pass over the trailing panel per
@@ -979,7 +993,7 @@ fn main() {
     nb_rows();
     call_floor();
     let gates = [
-        gate("trsm 256x1024 over gemm", trsm, min_trsm),
+        gate("min trsm 256x1024 L/N/U, U/T/N over gemm", trsm, min_trsm),
         gate(
             "min getf2 96x32, 32x32 over the rank-1 loop",
             panel,

@@ -48,7 +48,7 @@
 //! bits do not depend on the tier.
 
 use la_core::tune::GemmKernel;
-use la_core::Scalar;
+use la_core::{RealScalar, Scalar};
 
 /// Largest `MR·NR` over every kernel's tile (the f32 AVX-512 tile,
 /// 16×16); sizes the stack tile of [`via_stack_tile`].
@@ -219,17 +219,52 @@ pub fn tile_where<T: Scalar>(
     );
 }
 
+/// What the diagonal of a packed diagonal tile holds, and so how a
+/// [`SolveTile`] applies it: one value per packed diagonal block of the
+/// solve sweep, chosen when the block is packed (`l3::pack_triangle`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Pivots {
+    /// A unit diagonal: nothing is read from it.
+    Unit,
+    /// Each pivot's reciprocal `1/d`: the substitution multiplies by it.
+    Reciprocal,
+    /// The pivots themselves: the substitution divides by them. Only a
+    /// block with a pivot [`reciprocal_is_safe`] refuses is packed so.
+    Divide,
+}
+
+/// `xGETF2`'s rule for replacing `x/d` by `x·(1/d)`: `d` is 0, ±Inf or
+/// NaN, or its modulus is at least `sfmin`, the smallest number whose
+/// reciprocal does not overflow. For those the product is the quotient
+/// but for the last place, and an exception gives the same exceptional
+/// value (`1/0 = Inf`, `1/Inf = 0`, NaN stays NaN). A subnormal `d` has an
+/// infinite reciprocal, so `x·(1/d)` would be `Inf` where `x/d` is finite
+/// (`1e-310/1e-310 = 1`): it must divide.
+#[inline]
+pub fn reciprocal_is_safe<T: Scalar>(d: T) -> bool {
+    let m = d.abs();
+    d.is_zero() || m >= T::Real::sfmin() || m.is_nan()
+}
+
 /// The in-tile substitution of the triangular solve sweep (`trsm`): solves
 /// the `rows × cols` tile of `B` at `b` (column stride `ldb`) against one
 /// packed diagonal tile, writes `X` back over it and `−X` into `xneg`.
 ///
 /// `d` is the `mr × mr` diagonal tile of `op(A)`, one column per group of
-/// `mr` (`d[k·mr + r] = op(A)(r, k)`); rows past `rows` must be the
-/// identity. Only the triangle is read, and with `unit` not its diagonal.
-/// `xneg` holds `rows` groups of `nr` in packed-B layout, columns past
-/// `cols` zero.
+/// `mr` (`d[k·mr + r] = op(A)(r, k)`), its diagonal as `pivots` says; rows
+/// past `rows` must be the identity. Only the triangle is read, and with
+/// [`Pivots::Unit`] not its diagonal. `xneg` holds `rows` groups of `nr` in
+/// packed-B layout, columns past `cols` zero.
+///
+/// With [`Pivots::Reciprocal`] each pivot row is multiplied by the packed
+/// `1/d`, as BLASFEO's and OpenBLAS's `trsm` kernels do, where the
+/// reference `xTRSM` divides by `d`: a multiply issues every cycle, and a
+/// division chain would wait on each quotient. The reciprocal is one
+/// rounding, made once when the block is packed, and no substitution fuses
+/// a multiply with its add, so the bits do not depend on the kernel or
+/// the tier.
 pub type SolveTile<T> =
-    fn(unit: bool, d: &[T], b: &mut [T], ldb: usize, rows: usize, cols: usize, xneg: &mut [T]);
+    fn(pivots: Pivots, d: &[T], b: &mut [T], ldb: usize, rows: usize, cols: usize, xneg: &mut [T]);
 
 /// The generic [`SolveTile`] at one tile shape.
 fn solve_tile_at<T: Scalar, const MR: usize, const NR: usize>(lower: bool) -> SolveTile<T> {
@@ -242,10 +277,11 @@ fn solve_tile_at<T: Scalar, const MR: usize, const NR: usize>(lower: bool) -> So
 
 /// [`SolveTile`] over one tile shape and direction. Every loop bound is a
 /// constant so the substitution unrolls; the right-hand sides run across
-/// the lanes of each row, and a pivot divides (no reciprocal), as `trsv`
-/// does.
+/// the lanes of each row, and a pivot row is multiplied by the packed
+/// reciprocal (divided by the pivot only under [`Pivots::Divide`], as
+/// `trsv` always does).
 fn solve_tile<T: Scalar, const MR: usize, const NR: usize, const LOWER: bool>(
-    unit: bool,
+    pivots: Pivots,
     d: &[T],
     b: &mut [T],
     ldb: usize,
@@ -278,10 +314,18 @@ fn solve_tile<T: Scalar, const MR: usize, const NR: usize, const LOWER: bool>(
     for step in 0..MR {
         let k = if LOWER { step } else { MR - 1 - step };
         let col = &d[k * MR..k * MR + MR];
-        if !unit {
-            let pivot = col[k];
-            for x in &mut t[k] {
-                *x = *x / pivot;
+        let pivot = col[k];
+        match pivots {
+            Pivots::Unit => {}
+            Pivots::Reciprocal => {
+                for x in &mut t[k] {
+                    *x *= pivot;
+                }
+            }
+            Pivots::Divide => {
+                for x in &mut t[k] {
+                    *x = *x / pivot;
+                }
             }
         }
         let xk = t[k];
@@ -438,7 +482,7 @@ pub(crate) fn host_has_avx2_fma() -> bool {
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod simd {
     use super::{
-        check_tile, full_or_edge, solve_tile_at, MicroKernel, Scalar, SolveTile, MAX_TILE,
+        check_tile, full_or_edge, solve_tile_at, MicroKernel, Pivots, Scalar, SolveTile, MAX_TILE,
     };
     use std::any::Any;
     use std::arch::x86_64::*;
@@ -749,7 +793,7 @@ mod simd {
 
     /// The f64 16×8 [`SolveTile`] of the AVX-512 tier.
     fn solve_f64<const LOWER: bool>(
-        unit: bool,
+        pivots: Pivots,
         d: &[f64],
         b: &mut [f64],
         ldb: usize,
@@ -760,13 +804,13 @@ mod simd {
         full_or_padded::<f64, 8>(d, b, ldb, rows, cols, xneg, |b, ldb, xneg| {
             // SAFETY: `full_or_padded`'s contract, and a `Simd<true>` —
             // the only way here — exists only on an AVX-512F host.
-            unsafe { solve_f64_16x8::<LOWER>(unit, d.as_ptr(), b, ldb, xneg) }
+            unsafe { solve_f64_16x8::<LOWER>(pivots, d.as_ptr(), b, ldb, xneg) }
         })
     }
 
     /// The f32 16×16 [`SolveTile`] of the AVX-512 tier.
     fn solve_f32<const LOWER: bool>(
-        unit: bool,
+        pivots: Pivots,
         d: &[f32],
         b: &mut [f32],
         ldb: usize,
@@ -776,7 +820,7 @@ mod simd {
     ) {
         full_or_padded::<f32, 16>(d, b, ldb, rows, cols, xneg, |b, ldb, xneg| {
             // SAFETY: as in `solve_f64`.
-            unsafe { solve_f32_16x16::<LOWER>(unit, d.as_ptr(), b, ldb, xneg) }
+            unsafe { solve_f32_16x16::<LOWER>(pivots, d.as_ptr(), b, ldb, xneg) }
         })
     }
 
@@ -820,23 +864,28 @@ mod simd {
     }
 
     /// The substitution of a 16-row tile held in registers, `$t[r]` one
-    /// row of right-hand sides: per step the pivot row is divided by its
-    /// pivot (unless `$unit`), then every row still to be solved takes a
-    /// multiply and a subtract — the generic `solve_tile`'s operations in
-    /// its order, unfused, so its bits. `$set1`, `$div`, `$mul` and `$sub`
-    /// are the lane type's intrinsics. The 16 steps are spelled out so
-    /// every row index is a constant and the tile never leaves registers.
+    /// row of right-hand sides: per step the pivot row is multiplied by
+    /// the packed reciprocal (divided by the pivot under
+    /// [`Pivots::Divide`], untouched under [`Pivots::Unit`]), then every
+    /// row still to be solved takes a multiply and a subtract — the
+    /// generic `solve_tile`'s operations in its order, unfused, so its
+    /// bits. `$set1`, `$div`, `$mul` and `$sub` are the lane type's
+    /// intrinsics. The 16 steps are spelled out so every row index is a
+    /// constant and the tile never leaves registers; with no division on
+    /// the chain, a step waits on a multiply, not on a quotient.
     macro_rules! substitute {
-        ($t:ident, $d:ident, $unit:ident, $lower:ident, $set1:ident, $div:ident, $mul:ident, $sub:ident) => {
-            substitute!(@ $t $d $unit $lower $set1 $div $mul $sub;
+        ($t:ident, $d:ident, $piv:ident, $lower:ident, $set1:ident, $div:ident, $mul:ident, $sub:ident) => {
+            substitute!(@ $t $d $piv $lower $set1 $div $mul $sub;
                 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)
         };
-        (@ $t:ident $d:ident $unit:ident $lower:ident $set1:ident $div:ident $mul:ident $sub:ident;
+        (@ $t:ident $d:ident $piv:ident $lower:ident $set1:ident $div:ident $mul:ident $sub:ident;
             $($step:literal)*) => {$({
             let k = if $lower { $step } else { 15 - $step };
             let col = $d.add(16 * k);
-            if !$unit {
-                $t[k] = $div($t[k], $set1(*col.add(k)));
+            match $piv {
+                Pivots::Unit => {}
+                Pivots::Reciprocal => $t[k] = $mul($t[k], $set1(*col.add(k))),
+                Pivots::Divide => $t[k] = $div($t[k], $set1(*col.add(k))),
             }
             let xk = $t[k];
             for r in if $lower { k + 1..16 } else { 0..k } {
@@ -856,7 +905,7 @@ mod simd {
     /// writable for 128.
     #[target_feature(enable = "avx512f")]
     unsafe fn solve_f64_16x8<const LOWER: bool>(
-        unit: bool,
+        pivots: Pivots,
         d: *const f64,
         b: *mut f64,
         ldb: usize,
@@ -875,7 +924,7 @@ mod simd {
         substitute!(
             t,
             d,
-            unit,
+            pivots,
             LOWER,
             _mm512_set1_pd,
             _mm512_div_pd,
@@ -909,7 +958,7 @@ mod simd {
     /// writable for 256.
     #[target_feature(enable = "avx512f")]
     unsafe fn solve_f32_16x16<const LOWER: bool>(
-        unit: bool,
+        pivots: Pivots,
         d: *const f32,
         b: *mut f32,
         ldb: usize,
@@ -923,7 +972,7 @@ mod simd {
         substitute!(
             t,
             d,
-            unit,
+            pivots,
             LOWER,
             _mm512_set1_ps,
             _mm512_div_ps,
@@ -1311,6 +1360,21 @@ mod tests {
         short_c_panics::<C64>();
     }
 
+    /// Every way a packed diagonal tile may hold its diagonal.
+    const PIVOTS: [Pivots; 3] = [Pivots::Unit, Pivots::Reciprocal, Pivots::Divide];
+
+    /// The tile `d` with its first `rows` pivots packed as `pivots` says:
+    /// replaced by their reciprocals for [`Pivots::Reciprocal`], as
+    /// `l3::pack_triangle` packs them.
+    fn packed<T: Scalar>(mut d: Vec<T>, mr: usize, rows: usize, pivots: Pivots) -> Vec<T> {
+        if pivots == Pivots::Reciprocal {
+            for r in 0..rows {
+                d[r * mr + r] = d[r * mr + r].recip();
+            }
+        }
+        d
+    }
+
     /// A packed `mr × mr` diagonal tile for the substitution tests, a
     /// well-conditioned triangle for `rows` rows (identity past them), and
     /// `nan` wherever it must not be read: the other triangle and, with
@@ -1336,16 +1400,17 @@ mod tests {
     }
 
     /// The contract of every kernel's tile substitution, full and ragged
-    /// shapes, both directions, with NaN wherever it must not look (the
-    /// other triangle, a unit diagonal): the tile holds `X`, `xneg` holds
-    /// `−X` in packed-B layout with zero lanes past `cols`, and nothing
-    /// else is touched.
+    /// shapes, both directions, every [`Pivots`], with NaN wherever it must
+    /// not look (the other triangle, a unit diagonal): the tile holds `X`,
+    /// `xneg` holds `−X` in packed-B layout with zero lanes past `cols`, and
+    /// nothing else is touched.
     fn solve_tile_contract<T: Scalar>() {
         let nan = T::from_f64(f64::NAN);
         for kern in kernels::<T>() {
             let (mr, nr) = (kern.mr(), kern.nr());
             for lower in [true, false] {
-                for unit in [false, true] {
+                for pivots in PIVOTS {
+                    let unit = pivots == Pivots::Unit;
                     for (rows, cols) in [(mr, nr), (mr - 1, nr), (mr, nr - 1), (1, 1)] {
                         let d = diagonal_tile(mr, rows, lower, unit, nan);
                         let ldb = rows + 3;
@@ -1365,9 +1430,10 @@ mod tests {
                         }
                         let mut b = b0.clone();
                         let mut xneg = vec![nan; rows * nr];
-                        kern.solver(lower)(unit, &d, &mut b, ldb, rows, cols, &mut xneg);
+                        let dp = packed(d, mr, rows, pivots);
+                        kern.solver(lower)(pivots, &dp, &mut b, ldb, rows, cols, &mut xneg);
                         let tag = format!(
-                            "{} {} lower={lower} unit={unit} {rows}x{cols}",
+                            "{} {} lower={lower} {pivots:?} {rows}x{cols}",
                             T::PREFIX,
                             kern.name()
                         );
@@ -1415,37 +1481,77 @@ mod tests {
 
     /// Every kernel's substitution gives the generic `solve_tile`'s bits at
     /// its shape — the promise of the AVX-512 tier's register-resident
-    /// one: both directions, `unit` or not, every ragged `rows × cols`,
-    /// with and without a NaN and an Inf in `B`.
+    /// one: both directions, every [`Pivots`], every ragged `rows × cols`,
+    /// with and without a NaN and an Inf in `B`; and with one pivot that
+    /// is subnormal, ±0, ±Inf or NaN, multiplied by its reciprocal (what
+    /// the packer would never pack for the subnormal one, so the bits of
+    /// either form are held) or divided by. Where a NaN pivot's reciprocal
+    /// meets a NaN right-hand side, which of the two NaNs the product
+    /// returns is the compiler's choice (a product commutes; a debug build
+    /// and the register body pick differently), so there a NaN only has
+    /// to be a NaN.
     fn solver_is_the_generic_bit_for_bit<T: Scalar>() {
         let (nan, inf) = (T::from_f64(f64::NAN), T::from_f64(f64::INFINITY));
+        let sfmin = T::from_real(T::Real::sfmin());
+        let special = [
+            None,
+            Some(sfmin * T::from_f64(0.25)),
+            Some(T::zero()),
+            Some(-T::zero()),
+            Some(inf),
+            Some(-inf),
+            Some(nan),
+        ];
         for kern in kernels::<T>() {
             let (mr, nr) = (kern.mr(), kern.nr());
             for lower in [true, false] {
-                for unit in [false, true] {
-                    // The identity past `rows` is the packer's; a finite
-                    // tile throughout keeps every NaN one of B's.
-                    let d = diagonal_tile(mr, mr, lower, unit, T::zero());
-                    for rows in 1..=mr {
-                        for cols in 1..=nr {
-                            for poison in [false, true] {
-                                let ldb = rows + 2;
-                                let mut b0: Vec<T> = vals(cols * ldb, 12);
-                                if poison {
-                                    b0[rows / 2 + (cols - 1) * ldb] = nan;
-                                    b0[rows - 1] = inf;
+                for pivots in PIVOTS {
+                    let unit = pivots == Pivots::Unit;
+                    for pivot in special {
+                        if unit && pivot.is_some() {
+                            continue;
+                        }
+                        // The identity past `rows` is the packer's; a
+                        // finite tile elsewhere keeps every other NaN one
+                        // of B's.
+                        let mut d = diagonal_tile(mr, mr, lower, unit, T::zero());
+                        if let Some(p) = pivot {
+                            d[(mr / 2) * (mr + 1)] = p;
+                        }
+                        let d = packed(d, mr, mr, pivots);
+                        for rows in 1..=mr {
+                            for cols in 1..=nr {
+                                for poison in [false, true] {
+                                    let ldb = rows + 2;
+                                    let mut b0: Vec<T> = vals(cols * ldb, 12);
+                                    if poison {
+                                        b0[rows / 2 + (cols - 1) * ldb] = nan;
+                                        b0[rows - 1] = inf;
+                                    }
+                                    let nan_pivot = pivot.is_some_and(|p| p.is_nan());
+                                    let out = |v: &[T]| {
+                                        let mut v = bits(v);
+                                        for p in v.iter_mut().flat_map(|x| [&mut x.0, &mut x.1]) {
+                                            if nan_pivot && f64::from_bits(*p).is_nan() {
+                                                *p = f64::NAN.to_bits();
+                                            }
+                                        }
+                                        v
+                                    };
+                                    let run = |solve: SolveTile<T>| {
+                                        let (mut b, mut xneg) = (b0.clone(), vec![nan; rows * nr]);
+                                        solve(pivots, &d, &mut b, ldb, rows, cols, &mut xneg);
+                                        (out(&b), out(&xneg))
+                                    };
+                                    assert!(
+                                        run(kern.solver(lower))
+                                            == run(generic_solver((mr, nr), lower)),
+                                        "{} {} lower={lower} {pivots:?} pivot={pivot:?} \
+                                         {rows}x{cols} poison={poison}",
+                                        T::PREFIX,
+                                        kern.name()
+                                    );
                                 }
-                                let run = |solve: SolveTile<T>| {
-                                    let (mut b, mut xneg) = (b0.clone(), vec![nan; rows * nr]);
-                                    solve(unit, &d, &mut b, ldb, rows, cols, &mut xneg);
-                                    (bits(&b), bits(&xneg))
-                                };
-                                assert!(
-                                    run(kern.solver(lower)) == run(generic_solver((mr, nr), lower)),
-                                    "{} {} lower={lower} unit={unit} {rows}x{cols} poison={poison}",
-                                    T::PREFIX,
-                                    kern.name()
-                                );
                             }
                         }
                     }

@@ -1211,6 +1211,16 @@ fn trmm_left_cols<T: Scalar>(
 /// Triangular solve with multiple right-hand sides (`xTRSM`):
 /// `op(A)·X = alpha·B` (`Side::Left`) or `X·op(A) = alpha·B`
 /// (`Side::Right`); `X` overwrites `B`.
+///
+/// From four right-hand sides (any number under ABFT) the packed solve
+/// sweep runs, and a `Diag::NonUnit` sweep multiplies by each pivot's
+/// reciprocal, packed once per diagonal block, where the reference
+/// `xTRSM` divides (as BLASFEO's and OpenBLAS's kernels do): results
+/// differ from the division in the last place, the same way on every
+/// kernel and tier. A block with a subnormal pivot — whose reciprocal
+/// overflows — divides instead (`xGETF2`'s `sfmin` rule,
+/// [`crate::kernel::reciprocal_is_safe`]), so `1e-310/1e-310` stays 1.
+/// Fewer right-hand sides take `trsv` per column, which divides.
 #[allow(clippy::too_many_arguments)]
 pub fn trsm<T: Scalar>(
     side: Side,
@@ -1362,7 +1372,8 @@ fn trsm_impl<T: Scalar>(
 /// Serial left-side triangular solve over the columns of `b` (alpha
 /// already applied), `op(A)·x_j = b_j`, as one sweep of the packed
 /// microkernel. Per diagonal block of order ≤ `KC` the triangle of op(A)
-/// is packed once ([`pack_triangle`]); per `NC` band of `b` the block's
+/// is packed once ([`pack_triangle`], with the pivots' reciprocals where
+/// [`kernel::reciprocal_is_safe`] allows); per `NC` band of `b` the block's
 /// rows are solved ([`solve_band`]), and the rows outside the block then
 /// take an ordinary packed update from the −X panel that solve leaves.
 /// Row panels sit on the `MR` grid of the whole triangle and columns do
@@ -1383,7 +1394,6 @@ fn trsm_left_cols<T: Scalar>(
     // Whether op(A) acts as a *lower* triangular factor: forward
     // substitution, ascending rows.
     let lower = (uplo == Uplo::Lower) != trans.is_transposed();
-    let unit = diag == Diag::Unit;
     let kd = diag_block(plan);
     let tri_cap = tri_len(kd.min(m), mr);
     // Room for the op(A) blocks of the off-block update, if there is one.
@@ -1401,7 +1411,7 @@ fn trsm_left_cols<T: Scalar>(
         for bi in 0..nblk {
             let k0 = if lower { bi } else { nblk - 1 - bi } * kd;
             let kb = kd.min(m - k0);
-            pack_triangle(tri, a, trans, lower, k0, kb, mr);
+            let pivots = pack_triangle(tri, a, trans, lower, diag, k0, kb, mr);
             // The rows still to be solved.
             let rest = if lower { k0 + kb..m } else { 0..k0 };
             let mut jc = 0;
@@ -1411,7 +1421,7 @@ fn trsm_left_cols<T: Scalar>(
                 solve_band(
                     plan.kern,
                     tri,
-                    (lower, unit),
+                    (lower, pivots),
                     (k0, kb),
                     (jc, nb),
                     bs,
@@ -1457,13 +1467,14 @@ fn tri_len(kb: usize, mr: usize) -> usize {
 /// `A·(−X)` of the rows already solved straight into the `b` tile (`X` is
 /// kept negated, in packed-B layout, so the `C += Ap·Bp` tile contract
 /// serves unchanged), the tile is substituted against its diagonal tile,
-/// and `X` goes to `bs`, `−X` to `xpack` — which then holds the band's
-/// `kb × nb` panel of −X in [`pack::pack_b`] layout.
+/// whose diagonal `pivots` describes, and `X` goes to `bs`, `−X` to
+/// `xpack` — which then holds the band's `kb × nb` panel of −X in
+/// [`pack::pack_b`] layout.
 #[allow(clippy::too_many_arguments)]
 fn solve_band<T: Scalar>(
     kern: &dyn kernel::MicroKernel<T>,
     tri: &[T],
-    (lower, unit): (bool, bool),
+    (lower, pivots): (bool, kernel::Pivots),
     (k0, kb): (usize, usize),
     (jc, nb): (usize, usize),
     bs: &mut [T],
@@ -1485,7 +1496,7 @@ fn solve_band<T: Scalar>(
                 kern.tile(solved, ap, xs, bt, ldb, rows, cols);
             }
             let xneg = &mut xp[is * nr..(is + rows) * nr];
-            solve_tile(unit, dt, bt, ldb, rows, cols, xneg);
+            solve_tile(pivots, dt, bt, ldb, rows, cols, xneg);
         }
     }
 }
@@ -1606,7 +1617,7 @@ pub fn lu_step<T: Scalar>(
     let a_cap = tri_cap + l21_rows.div_ceil(mr) * mr * jb;
     pack::with_arena::<T, _>(a_cap, bw.div_ceil(nr) * nr * jb, |abuf, xpack| {
         let (tri, apack) = abuf.split_at_mut(tri_cap);
-        pack_triangle(tri, lv, Trans::No, true, 0, jb, mr);
+        let piv = pack_triangle(tri, lv, Trans::No, true, Diag::Unit, 0, jb, mr);
         if whole {
             pack::pack_a(apack, lv, Trans::No, jb, below, 0, jb, mr);
         }
@@ -1615,7 +1626,7 @@ pub fn lu_step<T: Scalar>(
             let nb = bw.min(n - jc);
             laswp(nb, &mut c[jc * ldc..], ldc, 0, jb, ipiv);
             let xp = &mut xpack[..nb.div_ceil(nr) * nr * jb];
-            solve_band(plan.kern, tri, (true, true), (0, jb), (jc, nb), c, ldc, xp);
+            solve_band(plan.kern, tri, (true, piv), (0, jb), (jc, nb), c, ldc, xp);
             if !whole {
                 let cols = (jc, nb);
                 panel_update(
@@ -1742,9 +1753,7 @@ pub fn chol_step<T: Scalar>(
     let b_cap = plan.nc.min(rest).div_ceil(nr) * nr * kc;
     pack::with_arena::<T, _>(a_cap, b_cap, |abuf, bpack| {
         let (tp, apack) = abuf.split_at_mut(tri_cap);
-        if fused {
-            pack_triangle(tp, a11, trans, true, 0, jb, mr);
-        }
+        let piv = fused.then(|| pack_triangle(tp, a11, trans, true, Diag::NonUnit, 0, jb, mr));
         let nbands = rest.div_ceil(plan.nc);
         for q in 0..nbands {
             // A Lower band reads the rows of X right of it.
@@ -1753,9 +1762,9 @@ pub fn chol_step<T: Scalar>(
             for lc in (0..jb).step_by(plan.kc) {
                 let kb = plan.kc.min(jb - lc);
                 let bp = &mut bpack[..nb.div_ceil(nr) * nr * kb];
-                if fused {
+                if let Some(piv) = piv {
                     let xs = copy.as_deref_mut().unwrap_or(right);
-                    solve_band(plan.kern, tp, (true, false), (0, jb), (jc, nb), xs, ldx, bp);
+                    solve_band(plan.kern, tp, (true, piv), (0, jb), (jc, nb), xs, ldx, bp);
                 } else {
                     let x = MatRef::new(copy.as_deref().unwrap_or(right), jb, rest, ldx);
                     pack::pack_b(bp, x, Trans::No, lc, kb, jc, nb, nr, -T::one());
@@ -1852,15 +1861,24 @@ fn tri_panels(
 /// panel only as deep as the triangle reaches. [`pack::pack_a`] transposes
 /// and conjugates; the unreferenced triangle is copied into the diagonal
 /// tiles but never read from them.
+///
+/// Returns what the diagonal tiles' diagonals hold, for the substitution
+/// ([`kernel::Pivots`]). A `Diag::NonUnit` block whose every pivot passes
+/// [`kernel::reciprocal_is_safe`] — `xGETF2`'s `sfmin` rule — has each
+/// pivot replaced by its reciprocal, one division per pivot, so that the
+/// substitution multiplies; a block with a subnormal pivot keeps the
+/// pivots and divides, as the reference `xTRSM` does.
+#[allow(clippy::too_many_arguments)]
 fn pack_triangle<T: Scalar>(
     tri: &mut [T],
     a: MatRef<'_, T>,
     trans: Trans,
     lower: bool,
+    diag: Diag,
     k0: usize,
     kb: usize,
     mr: usize,
-) {
+) -> kernel::Pivots {
     for (is, rows, solved, at) in tri_panels(kb, mr, lower) {
         let (dt, ap) = tri[at..at + (mr + solved) * mr].split_at_mut(mr * mr);
         let i0 = k0 + is;
@@ -1872,6 +1890,21 @@ fn pack_triangle<T: Scalar>(
         let l0 = if lower { k0 } else { i0 + rows };
         pack::pack_a(ap, a, trans, i0, rows, l0, solved, mr);
     }
+    if diag == Diag::Unit {
+        return kernel::Pivots::Unit;
+    }
+    // The packed pivots, at `r·(mr + 1)` of each diagonal tile.
+    let pivots = || {
+        tri_panels(kb, mr, lower)
+            .flat_map(move |(_, rows, _, at)| (0..rows).map(move |r| at + r * (mr + 1)))
+    };
+    if !pivots().all(|p| kernel::reciprocal_is_safe(tri[p])) {
+        return kernel::Pivots::Divide;
+    }
+    for p in pivots() {
+        tri[p] = tri[p].recip();
+    }
+    kernel::Pivots::Reciprocal
 }
 
 /// Side of the square blocks [`transpose_into`] copies: each destination
@@ -2232,5 +2265,116 @@ mod band_tests {
             recovered_last_band_is_clean::<f64>();
             recovered_last_band_is_clean::<C64>();
         }
+    }
+}
+
+#[cfg(test)]
+mod pack_triangle_tests {
+    use super::*;
+    use la_core::{RealScalar, C32, C64};
+
+    /// [`pack_triangle`] packs the pivots' reciprocals exactly when every
+    /// pivot of the block passes `xGETF2`'s rule: one pivot that is
+    /// subnormal (by modulus, for the complex types) keeps the block
+    /// dividing, while ±0, ±Inf, NaN, `±sfmin` and a subnormal pivot
+    /// outside the block do not. Nothing but the pivots differs from the
+    /// unit-diagonal packing, and a reciprocal is `recip()`'s bits.
+    fn packs_reciprocals_by_the_rule<T: Scalar>() {
+        let sfmin = T::Real::sfmin();
+        let eps = T::Real::EPS;
+        let re = |x: T::Real| T::from_real(x);
+        let mut cases: Vec<(String, Option<T>, usize, kernel::Pivots)> = Vec::new();
+        let (k0, kb, n) = (3usize, 21usize, 26usize);
+        let inside = k0 + 5;
+        let recip = kernel::Pivots::Reciprocal;
+        let divide = kernel::Pivots::Divide;
+        let nan = re(T::Real::nan());
+        let inf = re(T::Real::one() / T::Real::zero());
+        for (what, v, want) in [
+            ("normal", None, recip),
+            ("sfmin", Some(re(sfmin)), recip),
+            ("-sfmin", Some(re(-sfmin)), recip),
+            (
+                "largest subnormal",
+                Some(re(sfmin * (T::Real::one() - eps))),
+                divide,
+            ),
+            (
+                "-sfmin/4",
+                Some(re(-sfmin / T::Real::from_f64(4.0))),
+                divide,
+            ),
+            ("smallest subnormal", Some(re(sfmin * eps)), divide),
+            ("+0", Some(T::zero()), recip),
+            ("-0", Some(-T::zero()), recip),
+            ("+Inf", Some(inf), recip),
+            ("-Inf", Some(-inf), recip),
+            ("NaN", Some(nan), recip),
+        ] {
+            cases.push((what.into(), v, inside, want));
+        }
+        let half = sfmin / T::Real::from_f64(2.0);
+        cases.push(("subnormal outside".into(), Some(re(half)), k0 - 1, recip));
+        if T::IS_COMPLEX {
+            let small = T::from_re_im(half, half);
+            cases.push(("|re + i·im| < sfmin".into(), Some(small), inside, divide));
+            let three = T::Real::from_f64(0.75) * sfmin;
+            let big = T::from_re_im(three, three);
+            cases.push(("|re + i·im| ≥ sfmin".into(), Some(big), inside, recip));
+        }
+        let lda = n + 1;
+        let a0: Vec<T> = (0..lda * n)
+            .map(|i| {
+                let x = |k: usize| T::Real::from_f64(((i * 37 + k) % 101) as f64 / 50.0 - 1.0);
+                T::from_re_im(x(0) + T::Real::from_f64(2.0), x(50))
+            })
+            .collect();
+        for mr in [4usize, 8, 16] {
+            let cap = tri_len(kb, mr);
+            for (what, v, at, want) in &cases {
+                let mut a = a0.clone();
+                if let Some(v) = *v {
+                    a[at + at * lda] = v;
+                }
+                let av = MatRef::new(&a, n, n, lda);
+                for lower in [true, false] {
+                    for trans in [Trans::No, Trans::Trans, Trans::ConjTrans] {
+                        let tag = format!("{} {what} mr={mr} lower={lower} {trans:?}", T::PREFIX);
+                        let pack = |diag: Diag| {
+                            let mut tri = vec![T::zero(); cap];
+                            let got = pack_triangle(&mut tri, av, trans, lower, diag, k0, kb, mr);
+                            (tri, got)
+                        };
+                        let (plain, unit) = pack(Diag::Unit);
+                        assert_eq!(unit, kernel::Pivots::Unit, "{tag}");
+                        let (tri, got) = pack(Diag::NonUnit);
+                        assert_eq!(got, *want, "{tag}");
+                        let mut expect = plain.clone();
+                        if got == recip {
+                            for (_, rows, _, at) in tri_panels(kb, mr, lower) {
+                                for r in 0..rows {
+                                    let p = at + r * (mr + 1);
+                                    expect[p] = plain[p].recip();
+                                }
+                            }
+                        }
+                        let bits = |v: &[T]| {
+                            v.iter()
+                                .map(|x| (x.re().to_f64().to_bits(), x.im().to_f64().to_bits()))
+                                .collect::<Vec<_>>()
+                        };
+                        assert!(bits(&tri) == bits(&expect), "{tag}: packed triangle");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pack_triangle_packs_reciprocals_exactly_when_the_rule_allows() {
+        packs_reciprocals_by_the_rule::<f32>();
+        packs_reciprocals_by_the_rule::<f64>();
+        packs_reciprocals_by_the_rule::<C32>();
+        packs_reciprocals_by_the_rule::<C64>();
     }
 }

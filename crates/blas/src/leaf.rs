@@ -15,7 +15,7 @@
 
 use la_core::{RealScalar, Scalar, Uplo};
 
-use crate::kernel::{on_tier, Leaf};
+use crate::kernel::{on_tier, reciprocal_is_safe, Leaf};
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod vector;
@@ -34,6 +34,12 @@ mod vector;
 /// pivot. Every element still sees the same subtractions in the same order
 /// as the right-looking rank-1 form, so factors, pivots and `info` are that
 /// form's, bit for bit, on every tier.
+///
+/// The multipliers below a pivot `d` are scaled as `xGETF2` scales them:
+/// by `1/d` when [`crate::kernel::reciprocal_is_safe`] allows (`|d| ≥
+/// sfmin`, or ±Inf or NaN), else divided by `d` one by one — a subnormal
+/// pivot's reciprocal overflows, and `[[1e-310, 1], [5e-311, 2]]` would
+/// factor to `L21 = Inf`, `U22 = −Inf` instead of 0.5 and 1.5.
 ///
 /// The leaves' tier selector (`kernel::on_tier`'s rule) picks the body.
 /// Complex types, and every type in the generic build, run the plain Rust
@@ -86,10 +92,17 @@ impl<T: Scalar> Leaf for LuLeaf<'_, T> {
                             a.swap(j + k * lda, p + k * lda);
                         }
                     }
-                    // Scale the multipliers.
-                    let inv = a[j + j * lda].recip();
-                    for x in &mut a[j + 1 + j * lda..m + j * lda] {
-                        *x *= inv;
+                    // Scale the multipliers: by the reciprocal under
+                    // `xGETF2`'s rule, else one division each.
+                    let pivot = a[j + j * lda];
+                    let l = &mut a[j + 1 + j * lda..m + j * lda];
+                    if reciprocal_is_safe(pivot) {
+                        let inv = pivot.recip();
+                        for x in l {
+                            *x *= inv;
+                        }
+                    } else {
+                        divide_by(l, pivot);
                     }
                 } else if info == 0 {
                     info = (j + 1) as i32;
@@ -112,6 +125,17 @@ impl<T: Scalar> Leaf for LuLeaf<'_, T> {
             apply_pivots(m, a, lda, j0, end - j0, end..n, &mut u);
         }
         info
+    }
+}
+
+/// `x := x / d` element by element: the scaling of the multipliers below
+/// a pivot whose reciprocal [`reciprocal_is_safe`] refuses (a subnormal
+/// one). Rare, so kept out of the leaves' loops.
+#[cold]
+#[inline(never)]
+fn divide_by<T: Scalar>(x: &mut [T], d: T) {
+    for v in x {
+        *v = *v / d;
     }
 }
 

@@ -18,7 +18,8 @@ use std::arch::x86_64::*;
 
 use la_core::{RealScalar, Scalar};
 
-use super::{STRIP, TILE_COLS};
+use super::{divide_by, STRIP, TILE_COLS};
+use crate::kernel::reciprocal_is_safe;
 
 /// A tier's vector registers: `zmm` (AVX-512F) when `ZMM`, `ymm`
 /// (AVX2+FMA) otherwise. Only [`body`] hands one out, after the tier
@@ -342,8 +343,13 @@ unsafe fn lu<T: RealScalar, S: Lanes<T>>(
                         std::ptr::swap(a.at(j, k, 1), a.at(p, k, 1));
                     }
                 }
-                let inv = (*a.at(j, j, 1)).recip();
-                scale::<T, S>(a.at(j + 1, j, below), below, inv);
+                let pivot = *a.at(j, j, 1);
+                let l = a.at(j + 1, j, below);
+                if reciprocal_is_safe(pivot) {
+                    scale::<T, S>(l, below, pivot.recip());
+                } else {
+                    divide_by(std::slice::from_raw_parts_mut(l, below), pivot);
+                }
             } else if info == 0 {
                 info = (j + 1) as i32;
             }

@@ -24,7 +24,9 @@ use crate::aux::{lacon, lange, laswp, one_thread, Blocking, Route};
 /// `f32` an explicit vector body with masked tails and a vector pivot
 /// search that returns `iamax`'s index, for complex types the plain body
 /// compiled for the tier. Neither asks for a fused multiply-add, so the
-/// bits do not depend on the tier.
+/// bits do not depend on the tier. The multipliers are scaled by the
+/// pivot's reciprocal when `|pivot| ≥ sfmin`, else divided by the pivot,
+/// as `xGETF2` does: a subnormal pivot's reciprocal overflows.
 pub fn getf2<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &mut [i32]) -> i32 {
     lu_leaf(m, n, a, lda, ipiv)
 }

@@ -889,6 +889,10 @@ fn probe_span_records_the_kernel() {
 
 /// The right-looking rank-1 `getf2` (one pass over the trailing panel per
 /// pivot) — the oracle the delayed-update panel must match bit for bit.
+/// It scales the multipliers as `xGETF2` does: by the pivot's reciprocal,
+/// unless the pivot's modulus is below `sfmin` (a subnormal pivot, whose
+/// reciprocal overflows), then by one division each. (For a NaN pivot,
+/// which `xGETF2` divides by, either form gives the NaN.)
 fn getf2_rank1<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &mut [i32]) -> i32 {
     let mut info = 0i32;
     for j in 0..m.min(n) {
@@ -909,9 +913,16 @@ fn getf2_rank1<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &mu
             for k in 0..n {
                 a.swap(j + k * lda, p + k * lda);
             }
-            let inv = a[j + j * lda].recip();
-            for i in j + 1..m {
-                a[i + j * lda] *= inv;
+            let pivot = a[j + j * lda];
+            if pivot.abs() < T::Real::sfmin() {
+                for i in j + 1..m {
+                    a[i + j * lda] /= pivot;
+                }
+            } else {
+                let inv = pivot.recip();
+                for i in j + 1..m {
+                    a[i + j * lda] *= inv;
+                }
             }
         } else if info == 0 {
             info = (j + 1) as i32;
@@ -1309,4 +1320,170 @@ fn leaves_give_the_same_bits_on_every_tier() {
     leaves_agree::<f64>();
     leaves_agree::<C32>();
     leaves_agree::<C64>();
+}
+
+/// A subnormal number of `T`'s real type, a power of two: `sfmin / 4`.
+fn subnormal<T: Scalar>() -> T::Real {
+    T::Real::sfmin() / T::Real::from_f64(4.0)
+}
+
+/// `getf2` scales the multipliers below a subnormal pivot by division, as
+/// `xGETF2` does, on every tier: the 2 × 2 `[[d, 1], [d/2, 2]]` factors to
+/// `L21 = 0.5`, `U22 = 1.5` (with the reciprocal, `1/d` overflows and they
+/// read `Inf` and `−Inf`), and a 40-row panel whose first column is
+/// subnormal — the vector body's masked tail — keeps every multiplier
+/// `±k/8`, `k` in 1…7. For the 8-byte types also the literal `[[1e-310, 1], [5e-311,
+/// 2]]`. Both panels are the rank-1 oracle's bits too.
+fn getf2_subnormal_pivots<T: Scalar>() {
+    let re = |x: f64| T::from_f64(x);
+    let d = subnormal::<T>();
+    let getf2 = |m: usize, n: usize, a0: &[T]| {
+        let (mut a, mut ipiv) = (a0.to_vec(), vec![0i32; m.min(n)]);
+        let info = la_lapack::getf2(m, n, &mut a, m, &mut ipiv);
+        (a, ipiv, info)
+    };
+    let mut pairs = vec![(T::from_real(d), T::from_real(d / T::Real::from_f64(2.0)))];
+    if std::mem::size_of::<T::Real>() == 8 {
+        pairs.push((re(1e-310), re(5e-311)));
+    }
+    for (p, q) in pairs {
+        let a0 = [p, q, T::one(), re(2.0)];
+        let tag = format!(
+            "{} getf2 [[{:e}, 1], [{:e}, 2]]",
+            T::PREFIX,
+            p.re().to_f64(),
+            q.re().to_f64()
+        );
+        same_on_every_tier(&tag, || {
+            let (a, ipiv, info) = getf2(2, 2, &a0);
+            (bits(&a), ipiv, info)
+        });
+        panel_matches_rank1(&tag, 2, 2, 2, &a0);
+        let (a, ipiv, info) = getf2(2, 2, &a0);
+        let l21 = q / p;
+        assert_eq!((ipiv, info), (vec![1, 2], 0), "{tag}");
+        assert!(
+            a[1] == l21 && a[3] == re(2.0) - l21,
+            "{tag}: {:?}",
+            (a[1], a[3])
+        );
+        if p.re().to_f64() != 1e-310 {
+            assert!(a[1] == re(0.5) && a[3] == re(1.5), "{tag}");
+        }
+    }
+    let (m, n) = (40usize, 5usize);
+    let mut rng = Rng(0x5ab ^ std::mem::size_of::<T>() as u64);
+    let mut a0: Vec<T> = rng.vec(m * n);
+    a0[0] = T::from_real(d);
+    for (i, x) in a0[..m].iter_mut().enumerate().skip(1) {
+        let k = (1 + i % 7) as f64 / 8.0;
+        *x = T::from_real(d * T::Real::from_f64(if i % 2 == 0 { k } else { -k }));
+    }
+    let tag = format!("{} getf2 {m}x{n} subnormal column", T::PREFIX);
+    same_on_every_tier(&tag, || {
+        let (a, ipiv, info) = getf2(m, n, &a0);
+        (bits(&a), ipiv, info)
+    });
+    panel_matches_rank1(&tag, m, n, m, &a0);
+    let (a, ipiv, info) = getf2(m, n, &a0);
+    assert_eq!((ipiv[0], info), (1, 0), "{tag}");
+    // The later interchanges move the multipliers between rows.
+    for (i, x) in a[..m].iter().enumerate().skip(1) {
+        let k = 8.0 * x.abs().to_f64();
+        let exact = k == k.round() && (1.0..=7.0).contains(&k) && x.im().is_zero();
+        assert!(exact, "{tag}: L({i}, 0) = {x:?}");
+    }
+    assert!(
+        a.iter().all(|x| x.is_finite()),
+        "{tag}: a factor overflowed"
+    );
+}
+
+#[test]
+fn getf2_divides_by_a_subnormal_pivot_on_every_tier() {
+    getf2_subnormal_pivots::<f32>();
+    getf2_subnormal_pivots::<f64>();
+    getf2_subnormal_pivots::<C32>();
+    getf2_subnormal_pivots::<C64>();
+}
+
+/// A non-unit `trsm` whose triangle has one subnormal pivot gives the
+/// dividing answer on every tier and kernel: the triangle is diagonal,
+/// pivots 0.5, 1 and 2 around one subnormal `d` (and, for the 8-byte
+/// types, around `1e-310`), and each right-hand side holds the pivots, so
+/// `X` is exactly one everywhere (`d/d = 1`, where `d·(1/d)` would be
+/// `Inf`). Both sides, both triangles, every `trans`, through the packed
+/// sweep (40 right-hand sides).
+fn trsm_subnormal_pivot<T: Scalar>() {
+    let n = 40usize;
+    let mut specials = vec![T::from_real(subnormal::<T>())];
+    if std::mem::size_of::<T::Real>() == 8 {
+        specials.push(T::from_f64(1e-310));
+    }
+    let mut kernels = pinned_kernels();
+    kernels.push(GemmKernel::Auto);
+    for special in specials {
+        let mut pivots: Vec<T> = (0..n)
+            .map(|i| T::from_f64([0.5, 1.0, 2.0][i % 3]))
+            .collect();
+        pivots[n / 2 + 1] = special;
+        let mut a = vec![T::zero(); n * n];
+        for i in 0..n {
+            a[i + i * n] = pivots[i];
+        }
+        for side in [Side::Left, Side::Right] {
+            // Left: B(i, j) = d_i; Right: B(i, j) = d_j.
+            let b0: Vec<T> = (0..n * n)
+                .map(|idx| pivots[if side == Side::Left { idx % n } else { idx / n }])
+                .collect();
+            for (uplo, trans) in UPLOS
+                .iter()
+                .flat_map(|&u| TRANSES.iter().map(move |&t| (u, t)))
+            {
+                for &kern in &kernels {
+                    let solve = || {
+                        let mut b = b0.clone();
+                        tune::with(kernel_cfg(kern), || {
+                            trsm(
+                                side,
+                                uplo,
+                                trans,
+                                Diag::NonUnit,
+                                n,
+                                n,
+                                T::one(),
+                                &a,
+                                n,
+                                &mut b,
+                                n,
+                            )
+                        });
+                        b
+                    };
+                    for (tier, x) in [
+                        ("default", solve()),
+                        ("narrow", with_narrow_simd(solve)),
+                        ("generic", with_no_simd(solve)),
+                    ] {
+                        let tag = format!(
+                            "{} trsm {side:?}/{uplo:?}/{trans:?} {kern:?} {tier} pivot {:e}",
+                            T::PREFIX,
+                            special.re().to_f64()
+                        );
+                        for (idx, &v) in x.iter().enumerate() {
+                            assert!(v == T::one(), "{tag}: X({}, {}) = {v:?}", idx % n, idx / n);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn trsm_divides_by_a_subnormal_pivot_on_every_tier() {
+    trsm_subnormal_pivot::<f32>();
+    trsm_subnormal_pivot::<f64>();
+    trsm_subnormal_pivot::<C32>();
+    trsm_subnormal_pivot::<C64>();
 }
