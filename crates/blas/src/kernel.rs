@@ -236,8 +236,9 @@ pub enum Pivots {
 /// `xGETF2`'s rule for replacing `x/d` by `x·(1/d)`: `d` is 0, ±Inf or
 /// NaN, or its modulus is at least `sfmin`, the smallest number whose
 /// reciprocal does not overflow. For those the product is the quotient
-/// but for the last place, and an exception gives the same exceptional
-/// value (`1/0 = Inf`, `1/Inf = 0`, NaN stays NaN). A subnormal `d` has an
+/// but for rounding — the last place, or a few when `|d| > 1/sfmin` makes
+/// `1/d` subnormal — and an exception gives the same exceptional value
+/// (`1/0 = Inf`, `1/Inf = 0`, NaN stays NaN). A subnormal `d` has an
 /// infinite reciprocal, so `x·(1/d)` would be `Inf` where `x/d` is finite
 /// (`1e-310/1e-310 = 1`): it must divide.
 #[inline]
