@@ -51,8 +51,8 @@
 //! * `dgetrf` and `dpotrf` at n = 512 for NB 16 … 128, each time over the
 //!   default NB's (ungated).
 //!
-//! On a host with both `simd` tiers the n = 1024 groups run once more on
-//! the AVX2 tier, rows marked `[avx2]`.
+//! On a host with both `simd` tiers the trsm group and the n = 1024
+//! groups run once more on the AVX2 tier, rows marked `[avx2]`.
 //!
 //! Three "call floor" rows close the table — what the thread-budget
 //! resolution, a 4×4×4 `dgemm` and a one-column `dtrsm` (next to the
@@ -87,10 +87,11 @@
 //! * `--min-mixed-speedup R`: `dgesv` time over `dgesv_mixed` time at
 //!   n = 1024.
 //!
-//! The last two read the AVX2 tier's run: the tile every `simd` host
-//! runs, so one bound holds on any runner (the AVX-512 tier moves each of
-//! these ratios by more than the slowdown it must catch; EXPERIMENTS.md,
-//! "An AVX-512 tier"). The factor gate reads the widest tier's run, where
+//! The trsm gate and the last two read the AVX2 tier's run: the tile every
+//! `simd` host runs, so one bound holds on any runner (the AVX-512 tier
+//! moves each of these ratios by more than the slowdown it must catch;
+//! EXPERIMENTS.md, "An AVX-512 tier" and "No division on the substitution
+//! chain"). The factor gate reads the widest tier's run, where
 //! one bound separates a 25 % slower Cholesky step (EXPERIMENTS.md,
 //! "One sweep per Cholesky step").
 //!
@@ -644,11 +645,11 @@ fn trsm_rows(kernels: &[GemmKernel]) {
 
 /// `dtrsm` 256 × 1024 L/N/unit (`getrs`'s first solve) and U/T/non-unit
 /// (`potrs`'s, the one whose substitution applies pivots) against `dgemm`
-/// 256 × 1024 × 256 under the default kernel, the three taking turns;
-/// returns the smaller of the two trsm rates over gemm's. (The table rows
-/// time each shape in its own 0.2 s window; their ratio read 0.63–1.03
-/// over 18 processes.)
-fn trsm_gate_row() -> f64 {
+/// 256 × 1024 × 256 under the default kernel, on the narrow tier if
+/// `on_narrow`, the three taking turns; returns the smaller of the two
+/// trsm rates over gemm's. (The table rows time each shape in its own
+/// 0.2 s window; their ratio read 0.63–1.03 over 18 processes.)
+fn trsm_gate_row(on_narrow: bool) -> f64 {
     let (m, n) = (SOLVE_M, SOLVE_N);
     let (tri, b0) = solve_operands();
     let forms = [
@@ -665,12 +666,18 @@ fn trsm_gate_row() -> f64 {
             })
         }));
     }
+    if on_narrow {
+        calls = calls.into_iter().map(narrow).collect();
+    }
     let t = interleaved(calls);
     let mut worst = f64::INFINITY;
     for ((.., form), secs) in forms.iter().zip(&t[1..]) {
         // A trsm does half a gemm's flops.
         let ratio = t[0] / (2.0 * secs);
-        println!("trsm  {m}x{n} {form} over gemm {m}x{n}x{m}, taking turns: {ratio:.2}");
+        println!(
+            "trsm  {m}x{n} {form} over gemm {m}x{n}x{m}, taking turns: {ratio:.2}{}",
+            mark(on_narrow)
+        );
         worst = worst.min(ratio);
     }
     worst
@@ -980,12 +987,16 @@ fn main() {
     let panel = panel_rows();
     let (chol_leaf, chol_panel) = chol_rows();
     println!("== one thread, default kernel, calls taking turns for {MIN_SECS} s per group ==");
-    let trsm = trsm_gate_row();
+    let mut trsm = trsm_gate_row(false);
+    // On a two-tier host the trsm, ABFT and mixed gates read the AVX2
+    // tier's run.
+    if two_tiers() {
+        trsm = trsm_gate_row(true);
+    }
     let packed = reference_row();
     let tier = tier_row();
     let (factor, mut abft_overhead) = factor_rows(false);
     let mut mixed = mixed_rows(false);
-    // On a two-tier host the ABFT and mixed gates read the AVX2 tier's run.
     if two_tiers() {
         (_, abft_overhead) = factor_rows(true);
         mixed = mixed_rows(true);
