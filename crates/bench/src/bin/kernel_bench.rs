@@ -46,8 +46,7 @@
 //! * `dgemm`, `dgetrf` and `dpotrf` at n = 1024, each with ABFT off and
 //!   verifying: each factorization's GF/s over gemm's (ROADMAP item 1's
 //!   bar) and each verify/off time ratio;
-//! * `dgesv` / `dgesv_mixed` and `dposv` / `dposv_mixed` at n = 1024, one
-//!   right-hand side;
+//! * `dgesv` / `dgesv_mixed` at n = 1024, one right-hand side;
 //! * `dgetrf` and `dpotrf` at n = 512 for NB 16 … 128, each time over the
 //!   default NB's (ungated).
 //!
@@ -343,21 +342,14 @@ fn factor_rows(on_narrow: bool) -> (f64, f64) {
     (over_gemm, overhead)
 }
 
-/// `dgesv` / `dgesv_mixed` and `dposv` / `dposv_mixed` at n =
-/// [`FACTOR_N`], one right-hand side, on the narrow tier if `on_narrow`.
-/// Returns `gesv`'s mixed speed-up.
+/// `dgesv` / `dgesv_mixed` at n = [`FACTOR_N`], one right-hand side, on
+/// the narrow tier if `on_narrow`. Returns the mixed speed-up.
 fn mixed_rows(on_narrow: bool) -> f64 {
     const N: usize = FACTOR_N;
-    let (gen, spd) = (bench_matrix::<f64>(N, 17), bench_spd::<f64>(N, 19));
-    let (gen, spd) = (gen.as_slice(), spd.as_slice());
+    let gen = bench_matrix::<f64>(N, 17);
+    let gen = gen.as_slice();
     let b: Vec<f64> = (0..N).map(|i| 1.0 + (i % 7) as f64).collect();
     let b = b.as_slice();
-    // The matrices are well conditioned: a fallback would time the wrong
-    // algorithm.
-    let converged = |info: i32, iter: i32| {
-        assert!(iter >= 0, "the mixed driver fell back");
-        info
-    };
     let mut calls = vec![
         factor_call(gen, AbftPolicy::Off, |a| {
             f77::gesv(N, 1, a, N, &mut [0; N], &mut b.to_vec(), N)
@@ -365,31 +357,23 @@ fn mixed_rows(on_narrow: bool) -> f64 {
         factor_call(gen, AbftPolicy::Off, |a| {
             let (mut x, mut iter) = ([0.0; N], 0);
             let info = f77::gesv_mixed(N, 1, a, N, &mut [0; N], b, N, &mut x, N, &mut iter);
-            converged(info, iter)
-        }),
-        factor_call(spd, AbftPolicy::Off, |a| {
-            f77::posv(Uplo::Lower, N, 1, a, N, &mut b.to_vec(), N)
-        }),
-        factor_call(spd, AbftPolicy::Off, |a| {
-            let (mut x, mut iter) = ([0.0; N], 0);
-            let info = f77::posv_mixed(Uplo::Lower, N, 1, a, N, b, N, &mut x, N, &mut iter);
-            converged(info, iter)
+            // The matrix is well conditioned: a fallback would time the
+            // wrong algorithm.
+            assert!(iter >= 0, "the mixed driver fell back");
+            info
         }),
     ];
     if on_narrow {
         calls = calls.into_iter().map(narrow).collect();
     }
     let t = interleaved(calls);
-    for (i, op) in ["gesv", "posv"].into_iter().enumerate() {
-        let (full, mixed) = (t[2 * i], t[2 * i + 1]);
-        println!(
-            "{op:<5} n={N} {:8.2} ms  {op}_mixed {:8.2} ms  {:4.2} x{}",
-            full * 1e3,
-            mixed * 1e3,
-            full / mixed,
-            mark(on_narrow),
-        );
-    }
+    println!(
+        "gesv  n={N} {:8.2} ms  gesv_mixed {:8.2} ms  {:4.2} x{}",
+        t[0] * 1e3,
+        t[1] * 1e3,
+        t[0] / t[1],
+        mark(on_narrow),
+    );
     t[0] / t[1]
 }
 

@@ -163,7 +163,7 @@ pub struct Span {
     pub routine: &'static str,
     /// Whether the call ran in the demoted precision of a mixed-precision
     /// driver (opened inside [`with_lo`]). Lets span trees show the
-    /// low-vs-working flop split of `gesv_mixed`/`posv_mixed`.
+    /// low-vs-working flop split of `gesv_mixed`.
     pub lo: bool,
     /// Whether the call ran inside ABFT bookkeeping (opened inside
     /// [`with_abft`]): checksum verification sweeps and fault-recovery

@@ -84,8 +84,9 @@ impl GemmKernel {
     }
 }
 
-/// Residual precision of the refinement loops. Selected through the
-/// `refine` field of [`TuneConfig`] (env var `LA_REFINE`).
+/// Residual precision of the mixed-precision refinement loop
+/// (`gesv_mixed`). Selected through the `refine` field of [`TuneConfig`]
+/// (env var `LA_REFINE`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RefineMode {
     /// Residuals in the working precision — the classic DSGESV regime.
@@ -155,9 +156,9 @@ pub struct TuneConfig {
     /// more than one thread, `getrf` and `potrf` take the graph from four
     /// blocks up, `geqrf` from six. Set in code only.
     pub tile_nb: usize,
-    /// Residual precision for the refinement loops (`LA_REFINE`):
-    /// working precision (classic) or double-double (three-precision
-    /// GMRES-IR regime).
+    /// Residual precision for `gesv_mixed`'s refinement loop
+    /// (`LA_REFINE`): working precision (classic) or double-double
+    /// (three-precision GMRES-IR regime).
     pub refine: RefineMode,
     /// Permit a thread budget above the detected core count. Off by
     /// default: threads beyond the cores only time-share them, adding

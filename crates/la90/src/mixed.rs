@@ -1,15 +1,15 @@
-//! Mixed-precision iterative-refinement drivers — `LA_GESV_MIXED` and
-//! `LA_POSV_MIXED`.
+//! Mixed-precision iterative-refinement driver `LA_GESV_MIXED`, and the
+//! extra-precise refinement drivers `LA_GESVXX` / `LA_POSVXX`.
 //!
-//! These wrap the substrate's [`f77::gesv_mixed`]/[`f77::posv_mixed`]
-//! (the `DSGESV`/`DSPOSV` lineage): the O(n³) factorization runs in the
-//! demoted precision of the working type's [`Demote`] pair — `f32` for
-//! `f64`, `Complex<f32>` for `Complex<f64>` — the solution is refined
-//! against the original working-precision matrix (residuals in double-double under
+//! [`gesv_mixed`] wraps the substrate's [`f77::gesv_mixed`] (the
+//! `DSGESV` lineage): the O(n³) factorization runs in the demoted
+//! precision of the working type's [`Demote`] pair — `f32` for `f64`,
+//! `Complex<f32>` for `Complex<f64>` — the solution is refined against
+//! the original working-precision matrix (residuals in double-double under
 //! `LA_REFINE=dd`), and any low-precision failure — demotion
 //! overflow/underflow, zero pivot, refinement stall — transparently
 //! re-solves with the full working-precision factorization, bit-for-bit
-//! the plain [`gesv`](crate::gesv)/[`posv`](crate::posv) result.
+//! the plain [`gesv`](crate::gesv) result.
 //!
 //! The extra-precise refinement entries [`gesvxx`]/[`posvxx`] (the
 //! `xGESVXX`/`xPOSVXX` lineage) always accumulate residuals in
@@ -24,11 +24,12 @@
 //! of refinement steps on the successful low-precision path; `< 0`: the
 //! full-precision fallback ran (`-2` demotion overflow, `-3`
 //! low-precision factorization failure, `-31` no convergence within
-//! [`f77::ITERMAX`] steps). The `*_mixedx` expert forms also measure the
-//! achieved normwise backward error `max_j ‖B−A·X‖∞ / (‖A‖∞‖X‖∞+‖B‖∞)`
-//! against a snapshot of the original matrix.
+//! [`f77::ITERMAX`] steps). The expert form [`gesv_mixedx`] also measures
+//! the achieved normwise backward error
+//! `max_j ‖B−A·X‖∞ / (‖A‖∞‖X‖∞+‖B‖∞)` against a snapshot of the original
+//! matrix.
 
-use la_blas::{gemm, symm};
+use la_blas::gemm;
 use la_core::{erinfo, Demote, LaError, Mat, Norm, PositiveInfo, RealScalar, Scalar, Trans, Uplo};
 use la_lapack as f77;
 pub use la_lapack::RfsxOut;
@@ -39,8 +40,7 @@ fn illegal(routine: &'static str, index: usize) -> LaError {
     LaError::IllegalArg { routine, index }
 }
 
-/// Outcome of the expert mixed drivers ([`gesv_mixedx`] /
-/// [`posv_mixedx`]).
+/// Outcome of the expert mixed driver [`gesv_mixedx`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MixedOut<R> {
     /// Refinement iteration count, `DSGESV` convention (negative: the
@@ -53,6 +53,10 @@ pub struct MixedOut<R> {
 }
 
 /// Normwise backward error of `x` against the untouched copies `a0`/`b`.
+/// The residual is one `gemm` for every right-hand side count: the
+/// refinement loop's [`f77::residual_working`] takes `gemv` per column up
+/// to two right-hand sides, whose last bits differ, and at convergence the
+/// residual is of the size of those bits.
 fn normwise_berr<T: Scalar>(
     routine: &'static str,
     n: usize,
@@ -60,7 +64,6 @@ fn normwise_berr<T: Scalar>(
     anrm: T::Real,
     a0: &[T],
     lda: usize,
-    herm_uplo: Option<Uplo>,
     b: &[T],
     ldb: usize,
     x: &[T],
@@ -70,38 +73,21 @@ fn normwise_berr<T: Scalar>(
     for j in 0..nrhs {
         r[j * n..j * n + n].copy_from_slice(&b[j * ldb..j * ldb + n]);
     }
-    match herm_uplo {
-        None => gemm(
-            Trans::No,
-            Trans::No,
-            n,
-            nrhs,
-            n,
-            -T::one(),
-            a0,
-            lda,
-            x,
-            ldx,
-            T::one(),
-            &mut r,
-            n,
-        ),
-        Some(uplo) => symm(
-            T::IS_COMPLEX,
-            la_core::Side::Left,
-            uplo,
-            n,
-            nrhs,
-            -T::one(),
-            a0,
-            lda,
-            x,
-            ldx,
-            T::one(),
-            &mut r,
-            n,
-        ),
-    }
+    gemm(
+        Trans::No,
+        Trans::No,
+        n,
+        nrhs,
+        n,
+        -T::one(),
+        a0,
+        lda,
+        x,
+        ldx,
+        T::one(),
+        &mut r,
+        n,
+    );
     let mut berr = T::Real::zero();
     for j in 0..nrhs {
         let (mut rnrm, mut xnrm, mut bnrm) = (T::Real::zero(), T::Real::zero(), T::Real::zero());
@@ -190,7 +176,6 @@ where
             anrm,
             &a0,
             lda,
-            None,
             b.as_slice(),
             ldb,
             x.as_slice(),
@@ -256,125 +241,6 @@ where
     X: Rhs<T> + ?Sized,
 {
     gesv_mixed_opt(a, b, x, None, true)
-}
-
-fn posv_mixed_opt<T, B, X>(
-    a: &mut Mat<T>,
-    b: &B,
-    x: &mut X,
-    uplo: Uplo,
-    want_berr: bool,
-) -> Result<MixedOut<T::Real>, LaError>
-where
-    T: Demote,
-    B: Rhs<T> + ?Sized,
-    X: Rhs<T> + ?Sized,
-{
-    const SRNAME: &str = "LA_POSV_MIXED";
-    let _probe = crate::rhs::driver_span(SRNAME);
-    let n = a.nrows();
-    if !a.is_square() {
-        return Err(illegal(SRNAME, 1));
-    }
-    if b.nrows() != n {
-        return Err(illegal(SRNAME, 2));
-    }
-    if x.nrows() != n || x.nrhs() != b.nrhs() {
-        return Err(illegal(SRNAME, 3));
-    }
-    screen_inputs!(SRNAME, 1 => a.as_slice(), 2 => b.as_slice());
-    let nrhs = b.nrhs();
-    let (lda, ldb, ldx) = (a.lda(), b.ldb(), x.ldb());
-    let (a0, anrm) = if want_berr {
-        let mut a0 = crate::rhs::alloc_ws(SRNAME, a.as_slice().len(), T::zero())?;
-        a0.copy_from_slice(a.as_slice());
-        (
-            a0,
-            f77::lansy(Norm::Inf, uplo, T::IS_COMPLEX, n, a.as_slice(), lda),
-        )
-    } else {
-        (Vec::new(), T::Real::zero())
-    };
-    let mut iter = 0i32;
-    let linfo = f77::posv_mixed(
-        uplo,
-        n,
-        nrhs,
-        a.as_mut_slice(),
-        lda,
-        b.as_slice(),
-        ldb,
-        x.as_mut_slice(),
-        ldx,
-        &mut iter,
-    );
-    erinfo(linfo, SRNAME, PositiveInfo::NotPosDef)?;
-    screen_outputs(SRNAME, 3, x.as_slice())?;
-    let berr = if want_berr {
-        normwise_berr(
-            SRNAME,
-            n,
-            nrhs,
-            anrm,
-            &a0,
-            lda,
-            Some(uplo),
-            b.as_slice(),
-            ldb,
-            x.as_slice(),
-            ldx,
-        )?
-    } else {
-        T::Real::zero()
-    };
-    Ok(MixedOut { iter, berr })
-}
-
-/// `CALL LA_POSV_MIXED( A, B, X, INFO=info )` — solves the
-/// symmetric/Hermitian positive-definite `A·X = B` by Cholesky in the
-/// demoted precision with working-precision refinement; falls back to
-/// the plain [`posv`](crate::posv) on any low-precision failure. Uses
-/// the upper triangle (the Fortran `UPLO` default); `B` is untouched,
-/// the solution lands in `X`. Returns the iteration count.
-pub fn posv_mixed<T, B, X>(a: &mut Mat<T>, b: &B, x: &mut X) -> Result<i32, LaError>
-where
-    T: Demote,
-    B: Rhs<T> + ?Sized,
-    X: Rhs<T> + ?Sized,
-{
-    posv_mixed_opt(a, b, x, Uplo::Upper, false).map(|o| o.iter)
-}
-
-/// [`posv_mixed`] with an explicit `UPLO`.
-pub fn posv_mixed_uplo<T, B, X>(
-    a: &mut Mat<T>,
-    b: &B,
-    x: &mut X,
-    uplo: Uplo,
-) -> Result<i32, LaError>
-where
-    T: Demote,
-    B: Rhs<T> + ?Sized,
-    X: Rhs<T> + ?Sized,
-{
-    posv_mixed_opt(a, b, x, uplo, false).map(|o| o.iter)
-}
-
-/// Expert form of [`posv_mixed`]: explicit `UPLO` plus the achieved
-/// normwise backward error measured against a snapshot of the original
-/// `A`.
-pub fn posv_mixedx<T, B, X>(
-    a: &mut Mat<T>,
-    b: &B,
-    x: &mut X,
-    uplo: Uplo,
-) -> Result<MixedOut<T::Real>, LaError>
-where
-    T: Demote,
-    B: Rhs<T> + ?Sized,
-    X: Rhs<T> + ?Sized,
-{
-    posv_mixed_opt(a, b, x, uplo, true)
 }
 
 /// `CALL LA_GESVXX( A, B, X, BERR=, NBERR=, FERR=, INFO= )` — solve

@@ -1,15 +1,14 @@
-//! Mixed-precision iterative-refinement solvers (`xSGESV`/`xSPOSV`
-//! lineage): factor in the demoted precision of the working type's
-//! [`Demote`] pair (`f64 → f32`, `Complex<f64> → Complex<f32>`), refine in
-//! the working precision — with residuals optionally accumulated in
-//! double-double — and fall back to the full-precision factorization
-//! whenever the cheap path cannot deliver working-precision backward
-//! error.
+//! Mixed-precision iterative-refinement solve (`xSGESV` lineage): factor
+//! in the demoted precision of the working type's [`Demote`] pair
+//! (`f64 → f32`, `Complex<f64> → Complex<f32>`), refine in the working
+//! precision — with residuals optionally accumulated in double-double —
+//! and fall back to the full-precision factorization whenever the cheap
+//! path cannot deliver working-precision backward error.
 //!
 //! The algorithm is Dongarra's `DSGESV`/`ZCGESV`, extended to the
 //! GMRES-IR-style three-precision regime (Carson–Higham): demote `A`
-//! (and `B`), run the existing generic [`getrf`]/[`potrf`] + triangular
-//! solves on the low-precision copy, promote the solution and iterate
+//! (and `B`), run the existing generic [`getrf`] + [`getrs`] on the
+//! low-precision copy, promote the solution and iterate
 //!
 //! ```text
 //! r = b − A·x          (working precision, or double-double when
@@ -35,15 +34,14 @@
 //!   representable range during demotion: overflow to infinity (the
 //!   `DLAG2S` failure mode) *or* underflow of a non-zero entry to zero
 //!   (unflagged, it sends the loop diverging instead of falling back);
-//! * `iter = -3` — the low-precision factorization hit a zero pivot /
-//!   non-positive-definite leading minor;
+//! * `iter = -3` — the low-precision factorization hit a zero pivot;
 //! * `iter = -(ITERMAX+1)` — refinement ran [`ITERMAX`] steps without
 //!   converging.
 //!
 //! Every negative `iter` means the routine transparently re-solved with
 //! the full working-precision factorization — the exact operation
-//! sequence of plain [`gesv`](crate::gesv)/[`posv`](crate::posv), so the
-//! fallback result is bitwise identical to the plain driver's.
+//! sequence of plain [`gesv`](crate::gesv), so the fallback result is
+//! bitwise identical to the plain driver's.
 //!
 //! Residual columns are scaled by an exact power of two before each
 //! demotion, so a residual that has legitimately shrunk toward the
@@ -54,6 +52,11 @@
 //! The low-precision stages run inside [`probe::with_lo`], so span trees
 //! and counters report the demoted flops separately from the
 //! working-precision refinement around them.
+//!
+//! The residual engines here, [`residual_working`] and `residual_dd`,
+//! also read one triangle of a Hermitian matrix ([`MixedOp::Chol`]): the
+//! `posvxx` refinement and `la-serve`'s answer check of a served Cholesky
+//! solve use them that way.
 
 use la_blas::{gemm, gemv, hemv, symm};
 use la_core::dd::Dd;
@@ -61,8 +64,7 @@ use la_core::mixed::{demote_slice, Demote, Promote};
 use la_core::tune::{self, RefineMode};
 use la_core::{probe, Norm, RealScalar, Scalar, Trans, Uplo};
 
-use crate::aux::{lange, lansy, max_abs1};
-use crate::chol::{potrf, potrs};
+use crate::aux::{lange, max_abs1};
 use crate::lu::{getrf, getrs};
 
 /// Maximum number of refinement iterations before the driver gives up on
@@ -81,39 +83,27 @@ pub fn bwd_threshold<R: RealScalar>(anrm: R, n: usize) -> R {
     anrm * R::EPS * R::from_usize(n).sqrt_r() * R::from_f64(BWDMAX)
 }
 
-/// Which factorization family the refinement drives (LU with partial
-/// pivoting for `gesv_mixed`, Cholesky for `posv_mixed`).
+/// Which storage of `A` a residual reads: a general matrix (the LU
+/// solves — `gesv_mixed`, `gesvxx`), or one triangle of a symmetric /
+/// Hermitian one (the Cholesky solves — `posvxx`, the served `posv`
+/// answer check).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum MixedOp {
-    /// LU with partial pivoting (`getrf`/`getrs`).
+    /// A general matrix, every entry stored.
     Lu,
-    /// Cholesky on the given triangle (`potrf`/`potrs`); the residual
-    /// reads only that triangle, mirroring (conjugate-)symmetrically.
+    /// Only the given triangle is stored; the residual reads that
+    /// triangle, mirroring (conjugate-)symmetrically.
     Chol(Uplo),
 }
 
 /// Demotes an `rows × cols` working-precision matrix (leading dimension
 /// `ld`) into a tight low-precision copy; `None` when an entry leaves the
 /// low precision's representable range (overflow *or* underflow-to-zero).
-/// For `tri = Some(uplo)` only that triangle is read and demoted — the
-/// Cholesky drivers never reference the other triangle, so garbage there
-/// must not trip the range check.
-fn demote_mat<T: Demote>(
-    rows: usize,
-    cols: usize,
-    a: &[T],
-    ld: usize,
-    tri: Option<Uplo>,
-) -> Option<Vec<T::Lo>> {
+fn demote_mat<T: Demote>(rows: usize, cols: usize, a: &[T], ld: usize) -> Option<Vec<T::Lo>> {
     let mut out = vec![T::Lo::zero(); rows * cols];
     for j in 0..cols {
-        let (lo, hi) = match tri {
-            None => (0, rows),
-            Some(Uplo::Upper) => (0, (j + 1).min(rows)),
-            Some(Uplo::Lower) => (j.min(rows), rows),
-        };
-        let src = &a[j * ld + lo..j * ld + hi];
-        if !demote_slice(src, &mut out[j * rows + lo..j * rows + hi]).ok() {
+        let (src, dst) = (&a[j * ld..][..rows], &mut out[j * rows..][..rows]);
+        if !demote_slice(src, dst).ok() {
             return None;
         }
     }
@@ -352,12 +342,11 @@ pub(crate) fn residual_dd<T: Scalar>(
     }
 }
 
-/// Attempts the low-precision solve + refinement loop. `Ok(iter)` with the converged iteration count, `Err(code)` with
-/// the `DSGESV`-style negative reason when the full-precision fallback
-/// must run.
+/// Attempts the low-precision LU solve + refinement loop. `Ok(iter)` with
+/// the converged iteration count, `Err(code)` with the `DSGESV`-style
+/// negative reason when the full-precision fallback must run.
 #[allow(clippy::too_many_arguments)]
 fn refine_lo<T: Demote>(
-    op: MixedOp,
     refine: RefineMode,
     n: usize,
     nrhs: usize,
@@ -370,20 +359,13 @@ fn refine_lo<T: Demote>(
     ldx: usize,
     cte: T::Real,
 ) -> Result<i32, i32> {
-    let tri = match op {
-        MixedOp::Lu => None,
-        MixedOp::Chol(uplo) => Some(uplo),
-    };
     // Demote the matrix and the right-hand sides; either range hazard
     // (overflow to ∞, non-zero entry to zero) → fallback.
-    let mut sa = demote_mat(n, n, a, lda, tri).ok_or(-2)?;
-    let mut sx = demote_mat(n, nrhs, b, ldb, None).ok_or(-2)?;
+    let mut sa = demote_mat(n, n, a, lda).ok_or(-2)?;
+    let mut sx = demote_mat(n, nrhs, b, ldb).ok_or(-2)?;
 
     // Factor and solve entirely in the low precision.
-    let finfo = probe::with_lo(|| match op {
-        MixedOp::Lu => getrf(n, n, &mut sa, n, ipiv),
-        MixedOp::Chol(uplo) => potrf(uplo, n, &mut sa, n),
-    });
+    let finfo = probe::with_lo(|| getrf(n, n, &mut sa, n, ipiv));
     if finfo == la_core::cancel::INFO_CANCELLED {
         // Cancellation is not a low-precision *failure* — the caller's
         // deadline passed. Burning it further on a full-precision
@@ -393,11 +375,8 @@ fn refine_lo<T: Demote>(
     if finfo != 0 {
         return Err(-3);
     }
-    let solve = |sa: &[T::Lo], ipiv: &[i32], sb: &mut [T::Lo]| match op {
-        MixedOp::Lu => getrs(Trans::No, n, nrhs, sa, n, ipiv, sb, n),
-        MixedOp::Chol(uplo) => potrs(uplo, n, nrhs, sa, n, sb, n),
-    };
-    probe::with_lo(|| solve(&sa, ipiv, &mut sx));
+    let solve = |sb: &mut [T::Lo]| getrs(Trans::No, n, nrhs, &sa, n, ipiv, sb, n);
+    probe::with_lo(|| solve(&mut sx));
     for j in 0..nrhs {
         for i in 0..n {
             x[i + j * ldx] = sx[i + j * n].promote();
@@ -405,8 +384,8 @@ fn refine_lo<T: Demote>(
     }
 
     let residual = |b: &[T], r: &mut [T], x: &[T]| match refine {
-        RefineMode::Working => residual_working(op, n, nrhs, a, lda, b, ldb, x, ldx, r),
-        RefineMode::Dd => residual_dd(op, Trans::No, n, nrhs, a, lda, b, ldb, x, ldx, r),
+        RefineMode::Working => residual_working(MixedOp::Lu, n, nrhs, a, lda, b, ldb, x, ldx, r),
+        RefineMode::Dd => residual_dd(MixedOp::Lu, Trans::No, n, nrhs, a, lda, b, ldb, x, ldx, r),
     };
 
     // Refine against the original working-precision A.
@@ -421,7 +400,7 @@ fn refine_lo<T: Demote>(
         if !demote_residual(n, nrhs, &r, &mut sr, &mut scales) {
             return Err(-2);
         }
-        probe::with_lo(|| solve(&sa, ipiv, &mut sr));
+        probe::with_lo(|| solve(&mut sr));
         add_promoted(n, nrhs, &sr, &scales, x, ldx);
         residual(b, &mut r, x);
         if converged(n, nrhs, &r, x, ldx, cte) {
@@ -471,7 +450,6 @@ pub fn gesv_mixed<T: Demote>(
     let cte = bwd_threshold(anrm, n);
 
     let lo = refine_lo(
-        MixedOp::Lu,
         tune::current().refine,
         n,
         nrhs,
@@ -502,80 +480,6 @@ pub fn gesv_mixed<T: Demote>(
                 x[j * ldx..j * ldx + n].copy_from_slice(&b[j * ldb..j * ldb + n]);
             }
             getrs(Trans::No, n, nrhs, a, lda, ipiv, x, ldx)
-        }
-    }
-}
-
-/// Mixed-precision symmetric/Hermitian positive-definite solve
-/// (`DSPOSV`/`ZCPOSV`): Cholesky in the demoted
-/// precision with working-precision refinement and the plain
-/// [`posv`](crate::posv) fallback. Only the `uplo` triangle of `A` is
-/// referenced — including by the demotion range check; on the fallback
-/// path it is overwritten by the `potrf` factor. `iter` reports the path
-/// taken (see the module docs).
-#[allow(clippy::too_many_arguments)]
-pub fn posv_mixed<T: Demote>(
-    uplo: Uplo,
-    n: usize,
-    nrhs: usize,
-    a: &mut [T],
-    lda: usize,
-    b: &[T],
-    ldb: usize,
-    x: &mut [T],
-    ldx: usize,
-    iter: &mut i32,
-) -> i32 {
-    let _probe = probe::span(probe::Layer::Lapack, "posv_mixed", 0, 0);
-    *iter = 0;
-    if lda < n.max(1) {
-        return -5;
-    }
-    if ldb < n.max(1) {
-        return -8;
-    }
-    if ldx < n.max(1) {
-        return -10;
-    }
-    if n == 0 || nrhs == 0 {
-        return 0;
-    }
-
-    let anrm = lansy(Norm::Inf, uplo, T::IS_COMPLEX, n, a, lda);
-    let cte = bwd_threshold(anrm, n);
-
-    let mut unused = [0i32; 0];
-    let lo = refine_lo(
-        MixedOp::Chol(uplo),
-        tune::current().refine,
-        n,
-        nrhs,
-        a,
-        lda,
-        &mut unused,
-        b,
-        ldb,
-        x,
-        ldx,
-        cte,
-    );
-    match lo {
-        Ok(it) => {
-            *iter = it;
-            0
-        }
-        Err(code) if code == la_core::cancel::INFO_CANCELLED => code,
-        Err(code) => {
-            *iter = code;
-            // Full-precision fallback: the exact plain-posv sequence.
-            let info = potrf(uplo, n, a, lda);
-            if info != 0 {
-                return info;
-            }
-            for j in 0..nrhs {
-                x[j * ldx..j * ldx + n].copy_from_slice(&b[j * ldb..j * ldb + n]);
-            }
-            potrs(uplo, n, nrhs, a, lda, x, ldx)
         }
     }
 }
@@ -658,87 +562,6 @@ mod tests {
                 }
             });
         }
-    }
-
-    #[test]
-    fn posv_mixed_converges_on_spd() {
-        fn run<T: Demote>() {
-            let n = 40;
-            // SPD/HPD: GᴴG + n·I built from a random G.
-            let mut rng = Larnv::new(11);
-            let mut g = vec![T::zero(); n * n];
-            for v in g.iter_mut() {
-                *v = rng.scalar(Dist::Uniform11);
-            }
-            let mut a = vec![T::zero(); n * n];
-            for j in 0..n {
-                for i in 0..n {
-                    let mut acc = T::zero();
-                    for k in 0..n {
-                        acc += g[k + i * n].conj() * g[k + j * n];
-                    }
-                    a[i + j * n] = acc;
-                }
-                a[j + j * n] += T::from_f64(n as f64);
-            }
-            let xt: Vec<T> = (0..n).map(|i| T::from_f64(1.0 + i as f64)).collect();
-            let mut b = vec![T::zero(); n];
-            for i in 0..n {
-                for k in 0..n {
-                    b[i] += a[i + k * n] * xt[k];
-                }
-            }
-            let mut x = vec![T::zero(); n];
-            let mut iter = 0i32;
-            let info = posv_mixed(Uplo::Upper, n, 1, &mut a, n, &b, n, &mut x, n, &mut iter);
-            assert_eq!(info, 0, "{}", T::PREFIX);
-            assert!(iter >= 0, "{}: iter={iter}", T::PREFIX);
-            let tol = T::Real::EPS.to_f64() * 1e6 * n as f64;
-            for i in 0..n {
-                assert!(
-                    (x[i] - xt[i]).abs().to_f64() < tol,
-                    "{}: x[{i}] = {} vs {}",
-                    T::PREFIX,
-                    x[i],
-                    xt[i]
-                );
-            }
-        }
-        run::<f64>();
-        run::<C64>();
-    }
-
-    #[test]
-    fn posv_mixed_ignores_the_unreferenced_triangle() {
-        // The demotion range check must not read the triangle the
-        // Cholesky never references — fill it with values that would
-        // trip both the overflow and underflow flags.
-        let n = 3;
-        let mut a = vec![0.0f64; n * n];
-        for j in 0..n {
-            for i in 0..n {
-                a[i + j * n] = if i == j {
-                    4.0
-                } else if i < j {
-                    0.5 // Upper triangle: the referenced data
-                } else {
-                    if (i + j) % 2 == 0 {
-                        1e300
-                    } else {
-                        1e-300
-                    } // garbage
-                };
-            }
-        }
-        let b = vec![1.0f64; n];
-        let mut x = vec![0.0f64; n];
-        let mut iter = 0i32;
-        let info = posv_mixed(Uplo::Upper, n, 1, &mut a, n, &b, n, &mut x, n, &mut iter);
-        assert_eq!(info, 0);
-        assert!(
-            iter >= 0,
-            "garbage triangle must not force fallback: {iter}"
-        );
     }
 
     #[test]
@@ -895,20 +718,10 @@ mod tests {
             0
         );
         assert_eq!(iter, 0);
-        let mut iter = 9i32;
-        assert_eq!(
-            posv_mixed(Uplo::Upper, 1, 0, &mut a, 1, &b, 1, &mut x, 1, &mut iter),
-            0
-        );
-        assert_eq!(iter, 0);
         let mut iter = 7i32;
         assert_eq!(
             gesv_mixed(2, 1, &mut a, 1, &mut ipiv, &b, 2, &mut x, 2, &mut iter),
             -4
-        );
-        assert_eq!(
-            posv_mixed(Uplo::Upper, 2, 1, &mut a, 1, &b, 2, &mut x, 2, &mut iter),
-            -5
         );
     }
 
@@ -957,5 +770,105 @@ mod tests {
             // case need not match; the point of the test is that the Dd
             // path reproduces the exact value.
         }
+    }
+
+    #[test]
+    fn chol_residual_reads_one_triangle_and_mirrors_it() {
+        // `residual_working(Chol(uplo), …)` — the residual of la-serve's
+        // Cholesky answer check — against a gemm residual on the explicitly
+        // mirrored (conjugated, for complex) matrix. The unreferenced
+        // triangle holds NaN, so reading it poisons the answer; nrhs 1 and
+        // 2 run `hemv`, 3 and 5 `symm` (n = 13 its direct loop, n = 70 its
+        // route through gemm).
+        fn run<T: Scalar>() {
+            let nan = T::from_f64(f64::NAN);
+            let mut rng = Larnv::new(2718);
+            for n in [1usize, 13, 70] {
+                // Hermitian, real diagonal; `full` is every entry.
+                let mut full = vec![T::zero(); n * n];
+                for j in 0..n {
+                    full[j + j * n] = T::from_f64(rng.scalar::<f64>(Dist::Uniform11));
+                    for i in 0..j {
+                        let v: T = rng.scalar(Dist::Uniform11);
+                        full[i + j * n] = v;
+                        full[j + i * n] = v.conj();
+                    }
+                }
+                for uplo in [Uplo::Upper, Uplo::Lower] {
+                    let mut a = full.clone();
+                    for j in 0..n {
+                        for i in 0..n {
+                            if (uplo == Uplo::Upper && i > j) || (uplo == Uplo::Lower && i < j) {
+                                a[i + j * n] = nan;
+                            }
+                        }
+                    }
+                    for nrhs in [1usize, 2, 3, 5] {
+                        let (ldb, ldx) = (n + 2, n + 1);
+                        let b: Vec<T> = (0..ldb * nrhs)
+                            .map(|_| rng.scalar(Dist::Uniform11))
+                            .collect();
+                        let x: Vec<T> = (0..ldx * nrhs)
+                            .map(|_| rng.scalar(Dist::Uniform11))
+                            .collect();
+                        let mut r = vec![T::zero(); n * nrhs];
+                        residual_working(
+                            MixedOp::Chol(uplo),
+                            n,
+                            nrhs,
+                            &a,
+                            n,
+                            &b,
+                            ldb,
+                            &x,
+                            ldx,
+                            &mut r,
+                        );
+                        let mut want = vec![T::zero(); n * nrhs];
+                        for j in 0..nrhs {
+                            want[j * n..j * n + n].copy_from_slice(&b[j * ldb..j * ldb + n]);
+                        }
+                        gemm(
+                            Trans::No,
+                            Trans::No,
+                            n,
+                            nrhs,
+                            n,
+                            -T::one(),
+                            &full,
+                            n,
+                            &x,
+                            ldx,
+                            T::one(),
+                            &mut want,
+                            n,
+                        );
+                        let eps = T::Real::EPS.to_f64();
+                        for j in 0..nrhs {
+                            for i in 0..n {
+                                // Rounding of either order: n·ε times the
+                                // magnitudes summed.
+                                let mut mag = b[i + j * ldb].abs().to_f64();
+                                for k in 0..n {
+                                    mag += (full[i + k * n] * x[k + j * ldx]).abs().to_f64();
+                                }
+                                let err = (r[i + j * n] - want[i + j * n]).abs().to_f64();
+                                assert!(
+                                    err <= 4.0 * (n as f64) * eps * mag,
+                                    "{} {uplo:?} n={n} nrhs={nrhs} r[{i},{j}]: {} vs {}",
+                                    T::PREFIX,
+                                    r[i + j * n],
+                                    want[i + j * n]
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        run::<f32>();
+        run::<f64>();
+        run::<C32>();
+        run::<C64>();
     }
 }

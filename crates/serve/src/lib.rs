@@ -44,7 +44,7 @@
 //! * **Answer verification** — completed solves are residual-checked
 //!   before they are returned: per column,
 //!   `‖b_j − A·x_j‖∞ ≤ 64·n·ε·(n·max|A|·‖x_j‖∞ + ‖b_j‖∞)`. The residual is
-//!   [`la_lapack::residual_working`] — the routine the mixed-precision
+//!   [`la_lapack::residual_working`] — the routine `gesv_mixed`'s
 //!   refinement uses: Level-2 per column up to two right-hand sides,
 //!   Level-3 above, the stored triangle only for the Cholesky op — written
 //!   into the worker's scratch vector, and the norms are
@@ -124,8 +124,9 @@ use std::time::{Duration, Instant};
 
 /// Which driver a job runs. The mixed variant takes the demoted-precision
 /// refinement path with the bitwise full-precision fallback built into
-/// the driver; the positive-definite solve has no served mixed variant,
-/// because `posv_mixed` does not beat `posv` at any order measured.
+/// the driver; the positive-definite solve has no mixed variant: a
+/// demoted Cholesky with refinement was slower than `posv` at every order
+/// measured, and was removed.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum SolveOp {
     /// General `A·X = B` by LU with partial pivoting (`LA_GESV`).

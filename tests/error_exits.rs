@@ -530,16 +530,6 @@ fn mixed_driver_error_exits() {
         "LA_GESV_MIXED",
         4,
     );
-
-    // LA_POSV_MIXED argument order: (A, B, X, UPLO).
-    let mut a: Mat<f64> = Mat::zeros(3, 4);
-    let b = vec![0.0f64; 3];
-    let mut x = vec![0.0f64; 3];
-    expect_illegal(la90::posv_mixed(&mut a, &b, &mut x), "LA_POSV_MIXED", 1);
-    let mut a: Mat<f64> = Mat::identity(4);
-    expect_illegal(la90::posv_mixed(&mut a, &b, &mut x), "LA_POSV_MIXED", 2);
-    let b = vec![0.0f64; 4];
-    expect_illegal(la90::posv_mixed(&mut a, &b, &mut x), "LA_POSV_MIXED", 3);
 }
 
 #[test]
@@ -555,20 +545,10 @@ fn nonfinite_screening_mixed_drivers() {
             "LA_GESV_MIXED",
             1,
         );
-        expect_nonfinite(
-            la90::posv_mixed(&mut nan_mat(3), &b, &mut x),
-            "LA_POSV_MIXED",
-            1,
-        );
         let b = vec![0.0f64, nan, 0.0];
         expect_nonfinite(
             la90::gesv_mixed(&mut dd_mat(3), &b, &mut x),
             "LA_GESV_MIXED",
-            2,
-        );
-        expect_nonfinite(
-            la90::posv_mixed(&mut dd_mat(3), &b, &mut x),
-            "LA_POSV_MIXED",
             2,
         );
     });

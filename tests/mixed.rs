@@ -1,12 +1,12 @@
-//! End-to-end tests for the mixed-precision iterative-refinement drivers
-//! (`LA_GESV_MIXED` / `LA_POSV_MIXED`):
+//! End-to-end tests for the mixed-precision iterative-refinement driver
+//! (`LA_GESV_MIXED`) and the extra-precise refinement drivers:
 //!
 //! * well-conditioned systems take the low-precision path and refine to
 //!   working-precision backward error (`iter > 0`) in both residual
 //!   modes (working, dd),
 //! * ill-conditioned systems (Hilbert) trigger the guaranteed
 //!   full-precision fallback (`iter < 0`) and reproduce the plain
-//!   `gesv`/`posv` solution **bitwise**,
+//!   `gesv` solution **bitwise**,
 //! * the extra-precise `gesvxx` drives Hilbert systems up to n = 12 to
 //!   componentwise backward error ≤ 4ε where the plain solve cannot,
 //! * the probe span tree shows the O(n³) factorization flops tagged
@@ -28,35 +28,6 @@ fn dd_system<T: Scalar>(n: usize, seed: u64) -> (Mat<T>, Vec<T>, Vec<T>) {
     let xt: Vec<T> = (0..n)
         .map(|i| T::from_f64(1.0 + i as f64 / n as f64))
         .collect();
-    let b: Vec<T> = (0..n)
-        .map(|i| {
-            let mut s = T::zero();
-            for k in 0..n {
-                s += a[(i, k)] * xt[k];
-            }
-            s
-        })
-        .collect();
-    (a, b, xt)
-}
-
-/// Hermitian positive-definite system `GᴴG + n·I` with known solution.
-fn hpd_system<T: Scalar>(n: usize, seed: u64) -> (Mat<T>, Vec<T>, Vec<T>) {
-    let mut rng = la_lapack::Larnv::new(seed);
-    let g: Mat<T> = Mat::from_fn(n, n, |_, _| rng.scalar(la_lapack::Dist::Uniform11));
-    let mut a: Mat<T> = Mat::zeros(n, n);
-    for j in 0..n {
-        for i in 0..n {
-            let mut acc = T::zero();
-            for k in 0..n {
-                acc += g[(k, i)].conj() * g[(k, j)];
-            }
-            a[(i, j)] = acc;
-        }
-        let d = a[(j, j)] + T::from_f64(n as f64);
-        a[(j, j)] = d;
-    }
-    let xt: Vec<T> = (0..n).map(|i| T::from_f64(1.0 + i as f64)).collect();
     let b: Vec<T> = (0..n)
         .map(|i| {
             let mut s = T::zero();
@@ -111,35 +82,6 @@ fn gesv_mixed_refines_well_conditioned_to_working_precision() {
     run::<C64>();
 }
 
-#[test]
-fn posv_mixed_refines_well_conditioned_to_working_precision() {
-    fn run<T: Demote>() {
-        let n = 48;
-        let (a0, b, xt) = hpd_system::<T>(n, 41);
-        let mut a = a0.clone();
-        let mut x = vec![T::zero(); n];
-        let out = la90::posv_mixedx(&mut a, &b, &mut x, Uplo::Upper).expect("posv_mixedx");
-        assert!(
-            out.iter > 0 && out.iter <= la_lapack::ITERMAX,
-            "{}: iter = {}",
-            T::PREFIX,
-            out.iter
-        );
-        assert!(
-            out.berr.to_f64() <= f64::EPSILON.sqrt(),
-            "{}: berr = {:e}",
-            T::PREFIX,
-            out.berr.to_f64()
-        );
-        let tol = T::Real::EPS.to_f64() * 1e6 * n as f64;
-        for i in 0..n {
-            assert!((x[i] - xt[i]).abs().to_f64() < tol, "{}: x[{i}]", T::PREFIX);
-        }
-    }
-    run::<f64>();
-    run::<C64>();
-}
-
 /// Bit pattern of a scalar, for exact fallback comparison.
 fn bits<T: Scalar>(v: T) -> (u64, u64) {
     (v.re().to_f64().to_bits(), v.im().to_f64().to_bits())
@@ -166,36 +108,6 @@ fn gesv_mixed_hilbert_falls_back_bitwise() {
         let mut ap = a0.clone();
         let mut bp = b.clone();
         la90::gesv(&mut ap, &mut bp).expect("gesv");
-        for i in 0..n {
-            assert_eq!(bits(x[i]), bits(bp[i]), "{}: x[{i}] differs", T::PREFIX);
-        }
-        for (idx, (&m, &p)) in am.as_slice().iter().zip(ap.as_slice()).enumerate() {
-            assert_eq!(bits(m), bits(p), "{}: factor[{idx}] differs", T::PREFIX);
-        }
-    }
-    run::<f64>();
-    run::<C64>();
-}
-
-#[test]
-fn posv_mixed_hilbert_falls_back_bitwise() {
-    fn run<T: Demote>() {
-        let n = 10;
-        let a0 = hilbert::<T>(n); // SPD (and HPD as a complex matrix)
-        let b: Vec<T> = (0..n).map(|i| T::from_f64(1.0 + i as f64)).collect();
-
-        let mut am = a0.clone();
-        let mut x = vec![T::zero(); n];
-        let iter = la90::posv_mixed(&mut am, &b, &mut x).expect("posv_mixed");
-        assert!(
-            iter < 0,
-            "{}: Hilbert must fall back, iter = {iter}",
-            T::PREFIX
-        );
-
-        let mut ap = a0.clone();
-        let mut bp = b.clone();
-        la90::posv(&mut ap, &mut bp).expect("posv");
         for i in 0..n {
             assert_eq!(bits(x[i]), bits(bp[i]), "{}: x[{i}] differs", T::PREFIX);
         }
