@@ -46,7 +46,6 @@
 //! * `dgemm`, `dgetrf` and `dpotrf` at n = 1024, each with ABFT off and
 //!   verifying: each factorization's GF/s over gemm's (ROADMAP item 1's
 //!   bar) and each verify/off time ratio;
-//! * `dgesv` / `dgesv_mixed` at n = 1024, one right-hand side;
 //! * `dgetrf` and `dpotrf` at n = 512 for NB 16 … 128, each time over the
 //!   default NB's (ungated).
 //!
@@ -82,11 +81,9 @@
 //!   row is printed, ungated);
 //! * `--min-factor-over-gemm R`: the smaller of `dgetrf`'s and `dpotrf`'s
 //!   rate over `dgemm`'s at n = 1024;
-//! * `--max-abft-overhead R`: the largest verify/off ratio at n = 1024;
-//! * `--min-mixed-speedup R`: `dgesv` time over `dgesv_mixed` time at
-//!   n = 1024.
+//! * `--max-abft-overhead R`: the largest verify/off ratio at n = 1024.
 //!
-//! The trsm gate and the last two read the AVX2 tier's run: the tile every
+//! The trsm gate and the ABFT gate read the AVX2 tier's run: the tile every
 //! `simd` host runs, so one bound holds on any runner (the AVX-512 tier
 //! moves each of these ratios by more than the slowdown it must catch;
 //! EXPERIMENTS.md, "An AVX-512 tier" and "No division on the substitution
@@ -111,7 +108,7 @@ use std::time::Instant;
 const UPDATE_N: usize = 736;
 const UPDATE_K: [usize; 4] = [32, 48, 96, 256];
 
-/// Order of the factorization, ABFT and mixed-precision rows.
+/// Order of the factorization and ABFT rows.
 const FACTOR_N: usize = 1024;
 
 /// Order of the reference row: the column-`axpy` loop's `A` (512 KiB)
@@ -340,41 +337,6 @@ fn factor_rows(on_narrow: bool) -> (f64, f64) {
         overhead = overhead.max(t[i + 3] / t[i]);
     }
     (over_gemm, overhead)
-}
-
-/// `dgesv` / `dgesv_mixed` at n = [`FACTOR_N`], one right-hand side, on
-/// the narrow tier if `on_narrow`. Returns the mixed speed-up.
-fn mixed_rows(on_narrow: bool) -> f64 {
-    const N: usize = FACTOR_N;
-    let gen = bench_matrix::<f64>(N, 17);
-    let gen = gen.as_slice();
-    let b: Vec<f64> = (0..N).map(|i| 1.0 + (i % 7) as f64).collect();
-    let b = b.as_slice();
-    let mut calls = vec![
-        factor_call(gen, AbftPolicy::Off, |a| {
-            f77::gesv(N, 1, a, N, &mut [0; N], &mut b.to_vec(), N)
-        }),
-        factor_call(gen, AbftPolicy::Off, |a| {
-            let (mut x, mut iter) = ([0.0; N], 0);
-            let info = f77::gesv_mixed(N, 1, a, N, &mut [0; N], b, N, &mut x, N, &mut iter);
-            // The matrix is well conditioned: a fallback would time the
-            // wrong algorithm.
-            assert!(iter >= 0, "the mixed driver fell back");
-            info
-        }),
-    ];
-    if on_narrow {
-        calls = calls.into_iter().map(narrow).collect();
-    }
-    let t = interleaved(calls);
-    println!(
-        "gesv  n={N} {:8.2} ms  gesv_mixed {:8.2} ms  {:4.2} x{}",
-        t[0] * 1e3,
-        t[1] * 1e3,
-        t[0] / t[1],
-        mark(on_narrow),
-    );
-    t[0] / t[1]
 }
 
 /// `dgetrf` and `dpotrf` at n = [`NB_N`] over a range of NB, each time
@@ -890,7 +852,6 @@ fn main() {
     let min_tier = args.limit("--min-avx512-over-avx2");
     let min_factor = args.limit("--min-factor-over-gemm");
     let max_abft = args.limit("--max-abft-overhead");
-    let min_mixed = args.limit("--min-mixed-speedup");
     let mut sizes: Vec<usize> = args.positional();
     args.finish();
     for (flag, asked) in [
@@ -972,18 +933,16 @@ fn main() {
     let (chol_leaf, chol_panel) = chol_rows();
     println!("== one thread, default kernel, calls taking turns for {MIN_SECS} s per group ==");
     let mut trsm = trsm_gate_row(false);
-    // On a two-tier host the trsm, ABFT and mixed gates read the AVX2
-    // tier's run.
+    // On a two-tier host the trsm and ABFT gates read the AVX2 tier's
+    // run.
     if two_tiers() {
         trsm = trsm_gate_row(true);
     }
     let packed = reference_row();
     let tier = tier_row();
     let (factor, mut abft_overhead) = factor_rows(false);
-    let mut mixed = mixed_rows(false);
     if two_tiers() {
         (_, abft_overhead) = factor_rows(true);
-        mixed = mixed_rows(true);
     }
     nb_rows();
     call_floor();
@@ -1015,7 +974,6 @@ fn main() {
             min_factor,
         ),
         gate("max ABFT verify over off, n=1024", abft_overhead, max_abft),
-        gate("gesv over gesv_mixed, n=1024", mixed, min_mixed),
     ];
     if gates.contains(&false) {
         std::process::exit(1);

@@ -132,7 +132,7 @@ fn run_clean(op: SolveOp, concurrency: usize, n: usize, jobs_per_client: u64) ->
     let gen: Mat<f64> = bench_matrix(n, 17);
     let spd: Mat<f64> = bench_spd(n, 23);
     let a = match op {
-        SolveOp::Gesv | SolveOp::GesvMixed => &gen,
+        SolveOp::Gesv => &gen,
         SolveOp::Posv(_) => &spd,
     };
     let b = rowsum_rhs(a, 2);
@@ -292,11 +292,7 @@ mod chaos_run {
         let spd: Mat<f64> = bench_spd(n, 37);
         let bg = rowsum_rhs(&gen, 2);
         let bs = rowsum_rhs(&spd, 2);
-        const OPS: [SolveOp; 3] = [
-            SolveOp::Gesv,
-            SolveOp::Posv(la_core::Uplo::Upper),
-            SolveOp::GesvMixed,
-        ];
+        const OPS: [SolveOp; 2] = [SolveOp::Gesv, SolveOp::Posv(la_core::Uplo::Upper)];
         let t0 = Instant::now();
         let per_client = jobs / clients as u64;
         type ClientOut = (Vec<f64>, u64, [u64; 7], Vec<(&'static str, u64)>, Vec<f64>);
@@ -326,7 +322,7 @@ mod chaos_run {
                         for i in 0..per_client {
                             let op = OPS[((ci as u64 + i) % OPS.len() as u64) as usize];
                             let (a0, b0) = match op {
-                                SolveOp::Gesv | SolveOp::GesvMixed => (gen, bg),
+                                SolveOp::Gesv => (gen, bg),
                                 _ => (spd, bs),
                             };
                             let ev = plan.next_event();
@@ -695,11 +691,7 @@ fn main() {
     let n = if quick { 48 } else { 96 };
     let jobs_per_client = if quick { 12 } else { 25 };
     let concurrencies: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
-    let ops = [
-        SolveOp::Gesv,
-        SolveOp::Posv(la_core::Uplo::Upper),
-        SolveOp::GesvMixed,
-    ];
+    let ops = [SolveOp::Gesv, SolveOp::Posv(la_core::Uplo::Upper)];
 
     let mut rows: Vec<SweepRow> = Vec::new();
     for &c in concurrencies {

@@ -18,10 +18,10 @@
 //! * One thread-local stack of frames. A frame is a `Ctx` plus the things
 //!   that belong to a call tree rather than to the process: the cancel
 //!   token, the watchdog heartbeat, the number of pool siblings the thread
-//!   shares the host with, and the probe's state (its `lo` and `abft`
-//!   tags, the job's counter sink, a fork's span graft point). [`with`]
+//!   shares the host with, and the probe's state (its `abft` tag,
+//!   the job's counter sink, a fork's span graft point). [`with`]
 //!   (and the per-field projections `tune::with`, `abft::with_policy`,
-//!   `cancel::with_token`, `probe::with_lo`, `probe::job_scope`, …) push a
+//!   `cancel::with_token`, `probe::with_abft`, `probe::job_scope`, …) push a
 //!   copy of the top frame with one field changed, so mixed nesting
 //!   composes; the frame pops on scope exit, panic included.
 //! * One thread hop: [`capture`] takes the top frame as an [`Ambient`],
@@ -55,7 +55,7 @@ use crate::abft::{self, AbftPolicy};
 use crate::cancel::{self, CancelToken, Heartbeat};
 use crate::except::FpCheckPolicy;
 use crate::probe::{self, ProbePolicy};
-use crate::tune::{GemmKernel, RefineMode, TuneConfig};
+use crate::tune::{GemmKernel, TuneConfig};
 
 /// The ambient configuration: everything a routine may consult that is
 /// not an argument. Plain data — copy it, edit fields, hand it to [`with`]
@@ -173,23 +173,17 @@ fn store<E>(field: &mut E, parsed: Option<E>) -> bool {
 }
 
 /// Every `LA_*` variable the library reads: the thread budget, the kernel
-/// choice, the residual precision and the three policies. Every other
+/// choice and the three policies. Every other
 /// field of [`TuneConfig`] — the block sizes among them — is set in code
 /// only. Each enum row defers to the type's own `parse`, which is
 /// case-insensitive and also accepts the aliases listed here.
-pub const VARS: [Var; 6] = [
+pub const VARS: [Var; 5] = [
     Var::count("LA_NUM_THREADS", "0", |c| &mut c.tune.max_threads),
     Var::choice(
         "LA_GEMM_KERNEL",
         "auto|scalar|unrolled|simd",
         "auto",
         |c, s| store(&mut c.tune.gemm_kernel, GemmKernel::parse(s)),
-    ),
-    Var::choice(
-        "LA_REFINE",
-        "working|off, dd|double-double",
-        "working",
-        |c, s| store(&mut c.tune.refine, RefineMode::parse(s)),
     ),
     Var::choice(
         "LA_FP_CHECK",
@@ -533,7 +527,6 @@ mod tests {
             "scalar",
             Some(|c| c.tune.gemm_kernel == GemmKernel::Scalar),
         ),
-        ("LA_REFINE", "dd", Some(|c| c.tune.refine == RefineMode::Dd)),
         (
             "LA_FP_CHECK",
             "full",
@@ -554,7 +547,6 @@ mod tests {
         ("LA_NUM_THREADS", "-1", None),
         ("LA_NUM_THREADS", "3.5", None),
         ("LA_GEMM_KERNEL", "fancy", None),
-        ("LA_REFINE", "quad", None),
         ("LA_NUM_THREADS", "", None),
         // The typos that used to run unprotected without a word:
         ("LA_FP_CHECK", "ful", None),
@@ -568,11 +560,6 @@ mod tests {
             "LA_GEMM_KERNEL",
             "SIMD",
             Some(|c| c.tune.gemm_kernel == GemmKernel::Simd),
-        ),
-        (
-            "LA_REFINE",
-            "double-double",
-            Some(|c| c.tune.refine == RefineMode::Dd),
         ),
         (
             "LA_FP_CHECK",
@@ -957,12 +944,10 @@ mod tests {
             abft::clear_pending();
             abft::raise("hop-test", 7);
             let ((), job) = with(sentinel, || {
-                probe::with_lo(|| {
-                    probe::with_abft(|| {
-                        probe::job_scope(|| {
-                            cancel::with_token(token, || {
-                                cancel::with_heartbeat(beat.clone(), || run(&probe))
-                            })
+                probe::with_abft(|| {
+                    probe::job_scope(|| {
+                        cancel::with_token(token, || {
+                            cancel::with_heartbeat(beat.clone(), || run(&probe))
                         })
                     })
                 })
@@ -972,8 +957,8 @@ mod tests {
             let failures = failures.into_inner().unwrap();
             assert!(failures.is_empty(), "{hop} lost: {failures:?}");
             let rows: Vec<_> = job.iter().filter(|r| r.routine == "hop-test").collect();
-            assert_eq!(rows.len(), 1, "{hop}: lo and abft tags: {rows:?}");
-            assert!(rows[0].lo && rows[0].abft, "{hop} lost the probe tags");
+            assert_eq!(rows.len(), 1, "{hop}: abft tag: {rows:?}");
+            assert!(rows[0].abft, "{hop} lost the probe tag");
             assert_eq!(rows[0].calls, probes as u64, "{hop} lost the job sink");
             assert_eq!(
                 abft::take_pending().map(|f| f.block),

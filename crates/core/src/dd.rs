@@ -11,9 +11,9 @@
 //! `Dd` implements [`Scalar`] and [`RealScalar`], so every generic
 //! routine in the workspace — `gemm`, `getrf`, norms — monomorphises
 //! over it, and `Complex<Dd>` comes for free from the blanket complex
-//! impl. The mixed-precision drivers use it for residual accumulation
-//! (`LA_REFINE=dd`): the residual `b − A·x` is computed with ~2× the
-//! working significand, which is what lets iterative refinement reach
+//! impl. The extra-precise refinement drivers (`gesvxx`, `posvxx`) use it
+//! for residual accumulation: the residual `b − A·x` is computed with ~2×
+//! the working significand, which is what lets iterative refinement reach
 //! backward errors at the f64 roundoff floor on ill-conditioned systems.
 //!
 //! Machine parameters: `EPS = 2⁻¹⁰⁴` (the conventional worst-case unit
@@ -111,7 +111,7 @@ impl Dd {
     /// Fused accumulate of an exact `f64` product: `self + a·b` with the
     /// product's low part captured before the double-double add. This is
     /// the inner-loop primitive of the `Dd` residual accumulation in the
-    /// mixed-precision refinement drivers.
+    /// extra-precise refinement drivers.
     #[inline]
     pub fn fma_acc(self, a: f64, b: f64) -> Dd {
         self + Dd::prod(a, b)

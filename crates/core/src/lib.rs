@@ -48,13 +48,10 @@
 //!   counters with closed-form flop accounting, hierarchical span tracing
 //!   across the driver → factorization → BLAS-3 stack, and structured
 //!   reports.
-//! * [`mixed`] — the precision pairs ([`Demote`]/[`Promote`]):
-//!   `f64 ↔ f32` and `Complex<f64> ↔ Complex<f32>` bridges with
-//!   eps/overflow/underflow constants, for the mixed-precision refinement
-//!   drivers.
 //! * [`dd`] — [`Dd`], double-double extended precision (~31 decimal
 //!   digits) implementing [`Scalar`]/[`RealScalar`], the residual
-//!   precision of the `LA_REFINE=dd` refinement loops.
+//!   precision of the extra-precise refinement drivers (`gesvxx`,
+//!   `posvxx`).
 //! * [`json`] — the dependency-free JSON writer/parser used by [`probe`]
 //!   reports and the bench harness.
 
@@ -71,7 +68,6 @@ pub mod error;
 pub mod except;
 pub mod json;
 pub mod mat;
-pub mod mixed;
 pub mod probe;
 pub mod scalar;
 pub mod storage;
@@ -87,7 +83,6 @@ pub use enums::{Diag, Norm, Side, Trans, Uplo};
 pub use error::{erinfo, LaError, PositiveInfo};
 pub use except::FpCheckPolicy;
 pub use mat::{Mat, MatMut, MatRef};
-pub use mixed::{Demote, Promote};
 pub use probe::ProbePolicy;
 pub use scalar::{RealScalar, Scalar};
 pub use storage::{BandMat, PackedMat, SymBandMat};

@@ -29,7 +29,7 @@
 //! variable (`off|counters|spans`), process-wide with
 //! [`crate::ctx::update`], or per call tree with [`with_policy`]. The rest
 //! of the probe's call-tree state rides the same ctx frame and crosses
-//! [`crate::ctx::fan_out`] with it: the `lo` and `abft` tags, the job's
+//! [`crate::ctx::fan_out`] with it: the `abft` tag, the job's
 //! counter sink ([`job_scope`]), and a graft point that moves a worker's
 //! top-level spans under the span open at the fork, so a parallel call
 //! still records one tree. Only the open spans stay with their thread.
@@ -129,16 +129,13 @@ impl Layer {
 }
 
 /// Aggregated totals for one routine (one row of [`Report::counters`]).
-/// Low-precision work (inside [`with_lo`]) aggregates into its own row,
-/// so a mixed-precision driver's flop split is visible per routine.
+/// ABFT bookkeeping (inside [`with_abft`]) aggregates into its own row.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct CounterRow {
     /// Stack layer of the routine.
     pub layer: Layer,
     /// Routine name (`"gemm"`, `"getrf"`, `"LA_GESV"`, …).
     pub routine: &'static str,
-    /// Whether the calls ran in the demoted precision (see [`with_lo`]).
-    pub lo: bool,
     /// Whether the calls ran inside ABFT bookkeeping (see [`with_abft`]):
     /// checksum verification or fault recovery, as opposed to the
     /// protected computation itself.
@@ -161,10 +158,6 @@ pub struct Span {
     pub layer: Layer,
     /// Routine name.
     pub routine: &'static str,
-    /// Whether the call ran in the demoted precision of a mixed-precision
-    /// driver (opened inside [`with_lo`]). Lets span trees show the
-    /// low-vs-working flop split of `gesv_mixed`.
-    pub lo: bool,
     /// Whether the call ran inside ABFT bookkeeping (opened inside
     /// [`with_abft`]): checksum verification sweeps and fault-recovery
     /// reruns carry the tag, so span trees separate the fault-tolerance
@@ -230,7 +223,6 @@ impl Span {
 struct Frame {
     layer: Layer,
     routine: &'static str,
-    lo: bool,
     abft: bool,
     nb: usize,
     threads: usize,
@@ -256,12 +248,10 @@ thread_local! {
 type SpanList = Mutex<Vec<Span>>;
 
 /// The probe's share of a ctx frame: what follows a call tree, across
-/// [`ctx::fan_out`] too. Edited only through [`with_lo`], [`with_abft`],
+/// [`ctx::fan_out`] too. Edited only through [`with_abft`],
 /// [`job_scope`] and the fork's graft point.
 #[derive(Clone, Debug)]
 pub(crate) struct Scope {
-    /// Spans opened here ran in the demoted precision ([`with_lo`]).
-    lo: bool,
     /// Spans opened here are ABFT bookkeeping ([`with_abft`]).
     abft: bool,
     /// The innermost job's counter table ([`job_scope`]).
@@ -275,7 +265,6 @@ pub(crate) struct Scope {
 impl Scope {
     /// No tag, no job, no fork.
     pub(crate) const NONE: Scope = Scope {
-        lo: false,
         abft: false,
         sink: None,
         graft: None,
@@ -298,16 +287,6 @@ pub(crate) fn join(graft: Option<Arc<SpanList>>) {
     }
 }
 
-/// Runs `f` with every span opened in it tagged as *low-precision* work
-/// ([`Span::lo`] / [`CounterRow::lo`]), on this thread and on every worker
-/// it fans out to. The mixed-precision drivers wrap their demoted
-/// factorization and solves in this scope, so reports separate the cheap
-/// low-precision flops from the working-precision refinement around them.
-/// Nests; restores on panic.
-pub fn with_lo<R>(f: impl FnOnce() -> R) -> R {
-    ctx::scoped(|frame| frame.probe.lo = true, f)
-}
-
 /// Runs `f` with every span opened in it tagged as *ABFT bookkeeping*
 /// ([`Span::abft`] / [`CounterRow::abft`]), on this thread and on every
 /// worker it fans out to. The checksum verifiers and the fault-recovery
@@ -319,7 +298,7 @@ pub fn with_abft<R>(f: impl FnOnce() -> R) -> R {
 }
 
 /// Counter rows keyed in report order.
-type Table = BTreeMap<(Layer, &'static str, bool, bool), CounterRow>;
+type Table = BTreeMap<(Layer, &'static str, bool), CounterRow>;
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
@@ -328,7 +307,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Adds one finished call to `table`.
 fn record(table: &Mutex<Table>, call: &CounterRow) {
     lock(table)
-        .entry((call.layer, call.routine, call.lo, call.abft))
+        .entry((call.layer, call.routine, call.abft))
         .and_modify(|t| {
             t.calls += call.calls;
             t.flops += call.flops;
@@ -414,7 +393,6 @@ impl Drop for ProbeGuard {
         let call = CounterRow {
             layer: frame.layer,
             routine: frame.routine,
-            lo: frame.lo,
             abft: frame.abft,
             calls: 1,
             flops: frame.flops,
@@ -433,7 +411,6 @@ impl Drop for ProbeGuard {
             attach(Span {
                 layer: frame.layer,
                 routine: frame.routine,
-                lo: frame.lo,
                 abft: frame.abft,
                 nb: frame.nb,
                 threads: frame.threads,
@@ -478,12 +455,11 @@ pub fn span_in(
     if p == ProbePolicy::Off {
         return ProbeGuard { active: false };
     }
-    let (lo, abft) = ctx::peek(|f| (f.probe.lo, f.probe.abft));
+    let abft = ctx::peek(|f| f.probe.abft);
     ACTIVE.with(|a| {
         a.borrow_mut().push(Frame {
             layer,
             routine,
-            lo,
             abft,
             nb: 0,
             threads: ctx.tune.threads(),
@@ -604,9 +580,6 @@ impl Report {
                 0.0
             };
             let mut name = r.routine.to_string();
-            if r.lo {
-                name.push_str("[lo]");
-            }
             if r.abft {
                 name.push_str("[abft]");
             }
@@ -650,7 +623,6 @@ impl Report {
             j.begin_obj();
             j.field_str("layer", r.layer.as_str());
             j.field_str("routine", r.routine);
-            j.field_uint("lo", u64::from(r.lo));
             j.field_uint("abft", u64::from(r.abft));
             j.field_uint("calls", r.calls);
             j.field_uint("flops", r.flops);
@@ -672,10 +644,9 @@ impl Report {
 
 fn render_span(out: &mut String, s: &Span, depth: usize) {
     out.push_str(&format!(
-        "{:indent$}{}{}{} [{}] nb={} threads={}{}{} flops={} ms={:.3}\n",
+        "{:indent$}{}{} [{}] nb={} threads={}{}{} flops={} ms={:.3}\n",
         "",
         s.routine,
-        if s.lo { "[lo]" } else { "" },
         if s.abft { "[abft]" } else { "" },
         s.layer.as_str(),
         s.nb,
@@ -708,7 +679,6 @@ fn span_json(j: &mut JsonBuf, s: &Span) {
     j.begin_obj();
     j.field_str("routine", s.routine);
     j.field_str("layer", s.layer.as_str());
-    j.field_uint("lo", u64::from(s.lo));
     j.field_uint("abft", u64::from(s.abft));
     j.field_uint("nb", s.nb as u64);
     j.field_uint("threads", s.threads as u64);
@@ -946,39 +916,6 @@ mod tests {
         assert_eq!(flops::getrf(usize::MAX, usize::MAX), u64::MAX);
         // And plausible-large sizes stay exact.
         assert_eq!(flops::gemm(1 << 20, 1 << 20, 4), 1u64 << 43);
-    }
-
-    #[test]
-    fn lo_scope_tags_spans_and_counters() {
-        with_policy(ProbePolicy::Spans, || {
-            let _outer = span(Layer::Lapack, "unit-test-mixed", 0, 0);
-            with_lo(|| {
-                let _inner = span(Layer::Lapack, "unit-test-lofac", 64, 0);
-            });
-            let _refine = span(Layer::Blas, "unit-test-resid", 32, 0);
-        });
-        let rep = snapshot();
-        let root = rep
-            .spans
-            .iter()
-            .find(|s| s.routine == "unit-test-mixed")
-            .expect("mixed root span");
-        assert!(!root.lo, "outer span must not be tagged");
-        let fac = root.find("unit-test-lofac").expect("lo child");
-        assert!(fac.lo, "span inside with_lo must be tagged");
-        let resid = root.find("unit-test-resid").expect("hi child");
-        assert!(!resid.lo, "span after with_lo must not be tagged");
-        // Counters keep the two precisions in separate rows.
-        let lo_row = rep
-            .counters
-            .iter()
-            .find(|r| r.routine == "unit-test-lofac")
-            .expect("lo counter row");
-        assert!(lo_row.lo && lo_row.flops == 64);
-        // Rendering carries the tag.
-        assert!(rep.to_table().contains("unit-test-lofac[lo]"));
-        let json = crate::json::Json::parse(&rep.to_json()).unwrap();
-        assert!(json.get("counters").is_some());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! warning, never silently dropped), [`update`] for the whole process, and
 //! [`with`] for one call tree — worker threads the tree spawns included.
 //! Only the fields a user has a reason to set have a variable (thread
-//! budget, kernel, refinement); the block sizes and the other tuning
+//! budget, kernel); the block sizes and the other tuning
 //! internals are set in code — by tests and benches through [`with`] —
 //! and otherwise keep the defaults the library chose. The `la-serve`
 //! settings are not here: they are fields of its own `ServeConfig`.
@@ -84,40 +84,6 @@ impl GemmKernel {
     }
 }
 
-/// Residual precision of the mixed-precision refinement loop
-/// (`gesv_mixed`). Selected through the `refine` field of [`TuneConfig`]
-/// (env var `LA_REFINE`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RefineMode {
-    /// Residuals in the working precision — the classic DSGESV regime.
-    /// Default.
-    #[default]
-    Working,
-    /// Residuals accumulated in double-double (`la_core::dd`) — the
-    /// three-precision GMRES-IR regime and the engine of the `*_x`
-    /// extra-precise refinement drivers (xGERFSX semantics).
-    Dd,
-}
-
-impl RefineMode {
-    /// Parses the `LA_REFINE` spelling (case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "working" | "off" => Some(RefineMode::Working),
-            "dd" | "double-double" => Some(RefineMode::Dd),
-            _ => None,
-        }
-    }
-
-    /// The canonical spelling, as accepted by [`RefineMode::parse`].
-    pub fn as_str(self) -> &'static str {
-        match self {
-            RefineMode::Working => "working",
-            RefineMode::Dd => "dd",
-        }
-    }
-}
-
 /// Process-wide tuning knobs for the BLAS-3 layer and the blocked
 /// factorizations. Plain data — copy it, edit fields, hand it to [`with`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -156,10 +122,6 @@ pub struct TuneConfig {
     /// more than one thread, `getrf` and `potrf` take the graph from four
     /// blocks up, `geqrf` from six. Set in code only.
     pub tile_nb: usize,
-    /// Residual precision for `gesv_mixed`'s refinement loop
-    /// (`LA_REFINE`): working precision (classic) or double-double
-    /// (three-precision GMRES-IR regime).
-    pub refine: RefineMode,
     /// Permit a thread budget above the detected core count. Off by
     /// default: threads beyond the cores only time-share them, adding
     /// hand-offs and cold caches to the same work, so
@@ -183,7 +145,6 @@ impl TuneConfig {
             gemm_kc: 0,
             gemm_nc: 0,
             tile_nb: 0,
-            refine: RefineMode::Working,
             oversubscribe: false,
         }
     }
@@ -460,14 +421,5 @@ mod tests {
         assert_eq!(cfg.tile_size(), 128);
         cfg.tile_nb = 96;
         assert_eq!(cfg.tile_size(), 96);
-    }
-
-    #[test]
-    fn refine_mode_parses_and_round_trips() {
-        for r in [RefineMode::Working, RefineMode::Dd] {
-            assert_eq!(RefineMode::parse(r.as_str()), Some(r));
-        }
-        assert_eq!(RefineMode::parse("quad"), None);
-        assert_eq!(TuneConfig::defaults().refine, RefineMode::Working);
     }
 }

@@ -96,7 +96,7 @@ pub use linsys::{
     posv, posv_uplo, ppsv, ptsv, spsv, spsv_ipiv, sysv, sysv_uplo, sysv_uplo_ipiv,
 };
 pub use lstsq::{gels, gels_trans, gelss, gelsx, ggglm, gglse, RankLsOut};
-pub use mixed::{gesv_mixed, gesv_mixed_ipiv, gesv_mixedx, gesvxx, posvxx, MixedOut, RfsxOut};
+pub use mixed::{gesvxx, posvxx, RfsxOut};
 pub use rhs::Rhs;
 
 /// Everything a typical caller needs in one import:
@@ -107,7 +107,6 @@ pub mod prelude {
     pub use crate::gv::sygv;
     pub use crate::linsys::{gbsv, gesv, gtsv, hesv, posv, ppsv, ptsv, sysv};
     pub use crate::lstsq::{gels, gelss};
-    pub use crate::mixed::gesv_mixed;
     pub use crate::rhs::Rhs;
     pub use la_core::{mat, BandMat, LaError, Mat, PackedMat, SymBandMat, C32, C64};
     pub use la_core::{Diag, Norm, Side, Trans, Uplo};

@@ -617,7 +617,7 @@ pub fn syevx<T: Scalar>(
         return (w, vec![]);
     }
     let zr = stein(n, &d, &e, &w);
-    // Promote to T and back-transform with Q from the reduction.
+    // Lift to T and back-transform with Q from the reduction.
     let m = w.len();
     let mut z: Vec<T> = zr.iter().map(|&x| T::from_real(x)).collect();
     ormtr_left(uplo, false, n, a, lda, &tau, &mut z, m, n);

@@ -230,25 +230,25 @@ pub fn bdsqr<T: Scalar>(
             continue 'main;
         }
         // Find the start of the active block.
-        let mut lo = mhi - 1;
-        while lo > 0 && !e[lo - 1].is_zero() {
-            lo -= 1;
+        let mut mlo = mhi - 1;
+        while mlo > 0 && !e[mlo - 1].is_zero() {
+            mlo -= 1;
         }
         iters += 1;
 
         // If a diagonal in the block is (near) zero, one zero-shift sweep
         // deflates it stably; also prefer zero shift when the shift would
         // lose all relative accuracy.
-        let mut dmin = d[lo].rabs();
-        for i in lo..=mhi {
+        let mut dmin = d[mlo].rabs();
+        for i in mlo..=mhi {
             dmin = dmin.minr(d[i].rabs());
         }
         let dmax = {
             let mut v = zero;
-            for i in lo..=mhi {
+            for i in mlo..=mhi {
                 v = v.maxr(d[i].rabs());
             }
-            for i in lo..mhi {
+            for i in mlo..mhi {
                 v = v.maxr(e[i].rabs());
             }
             v
@@ -259,11 +259,11 @@ pub fn bdsqr<T: Scalar>(
             // Demmel–Kahan zero-shift QR sweep.
             let (mut cs, mut oldcs) = (one, one);
             let mut oldsn = zero;
-            for k in lo..mhi {
+            for k in mlo..mhi {
                 let (c1, s1, r1) = lartg(d[k] * cs, e[k]);
                 cs = c1;
                 let sn = s1;
-                if k > lo {
+                if k > mlo {
                     e[k - 1] = oldsn * r1;
                 }
                 let (c2, s2, r2) = lartg(oldcs * r1, d[k + 1] * sn);
@@ -292,11 +292,11 @@ pub fn bdsqr<T: Scalar>(
                 let denom = delta.rabs() + delta.hypot(t12);
                 t22 - (t12 * t12 / denom).sign(delta)
             };
-            let mut f = d[lo] * d[lo] - mu;
-            let mut g = d[lo] * e[lo];
-            for k in lo..mhi {
+            let mut f = d[mlo] * d[mlo] - mu;
+            let mut g = d[mlo] * e[mlo];
+            for k in mlo..mhi {
                 let (c, s, r) = lartg(f, g);
-                if k > lo {
+                if k > mlo {
                     e[k - 1] = r;
                 }
                 // Right rotation on columns (k, k+1) of B.

@@ -38,7 +38,7 @@
 use crate::Priority;
 
 /// Number of [`crate::SolveOp`] service classes tracked.
-pub(crate) const CLASSES: usize = 3;
+pub(crate) const CLASSES: usize = 2;
 
 /// EWMA smoothing: new = old + (sample − old)/8.
 const EWMA_SHIFT: u32 = 3;
@@ -290,9 +290,9 @@ mod tests {
         assert_eq!(c.bound(1, Priority::High), 4);
         // The cap is a ceiling: 0.1ms service would allow 800.
         for _ in 0..64 {
-            c.note_service(2, MS / 10);
+            c.note_service(1, MS / 10);
         }
-        assert_eq!(c.bound(2, Priority::High), 64);
+        assert_eq!(c.bound(1, Priority::High), 64);
         // Priority weights shed Low first.
         assert!(c.bound(0, Priority::Low) < c.bound(0, Priority::Normal));
         assert!(c.bound(0, Priority::Normal) < c.bound(0, Priority::High));

@@ -17,7 +17,6 @@ use std::time::Instant;
 
 use la_core::abft::inject::{arm, CorruptKind, Corruption};
 use la_core::tune::TuneConfig;
-use la_core::Demote;
 use la_core::{RealScalar, Scalar};
 use la_lapack::max_abs1;
 
@@ -134,12 +133,12 @@ impl ChaosPlan {
 
     /// Applies `event` to `spec` (arming the global injector for
     /// [`ChaosEvent::SoftFault`]) and returns the spec to submit.
-    pub fn apply<T: Demote>(&mut self, event: ChaosEvent, mut spec: JobSpec<T>) -> JobSpec<T> {
+    pub fn apply<T: Scalar>(&mut self, event: ChaosEvent, mut spec: JobSpec<T>) -> JobSpec<T> {
         match event {
             ChaosEvent::Clean => spec,
             ChaosEvent::SoftFault => {
                 let routine = match spec.op {
-                    SolveOp::Gesv | SolveOp::GesvMixed => "getrf",
+                    SolveOp::Gesv => "getrf",
                     SolveOp::Posv(_) => "potrf",
                 };
                 let kind = if self.next_u64().is_multiple_of(2) {
@@ -219,7 +218,7 @@ pub fn chaos_tune() -> TuneConfig {
 /// independent wrongness check the soak applies to every *served* answer
 /// (`64·n·ε`, same bound the service's own verifier uses). The norms are
 /// [`la_lapack::max_abs1`], which keeps a NaN wherever it sits.
-pub fn answer_is_plausible<T: Demote>(
+pub fn answer_is_plausible<T: Scalar>(
     a: &la_core::Mat<T>,
     b: &la_core::Mat<T>,
     x: &la_core::Mat<T>,

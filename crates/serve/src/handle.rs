@@ -9,12 +9,12 @@ use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use la_core::cancel::CancelToken;
-use la_core::Demote;
+use la_core::Scalar;
 
 use crate::{handoff, Rejection, SolveOutput};
 
 /// The slot a worker fulfills and a caller drains.
-struct Slot<T: Demote> {
+struct Slot<T: Scalar> {
     result: Option<Result<SolveOutput<T>, Rejection>>,
     waker: Option<Waker>,
     /// A blocking waiter is inside `cv.wait` right now (a handle has at
@@ -24,7 +24,7 @@ struct Slot<T: Demote> {
 }
 
 /// Shared completion state between the service and the handle.
-pub(crate) struct Shared<T: Demote> {
+pub(crate) struct Shared<T: Scalar> {
     slot: Mutex<Slot<T>>,
     cv: Condvar,
     /// Set, under the slot lock, once `result` is stored: what
@@ -35,7 +35,7 @@ pub(crate) struct Shared<T: Demote> {
     pub(crate) parks: std::sync::atomic::AtomicUsize,
 }
 
-impl<T: Demote> Shared<T> {
+impl<T: Scalar> Shared<T> {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(Shared {
             slot: Mutex::new(Slot {
@@ -118,12 +118,12 @@ impl<T: Demote> Shared<T> {
 /// without the service carrying one. [`JobHandle::cancel`] requests
 /// cooperative cancellation of the job wherever it is (queued or at the
 /// next panel checkpoint).
-pub struct JobHandle<T: Demote> {
+pub struct JobHandle<T: Scalar> {
     pub(crate) shared: Arc<Shared<T>>,
     pub(crate) token: CancelToken,
 }
 
-impl<T: Demote> JobHandle<T> {
+impl<T: Scalar> JobHandle<T> {
     /// Requests cancellation: a queued job is rejected when it reaches a
     /// worker; an in-flight factorization abandons at its next panel
     /// checkpoint. The outcome becomes [`Rejection::DeadlineExceeded`].
@@ -197,7 +197,7 @@ impl<T: Demote> JobHandle<T> {
     }
 }
 
-impl<T: Demote> Future for JobHandle<T> {
+impl<T: Scalar> Future for JobHandle<T> {
     type Output = Result<SolveOutput<T>, Rejection>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
@@ -212,7 +212,7 @@ impl<T: Demote> Future for JobHandle<T> {
     }
 }
 
-impl<T: Demote> std::fmt::Debug for JobHandle<T> {
+impl<T: Scalar> std::fmt::Debug for JobHandle<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let done = self
             .shared

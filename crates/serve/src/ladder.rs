@@ -27,9 +27,6 @@
 //!   allocation failure, pinpointed non-finite) → definitive
 //!   [`Rejection::Failed`]; no retry can change the data.
 //!
-//! Mixed-precision non-convergence never reaches the ladder: the drivers
-//! fall back to the bitwise full-precision sequence internally.
-//!
 //! Every attempt runs on the calling worker's [`Scratch`]: the factor copy
 //! is refilled from the job's pristine `A` (attempts stay independent) and
 //! the residual check computes `b − A·x` through
@@ -40,7 +37,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use la_core::abft::AbftPolicy;
 use la_core::except::FpCheckPolicy;
-use la_core::Demote;
 use la_core::{cancel, ctx};
 use la_core::{LaError, Mat, RealScalar, Scalar, Uplo};
 use la_lapack::{max_abs1, residual_working, MixedOp};
@@ -50,7 +46,7 @@ use crate::{Rejection, ServeConfig, SolveOp, SolveOutput};
 /// A finished ladder run: the outcome plus whether any fault-class event
 /// (panic, soft fault, residual failure, NaN re-screen) occurred on the
 /// way — the input to the per-tenant fault streak.
-pub(crate) struct Attempted<T: Demote> {
+pub(crate) struct Attempted<T: Scalar> {
     pub outcome: Result<SolveOutput<T>, Rejection>,
     pub fault_seen: bool,
 }
@@ -64,12 +60,12 @@ const SCRATCH_KEEP_BYTES: usize = 1 << 20;
 /// One worker's reusable workspace: the factor copy every attempt
 /// overwrites and the residual vector of the answer check. Owned by the
 /// worker loop, so a job allocates only the `x` it returns.
-pub(crate) struct Scratch<T: Demote> {
+pub(crate) struct Scratch<T: Scalar> {
     af: Mat<T>,
     r: Vec<T>,
 }
 
-impl<T: Demote> Scratch<T> {
+impl<T: Scalar> Scratch<T> {
     pub(crate) fn new() -> Self {
         Scratch {
             af: Mat::zeros(0, 0),
@@ -89,30 +85,19 @@ impl<T: Demote> Scratch<T> {
 /// One solve attempt. The job's `a`/`b` stay pristine (attempts must be
 /// independent): the factor copy is refilled from `a` into the worker's
 /// scratch, and the only allocation is the `x` the caller receives.
-fn solve_once<T: Demote>(
+fn solve_once<T: Scalar>(
     op: SolveOp,
     a: &Mat<T>,
     b: &Mat<T>,
     af: &mut Mat<T>,
-) -> Result<(Mat<T>, i32), LaError> {
+) -> Result<Mat<T>, LaError> {
     af.clone_from(a);
+    let mut x = b.clone();
     match op {
-        SolveOp::Gesv => {
-            let mut x = b.clone();
-            la90::gesv(af, &mut x)?;
-            Ok((x, 0))
-        }
-        SolveOp::Posv(uplo) => {
-            let mut x = b.clone();
-            la90::posv_uplo(af, &mut x, uplo)?;
-            Ok((x, 0))
-        }
-        SolveOp::GesvMixed => {
-            let mut x = Mat::zeros(b.nrows(), b.ncols());
-            let iter = la90::gesv_mixed(af, b, &mut x)?;
-            Ok((x, iter))
-        }
+        SolveOp::Gesv => la90::gesv(af, &mut x)?,
+        SolveOp::Posv(uplo) => la90::posv_uplo(af, &mut x, uplo)?,
     }
+    Ok(x)
 }
 
 /// `max |a_ij|` (`abs1` moduli) over the part of `A` the op reads: all of it
@@ -157,7 +142,7 @@ fn residual_ok<T: Scalar>(op: SolveOp, a: &Mat<T>, b: &Mat<T>, x: &Mat<T>, r: &m
         return true;
     }
     let mop = match op {
-        SolveOp::Gesv | SolveOp::GesvMixed => MixedOp::Lu,
+        SolveOp::Gesv => MixedOp::Lu,
         SolveOp::Posv(uplo) => MixedOp::Chol(uplo),
     };
     if r.len() < n * nrhs {
@@ -202,7 +187,7 @@ fn residual_ok<T: Scalar>(op: SolveOp, a: &Mat<T>, b: &Mat<T>, x: &Mat<T>, r: &m
 /// Runs the ladder for one job on the worker's `scratch`. Assumes the
 /// caller has already installed the job's cancel token, probe scope and
 /// ABFT scope on this thread.
-pub(crate) fn run<T: Demote>(
+pub(crate) fn run<T: Scalar>(
     op: SolveOp,
     a: &Mat<T>,
     b: &Mat<T>,
@@ -261,7 +246,7 @@ pub(crate) fn run<T: Demote>(
                 }
                 other => return finish(Err(Rejection::Failed(other)), fault_seen),
             },
-            Ok(Ok((x, iter))) => {
+            Ok(Ok(x)) => {
                 if cfg.verify_residual && !residual_ok(op, a, b, &x, &mut scratch.r) {
                     fault_seen = true;
                     if attempts >= max {
@@ -278,7 +263,6 @@ pub(crate) fn run<T: Demote>(
                     return finish(
                         Ok(SolveOutput {
                             x,
-                            iter,
                             attempts,
                             degraded: attempts > 1,
                         }),
@@ -301,7 +285,7 @@ mod tests {
     }
 
     /// The ladder as the older tests call it: a fresh workspace per run.
-    fn run<T: Demote>(op: SolveOp, a: &Mat<T>, b: &Mat<T>, cfg: &ServeConfig) -> Attempted<T> {
+    fn run<T: Scalar>(op: SolveOp, a: &Mat<T>, b: &Mat<T>, cfg: &ServeConfig) -> Attempted<T> {
         super::run(op, a, b, cfg, &mut Scratch::new())
     }
 
@@ -319,10 +303,6 @@ mod tests {
         assert!(!out.degraded);
         assert!((out.x[(0, 0)] - 2.0).abs() < 1e-12);
         assert!((out.x[(1, 0)] - 1.0).abs() < 1e-12);
-        let att = run(SolveOp::GesvMixed, &a, &b, &cfg());
-        let out = att.outcome.unwrap();
-        assert!(!att.fault_seen);
-        assert!((out.x[(0, 0)] - 2.0).abs() < 1e-10);
     }
 
     #[test]
@@ -376,7 +356,7 @@ mod tests {
 
     #[test]
     fn residual_check_accepts_legitimate_answers() {
-        // A moderately conditioned 24×24 system through all four ops.
+        // A moderately conditioned 24×24 system through all three ops.
         let n = 24;
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
@@ -421,12 +401,11 @@ mod tests {
         }
         for op in [
             SolveOp::Gesv,
-            SolveOp::GesvMixed,
             SolveOp::Posv(la_core::Uplo::Upper),
             SolveOp::Posv(la_core::Uplo::Lower),
         ] {
             let m = match op {
-                SolveOp::Gesv | SolveOp::GesvMixed => &a,
+                SolveOp::Gesv => &a,
                 _ => &s,
             };
             let att = run(op, m, &b, &cfg());
@@ -458,7 +437,7 @@ mod tests {
         let mut r = b.clone();
         let rld = r.lda();
         match op {
-            SolveOp::Gesv | SolveOp::GesvMixed => la_blas::gemm(
+            SolveOp::Gesv => la_blas::gemm(
                 Trans::No,
                 Trans::No,
                 n,
@@ -520,16 +499,15 @@ mod tests {
         true
     }
 
-    const ALL_OPS: [SolveOp; 4] = [
+    const ALL_OPS: [SolveOp; 3] = [
         SolveOp::Gesv,
-        SolveOp::GesvMixed,
         SolveOp::Posv(Uplo::Upper),
         SolveOp::Posv(Uplo::Lower),
     ];
 
     fn stored_triangle(op: SolveOp) -> Option<Uplo> {
         match op {
-            SolveOp::Gesv | SolveOp::GesvMixed => None,
+            SolveOp::Gesv => None,
             SolveOp::Posv(uplo) => Some(uplo),
         }
     }

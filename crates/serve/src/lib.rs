@@ -37,15 +37,13 @@
 //!   [`Service`] docs): a detected soft fault (`−102`) retries under
 //!   [`la_core::abft::AbftPolicy::Recover`]; an un-pinpointed NaN/Inf
 //!   (`−101`) retries under the full [`la_core::except`] screen to name
-//!   the offending argument; mixed-precision non-convergence already
-//!   falls back to the bitwise full-precision sequence inside the driver.
-//!   Consecutive faulty jobs are counted per tenant
+//!   the offending argument. Consecutive faulty jobs are counted per tenant
 //!   ([`TenantReport::fault_streak`]).
 //! * **Answer verification** — completed solves are residual-checked
 //!   before they are returned: per column,
 //!   `‖b_j − A·x_j‖∞ ≤ 64·n·ε·(n·max|A|·‖x_j‖∞ + ‖b_j‖∞)`. The residual is
-//!   [`la_lapack::residual_working`] — the routine `gesv_mixed`'s
-//!   refinement uses: Level-2 per column up to two right-hand sides,
+//!   [`la_lapack::residual_working`]: Level-2 per column up to two
+//!   right-hand sides,
 //!   Level-3 above, the stored triangle only for the Cholesky op — written
 //!   into the worker's scratch vector, and the norms are
 //!   [`la_lapack::max_abs1`], whose NaN sticks wherever it sits. A failing
@@ -118,15 +116,11 @@ pub use handle::JobHandle;
 pub use service::{ServeStats, Service};
 pub use tenant::TenantReport;
 
-use la_core::{Demote, LaError, Mat, Uplo};
+use la_core::{LaError, Mat, Scalar, Uplo};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Which driver a job runs. The mixed variant takes the demoted-precision
-/// refinement path with the bitwise full-precision fallback built into
-/// the driver; the positive-definite solve has no mixed variant: a
-/// demoted Cholesky with refinement was slower than `posv` at every order
-/// measured, and was removed.
+/// Which driver a job runs.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum SolveOp {
     /// General `A·X = B` by LU with partial pivoting (`LA_GESV`).
@@ -134,8 +128,6 @@ pub enum SolveOp {
     /// Symmetric/Hermitian positive-definite `A·X = B` by Cholesky
     /// (`LA_POSV`), reading the given triangle.
     Posv(Uplo),
-    /// Mixed-precision general solve (`LA_GESV_MIXED`).
-    GesvMixed,
 }
 
 impl SolveOp {
@@ -144,7 +136,6 @@ impl SolveOp {
         match self {
             SolveOp::Gesv => "gesv",
             SolveOp::Posv(_) => "posv",
-            SolveOp::GesvMixed => "gesv_mixed",
         }
     }
 
@@ -153,7 +144,6 @@ impl SolveOp {
         match self {
             SolveOp::Gesv => 0,
             SolveOp::Posv(_) => 1,
-            SolveOp::GesvMixed => 2,
         }
     }
 }
@@ -191,7 +181,7 @@ impl Priority {
 /// serving metadata (tenant, deadline). Build with [`JobSpec::new`] and
 /// the chained setters.
 #[derive(Debug)]
-pub struct JobSpec<T: Demote> {
+pub struct JobSpec<T: Scalar> {
     pub(crate) op: SolveOp,
     pub(crate) a: Mat<T>,
     pub(crate) b: Mat<T>,
@@ -215,7 +205,7 @@ fn default_tenant() -> Arc<str> {
     Arc::clone(DEFAULT.get_or_init(|| Arc::from("default")))
 }
 
-impl<T: Demote> JobSpec<T> {
+impl<T: Scalar> JobSpec<T> {
     /// A request to solve `a·X = b` with `op`, for the default tenant,
     /// with no deadline of its own (the service default applies).
     pub fn new(op: SolveOp, a: Mat<T>, b: Mat<T>) -> Self {
@@ -290,13 +280,9 @@ impl<T: Demote> JobSpec<T> {
 
 /// A completed solve.
 #[derive(Debug)]
-pub struct SolveOutput<T: Demote> {
+pub struct SolveOutput<T: Scalar> {
     /// The solution `X` (`n × nrhs`).
     pub x: Mat<T>,
-    /// Mixed-path refinement iterations (`DSGESV` convention: ≥ 0 on the
-    /// low-precision path, negative when the driver fell back to full
-    /// precision). `0` for the direct operations.
-    pub iter: i32,
     /// Ladder attempts consumed (1 = clean first try).
     pub attempts: u32,
     /// `true` when the answer needed the degradation ladder (a retry

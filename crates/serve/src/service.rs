@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use la_core::cancel::{CancelToken, Heartbeat};
 use la_core::probe::Layer;
-use la_core::Demote;
+use la_core::Scalar;
 use la_core::{abft, ctx, probe, tune, Ctx};
 
 use crate::admission::{Controller, Verdict};
@@ -21,7 +21,7 @@ use crate::watchdog::{self, patrol, WorkerSlot};
 use crate::{handoff, ladder, JobHandle, JobSpec, Rejection, ServeConfig, TenantReport};
 
 /// One admitted, not-yet-processed job.
-struct Queued<T: Demote> {
+struct Queued<T: Scalar> {
     spec: JobSpec<T>,
     shared: Arc<Shared<T>>,
     token: CancelToken,
@@ -79,7 +79,7 @@ pub struct ServeStats {
     pub queued: usize,
 }
 
-struct Inner<T: Demote> {
+struct Inner<T: Scalar> {
     cfg: ServeConfig,
     workers: usize,
     queue: Mutex<VecDeque<Queued<T>>>,
@@ -111,7 +111,7 @@ struct Inner<T: Demote> {
     ctx: Ctx,
 }
 
-impl<T: Demote> Inner<T> {
+impl<T: Scalar> Inner<T> {
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
@@ -121,18 +121,18 @@ impl<T: Demote> Inner<T> {
 /// see [`ServeConfig`] for the knobs. Start one with [`Service::start`],
 /// feed it with [`Service::submit`], stop it with [`Service::shutdown`]
 /// (also run by `Drop`).
-pub struct Service<T: Demote> {
+pub struct Service<T: Scalar> {
     inner: Arc<Inner<T>>,
 }
 
 /// Counts a panic escaping the worker loop itself — by construction that
 /// should be impossible (every job runs under `catch_unwind`), and the
 /// chaos soak asserts the count stays zero.
-struct PoisonSentinel<T: Demote> {
+struct PoisonSentinel<T: Scalar> {
     inner: Arc<Inner<T>>,
 }
 
-impl<T: Demote> Drop for PoisonSentinel<T> {
+impl<T: Scalar> Drop for PoisonSentinel<T> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.inner
@@ -143,7 +143,7 @@ impl<T: Demote> Drop for PoisonSentinel<T> {
     }
 }
 
-impl<T: Demote> Service<T> {
+impl<T: Scalar> Service<T> {
     /// Starts the worker pool (and, when configured, the watchdog
     /// monitor) and returns the running service.
     ///
@@ -364,7 +364,7 @@ impl<T: Demote> Service<T> {
     }
 }
 
-fn tenant_mut<T: Demote, R>(
+fn tenant_mut<T: Scalar, R>(
     inner: &Inner<T>,
     tenant: &str,
     f: impl FnOnce(&mut TenantState) -> R,
@@ -379,7 +379,7 @@ fn tenant_mut<T: Demote, R>(
         .or_insert_with(TenantState::new))
 }
 
-impl<T: Demote> Drop for Service<T> {
+impl<T: Scalar> Drop for Service<T> {
     fn drop(&mut self) {
         self.shutdown();
     }
@@ -387,7 +387,7 @@ impl<T: Demote> Drop for Service<T> {
 
 /// Spawns worker `i` with the service's captured configuration installed
 /// — used both at start and for watchdog respawns.
-fn spawn_worker<T: Demote>(
+fn spawn_worker<T: Scalar>(
     inner: &Arc<Inner<T>>,
     i: usize,
     slot: Arc<WorkerSlot<T>>,
@@ -401,7 +401,7 @@ fn spawn_worker<T: Demote>(
 
 /// Spawns the watchdog monitor: samples the worker slots at a fraction
 /// of the stall budget, escalating silent jobs (cancel → respawn).
-fn spawn_watchdog<T: Demote>(inner: &Arc<Inner<T>>, stall: Duration) -> JoinHandle<()> {
+fn spawn_watchdog<T: Scalar>(inner: &Arc<Inner<T>>, stall: Duration) -> JoinHandle<()> {
     let inner = Arc::clone(inner);
     let sample = (stall / 4).clamp(Duration::from_millis(1), Duration::from_millis(50));
     std::thread::Builder::new()
@@ -448,7 +448,7 @@ fn spawn_watchdog<T: Demote>(inner: &Arc<Inner<T>>, stall: Duration) -> JoinHand
 /// down and the queue is empty. An empty queue is polled once per idle
 /// period (through the pending count, off the lock, while a core is spare —
 /// see [`crate::handoff`]) and then waited on.
-fn next_job<T: Demote>(inner: &Inner<T>) -> Option<Queued<T>> {
+fn next_job<T: Scalar>(inner: &Inner<T>) -> Option<Queued<T>> {
     let mut polled = false;
     let mut q = inner.queue.lock().unwrap_or_else(|e| e.into_inner());
     loop {
@@ -474,7 +474,7 @@ fn next_job<T: Demote>(inner: &Inner<T>) -> Option<Queued<T>> {
     }
 }
 
-fn worker_loop<T: Demote>(inner: Arc<Inner<T>>, slot: Arc<WorkerSlot<T>>) {
+fn worker_loop<T: Scalar>(inner: Arc<Inner<T>>, slot: Arc<WorkerSlot<T>>) {
     let _sentinel = PoisonSentinel {
         inner: Arc::clone(&inner),
     };
@@ -507,7 +507,7 @@ fn worker_loop<T: Demote>(inner: Arc<Inner<T>>, slot: Arc<WorkerSlot<T>>) {
 /// Runs one job through the full robustness pipeline and fulfills its
 /// handle. Never lets a panic escape: the outer `catch_unwind` is the
 /// job boundary the crate docs promise.
-fn process<T: Demote>(
+fn process<T: Scalar>(
     inner: &Arc<Inner<T>>,
     slot: &Arc<WorkerSlot<T>>,
     job: Queued<T>,
@@ -671,7 +671,7 @@ mod tests {
     use super::*;
     use crate::SolveOp;
     use la_core::abft::AbftPolicy;
-    use la_core::{mat, Mat};
+    use la_core::{mat, Mat, RealScalar};
     use std::time::Duration;
 
     fn spd(n: usize) -> (Mat<f64>, Mat<f64>) {
@@ -700,17 +700,39 @@ mod tests {
         (a, b)
     }
 
+    /// [`spd`] in the working type `T`: for a complex `T` each
+    /// off-diagonal pair takes the imaginary part `±v/2`, which keeps it
+    /// Hermitian and diagonally dominant.
+    fn spd_in<T: Scalar>(n: usize) -> (Mat<T>, Mat<T>) {
+        let (a, b) = spd(n);
+        let half = |v: f64| if T::IS_COMPLEX { v / 2.0 } else { 0.0 };
+        let re_im = |re: f64, im: f64| T::from_re_im(T::Real::from_f64(re), T::Real::from_f64(im));
+        let a = Mat::from_fn(n, n, |i, j| match i.cmp(&j) {
+            std::cmp::Ordering::Less => re_im(a[(i, j)], half(a[(i, j)])),
+            std::cmp::Ordering::Equal => re_im(a[(i, j)], 0.0),
+            std::cmp::Ordering::Greater => re_im(a[(i, j)], -half(a[(i, j)])),
+        });
+        (a, Mat::from_fn(n, 1, |i, _| re_im(b[(i, 0)], 0.0)))
+    }
+
     #[test]
     fn serves_all_three_ops_and_reports_stats() {
-        let svc: Service<f64> = Service::start(ServeConfig {
+        serves_all_three_ops::<f64>();
+        // The service asks only `T: Scalar`: single precision is served too.
+        serves_all_three_ops::<f32>();
+        serves_all_three_ops::<la_core::C32>();
+    }
+
+    fn serves_all_three_ops<T: Scalar>() {
+        let svc: Service<T> = Service::start(ServeConfig {
             workers: 2,
             ..ServeConfig::default()
         });
-        let (a, b) = spd(16);
+        let (a, b) = spd_in::<T>(16);
         let handles: Vec<_> = [
             SolveOp::Gesv,
             SolveOp::Posv(la_core::Uplo::Upper),
-            SolveOp::GesvMixed,
+            SolveOp::Posv(la_core::Uplo::Lower),
         ]
         .into_iter()
         .map(|op| {
@@ -721,13 +743,21 @@ mod tests {
         let mut xs = Vec::new();
         for h in handles {
             let out = h.wait().unwrap();
-            assert_eq!(out.attempts, 1);
+            // The residual check accepted the first answer.
+            assert_eq!((out.attempts, out.degraded), (1, false), "{}", T::PREFIX);
+            let ratio = la_verify::solve_ratio(&a, &out.x, &b).to_f64();
+            assert!(ratio < 30.0, "{}: solve ratio {ratio}", T::PREFIX);
             xs.push(out.x);
         }
         // All three ops solve the same SPD system: answers must agree.
+        let tol = T::Real::EPS.to_f64() * 1e3;
         for x in &xs[1..] {
             for i in 0..16 {
-                assert!((x[(i, 0)] - xs[0][(i, 0)]).abs() < 1e-8);
+                assert!(
+                    (x[(i, 0)] - xs[0][(i, 0)]).abs().to_f64() < tol,
+                    "{}",
+                    T::PREFIX
+                );
             }
         }
         let s = svc.stats();
@@ -785,13 +815,13 @@ mod tests {
             pred(s) || s.children.iter().any(|c| any(c, pred))
         }
         // The starting thread's call-tree state stays behind: a parked
-        // fault, the probe's `lo` tag and its job sink. A service takes
+        // fault, the probe's `abft` tag and its job sink. A service takes
         // its configuration, not the call tree it was started from.
         abft::clear_pending();
         abft::raise("hop-test", 7);
         let n = 48;
         let (svc, starter) = ctx::with(sentinel, || {
-            probe::with_lo(|| {
+            probe::with_abft(|| {
                 probe::job_scope(|| {
                     let svc: Service<f64> = Service::start(ServeConfig {
                         workers: 2,
@@ -822,9 +852,11 @@ mod tests {
             any(&spans[0], &|s| s.abft),
             "ABFT policy reached the worker"
         );
+        // The job's ABFT spans are its own verification sweeps; the job
+        // itself and its factorization are untagged.
         assert!(
-            !any(&spans[0], &|s| s.lo),
-            "the starter's lo tag reached the job"
+            !spans[0].abft && spans[0].find("getrf").is_some_and(|s| !s.abft),
+            "the starter's abft tag reached the job"
         );
         // The job's own sink took the job's work, and only once.
         assert_eq!(

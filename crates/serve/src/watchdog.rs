@@ -33,14 +33,14 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use la_core::cancel::{CancelToken, Heartbeat};
-use la_core::Demote;
+use la_core::Scalar;
 
 use crate::handle::Shared;
 use crate::Rejection;
 
 /// The registration a worker publishes while it holds one job, plus the
 /// watchdog's private bookkeeping against it.
-pub(crate) struct ActiveJob<T: Demote> {
+pub(crate) struct ActiveJob<T: Scalar> {
     /// Monotone per-service job number (never reused).
     pub(crate) job_id: u64,
     pub(crate) heartbeat: Heartbeat,
@@ -57,7 +57,7 @@ pub(crate) struct ActiveJob<T: Demote> {
 }
 
 /// One worker's mailbox to the watchdog.
-pub(crate) struct WorkerSlot<T: Demote> {
+pub(crate) struct WorkerSlot<T: Scalar> {
     current: Mutex<Option<ActiveJob<T>>>,
     /// Stage 2 happened while this worker held its job: the thread is
     /// written off (a replacement is running) and must exit at the next
@@ -66,7 +66,7 @@ pub(crate) struct WorkerSlot<T: Demote> {
     pub(crate) abandoned: AtomicBool,
 }
 
-impl<T: Demote> WorkerSlot<T> {
+impl<T: Scalar> WorkerSlot<T> {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(WorkerSlot {
             current: Mutex::new(None),
@@ -156,7 +156,7 @@ pub(crate) struct StuckEvent {
 /// One watchdog pass over the worker slots at time `now`, escalating
 /// anything silent longer than `stall`. Returns the stage-2 events; the
 /// caller respawns those workers and records the stats.
-pub(crate) fn patrol<T: Demote>(
+pub(crate) fn patrol<T: Scalar>(
     slots: &[Arc<WorkerSlot<T>>],
     stall: Duration,
     now: Instant,

@@ -502,54 +502,51 @@ fn nonfinite_policy_gating() {
     });
 }
 
+/// A refinement driver of `la90::mixed` under its routine name; every
+/// one takes its arguments in the order `(A, B, X)`.
+type Refiner = (
+    &'static str,
+    fn(&mut Mat<f64>, &Mat<f64>, &mut Mat<f64>) -> Result<la90::RfsxOut<f64>, LaError>,
+);
+
+const REFINERS: [Refiner; 3] = [
+    ("LA_GESVXX", |a, b, x| la90::gesvxx(a, b, x)),
+    ("LA_POSVXX", |a, b, x| la90::posvxx(a, b, x, Uplo::Upper)),
+    ("LA_POSVXX", |a, b, x| la90::posvxx(a, b, x, Uplo::Lower)),
+];
+
 #[test]
 fn mixed_driver_error_exits() {
-    // LA_GESV_MIXED argument order: (A, B, X, IPIV).
-    let mut a: Mat<f64> = Mat::zeros(3, 4); // not square → -1
-    let b = vec![0.0f64; 3];
-    let mut x = vec![0.0f64; 3];
-    expect_illegal(la90::gesv_mixed(&mut a, &b, &mut x), "LA_GESV_MIXED", 1);
-    let mut a: Mat<f64> = Mat::identity(4);
-    let b = vec![0.0f64; 3]; // wrong B rows → -2
-    let mut x = vec![0.0f64; 4];
-    expect_illegal(la90::gesv_mixed(&mut a, &b, &mut x), "LA_GESV_MIXED", 2);
-    let b = vec![0.0f64; 4];
-    let mut x = vec![0.0f64; 3]; // wrong X rows → -3
-    expect_illegal(la90::gesv_mixed(&mut a, &b, &mut x), "LA_GESV_MIXED", 3);
-    let bmat: Mat<f64> = Mat::zeros(4, 2);
-    let mut xmat: Mat<f64> = Mat::zeros(4, 3); // NRHS mismatch → -3
-    expect_illegal(
-        la90::gesv_mixed(&mut a, &bmat, &mut xmat),
-        "LA_GESV_MIXED",
-        3,
-    );
-    let mut x = vec![0.0f64; 4];
-    let mut piv = vec![0i32; 3]; // wrong IPIV length → -4
-    expect_illegal(
-        la90::gesv_mixed_ipiv(&mut a, &b, &mut x, &mut piv),
-        "LA_GESV_MIXED",
-        4,
-    );
+    for (name, solve) in REFINERS {
+        let mut a: Mat<f64> = Mat::zeros(3, 4); // not square → -1
+        let b: Mat<f64> = Mat::zeros(3, 1);
+        let mut x: Mat<f64> = Mat::zeros(3, 1);
+        expect_illegal(solve(&mut a, &b, &mut x), name, 1);
+        let mut a: Mat<f64> = Mat::identity(4);
+        let b: Mat<f64> = Mat::zeros(3, 1); // wrong B rows → -2
+        let mut x: Mat<f64> = Mat::zeros(4, 1);
+        expect_illegal(solve(&mut a, &b, &mut x), name, 2);
+        let b: Mat<f64> = Mat::zeros(4, 1);
+        let mut x: Mat<f64> = Mat::zeros(3, 1); // wrong X rows → -3
+        expect_illegal(solve(&mut a, &b, &mut x), name, 3);
+        let b: Mat<f64> = Mat::zeros(4, 2);
+        let mut x: Mat<f64> = Mat::zeros(4, 3); // NRHS mismatch → -3
+        expect_illegal(solve(&mut a, &b, &mut x), name, 3);
+    }
 }
 
 #[test]
 fn nonfinite_screening_mixed_drivers() {
     except::with_policy(FpCheckPolicy::ScanInputs, || {
-        let nan = f64::NAN;
-        // NaN in A is argument 1, NaN in B is argument 2 — same indices
-        // as the plain drivers, with X (argument 3) untouched by the scan.
-        let b = vec![0.0f64; 3];
-        let mut x = vec![0.0f64; 3];
-        expect_nonfinite(
-            la90::gesv_mixed(&mut nan_mat(3), &b, &mut x),
-            "LA_GESV_MIXED",
-            1,
-        );
-        let b = vec![0.0f64, nan, 0.0];
-        expect_nonfinite(
-            la90::gesv_mixed(&mut dd_mat(3), &b, &mut x),
-            "LA_GESV_MIXED",
-            2,
-        );
+        for (name, solve) in REFINERS {
+            // NaN in A is argument 1, NaN in B is argument 2 — same
+            // indices as the plain drivers, with X (argument 3) untouched
+            // by the scan.
+            let b: Mat<f64> = Mat::zeros(3, 1);
+            let mut x: Mat<f64> = Mat::zeros(3, 1);
+            expect_nonfinite(solve(&mut nan_mat(3), &b, &mut x), name, 1);
+            let b = Mat::from_col_major(3, 1, vec![0.0, f64::NAN, 0.0]);
+            expect_nonfinite(solve(&mut dd_mat(3), &b, &mut x), name, 2);
+        }
     });
 }

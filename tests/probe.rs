@@ -397,34 +397,40 @@ fn two_thread_gesv_records_one_tree_and_one_job_slice() {
 }
 
 #[test]
-fn two_thread_gesv_mixed_tags_every_demoted_step() {
+fn two_thread_getrf_tags_every_worker_step() {
+    // A frame tag set on the calling thread (here `with_abft`) reaches
+    // every worker of the task graph: each `lu_step` row carries it, and
+    // no untagged row appears.
     let _l = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     probe::reset();
 
     let n = 768usize;
-    probe::with_policy(ProbePolicy::Counters, || {
+    probe::with_policy(ProbePolicy::Spans, || {
         tune::with(two_threads(), || {
             let mut a = test_matrix(n, 12);
-            let b: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
-            let mut x = vec![0.0f64; n];
-            let iter = la90::gesv_mixed(&mut a, &b, &mut x).expect("gesv_mixed");
-            assert!(iter > 0, "expected the low-precision path, iter = {iter}");
+            let mut ipiv = vec![0i32; n];
+            let info = probe::with_abft(|| la_lapack::getrf(n, n, a.as_mut_slice(), n, &mut ipiv));
+            assert_eq!(info, 0);
         })
     });
 
     let report = probe::snapshot();
+    let dag = report.spans[0]
+        .find("getrf_dag")
+        .expect("n = 768 on two threads takes the graph");
+    assert_eq!(dag.dag.expect("graph shape").workers, 2);
     let steps: Vec<&CounterRow> = report
         .counters
         .iter()
         .filter(|r| r.routine == "lu_step")
         .collect();
-    assert!(!steps.is_empty(), "the demoted getrf records lu_step calls");
+    assert!(!steps.is_empty(), "the graph records lu_step calls");
     assert!(
-        steps.iter().all(|r| r.lo),
-        "an lu_step of the demoted factorization lost the lo tag: {steps:?}"
+        steps.iter().all(|r| r.abft),
+        "an lu_step of a worker lost the abft tag: {steps:?}"
     );
     assert!(report
         .counters
         .iter()
-        .any(|r| r.routine == "getrf_dag" && r.lo));
+        .any(|r| r.routine == "getrf_dag" && r.abft));
 }
