@@ -91,9 +91,10 @@
 //! one bound separates a 25 % slower Cholesky step (EXPERIMENTS.md,
 //! "One sweep per Cholesky step").
 //!
-//! Blocking parameters come from [`la_core::tune`]: a sweep over the
-//! cache blocking sets `TuneConfig::{gemm_mc, gemm_kc, gemm_nc}` in code
-//! (`tune::with`); they have no environment variable.
+//! Every row runs at the default cache blocking of [`la_core::tune`]
+//! (`TuneConfig::{gemm_mc, gemm_kc, gemm_nc}`, which have no environment
+//! variable); the binary sweeps none of them. To time another blocking,
+//! set those fields in code with `tune::with`.
 
 use la_bench::{bench_matrix, bench_spd, gate, Args};
 use la_blas::kernel::{kernel_for, with_narrow_simd, MicroKernel};

@@ -15,7 +15,8 @@
 //! arrival schedule, paced at 2× measured capacity (wedged workers and
 //! bursts injected on top with `--chaos`), runs against the fixed-depth
 //! queue bound and against target-delay (adaptive) admission, and both
-//! rows land in an `"overload"` JSON section. The same invariants apply,
+//! rows land in an `"overload"` JSON section, each with its shed count
+//! and served p99 per [`la_serve::Priority`]. The same invariants apply,
 //! plus: every *admitted* job must resolve. `--max-overload-p99-ratio R`
 //! (which implies `--overload`) exits 1 when the adaptive row's p99 is
 //! above `R` times the fixed row's: the same offered load in the same
@@ -477,11 +478,18 @@ mod overload {
         pub respawned: u64,
         pub p50_ms: f64,
         pub p99_ms: f64,
+        /// Arrivals shed and p99 of the served ones, per priority, in
+        /// [`PRIOS`] order: what the priority weights exist to shape.
+        pub by_priority: [(u64, f64); 3],
         pub goodput_jps: f64,
         pub wrong: u64,
         pub pool_poisonings: u64,
         pub unresolved: u64,
     }
+
+    /// Arrival priorities, in turn; also the order of
+    /// [`OverloadRow::by_priority`].
+    pub const PRIOS: [Priority; 3] = [Priority::Low, Priority::Normal, Priority::High];
 
     /// Median closed-loop solve latency on an idle one-worker service:
     /// the per-job service time the open-loop pacing is derived from.
@@ -574,23 +582,22 @@ mod overload {
         }
         let interval = Duration::from_secs_f64(service_ms / 1e3 / (workers as f64 * oversub));
         let offered_jps = 1.0 / interval.as_secs_f64();
-        const PRIOS: [Priority; 3] = [Priority::Low, Priority::Normal, Priority::High];
         // Handles stream to a concurrent collector that waits them in
         // admission (≈ completion) order *while the generator keeps
         // submitting* — waiting after the fact would fold the rest of
         // the submission window into every early job's measured latency.
         // Residual checks are deferred so the collector never lags the
         // completion rate.
-        let (tx, rx) = std::sync::mpsc::channel::<(Instant, la_serve::JobHandle<f64>)>();
-        let mut shed = 0u64;
+        let (tx, rx) = std::sync::mpsc::channel::<(Instant, usize, la_serve::JobHandle<f64>)>();
+        let mut shed = [0u64; 3];
         let t0 = Instant::now();
         let (served_outs, rejected, unresolved) = std::thread::scope(|s| {
             let collector = s.spawn(move || {
-                let mut outs: Vec<(f64, la_serve::SolveOutput<f64>)> = Vec::new();
+                let mut outs: Vec<(f64, usize, la_serve::SolveOutput<f64>)> = Vec::new();
                 let (mut rejected, mut unresolved) = (0u64, 0u64);
-                for (t, h) in rx {
+                for (t, prio, h) in rx {
                     match h.wait_for(Duration::from_secs(120)) {
-                        Ok(Ok(out)) => outs.push((t.elapsed().as_secs_f64() * 1e3, out)),
+                        Ok(Ok(out)) => outs.push((t.elapsed().as_secs_f64() * 1e3, prio, out)),
                         Ok(Err(_)) => rejected += 1,
                         Err(_) => unresolved += 1,
                     }
@@ -608,9 +615,10 @@ mod overload {
                     pace_until(next);
                 }
                 next += interval;
+                let prio = (i % 3) as usize;
                 #[cfg_attr(not(feature = "fault-inject"), allow(unused_mut))]
-                let mut spec = JobSpec::new(SolveOp::Gesv, gen.clone(), b.clone())
-                    .priority(PRIOS[(i % 3) as usize]);
+                let mut spec =
+                    JobSpec::new(SolveOp::Gesv, gen.clone(), b.clone()).priority(PRIOS[prio]);
                 #[cfg(feature = "fault-inject")]
                 if chaos && i % 2000 == 7 {
                     spec = spec.chaos_wedge(if i % 4000 == 7 {
@@ -620,9 +628,9 @@ mod overload {
                     });
                 }
                 match svc.submit(spec) {
-                    Ok(h) => tx.send((Instant::now(), h)).expect("collector alive"),
+                    Ok(h) => tx.send((Instant::now(), prio, h)).expect("collector alive"),
                     Err(Rejection::Overloaded { retry_after, .. }) => {
-                        shed += 1;
+                        shed[prio] += 1;
                         // The arrival is lost, but the hint must be sane.
                         assert!(
                             retry_after > Duration::ZERO,
@@ -639,8 +647,10 @@ mod overload {
         let served = served_outs.len() as u64;
         let mut wrong = 0u64;
         let mut lats: Vec<f64> = Vec::with_capacity(served_outs.len());
-        for (lat, out) in &served_outs {
+        let mut prio_lats: [Vec<f64>; 3] = Default::default();
+        for (lat, prio, out) in &served_outs {
             lats.push(*lat);
+            prio_lats[*prio].push(*lat);
             if !plausible(&gen, &b, &out.x) {
                 wrong += 1;
             }
@@ -648,6 +658,10 @@ mod overload {
         let stats = svc.stats();
         svc.shutdown();
         lats.sort_by(|x, y| x.partial_cmp(y).unwrap());
+        let by_priority = std::array::from_fn(|k| {
+            prio_lats[k].sort_by(|x, y| x.partial_cmp(y).unwrap());
+            (shed[k], percentile(&prio_lats[k], 0.99))
+        });
         OverloadRow {
             mode: if adaptive { "adaptive" } else { "fixed" },
             workers,
@@ -656,12 +670,13 @@ mod overload {
             offered_jps,
             jobs,
             served,
-            shed,
+            shed: shed.iter().sum(),
             rejected,
             stuck: stats.stuck,
             respawned: stats.respawned,
             p50_ms: percentile(&lats, 0.50),
             p99_ms: percentile(&lats, 0.99),
+            by_priority,
             goodput_jps: served as f64 / wall.max(1e-9),
             wrong,
             pool_poisonings: stats.pool_poisonings,
@@ -808,6 +823,9 @@ fn main() {
                 r.stuck,
                 r.respawned
             );
+            for (prio, (shed, p99)) in overload::PRIOS.iter().zip(r.by_priority) {
+                println!("    {:<7} shed {shed:<5} p99 {p99:8.3} ms", prio.as_str());
+            }
             if r.wrong > 0 {
                 eprintln!(
                     "  OVERLOAD VIOLATION ({}): {} wrong answer(s) served",
@@ -925,6 +943,16 @@ fn main() {
             j.field_uint("respawned", r.respawned);
             j.field_num("p50_ms", r.p50_ms);
             j.field_num("p99_ms", r.p99_ms);
+            j.key("by_priority");
+            j.begin_obj();
+            for (prio, (shed, p99)) in overload::PRIOS.iter().zip(r.by_priority) {
+                j.key(prio.as_str());
+                j.begin_obj();
+                j.field_uint("shed", shed);
+                j.field_num("p99_ms", p99);
+                j.end_obj();
+            }
+            j.end_obj();
             j.field_num("goodput_jps", r.goodput_jps);
             j.field_uint("wrong", r.wrong);
             j.field_uint("pool_poisonings", r.pool_poisonings);

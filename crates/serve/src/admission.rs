@@ -33,7 +33,11 @@
 //!
 //! Everything is driven by caller-supplied nanosecond timestamps — no
 //! clock reads, no sleeps — so the unit tests steer time directly and the
-//! service layer converts from one `Instant` epoch.
+//! service layer converts from one `Instant` epoch. The controller lives
+//! inside the service's queue lock, so admitting a job, noting its
+//! sojourn and noting a service time take no lock of their own. Its
+//! arithmetic saturates: a target delay near `u64::MAX` ns sizes the
+//! bound to the cap instead of overflowing.
 
 use crate::Priority;
 
@@ -59,9 +63,9 @@ pub(crate) enum Verdict {
     },
 }
 
-/// The controller. One per service, behind the service's queue lock
-/// discipline (the service wraps it in a `Mutex`); all methods take
-/// `now_ns`, a monotone nanosecond timestamp from an arbitrary epoch.
+/// The controller. One per service, kept beside the queue under its lock;
+/// the methods that roll the sojourn window take `now_ns`, a monotone
+/// nanosecond timestamp from an arbitrary epoch.
 #[derive(Debug)]
 pub(crate) struct Controller {
     workers: u64,
@@ -102,7 +106,7 @@ impl Controller {
     /// RTTs for the same reason — one service time of jitter must not
     /// flip the verdict).
     fn window_ns(&self) -> u64 {
-        (self.target_ns * 4).max(1_000_000)
+        self.target_ns.saturating_mul(4).max(1_000_000)
     }
 
     /// The service-time estimate for `class`: its own EWMA, the
@@ -129,14 +133,15 @@ impl Controller {
         };
         // Little's law: W workers drain W·T/s jobs within the target. The
         // floor is one job per worker, unless the cap is lower still.
-        let base = ((self.workers * self.target_ns) / s.max(1)) as usize;
+        let base = self.workers.saturating_mul(self.target_ns) / s.max(1);
+        let base = usize::try_from(base).unwrap_or(usize::MAX);
         let base = base.clamp((self.workers as usize).min(self.cap), self.cap);
         // Priority weights: High keeps the full bound; Normal and Low
         // shed earlier, and earlier still while the sojourn window says
         // the overload is sustained.
         let scaled = match priority {
             Priority::High => base,
-            Priority::Normal => base * 3 / 4,
+            Priority::Normal => base.saturating_mul(3) / 4,
             Priority::Low => base / 2,
         };
         let scaled = if self.overloaded && priority != Priority::High {
@@ -176,7 +181,7 @@ impl Controller {
         let s = self
             .service_estimate(class)
             .unwrap_or_else(|| self.target_ns.max(1_000_000));
-        (queue_len as u64 + 1) * s / self.workers
+        (queue_len as u64).saturating_add(1).saturating_mul(s) / self.workers
     }
 
     /// Records the queue sojourn of a job a worker just dequeued, and
@@ -197,7 +202,7 @@ impl Controller {
             return;
         }
         if self.window_end_ns == 0 {
-            self.window_end_ns = now_ns + self.window_ns();
+            self.window_end_ns = now_ns.saturating_add(self.window_ns());
             return;
         }
         if now_ns < self.window_end_ns {
@@ -207,7 +212,7 @@ impl Controller {
             .window_min_ns
             .take()
             .is_some_and(|min| min > self.target_ns);
-        self.window_end_ns = now_ns + self.window_ns();
+        self.window_end_ns = now_ns.saturating_add(self.window_ns());
     }
 
     /// Folds a completed job's service time into its class EWMA.
@@ -424,5 +429,27 @@ mod tests {
         // A fast class wants more than the cap, and gets the cap.
         c.note_service(1, 1_000);
         assert_eq!(c.bound(1, Priority::High), 2);
+    }
+
+    #[test]
+    fn a_huge_target_never_bounds_below_the_cap() {
+        // `W·T`, `(L+1)·s` and the window's end saturate instead of
+        // wrapping (or panicking in a debug build).
+        let mut c = Controller::new(4, 64, u64::MAX);
+        assert_eq!(c.bound(0, Priority::High), 64, "cold start");
+        let mut now = 0;
+        for service_ns in [1, 1_000, 3 * MS, 3_600_000 * MS] {
+            c.note_service(0, service_ns);
+            now += 10 * MS;
+            c.note_sojourn(service_ns, now);
+            assert_eq!(c.bound(0, Priority::High), 64, "service {service_ns} ns");
+            assert_eq!(c.bound(0, Priority::Normal), 48);
+            assert_eq!(c.bound(0, Priority::Low), 32);
+            assert_eq!(c.admit(0, Priority::High, 63, now), Verdict::Admit);
+            assert!(matches!(
+                c.admit(0, Priority::High, usize::MAX, now),
+                Verdict::Shed { bound: 64, retry_after_ns } if retry_after_ns > 0
+            ));
+        }
     }
 }

@@ -42,11 +42,12 @@ pub enum ChaosEvent {
     /// heartbeating, exercising the stuck-job watchdog (cooperative and
     /// hard flavors alternate via [`WedgeKind`]).
     WedgedWorker,
-    /// A generator-level event: the load generator submits the next few
-    /// jobs back-to-back with no pacing, exercising burst absorption
-    /// (the admission controller's min-over-window must *not* shed a
-    /// burst a bounded queue can drain). [`ChaosPlan::apply`] leaves the
-    /// spec untouched.
+    /// A generator-level event, for a load generator that paces its
+    /// arrivals: submit the next few jobs back-to-back. [`ChaosPlan::apply`]
+    /// leaves the spec untouched, so a closed-loop client (the
+    /// `serve_load --chaos` soak, `tests/serve.rs`) submits it as a clean
+    /// job; `serve_load --overload --chaos` injects its bursts on a fixed
+    /// schedule of its own.
     Burst,
 }
 

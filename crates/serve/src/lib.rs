@@ -15,10 +15,13 @@
 //!   immediately with a typed [`Rejection::Overloaded`], never blocked.
 //!   With a [`ServeConfig::target_delay`] set the bound turns *adaptive*:
 //!   per-class service-time EWMAs size the effective bound from Little's
-//!   law, a CoDel-style minimum-sojourn window distinguishes sustained
-//!   overload from absorbable bursts, sheds carry a computed
+//!   law, a CoDel-style minimum-sojourn window tells sustained overload
+//!   from absorbable bursts and halves the sub-`High` bounds during the
+//!   former, sheds carry a computed
 //!   `retry_after` hint, and [`Priority`]-weighted shedding degrades
-//!   paying traffic last.
+//!   paying traffic last. The controller shares the queue's lock: a job's
+//!   admission, its sojourn and its service time take no lock of their
+//!   own.
 //! * **Stuck-job watchdog** — with [`ServeConfig::watchdog`] set, a
 //!   monitor samples per-worker heartbeats (stamped for free at the
 //!   cancellation checkpoints the factorizations already poll) and walks
@@ -33,11 +36,13 @@
 //!   it fails (or retries) *that job* and never poisons the pool. A
 //!   sentinel counts any panic that would escape a worker thread;
 //!   the chaos soak asserts the count stays zero.
-//! * **Retry with degradation** — the ladder in [`mod@self`] (see
-//!   [`Service`] docs): a detected soft fault (`−102`) retries under
-//!   [`la_core::abft::AbftPolicy::Recover`]; an un-pinpointed NaN/Inf
-//!   (`−101`) retries under the full [`la_core::except`] screen to name
-//!   the offending argument. Consecutive faulty jobs are counted per tenant
+//! * **Retry with degradation** — one rule: a detected soft fault
+//!   (`−102`), a panic or a wrong answer re-runs the solve under the job's
+//!   own policy, up to [`ServeConfig::max_attempts`]. A non-finite answer
+//!   is attributed by screening the job's own `A`, then `B`, and rejected
+//!   as la90's [`la_core::except`] screen would reject it
+//!   (`NonFinite`, `−101`, naming the argument) without a second
+//!   factorization. Consecutive faulty jobs are counted per tenant
 //!   ([`TenantReport::fault_streak`]).
 //! * **Answer verification** — completed solves are residual-checked
 //!   before they are returned: per column,
@@ -285,9 +290,9 @@ pub struct SolveOutput<T: Scalar> {
     pub x: Mat<T>,
     /// Ladder attempts consumed (1 = clean first try).
     pub attempts: u32,
-    /// `true` when the answer needed the degradation ladder (a retry
-    /// under `Recover`, a re-run after a wrong answer, or a re-pinpointing
-    /// pass) — the serving analog of a corrected error.
+    /// `true` when the answer needed the degradation ladder (a re-run
+    /// after a soft fault, a panic or a wrong answer) — the serving analog
+    /// of a corrected error.
     pub degraded: bool,
 }
 

@@ -29,6 +29,14 @@ struct Queued<T: Scalar> {
     enqueued_ns: u64,
 }
 
+/// What the queue lock guards: the admitted jobs and the admission
+/// controller that decides who joins them (clock-free; the service feeds
+/// it nanoseconds from `Inner::epoch`).
+struct Queue<T: Scalar> {
+    jobs: VecDeque<Queued<T>>,
+    admission: Controller,
+}
+
 #[derive(Default)]
 struct Stats {
     submitted: AtomicU64,
@@ -82,7 +90,7 @@ pub struct ServeStats {
 struct Inner<T: Scalar> {
     cfg: ServeConfig,
     workers: usize,
-    queue: Mutex<VecDeque<Queued<T>>>,
+    queue: Mutex<Queue<T>>,
     cv: Condvar,
     /// Jobs in `queue`, kept beside it (written under its lock) so an idle
     /// worker can poll for work, and `stats()` can report the depth,
@@ -94,10 +102,7 @@ struct Inner<T: Scalar> {
     shutdown: AtomicBool,
     stats: Stats,
     tenants: Mutex<BTreeMap<String, TenantState>>,
-    /// Adaptive admission controller (clock-free; the service feeds it
-    /// nanoseconds from `epoch`).
-    admission: Mutex<Controller>,
-    /// The `now_ns` epoch for the controller's timestamps.
+    /// The `now_ns` epoch for the admission controller's timestamps.
     epoch: Instant,
     /// One watchdog mailbox per live worker, index-aligned with the pool.
     slots: Mutex<Vec<Arc<WorkerSlot<T>>>>,
@@ -165,20 +170,24 @@ impl<T: Scalar> Service<T> {
             max_attempts: cfg.max_attempts.max(1),
             ..cfg
         };
-        let target_ns = cfg.target_delay.map(|d| d.as_nanos() as u64).unwrap_or(0);
+        let target_ns = cfg
+            .target_delay
+            .map_or(0, |d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
         let admission = Controller::new(workers, cfg.queue_depth, target_ns);
         let watchdog = cfg.watchdog;
         let inner = Arc::new(Inner {
             cfg,
             workers,
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                admission,
+            }),
             cv: Condvar::new(),
             pending: AtomicUsize::new(0),
             parked: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             stats: Stats::default(),
             tenants: Mutex::new(BTreeMap::new()),
-            admission: Mutex::new(admission),
             epoch: Instant::now(),
             slots: Mutex::new(Vec::new()),
             threads: Mutex::new(Vec::new()),
@@ -234,13 +243,11 @@ impl<T: Scalar> Service<T> {
                 return Err(Rejection::ShuttingDown);
             }
             let now_ns = self.inner.now_ns();
-            let verdict = self
-                .inner
+            let len = q.jobs.len();
+            match q
                 .admission
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .admit(spec.op.class(), spec.priority, q.len(), now_ns);
-            match verdict {
+                .admit(spec.op.class(), spec.priority, len, now_ns)
+            {
                 Verdict::Admit => {}
                 Verdict::Shed {
                     bound,
@@ -255,14 +262,14 @@ impl<T: Scalar> Service<T> {
                     });
                 }
             }
-            q.push_back(Queued {
+            q.jobs.push_back(Queued {
                 spec,
                 shared: Arc::clone(&shared),
                 token: token.clone(),
                 job_id: self.inner.job_seq.fetch_add(1, Ordering::Relaxed),
                 enqueued_ns: now_ns,
             });
-            self.inner.pending.store(q.len(), Ordering::Relaxed);
+            self.inner.pending.store(q.jobs.len(), Ordering::Relaxed);
             handoff::job_admitted();
             // A polling worker sees `pending`; only a parked one needs the
             // wake-up (both counts are exact under this lock).
@@ -283,7 +290,7 @@ impl<T: Scalar> Service<T> {
         let drained: Vec<Queued<T>> = {
             let mut q = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
             self.inner.pending.store(0, Ordering::Relaxed);
-            q.drain(..).collect()
+            q.jobs.drain(..).collect()
         };
         // After the lock, not before it: a worker that read the flag as
         // unset did so under the queue lock and has let go of it only by
@@ -445,15 +452,24 @@ fn spawn_watchdog<T: Scalar>(inner: &Arc<Inner<T>>, stall: Duration) -> JoinHand
 }
 
 /// The next job for an idle worker, or `None` once the service is shutting
-/// down and the queue is empty. An empty queue is polled once per idle
-/// period (through the pending count, off the lock, while a core is spare —
-/// see [`crate::handoff`]) and then waited on.
-fn next_job<T: Scalar>(inner: &Inner<T>) -> Option<Queued<T>> {
+/// down and the queue is empty. The worker's last `served` job — its class
+/// and service time — and the queue sojourn of the job it takes reach the
+/// admission controller under this one lock acquisition: a sample lands
+/// just after its answer was handed back. An empty queue is polled once
+/// per idle period (through the pending count, off the lock, while a core
+/// is spare — see [`crate::handoff`]) and then waited on.
+fn next_job<T: Scalar>(inner: &Inner<T>, served: Option<(usize, u64)>) -> Option<Queued<T>> {
     let mut polled = false;
     let mut q = inner.queue.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some((class, service_ns)) = served {
+        q.admission.note_service(class, service_ns);
+    }
     loop {
-        if let Some(job) = q.pop_front() {
-            inner.pending.store(q.len(), Ordering::Relaxed);
+        if let Some(job) = q.jobs.pop_front() {
+            inner.pending.store(q.jobs.len(), Ordering::Relaxed);
+            let now_ns = inner.now_ns();
+            q.admission
+                .note_sojourn(now_ns.saturating_sub(job.enqueued_ns), now_ns);
             return Some(job);
         }
         if inner.shutdown.load(Ordering::Acquire) {
@@ -481,22 +497,16 @@ fn worker_loop<T: Scalar>(inner: Arc<Inner<T>>, slot: Arc<WorkerSlot<T>>) {
     // The factor copy and the residual vector, reused across this worker's
     // jobs and their ladder attempts.
     let mut scratch = Scratch::new();
+    let mut served = None;
     loop {
         // A stage-2 escalation wrote this worker off (a replacement is
         // already running): exit without touching the queue.
         if slot.abandoned.load(Ordering::Acquire) {
             return;
         }
-        match next_job(&inner) {
+        match next_job(&inner, served.take()) {
             Some(job) => {
-                // Queue sojourn feeds the CoDel window.
-                let now_ns = inner.now_ns();
-                inner
-                    .admission
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .note_sojourn(now_ns.saturating_sub(job.enqueued_ns), now_ns);
-                process(&inner, &slot, job, &mut scratch);
+                served = process(&inner, &slot, job, &mut scratch);
                 scratch.trim();
             }
             None => return,
@@ -506,13 +516,14 @@ fn worker_loop<T: Scalar>(inner: Arc<Inner<T>>, slot: Arc<WorkerSlot<T>>) {
 
 /// Runs one job through the full robustness pipeline and fulfills its
 /// handle. Never lets a panic escape: the outer `catch_unwind` is the
-/// job boundary the crate docs promise.
+/// job boundary the crate docs promise. Returns a served job's class and
+/// service time, the sample the admission bound is sized from.
 fn process<T: Scalar>(
     inner: &Arc<Inner<T>>,
     slot: &Arc<WorkerSlot<T>>,
     job: Queued<T>,
     scratch: &mut Scratch<T>,
-) {
+) -> Option<(usize, u64)> {
     let Queued {
         spec,
         shared,
@@ -530,7 +541,7 @@ fn process<T: Scalar>(
         tenant_mut(inner, &spec.tenant, |t| t.record_rejected(false));
         handoff::job_finished();
         shared.fulfill(Err(Rejection::DeadlineExceeded));
-        return;
+        return None;
     }
     let workers = inner.workers;
     let cfg = &inner.cfg;
@@ -583,7 +594,7 @@ fn process<T: Scalar>(
     // fulfillment is guaranteed to win, so stats may land first and a
     // waiter that sees the outcome also sees them counted.
     let escalated = match slot.finish(job_id) {
-        watchdog::Finished::TakenByStage2 => return,
+        watchdog::Finished::TakenByStage2 => return None,
         watchdog::Finished::Escalated(stalled_for) => Some(stalled_for),
         watchdog::Finished::Normal => None,
     };
@@ -597,7 +608,7 @@ fn process<T: Scalar>(
             tenant_mut(inner, &spec.tenant, |t| t.record_rejected(true));
             shared.fulfill(Err(Rejection::Panicked { attempts: 1 }));
         }
-        Ok((att, rows)) => {
+        Ok((outcome, rows)) => {
             // The job's probe rows and its outcome reach the tenant's books
             // under one lock.
             let book = |outcome: &dyn Fn(&mut TenantState)| {
@@ -606,20 +617,16 @@ fn process<T: Scalar>(
                     outcome(t)
                 })
             };
-            match att.outcome {
+            match outcome {
                 Ok(out) => {
-                    // Completed service times feed the per-class EWMA
-                    // the admission bound is derived from.
-                    {
-                        let mut adm = inner.admission.lock().unwrap_or_else(|e| e.into_inner());
-                        adm.note_service(spec.op.class(), started.elapsed().as_nanos() as u64);
-                    }
+                    let service_ns = started.elapsed().as_nanos() as u64;
                     inner.stats.completed.fetch_add(1, Ordering::Relaxed);
                     if out.degraded {
                         inner.stats.degraded.fetch_add(1, Ordering::Relaxed);
                     }
-                    book(&|t| t.record_completed(att.fault_seen));
+                    book(&|t| t.record_completed(out.degraded));
                     shared.fulfill(Ok(out));
+                    return Some((spec.op.class(), service_ns));
                 }
                 Err(rej) => {
                     // An escalated job that honoured the stage-1 cancel
@@ -664,6 +671,7 @@ fn process<T: Scalar>(
             }
         }
     }
+    None
 }
 
 #[cfg(test)]
@@ -1051,11 +1059,14 @@ mod tests {
             ..ServeConfig::default()
         });
         let (a, b) = spd(48);
-        // Seed the service-time EWMA with one completion.
+        // Seed the service-time EWMA with one completion. The worker
+        // notes it when it next takes the queue lock: once it is parked,
+        // it has.
         svc.submit(JobSpec::new(SolveOp::Gesv, a.clone(), b.clone()))
             .unwrap()
             .wait()
             .unwrap();
+        await_parked(&svc, 1);
         // Occupy the worker so the queue cannot drain under us.
         let (ba, bb) = spd(384);
         let blocker = svc.submit(JobSpec::new(SolveOp::Gesv, ba, bb)).unwrap();
@@ -1101,11 +1112,13 @@ mod tests {
             ..ServeConfig::default()
         });
         let (a, b) = spd(24);
-        // One completion gives the controller a service time to size from.
+        // One completion gives the controller a service time to size from,
+        // noted by the time its worker parks.
         svc.submit(JobSpec::new(SolveOp::Gesv, a.clone(), b.clone()))
             .unwrap()
             .wait()
             .unwrap();
+        await_parked(&svc, 4);
         let mut admitted = Vec::new();
         for _ in 0..8 {
             match svc.submit(JobSpec::new(SolveOp::Gesv, a.clone(), b.clone())) {
@@ -1121,6 +1134,28 @@ mod tests {
             h.wait().unwrap();
         }
         assert_eq!(svc.stats().pool_poisonings, 0);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn the_longest_target_delay_admits_like_the_cap() {
+        // `Duration::MAX` is past `u64::MAX` ns: the conversion and the
+        // controller's products saturate, where they used to wrap or, in a
+        // debug build, panic inside `submit`.
+        let svc: Service<f64> = Service::start(ServeConfig {
+            workers: 1,
+            target_delay: Some(Duration::MAX),
+            ..ServeConfig::default()
+        });
+        let (a, b) = spd(24);
+        for _ in 0..3 {
+            svc.submit(JobSpec::new(SolveOp::Gesv, a.clone(), b.clone()))
+                .expect("a job is admitted")
+                .wait()
+                .unwrap();
+        }
+        let s = svc.stats();
+        assert_eq!((s.completed, s.shed), (3, 0));
         svc.shutdown();
     }
 

@@ -5,8 +5,8 @@ use la_core::probe::{CounterRow, Layer};
 /// Mutable per-tenant state the service keeps under its tenants lock.
 #[derive(Debug)]
 pub(crate) struct TenantState {
-    /// Consecutive faulty jobs (panic / soft fault / residual failure /
-    /// re-screened NaN). A clean completion resets it.
+    /// Consecutive faulty jobs (panic / soft fault / residual failure).
+    /// A clean completion resets it.
     streak: u32,
     completed: u64,
     rejected: u64,

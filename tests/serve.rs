@@ -110,7 +110,7 @@ fn served_fault_is_attributed_to_the_job_it_struck() {
         if j == struck[0] {
             assert_eq!(
                 out.attempts, 2,
-                "detected under Verify, retried under Recover"
+                "detected under Verify, re-run under the job's own policy"
             );
         } else {
             assert_eq!(out.attempts, 1, "job {j} is a clean first try");
