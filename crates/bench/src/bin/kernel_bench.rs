@@ -30,9 +30,9 @@
 //!
 //! and prints wall-clock and GF/s. Generates the kernel tables in
 //! `EXPERIMENTS.md`. Best of at least 3 repetitions and 0.2 s per point.
-//! The `simd` row only appears when the binary is built with `--features
-//! simd` (otherwise the Simd selection would silently fall back to the
-//! unrolled kernel and mislabel the row).
+//! The `simd` row only appears on a host with a SIMD tier (an x86-64 CPU
+//! with AVX2+FMA); elsewhere the Simd selection falls back to the unrolled
+//! kernel and would mislabel the row.
 //!
 //! Then, under the default kernel and one thread, with the calls of each
 //! group taking turns for at least [`MIN_SECS`] (best time each):
@@ -64,7 +64,7 @@
 //!
 //! * `--min-trsm-over-gemm R`: the smaller of `dtrsm` 256 × 1024 L/N/unit
 //!   and U/T/non-unit over `dgemm` 256 × 1024 × 256, taking turns (needs
-//!   `simd`) — the unit form alone never applies a pivot, so a slower
+//!   a SIMD tier) — the unit form alone never applies a pivot, so a slower
 //!   non-unit substitution would pass it;
 //! * `--min-panel-over-rank1 R`: the smaller of `dgetf2` 96 × 32 and
 //!   32 × 32 over the rank-1 loop, on the widest tier (the other panel rows
@@ -75,10 +75,10 @@
 //!   speed-ups over the left-looking loop;
 //! * `--min-packed-over-reference R`: `dgemm` n = 256 over [`gemm_axpy`];
 //! * `--min-avx512-over-avx2 R`: the f64 AVX-512 tile's `gemm` n = 256
-//!   speed-up over the AVX2 tile (needs `simd`; prints `skipped: no
-//!   avx512f` and passes on a host without it) — what a silent fallback
-//!   to the AVX2 tile fails, while every ratio to gemm would pass (the f32
-//!   row is printed, ungated);
+//!   speed-up over the AVX2 tile (needs a SIMD tier; prints `skipped: no
+//!   avx512f` and passes on a host without AVX-512F) — what a silent
+//!   fallback to the AVX2 tile fails, while every ratio to gemm would pass
+//!   (the f32 row is printed, ungated);
 //! * `--min-factor-over-gemm R`: the smaller of `dgetrf`'s and `dpotrf`'s
 //!   rate over `dgemm`'s at n = 1024;
 //! * `--max-abft-overhead R`: the largest verify/off ratio at n = 1024.
@@ -240,6 +240,12 @@ fn reference_row() -> f64 {
         t[1] / t[0]
     );
     t[1] / t[0]
+}
+
+/// Whether the host runs a `simd` tier (an x86-64 CPU with AVX2+FMA):
+/// elsewhere `simd` resolves to the unrolled kernel.
+fn host_has_simd() -> bool {
+    kernel_for::<f64>(GemmKernel::Simd).name() == "simd"
 }
 
 /// Whether the host runs two `simd` tiers: `simd` resolves to a wider
@@ -859,8 +865,8 @@ fn main() {
         ("--min-trsm-over-gemm", min_trsm.is_some()),
         ("--min-avx512-over-avx2", min_tier.is_some()),
     ] {
-        if asked && !cfg!(feature = "simd") {
-            eprintln!("error: {flag} rates the simd kernel: build with --features simd");
+        if asked && !host_has_simd() {
+            eprintln!("error: {flag} rates the simd kernel: this host has no SIMD tier");
             std::process::exit(2);
         }
     }
@@ -868,7 +874,7 @@ fn main() {
         sizes = vec![256, 512, 1024];
     }
     let mut kernels = vec![GemmKernel::Scalar, GemmKernel::Unrolled];
-    if cfg!(feature = "simd") {
+    if host_has_simd() {
         kernels.push(GemmKernel::Simd);
     }
     kernels.push(GemmKernel::Auto);

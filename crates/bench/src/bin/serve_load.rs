@@ -260,7 +260,7 @@ mod chaos_run {
 
     pub struct ChaosOutcome {
         pub row: SweepRow,
-        pub events: [(&'static str, u64); 7],
+        pub events: [(&'static str, u64); 6],
         pub rejections: Vec<(&'static str, u64)>,
         pub degraded: u64,
         pub panics_isolated: u64,
@@ -296,10 +296,10 @@ mod chaos_run {
         const OPS: [SolveOp; 2] = [SolveOp::Gesv, SolveOp::Posv(la_core::Uplo::Upper)];
         let t0 = Instant::now();
         let per_client = jobs / clients as u64;
-        type ClientOut = (Vec<f64>, u64, [u64; 7], Vec<(&'static str, u64)>, Vec<f64>);
+        type ClientOut = (Vec<f64>, u64, [u64; 6], Vec<(&'static str, u64)>, Vec<f64>);
         let (mut lats, mut wrong) = (Vec::new(), 0u64);
         let mut panic_lats: Vec<f64> = Vec::new();
-        let mut events = [0u64; 7];
+        let mut events = [0u64; 6];
         let mut rej_kinds: std::collections::BTreeMap<&'static str, u64> = Default::default();
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..clients)
@@ -310,7 +310,7 @@ mod chaos_run {
                         let mut plan = ChaosPlan::new(seed.wrapping_add(ci as u64));
                         let mut lats = Vec::new();
                         let mut wrong = 0u64;
-                        let mut events = [0u64; 7];
+                        let mut events = [0u64; 6];
                         let mut rejs: Vec<(&'static str, u64)> = Vec::new();
                         let mut panic_lats: Vec<f64> = Vec::new();
                         let bump = |rejs: &mut Vec<(&'static str, u64)>, k| match rejs
@@ -334,7 +334,6 @@ mod chaos_run {
                                 ChaosEvent::Poison => 3,
                                 ChaosEvent::PastDeadline => 4,
                                 ChaosEvent::WedgedWorker => 5,
-                                ChaosEvent::Burst => 6,
                             }] += 1;
                             let spec = plan.apply(
                                 ev,
@@ -429,7 +428,6 @@ mod chaos_run {
                 ("poison", events[3]),
                 ("past_deadline", events[4]),
                 ("wedged_worker", events[5]),
-                ("burst", events[6]),
             ],
             rejections: rej_kinds.into_iter().collect(),
             degraded: stats.degraded,

@@ -16,15 +16,17 @@
 //! * [`Unrolled`] — an explicitly unrolled register tile, generic over the
 //!   scalar type. Performs the *same additions in the same order* as
 //!   `RefKernel`, so the two are bitwise identical.
-//! * the `simd` kernels — x86-64 vectorized tiles for the real types
-//!   (behind the `simd` cargo feature), in two tiers: AVX-512F `zmm` tiles
+//! * the `simd` kernels — x86-64 vectorized tiles for the real types,
+//!   compiled into every x86-64 build, in two tiers: AVX-512F `zmm` tiles
 //!   (f64 16×8, f32 16×16) on a CPU with AVX-512F, else AVX2+FMA `ymm`
 //!   tiles (f64 8×4, f32 16×4). FMA contracts the multiply-add rounding,
 //!   so their results differ from the scalar kernels by a few ulps.
 //!   [`kernel_for`] picks the widest tier the CPU runs, once per
-//!   [`PackedPlan`], after checking the scalar type; complex types and
-//!   other hosts get the unrolled kernel, so selecting `simd` is always
-//!   safe and nothing is re-tested per tile.
+//!   [`PackedPlan`], after checking the scalar type; complex types, other
+//!   targets and x86-64 CPUs without AVX2+FMA get the unrolled kernel, so
+//!   selecting `simd` is always safe and nothing is re-tested per tile.
+//!   The CPU picks the tier, not the build: `LA_GEMM_KERNEL=unrolled` gives
+//!   the same bits on every target.
 //!
 //! The scalar, unrolled and AVX2 kernels share one tile shape per scalar
 //! type ([`tile_dims`]); the AVX-512 tiles are wider. Nothing outside a
@@ -471,7 +473,7 @@ impl<T: Scalar, const MR: usize, const NR: usize> MicroKernel<T> for Unrolled<MR
 /// The CPU check of the AVX2 tier: everything compiled with
 /// `#[target_feature(enable = "avx2,fma")]` is called only behind it (the
 /// standard library caches the detection, so asking again is two loads).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 pub(crate) fn host_has_avx2_fma() -> bool {
     std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
 }
@@ -480,7 +482,7 @@ pub(crate) fn host_has_avx2_fma() -> bool {
 /// (`Simd<true>`) and AVX2+FMA (`Simd<false>`). Both are private to this
 /// module and [`tiers`] hands one out only after its CPU check, which is
 /// what makes the `target_feature` calls behind its methods sound.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod simd {
     use super::{
         check_tile, full_or_edge, solve_tile_at, MicroKernel, Pivots, Scalar, SolveTile, MAX_TILE,
@@ -1071,7 +1073,7 @@ mod simd {
 /// other threads resolves its plans there to the widest tier.
 #[doc(hidden)]
 pub fn with_narrow_simd<R>(f: impl FnOnce() -> R) -> R {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     let _pin = simd::Pinned::pin(simd::Pin::Narrow);
     f()
 }
@@ -1082,7 +1084,7 @@ pub fn with_narrow_simd<R>(f: impl FnOnce() -> R) -> R {
 /// [`with_narrow_simd`].
 #[doc(hidden)]
 pub fn with_no_simd<R>(f: impl FnOnce() -> R) -> R {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     let _pin = simd::Pinned::pin(simd::Pin::Generic);
     f()
 }
@@ -1098,7 +1100,7 @@ pub(crate) trait Leaf {
     fn run(self) -> Self::Out;
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 pub(crate) use simd::leaf_tier;
 
 /// Runs `leaf` as compiled for the widest SIMD tier this thread may use —
@@ -1107,7 +1109,7 @@ pub(crate) use simd::leaf_tier;
 /// never asks for a fused multiply-add, so only the vector width changes,
 /// not the bits.
 pub(crate) fn on_tier<L: Leaf>(leaf: L) -> L::Out {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     match simd::leaf_tier() {
         // SAFETY: `leaf_tier` names a tier only on a host that has its
         // features.
@@ -1119,14 +1121,14 @@ pub(crate) fn on_tier<L: Leaf>(leaf: L) -> L::Out {
     leaf.run()
 }
 
-/// The SIMD kernels the host runs for `T`, widest first; empty without
-/// the `simd` feature, on other CPUs and for complex types. Every kernel
-/// contract in the tests runs on each of them.
+/// The SIMD kernels the host runs for `T`, widest first; empty on other
+/// targets, on x86-64 CPUs without AVX2+FMA and for complex types. Every
+/// kernel contract in the tests runs on each of them.
 #[cfg(test)]
 pub(crate) fn simd_kernels<T: Scalar>() -> Vec<&'static dyn MicroKernel<T>> {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     return simd::tiers::<T>().into_iter().flatten().collect();
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     Vec::new()
 }
 
@@ -1143,7 +1145,7 @@ pub fn kernel_for<T: Scalar>(sel: GemmKernel) -> &'static dyn MicroKernel<T> {
         },
         GemmKernel::Unrolled => unrolled_for::<T>(),
         GemmKernel::Simd | GemmKernel::Auto => {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             if let Some(k) = simd::for_type::<T>() {
                 return k;
             }

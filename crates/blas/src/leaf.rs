@@ -17,7 +17,7 @@ use la_core::{RealScalar, Scalar, Uplo};
 
 use crate::kernel::{on_tier, reciprocal_is_safe, Leaf};
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod vector;
 
 /// Unblocked LU factorization with partial pivoting (`xGETF2`) of the
@@ -54,7 +54,7 @@ mod vector;
 /// order, products rounded before their subtraction (no fused
 /// multiply-add), so the bits do not depend on the body or the tier.
 pub fn lu_leaf<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &mut [i32]) -> i32 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if let Some(body) = vector::body::<T>() {
         return body.lu(m, n, a, lda, ipiv);
     }

@@ -37,13 +37,13 @@ use crate::ctx;
 
 /// Which microkernel the packed BLAS-3 path drives. Selected through the
 /// `gemm_kernel` field of [`TuneConfig`] (env var `LA_GEMM_KERNEL`); the
-/// BLAS crate resolves `Auto` to the fastest kernel compiled in and
-/// supported by the host.
+/// BLAS crate resolves `Auto` to the fastest kernel the host runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum GemmKernel {
-    /// Heuristic: the SIMD kernel when the `simd` cargo feature is
-    /// compiled in and the host supports it, the unrolled kernel
-    /// otherwise. Small products may skip the packed path entirely.
+    /// Heuristic: the SIMD kernel on an x86-64 host with AVX2+FMA, the
+    /// unrolled kernel otherwise. Small products may skip the packed path
+    /// entirely. The SIMD tiles use FMA, so a result's last bits follow the
+    /// CPU; [`GemmKernel::Unrolled`] gives the same bits on every target.
     #[default]
     Auto,
     /// Reference triple-loop microkernel — slow, used as the bitwise
@@ -53,11 +53,11 @@ pub enum GemmKernel {
     /// Explicitly unrolled register-tiled microkernel (portable). Forces
     /// the packed path at every size.
     Unrolled,
-    /// Vectorized microkernel (x86-64, `simd` cargo feature): the widest
-    /// tier the host runs, AVX-512F where the CPU has it, else AVX2+FMA.
-    /// Falls back to [`GemmKernel::Unrolled`] when the feature is not
-    /// compiled in, the host lacks AVX2/FMA, or the scalar type is
-    /// complex. Forces the packed path at every size.
+    /// Vectorized microkernel (x86-64, compiled into every build there):
+    /// the widest tier the host runs, AVX-512F where the CPU has it, else
+    /// AVX2+FMA. Falls back to [`GemmKernel::Unrolled`] on other targets,
+    /// when the host lacks AVX2/FMA, or when the scalar type is complex.
+    /// Forces the packed path at every size.
     Simd,
 }
 

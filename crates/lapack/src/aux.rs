@@ -667,6 +667,7 @@ pub fn larft<T: Scalar>(
     t: &mut [T],
     ldt: usize,
 ) {
+    let mut work = vec![T::zero(); k];
     for i in 0..k {
         if tau[i].is_zero() {
             for j in 0..=i {
@@ -681,7 +682,8 @@ pub fn larft<T: Scalar>(
         }
         if n > i + 1 {
             // t(0..i, i) -= tau_i * V(i+1..n, 0..i)^H * v(i+1..n, i)
-            let mut w = vec![T::zero(); i];
+            // (beta = 0: gemv overwrites `w`).
+            let w = &mut work[..i];
             gemv(
                 Trans::ConjTrans,
                 n - i - 1,
@@ -692,7 +694,7 @@ pub fn larft<T: Scalar>(
                 &v[i + 1 + i * ldv..i + 1 + i * ldv + (n - i - 1)],
                 1,
                 T::zero(),
-                &mut w,
+                w,
                 1,
             );
             for j in 0..i {

@@ -35,10 +35,7 @@ pub fn sytd2<T: Scalar>(
                     let alpha = a[i + 1 + i * lda];
                     let start = (i + 2).min(n - 1) + i * lda;
                     let len = n - i - 2;
-                    let mut x: Vec<T> = a[start..start + len].to_vec();
-                    let (b, t) = larfg(alpha, &mut x);
-                    a[start..start + len].copy_from_slice(&x);
-                    (b, t)
+                    larfg(alpha, &mut a[start..start + len])
                 };
                 e[i] = beta;
                 if !taui.is_zero() {
@@ -97,10 +94,7 @@ pub fn sytd2<T: Scalar>(
                     let alpha = a[i - 1 + i * lda];
                     let start = i * lda;
                     let len = i - 1;
-                    let mut x: Vec<T> = a[start..start + len].to_vec();
-                    let (b, t) = larfg(alpha, &mut x);
-                    a[start..start + len].copy_from_slice(&x);
-                    (b, t)
+                    larfg(alpha, &mut a[start..start + len])
                 };
                 e[i - 1] = beta;
                 if !taui.is_zero() {
@@ -673,10 +667,7 @@ pub fn sptrd<T: Scalar>(
                 let col0 = idx(i + 1, i);
                 let (beta, taui) = {
                     let alpha = ap[col0];
-                    let mut x: Vec<T> = ap[col0 + 1..col0 + nv].to_vec();
-                    let (b, t) = larfg(alpha, &mut x);
-                    ap[col0 + 1..col0 + nv].copy_from_slice(&x);
-                    (b, t)
+                    larfg(alpha, &mut ap[col0 + 1..col0 + nv])
                 };
                 e[i] = beta;
                 if !taui.is_zero() {
@@ -726,10 +717,7 @@ pub fn sptrd<T: Scalar>(
                 let col0 = idx(0, i);
                 let (beta, taui) = {
                     let alpha = ap[col0 + i - 1];
-                    let mut x: Vec<T> = ap[col0..col0 + i - 1].to_vec();
-                    let (b, t) = larfg(alpha, &mut x);
-                    ap[col0..col0 + i - 1].copy_from_slice(&x);
-                    (b, t)
+                    larfg(alpha, &mut ap[col0..col0 + i - 1])
                 };
                 e[i - 1] = beta;
                 if !taui.is_zero() {

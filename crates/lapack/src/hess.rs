@@ -241,10 +241,7 @@ pub fn gehd2<T: Scalar>(
             let alpha = a[i + 1 + i * lda];
             let start = (i + 2).min(n - 1) + i * lda;
             let len = ihi.saturating_sub(i + 1);
-            let mut x: Vec<T> = a[start..start + len].to_vec();
-            let (b, t) = larfg(alpha, &mut x);
-            a[start..start + len].copy_from_slice(&x);
-            (b, t)
+            larfg(alpha, &mut a[start..start + len])
         };
         tau[i] = taui;
         a[i + 1 + i * lda] = T::one();

@@ -38,10 +38,7 @@ pub fn geqr2<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, tau: &mut [
             let alpha = a[i + i * lda];
             let tail_len = m - i - 1;
             let start = i + 1 + i * lda;
-            let mut x_view: Vec<T> = a[start..start + tail_len].to_vec();
-            let (b, t) = larfg(alpha, &mut x_view);
-            a[start..start + tail_len].copy_from_slice(&x_view);
-            (b, t)
+            larfg(alpha, &mut a[start..start + tail_len])
         };
         tau[i] = taui;
         a[i + i * lda] = T::one();
@@ -456,10 +453,7 @@ pub fn geqp3<T: Scalar>(
             let alpha = a[i + i * lda];
             let start = i + 1 + i * lda;
             let len = m - i - 1;
-            let mut x: Vec<T> = a[start..start + len].to_vec();
-            let (b, t) = larfg(alpha, &mut x);
-            a[start..start + len].copy_from_slice(&x);
-            (b, t)
+            larfg(alpha, &mut a[start..start + len])
         };
         tau[i] = taui;
         a[i + i * lda] = T::one();

@@ -33,10 +33,7 @@ pub fn gebd2<T: Scalar>(
             let alpha = a[i + i * lda];
             let start = (i + 1).min(m - 1) + i * lda;
             let len = m - i - 1;
-            let mut x: Vec<T> = a[start..start + len].to_vec();
-            let (b, t) = larfg(alpha, &mut x);
-            a[start..start + len].copy_from_slice(&x);
-            (b, t)
+            larfg(alpha, &mut a[start..start + len])
         };
         d[i] = beta;
         tauq[i] = tqi;

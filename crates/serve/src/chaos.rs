@@ -42,13 +42,6 @@ pub enum ChaosEvent {
     /// heartbeating, exercising the stuck-job watchdog (cooperative and
     /// hard flavors alternate via [`WedgeKind`]).
     WedgedWorker,
-    /// A generator-level event, for a load generator that paces its
-    /// arrivals: submit the next few jobs back-to-back. [`ChaosPlan::apply`]
-    /// leaves the spec untouched, so a closed-loop client (the
-    /// `serve_load --chaos` soak, `tests/serve.rs`) submits it as a clean
-    /// job; `serve_load --overload --chaos` injects its bursts on a fixed
-    /// schedule of its own.
-    Burst,
 }
 
 impl ChaosEvent {
@@ -61,7 +54,6 @@ impl ChaosEvent {
             ChaosEvent::Poison => "poison",
             ChaosEvent::PastDeadline => "past_deadline",
             ChaosEvent::WedgedWorker => "wedged_worker",
-            ChaosEvent::Burst => "burst",
         }
     }
 }
@@ -79,7 +71,7 @@ pub enum WedgeKind {
     Hard,
 }
 
-/// Deterministic chaos event stream (splitmix64 over a seed): ~58% clean
+/// Deterministic chaos event stream (splitmix64 over a seed): ~62% clean
 /// traffic, the rest split across the fault kinds.
 #[derive(Clone, Debug)]
 pub struct ChaosPlan {
@@ -125,7 +117,7 @@ impl ChaosPlan {
                 if self.wedge_flip {
                     ChaosEvent::WedgedWorker
                 } else {
-                    ChaosEvent::Burst
+                    ChaosEvent::Clean
                 }
             }
             _ => unreachable!(),
@@ -168,9 +160,6 @@ impl ChaosPlan {
                 };
                 spec.chaos_wedge(kind)
             }
-            // Burst is interpreted by the load generator (pacing), not
-            // the job.
-            ChaosEvent::Burst => spec,
         }
     }
 }
@@ -314,7 +303,6 @@ mod tests {
             ChaosEvent::Poison,
             ChaosEvent::PastDeadline,
             ChaosEvent::WedgedWorker,
-            ChaosEvent::Burst,
         ] {
             assert!(
                 evs.contains(&kind),

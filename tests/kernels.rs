@@ -22,10 +22,11 @@
 //! * serial and column-striped parallel execution are bitwise identical
 //!   for a fixed kernel (the packed path blocks `k` identically in both),
 //!   including under `AbftPolicy::Verify` checksums;
-//! * the probe span records which kernel actually ran;
+//! * the probe span records which kernel actually ran, and a default
+//!   build's `Auto` runs the SIMD tile on a CPU with AVX2+FMA;
 //! * the delayed-update `getf2` panel is the right-looking rank-1 loop bit
 //!   for bit — factors, pivots, `info`, padding rows — over ragged shapes,
-//!   zero pivots, ties, NaN and Inf, for all four types (with `simd`, the
+//!   zero pivots, ties, NaN and Inf, for all four types (on x86-64, the
 //!   leaf as compiled for the widest tier against a plain reference);
 //! * both Level-2 leaves, `getf2` and `potf2`, give the same factors,
 //!   pivots and `info` on every path the tier selector can take — the
@@ -116,6 +117,15 @@ fn kernel_cfg(kern: GemmKernel) -> tune::TuneConfig {
         gemm_kernel: kern,
         ..tune::TuneConfig::defaults()
     }
+}
+
+/// Whether the CPU runs a SIMD tier: x86-64 with AVX2 and FMA.
+fn host_has_avx2_fma() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx2")
+        && std::arch::is_x86_feature_detected!("fma");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
 }
 
 /// Runs the public gemm entry under a pinned kernel on tightly-stored
@@ -224,8 +234,7 @@ fn edge_sweep<T: Scalar>(eps: f64) {
                         let scale = 1.0 + r.abs().to_f64();
                         assert!(d <= tol * scale, "{tag}: scalar[{idx}] off by {d}");
                     }
-                    #[cfg(feature = "simd")]
-                    {
+                    if host_has_avx2_fma() {
                         let simd =
                             run_gemm(GemmKernel::Simd, ta, tb, m, n, k, alpha, a, b, beta, c0);
                         for (idx, (&s, &r)) in simd.iter().zip(&reference).enumerate() {
@@ -270,7 +279,7 @@ fn syrk_sweep<T: Scalar>(eps: f64, base: tune::TuneConfig, orders: &[usize], dep
     let mut rng = Rng(0x5e11 ^ tile_dims::<T>().0 as u64);
     let (alpha, beta) = (-1.25, 0.5);
     let mut kernels = vec![GemmKernel::Scalar, GemmKernel::Unrolled];
-    if cfg!(feature = "simd") {
+    if host_has_avx2_fma() {
         kernels.push(GemmKernel::Simd);
     }
     for &n in orders {
@@ -432,10 +441,10 @@ fn syrk_sweep_across_band_row_and_depth_blocks() {
     syrk_sweep::<C32>(f32::EPSILON as f64 * 2.0, base, &[97], &[31, 96]);
 }
 
-/// The kernels a sweep pins, `simd` only when it is compiled in.
+/// The kernels a sweep pins, `simd` only on a CPU that runs a SIMD tier.
 fn pinned_kernels() -> Vec<GemmKernel> {
     let mut kernels = vec![GemmKernel::Scalar, GemmKernel::Unrolled];
-    if cfg!(feature = "simd") {
+    if host_has_avx2_fma() {
         kernels.push(GemmKernel::Simd);
     }
     kernels
@@ -777,7 +786,7 @@ fn striped_matches_serial<T: Scalar>() {
     let alpha = T::from_f64(1.5);
     let beta = T::from_f64(0.25);
     let mut kernels = vec![GemmKernel::Scalar, GemmKernel::Unrolled, GemmKernel::Auto];
-    if cfg!(feature = "simd") {
+    if host_has_avx2_fma() {
         kernels.push(GemmKernel::Simd);
     }
     for kern in kernels {
@@ -838,53 +847,65 @@ fn striped_matches_serial_all_types() {
     striped_matches_serial::<C64>();
 }
 
+/// The kernel name the probe span of one `m × m × m` `gemm` under `cfg`
+/// records.
+fn gemm_span_kernel<T: Scalar>(cfg: tune::TuneConfig, m: usize) -> &'static str {
+    use la_core::probe::{self, ProbePolicy};
+    let mut rng = Rng(0x9b0e);
+    let a: Vec<T> = rng.vec(m * m);
+    let b: Vec<T> = rng.vec(m * m);
+    probe::reset();
+    probe::with_policy(ProbePolicy::Spans, || {
+        let mut c = vec![T::zero(); m * m];
+        tune::with(cfg, || {
+            gemm(
+                Trans::No,
+                Trans::No,
+                m,
+                m,
+                m,
+                T::one(),
+                &a,
+                m,
+                &b,
+                m,
+                T::zero(),
+                &mut c,
+                m,
+            )
+        });
+    });
+    probe::snapshot()
+        .spans
+        .iter()
+        .find(|s| s.routine == "gemm")
+        .expect("gemm span")
+        .kernel
+}
+
 /// The probe span for gemm records the kernel that actually ran: the
 /// pinned kernel's name on the packed path, `"small"` for the unpacked
-/// small-product sweep under `Auto`.
+/// small-product sweep under `Auto`. With no build option at all, `Auto`
+/// above the small-product crossover runs the SIMD tile on a CPU that has
+/// one and the unrolled tile elsewhere, for both real precisions.
 #[test]
 fn probe_span_records_the_kernel() {
-    use la_core::probe::{self, ProbePolicy};
+    let f64_span = |sel, m| gemm_span_kernel::<f64>(kernel_cfg(sel), m);
+    let f32_span = |sel, m| gemm_span_kernel::<f32>(kernel_cfg(sel), m);
     let n = 32usize;
-    let mut rng = Rng(0x9b0e);
-    let a: Vec<f64> = rng.vec(n * n);
-    let b: Vec<f64> = rng.vec(n * n);
-    let run = |cfg: tune::TuneConfig, m: usize| {
-        probe::reset();
-        probe::with_policy(ProbePolicy::Spans, || {
-            let mut c = vec![0.0f64; m * m];
-            tune::with(cfg, || {
-                gemm(
-                    Trans::No,
-                    Trans::No,
-                    m,
-                    m,
-                    m,
-                    1.0,
-                    &a[..m * m],
-                    m,
-                    &b[..m * m],
-                    m,
-                    0.0,
-                    &mut c,
-                    m,
-                )
-            });
-        });
-        let report = probe::snapshot();
-        let span = report
-            .spans
-            .iter()
-            .find(|s| s.routine == "gemm")
-            .expect("gemm span")
-            .clone();
-        span.kernel
-    };
-    assert_eq!(run(kernel_cfg(GemmKernel::Unrolled), n), "unrolled");
-    assert_eq!(run(kernel_cfg(GemmKernel::Scalar), n), "scalar");
+    assert_eq!(f64_span(GemmKernel::Unrolled, n), "unrolled");
+    assert_eq!(f64_span(GemmKernel::Scalar, n), "scalar");
     // Auto on a tiny product takes the unpacked small path.
-    assert_eq!(run(kernel_cfg(GemmKernel::Auto), 4), "small");
-    #[cfg(feature = "simd")]
-    assert_eq!(run(kernel_cfg(GemmKernel::Simd), n), "simd");
+    assert_eq!(f64_span(GemmKernel::Auto, 4), "small");
+    let tile = if host_has_avx2_fma() {
+        "simd"
+    } else {
+        "unrolled"
+    };
+    for sel in [GemmKernel::Auto, GemmKernel::Simd] {
+        assert_eq!(f64_span(sel, n), tile, "f64 {sel:?}");
+        assert_eq!(f32_span(sel, n), tile, "f32 {sel:?}");
+    }
 }
 
 /// The right-looking rank-1 `getf2` (one pass over the trailing panel per
@@ -1051,9 +1072,9 @@ fn getf2_is_the_rank1_panel_bit_for_bit() {
     panel_contract::<C64>();
 }
 
-/// Whether the host runs two `simd` tiers for `T` (an AVX-512F CPU, the
-/// `simd` feature on): the kernel `simd` resolves to is then wider than
-/// the one it resolves to under `with_narrow_simd`.
+/// Whether the host runs two `simd` tiers for `T` (an AVX-512F CPU): the
+/// kernel `simd` resolves to is then wider than the one it resolves to
+/// under `with_narrow_simd`.
 fn two_simd_tiers<T: Scalar>() -> bool {
     let dims = |k: &dyn la_blas::kernel::MicroKernel<T>| (k.mr(), k.nr());
     let narrow = with_narrow_simd(|| kernel_for::<T>(GemmKernel::Simd));
